@@ -108,6 +108,12 @@ def _finish(out: Path, command: str, report: dict, failures: list, h: str, stric
     return 0
 
 
+def _level_axis(cfg: dict, levels_opt: str | None, values) -> range:
+    """The partition level of each per-level value, counted up from n_min."""
+    n_min, _ = _levels(cfg, levels_opt)
+    return range(n_min, n_min + len(values))
+
+
 def _maybe_plot(out: Path, command: str, plot: bool, series: dict) -> None:
     if not plot:
         return
@@ -211,7 +217,8 @@ def _qv(cfg, out, seed, levels_opt, plot, strict, h):
         "cond2_worst": qv.cond2_worst,
         "measure_check": mvq.to_dict(),
     }
-    _maybe_plot(out, "qv", plot, {"gap": (range(len(qv.level_gaps)), [g or 1e-17 for g in qv.level_gaps])})
+    gaps = [g or 1e-17 for g in qv.level_gaps]
+    _maybe_plot(out, "qv", plot, {"gap": (_level_axis(cfg, levels_opt, gaps), gaps)})
     return _finish(out, "qv", report, failures, h, strict, inconclusive)
 
 
@@ -255,7 +262,8 @@ def _integrate(cfg, out, seed, levels_opt, plot, strict, h):
     elif res.status == "inconclusive":
         inconclusive.append("integral trend inconclusive")
     report = {"value_at_t": res.at(t), "status": res.status, "claim": res.claim, "gaps": res.level_gaps}
-    _maybe_plot(out, "integrate", plot, {"gap": (range(len(res.level_gaps)), [g_ or 1e-17 for g_ in res.level_gaps])})
+    gaps = [g_ or 1e-17 for g_ in res.level_gaps]
+    _maybe_plot(out, "integrate", plot, {"gap": (_level_axis(cfg, levels_opt, gaps), gaps)})
     return _finish(out, "integrate", report, failures, h, strict, inconclusive)
 
 
@@ -299,7 +307,8 @@ def _ito_check(cfg, out, seed, levels_opt, plot, strict, h):
         "residual": rep.residual,
         "residual_per_level": rep.residual_per_level,
     }
-    _maybe_plot(out, "ito", plot, {"residual": (range(len(rep.residual_per_level)), [r or 1e-17 for r in rep.residual_per_level])})
+    residuals = [r or 1e-17 for r in rep.residual_per_level]
+    _maybe_plot(out, "ito", plot, {"residual": (_level_axis(cfg, levels_opt, residuals), residuals)})
     return _finish(out, "ito-check", report, failures, h, strict, inconclusive)
 
 

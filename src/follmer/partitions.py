@@ -15,13 +15,6 @@ import numpy as np
 
 from .paths import GridPath, TimeGrid, dyadic_grid
 
-try:  # tight scan loop; pure-numpy fallback below
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment without numba
-    _HAVE_NUMBA = False
-
 __all__ = [
     "Partition",
     "PartitionSequence",
@@ -150,58 +143,46 @@ def thinned_sequence(grid: TimeGrid, levels: int) -> PartitionSequence:
     return PartitionSequence(tuple(out), kind="thinned")
 
 
-def _lebesgue_scan_py(x: np.ndarray, times: np.ndarray, thr: float, cap: float) -> list[int]:
-    n = times.size
+# K: exits within K samples of a start come from a table built for every
+# start at once; farther ones are found by a chunked scan from the chain point.
+_EXIT_WINDOW = 16
+
+
+def _lebesgue_scan(x: np.ndarray, times: np.ndarray, n: int) -> list[int]:
+    thr = 0.5 ** (n + 1)
+    cap = 1.0 / n
+    size = times.size
+    j_cap = np.searchsorted(times, times + cap, side="right") - 1
+    # first[i]: the least k <= K with |x[i+k] - x[i]| > thr, K + 1 if none
+    first = np.full(size, _EXIT_WINDOW + 1)
+    for k in range(_EXIT_WINDOW, 0, -1):
+        np.copyto(first[:-k], k, where=np.abs(x[k:] - x[:-k]) > thr)
+    # exit offset: the crossing or the cap, whichever comes first; <= 0 when
+    # the cap admits no later grid time, > K when both lie past the window
+    offset = np.minimum(first, j_cap - np.arange(size)).tolist()
     out = [0]
     i = 0
-    while i < n - 1:
-        ref = x[i]
-        j_cap = int(np.searchsorted(times, times[i] + cap, side="right")) - 1
-        if j_cap <= i:
-            raise ValueError("grid too coarse for the 1/n time cap")
-        j = -1
-        start, chunk = i + 1, 64
-        while start <= j_cap:
-            end = min(start + chunk, j_cap + 1)
-            hit = np.abs(x[start:end] - ref) > thr
-            if hit.any():
-                j = start + int(np.argmax(hit))
-                break
-            start, chunk = end, chunk * 4
-        if j < 0:
-            j = j_cap
+    while i < size - 1:
+        k = offset[i]
+        if k <= 0:
+            raise ValueError(
+                f"grid too coarse for the 1/n time cap at level n={n}: cap 1/n = {cap:.6g} "
+                f"is below the grid step {times[i + 1] - times[i]:.6g} at t = {times[i]:.6g}"
+            )
+        j = i + k
+        if k > _EXIT_WINDOW:
+            j = last = int(j_cap[i])
+            start, chunk = i + _EXIT_WINDOW + 1, 64
+            while start <= last:
+                end = min(start + chunk, last + 1)
+                hit = np.abs(x[start:end] - x[i]) > thr
+                if hit.any():
+                    j = start + int(np.argmax(hit))
+                    break
+                start, chunk = end, chunk * 4
         out.append(j)
         i = j
     return out
-
-
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _lebesgue_scan_nb(x, times, thr, cap):  # pragma: no cover - jitted
-        n = times.size
-        out = np.empty(n, dtype=np.int64)
-        out[0] = 0
-        m = 1
-        i = 0
-        while i < n - 1:
-            ref = x[i]
-            t_cap = times[i] + cap
-            j = -1
-            k = i + 1
-            while k < n and times[k] <= t_cap:
-                if abs(x[k] - ref) > thr:
-                    j = k
-                    break
-                k += 1
-            if j < 0:
-                j = k - 1
-            if j <= i:
-                return out[:0]  # grid too coarse for the 1/n cap
-            out[m] = j
-            m += 1
-            i = j
-        return out[:m]
 
 
 def lebesgue_partition(path: GridPath, n: int) -> Partition:
@@ -217,16 +198,7 @@ def lebesgue_partition(path: GridPath, n: int) -> Partition:
         raise ValueError("level n must be >= 1 (the 1/n cap is undefined at 0)")
     if path.dim != 1:
         raise ValueError("stopping-time partitions are built from scalar paths")
-    thr = 0.5 ** (n + 1)
-    cap = 1.0 / n
-    x = np.ascontiguousarray(path.x)
-    times = np.ascontiguousarray(path.grid.times)
-    if _HAVE_NUMBA:
-        idx = _lebesgue_scan_nb(x, times, thr, cap)
-        if len(idx) == 0:
-            raise ValueError("grid too coarse for the 1/n time cap")
-    else:
-        idx = _lebesgue_scan_py(x, times, thr, cap)
+    idx = _lebesgue_scan(np.ascontiguousarray(path.x), path.grid.times, n)
     return Partition(path.grid, np.asarray(idx, dtype=int))
 
 

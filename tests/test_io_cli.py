@@ -263,6 +263,22 @@ class TestCli:
         for p in c.iterdir():
             assert (a / p.name).read_bytes() == p.read_bytes(), p.name
 
+    @pytest.mark.parametrize(
+        "command, svg, cfg, axis",
+        [
+            ("qv", "qv", {"path": {"kind": "dyadic-brownian"}, "stochastic": True}, ("3", "7")),
+            ("qv", "qv", {"path": {"kind": "formula", "name": "linear"}, "path_fv": True}, ("3", "8")),
+            ("integrate", "integrate", {"path": {"kind": "dyadic-brownian"}, "stochastic": True}, ("3", "7")),
+            ("ito-check", "ito", {"f": {"name": "square"}, "path": {"kind": "dyadic-brownian"}, "stochastic": True}, ("3", "8")),
+        ],
+    )
+    def test_plot_axis_names_partition_levels(self, tmp_path, command, svg, cfg, axis):
+        result, out = run_cli(tmp_path, command, {**cfg, "levels": [2, 4]}, "--levels", "3..8", "--seed", "1", "--plot")
+        assert result.exit_code in (0, 1), result.output
+        root = ET.parse(out / f"{svg}.svg").getroot()
+        labels = {t.text for t in root.findall(_SVG + "text") if t.get("text-anchor") == "middle" and t.get("transform") is None}
+        assert labels == {"level", *axis}
+
     def test_plot_error_reported_without_affecting_exit(self, tmp_path):
         cfg = {"path": {"kind": "formula", "name": "constant", "c": 1.0}, "levels": [2, 5]}
         (tmp_path / "out" / "qv.svg").mkdir(parents=True)

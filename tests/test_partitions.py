@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import follmer as fl
 from follmer.partitions import write_partition
@@ -159,19 +161,98 @@ def test_partition_serialization():
     assert buf.getvalue().splitlines() == ["0.0", "0.5", "1.0"]
 
 
-def test_lebesgue_fallback_matches_accelerated_scan():
-    from follmer.partitions import _HAVE_NUMBA, _lebesgue_scan_py
+def _lebesgue_scan_py(x: np.ndarray, times: np.ndarray, thr: float, cap: float) -> list[int]:
+    """Reference band-exit scan, one Python step per partition point."""
+    n = times.size
+    out = [0]
+    i = 0
+    while i < n - 1:
+        ref = x[i]
+        j_cap = int(np.searchsorted(times, times[i] + cap, side="right")) - 1
+        if j_cap <= i:
+            raise ValueError("grid too coarse for the 1/n time cap")
+        j = -1
+        start, chunk = i + 1, 64
+        while start <= j_cap:
+            end = min(start + chunk, j_cap + 1)
+            hit = np.abs(x[start:end] - ref) > thr
+            if hit.any():
+                j = start + int(np.argmax(hit))
+                break
+            start, chunk = end, chunk * 4
+        if j < 0:
+            j = j_cap
+        out.append(j)
+        i = j
+    return out
 
-    if not _HAVE_NUMBA:
-        import pytest
 
-        pytest.skip("numba not available; only one implementation to compare")
-    from follmer.partitions import _lebesgue_scan_nb
+def _scan_outcome(scan):
+    try:
+        return scan()
+    except ValueError as exc:
+        assert str(exc).startswith("grid too coarse for the 1/n time cap")
+        return "too coarse"
 
-    w = fl.DyadicBrownianGenerator(seed=7).generate(fl.dyadic_grid(1.0, 12))
-    x = np.ascontiguousarray(w.x)
-    times = np.ascontiguousarray(w.grid.times)
-    for n in (2, 4, 6):
-        a = np.asarray(_lebesgue_scan_py(x, times, 0.5 ** (n + 1), 1.0 / n))
-        b = np.asarray(_lebesgue_scan_nb(x, times, 0.5 ** (n + 1), 1.0 / n))
-        assert np.array_equal(a, b)
+
+def assert_matches_reference(path, levels):
+    x = np.ascontiguousarray(path.x)
+    for n in levels:
+        want = _scan_outcome(lambda: _lebesgue_scan_py(x, path.grid.times, 0.5 ** (n + 1), 1.0 / n))
+        got = _scan_outcome(lambda: fl.lebesgue_partition(path, n).indices.tolist())
+        assert got == want, f"level {n}"
+
+
+class TestLebesgueMatchesReference:
+    @pytest.mark.parametrize("grid_level, seed", [(12, 7), (12, 8), (16, 7)])
+    def test_brownian(self, grid_level, seed):
+        w = fl.DyadicBrownianGenerator(seed=seed).generate(fl.dyadic_grid(1.0, grid_level))
+        assert_matches_reference(w, range(1, 9))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_brownian_with_compound_jumps(self, seed):
+        g = fl.dyadic_grid(1.0, 14)
+        jumps = fl.CompoundJumpGenerator(seed=seed, intensity=20.0, size=0.3, sampler="uniform").generate(g)
+        assert jumps.jumps
+        assert_matches_reference(jumps, range(1, 9))
+        assert_matches_reference(fl.add_paths(fl.DyadicBrownianGenerator(seed=seed).generate(g), jumps), range(1, 9))
+
+    def test_constant_path_cap_binds_every_step(self):
+        x = fl.FormulaGenerator(lambda t: 0.0 * t).generate(fl.dyadic_grid(1.0, 10))
+        assert_matches_reference(x, range(1, 9))
+
+    def test_linear_path(self):
+        x = fl.FormulaGenerator(lambda t: t).generate(fl.dyadic_grid(1.0, 10))
+        assert_matches_reference(x, range(1, 9))
+
+    def test_nonuniform_grid(self):
+        steps = np.random.default_rng(5).exponential(size=4999)
+        g = fl.TimeGrid(np.concatenate([[0.0], np.cumsum(steps) / steps.sum()]))
+        x = np.cumsum(np.random.default_rng(6).normal(size=len(g)) * np.sqrt(np.diff(g.times, prepend=0.0)))
+        assert_matches_reference(fl.GridPath(g, x), range(1, 9))
+
+    def test_too_coarse_grid_raises_in_both(self):
+        # the step from 0.5 to 0.875 exceeds the caps 1/3 and 1/4 once the chain reaches 0.5
+        g = fl.TimeGrid(np.array([0.0, 0.125, 0.25, 0.375, 0.5, 0.875, 1.0]))
+        for values in (np.zeros(7), np.array([0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0])):
+            path = fl.GridPath(g, values)
+            assert_matches_reference(path, range(1, 5))
+            with pytest.raises(ValueError, match=r"at level n=4: .* at t = 0\.5$"):
+                fl.lebesgue_partition(path, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=60),
+        values=st.lists(st.floats(-1.0, 1.0), min_size=61, max_size=61),
+        scale=st.sampled_from([1.0, 1e-2, 1e-3]),
+        n=st.integers(1, 8),
+    )
+    def test_property_small_grids(self, steps, values, scale, n):
+        g = fl.TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+        assert_matches_reference(fl.GridPath(g, scale * np.array(values[: len(g)])), [n])
+
+
+def test_too_coarse_message_names_level_cap_and_step():
+    x = fl.FormulaGenerator(lambda t: 0.0 * t).generate(fl.dyadic_grid(1.0, 2))
+    with pytest.raises(ValueError, match=r"at level n=9: cap 1/n = 0\.111111 is below the grid step 0\.25 at t = 0$"):
+        fl.lebesgue_partition(x, 9)
