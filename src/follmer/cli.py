@@ -61,16 +61,18 @@ def _with_seed(ref: dict, seed: int | None) -> dict:
 
 
 def _levels(cfg: dict, override: str | None) -> tuple[int, int]:
-    if override:
-        try:
-            a, b = override.split("..")
-            return int(a), int(b)
-        except ValueError as exc:
+    lv = override.split("..") if override else cfg.get("levels", [6, 12])
+    try:
+        if not isinstance(lv, (list, tuple)):
+            raise TypeError
+        n_min, n_max = (int(v) for v in lv)
+    except (TypeError, ValueError) as exc:
+        if override:
             raise ConfigError(f"bad --levels {override!r}; expected a..b") from exc
-    lv = cfg.get("levels", [6, 12])
-    if not (isinstance(lv, (list, tuple)) and len(lv) == 2):
-        raise ConfigError("'levels' must be a pair [n_min, n_max]")
-    return int(lv[0]), int(lv[1])
+        raise ConfigError(f"bad 'levels' {lv!r}; expected [n_min, n_max]") from exc
+    if not 0 <= n_min <= n_max:
+        raise ConfigError(f"levels need 0 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
+    return n_min, n_max
 
 
 def _setup(cfg: dict, levels: str | None):

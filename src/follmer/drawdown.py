@@ -361,8 +361,7 @@ def azema_yor_path(
     mb = xbar.x
     uv, du = u(mb), u.deriv(mb)
     m_vals = uv - du * (mb - x.x)
-    jumps = {i: float(du[i] * dx[0]) for i, dx in x.jumps.items()}
-    path = GridPath(x.grid, m_vals, jumps)
+    path = GridPath(x.grid, m_vals, du * x.dX[:, 0])
     a_star = float(u(np.array([x.x[0]]))[0])
 
     if seq is None:

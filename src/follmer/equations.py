@@ -79,34 +79,30 @@ def doleans_exponential(
         raise ValueError(f"quadratic variation of X is {qv.status}")
     xs = x.x
     exponent = xs - xs[0] - 0.5 * qv.continuous_part
+    dx = x.dX[:, 0]
+    j = np.flatnonzero(dx)
     factors = np.ones(len(x.grid))
-    jump_sizes = {i: float(dx[0]) for i, dx in x.jumps.items()}
-    zero_hit = False
-    positive = True
-    for i, dx in jump_sizes.items():
-        factors[i] = (1.0 + dx) * math.exp(-dx)
-        if dx == -1.0:
-            zero_hit = True
-        if dx <= -1.0:
-            positive = False
+    factors[j] = (1.0 + dx[j]) * _libm_exp(-dx[j])
     jump_product = np.cumprod(factors)
     values = np.exp(exponent) * jump_product
-
-    jumps = {}
-    for i, dx in jump_sizes.items():
-        left = math.exp(exponent[i] - dx) * (jump_product[i - 1] if i > 0 else 1.0)
-        jumps[i] = values[i] - left
+    dE = np.zeros(len(x.grid))
+    dE[j] = values[j] - _libm_exp(exponent[j] - dx[j]) * jump_product[j - 1]
     cls = FVPath if isinstance(x, FVPath) else GridPath
-    path = cls(x.grid, values, jumps)
     return StochasticExponential(
         x=x,
-        path=path,
+        path=cls(x.grid, values, dE),
         qv=qv,
         exponent=exponent,
         jump_product=jump_product,
-        zero_hit=zero_hit,
-        positive=positive,
+        zero_hit=bool(np.any(dx == -1.0)),
+        positive=not np.any(dx <= -1.0),
     )
+
+
+def _libm_exp(a: np.ndarray) -> np.ndarray:
+    # math.exp per jump: numpy's vectorized exp can differ from the C
+    # library's in the last bit, and E(X) stays bitwise reproducible
+    return np.array([math.exp(v) for v in a.tolist()])
 
 
 @dataclass(frozen=True)
@@ -135,10 +131,8 @@ def _reciprocal_path(se: StochasticExponential) -> GridPath:
     if se.zero_hit:
         raise ValueError("E(X) hits zero: some jump of X equals -1")
     values = 1.0 / se.values
-    lv = se.left()
-    jumps = {i: float(values[i] - 1.0 / lv[i]) for i in se.path.jumps}
     cls = FVPath if isinstance(se.path, FVPath) else GridPath
-    return cls(se.path.grid, values, jumps)
+    return cls(se.path.grid, values, values - 1.0 / se.left())
 
 
 @dataclass(frozen=True)
@@ -168,11 +162,10 @@ def reciprocal_exponential(
     else:
         i1 = follmer_integral(r, x, seq, tol=tol).at(t)
     i2 = stieltjes_left(r_left, se.qv.continuous_part, upto=g)
-    jsum = 0.0
-    for i, dxv in x.jumps.items():
-        if 0 < i <= g:
-            dx = float(dxv[0])
-            jsum += r_left[i] * dx * dx / (1.0 + dx)
+    dx = x.dX[: g + 1, 0]
+    j = np.flatnonzero(dx)
+    terms = r_left[j] * dx[j] * dx[j] / (1.0 + dx[j])
+    jsum = float(np.cumsum(np.concatenate([[0.0], terms]))[-1])  # left to right, not pairwise
     lhs = float(r.x[g]) - 1.0
     residual = lhs - (-i1 + i2 + jsum)
     return ReciprocalReport(r, residual, {"dX": i1, "dQVc": i2, "jumps": jsum})
@@ -190,27 +183,17 @@ class LinearSolveReport:
     exponential: StochasticExponential
 
 
-def _h_values(h, grid) -> tuple[np.ndarray, np.ndarray, dict]:
+def _h_path(h, grid) -> GridPath:
     if isinstance(h, AdmissibleIntegrand):
-        p = h.as_path()
-        return p.x, left_values(p)[:, 0], dict(p.jumps)
+        return h.as_path()
     if isinstance(h, GridPath):
-        return h.x, left_values(h)[:, 0], dict(h.jumps)
-    v = np.full(len(grid), float(h))
-    return v, v.copy(), {}
+        return h
+    return GridPath(grid, np.full(len(grid), float(h)))
 
 
-def _z_jumps(z_vals: np.ndarray, h_jumps: dict, x: GridPath) -> dict:
+def _z_jumps(z_vals: np.ndarray, dh: np.ndarray, x: GridPath) -> np.ndarray:
     """Jumps of a solution of Z = H + int Z_- dX: dZ = dH + Z_- dX."""
-    jumps = {}
-    for i in sorted(set(x.jumps) | set(h_jumps)):
-        dx = float(x.jump_at(i)[0])
-        dh = float(np.asarray(h_jumps.get(i, 0.0)).reshape(-1)[0]) if i in h_jumps else 0.0
-        z_left = (z_vals[i] - dh) / (1.0 + dx)
-        dz = z_vals[i] - z_left
-        if dz != 0.0:
-            jumps[i] = dz
-    return jumps
+    return z_vals - (z_vals - dh) / (1.0 + x.dX[:, 0])
 
 
 def solve_linear(
@@ -237,7 +220,8 @@ def solve_linear(
         raise ValueError("dX = -1 encountered: the equation degenerates")
     r = _reciprocal_path(se)
     grid = x.grid
-    hv, hl, hj = _h_values(h, grid)
+    hp = _h_path(h, grid)
+    hv, hl, hj = hp.x, left_values(hp)[:, 0], hp.dX[:, 0]
     if isinstance(h, AdmissibleIntegrand):
         hypothesis = "admissible"
     elif isinstance(h, GridPath) and not isinstance(h, FVPath):
@@ -249,7 +233,7 @@ def solve_linear(
     if isinstance(x, FVPath):
         inner = stieltjes_fv_curve(hv, hl, r)
     else:
-        inner = follmer_integral(GridPath(grid, hv, hj), r, seq, tol=tol).estimate
+        inner = follmer_integral(hp, r, seq, tol=tol).estimate
     z_vals = hv - se.values * inner
     z = GridPath(grid, z_vals, _z_jumps(z_vals, hj, x))
 
@@ -271,11 +255,9 @@ def solve_linear(
                 [[0.0], (xi_left * r_left)[1:] * np.diff(se.qv.continuous_part)]
             )
         )
-        t3 = np.zeros(len(grid))
-        for i in sorted(set(x.jumps) | set(a.jumps)):
-            dx = float(x.jump_at(i)[0])
-            dh = xi_left[i] * dx + float(a.jump_at(i)[0])
-            t3[i:] += r_left[i] * dh * dx / (1.0 + dx)
+        dx = x.dX[:, 0]
+        dh = xi_left * dx + a.dX[:, 0]
+        t3 = np.cumsum(np.where(dx != 0.0, r_left * dh * dx / (1.0 + dx), 0.0))
         z_alt_vals = se.values * (h0 + t1_x + t1_a - t2 - t3)
         z_alt = GridPath(grid, z_alt_vals, _z_jumps(z_alt_vals, hj, x))
         agreement = sup_distance(z_vals, z_alt_vals)
@@ -371,7 +353,7 @@ def solve_nonlinear(
             raise OdeBlowUp(float(t1))
 
     z_vals = y * e_vals
-    z = GridPath(x.grid, z_vals, _z_jumps(z_vals, {}, x))
+    z = GridPath(x.grid, z_vals, _z_jumps(z_vals, 0.0, x))
 
     fz = f_vec(f, times, z_vals)
     drift = np.concatenate(

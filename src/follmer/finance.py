@@ -24,7 +24,7 @@ from .drawdown import FloorFunction, azema_yor_path, floor_to_transform
 from .equations import StochasticExponential, doleans_exponential
 from .integrals import AdmissibleIntegrand, integral_curve
 from .partitions import PartitionSequence
-from .paths import FVPath, GridPath, TimeGrid, left_values, running_maximum
+from .paths import FVPath, GridPath, TimeGrid, _csv_floats, left_values, running_maximum
 from .stieltjes import stieltjes_fv_curve
 
 __all__ = [
@@ -69,12 +69,7 @@ class Market:
         """S~ = S / B with its declared jumps."""
         vals = self.s.x / self.b.x
         sl, bl = left_values(self.s)[:, 0], left_values(self.b)[:, 0]
-        jumps = {}
-        for i in sorted(set(self.s.jumps) | set(self.b.jumps)):
-            dv = vals[i] - sl[i] / bl[i]
-            if dv != 0.0:
-                jumps[i] = dv
-        return GridPath(self.grid, vals, jumps)
+        return GridPath(self.grid, vals, vals - sl / bl)
 
 
 @dataclass(frozen=True)
@@ -91,14 +86,7 @@ def make_strategy(market: Market, xi: GridPath, eta: GridPath) -> Strategy:
     xl, el = left_values(xi)[:, 0], left_values(eta)[:, 0]
     sl, bl = left_values(market.s)[:, 0], left_values(market.b)[:, 0]
     v_left = xl * sl + el * bl
-    jumps = {}
-    for i in sorted(
-        set(market.s.jumps) | set(market.b.jumps) | set(xi.jumps) | set(eta.jumps)
-    ):
-        dv = v[i] - v_left[i]
-        if dv != 0.0:
-            jumps[i] = dv
-    return Strategy(xi, eta, GridPath(market.grid, v, jumps))
+    return Strategy(xi, eta, GridPath(market.grid, v, v - v_left))
 
 
 def constant_path(grid: TimeGrid, c: float) -> GridPath:
@@ -171,18 +159,12 @@ def dppi(
         integral_curve(xi1, s.values, p) + integral_curve(xi2, b.values, p) for p in seq
     ]
     x_vals = level_curves[-1]
-    x_jumps = {}
-    for i in sorted(set(s.jumps) | set(b.jumps)):
-        dx = ml[i] * float(s.jump_at(i)[0]) / sl[i] + (1.0 - ml[i]) * float(
-            b.jump_at(i)[0]
-        ) / bl[i]
-        if dx != 0.0:
-            x_jumps[i] = dx
-    if any(v == -1.0 for v in x_jumps.values()):
+    x_jumps = ml * s.dX[:, 0] / sl + (1.0 - ml) * b.dX[:, 0] / bl
+    if np.any(x_jumps == -1.0):
         raise ValueError("dX = -1 encountered: the cushion exponential degenerates")
     fv_driver = isinstance(s, FVPath)
     x_path = (FVPath if fv_driver else GridPath)(grid, x_vals, x_jumps)
-    dx_above = all(v > -1.0 for v in x_jumps.values())
+    dx_above = bool(np.all(x_jumps > -1.0))
 
     se = doleans_exponential(x_path, seq, tol=tol)
     e_vals = se.values
@@ -191,33 +173,24 @@ def dppi(
     h_vals = b.x / e_vals
     h_left = bl / e_left
     c_curve = stieltjes_fv_curve(h_vals, h_left, l.continuous())
-    jsum = np.zeros(len(grid))
-    for i, dl in l.jumps.items():
-        dx = x_jumps.get(i, 0.0)
-        jsum[i:] += b.x[i] * float(dl[0]) / (e_left[i] * (1.0 + dx))
+    dl = l.dX[:, 0]
+    jl = np.flatnonzero(dl)
+    l_atoms = np.zeros(len(grid))
+    l_atoms[jl] = b.x[jl] * dl[jl] / (e_left[jl] * (1.0 + x_jumps[jl]))
+    jsum = np.cumsum(l_atoms)
 
     cushion = v0 - float(l.x[0]) - c_curve - jsum
     v_vals = l.x * b.x + e_vals * cushion
     l_left = left_values(l)[:, 0]
-    jsum_left = jsum.copy()
-    for i, dl in l.jumps.items():
-        dxi = x_jumps.get(i, 0.0)
-        jsum_left[i] -= b.x[i] * float(dl[0]) / (e_left[i] * (1.0 + dxi))
-    v_left = l_left * bl + e_left * (v0 - float(l.x[0]) - c_curve - jsum_left)
-
-    v_jumps = {}
-    for i in sorted(set(x_jumps) | set(l.jumps) | set(b.jumps) | set(s.jumps)):
-        dv = v_vals[i] - v_left[i]
-        if dv != 0.0:
-            v_jumps[i] = dv
+    v_left = l_left * bl + e_left * (v0 - float(l.x[0]) - c_curve - (jsum - l_atoms))
 
     xi_vals = mv * (v_vals - l.x * b.x) / s.x
     eta_vals = (v_vals - xi_vals * s.x) / b.x
     xi_left_vals = ml * (v_left - l_left * bl) / sl
     eta_left_vals = (v_left - xi_left_vals * sl) / bl
-    xi_path = GridPath(grid, xi_vals, _jumps_from(xi_vals, xi_left_vals))
-    eta_path = GridPath(grid, eta_vals, _jumps_from(eta_vals, eta_left_vals))
-    value_path = GridPath(grid, v_vals, v_jumps)
+    xi_path = GridPath(grid, xi_vals, xi_vals - xi_left_vals)
+    eta_path = GridPath(grid, eta_vals, eta_vals - eta_left_vals)
+    value_path = GridPath(grid, v_vals, v_vals - v_left)
     strategy = Strategy(xi_path, eta_path, value_path)
 
     floor_curve = l.x * b.x
@@ -240,11 +213,6 @@ def dppi(
         self_financing=sf,
         general_floor_gap=general_gap,
     )
-
-
-def _jumps_from(values: np.ndarray, lefts: np.ndarray) -> dict:
-    d = values - lefts
-    return {int(i): float(d[i]) for i in np.nonzero(d != 0.0)[0] if i > 0}
 
 
 @dataclass(frozen=True)
@@ -356,7 +324,7 @@ def drawdown_strategy(
     eta_vals = v_path.x - xi_vals * s.x
     v_left = left_values(v_path)[:, 0]
     eta_left = v_left - xi_vals * sl
-    eta_path = GridPath(grid, eta_vals, _jumps_from(eta_vals, eta_left))
+    eta_path = GridPath(grid, eta_vals, eta_vals - eta_left)
 
     b = FVPath(grid, np.ones(len(grid)))
     market = Market(s, b)
@@ -374,24 +342,18 @@ def drawdown_strategy(
 
 
 def read_market_csv(fp) -> Market:
-    """Market from CSV t,S,B with optional jump columns dS,dB."""
+    """Market from CSV with columns t,S,B and optional jump columns dS,dB,
+    found by header name."""
     r = csv.reader(row for row in fp if not row.startswith("#"))
-    header = next(r)
-    has_jumps = len(header) >= 5
-    times, sv, bv = [], [], []
-    sj, bj = {}, {}
-    for i, row in enumerate(r):
-        times.append(float(row[0]))
-        sv.append(float(row[1]))
-        bv.append(float(row[2]))
-        if has_jumps:
-            ds, db = float(row[3]), float(row[4])
-            if ds:
-                sj[i] = ds
-            if db:
-                bj[i] = db
-    grid = TimeGrid(np.array(times))
-    return Market(GridPath(grid, np.array(sv), sj), FVPath(grid, np.array(bv), bj))
+    header = [name.strip() for name in next(r, [])]
+    missing = [name for name in ("t", "S", "B") if name not in header]
+    if missing:
+        raise ValueError(f"market CSV header {','.join(header)!r} lacks {','.join(missing)}")
+    rows = [_csv_floats(row, len(header), i) for i, row in enumerate(r)]
+    a = np.array(rows).reshape(len(rows), len(header))
+    col = {name: a[:, k] for k, name in enumerate(header)}
+    grid = TimeGrid(col["t"])
+    return Market(GridPath(grid, col["S"], col.get("dS")), FVPath(grid, col["B"], col.get("dB")))
 
 
 def write_strategy_csv(strategy: Strategy, floor_curve: np.ndarray | None, fp) -> None:

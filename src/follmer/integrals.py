@@ -25,7 +25,7 @@ import numpy as np
 from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport, sup_distance
 from .functions import C12Function
 from .partitions import Partition, PartitionSequence
-from .paths import FVPath, GridPath, as_fv, left_values
+from .paths import FVPath, GridPath, as_fv, jump_rows, left_values
 from .quadvar import QVResult, covariation, qv_sequence
 from .stieltjes import stieltjes_fv, stieltjes_left
 
@@ -89,11 +89,7 @@ class AdmissibleIntegrand:
         return self.f.d
 
     def as_path(self) -> GridPath:
-        jumps = {}
-        diff = self.values - self.values_left
-        for i in np.nonzero(np.any(diff != 0.0, axis=1))[0]:
-            jumps[int(i)] = diff[i]
-        return GridPath(self.X.grid, self.values, jumps)
+        return GridPath(self.X.grid, self.values, self.values - self.values_left)
 
 
 def _integrand_values(xi, grid) -> tuple[np.ndarray, np.ndarray]:
@@ -177,16 +173,6 @@ class IntegralResult:
         return self.status == "converged"
 
 
-def _integral_jumps(xi_left: np.ndarray, x: GridPath) -> dict:
-    """d(int xi dX)_t = <xi_{t-}, dX_t> at the declared jump times of X."""
-    jumps = {}
-    for i, dx in x.jumps.items():
-        v = float(xi_left[i] @ dx)
-        if v != 0.0:
-            jumps[i] = v
-    return jumps
-
-
 def follmer_integral(
     xi,
     x: GridPath,
@@ -211,11 +197,9 @@ def follmer_integral(
         claim = "fv-integrator"
     else:
         claim = "unverified-hypothesis"
-    jumps = _integral_jumps(xi_left, x)
-    if isinstance(x, FVPath):
-        path = FVPath(x.grid, estimate, jumps)
-    else:
-        path = GridPath(x.grid, estimate, jumps)
+    # d(int xi dX)_t = <xi_{t-}, dX_t>
+    jumps = np.sum(xi_left * x.dX, axis=1)
+    path = (FVPath if isinstance(x, FVPath) else GridPath)(x.grid, estimate, jumps)
     return IntegralResult(
         grid=x.grid,
         level_curves=tuple(curves),
@@ -320,19 +304,15 @@ def ito_formula_eval(
             total += 0.5 * v if k == l else v  # off-diagonal counted twice
         return total
 
-    jump_idx = sorted(set(X.jumps) | set(A.jumps))
+    ji = jump_rows(X, A)
+    ji = ji[ji <= g]
     jump_term = 0.0
-    if jump_idx:
-        ji = np.array(jump_idx)
-        ji = ji[ji <= g]
-        if ji.size:
-            f_after = integrand.f(av[ji], xv[ji])
-            f_before = integrand.f(al[ji], xl[ji])
-            gx_before = np.asarray(f.grad_x(al[ji], xl[ji]), dtype=float).reshape(ji.size, X.dim)
-            dx = xv[ji] - xl[ji]
-            jump_term = float(
-                np.sum(f_after - f_before - np.einsum("ij,ij->i", gx_before, dx))
-            )
+    if ji.size:
+        f_after = integrand.f(av[ji], xv[ji])
+        f_before = integrand.f(al[ji], xl[ji])
+        gx_before = np.asarray(f.grad_x(al[ji], xl[ji]), dtype=float).reshape(ji.size, X.dim)
+        dx = xv[ji] - xl[ji]
+        jump_term = float(np.sum(f_after - f_before - np.einsum("ij,ij->i", gx_before, dx)))
 
     residuals = tuple(
         lhs - (drift + level_integrals[n] + qv_term_at_level(n) + jump_term)
@@ -538,22 +518,12 @@ def admissible_rep_of_integral(
     const = float(f_traj[0])
     a0 = f_traj - const - y
 
-    a0_jumps: dict[int, float] = {}
     al, xl = left_values(A), left_values(x)
-    for i in sorted(set(x.jumps) | set(A.jumps)):
-        df = float(f.value(av[i : i + 1], xv[i : i + 1])[0] - f.value(al[i : i + 1], xl[i : i + 1])[0])
-        dy = float(xi.values_left[i] @ x.jump_at(i))
-        if df - dy != 0.0:
-            a0_jumps[i] = df - dy
-
-    new_vals = np.hstack([a0[:, None], av])
-    new_jumps = {}
-    for i in set(a0_jumps) | set(A.jumps):
-        vec = np.zeros(A.dim + 1)
-        vec[0] = a0_jumps.get(i, 0.0)
-        vec[1:] = A.jump_at(i)
-        new_jumps[i] = vec
-    a_aug = FVPath(x.grid, new_vals, new_jumps)
+    rows = jump_rows(x, A)
+    da0 = np.zeros(len(x.grid))
+    df = np.asarray(f.value(av[rows], xv[rows]) - f.value(al[rows], xl[rows]), dtype=float)
+    da0[rows] = df - np.sum(xi.values_left[rows] * x.dX[rows], axis=1)
+    a_aug = FVPath(x.grid, np.hstack([a0[:, None], av]), np.hstack([da0[:, None], A.dX]))
 
     inner = f
 

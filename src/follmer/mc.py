@@ -109,10 +109,7 @@ def _sample_path(exp: McExperiment, seed: int) -> GridPath:
 
 
 def _target_curve(exp: McExperiment, path: GridPath) -> np.ndarray:
-    target = exp.sigma**2 * path.grid.times.copy()
-    for i, dx in path.jumps.items():
-        target[i:] += float(dx[0]) ** 2
-    return target
+    return exp.sigma**2 * path.grid.times + np.cumsum(path.dX[:, 0] ** 2)
 
 
 def _binomial_interval(k: int, n: int, alpha: float = 0.05) -> tuple:

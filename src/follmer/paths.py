@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +25,7 @@ __all__ = [
     "FVPath",
     "dyadic_grid",
     "eval_left_limit",
+    "jump_rows",
     "left_values",
     "value_at",
     "running_maximum",
@@ -94,41 +97,53 @@ def dyadic_grid(T: float = 1.0, level: int = 0) -> TimeGrid:
     return TimeGrid(T * (np.arange(n + 1) / n))
 
 
-def _freeze_jumps(jumps, dim: int) -> Mapping[int, np.ndarray]:
-    out = {}
-    for i, dx in (jumps or {}).items():
-        v = _readonly(np.broadcast_to(np.asarray(dx, dtype=float), (dim,)).copy())
-        out[int(i)] = v
-    return MappingProxyType(out)
+def _jump_array(jumps, shape: tuple) -> np.ndarray:
+    """The (N, d) jump array of a {grid index: size} mapping or an array."""
+    n = shape[0]
+    if jumps is None or isinstance(jumps, Mapping):
+        dX = np.zeros(shape)
+        for i, dx in (jumps or {}).items():
+            i = int(i)
+            if i == 0:
+                raise ValueError("a jump at t=0 is forbidden (X_{0-} = X_0)")
+            if not 0 < i < n:
+                raise ValueError("jump index outside the grid")
+            dX[i] = dx
+    else:
+        dX = np.array(jumps, dtype=float)
+        if dX.ndim == 1 and shape[1] == 1:
+            dX = dX[:, None]
+        if dX.shape != shape:
+            raise ValueError(f"jump array has shape {dX.shape}, expected {shape}")
+        if np.any(dX[0] != 0.0):
+            raise ValueError("a jump at t=0 is forbidden (X_{0-} = X_0)")
+    dX += 0.0  # a zero row is +0.0, never -0.0
+    return dX
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class GridPath:
-    """Right-continuous path values on a grid plus a declared jump set.
+    """Right-continuous path values on a grid plus a declared jump array.
 
-    values[i] = X_{t_i}; jumps maps a grid index i to the vector
-    dX_{t_i} = X_{t_i} - X_{t_i-}.  Indices absent from the jump map are
-    continuity points of the discrete path.
+    values[i] = X_{t_i} and dX[i] = X_{t_i} - X_{t_i-}, both read-only
+    (N, d) arrays.  Row 0 of dX is zero (X_{0-} = X_0) and every zero row is
+    a continuity point of the discrete path.  ``jumps`` may be given as a
+    mapping {grid index: size} or as an array of shape (N,) or (N, d).
     """
 
     grid: TimeGrid
     values: np.ndarray
-    jumps: Mapping[int, np.ndarray] = field(default_factory=dict)
+    dX: np.ndarray
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, grid: TimeGrid, values, jumps=None):
+        v = np.asarray(values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
-        if v.shape[0] != len(self.grid):
+        if v.shape[0] != len(grid):
             raise ValueError("values length must match grid length")
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", _readonly(v))
-        jm = _freeze_jumps(self.jumps, v.shape[1])
-        for i in jm:
-            if i == 0:
-                raise ValueError("a jump at t=0 is forbidden (X_{0-} = X_0)")
-            if not 0 < i < len(self.grid):
-                raise ValueError("jump index outside the grid")
-        object.__setattr__(self, "jumps", jm)
+        object.__setattr__(self, "dX", _readonly(_jump_array(jumps, v.shape)))
 
     @property
     def dim(self) -> int:
@@ -141,18 +156,20 @@ class GridPath:
             raise ValueError("path is not one-dimensional")
         return self.values[:, 0]
 
+    @cached_property
+    def jumps(self) -> Mapping[int, np.ndarray]:
+        """Read-only {grid index: dX row} view of the nonzero rows."""
+        return MappingProxyType({int(i): self.dX[i] for i in jump_rows(self)})
+
     def component(self, k: int) -> "GridPath":
-        jumps = {i: dx[k : k + 1] for i, dx in self.jumps.items() if dx[k] != 0.0}
-        return GridPath(self.grid, self.values[:, k : k + 1], jumps)
+        return GridPath(self.grid, self.values[:, k : k + 1], self.dX[:, k : k + 1])
 
     def jump_at(self, i: int) -> np.ndarray:
-        return self.jumps.get(i, np.zeros(self.dim))
+        return self.dX[i]
 
-    def with_jumps(self, jumps) -> "GridPath":
-        return GridPath(self.grid, self.values, jumps)
-
-    def jump_indices(self) -> np.ndarray:
-        return np.array(sorted(self.jumps), dtype=int)
+    def jump_curve(self) -> np.ndarray:
+        """The pure-jump part: sum of dX_s over 0 < s <= t, at every grid time."""
+        return np.cumsum(self.dX, axis=0)
 
 
 class FVPath(GridPath):
@@ -163,48 +180,49 @@ class FVPath(GridPath):
     the pure-jump part built from the declared jumps.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
-        v = self.values
-        inc = np.vstack([np.zeros((1, self.dim)), np.abs(np.diff(v, axis=0))])
-        object.__setattr__(self, "variation", _readonly(np.cumsum(inc, axis=0)))
-        jump_part = np.zeros_like(v)
-        for i, dx in self.jumps.items():
-            jump_part[i:] += dx
-        object.__setattr__(self, "jump_part", _readonly(jump_part))
-        object.__setattr__(self, "cont_part", _readonly(v - jump_part))
+    @cached_property
+    def variation(self) -> np.ndarray:
+        inc = np.vstack([np.zeros((1, self.dim)), np.abs(np.diff(self.values, axis=0))])
+        return _readonly(np.cumsum(inc, axis=0))
+
+    @cached_property
+    def jump_part(self) -> np.ndarray:
+        return _readonly(self.jump_curve())
+
+    @cached_property
+    def cont_part(self) -> np.ndarray:
+        return _readonly(self.values - self.jump_part)
 
     def continuous(self) -> GridPath:
-        """The continuous part A^c (empty jump set)."""
+        """The continuous part A^c (no jumps)."""
         return GridPath(self.grid, self.cont_part)
 
     def discontinuous(self) -> GridPath:
         """The pure-jump part A^d."""
-        return GridPath(self.grid, self.jump_part, dict(self.jumps))
+        return GridPath(self.grid, self.jump_part, self.dX)
 
 
 def as_fv(path: GridPath) -> FVPath:
     if isinstance(path, FVPath):
         return path
-    return FVPath(path.grid, path.values, dict(path.jumps))
+    return FVPath(path.grid, path.values, path.dX)
+
+
+def jump_rows(*paths: GridPath) -> np.ndarray:
+    """Sorted grid indices where at least one of the paths jumps."""
+    return np.flatnonzero(np.any(np.hstack([p.dX for p in paths]) != 0.0, axis=1))
 
 
 def eval_left_limit(path: GridPath, i: int) -> np.ndarray:
     """X_{t_i-}: the stored value minus the declared jump; X_{0-} = X_0."""
     if not 0 <= i < len(path.grid):
         raise IndexError(f"grid index {i} out of range")
-    v = path.values[i].copy()
-    if i in path.jumps:
-        v -= path.jumps[i]
-    return v
+    return path.values[i] - path.dX[i]
 
 
 def left_values(path: GridPath) -> np.ndarray:
     """Array of left limits X_{t_i-} at every grid time."""
-    out = path.values.copy()
-    for i, dx in path.jumps.items():
-        out[i] -= dx
-    return out
+    return path.values - path.dX
 
 
 def value_at(path: GridPath, t: float) -> np.ndarray:
@@ -220,13 +238,10 @@ def running_maximum(path: GridPath) -> tuple[GridPath, bool]:
     """
     xs = path.x
     m = np.maximum.accumulate(xs)
-    lv = left_values(path)[:, 0]
-    jumps = {}
-    for i in sorted(path.jumps):
-        m_left = max(m[i - 1], lv[i])
-        if xs[i] > m_left:
-            jumps[i] = xs[i] - m_left
-    return GridPath(path.grid, m, jumps), not jumps
+    # max(M_{t-}, X_{t-}); it bounds X_t wherever X does not jump
+    m_left = np.maximum(np.concatenate([m[:1], m[:-1]]), left_values(path)[:, 0])
+    dm = np.where(xs > m_left, xs - m_left, 0.0)
+    return GridPath(path.grid, m, dm), not np.any(dm)
 
 
 def total_variation(path: FVPath, t: float, component: int = 0) -> float:
@@ -240,17 +255,11 @@ def add_paths(a: GridPath, b: GridPath, ca: float = 1.0, cb: float = 1.0) -> Gri
     """ca*A + cb*B on a shared grid; the jump set is the union."""
     if a.grid is not b.grid and not np.array_equal(a.grid.times, b.grid.times):
         raise ValueError("paths live on different grids")
-    jumps = {}
-    for i in set(a.jumps) | set(b.jumps):
-        dx = ca * a.jump_at(i) + cb * b.jump_at(i)
-        if np.any(dx != 0.0):
-            jumps[i] = dx
-    return GridPath(a.grid, ca * a.values + cb * b.values, jumps)
+    return GridPath(a.grid, ca * a.values + cb * b.values, ca * a.dX + cb * b.dX)
 
 
 def scale_path(a: GridPath, c: float) -> GridPath:
-    jumps = {i: c * dx for i, dx in a.jumps.items()}
-    return GridPath(a.grid, c * a.values, jumps)
+    return GridPath(a.grid, c * a.values, c * a.dX)
 
 
 def reciprocal_path(a: GridPath) -> GridPath:
@@ -259,8 +268,8 @@ def reciprocal_path(a: GridPath) -> GridPath:
     lv = left_values(a)[:, 0]
     if np.any(xs == 0.0) or np.any(lv == 0.0):
         raise ValueError("path touches zero; reciprocal undefined")
-    jumps = {i: 1.0 / xs[i] - 1.0 / lv[i] for i in a.jumps}
-    return GridPath(a.grid, 1.0 / xs, jumps)
+    r = 1.0 / xs
+    return GridPath(a.grid, r, r - 1.0 / lv)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +386,9 @@ class CompoundJumpGenerator(PathGenerator):
             sizes = rng.uniform(-self.size, self.size, size=count)
         else:
             raise ValueError(f"unknown jump sampler {self.sampler!r}")
-        v = np.full(len(grid), self.x0)
-        for i, s in zip(idx, sizes):
-            v[i:] += s
-        return GridPath(grid, v, {int(i): s for i, s in zip(idx, sizes)})
+        dx = np.zeros(len(grid))
+        dx[idx] = sizes
+        return GridPath(grid, np.cumsum(np.concatenate([[self.x0], dx[1:]])), dx)
 
 
 @dataclass(frozen=True)
@@ -415,19 +423,20 @@ class GeometricGenerator(PathGenerator):
             raise ValueError("jump size must stay below 1 in magnitude")
         w = DyadicBrownianGenerator(seed=self.seed, sigma=self.sigma).generate(grid)
         vals = self.s0 * np.exp(w.x + self.mu * grid.times)
-        jumps = {}
-        if self.jump_intensity > 0.0:
-            overlay = CompoundJumpGenerator(
-                seed=self.seed,
-                intensity=self.jump_intensity,
-                size=self.jump_size,
-                sampler="uniform",
-            ).generate(grid)
-            for i, dj in sorted(overlay.jumps.items()):
-                vals[i:] *= 1.0 + float(dj[0])
-            for i, dj in sorted(overlay.jumps.items()):
-                jumps[i] = vals[i] - vals[i] / (1.0 + float(dj[0]))
-        return GridPath(grid, vals, jumps)
+        if self.jump_intensity <= 0.0:
+            return GridPath(grid, vals)
+        overlay = CompoundJumpGenerator(
+            seed=self.seed,
+            intensity=self.jump_intensity,
+            size=self.jump_size,
+            sampler="uniform",
+        ).generate(grid)
+        factor = 1.0 + overlay.dX[:, 0]
+        # one suffix product per jump, in grid order; a cumprod would round
+        # the products differently
+        for i in np.flatnonzero(overlay.dX[:, 0]):
+            vals[i:] *= factor[i]
+        return GridPath(grid, vals, vals - vals / factor)
 
 
 # ---------------------------------------------------------------------------
@@ -439,20 +448,27 @@ def write_path_csv(path: GridPath, fp) -> None:
     d = path.dim
     w = csv.writer(fp, lineterminator="\n")
     w.writerow(["t"] + [f"x{k+1}" for k in range(d)] + [f"dx{k+1}" for k in range(d)])
-    for i, t in enumerate(path.grid.times):
-        dx = path.jump_at(i)
-        w.writerow([repr(float(t))] + [repr(float(v)) for v in path.values[i]] + [repr(float(v)) for v in dx])
+    for t, v, dx in zip(path.grid.times, path.values, path.dX):
+        w.writerow([repr(float(t))] + [repr(float(a)) for a in v] + [repr(float(a)) for a in dx])
 
 
 def read_path_csv(fp) -> GridPath:
+    """Path from CSV with header t,x1,...,xd,dx1,...,dxd (d >= 1)."""
     r = csv.reader(row for row in fp if not row.startswith("#"))
-    header = next(r)
+    header = next(r, [])
     d = (len(header) - 1) // 2
-    times, values, jumps = [], [], {}
-    for i, row in enumerate(r):
-        times.append(float(row[0]))
-        values.append([float(v) for v in row[1 : 1 + d]])
-        dx = np.array([float(v) for v in row[1 + d : 1 + 2 * d]])
-        if np.any(dx != 0.0):
-            jumps[i] = dx
-    return GridPath(TimeGrid(np.array(times)), np.array(values), jumps)
+    if d < 1 or header != ["t"] + [f"x{k+1}" for k in range(d)] + [f"dx{k+1}" for k in range(d)]:
+        raise ValueError(f"path CSV header {','.join(header)!r} is not t,x1..xd,dx1..dxd, d >= 1")
+    rows = [_csv_floats(row, 1 + 2 * d, i) for i, row in enumerate(r)]
+    a = np.array(rows).reshape(len(rows), 1 + 2 * d)
+    return GridPath(TimeGrid(a[:, 0]), a[:, 1 : 1 + d], a[:, 1 + d :])
+
+
+def _csv_floats(row: list, width: int, i: int) -> list:
+    """The floats of data row i (counted from 0 after the header)."""
+    if len(row) != width:
+        raise ValueError(f"CSV data row {i} has {len(row)} fields, expected {width}")
+    try:
+        return [float(v) for v in row]
+    except ValueError as exc:
+        raise ValueError(f"CSV data row {i}: {exc}") from None

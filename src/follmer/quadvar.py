@@ -24,7 +24,7 @@ import numpy as np
 
 from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport, sup_distance
 from .partitions import Partition, PartitionSequence
-from .paths import FVPath, GridPath, TimeGrid, add_paths, eval_left_limit, left_values
+from .paths import FVPath, GridPath, TimeGrid, add_paths, eval_left_limit, jump_rows, left_values
 
 __all__ = [
     "QVResult",
@@ -128,15 +128,6 @@ class QVResult:
         }
 
 
-def _jump_square_curve(path: GridPath, other: GridPath | None = None) -> np.ndarray:
-    n = len(path.grid)
-    out = np.zeros(n)
-    o = other if other is not None else path
-    for i in sorted(set(path.jumps) | set(o.jumps)):
-        out[i:] += path.jump_at(i)[0] * o.jump_at(i)[0]
-    return out
-
-
 def _assemble(
     x: GridPath,
     y: GridPath,
@@ -147,7 +138,7 @@ def _assemble(
     cond2_rel: float,
     fv_exact: bool,
 ) -> QVResult:
-    jump_part = _jump_square_curve(x, y)
+    jump_part = np.cumsum(x.dX[:, 0] * y.dX[:, 0])
     if fv_exact:
         estimate = jump_part.copy()
     else:
@@ -158,21 +149,18 @@ def _assemble(
 
     xs, ys = x.x, y.x
     xl, yl = left_values(x)[:, 0], left_values(y)[:, 0]
-    top = seq.top
-    worst = 0.0
-    ok = True
-    for j in sorted(set(x.jumps) | set(y.jumps)):
-        k = int(np.searchsorted(top.indices, j, side="left")) - 1
-        a = int(top.indices[max(k, 0)])
-        measured = (xs[j] - xs[a]) * (ys[j] - ys[a]) - (xl[j] - xs[a]) * (yl[j] - ys[a])
-        dx, dy = xs[j] - xl[j], ys[j] - yl[j]
-        target = dx * dy
-        v = abs(measured - target)
-        worst = max(worst, v)
-        # the violation is the pre-jump anchor motion times the jump: zero
-        # for paths flat before their jumps, tol-scaled slack otherwise
-        if v > max(cond2_abs, cond2_rel * abs(target)) + tol * (abs(dx) + abs(dy)):
-            ok = False
+    top = seq.top.indices
+    j = jump_rows(x, y)
+    a = top[np.maximum(np.searchsorted(top, j, side="left") - 1, 0)]
+    measured = (xs[j] - xs[a]) * (ys[j] - ys[a]) - (xl[j] - xs[a]) * (yl[j] - ys[a])
+    dx, dy = xs[j] - xl[j], ys[j] - yl[j]
+    target = dx * dy
+    v = np.abs(measured - target)
+    worst = float(np.max(v, initial=0.0))
+    # the violation is the pre-jump anchor motion times the jump: zero
+    # for paths flat before their jumps, tol-scaled slack otherwise
+    bound = np.maximum(cond2_abs, cond2_rel * np.abs(target)) + tol * (np.abs(dx) + np.abs(dy))
+    ok = not np.any(v > bound)
 
     if not ok:
         status = "no-qv"

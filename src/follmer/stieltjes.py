@@ -32,12 +32,8 @@ def stieltjes_left(h_left: np.ndarray, curve: np.ndarray, upto: int | None = Non
     return float(np.sum(h_left[1:hi] * np.diff(curve[:hi])))
 
 
-def _fv_pieces(a: GridPath, component: int = 0):
-    vals = a.values[:, component]
-    jump_curve = np.zeros_like(vals)
-    for i, dx in a.jumps.items():
-        jump_curve[i:] += dx[component]
-    return vals, vals - jump_curve
+def _continuous_part(a: GridPath, component: int) -> np.ndarray:
+    return a.values[:, component] - a.jump_curve()[:, component]
 
 
 def stieltjes_fv(
@@ -49,13 +45,12 @@ def stieltjes_fv(
 ) -> float:
     """Integral of h(s-) dA_s over (0, t] for a finite-variation path A."""
     hi = len(a.grid) if upto is None else upto + 1
-    _, cont = _fv_pieces(a, component)
-    dc = np.diff(cont[:hi])
+    dc = np.diff(_continuous_part(a, component)[:hi])
     total = float(np.sum(0.5 * (h_values[: hi - 1] + h_left[1:hi]) * dc))
-    for i, dx in a.jumps.items():
-        if 0 < i < hi:
-            total += float(h_left[i]) * float(dx[component])
-    return total
+    dx = a.dX[:hi, component]
+    j = np.flatnonzero(dx)
+    # atoms added left to right: np.sum's pairwise order would round differently
+    return float(np.cumsum(np.concatenate([[total], h_left[j] * dx[j]]))[-1])
 
 
 def stieltjes_fv_curve(
@@ -66,9 +61,9 @@ def stieltjes_fv_curve(
 ) -> np.ndarray:
     """Running Stieltjes integral t -> integral of h(s-) dA_s on the grid."""
     n = len(a.grid)
-    _, cont = _fv_pieces(a, component)
     inc = np.zeros(n)
-    inc[1:] = 0.5 * (h_values[:-1] + h_left[1:]) * np.diff(cont)
-    for i, dx in a.jumps.items():
-        inc[i] += h_left[i] * dx[component]
+    inc[1:] = 0.5 * (h_values[:-1] + h_left[1:]) * np.diff(_continuous_part(a, component))
+    dx = a.dX[:, component]
+    j = np.flatnonzero(dx)
+    inc[j] += h_left[j] * dx[j]
     return np.cumsum(inc)

@@ -211,3 +211,38 @@ def test_floor_guarantee_across_seeds():
             rep = fl.dppi(mkt, m, spec, 0.9, seq, tol=fl.STOCHASTIC_TOL)
             scale = float(np.max(np.abs(rep.strategy.value.x)))
             assert rep.floor_margin >= -1e-9 * scale
+
+
+class TestReadMarketCsv:
+    def test_jump_columns_found_by_name(self):
+        from io import StringIO
+
+        from follmer.finance import read_market_csv
+
+        # a dS column without dB: the stock's jumps must not be dropped
+        text = "t,S,B,dS\n0.0,1.0,1.0,0.0\n0.5,1.25,1.0,0.25\n1.0,1.5,1.0,0.0\n"
+        mkt = read_market_csv(StringIO(text))
+        assert dict(mkt.s.jumps) == {1: np.array([0.25])}
+        assert not mkt.b.jumps
+        # columns in any order, dB alone
+        text = "B,dB,t,S\n1.0,0.0,0.0,2.0\n1.5,0.5,0.5,2.0\n1.5,0.0,1.0,2.0\n"
+        mkt = read_market_csv(StringIO(text))
+        assert np.array_equal(mkt.grid.times, [0.0, 0.5, 1.0])
+        assert not mkt.s.jumps and dict(mkt.b.jumps) == {1: np.array([0.5])}
+        assert fl.left_values(mkt.b)[1, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,S,B,dS,dB\n0.0,1.0,1.0,0.0,0.0\n1.0,1.0\n", "row 1 has 2 fields"),
+            ("t,S,B\n0.0,1.0,1.0\n1.0,x,1.0\n", "row 1"),
+            ("t,S,dS\n0.0,1.0,0.0\n1.0,1.0,0.0\n", "lacks B"),
+        ],
+    )
+    def test_malformed_rows_raise_value_error_naming_the_row(self, text, message):
+        from io import StringIO
+
+        from follmer.finance import read_market_csv
+
+        with pytest.raises(ValueError, match=message):
+            read_market_csv(StringIO(text))

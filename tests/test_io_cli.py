@@ -158,6 +158,39 @@ class TestCli:
         result, _ = run_cli(tmp_path, "qv", {"path": {"kind": "step"}, "bogus": 1})
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "command, cfg, args",
+        [
+            ("qv", {"path": {"kind": "step"}}, ("--levels", "8..3")),
+            ("qv", {"path": {"kind": "step"}, "levels": [8, 3]}, ()),
+            ("mc", {"seeds": 1, "n_min": 8, "n_max": 3}, ()),
+        ],
+    )
+    def test_reversed_levels_exit_2(self, tmp_path, command, cfg, args):
+        result, _ = run_cli(tmp_path, command, cfg, *args)
+        assert result.exit_code == 2
+        assert "n_min=8" in result.stderr and "n_max=3" in result.stderr
+
+    def test_negative_level_exits_2(self, tmp_path):
+        result, _ = run_cli(tmp_path, "qv", {"path": {"kind": "step"}}, "--levels", "-1..3")
+        assert result.exit_code == 2
+        assert "n_min=-1" in result.stderr
+
+    @pytest.mark.parametrize("levels", [["a", 3], [3], [1, 2, 3], 5, "3..8"])
+    def test_malformed_config_levels_exit_2(self, tmp_path, levels):
+        result, _ = run_cli(tmp_path, "qv", {"path": {"kind": "step"}, "levels": levels})
+        assert result.exit_code == 2
+        assert "bad 'levels'" in result.stderr
+
+    def test_market_csv_short_row_exits_2(self, tmp_path):
+        csv_path = tmp_path / "market.csv"
+        tmp_path.mkdir(parents=True, exist_ok=True)
+        csv_path.write_text("t,S,B,dS,dB\n0.0,1.0,1.0,0.0,0.0\n0.5,1.0\n1.0,1.0,1.0,0.0,0.0\n")
+        cfg = {"market": {"csv": str(csv_path)}, "m": 0.5, "l": {"constant": 0.5}, "v0": 1.0, "levels": [0, 1]}
+        result, _ = run_cli(tmp_path, "dppi", cfg)
+        assert result.exit_code == 2
+        assert "market.csv" in result.stderr and "row 1" in result.stderr
+
     def test_assertion_failure_exits_1(self, tmp_path):
         cfg = {
             "f": {"name": "exp"},

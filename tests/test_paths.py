@@ -243,3 +243,117 @@ def test_fv_decomposition_property(seed, jumps):
     for i in range(len(g)):
         scale = max(1.0, abs(vals[i]))
         assert abs((vals[i] - lv[i, 0]) - a.jump_at(i)[0]) <= 4e-16 * scale
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "t,x1\n0.0,1.0\n1.0,2.0\n",  # no jump column: d would be 0
+        "t,a,b\n0.0,1.0,0.0\n1.0,2.0,0.0\n",  # wrong column names
+        "",  # no header at all
+    ],
+)
+def test_csv_rejects_malformed_header(text):
+    with pytest.raises(ValueError, match="header"):
+        read_path_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0.0,1.0,0.0\n1.0,2.0\n", "row 1 has 2 fields"),
+        ("0.0,1.0,0.0\n1.0,2.0,0.0,9.0\n", "row 1 has 4 fields"),
+        ("0.0,1.0,0.0\n1.0,two,0.0\n", "row 1"),
+    ],
+)
+def test_csv_rejects_rows_that_do_not_match_the_header(rows, message):
+    with pytest.raises(ValueError, match=message):
+        read_path_csv(io.StringIO("t,x1,dx1\n" + rows))
+
+
+# ---------------------------------------------------------------------------
+# The dense jump array dX
+# ---------------------------------------------------------------------------
+
+# dyadic rationals keep every sum and difference below exact
+_dyadic = st.integers(-64, 64).map(lambda k: k / 16.0)
+_jump_maps = st.dictionaries(st.integers(1, 16), _dyadic, max_size=5)
+
+
+def _grid_and_values(level, seed):
+    g = fl.dyadic_grid(1.0, level)
+    vals = np.random.default_rng(seed).integers(-64, 64, len(g)) / 16.0
+    return g, vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(level=st.integers(1, 4), seed=st.integers(0, 2**31 - 1), jmap=_jump_maps)
+def test_dense_jumps_match_the_declared_map(level, seed, jmap):
+    g, vals = _grid_and_values(level, seed)
+    jmap = {i: c for i, c in jmap.items() if i < len(g)}
+    p = fl.GridPath(g, vals, jmap)
+    assert p.dX.shape == (len(g), 1) and p.dX[0, 0] == 0.0
+    assert np.array_equal(p.values - fl.left_values(p), p.dX)
+    # a declared zero jump is a continuity point
+    assert set(p.jumps) == {i for i, c in jmap.items() if c != 0.0}
+    for i, c in jmap.items():
+        if c == 0.0:
+            assert fl.eval_left_limit(p, i)[0] == p.values[i, 0]
+    # the mapping view rebuilds the same array
+    assert np.array_equal(fl.GridPath(g, vals, p.jumps).dX, p.dX)
+    assert np.array_equal(fl.GridPath(g, vals, p.dX[:, 0]).dX, p.dX)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    level=st.integers(1, 5),
+    seed=st.integers(0, 2**31 - 1),
+    jmap=st.dictionaries(st.integers(1, 32), st.floats(-3, 3, allow_nan=False), max_size=6),
+)
+def test_jump_part_is_the_index_ordered_running_sum(level, seed, jmap):
+    g = fl.dyadic_grid(1.0, level)
+    jmap = {i: c for i, c in jmap.items() if i < len(g)}
+    vals = np.random.default_rng(seed).standard_normal(len(g))
+    a = fl.FVPath(g, vals, jmap)
+    expect = np.zeros((len(g), 1))
+    for i in sorted(jmap):
+        expect[i:] += jmap[i]
+    assert np.array_equal(a.jump_part, expect)
+    assert np.array_equal(a.jump_part, np.cumsum(a.dX, axis=0))
+    assert np.array_equal(a.jump_curve(), a.jump_part)
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(1, 4), seed=st.integers(0, 2**31 - 1), jmap=_jump_maps.filter(bool))
+def test_jumps_that_cancel_in_add_paths_leave_the_jump_set(level, seed, jmap):
+    g, vals = _grid_and_values(level, seed)
+    jmap = {i: c for i, c in jmap.items() if i < len(g)}
+    p = fl.GridPath(g, vals, jmap)
+    q = fl.GridPath(g, 2.0 * vals, {i: -c for i, c in jmap.items()})
+    s = fl.add_paths(p, q)
+    assert not s.jumps
+    assert np.array_equal(s.dX, np.zeros_like(s.dX))
+    assert not np.any(np.signbit(s.dX))  # a zero row is +0.0
+    assert not fl.add_paths(p, p, 1.0, -1.0).jumps
+
+
+def test_bad_jump_declarations_raise():
+    g = fl.dyadic_grid(1.0, 2)
+    v = np.zeros(5)
+    for bad in ({0: 1.0}, {5: 1.0}, {-1: 1.0}, np.array([1.0, 0, 0, 0, 0])):
+        with pytest.raises(ValueError, match="t=0|outside"):
+            fl.GridPath(g, v, bad)
+    for shape in ((4,), (5, 2), (6, 1), (5, 1, 1)):
+        with pytest.raises(ValueError, match="shape"):
+            fl.GridPath(g, v, np.zeros(shape))
+    with pytest.raises(ValueError):
+        fl.GridPath(g, v, {2: [1.0, 2.0]})  # a 2-vector jump on a scalar path
+
+
+def test_dx_is_read_only():
+    g = fl.dyadic_grid(1.0, 2)
+    p = fl.GridPath(g, np.arange(5.0), {2: 1.0})
+    with pytest.raises(ValueError):
+        p.dX[3, 0] = 1.0
+    with pytest.raises(TypeError):
+        p.jumps[3] = np.array([1.0])
