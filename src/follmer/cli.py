@@ -199,11 +199,12 @@ def _qv(cfg, out, seed, levels_opt, plot, strict, h):
     qv = qv_sequence(x, seq, tol=tol)
     mvq = measure_vs_qv_check(x, seq, t)
 
-    rows = []
-    for n, curve in enumerate(qv.level_curves):
-        for tt, v in zip(grid.times, curve):
-            rows.append((n, float(tt), float(v)))
-    write_csv(out / "qv.csv", ["level", "t", "qv"], rows, h)
+    times = list(map(repr, grid.times.tolist()))  # formatted once, repeated per level
+    levels = []
+    for n in range(len(qv.level_curves)):
+        levels += [str(n)] * len(times)
+    columns = [levels, times * len(qv.level_curves), np.concatenate(qv.level_curves)]
+    write_csv(out / "qv.csv", ["level", "t", "qv"], columns, h)
     failures = Failures()
     inconclusive = []
     failures.check(qv.status != "no-qv", f"jump identity violated: {qv.cond2_worst}")
@@ -245,18 +246,9 @@ def _integrate(cfg, out, seed, levels_opt, plot, strict, h):
     t = float(cfg.get("t", grid.T))
     res = follmer_integral(xi, x, seq, tol=tol)
     g = grid.clamp_index(t)
-    write_csv(
-        out / "integrate_levels.csv",
-        ["level", "value_at_t"],
-        [(n, float(c[g])) for n, c in enumerate(res.level_curves)],
-        h,
-    )
-    write_csv(
-        out / "integrate_curve.csv",
-        ["t", "value"],
-        list(zip(map(float, grid.times), map(float, res.estimate))),
-        h,
-    )
+    at_t = [c[g] for c in res.level_curves]
+    write_csv(out / "integrate_levels.csv", ["level", "value_at_t"], [range(len(at_t)), at_t], h)
+    write_csv(out / "integrate_curve.csv", ["t", "value"], [grid.times, res.estimate], h)
     failures = Failures()
     inconclusive = []
     if res.status == "inconclusive" and res.claim == "unverified-hypothesis":
@@ -286,12 +278,8 @@ def _ito_check(cfg, out, seed, levels_opt, plot, strict, h):
     f = make_function(require(cfg, "f", "config"))
     t = float(cfg.get("t", grid.T))
     rep = ito_formula_eval(f, a, x, seq, t, tol=tol)
-    write_csv(
-        out / "ito.csv",
-        ["level", "residual"],
-        list(enumerate(map(float, rep.residual_per_level))),
-        h,
-    )
+    residuals = rep.residual_per_level
+    write_csv(out / "ito.csv", ["level", "residual"], [range(len(residuals)), residuals], h)
     cap = tolerance(cfg, "assert_residual", tol)
     failures = Failures()
     inconclusive = []
@@ -341,12 +329,8 @@ def _assoc(cfg, out, seed, levels_opt, plot, strict, h):
         raise ConfigError("eta must carry 'constant' or 'f'")
     t = float(cfg.get("t", grid.T))
     rep = associativity_check(eta, integrands, x, seq, t, tol=tol)
-    write_csv(
-        out / "assoc.csv",
-        ["level", "lhs", "rhs", "gap"],
-        [(n, a, b, gp) for n, (a, b, gp) in enumerate(zip(rep.lhs_per_level, rep.rhs_per_level, rep.gaps))],
-        h,
-    )
+    columns = [range(len(rep.gaps)), rep.lhs_per_level, rep.rhs_per_level, rep.gaps]
+    write_csv(out / "assoc.csv", ["level", "lhs", "rhs", "gap"], columns, h)
     cap = tolerance(cfg, "assert_gap", tol)
     failures = Failures()
     inconclusive = []
@@ -384,8 +368,7 @@ def _linear(cfg, out, seed, levels_opt, plot, strict, h):
     else:
         raise ConfigError("h must carry 'constant' or 'path'")
     rep = solve_linear(hh, x, seq, decomposition=decomposition, tol=tol)
-    rows = list(zip(map(float, grid.times), map(float, rep.z.x)))
-    write_csv(out / "linear.csv", ["t", "z"], rows, h)
+    write_csv(out / "linear.csv", ["t", "z"], [grid.times, rep.z.x], h)
     failures = Failures()
     inconclusive = []
     if "assert_value" in cfg:
@@ -431,7 +414,7 @@ def _nonlinear(cfg, out, seed, levels_opt, plot, strict, h):
         raise ConfigError(f"unknown drift kind {kind!r}")
     f = _DRIFTS[kind](**{k: v for k, v in fref.items() if k != "kind"})
     rep = solve_nonlinear(f, x, float(cfg.get("x0", 1.0)), seq, tol=tol)
-    write_csv(out / "nonlinear.csv", ["t", "z"], list(zip(map(float, grid.times), map(float, rep.z.x))), h)
+    write_csv(out / "nonlinear.csv", ["t", "z"], [grid.times, rep.z.x], h)
     failures = Failures()
     inconclusive = []
     if "assert_value" in cfg:
@@ -461,12 +444,7 @@ def _drawdown(cfg, out, seed, levels_opt, plot, strict, h):
     back = azema_yor_path(rep.transform.V, rep.y).path
     roundtrip = float(np.max(np.abs(back.x - x.x)))
     ybar = np.maximum.accumulate(rep.y.x)
-    write_csv(
-        out / "drawdown.csv",
-        ["t", "y", "floor_of_max"],
-        list(zip(map(float, grid.times), map(float, rep.y.x), map(float, floor(ybar)))),
-        h,
-    )
+    write_csv(out / "drawdown.csv", ["t", "y", "floor_of_max"], [grid.times, rep.y.x, floor(ybar)], h)
     cap = tolerance(cfg, "assert_roundtrip", 1e-6)
     failures = Failures()
     inconclusive = []
@@ -585,15 +563,10 @@ def _mc(cfg, out, seed, levels_opt, plot, strict, h):
         tol=tolerance(cfg, "tol", STOCHASTIC_TOL),
     )
     summary = run_mc(exp)
-    write_csv(
-        out / "mc_seeds.csv",
-        ["seed", "passed", "final_error", "osc_sum", "osc_bound"],
-        [
-            (o.seed, int(o.passed), float(o.sup_errors[-1]), o.osc_sum, o.osc_sum_bound)
-            for o in summary.outcomes
-        ],
-        h,
-    )
+    oc = summary.outcomes
+    columns = [[o.seed for o in oc], [int(o.passed) for o in oc], [o.sup_errors[-1] for o in oc]]
+    columns += [[o.osc_sum for o in oc], [o.osc_sum_bound for o in oc]]
+    write_csv(out / "mc_seeds.csv", ["seed", "passed", "final_error", "osc_sum", "osc_bound"], columns, h)
     need = float(cfg.get("assert_pass_fraction", 0.9))
     failures = Failures()
     failures.check(summary.pass_fraction >= need, f"pass fraction {summary.pass_fraction} below {need}")
@@ -621,15 +594,9 @@ def _appendix(cfg, out, seed, levels_opt, plot, strict, h):
     t = float(cfg.get("t", grid.T))
     mus = [_pushforward(mu, p.times) for p in seq]
     rep = measure_convergence_check(mus, mu, f, t, tol=tol)
-    write_csv(
-        out / "appendix.csv",
-        ["level", "integral", "target", "gap"],
-        [
-            (n, v, rep.integral_target, gp)
-            for n, (v, gp) in enumerate(zip(rep.integral_per_level, rep.integral_gaps))
-        ],
-        h,
-    )
+    per_level = rep.integral_per_level
+    columns = [range(len(per_level)), per_level, [rep.integral_target] * len(per_level), rep.integral_gaps]
+    write_csv(out / "appendix.csv", ["level", "integral", "target", "gap"], columns, h)
     cap = tolerance(cfg, "assert_tol", tol)
     failures = Failures()
     inconclusive = []

@@ -24,7 +24,7 @@ from .drawdown import FloorFunction, azema_yor_path, floor_to_transform
 from .equations import StochasticExponential, doleans_exponential
 from .integrals import AdmissibleIntegrand, integral_curve
 from .partitions import PartitionSequence
-from .paths import FVPath, GridPath, TimeGrid, _csv_floats, left_values, running_maximum
+from .paths import FVPath, GridPath, TimeGrid, _csv_floats, _write_csv_columns, left_values, running_maximum
 from .stieltjes import stieltjes_fv_curve
 
 __all__ = [
@@ -359,8 +359,6 @@ def read_market_csv(fp) -> Market:
 def write_strategy_csv(strategy: Strategy, floor_curve: np.ndarray | None, fp) -> None:
     """Strategy output CSV t,xi,eta,V,floor."""
     grid = strategy.value.grid
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(["t", "xi", "eta", "V", "floor"])
     fl = np.zeros(len(grid)) if floor_curve is None else floor_curve
-    for t, xi, eta, v, f in zip(grid.times, strategy.xi.x, strategy.eta.x, strategy.value.x, fl):
-        w.writerow([repr(float(t)), repr(float(xi)), repr(float(eta)), repr(float(v)), repr(float(f))])
+    columns = [grid.times, strategy.xi.x, strategy.eta.x, strategy.value.x, fl]
+    _write_csv_columns(fp, ["t", "xi", "eta", "V", "floor"], columns)

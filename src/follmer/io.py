@@ -26,6 +26,7 @@ from .paths import (
     GeometricGenerator,
     PathGenerator,
     StepGenerator,
+    _write_csv_columns,
 )
 
 __all__ = [
@@ -146,18 +147,11 @@ def make_floor(ref: dict, where: str = "floor") -> FloorFunction:
         raise ConfigError(f"{where}: bad parameters: {exc}") from exc
 
 
-def write_csv(path: Path, header: list, rows, cfg_hash: str) -> None:
+def write_csv(path: Path, header: list, columns: list, cfg_hash: str) -> None:
+    """``paths._write_csv_columns`` to ``path``, then the ``# config_hash=`` line."""
     with open(path, "w") as fp:
-        fp.write(",".join(header) + "\n")
-        for row in rows:
-            fp.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_csv_columns(fp, header, columns)
         fp.write(f"# config_hash={cfg_hash}\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def write_report(path: Path, report: dict, cfg_hash: str) -> None:

@@ -101,14 +101,15 @@ def _jump_array(jumps, shape: tuple) -> np.ndarray:
     """The (N, d) jump array of a {grid index: size} mapping or an array."""
     n = shape[0]
     if jumps is None or isinstance(jumps, Mapping):
+        jumps = jumps or {}
+        idx = np.fromiter(map(int, jumps), dtype=np.intp, count=len(jumps))
+        if np.any(idx == 0):
+            raise ValueError("a jump at t=0 is forbidden (X_{0-} = X_0)")
+        if np.any((idx < 0) | (idx >= n)):
+            raise ValueError("jump index outside the grid")
         dX = np.zeros(shape)
-        for i, dx in (jumps or {}).items():
-            i = int(i)
-            if i == 0:
-                raise ValueError("a jump at t=0 is forbidden (X_{0-} = X_0)")
-            if not 0 < i < n:
-                raise ValueError("jump index outside the grid")
-            dX[i] = dx
+        if idx.size:
+            dX[idx] = np.array(list(jumps.values()), dtype=float).reshape(idx.size, -1)
     else:
         dX = np.array(jumps, dtype=float)
         if dX.ndim == 1 and shape[1] == 1:
@@ -446,10 +447,9 @@ class GeometricGenerator(PathGenerator):
 
 def write_path_csv(path: GridPath, fp) -> None:
     d = path.dim
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(["t"] + [f"x{k+1}" for k in range(d)] + [f"dx{k+1}" for k in range(d)])
-    for t, v, dx in zip(path.grid.times, path.values, path.dX):
-        w.writerow([repr(float(t))] + [repr(float(a)) for a in v] + [repr(float(a)) for a in dx])
+    header = ["t"] + [f"x{k+1}" for k in range(d)] + [f"dx{k+1}" for k in range(d)]
+    columns = [path.grid.times] + [path.values[:, k] for k in range(d)] + [path.dX[:, k] for k in range(d)]
+    _write_csv_columns(fp, header, columns)
 
 
 def read_path_csv(fp) -> GridPath:
@@ -472,3 +472,36 @@ def _csv_floats(row: list, width: int, i: int) -> list:
         return [float(v) for v in row]
     except ValueError as exc:
         raise ValueError(f"CSV data row {i}: {exc}") from None
+
+
+_CSV_BLOCK = 4096  # rows formatted and written at a time
+
+
+def _write_csv_columns(fp, header: list, columns: list) -> None:
+    """Write a CSV header row, then ``columns`` side by side, a block of rows at a time.
+
+    A column is a list of formatted str cells or anything ``np.asarray`` makes
+    one-dimensional, whose floats come out as their ``repr`` and ints as decimals.
+    """
+    fp.write(",".join(header) + "\n")
+    n = len(columns[0]) if columns else 0
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"CSV columns differ in length: {[len(col) for col in columns]}")
+    m = len(columns)
+    line = ",".join(["%s"] * m) + "\n"
+    for k in range(0, n, _CSV_BLOCK):
+        rows = min(_CSV_BLOCK, n - k)
+        cells = [None] * (m * rows)
+        for j, col in enumerate(columns):
+            cells[j::m] = _csv_cells(col[k : k + rows])
+        fp.write((line * rows) % tuple(cells))
+
+
+def _csv_cells(col) -> list:
+    """One column block as str cells, or as Python numbers whose ``%s`` is their ``repr``."""
+    if isinstance(col, list) and col and isinstance(col[0], str):
+        return col
+    a = np.asarray(col)
+    if a.ndim != 1:
+        raise ValueError(f"a CSV column must be one-dimensional, got shape {a.shape}")
+    return a.tolist()

@@ -1,13 +1,20 @@
+import csv
+import io
 import json
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import follmer as fl
 from follmer.cli import main
-from follmer.io import ConfigError, config_hash, make_floor, make_function, make_generator, write_svg
+from follmer.io import ConfigError, config_hash, make_floor, make_function, make_generator, write_csv, write_svg
+from follmer.paths import _CSV_BLOCK, read_path_csv, write_path_csv
 
 
 class TestConfigRefs:
@@ -355,3 +362,160 @@ class TestCli:
         }
         result, out = run_cli(tmp_path, "nonlinear", cfg)
         assert result.exit_code == 0, result.output
+
+
+# ---------------------------------------------------------------------------
+# The column-wise CSV writer against the row writer it replaced
+# ---------------------------------------------------------------------------
+
+
+def write_csv_rows(path, header: list, rows, cfg_hash: str) -> None:
+    """Test-only oracle: the row-by-row CSV writer, one ``_fmt`` per cell."""
+    with open(path, "w") as fp:
+        fp.write(",".join(header) + "\n")
+        for row in rows:
+            fp.write(",".join(_fmt(v) for v in row) + "\n")
+        fp.write(f"# config_hash={cfg_hash}\n")
+
+
+def _fmt(v) -> str:
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def assert_writers_agree(tmp_path, header, columns, python_columns):
+    """``write_csv`` on ``columns`` gives the oracle's bytes on the same
+    values as Python ints and floats."""
+    write_csv(tmp_path / "new.csv", header, columns, "abc")
+    write_csv_rows(tmp_path / "old.csv", header, zip(*python_columns), "abc")
+    text = (tmp_path / "new.csv").read_text()
+    assert text == (tmp_path / "old.csv").read_text()
+    assert "np." not in text
+    return text
+
+
+_EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-05, 1e16, 5e-324, 0.1, -2.5]
+
+
+class TestCsvWriter:
+    def test_float_edge_values_and_dyadic_times(self, tmp_path):
+        times = np.arange(len(_EDGE_FLOATS)) / 1024
+        text = assert_writers_agree(
+            tmp_path, ["t", "x"], [times, np.array(_EDGE_FLOATS)], [times.tolist(), _EDGE_FLOATS]
+        )
+        assert "nan" in text and "-inf" in text and "-0.0" in text and "1e+16" in text and "5e-324" in text
+
+    def test_int_columns_are_decimals(self, tmp_path):
+        ints = [0, 7, -3, 2**40]
+        text = assert_writers_agree(
+            tmp_path, ["a", "b", "c"], [np.array(ints), ints, range(4)], [ints, ints, list(range(4))]
+        )
+        assert text.splitlines()[1] == "0,0,0"
+
+    def test_empty_table_is_header_and_hash(self, tmp_path):
+        text = assert_writers_agree(tmp_path, ["t", "x"], [np.zeros(0), []], [[], []])
+        assert text == "t,x\n# config_hash=abc\n"
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_block_edges(self, tmp_path, extra):
+        n = _CSV_BLOCK + extra
+        t = np.arange(n) / n
+        x = np.random.default_rng(n).standard_normal(n)
+        text = assert_writers_agree(
+            tmp_path, ["k", "t", "x"], [range(n), t, x], [list(range(n)), t.tolist(), x.tolist()]
+        )
+        assert len(text.splitlines()) == n + 2
+
+    def test_numpy_scalars_are_written_as_numbers(self, tmp_path):
+        floats = [np.float64(v) for v in _EDGE_FLOATS]
+        ints = [np.int64(k) for k in range(len(floats))]
+        assert_writers_agree(
+            tmp_path, ["k", "x"], [ints, tuple(floats)], [list(range(len(floats))), _EDGE_FLOATS]
+        )
+
+    def test_str_cells_are_written_as_they_are(self, tmp_path):
+        cells = [repr(v) for v in _EDGE_FLOATS]
+        assert_writers_agree(tmp_path, ["x", "y"], [cells, _EDGE_FLOATS], [_EDGE_FLOATS, _EDGE_FLOATS])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-(2**62), 2**62), st.floats(), st.floats(width=32)), max_size=12)
+    )
+    def test_agrees_with_row_writer(self, rows):
+        cols = [list(c) for c in zip(*rows)] or [[], [], []]
+        with tempfile.TemporaryDirectory() as d:
+            assert_writers_agree(Path(d), ["i", "x", "y"], [np.array(c) for c in cols], cols)
+
+    def test_ragged_or_two_dimensional_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="length"):
+            write_csv(tmp_path / "a.csv", ["a", "b"], [np.zeros(3), np.zeros(2)], "abc")
+        with pytest.raises(ValueError, match="one-dimensional"):
+            write_csv(tmp_path / "a.csv", ["a"], [np.zeros((3, 1))], "abc")
+
+    def test_path_csv_round_trip_matches_row_writer(self):
+        g = fl.dyadic_grid(1.0, 8)
+        x = fl.GridPath(
+            g,
+            np.random.default_rng(3).standard_normal((len(g), 2)).cumsum(axis=0),
+            {5: [0.5, -0.25], 100: [-0.0, 1e-05]},
+        )
+        buf = io.StringIO()
+        write_path_csv(x, buf)
+        old = io.StringIO()
+        w = csv.writer(old, lineterminator="\n")
+        w.writerow(["t", "x1", "x2", "dx1", "dx2"])
+        for t, v, dx in zip(x.grid.times, x.values, x.dX):
+            w.writerow([repr(float(t))] + [repr(float(a)) for a in v] + [repr(float(a)) for a in dx])
+        assert buf.getvalue() == old.getvalue()
+        buf.seek(0)
+        y = read_path_csv(buf)
+        assert np.array_equal(y.values, x.values) and np.array_equal(y.dX, x.dX)
+        assert np.array_equal(y.grid.times, x.grid.times)
+
+
+_MARKET = {"s": {"kind": "geometric", "sigma": 0.2, "jump_intensity": 2.0, "jump_size": 0.15}, "b": {"rate": 0.03}}
+_BROWNIAN_JUMPS = {
+    "kind": "affine-combination",
+    "x": {"kind": "dyadic-brownian"},
+    "y": {"kind": "compound-jump", "intensity": 3.0, "size": 0.5, "sampler": "uniform"},
+}
+_LEVEL_8 = {"levels": [3, 8], "grid_level": 8}  # QV trends at this size need a loose tol
+_SUBCOMMANDS = [
+    ("qv", {"path": _BROWNIAN_JUMPS, "stochastic": True}),
+    ("integrate", {"path": {"kind": "dyadic-brownian"}, "stochastic": True, "integrand": {"f": {"name": "square"}}}),
+    ("ito-check", {"path": _BROWNIAN_JUMPS, "stochastic": True, "f": {"name": "square"}}),
+    ("assoc", {"path": {"kind": "dyadic-brownian"}, "stochastic": True, "integrands": [{"name": "square"}]}),
+    ("linear", {"x": _BROWNIAN_JUMPS, "stochastic": True, "h": {"constant": 1.0}, "tol": 0.5}),
+    ("nonlinear", {"x": {"kind": "dyadic-brownian"}, "stochastic": True, "f": {"kind": "linear", "a": 1.0}, "tol": 0.5}),
+    ("drawdown", {"x": {"kind": "geometric", "s0": 2.0, "sigma": 0.25}, "floor": {"name": "zero", "a_star": 2.0}}),
+    ("dppi", {"market": _MARKET, "m": 2.0, "l": {"constant": 0.6}, "v0": 1.0, "tol": 0.5}),
+    ("appendix-measure", {"atom": 0.375}),
+    ("mc", {"seeds": 2, "n_min": 1, "n_max": 3, "grid_level": 8, "jump_intensity": 2.0}),
+]
+_INT_COLUMNS = {"level", "seed", "passed"}
+
+
+def _cell(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+@pytest.mark.parametrize("command, cfg", _SUBCOMMANDS, ids=[c for c, _ in _SUBCOMMANDS])
+def test_subcommand_csvs_match_row_writer(tmp_path, command, cfg):
+    cfg = cfg if command == "mc" else {**_LEVEL_8, **cfg}
+    result, out = run_cli(tmp_path / "run", command, cfg, "--seed", "5")
+    assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+    written = sorted(out.glob("*.csv"))
+    assert written
+    for path in written:
+        lines = path.read_text().splitlines()
+        header, rows, hash_line = lines[0].split(","), [r.split(",") for r in lines[1:-1]], lines[-1]
+        assert rows and hash_line.startswith("# config_hash=")
+        values = [[_cell(c) for c in row] for row in rows]
+        for k, name in enumerate(header):
+            assert all(isinstance(v[k], int) for v in values) == (name in _INT_COLUMNS), (path.name, name)
+        write_csv_rows(tmp_path / "oracle.csv", header, values, hash_line.removeprefix("# config_hash="))
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes(), path.name

@@ -145,6 +145,22 @@ class TestOscillation:
         assert fast == pytest.approx(slow, abs=0.5**3)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    a=st.sets(st.integers(0, 40), max_size=40),
+    b=st.sets(st.integers(0, 40), max_size=40),
+)
+def test_refines_is_the_subset_test(n, a, b):
+    g = fl.TimeGrid(np.arange(n) / (n - 1))
+    fine, coarse = ({0, n - 1} | {i for i in s if i < n} for s in (a, b))
+    p = fl.Partition(g, np.array(sorted(fine)))
+    q = fl.Partition(g, np.array(sorted(coarse)))
+    assert p.refines(q) == (coarse <= fine)
+    assert q.refines(p) == (fine <= coarse)
+    assert p.refines(p)
+
+
 def test_mesh_nonincreasing_enforced():
     g = fl.dyadic_grid(1.0, 4)
     fine = fl.Partition(g, np.arange(17))

@@ -357,3 +357,29 @@ def test_dx_is_read_only():
         p.dX[3, 0] = 1.0
     with pytest.raises(TypeError):
         p.jumps[3] = np.array([1.0])
+
+
+def test_large_jump_map_builds_the_same_array():
+    g = fl.dyadic_grid(1.0, 16)
+    sizes = np.random.default_rng(4).standard_normal(len(g))
+    sizes[0] = 0.0
+    sizes[7] = -0.0  # stored as +0.0 either way
+    vals = np.zeros(len(g))
+    jmap = {i: sizes[i] for i in range(1, len(g))}
+    assert len(jmap) == 65_536
+    from_map = fl.GridPath(g, vals, jmap).dX
+    assert np.array_equal(from_map.view(np.uint64), fl.GridPath(g, vals, sizes).dX.view(np.uint64))
+    assert not np.signbit(from_map[7, 0])
+    # JSON objects give string keys
+    from_json = fl.GridPath(g, vals, {str(i): float(c) for i, c in jmap.items()}).dX
+    assert np.array_equal(from_json.view(np.uint64), from_map.view(np.uint64))
+
+
+def test_jump_map_on_a_vector_path():
+    g = fl.dyadic_grid(1.0, 2)
+    p = fl.GridPath(g, np.zeros((5, 2)), {3: [1.0, -2.0], 1: [0.5, 0.0]})
+    assert np.array_equal(p.dX, [[0, 0], [0.5, 0], [0, 0], [1.0, -2.0], [0, 0]])
+    # a scalar size jumps every component
+    assert np.array_equal(fl.GridPath(g, np.zeros((5, 2)), {2: 0.5}).dX[2], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        fl.GridPath(g, np.zeros((5, 2)), {3: [1.0, -2.0], 1: 0.5})  # sizes of mixed shapes
