@@ -59,7 +59,6 @@ from .partitions import (
     PartitionSequence,
     dyadic_sequence,
     lebesgue_partition,
-    lebesgue_sequence,
     mesh,
     oscillation,
 )

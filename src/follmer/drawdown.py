@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport, sup_distance
 from .equations import doleans_exponential
@@ -124,12 +122,17 @@ def compose_u(outer: MonotoneC2Function, inner: MonotoneC2Function) -> MonotoneC
 
 @dataclass(frozen=True)
 class FloorFunction:
-    """C^1 floor w on [a_star, infinity) with margin m(y) = y - w(y) > 0."""
+    """C^1 floor w on [a_star, infinity) with margin m(y) = y - w(y) > 0.
+
+    ``knots`` are the points where w is only C^1 (the nodes of a table
+    floor); the transform's quadrature never straddles one.
+    """
 
     w: Callable
     dw: Callable
     a_star: float
     name: str = ""
+    knots: tuple = ()
 
     def __call__(self, y):
         return np.asarray(self.w(np.asarray(y, dtype=float)), dtype=float)
@@ -170,17 +173,70 @@ def floor_constant_margin(c: float, a_star: float) -> FloorFunction:
     )
 
 
+def _hermite(xs, ys, slopes, y) -> tuple:
+    """Value and first derivative at ``y`` of the cubic Hermite interpolant
+    through (xs, ys) with the given slopes; the end cubics extrapolate.
+
+    Interval i holds xs[i] <= y < xs[i+1].  The local power form is summed
+    term by term, not by Horner, which gives scipy's ``PPoly`` bits.
+    """
+    h = np.diff(xs)
+    secant = np.diff(ys) / h
+    t = (slopes[:-1] + slopes[1:] - 2 * secant) / h
+    c3, c2 = t / h, (secant - slopes[:-1]) / h - t
+    i = np.clip(np.searchsorted(xs, y, side="right") - 1, 0, xs.size - 2)
+    s = np.asarray(y, dtype=float) - xs[i]
+    s2 = s * s
+    d0, c2, c3 = slopes[i], c2[i], c3[i]
+    return ys[i] + d0 * s + c2 * s2 + c3 * (s2 * s), d0 + c2 * 2 * s + c3 * 3 * s2
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, clipped to keep the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3 * abs(m0):
+        return 3 * m0
+    return d
+
+
+def _pchip_slopes(xs, ys) -> np.ndarray:
+    """Fritsch-Carlson monotone slopes: the weighted harmonic mean of the
+    neighbouring secants, zero at a local extremum or a flat piece."""
+    h = np.diff(xs)
+    m = np.diff(ys) / h
+    if m.size == 1:
+        return np.array([m[0], m[0]])
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d = np.empty_like(ys)
+    d[1:-1] = np.where(flat, 0.0, inner)
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
 def floor_from_table(ys, ws, a_star: float | None = None) -> FloorFunction:
-    """User floor from a monotone table, interpolated shape-preservingly."""
+    """User floor from a monotone table, interpolated shape-preservingly
+    (PCHIP: cubic Hermite with Fritsch-Carlson slopes)."""
     ys = np.asarray(ys, dtype=float)
     ws = np.asarray(ws, dtype=float)
-    interp = PchipInterpolator(ys, ws, extrapolate=True)
-    dinterp = interp.derivative()
+    if ys.ndim != 1 or ws.shape != ys.shape or ys.size < 2:
+        raise ValueError("a floor table needs two equal-length lists of at least 2 numbers")
+    if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(ws))):
+        raise ValueError("a floor table must contain only finite values")
+    if not np.all(np.diff(ys) > 0):
+        raise ValueError("floor table points must be strictly increasing")
+    slopes = _pchip_slopes(ys, ws)
     return FloorFunction(
-        w=lambda y: interp(np.asarray(y, dtype=float)),
-        dw=lambda y: dinterp(np.asarray(y, dtype=float)),
+        w=lambda y: _hermite(ys, ws, slopes, y)[0],
+        dw=lambda y: _hermite(ys, ws, slopes, y)[1],
         a_star=float(ys[0]) if a_star is None else a_star,
         name="table",
+        knots=tuple(ys.tolist()),
     )
 
 
@@ -201,10 +257,14 @@ def builtin_floor(name: str, a_star: float, **params) -> FloorFunction:
 # ---------------------------------------------------------------------------
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
 class _CumulativeExponent:
     """I(y) = int_{a_star}^{y} ds / m(s), tabulated and C^1-interpolated.
 
-    Node values are exact quadratures; between nodes a Hermite cubic with the
+    Node values are Gauss-Legendre quadratures over segments that end at the
+    nodes and at the floor's knots; between nodes a Hermite cubic with the
     analytic slope 1/m is used.  The table extends on demand.
     """
 
@@ -214,8 +274,7 @@ class _CumulativeExponent:
         self.nodes_per_unit = nodes_per_unit
         self._nodes = np.array([self.a_star])
         self._vals = np.array([0.0])
-        self._spline = None
-        self.ensure(self.a_star + 1.0)
+        self._extend_to(self.a_star + 1.0)
 
     def _extend_to(self, hi: float) -> None:
         lo = float(self._nodes[-1])
@@ -226,28 +285,31 @@ class _CumulativeExponent:
         if np.any(margins <= 0.0):
             bad = float(new[np.argmax(margins <= 0.0)])
             raise ValueError(f"floor margin y - w(y) is not positive near y = {bad}")
-        vals = []
-        acc = float(self._vals[-1])
-        prev = lo
-        for y in new:
-            seg, _ = quad(lambda s: 1.0 / float(self.floor.margin(s)), prev, y, epsabs=1e-13, epsrel=1e-12)
-            acc += seg
-            vals.append(acc)
-            prev = y
+        # one 16-point Gauss-Legendre rule per piece; pieces end at the new
+        # nodes and at the floor's knots, so every integrand is smooth
+        knots = np.asarray(self.floor.knots, dtype=float)
+        ends = np.union1d(new, knots[(knots > lo) & (knots < new[-1])])
+        starts = np.concatenate([[lo], ends[:-1]])
+        half, mid = 0.5 * (ends - starts), 0.5 * (ends + starts)
+        s = mid[:, None] + half[:, None] * _GL_NODES
+        m = self.floor.margin(s.ravel()).reshape(s.shape)
+        if np.any(m <= 0.0):
+            raise ValueError(f"floor margin y - w(y) is not positive near y = {float(np.min(s[m <= 0.0]))}")
+        pieces = half * ((1.0 / m) @ _GL_WEIGHTS)
+        vals = np.cumsum(np.concatenate([self._vals[-1:], pieces]))[np.searchsorted(ends, new) + 1]
         self._nodes = np.concatenate([self._nodes, new])
-        self._vals = np.concatenate([self._vals, np.asarray(vals)])
-        slopes = 1.0 / self.floor.margin(self._nodes)
-        self._spline = CubicHermiteSpline(self._nodes, self._vals, slopes)
+        self._vals = np.concatenate([self._vals, vals])
+        self._slopes = 1.0 / self.floor.margin(self._nodes)
 
     def ensure(self, y_max: float) -> None:
-        if y_max > self._nodes[-1] or self._spline is None:
+        if y_max > self._nodes[-1]:
             self._extend_to(max(y_max, self._nodes[-1] + 0.5))
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         if y.size and float(np.max(y)) > self._nodes[-1]:
             self.ensure(float(np.max(y)) + 0.25)
-        return self._spline(y)
+        return _hermite(self._nodes, self._vals, self._slopes, y)[0]
 
     def invert(self, target):
         """Solve I(y) = target by table bracket plus Newton (I' = 1/m)."""

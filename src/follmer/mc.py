@@ -14,10 +14,10 @@ a per-seed pass/fail fraction with an exact binomial interval.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta
 
 from .diagnostics import STOCHASTIC_TOL, TREND_WINDOW, TrendReport
 from .partitions import lebesgue_partition, mesh, oscillation
@@ -112,9 +112,30 @@ def _target_curve(exp: McExperiment, path: GridPath) -> np.ndarray:
     return exp.sigma**2 * path.grid.times + np.cumsum(path.dX[:, 0] ** 2)
 
 
+def _bisect(above) -> float:
+    """The p in [0, 1] where the monotone predicate ``above`` turns true,
+    bisected until the bracket stops shrinking."""
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return mid
+
+
 def _binomial_interval(k: int, n: int, alpha: float = 0.05) -> tuple:
-    lo = 0.0 if k == 0 else float(_beta.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(_beta.ppf(1 - alpha / 2, k + 1, n - k))
+    """Clopper-Pearson interval for k successes in n trials: the p at which
+    the binomial tail beyond k on each side has mass alpha/2."""
+    log_comb = [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1) for j in range(n + 1)]
+
+    def mass(p: float, js: range) -> float:
+        lp, lq = math.log(p), math.log1p(-p)
+        return math.fsum(math.exp(log_comb[j] + j * lp + (n - j) * lq) for j in js)
+
+    a = alpha / 2
+    lo = 0.0 if k == 0 else _bisect(lambda p: mass(p, range(k, n + 1)) >= a)
+    hi = 1.0 if k == n else _bisect(lambda p: mass(p, range(k + 1)) <= a)
     return (lo, hi)
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "thinned_sequence",
     "mesh",
     "lebesgue_partition",
-    "lebesgue_sequence",
     "oscillation",
     "write_partition",
 ]
@@ -155,9 +154,14 @@ def _lebesgue_scan(x: np.ndarray, times: np.ndarray, n: int) -> list[int]:
     size = times.size
     j_cap = np.searchsorted(times, times + cap, side="right") - 1
     # first[i]: the least k <= K with |x[i+k] - x[i]| > thr, K + 1 if none
+    # one scratch pair for all K passes: fresh temporaries per pass cost a
+    # page fault per 4 KiB once the heap is trimmed back after each free
     first = np.full(size, _EXIT_WINDOW + 1)
-    for k in range(_EXIT_WINDOW, 0, -1):
-        np.copyto(first[:-k], k, where=np.abs(x[k:] - x[:-k]) > thr)
+    diff, hit = np.empty(size), np.empty(size, dtype=bool)
+    for k in range(min(_EXIT_WINDOW, size - 1), 0, -1):
+        d, h = diff[: size - k], hit[: size - k]
+        np.abs(np.subtract(x[k:], x[:-k], out=d), out=d)
+        np.copyto(first[:-k], k, where=np.greater(d, thr, out=h))
     # exit offset: the crossing or the cap, whichever comes first; <= 0 when
     # the cap admits no later grid time, > K when both lie past the window
     offset = np.minimum(first, j_cap - np.arange(size)).tolist()
@@ -201,11 +205,6 @@ def lebesgue_partition(path: GridPath, n: int) -> Partition:
         raise ValueError("stopping-time partitions are built from scalar paths")
     idx = _lebesgue_scan(np.ascontiguousarray(path.x), path.grid.times, n)
     return Partition(path.grid, np.asarray(idx, dtype=int))
-
-
-def lebesgue_sequence(path: GridPath, n_min: int, n_max: int) -> PartitionSequence:
-    levels = [lebesgue_partition(path, n) for n in range(n_min, n_max + 1)]
-    return PartitionSequence(tuple(levels), kind="lebesgue")
 
 
 def oscillation(path: GridPath, p: Partition, t: float) -> float:

@@ -503,7 +503,9 @@ def measure_convergence_check(
         star[float(s)] = gaps
 
     def f_vals(times: np.ndarray) -> np.ndarray:
-        return np.array([f.values[f.grid.clamp_index(s), 0] for s in times])
+        if np.any(times < 0):
+            raise ValueError("negative time")
+        return f.values[np.searchsorted(f.grid.times, times, side="right") - 1, 0]
 
     per_level = tuple(m.integrate(f_vals, t) for m in mus)
     k = int(np.searchsorted(mu.times, t, side="right"))

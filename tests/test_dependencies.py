@@ -4,7 +4,9 @@ plotting or JIT library present on one machine only) would make code paths
 depend on what happens to be installed."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,10 +18,17 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "follmer"
 
 
-def _declared() -> set:
-    with open(ROOT / "pyproject.toml", "rb") as fp:
-        deps = tomllib.load(fp)["project"]["dependencies"]
+def _names(deps: list) -> set:
     return {re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0].lower().replace("-", "_") for d in deps}
+
+
+def _project() -> dict:
+    with open(ROOT / "pyproject.toml", "rb") as fp:
+        return tomllib.load(fp)["project"]
+
+
+def _declared() -> set:
+    return _names(_project()["dependencies"])
 
 
 def _imported_roots(path: Path) -> set:
@@ -33,7 +42,18 @@ def _imported_roots(path: Path) -> set:
 
 
 def test_declared_dependencies_are_parsed():
-    assert {"numpy", "scipy", "click"} <= _declared()
+    # scipy is only the tests' oracle for the package's own quadrature,
+    # interpolation and binomial interval, so it sits in the test extra
+    assert _declared() == {"numpy", "click"}
+    assert "scipy" in _names(_project()["optional-dependencies"]["test"])
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, follmer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 import follmer as fl
-from follmer.drawdown import affine_u, compose_u, identity_u
+from follmer.drawdown import _CumulativeExponent, _hermite, affine_u, compose_u, identity_u
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +226,99 @@ def test_compose_u_chain_rule():
     ys = np.linspace(0.5, 3.0, 7)
     assert np.allclose(comp(ys), 2 * ys**2 + 1)
     comp.validate(ys)
+
+
+# Tables for the PCHIP oracle: rising, flat pieces, local extrema (zero
+# slopes), two points (linear), uneven spacing and a clipped end slope.
+PCHIP_TABLES = {
+    "rising": ([1.0, 1.5, 2.5, 3.0, 4.5, 6.0], [0.1, 0.2, 0.9, 1.0, 2.0, 2.2]),
+    "flat": ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 1.0, 1.0, 1.0, 2.0, 2.0]),
+    "extrema": ([0.0, 0.3, 1.0, 1.1, 2.0, 3.5, 4.0], [0.0, 2.0, -1.0, 0.5, 0.5, -2.0, 3.0]),
+    "two-points": ([1.0, 3.0], [0.5, 1.5]),
+    "uneven": ([0.0, 1e-3, 0.5, 0.501, 7.0], [1.0, 1.01, -0.3, 4.0, 4.5]),
+    "three-points-peak": ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+    # the one-sided end slope (3 + 5) / 2 = 4 is clipped to 3 * secant = 3
+    "end-clip": ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -4.0, -4.5]),
+}
+
+
+def _pchip_points(ys):
+    ys = np.asarray(ys)
+    mids = 0.5 * (ys[1:] + ys[:-1])
+    beyond = [ys[0] - 2.0, ys[0] - 1e-9, ys[-1] + 1e-9, ys[-1] + 3.0]
+    return np.concatenate([ys, mids, np.linspace(ys[0], ys[-1], 97), beyond])
+
+
+class TestScipyOracles:
+    """The numpy interpolants and quadrature against scipy, the reference."""
+
+    @pytest.mark.parametrize("name", sorted(PCHIP_TABLES))
+    def test_table_floor_matches_pchip(self, name):
+        ys, ws = PCHIP_TABLES[name]
+        w = fl.floor_from_table(ys, ws)
+        ref = PchipInterpolator(ys, ws, extrapolate=True)
+        y = _pchip_points(ys)
+        np.testing.assert_allclose(w(y), ref(y), rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(w.dw(y), ref.derivative()(y), rtol=1e-14, atol=1e-14)
+
+    def test_zero_slopes_at_extrema_and_flat_pieces(self):
+        ys, ws = PCHIP_TABLES["extrema"]
+        assert np.all(fl.floor_from_table(ys, ws).dw(np.asarray(ys)[1:-1]) == 0.0)
+        ys, ws = PCHIP_TABLES["flat"]
+        assert np.all(fl.floor_from_table(ys, ws).dw(np.asarray(ys)[1:]) == 0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hermite_matches_cubic_hermite_spline(self, seed):
+        rng = np.random.default_rng(seed)
+        xs = np.cumsum(rng.uniform(0.01, 1.0, 12))
+        ys, slopes = rng.normal(size=12), rng.normal(size=12)
+        ref = CubicHermiteSpline(xs, ys, slopes)
+        y = np.concatenate([xs, np.linspace(xs[0] - 1.0, xs[-1] + 1.0, 301)])
+        value, deriv = _hermite(xs, ys, slopes, y)
+        np.testing.assert_allclose(value, ref(y), rtol=1e-14, atol=1e-13)
+        np.testing.assert_allclose(deriv, ref.derivative()(y), rtol=1e-14, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "ys, ws",
+        [([1.0], [0.0]), ([1.0, 1.0, 2.0], [0.0, 0.1, 0.2]), ([1.0, np.nan], [0.0, 0.1]), ([1.0, 2.0], [0.0])],
+    )
+    def test_bad_table_rejected(self, ys, ws):
+        with pytest.raises(ValueError):
+            fl.floor_from_table(ys, ws)
+
+    @pytest.mark.parametrize(
+        "floor",
+        [
+            fl.floor_zero(2.0),
+            fl.floor_zero(0.01),
+            fl.floor_proportional(0.3, 1.5),
+            fl.floor_constant_margin(0.25, 1.0),
+            # knots at 1 + 0.3k + 0.1/256: inside the 1/256 node segments
+            fl.floor_from_table(1.0 + 0.3 * np.arange(15) + 0.1 / 256, 0.2 + 0.12 * np.arange(15) ** 0.8, 1.0),
+            # flat pieces: the margin's slope jumps at every knot
+            fl.floor_from_table([0.5, 1.3, 2.2, 2.9, 5.0], [0.0, 0.4, 0.4, 0.4, 1.5], 0.5),
+        ],
+        ids=["zero", "zero-small-a-star", "proportional", "constant-margin", "table", "table-flat"],
+    )
+    def test_node_values_match_quad(self, floor):
+        exponent = _CumulativeExponent(floor)
+        exponent.ensure(floor.a_star + 4.0)
+        nodes, knots = exponent._nodes, np.asarray(floor.knots)
+
+        def piece(a, b):
+            inside = knots[(knots > a) & (knots < b)]
+            return quad(lambda s: 1.0 / float(floor.margin(s)), a, b, points=inside if inside.size else None,
+                        epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+        ref = np.cumsum([0.0] + [piece(a, b) for a, b in zip(nodes[:-1], nodes[1:])])
+        np.testing.assert_allclose(exponent._vals, ref, rtol=1e-13, atol=1e-15)
+
+    def test_margin_vanishing_between_nodes_rejected(self):
+        # the margin (y - c)^2 - 2^-22 is negative only within 2^-11 of c,
+        # midway between the nodes 1.5 and 1.5 + 2^-8; quadrature points see it
+        c = 1.5 + 1.0 / 512
+        bad = fl.FloorFunction(
+            w=lambda y: y - (y - c) ** 2 + 2.0**-22, dw=lambda y: 1 - 2 * (y - c), a_star=1.0
+        )
+        with pytest.raises(ValueError, match="not positive near y = 1.50"):
+            fl.floor_to_transform(bad, a=1.0)

@@ -1,5 +1,11 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import beta
+
 import follmer as fl
-from follmer.mc import run_seed
+from follmer.mc import _binomial_interval, run_seed
 
 
 def test_constant_path_exact():
@@ -57,3 +63,27 @@ def test_jumpy_batch_targets_include_jumps():
     out = run_seed(exp, 11)
     assert out.gaps_ok and out.osc_ok
     assert out.sup_errors[-1] <= 5e-2
+
+
+def _beta_interval(k, n):
+    lo = np.where(k == 0, 0.0, beta.ppf(0.025, np.maximum(k, 1), n - k + 1))
+    hi = np.where(k == n, 1.0, beta.ppf(0.975, k + 1, np.maximum(n - k, 1)))
+    return lo, hi
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_binomial_interval_matches_beta_quantiles(n):
+    k = np.arange(n + 1)
+    got = np.array([_binomial_interval(int(j), n) for j in k])
+    lo, hi = _beta_interval(k, n)
+    assert got[0, 0] == 0.0 and got[-1, 1] == 1.0
+    np.testing.assert_allclose(got[:, 0], lo, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got[:, 1], hi, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(65, 256), frac=st.floats(0.0, 1.0))
+def test_binomial_interval_matches_beta_quantiles_large_n(n, frac):
+    k = round(frac * n)
+    lo, hi = _beta_interval(np.array(k), n)
+    assert _binomial_interval(k, n) == pytest.approx((float(lo), float(hi)), rel=1e-12, abs=0.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import follmer as fl
-from follmer.partitions import write_partition
+from follmer.partitions import thinned_sequence, write_partition
 
 
 class TestDyadic:
@@ -159,6 +159,23 @@ def test_refines_is_the_subset_test(n, a, b):
     assert p.refines(q) == (coarse <= fine)
     assert q.refines(p) == (fine <= coarse)
     assert p.refines(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=300),
+    levels=st.integers(1, 10),
+)
+def test_thinned_sequence_on_nonuniform_grids(steps, levels):
+    g = fl.TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+    seq = thinned_sequence(g, levels)
+    assert len(seq) == levels and seq.kind == "thinned"
+    for p in seq:
+        assert p.indices[0] == 0 and p.indices[-1] == len(g) - 1
+        assert np.all(np.diff(p.indices) > 0)
+    for coarse, fine in zip(seq.levels, seq.levels[1:]):
+        assert fine.refines(coarse)
+    assert np.array_equal(seq.top.indices, np.arange(len(g)))
 
 
 def test_mesh_nonincreasing_enforced():

@@ -305,6 +305,31 @@ class TestMeasureConvergence:
         rep = fl.measure_convergence_check(mus, mu, f, 0.9)
         assert rep.integral_per_level[-1] == pytest.approx(mu.mass(0.9))
 
+    def test_integrals_match_per_atom_lookup(self):
+        seq = fl.dyadic_sequence(1.0, 2, 9)
+        grid = seq.grid
+        mu = fl.DiscreteMeasure(grid.times[:-1], np.diff(grid.times**2), boundaries=grid.times)
+        mus = [pushforward(mu, p.times) for p in seq]
+        # atoms between grid times too
+        off = grid.times[:-1] + 0.3 * (grid.times[1] - grid.times[0])
+        mus.append(fl.DiscreteMeasure(off, mu.weights, boundaries=np.concatenate([[0.0], off])))
+        f = fl.DyadicBrownianGenerator(seed=4).generate(grid)
+        rep = fl.measure_convergence_check(mus, mu, f, 0.7, tol=1e-2)
+        for m, got in zip(mus, rep.integral_per_level):
+            k = int(np.searchsorted(m.times, 0.7, side="right"))
+            f_at = np.array([f.values[grid.clamp_index(s), 0] for s in m.times[:k]])
+            assert got == float(np.sum(m.weights[:k] * f_at))
+
+    def test_negative_atom_time_rejected(self):
+        seq = fl.dyadic_sequence(1.0, 2, 4)
+        mu = fl.DiscreteMeasure(np.array([0.5]), np.array([1.0]))
+        early = fl.DiscreteMeasure(
+            np.array([-0.25, 0.5]), np.array([0.0, 1.0]), boundaries=np.array([-0.5, 0.25, 1.0])
+        )
+        f = fl.FormulaGenerator(lambda t: np.ones_like(t)).generate(seq.grid)
+        with pytest.raises(ValueError, match="negative time"):
+            fl.measure_convergence_check([early], mu, f, 1.0)
+
     def test_negative_atoms_rejected(self):
         seq = fl.dyadic_sequence(1.0, 2, 4)
         mu = fl.DiscreteMeasure(np.array([0.5]), np.array([1.0]))
