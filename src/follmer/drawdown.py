@@ -260,6 +260,12 @@ def builtin_floor(name: str, a_star: float, **params) -> FloorFunction:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+# invert() extends the node table by 1.5x per round; the budget stops it
+# where a target stays out of reach (an overshooting Hermite cubic near a
+# vanishing margin) instead of growing until memory runs out
+_NODE_BUDGET = 1 << 18
+
+
 class _CumulativeExponent:
     """I(y) = int_{a_star}^{y} ds / m(s), tabulated and C^1-interpolated.
 
@@ -315,7 +321,14 @@ class _CumulativeExponent:
         """Solve I(y) = target by table bracket plus Newton (I' = 1/m)."""
         target = np.asarray(target, dtype=float)
         while float(np.max(target)) > self._vals[-1]:
-            self._extend_to(self._nodes[-1] * 1.5 + 1.0)
+            hi = self._nodes[-1] * 1.5 + 1.0
+            if self._nodes.size + (hi - self._nodes[-1]) * self.nodes_per_unit > _NODE_BUDGET:
+                raise ValueError(
+                    f"cannot invert the drawdown exponent for a_star = {self.a_star:.6g}: target "
+                    f"I = {float(np.max(target)):.6g} is beyond the last tabulated I = {self._vals[-1]:.6g} "
+                    f"(y = {self._nodes[-1]:.6g}) within the budget of {_NODE_BUDGET} nodes"
+                )
+            self._extend_to(hi)
         y = np.interp(target, self._vals, self._nodes)
         lo, hi = self._nodes[0], self._nodes[-1]
         for _ in range(60):

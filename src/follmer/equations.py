@@ -333,24 +333,27 @@ def solve_nonlinear(
     if not lipschitz_declared:
         _lipschitz_spot_check(f, float(times[-1]), x0, e_vals)
 
-    n = len(times)
-    y = np.empty(n)
-    y[0] = x0
-    for g in range(n - 1):
-        t0, t1 = times[g], times[g + 1]
+    # the RK4 steps run on Python floats: the same IEEE operations as on
+    # numpy scalars, at a fraction of the cost per step
+    ts, es = times.tolist(), e_vals.tolist()
+    yg = float(x0)
+    ys = [yg]
+    for g in range(len(ts) - 1):
+        t0, t1, e = ts[g], ts[g + 1], es[g]  # E held left-constant within the step
         h = t1 - t0
-        e = e_vals[g]  # E held left-constant within the step
-
-        def rhs(tt: float, yy: float) -> float:
-            return f(tt, yy * e) / e
-
-        k1 = rhs(t0, y[g])
-        k2 = rhs(t0 + h / 2, y[g] + h * k1 / 2)
-        k3 = rhs(t0 + h / 2, y[g] + h * k2 / 2)
-        k4 = rhs(t0 + h, y[g] + h * k3)
-        y[g + 1] = y[g] + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-        if not np.isfinite(y[g + 1]) or abs(y[g + 1]) > blowup_limit:
-            raise OdeBlowUp(float(t1))
+        try:
+            k1 = f(t0, yg * e) / e
+            k2 = f(t0 + h / 2, (yg + h * k1 / 2) * e) / e
+            k3 = f(t0 + h / 2, (yg + h * k2 / 2) * e) / e
+            k4 = f(t0 + h, (yg + h * k3) * e) / e
+        except (ZeroDivisionError, OverflowError):
+            # where numpy scalars give inf or nan, Python floats raise
+            raise OdeBlowUp(t1) from None
+        yg = yg + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+        if not math.isfinite(yg) or abs(yg) > blowup_limit:
+            raise OdeBlowUp(t1)
+        ys.append(yg)
+    y = np.array(ys, dtype=float)
 
     z_vals = y * e_vals
     z = GridPath(x.grid, z_vals, _z_jumps(z_vals, 0.0, x))

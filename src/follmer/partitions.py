@@ -144,27 +144,60 @@ def thinned_sequence(grid: TimeGrid, levels: int) -> PartitionSequence:
 
 
 # K: exits within K samples of a start come from a table built for every
-# start at once; farther ones are found by a chunked scan from the chain point.
+# start at once; a chain point with no exit in its window searches on from
+# i + K + 1 over aligned block extrema of 16, 256 and 4096 samples.  The
+# block test is exact for finite x: fl(x_j - x_i) is monotone in x_j and
+# fl(x_i - x_j) = -fl(x_j - x_i), so bmax - x_i > thr or x_i - bmin > thr
+# holds iff |x_j - x_i| > thr for some sample j of the block, rounding
+# included.  (A NaN would poison its blocks' extrema, so lebesgue_partition
+# rejects non-finite paths.)
 _EXIT_WINDOW = 16
+_BLOCK_BITS = 4
+_BLOCK_TIERS = 3
+
+
+def _block_extrema(x: np.ndarray) -> list:
+    """[(max, min)] of x over aligned blocks of 16, 256 and 4096 samples, as
+    memoryviews; a partial last block takes the extrema of what it holds."""
+    tiers, hi, lo = [], x, x
+    for _ in range(_BLOCK_TIERS):
+        starts = np.arange(0, hi.size, 1 << _BLOCK_BITS)
+        hi, lo = np.maximum.reduceat(hi, starts), np.minimum.reduceat(lo, starts)
+        tiers.append((memoryview(hi), memoryview(lo)))
+    return tiers
 
 
 def _lebesgue_scan(x: np.ndarray, times: np.ndarray, n: int) -> list[int]:
+    """Band-exit chain from index 0: each point is the first later index whose
+    value leaves the band |x - x_i| <= thr, or the 1/n cap index if earlier.
+
+    Exits within ``_EXIT_WINDOW`` samples are read from a first-exit table;
+    farther ones come from a walk over block extrema that climbs to coarser
+    blocks while they hold no exit and descends into the first that does.
+    Both decide |x_j - x_i| > thr with the same floating-point comparisons as
+    a sample-by-sample scan, so the indices are those of that scan.
+    """
     thr = 0.5 ** (n + 1)
     cap = 1.0 / n
     size = times.size
     j_cap = np.searchsorted(times, times + cap, side="right") - 1
-    # first[i]: the least k <= K with |x[i+k] - x[i]| > thr, K + 1 if none
-    # one scratch pair for all K passes: fresh temporaries per pass cost a
-    # page fault per 4 KiB once the heap is trimmed back after each free
-    first = np.full(size, _EXIT_WINDOW + 1)
-    diff, hit = np.empty(size), np.empty(size, dtype=bool)
-    for k in range(min(_EXIT_WINDOW, size - 1), 0, -1):
-        d, h = diff[: size - k], hit[: size - k]
+    # first[i]: the least k <= K with |x[i+k] - x[i]| > thr, K + 1 if none;
+    # branch-free: min(first, K + 1 - hit * (K + 1 - k)) in uint8, with one
+    # set of scratch buffers for all K passes (fresh temporaries page-fault)
+    none = _EXIT_WINDOW + 1
+    first = np.full(size, none, dtype=np.uint8)
+    diff, hit = np.empty(size), np.empty(size, dtype=np.uint8)
+    for k in range(1, min(_EXIT_WINDOW, size - 1) + 1):
+        d, h, f = diff[: size - k], hit[: size - k], first[: size - k]
         np.abs(np.subtract(x[k:], x[:-k], out=d), out=d)
-        np.copyto(first[:-k], k, where=np.greater(d, thr, out=h))
+        np.greater(d, thr, out=h)
+        np.multiply(h, none - k, out=h)
+        np.subtract(none, h, out=h)
+        np.minimum(f, h, out=f)
     # exit offset: the crossing or the cap, whichever comes first; <= 0 when
     # the cap admits no later grid time, > K when both lie past the window
     offset = np.minimum(first, j_cap - np.arange(size)).tolist()
+    tiers = None
     out = [0]
     i = 0
     while i < size - 1:
@@ -174,20 +207,41 @@ def _lebesgue_scan(x: np.ndarray, times: np.ndarray, n: int) -> list[int]:
                 f"grid too coarse for the 1/n time cap at level n={n}: cap 1/n = {cap:.6g} "
                 f"is below the grid step {times[i + 1] - times[i]:.6g} at t = {times[i]:.6g}"
             )
-        j = i + k
         if k > _EXIT_WINDOW:
-            j = last = int(j_cap[i])
-            start, chunk = i + _EXIT_WINDOW + 1, 64
-            while start <= last:
-                end = min(start + chunk, last + 1)
-                hit = np.abs(x[start:end] - x[i]) > thr
-                if hit.any():
-                    j = start + int(np.argmax(hit))
-                    break
-                start, chunk = end, chunk * 4
-        out.append(j)
-        i = j
+            if tiers is None:
+                xs, tiers = memoryview(x), _block_extrema(x)
+            k = _far_exit(xs, tiers, i, int(j_cap[i]), thr)
+        i += k
+        out.append(i)
     return out
+
+
+def _far_exit(xs, tiers, i: int, last: int, thr: float) -> int:
+    """Offset from i of the first j in (i + K, last] with |x_j - x_i| > thr,
+    or of ``last`` if there is none."""
+    xi = xs[i]
+    j, tier = i + _EXIT_WINDOW + 1, 0
+    # start in the coarsest block holding j that begins at or after i: its
+    # samples before j are known to stay in the band
+    while tier < _BLOCK_TIERS and (j >> (_BLOCK_BITS * (tier + 1))) << (_BLOCK_BITS * (tier + 1)) >= i:
+        tier += 1
+    while j <= last:
+        if tier == 0:
+            if abs(xs[j] - xi) > thr:
+                return j - i
+            j += 1
+        else:
+            shift = _BLOCK_BITS * tier
+            hi, lo = tiers[tier - 1]
+            b = j >> shift
+            if hi[b] - xi > thr or xi - lo[b] > thr:
+                tier -= 1
+                continue
+            j = (b + 1) << shift
+        # climb while j starts a block of the next tier
+        if tier < _BLOCK_TIERS and not j & ((1 << (_BLOCK_BITS * (tier + 1))) - 1):
+            tier += 1
+    return last - i
 
 
 def lebesgue_partition(path: GridPath, n: int) -> Partition:
@@ -197,13 +251,22 @@ def lebesgue_partition(path: GridPath, n: int) -> Partition:
     |X_t - X_{T_k}| > 2^-(n+1), capped by the largest grid time within
     T_k + 1/n.  Ties between the crossing and the cap resolve to the smaller
     time.  Every gap is <= 1/n, and for the generating path the oscillation
-    over each partition interval is <= 2^-n at grid resolution.
+    over each partition interval is <= 2^-n at grid resolution.  A path with
+    a NaN or infinite value is rejected with ``ValueError``.
     """
     if n < 1:
         raise ValueError("level n must be >= 1 (the 1/n cap is undefined at 0)")
     if path.dim != 1:
         raise ValueError("stopping-time partitions are built from scalar paths")
-    idx = _lebesgue_scan(np.ascontiguousarray(path.x), path.grid.times, n)
+    x = np.ascontiguousarray(path.x)
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(
+            f"stopping-time partition of a path with a non-finite value {float(x[i])!r} "
+            f"at grid index {i}, t = {path.grid.times[i]:.6g}"
+        )
+    idx = _lebesgue_scan(x, path.grid.times, n)
     return Partition(path.grid, np.asarray(idx, dtype=int))
 
 

@@ -313,6 +313,12 @@ class TestScipyOracles:
         ref = np.cumsum([0.0] + [piece(a, b) for a, b in zip(nodes[:-1], nodes[1:])])
         np.testing.assert_allclose(exponent._vals, ref, rtol=1e-13, atol=1e-15)
 
+    def test_invert_stops_at_the_node_budget(self):
+        # near a_star = 1e-5 the Hermite cubic overshoots far past every
+        # tabulated I, and each extension round adds only log(1.5)
+        with pytest.raises(ValueError, match=r"a_star = 1e-05: target I = [\d.]+ is beyond the last tabulated I = [\d.]+"):
+            fl.floor_to_transform(fl.floor_zero(1e-5), 1.0)
+
     def test_margin_vanishing_between_nodes_rejected(self):
         # the margin (y - c)^2 - 2^-22 is negative only within 2^-11 of c,
         # midway between the nodes 1.5 and 1.5 + 2^-8; quadrature points see it

@@ -289,3 +289,77 @@ def test_too_coarse_message_names_level_cap_and_step():
     x = fl.FormulaGenerator(lambda t: 0.0 * t).generate(fl.dyadic_grid(1.0, 2))
     with pytest.raises(ValueError, match=r"at level n=9: cap 1/n = 0\.111111 is below the grid step 0\.25 at t = 0$"):
         fl.lebesgue_partition(x, 9)
+
+
+def _walk_with_jumps(rng, size: int, scale: float) -> np.ndarray:
+    """Random walk of ``size`` points with occasional jumps of order one."""
+    steps = scale * rng.normal(size=size)
+    steps += (rng.random(size) < 2.0 / size) * rng.choice([-1.0, 1.0], size=size) * rng.uniform(0.2, 1.0, size=size)
+    steps[0] = 0.0
+    return np.cumsum(steps)
+
+
+class TestBlockExtremaSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(2, 6000),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 1e-1]),
+        horizon=st.sampled_from([0.5, 1.0, 2.0, 10.0]),
+        n=st.integers(1, 10),
+    )
+    def test_property_nonuniform_random_walks(self, size, seed, scale, horizon, n):
+        # lengths of any residue mod 16, 256 and 4096 leave the last block of
+        # every tier partial; short grids on long horizons are too coarse
+        rng = np.random.default_rng(seed)
+        steps = rng.exponential(size=size - 1)
+        g = fl.TimeGrid(np.concatenate([[0.0], np.cumsum(steps) * (horizon / steps.sum())]))
+        assert_matches_reference(fl.GridPath(g, _walk_with_jumps(rng, size, scale)), [n])
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-4])
+    def test_slow_drift_exits_past_the_top_tier(self, noise):
+        g = fl.dyadic_grid(1.0, 16)
+        x = 0.5 * g.times + noise * np.random.default_rng(11).normal(size=len(g))
+        path = fl.GridPath(g, x)
+        assert_matches_reference(path, range(1, 9))
+        gaps = np.diff(fl.lebesgue_partition(path, 3).indices)
+        assert gaps.max() > 4096
+
+    def test_cap_in_the_middle_of_a_block(self):
+        # 10,000 points: from 0 the 1/3 cap lands on index 3333 = 16 * 208 + 5,
+        # and the exit at index 3334 sits in the same 16-sample block
+        g = fl.TimeGrid(np.linspace(0.0, 1.0, 10_000))
+        j_cap = int(np.searchsorted(g.times, g.times[0] + 1.0 / 3, side="right")) - 1
+        assert j_cap % 16 not in (0, 15)
+        x = np.zeros(len(g))
+        x[j_cap + 1 :] = 1.0
+        path = fl.GridPath(g, x)
+        assert fl.lebesgue_partition(path, 3).indices[1] == j_cap
+        assert_matches_reference(path, range(1, 9))
+
+    def test_far_exits_on_rounding_edges(self):
+        # a step to one or two ulps around fl(a +- thr), 200 samples in, so the
+        # block test decides it: it must round exactly as the sample test does;
+        # a +- thr rounds when |a| < thr or the sum changes binade
+        g = fl.TimeGrid(np.linspace(0.0, 1.0, 256))
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 3):
+            thr = 0.5 ** (n + 1)
+            sign = rng.choice([-1.0, 1.0], size=(2, 60))
+            spread = 10.0 ** rng.uniform(-6.0, 1.0, size=60)
+            below_binade = 2.0 ** rng.integers(-1, 4, size=60) - thr * rng.uniform(0.0, 1.0, size=60)
+            for a in np.concatenate([sign[0] * spread, sign[1] * below_binade]):
+                for edge in (a + thr, a - thr):
+                    for ulps in (-2, -1, 0, 1, 2):
+                        x = np.full(len(g), a)
+                        x[200:] = edge + ulps * np.spacing(edge)
+                        assert_matches_reference(fl.GridPath(g, x), [n])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_path_rejected(bad):
+    g = fl.dyadic_grid(1.0, 6)
+    x = np.zeros(len(g))
+    x[40] = bad
+    with pytest.raises(ValueError, match=rf"non-finite value {bad!r} at grid index 40, t = 0\.625$"):
+        fl.lebesgue_partition(fl.GridPath(g, x), 3)
