@@ -260,10 +260,12 @@ def builtin_floor(name: str, a_star: float, **params) -> FloorFunction:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-# invert() extends the node table by 1.5x per round; the budget stops it
-# where a target stays out of reach (an overshooting Hermite cubic near a
-# vanishing margin) instead of growing until memory runs out
-_NODE_BUDGET = 1 << 18
+# invert() extends the node table by 1.5x per round up to y = a_star +
+# _MAX_SPAN * max(1, a_star) and raises there: a target can stay out of reach
+# (an overshooting Hermite cubic near a vanishing margin), and the table must
+# not grow until memory runs out.  The cap is relative to a_star, so a floor
+# at any price scale can follow its path over a 1024-fold rise
+_MAX_SPAN = 1024.0
 
 
 class _CumulativeExponent:
@@ -320,15 +322,15 @@ class _CumulativeExponent:
     def invert(self, target):
         """Solve I(y) = target by table bracket plus Newton (I' = 1/m)."""
         target = np.asarray(target, dtype=float)
+        y_cap = self.a_star + _MAX_SPAN * max(1.0, abs(self.a_star))
         while float(np.max(target)) > self._vals[-1]:
-            hi = self._nodes[-1] * 1.5 + 1.0
-            if self._nodes.size + (hi - self._nodes[-1]) * self.nodes_per_unit > _NODE_BUDGET:
+            if self._nodes[-1] >= y_cap:
                 raise ValueError(
                     f"cannot invert the drawdown exponent for a_star = {self.a_star:.6g}: target "
                     f"I = {float(np.max(target)):.6g} is beyond the last tabulated I = {self._vals[-1]:.6g} "
-                    f"(y = {self._nodes[-1]:.6g}) within the budget of {_NODE_BUDGET} nodes"
+                    f"at y = {self._nodes[-1]:.6g}, where the table stops"
                 )
-            self._extend_to(hi)
+            self._extend_to(min(self._nodes[-1] * 1.5 + 1.0, y_cap))
         y = np.interp(target, self._vals, self._nodes)
         lo, hi = self._nodes[0], self._nodes[-1]
         for _ in range(60):

@@ -323,6 +323,9 @@ def solve_nonlinear(
     the grid; E(X) is held at its left value within each step, so sub-steps
     never cross grid points.  f is expected to be locally Lipschitz with
     linear growth; ``lipschitz_declared=False`` runs a sampled spot check.
+    Within the steps f is called with Python floats, and an exception it
+    raises propagates unchanged; a non-finite or too large Y raises
+    ``OdeBlowUp``.
     """
     se = doleans_exponential(x, seq, tol=tol)
     if se.zero_hit:
@@ -341,14 +344,14 @@ def solve_nonlinear(
     for g in range(len(ts) - 1):
         t0, t1, e = ts[g], ts[g + 1], es[g]  # E held left-constant within the step
         h = t1 - t0
-        try:
-            k1 = f(t0, yg * e) / e
-            k2 = f(t0 + h / 2, (yg + h * k1 / 2) * e) / e
-            k3 = f(t0 + h / 2, (yg + h * k2 / 2) * e) / e
-            k4 = f(t0 + h, (yg + h * k3) * e) / e
-        except (ZeroDivisionError, OverflowError):
-            # where numpy scalars give inf or nan, Python floats raise
-            raise OdeBlowUp(t1) from None
+        if e == 0.0:
+            # E(X) underflowed to zero: numpy scalars made the step inf or
+            # nan, a blow-up; Python floats would raise ZeroDivisionError
+            raise OdeBlowUp(t1)
+        k1 = f(t0, yg * e) / e
+        k2 = f(t0 + h / 2, (yg + h * k1 / 2) * e) / e
+        k3 = f(t0 + h / 2, (yg + h * k2 / 2) * e) / e
+        k4 = f(t0 + h, (yg + h * k3) * e) / e
         yg = yg + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
         if not math.isfinite(yg) or abs(yg) > blowup_limit:
             raise OdeBlowUp(t1)

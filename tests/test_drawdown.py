@@ -313,11 +313,28 @@ class TestScipyOracles:
         ref = np.cumsum([0.0] + [piece(a, b) for a, b in zip(nodes[:-1], nodes[1:])])
         np.testing.assert_allclose(exponent._vals, ref, rtol=1e-13, atol=1e-15)
 
-    def test_invert_stops_at_the_node_budget(self):
+    def test_invert_stops_at_its_span(self):
         # near a_star = 1e-5 the Hermite cubic overshoots far past every
         # tabulated I, and each extension round adds only log(1.5)
-        with pytest.raises(ValueError, match=r"a_star = 1e-05: target I = [\d.]+ is beyond the last tabulated I = [\d.]+"):
+        with pytest.raises(ValueError, match=r"a_star = 1e-05: target I = [\d.]+ is beyond the last tabulated I = [\d.]+ at y = 1024"):
             fl.floor_to_transform(fl.floor_zero(1e-5), 1.0)
+
+    @pytest.mark.parametrize("rise", [1.0004, 1.1, 2.0])
+    def test_invert_follows_a_rise_at_a_large_price_scale(self, rise):
+        # the table's reach scales with a_star: a floor at 3000 follows its
+        # path up to 2x (its first extension alone spans 1500 units)
+        a_star = 3000.0
+        tr = fl.floor_to_transform(fl.floor_zero(a_star), a=a_star)
+        xs = a_star * np.linspace(1.0, rise, 50)
+        np.testing.assert_allclose(tr.U(xs), xs, rtol=1e-11)
+        np.testing.assert_allclose(tr.V(tr.U(xs)), xs, rtol=1e-11)
+
+    def test_invert_stops_relative_to_a_star(self):
+        # at a_star = 2 the table stops at y = 2 + 2 * 1024
+        tr = fl.floor_to_transform(fl.floor_zero(2.0), a=2.0)
+        np.testing.assert_allclose(tr.U(np.array([1600.0])), 1600.0, rtol=1e-11)
+        with pytest.raises(ValueError, match=r"at y = 2050, where the table stops"):
+            tr.U(np.array([2200.0]))
 
     def test_margin_vanishing_between_nodes_rejected(self):
         # the margin (y - c)^2 - 2^-22 is negative only within 2^-11 of c,

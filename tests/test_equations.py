@@ -205,6 +205,23 @@ class TestSolveNonlinear:
             fl.solve_nonlinear(lambda t, z: z * z, x, 3.0, seq)  # blows up at 1/3
         assert 0.0 < exc.value.t <= 1.0
 
+    def test_exponential_underflow_reported_as_blow_up(self):
+        # E(X) = exp(-1000 t) underflows to 0 just after t = 0.745; with
+        # Y constant the step after that divides by zero
+        seq = fl.dyadic_sequence(1.0, 4, 12)
+        x = fl.as_fv(fl.FormulaGenerator(lambda t: -1000.0 * t).generate(seq.grid))
+        with pytest.raises(OdeBlowUp) as exc:
+            fl.solve_nonlinear(lambda t, z: 0.0 * z, x, 1.0, seq)
+        assert 0.745 < exc.value.t <= 0.746
+
+    def test_errors_raised_by_f_propagate(self):
+        seq = fl.dyadic_sequence(1.0, 4, 8)
+        x = fl.as_fv(fl.FormulaGenerator(lambda t: 0 * t).generate(seq.grid))
+        with pytest.raises(OverflowError):
+            fl.solve_nonlinear(lambda t, z: math.exp(z), x, 1000.0, seq)
+        with pytest.raises(ZeroDivisionError):
+            fl.solve_nonlinear(lambda t, z: 1.0 / (z - z), x, 1.0, seq)
+
     def test_spot_check_runs(self):
         seq = fl.dyadic_sequence(1.0, 4, 8)
         rep = fl.solve_nonlinear(

@@ -177,6 +177,14 @@ class TestDrawdownStrategy:
         assert np.allclose(rep.strategy.value.x, s.x, rtol=1e-11)
         assert rep.constraint_margin > 0.0
 
+    def test_zero_floor_at_a_large_wealth(self, seq):
+        # v0 = 3000 on a path whose running maximum rises by 40%
+        s = fl.GeometricGenerator(seed=5, sigma=0.6, s0=2.0).generate(seq.grid)
+        assert np.max(s.x) / s.x[0] > 1.3
+        rep = fl.drawdown_strategy(s, 3000.0, fl.floor_zero(a_star=3000.0), seq, tol=fl.STOCHASTIC_TOL)
+        assert np.allclose(rep.strategy.xi.x, 1500.0, rtol=1e-11)
+        assert np.allclose(rep.strategy.value.x, 1500.0 * s.x, rtol=1e-11)
+
     def test_proportional_floor_formula(self, seq):
         alpha, v0 = 0.3, 1.0
         s = fl.GeometricGenerator(seed=7, sigma=0.25, s0=2.0).generate(seq.grid)
