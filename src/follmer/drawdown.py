@@ -23,7 +23,7 @@ import numpy as np
 
 from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport, sup_distance
 from .equations import doleans_exponential
-from .integrals import follmer_integral, integral_curve
+from .integrals import follmer_integral, integral_at
 from .partitions import PartitionSequence
 from .paths import GridPath, left_values, reciprocal_path, running_maximum
 
@@ -447,8 +447,8 @@ def azema_yor_path(
     integrand = GridPath(x.grid, du)
     residuals = []
     for p in seq:
-        curve = integral_curve(integrand.values, x.values, p)
-        residuals.append(abs(float(m_vals[g]) - a_star - float(curve[g])))
+        integral = float(integral_at(integrand.values, x.values, p, g))
+        residuals.append(abs(float(m_vals[g]) - a_star - integral))
     trend = TrendReport(tuple(residuals), tol, TREND_WINDOW)
     return AzemaYorReport(path, a_star, residuals[-1], tuple(residuals), trend)
 
@@ -530,8 +530,8 @@ def solve_drawdown(
     residuals = []
     g = len(x.grid) - 1
     for p in seq:
-        curve = integral_curve(xi_vals[:, None], x.values, p)
-        residuals.append(abs(float(y.x[g]) - floor.a_star - float(curve[g])))
+        integral = float(integral_at(xi_vals[:, None], x.values, p, g))
+        residuals.append(abs(float(y.x[g]) - floor.a_star - integral))
     trend = TrendReport(tuple(residuals), tol, TREND_WINDOW)
 
     y_left = left_values(y)[:, 0]

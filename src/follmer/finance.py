@@ -22,7 +22,7 @@ import numpy as np
 from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport
 from .drawdown import FloorFunction, azema_yor_path, floor_to_transform
 from .equations import StochasticExponential, doleans_exponential
-from .integrals import AdmissibleIntegrand, integral_curve
+from .integrals import AdmissibleIntegrand, integral_at, integral_curve
 from .partitions import PartitionSequence
 from .paths import FVPath, GridPath, TimeGrid, _csv_floats, _write_csv_columns, left_values, running_maximum
 from .stieltjes import stieltjes_fv_curve
@@ -155,10 +155,7 @@ def dppi(
 
     xi1 = (mv / s.x)[:, None]
     xi2 = ((1.0 - mv) / b.x)[:, None]
-    level_curves = [
-        integral_curve(xi1, s.values, p) + integral_curve(xi2, b.values, p) for p in seq
-    ]
-    x_vals = level_curves[-1]
+    x_vals = integral_curve(xi1, s.values, seq.top) + integral_curve(xi2, b.values, seq.top)
     x_jumps = ml * s.dX[:, 0] / sl + (1.0 - ml) * b.dX[:, 0] / bl
     if np.any(x_jumps == -1.0):
         raise ValueError("dX = -1 encountered: the cushion exponential degenerates")
@@ -234,9 +231,9 @@ def self_financing_residual(
     v = strategy.value.x
     residuals = []
     for p in seq:
-        c1 = integral_curve(strategy.xi.values, market.s.values, p)
-        c2 = integral_curve(strategy.eta.values, market.b.values, p)
-        residuals.append(abs(float(v[g] - v[0] - c1[g] - c2[g])))
+        c1 = integral_at(strategy.xi.values, market.s.values, p, g)
+        c2 = integral_at(strategy.eta.values, market.b.values, p, g)
+        residuals.append(abs(float(v[g] - v[0] - c1 - c2)))
     return SelfFinancingReport(
         residuals[-1], tuple(residuals), TrendReport(tuple(residuals), tol, TREND_WINDOW)
     )
@@ -270,8 +267,8 @@ def discounted_equivalence(
     v_disc = strategy.value.x / market.b.x
     residuals = []
     for p in seq:
-        c = integral_curve(strategy.xi.values, s_disc.values, p)
-        residuals.append(abs(float(v_disc[g] - v_disc[0] - c[g])))
+        c = integral_at(strategy.xi.values, s_disc.values, p, g)
+        residuals.append(abs(float(v_disc[g] - v_disc[0] - c)))
     return DiscountedReport(
         residual_raw=raw.residual,
         residual_discounted=residuals[-1],

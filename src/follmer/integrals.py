@@ -26,7 +26,7 @@ from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport, sup_dista
 from .functions import C12Function
 from .partitions import Partition, PartitionSequence
 from .paths import FVPath, GridPath, as_fv, jump_rows, left_values
-from .quadvar import QVResult, covariation, qv_sequence
+from .quadvar import QVResult, _anchor_runs, covariation, qv_sequence
 from .stieltjes import stieltjes_fv, stieltjes_left
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "IntegralResult",
     "riemann_sum",
     "integral_curve",
+    "integral_at",
     "follmer_integral",
     "ito_formula_eval",
     "ItoFormulaReport",
@@ -110,15 +111,29 @@ def _integrand_values(xi, grid) -> tuple[np.ndarray, np.ndarray]:
 def integral_curve(xi_vals: np.ndarray, x_vals: np.ndarray, p: Partition) -> np.ndarray:
     """Running truncated Riemann sum t -> sum <xi_{t_i}, X_{t_{i+1}^t} - X_{t_i^t}>."""
     idx = p.indices
-    n = x_vals.shape[0]
     xv = x_vals[idx]
-    sv = xi_vals[idx[:-1]]
-    inc = np.einsum("ij,ij->i", sv, np.diff(xv, axis=0))
+    inc = np.einsum("ij,ij->i", xi_vals[idx[:-1]], np.diff(xv, axis=0))
     csum = np.concatenate([[0.0], np.cumsum(inc)])
-    k = np.searchsorted(idx, np.arange(n), side="right") - 1
-    a = idx[k]
-    straddle = np.einsum("ij,ij->i", xi_vals[a], x_vals - x_vals[a])
-    return csum[k] + straddle
+    runs = _anchor_runs(idx, x_vals.shape[0])
+    dx = np.repeat(xv, runs, axis=0)
+    np.subtract(x_vals, dx, out=dx)
+    straddle = np.einsum("ij,ij->i", np.repeat(xi_vals[idx], runs, axis=0), dx)
+    return np.add(np.repeat(csum, runs), straddle, out=straddle)
+
+
+def integral_at(xi_vals: np.ndarray, x_vals: np.ndarray, p: Partition, g: int) -> np.float64:
+    """``integral_curve(xi_vals, x_vals, p)[g]``, bit for bit, without the
+    curve: the sequential sum of the whole increments up to the anchor a of
+    g (the last partition point <= g), plus the straddle <xi_a, X_g - X_a>."""
+    idx = p.indices
+    k = int(np.searchsorted(idx, g, side="right")) - 1
+    a = idx[k : k + 1]
+    head = np.float64(0.0)
+    if k:
+        inc = np.einsum("ij,ij->i", xi_vals[idx[:k]], np.diff(x_vals[idx[: k + 1]], axis=0))
+        head = np.cumsum(inc)[-1]
+    straddle = np.einsum("ij,ij->i", xi_vals[a], x_vals[g : g + 1] - x_vals[a])
+    return head + straddle[0]
 
 
 def riemann_sum(
@@ -271,7 +286,7 @@ def ito_formula_eval(
             ack = GridPath(grid, A.cont_part[:, k])
             drift += stieltjes_fv(dfda[:, k], dfda_left[:, k], ack, upto=g)
 
-    level_integrals = [integral_curve(integrand.values, xv, p)[g] for p in seq]
+    level_integrals = [integral_at(integrand.values, xv, p, g) for p in seq]
     if isinstance(X, FVPath):
         integral_used = sum(
             stieltjes_fv(
@@ -487,11 +502,9 @@ def associativity_check(
     for p in seq:
         total = 0.0
         for k, r in enumerate(y_results):
-            total += float(
-                integral_curve(eta_vals[:, k : k + 1], r.estimate[:, None], p)[g]
-            )
+            total += float(integral_at(eta_vals[:, k : k + 1], r.estimate[:, None], p, g))
         lhs_levels.append(total)
-        rhs_levels.append(float(integral_curve(zeta, x.values, p)[g]))
+        rhs_levels.append(float(integral_at(zeta, x.values, p, g)))
     gaps = tuple(abs(a - b) for a, b in zip(lhs_levels, rhs_levels))
     trend = TrendReport(gaps, tol, TREND_WINDOW)
     sides_ok = all(r.status != "inconclusive" or isinstance(x, FVPath) for r in y_results)

@@ -9,6 +9,7 @@ shrinking time step.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ class Partition:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
+        idx = np.asarray(self.indices, dtype=int).view()  # leave the caller's array writable
         idx.setflags(write=False)
         if idx.size < 2:
             raise ValueError("degenerate partition")
@@ -175,12 +176,14 @@ def _lebesgue_scan(x: np.ndarray, times: np.ndarray, n: int) -> list[int]:
     farther ones come from a walk over block extrema that climbs to coarser
     blocks while they hold no exit and descends into the first that does.
     Both decide |x_j - x_i| > thr with the same floating-point comparisons as
-    a sample-by-sample scan, so the indices are those of that scan.
+    a sample-by-sample scan, so the indices are those of that scan.  The cap
+    index, the last j with t_j <= fl(t_i + 1/n), is searched for only where
+    it can come first: at starts whose table exit lies past the cap, and at
+    chain points that go on to a far exit.
     """
     thr = 0.5 ** (n + 1)
     cap = 1.0 / n
     size = times.size
-    j_cap = np.searchsorted(times, times + cap, side="right") - 1
     # first[i]: the least k <= K with |x[i+k] - x[i]| > thr, K + 1 if none;
     # branch-free: min(first, K + 1 - hit * (K + 1 - k)) in uint8, with one
     # set of scratch buffers for all K passes (fresh temporaries page-fault)
@@ -194,23 +197,33 @@ def _lebesgue_scan(x: np.ndarray, times: np.ndarray, n: int) -> list[int]:
         np.multiply(h, none - k, out=h)
         np.subtract(none, h, out=h)
         np.minimum(f, h, out=f)
-    # exit offset: the crossing or the cap, whichever comes first; <= 0 when
-    # the cap admits no later grid time, > K when both lie past the window
-    offset = np.minimum(first, j_cap - np.arange(size)).tolist()
+    # the cap comes first where the table's exit, i + first[i] (clipped to
+    # the horizon; i + K + 1 when the window holds none), lies past
+    # fl(t_i + 1/n).  Only there is the cap index searched for; it is below
+    # that exit, so its offset, 0..K, replaces first[i] in place and every
+    # offset fits in uint8 (0..K + 1).  0 means the cap admits no later grid
+    # time, K + 1 that both the exit and the cap lie past the window.
+    lim = times + cap
+    ends = np.minimum(np.arange(size) + first, size - 1)
+    capped = np.flatnonzero(times[ends] > lim)
+    first[capped] = np.searchsorted(times, lim[capped], side="right") - 1 - capped
+    offset = first.tolist()
     tiers = None
     out = [0]
     i = 0
     while i < size - 1:
         k = offset[i]
-        if k <= 0:
+        if k == 0:
             raise ValueError(
                 f"grid too coarse for the 1/n time cap at level n={n}: cap 1/n = {cap:.6g} "
                 f"is below the grid step {times[i + 1] - times[i]:.6g} at t = {times[i]:.6g}"
             )
         if k > _EXIT_WINDOW:
+            # no exit in the window and the cap past it: search on to the cap
             if tiers is None:
-                xs, tiers = memoryview(x), _block_extrema(x)
-            k = _far_exit(xs, tiers, i, int(j_cap[i]), thr)
+                xs, ts, tiers = memoryview(x), memoryview(times), _block_extrema(x)
+            last = bisect_right(ts, ts[i] + cap) - 1
+            k = _far_exit(xs, tiers, i, last, thr)
         i += k
         out.append(i)
     return out

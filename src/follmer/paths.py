@@ -48,7 +48,8 @@ __all__ = [
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    """A read-only float view of a; the caller's own array stays writable."""
+    a = np.asarray(a, dtype=float).view()
     a.setflags(write=False)
     return a
 

@@ -47,19 +47,27 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _anchor_map(p: Partition, n: int) -> np.ndarray:
-    """For every grid index g, the position k of the last partition point <= g."""
-    return np.searchsorted(p.indices, np.arange(n), side="right") - 1
+def _anchor_runs(idx: np.ndarray, n: int) -> np.ndarray:
+    """Run lengths of the step anchors: partition point k is the last one <=
+    g for the grid indices g in [idx[k], idx[k+1]), and the last point for
+    itself alone, so ``np.repeat(v, runs)`` spreads v[k] over that run."""
+    return np.diff(idx, append=n)
 
 
 def product_curve(x: np.ndarray, y: np.ndarray, p: Partition) -> np.ndarray:
     """t -> sum of (X_{t_{i+1}^t} - X_{t_i^t})(Y_{t_{i+1}^t} - Y_{t_i^t}) on the grid."""
     idx = p.indices
-    inc = np.diff(x[idx]) * np.diff(y[idx])
-    csum = np.concatenate([[0.0], np.cumsum(inc)])
-    k = _anchor_map(p, x.size)
-    a = idx[k]
-    return csum[k] + (x - x[a]) * (y - y[a])
+    xa, ya = x[idx], y[idx]
+    csum = np.concatenate([[0.0], np.cumsum(np.diff(xa) * np.diff(ya))])
+    runs = _anchor_runs(idx, x.size)
+    dx = np.repeat(xa, runs)
+    np.subtract(x, dx, out=dx)
+    if y is x:
+        np.multiply(dx, dx, out=dx)
+    else:
+        dy = np.repeat(ya, runs)
+        np.multiply(dx, np.subtract(y, dy, out=dy), out=dx)
+    return np.add(np.repeat(csum, runs), dx, out=dx)
 
 
 def qv_curve(path: GridPath, p: Partition) -> np.ndarray:

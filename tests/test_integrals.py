@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import follmer as fl
 import follmer.functions as fn
-from follmer.integrals import integral_curve
+from follmer.integrals import integral_at, integral_curve
+from follmer.quadvar import product_curve, qv_curve
 from follmer.stieltjes import stieltjes_left
 
 
@@ -328,3 +331,59 @@ def test_ito_two_dimensional_product_matches_parts():
         x.component(0), x.component(1), seq, 1.0, tol=fl.STOCHASTIC_TOL
     )
     assert max(parts.residual_per_level) <= 1e-12
+
+
+# Reference step curves: the anchor of every grid index g (the last partition
+# point <= g) found by a binary search of g, as the curve kernels used to.
+
+
+def _anchors_searched(p, n):
+    k = np.searchsorted(p.indices, np.arange(n), side="right") - 1
+    return k, p.indices[k]
+
+
+def _product_curve_searched(x, y, p):
+    idx = p.indices
+    csum = np.concatenate([[0.0], np.cumsum(np.diff(x[idx]) * np.diff(y[idx]))])
+    k, a = _anchors_searched(p, x.size)
+    return csum[k] + (x - x[a]) * (y - y[a])
+
+
+def _integral_curve_searched(xi_vals, x_vals, p):
+    idx = p.indices
+    inc = np.einsum("ij,ij->i", xi_vals[idx[:-1]], np.diff(x_vals[idx], axis=0))
+    csum = np.concatenate([[0.0], np.cumsum(inc)])
+    k, a = _anchors_searched(p, x_vals.shape[0])
+    return csum[k] + np.einsum("ij,ij->i", xi_vals[a], x_vals - x_vals[a])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(2, 400),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["random", "two-point", "last-gap-one", "every-point"]),
+    d=st.sampled_from([1, 2]),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+)
+def test_curves_match_the_searched_anchor_formula(size, seed, shape, d, scale):
+    rng = np.random.default_rng(seed)
+    steps = rng.exponential(size=size - 1)
+    g = fl.TimeGrid(np.concatenate([[0.0], np.cumsum(steps) / steps.sum()]))
+    inner = np.arange(1, size - 1)
+    if shape == "random":
+        inner = inner[rng.random(inner.size) < rng.uniform(0.0, 0.5)]
+    elif shape == "two-point":
+        inner = inner[:0]
+    elif shape == "last-gap-one":
+        inner = inner[(rng.random(inner.size) < 0.2) | (inner == size - 2)]
+    p = fl.Partition(g, np.concatenate([[0], inner, [size - 1]]))
+    x = scale * np.cumsum(rng.normal(size=(size, d)), axis=0)
+    xi = rng.normal(size=(size, d))
+    for k in range(d):
+        assert np.array_equal(product_curve(x[:, k], xi[:, k], p), _product_curve_searched(x[:, k], xi[:, k], p))
+        want = _product_curve_searched(x[:, k], x[:, k], p)
+        assert np.array_equal(qv_curve(fl.GridPath(g, x[:, k]), p), want)
+    want = _integral_curve_searched(xi, x, p)
+    assert np.array_equal(integral_curve(xi, x, p), want)
+    got = np.array([integral_at(xi, x, p, j) for j in range(size)])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too

@@ -356,6 +356,57 @@ class TestBlockExtremaSearch:
                         assert_matches_reference(fl.GridPath(g, x), [n])
 
 
+def _ulps(t: float, k: int) -> float:
+    for _ in range(abs(k)):
+        t = float(np.nextafter(t, np.inf if k > 0 else -np.inf))
+    return t
+
+
+class TestCapEdges:
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    @pytest.mark.parametrize("n, per_cap", [(8, 12), (5, 17), (3, 40)])
+    def test_grid_time_on_the_cap(self, n, per_cap, ulps):
+        # every per_cap-th time sits ``ulps`` ulps from fl(c + 1/n), c the time
+        # per_cap points earlier: the cap is inside the 16-sample window, at
+        # its edge, or past it
+        cap = 1.0 / n
+        times, c = [0.0], 0.0
+        while c < 1.0:
+            times += [c + cap * k / per_cap for k in range(1, per_cap)]
+            c = _ulps(c + cap, ulps)
+            times.append(c)
+        g = fl.TimeGrid(np.array(times))
+        flat = fl.GridPath(g, np.zeros(len(g)))
+        steps = fl.GridPath(g, (np.arange(len(g)) // per_cap).astype(float))
+        for path in (flat, steps):
+            assert_matches_reference(path, [n])
+        on_cap = per_cap if ulps <= 0 else per_cap - 1
+        assert fl.lebesgue_partition(flat, n).indices[1] == on_cap
+        assert fl.lebesgue_partition(steps, n).indices[1] == on_cap
+
+    def test_cap_binds_inside_the_window_before_a_later_exit(self):
+        # 5 steps fit in the 1/8 cap; the band is left only every 12 samples
+        g = fl.TimeGrid(np.linspace(0.0, 1.0, 45))
+        path = fl.GridPath(g, (np.arange(len(g)) // 12).astype(float))
+        assert fl.lebesgue_partition(path, 8).indices[:4].tolist() == [0, 5, 10, 12]
+        assert_matches_reference(path, range(1, 9))
+
+    @pytest.mark.parametrize("ulps, too_coarse", [(0, False), (1, True)])
+    def test_first_step_on_the_cap(self, ulps, too_coarse):
+        g = fl.TimeGrid(np.array([0.0, _ulps(1.0 / 3, ulps), 0.5, 0.75, 1.0]))
+        path = fl.GridPath(g, np.zeros(len(g)))
+        assert_matches_reference(path, [3])
+        if too_coarse:
+            with pytest.raises(
+                ValueError,
+                match=r"^grid too coarse for the 1/n time cap at level n=3: cap 1/n = 0\.333333 "
+                r"is below the grid step 0\.333333 at t = 0$",
+            ):
+                fl.lebesgue_partition(path, 3)
+        else:
+            assert fl.lebesgue_partition(path, 3).indices.tolist() == [0, 1, 2, 3, 4]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_path_rejected(bad):
     g = fl.dyadic_grid(1.0, 6)

@@ -359,6 +359,23 @@ def test_dx_is_read_only():
         p.jumps[3] = np.array([1.0])
 
 
+def test_constructors_leave_the_callers_arrays_writable():
+    # the stored arrays are read-only views; the caller's own arrays are not frozen
+    t = np.linspace(0.0, 1.0, 5)
+    g = fl.TimeGrid(t)
+    v = np.arange(10.0).reshape(5, 2)
+    path = fl.GridPath(g, v)
+    a = np.array([0, 2, 4])
+    p = fl.Partition(g, a)
+    for caller, stored in ((t, g.times), (v, path.values), (a, p.indices)):
+        assert caller.flags.writeable
+        assert not stored.flags.writeable
+        assert np.shares_memory(caller, stored)
+    t[1] = 0.2
+    a[1] = 1
+    assert g.times[1] == 0.2 and p.indices[1] == 1
+
+
 def test_large_jump_map_builds_the_same_array():
     g = fl.dyadic_grid(1.0, 16)
     sizes = np.random.default_rng(4).standard_normal(len(g))
