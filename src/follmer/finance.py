@@ -24,7 +24,7 @@ from .drawdown import FloorFunction, azema_yor_path, floor_to_transform
 from .equations import StochasticExponential, doleans_exponential
 from .integrals import AdmissibleIntegrand, integral_at, integral_curve
 from .partitions import PartitionSequence
-from .paths import FVPath, GridPath, TimeGrid, _csv_floats, _write_csv_columns, left_values, running_maximum
+from .paths import FVPath, GridPath, TimeGrid, _csv_array, _write_csv_columns, left_values, running_maximum
 from .stieltjes import stieltjes_fv_curve
 
 __all__ = [
@@ -346,8 +346,7 @@ def read_market_csv(fp) -> Market:
     missing = [name for name in ("t", "S", "B") if name not in header]
     if missing:
         raise ValueError(f"market CSV header {','.join(header)!r} lacks {','.join(missing)}")
-    rows = [_csv_floats(row, len(header), i) for i, row in enumerate(r)]
-    a = np.array(rows).reshape(len(rows), len(header))
+    a = _csv_array(list(r), len(header))
     col = {name: a[:, k] for k, name in enumerate(header)}
     grid = TimeGrid(col["t"])
     return Market(GridPath(grid, col["S"], col.get("dS")), FVPath(grid, col["B"], col.get("dB")))

@@ -9,6 +9,7 @@ shrinking time step.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -144,17 +145,30 @@ def thinned_sequence(grid: TimeGrid, levels: int) -> PartitionSequence:
     return PartitionSequence(tuple(out), kind="thinned")
 
 
-# K: exits within K samples of a start come from a table built for every
-# start at once; a chain point with no exit in its window searches on from
-# i + K + 1 over aligned block extrema of 16, 256 and 4096 samples.  The
-# block test is exact for finite x: fl(x_j - x_i) is monotone in x_j and
-# fl(x_i - x_j) = -fl(x_j - x_i), so bmax - x_i > thr or x_i - bmin > thr
-# holds iff |x_j - x_i| > thr for some sample j of the block, rounding
-# included.  (A NaN would poison its blocks' extrema, so lebesgue_partition
-# rejects non-finite paths.)
+# Band exits are found two ways.  A first-exit table, built for every start
+# at once, holds each start's exit when it lies within W samples (the
+# window); a walk over aligned block extrema of 16, 256 and 4096 samples
+# finds the rest, one chain point at a time.  The block test is exact for
+# finite x: fl(x_j - x_i) is monotone in x_j and fl(x_i - x_j) =
+# -fl(x_j - x_i), so bmax - x_i > thr or x_i - bmin > thr holds iff
+# |x_j - x_i| > thr for some sample j of the block, rounding included.  (A
+# NaN would poison its blocks' extrema, so lebesgue_partition rejects
+# non-finite paths.)
 _EXIT_WINDOW = 16
 _BLOCK_BITS = 4
+_BLOCK_MASK = (1 << _BLOCK_BITS) - 1
 _BLOCK_TIERS = 3
+# the table-free walk checks its mean step after every run of this many points
+_GUARD_POINTS = 64
+
+
+def _exit_window(mean_step: float) -> int:
+    """The first-exit window W for a level whose exits lie ``mean_step``
+    samples apart: 0 (no table, the block walk from every chain point) above
+    32 samples, 32 above 2 samples, else 16."""
+    if mean_step > 2 * _EXIT_WINDOW:
+        return 0
+    return 2 * _EXIT_WINDOW if mean_step > 2 else _EXIT_WINDOW
 
 
 def _block_extrema(x: np.ndarray) -> list:
@@ -168,29 +182,23 @@ def _block_extrema(x: np.ndarray) -> list:
     return tiers
 
 
-def _lebesgue_scan(x: np.ndarray, times: np.ndarray, n: int) -> list[int]:
-    """Band-exit chain from index 0: each point is the first later index whose
-    value leaves the band |x - x_i| <= thr, or the 1/n cap index if earlier.
+def _first_exits(x: np.ndarray, times: np.ndarray, thr: float, cap: float, window: int) -> np.ndarray:
+    """Per start i, the offset of its chain successor when that lies within
+    ``window`` samples, else the code ``window + 1`` (uint8).
 
-    Exits within ``_EXIT_WINDOW`` samples are read from a first-exit table;
-    farther ones come from a walk over block extrema that climbs to coarser
-    blocks while they hold no exit and descends into the first that does.
-    Both decide |x_j - x_i| > thr with the same floating-point comparisons as
-    a sample-by-sample scan, so the indices are those of that scan.  The cap
-    index, the last j with t_j <= fl(t_i + 1/n), is searched for only where
-    it can come first: at starts whose table exit lies past the cap, and at
-    chain points that go on to a far exit.
+    The successor is the first exit or, if earlier, the cap index, the last
+    j with t_j <= fl(t_i + cap).  The code stands for three cases the chain
+    walk tells apart: no exit in the window and the cap past it, a cap that
+    admits no later time, and the horizon (the last start).
     """
-    thr = 0.5 ** (n + 1)
-    cap = 1.0 / n
-    size = times.size
-    # first[i]: the least k <= K with |x[i+k] - x[i]| > thr, K + 1 if none;
-    # branch-free: min(first, K + 1 - hit * (K + 1 - k)) in uint8, with one
-    # set of scratch buffers for all K passes (fresh temporaries page-fault)
-    none = _EXIT_WINDOW + 1
+    size = x.size
+    none = window + 1
+    # least k <= W with |x[i+k] - x[i]| > thr, branch-free as
+    # min(first, W + 1 - hit * (W + 1 - k)) in uint8, with one set of
+    # scratch buffers for all W passes (fresh temporaries page-fault)
     first = np.full(size, none, dtype=np.uint8)
     diff, hit = np.empty(size), np.empty(size, dtype=np.uint8)
-    for k in range(1, min(_EXIT_WINDOW, size - 1) + 1):
+    for k in range(1, min(window, size - 1) + 1):
         d, h, f = diff[: size - k], hit[: size - k], first[: size - k]
         np.abs(np.subtract(x[k:], x[:-k], out=d), out=d)
         np.greater(d, thr, out=h)
@@ -198,51 +206,118 @@ def _lebesgue_scan(x: np.ndarray, times: np.ndarray, n: int) -> list[int]:
         np.subtract(none, h, out=h)
         np.minimum(f, h, out=f)
     # the cap comes first where the table's exit, i + first[i] (clipped to
-    # the horizon; i + K + 1 when the window holds none), lies past
-    # fl(t_i + 1/n).  Only there is the cap index searched for; it is below
-    # that exit, so its offset, 0..K, replaces first[i] in place and every
-    # offset fits in uint8 (0..K + 1).  0 means the cap admits no later grid
-    # time, K + 1 that both the exit and the cap lie past the window.
+    # the horizon), lies past fl(t_i + cap).  That cannot happen when every
+    # start's cap reaches W + 1 samples on; elsewhere only those starts are
+    # searched, and their cap offsets, 0..W, replace first[i] in place
+    if size > none and np.all(times[none:] <= times[:-none] + cap):
+        return first
     lim = times + cap
     ends = np.minimum(np.arange(size) + first, size - 1)
     capped = np.flatnonzero(times[ends] > lim)
-    first[capped] = np.searchsorted(times, lim[capped], side="right") - 1 - capped
-    offset = first.tolist()
-    tiers = None
+    offsets = np.searchsorted(times, lim[capped], side="right") - 1 - capped
+    offsets[offsets == 0] = none
+    first[capped] = offsets
+    return first
+
+
+def _lebesgue_scan(x: np.ndarray, times: np.ndarray, n: int) -> list[int]:
+    """Band-exit chain from index 0: each point is the first later index whose
+    value leaves the band |x - x_i| <= thr, or the 1/n cap index if earlier.
+
+    Each level picks its search from the path itself (``_exit_window``): a
+    diffusion leaves a band of half-width thr about [X] / thr^2 times, so on
+    a grid of N steps its exits lie about d = N thr^2 / sum (dx)^2 samples
+    apart.  The sum of squares is taken with ``np.sum``, not ``np.dot``,
+    which may start BLAS threads.
+
+    - d > 32: no table.  Every chain point walks the block extrema from
+      i + 1 and finds its cap by binary search.  A path whose quadratic
+      variation under-predicts its exits (a strong drift) shows it as a run
+      of 64 points with a mean step of 32 samples or less; the rest of the
+      level is then scanned with a table.
+    - Otherwise a first-exit table with a window of 32 samples (16 when
+      d <= 2: where exits are a sample or two apart the extra passes cost
+      more than the far exits they save).  Offsets are at most 32 and the
+      stop code 33, so the table is uint8.  Chain points with no exit in
+      their window go on with the block walk.
+
+    Both searches decide |x_j - x_i| > thr with the same floating-point
+    comparisons as a sample-by-sample scan, so the indices are those of that
+    scan whichever is chosen.
+    """
+    thr = 0.5 ** (n + 1)
+    cap = 1.0 / n
+    size = times.size
+    xs, ts = memoryview(x), memoryview(times)
+    with np.errstate(over="ignore"):  # an infinite sum only predicts close exits
+        qv = float(np.sum(np.square(np.diff(x))))
+    window = _exit_window((size - 1) * thr * thr / qv if qv else math.inf)
     out = [0]
     i = 0
-    while i < size - 1:
-        k = offset[i]
-        if k == 0:
-            raise ValueError(
-                f"grid too coarse for the 1/n time cap at level n={n}: cap 1/n = {cap:.6g} "
-                f"is below the grid step {times[i + 1] - times[i]:.6g} at t = {times[i]:.6g}"
-            )
-        if k > _EXIT_WINDOW:
-            # no exit in the window and the cap past it: search on to the cap
-            if tiers is None:
-                xs, ts, tiers = memoryview(x), memoryview(times), _block_extrema(x)
+    tiers = None
+    if not window:
+        tiers = _block_extrema(x)
+        mark = 0
+        while i < size - 1:
             last = bisect_right(ts, ts[i] + cap) - 1
-            k = _far_exit(xs, tiers, i, last, thr)
+            if last == i:
+                raise _too_coarse(times, i, n)
+            i += _far_exit(xs, tiers, i, i + 1, last, thr)
+            out.append(i)
+            if len(out) % _GUARD_POINTS == 1:  # 0, then runs of 64 points
+                window = _exit_window((i - mark) / _GUARD_POINTS)
+                if window:
+                    break
+                mark = i
+        if i == size - 1:
+            return out
+    # the table for the starts from i on; a code above the window sends the
+    # walk to its one slow branch
+    none = window + 1
+    offset = _first_exits(x[i:], times[i:], thr, cap, window).tolist()
+    if i:
+        offset = [none] * i + offset
+    append = out.append
+    while True:
+        k = offset[i]
+        if k == none:
+            if i == size - 1:
+                return out
+            last = bisect_right(ts, ts[i] + cap) - 1
+            if last == i:
+                raise _too_coarse(times, i, n)
+            if tiers is None:
+                tiers = _block_extrema(x)
+            k = _far_exit(xs, tiers, i, i + none, last, thr)
         i += k
-        out.append(i)
-    return out
+        append(i)
 
 
-def _far_exit(xs, tiers, i: int, last: int, thr: float) -> int:
-    """Offset from i of the first j in (i + K, last] with |x_j - x_i| > thr,
-    or of ``last`` if there is none."""
+def _too_coarse(times: np.ndarray, i: int, n: int) -> ValueError:
+    return ValueError(
+        f"grid too coarse for the 1/n time cap at level n={n}: cap 1/n = {1.0 / n:.6g} "
+        f"is below the grid step {times[i + 1] - times[i]:.6g} at t = {times[i]:.6g}"
+    )
+
+
+def _far_exit(xs, tiers, i: int, j: int, last: int, thr: float) -> int:
+    """Offset from i of the first j' in [j, last] with |x_j' - x_i| > thr, or
+    of ``last`` if there is none; the samples strictly between i and j are
+    known to stay in the band."""
     xi = xs[i]
-    j, tier = i + _EXIT_WINDOW + 1, 0
+    tier = 0
     # start in the coarsest block holding j that begins at or after i: its
     # samples before j are known to stay in the band
     while tier < _BLOCK_TIERS and (j >> (_BLOCK_BITS * (tier + 1))) << (_BLOCK_BITS * (tier + 1)) >= i:
         tier += 1
     while j <= last:
         if tier == 0:
-            if abs(xs[j] - xi) > thr:
-                return j - i
-            j += 1
+            # the samples left in j's 16-sample block
+            end = min((j | _BLOCK_MASK) + 1, last + 1)
+            while j < end:
+                if abs(xs[j] - xi) > thr:
+                    return j - i
+                j += 1
         else:
             shift = _BLOCK_BITS * tier
             hi, lo = tiers[tier - 1]
@@ -293,12 +368,13 @@ def oscillation(path: GridPath, p: Partition, t: float) -> float:
         raise ValueError("t beyond the horizon")
     t_idx = path.grid.clamp_index(t)
     idx = p.indices
-    if path.dim == 1 and t_idx == len(path.grid) - 1:
-        # segments [idx[k], idx[k+1]) via reduceat; the trailing singleton
-        # segment [T, .) has zero diameter and is harmless
-        x = path.values[:, 0]
-        mx = np.maximum.reduceat(x, idx)
-        mn = np.minimum.reduceat(x, idx)
+    if path.dim == 1:
+        # segments [idx[k], idx[k+1]) of the samples up to t, via reduceat;
+        # the last runs to t (a singleton, of zero diameter, at a point <= t)
+        x = path.values[: t_idx + 1, 0]
+        starts = idx[: np.searchsorted(idx, t_idx, side="right")]
+        mx = np.maximum.reduceat(x, starts)
+        mn = np.minimum.reduceat(x, starts)
         return float(np.max(mx - mn))
     worst = 0.0
     for a, b in zip(idx, idx[1:]):
@@ -308,12 +384,8 @@ def oscillation(path: GridPath, p: Partition, t: float) -> float:
                 break
             continue
         seg = path.values[a:hi]
-        if path.dim == 1:
-            d = float(seg.max() - seg.min())
-        else:
-            diff = seg[:, None, :] - seg[None, :, :]
-            d = float(np.sqrt((diff**2).sum(-1)).max())
-        worst = max(worst, d)
+        diff = seg[:, None, :] - seg[None, :, :]
+        worst = max(worst, float(np.sqrt((diff**2).sum(-1)).max()))
         if b > t_idx:
             break
     return worst

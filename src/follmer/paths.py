@@ -354,11 +354,11 @@ class DyadicBrownianGenerator(PathGenerator):
         w = np.zeros(len(grid))
         w[-1] = math.sqrt(T) * self._level_draws(0, 1)[0]
         for lev in range(1, L + 1):
-            stride = 1 << (L - lev)
-            mids = np.arange(stride, len(grid), 2 * stride)
-            z = self._level_draws(lev, mids.size)
+            s = 1 << (L - lev)
+            z = self._level_draws(lev, 1 << (lev - 1))
             half_var = T / (1 << (lev + 1))
-            w[mids] = 0.5 * (w[mids - stride] + w[mids + stride]) + math.sqrt(half_var) * z
+            # midpoints s, 3s, 5s, ... between their neighbours 2ks and (2k+2)s
+            w[s :: 2 * s] = 0.5 * (w[: -s : 2 * s] + w[2 * s :: 2 * s]) + math.sqrt(half_var) * z
         return GridPath(grid, self.x0 + self.sigma * w)
 
 
@@ -460,9 +460,21 @@ def read_path_csv(fp) -> GridPath:
     d = (len(header) - 1) // 2
     if d < 1 or header != ["t"] + [f"x{k+1}" for k in range(d)] + [f"dx{k+1}" for k in range(d)]:
         raise ValueError(f"path CSV header {','.join(header)!r} is not t,x1..xd,dx1..dxd, d >= 1")
-    rows = [_csv_floats(row, 1 + 2 * d, i) for i, row in enumerate(r)]
-    a = np.array(rows).reshape(len(rows), 1 + 2 * d)
+    a = _csv_array(list(r), 1 + 2 * d)
     return GridPath(TimeGrid(a[:, 0]), a[:, 1 : 1 + d], a[:, 1 + d :])
+
+
+def _csv_array(rows: list, width: int) -> np.ndarray:
+    """The data rows as a (rows, width) float array, parsed in one call (numpy
+    converts each field with ``float``).  A row of another width or a field
+    that is not a float sends the rows through ``_csv_floats``, which raises
+    naming the first bad row."""
+    if all(len(row) == width for row in rows):
+        try:
+            return np.array(rows, dtype=float).reshape(len(rows), width)
+        except ValueError:
+            pass
+    return np.array([_csv_floats(row, width, i) for i, row in enumerate(rows)]).reshape(len(rows), width)
 
 
 def _csv_floats(row: list, width: int, i: int) -> list:

@@ -1,4 +1,6 @@
 import io
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import follmer as fl
-from follmer.partitions import thinned_sequence, write_partition
+from follmer import partitions
+from follmer.partitions import _exit_window, thinned_sequence, write_partition
 
 
 class TestDyadic:
@@ -139,10 +142,42 @@ class TestOscillation:
         x = fl.DyadicBrownianGenerator(seed=9).generate(g)
         p = fl.lebesgue_partition(x, 3)
         fast = fl.oscillation(x, p, 1.0)
-        # force the generic loop by asking just below the horizon
+        # just below the horizon the last sample drops out of the last interval
         slow = fl.oscillation(x, p, 1.0 - 0.5**9)
         assert fast >= slow - 1e-15
         assert fast == pytest.approx(slow, abs=0.5**3)
+
+
+def _oscillation_loop(path, p, t_idx):
+    """Reference scalar oscillation, one Python step per partition interval."""
+    worst = 0.0
+    for a, b in zip(p.indices, p.indices[1:]):
+        hi = min(b, t_idx + 1)
+        if hi - a < 2:
+            if a > t_idx:
+                break
+            continue
+        seg = path.values[a:hi, 0]
+        worst = max(worst, float(seg.max() - seg.min()))
+        if b > t_idx:
+            break
+    return worst
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=80),
+    seed=st.integers(0, 2**32 - 1),
+    points=st.sets(st.integers(1, 79), max_size=30),
+    where=st.floats(0.0, 1.0),
+)
+def test_oscillation_equals_the_interval_loop(steps, seed, points, where):
+    g = fl.TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
+    x = np.cumsum(np.random.default_rng(seed).normal(size=len(g)))
+    p = fl.Partition(g, np.array(sorted({0, len(g) - 1} | {k for k in points if k < len(g) - 1})))
+    t = where * g.T
+    path = fl.GridPath(g, x)
+    assert fl.oscillation(path, p, t) == _oscillation_loop(path, p, g.clamp_index(t))
 
 
 @settings(max_examples=100, deadline=None)
@@ -354,6 +389,79 @@ class TestBlockExtremaSearch:
                         x = np.full(len(g), a)
                         x[200:] = edge + ulps * np.spacing(edge)
                         assert_matches_reference(fl.GridPath(g, x), [n])
+
+
+class TestScanModes:
+    """Each level's search is picked from the path (no table, a 32-sample or
+    a 16-sample table); whichever is picked, the indices are the reference's."""
+
+    def test_exit_window_thresholds(self):
+        assert [_exit_window(d) for d in (1e9, 32.5, 32.0, 2.5, 2.0, 1.0, 0.0)] == [0, 0, 32, 32, 16, 16, 16]
+        assert _exit_window(math.inf) == 0
+
+    @staticmethod
+    def _record(monkeypatch, name):
+        calls = []
+        real = getattr(partitions, name)
+
+        def spy(*args):
+            out = real(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(partitions, name, spy)
+        return calls
+
+    def test_brownian_levels_use_every_mode(self, monkeypatch):
+        w = fl.DyadicBrownianGenerator(seed=2).generate(fl.dyadic_grid(1.0, 16))
+        windows = self._record(monkeypatch, "_exit_window")
+        assert_matches_reference(w, range(3, 9))
+        assert {out for _, out in windows} == {0, 32, 16}
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_drift_the_qv_calls_sparse_hands_over_to_the_table(self, monkeypatch, n):
+        # flat up to index 60,000, then a drift of thr / 2.5 per sample: the
+        # QV predicts exits over 32 samples apart, the drift exits every 1-3
+        g = fl.dyadic_grid(1.0, 16)
+        thr = 0.5 ** (n + 1)
+        x = np.maximum(np.arange(len(g)) - 60_000, 0) * (thr / 2.5)
+        path = fl.GridPath(g, x)
+        assert _exit_window(65_536 * thr * thr / np.sum(np.diff(x) ** 2)) == 0
+        tables = self._record(monkeypatch, "_first_exits")
+        assert_matches_reference(path, [n])
+        assert tables, "the sparse walk never switched to the table"
+        (suffix, *_), _ = tables[-1]
+        assert 60_000 < len(g) - suffix.size < 61_000
+        gaps = np.diff(fl.lebesgue_partition(path, n).indices)
+        assert set(gaps[-100:].tolist()) <= {1, 2, 3}
+
+    def test_drift_hand_over_then_a_grid_too_coarse(self):
+        # sparse by QV, then the guard's table meets a step longer than 1/11
+        g = fl.TimeGrid(np.append(np.linspace(0.0, 0.9, 22_000), 1.0))
+        thr = 0.5**12
+        x = np.maximum(np.arange(len(g)) - 20_000, 0) * (thr / 2.5)
+        path = fl.GridPath(g, x)
+        assert _exit_window((len(g) - 1) * thr * thr / np.sum(np.diff(x) ** 2)) == 0
+        assert_matches_reference(path, [11])
+        with pytest.raises(ValueError, match=r"at level n=11: .* below the grid step 0\.1 at t = 0\.9$"):
+            fl.lebesgue_partition(path, 11)
+
+    def test_huge_values_predict_close_exits_without_a_warning(self):
+        # the squares overflow to inf: d = 0, the 16-sample table
+        g = fl.dyadic_grid(1.0, 10)
+        path = fl.GridPath(g, 1e200 * np.cumsum(np.random.default_rng(4).normal(size=len(g))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_reference(path, [3])
+
+    def test_jump_dominated_path(self):
+        # large jumps carry the QV, so the table is chosen, but most chain
+        # points are far exits between the jumps
+        g = fl.dyadic_grid(1.0, 16)
+        jumps = fl.CompoundJumpGenerator(seed=5, intensity=60.0, size=1.0, sampler="uniform").generate(g)
+        path = fl.add_paths(fl.DyadicBrownianGenerator(seed=5, sigma=0.02).generate(g), jumps)
+        assert np.sum(jumps.dX**2) > 0.9 * np.sum(np.diff(path.x) ** 2)
+        assert_matches_reference(path, range(3, 9))
 
 
 def _ulps(t: float, k: int) -> float:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import follmer as fl
-from follmer.paths import read_path_csv, reciprocal_path, write_path_csv
+from follmer.paths import _csv_array, read_path_csv, reciprocal_path, write_path_csv
 
 
 def test_grid_invariants():
@@ -148,6 +148,23 @@ class TestGenerators:
         coarse = fl.DyadicBrownianGenerator(seed=7).generate(fl.dyadic_grid(1.0, 6))
         assert np.array_equal(fine.x[::8], coarse.x)
 
+    @pytest.mark.parametrize("T", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_dyadic_brownian_equals_the_gathered_midpoint_formula(self, T, seed):
+        # the midpoint refinement as index gathers, the form it had before
+        # strided slices: every level must agree bitwise
+        gen = fl.DyadicBrownianGenerator(seed=seed, sigma=1.3, x0=0.25)
+        for L in range(0, 13):
+            g = fl.dyadic_grid(T, L)
+            w = np.zeros(len(g))
+            w[-1] = np.sqrt(T) * gen._level_draws(0, 1)[0]
+            for lev in range(1, L + 1):
+                stride = 1 << (L - lev)
+                mids = np.arange(stride, len(g), 2 * stride)
+                z = gen._level_draws(lev, mids.size)
+                w[mids] = 0.5 * (w[mids - stride] + w[mids + stride]) + np.sqrt(T / (1 << (lev + 1))) * z
+            assert np.array_equal(gen.generate(g).x, 0.25 + 1.3 * w), f"level {L}"
+
     def test_same_seed_bit_identical(self):
         a = fl.DyadicBrownianGenerator(seed=42).generate(fl.dyadic_grid(1.0, 8))
         b = fl.DyadicBrownianGenerator(seed=42).generate(fl.dyadic_grid(1.0, 8))
@@ -264,11 +281,25 @@ def test_csv_rejects_malformed_header(text):
         ("0.0,1.0,0.0\n1.0,2.0\n", "row 1 has 2 fields"),
         ("0.0,1.0,0.0\n1.0,2.0,0.0,9.0\n", "row 1 has 4 fields"),
         ("0.0,1.0,0.0\n1.0,two,0.0\n", "row 1"),
+        # the first bad row is named, whichever way the later ones are bad
+        ("0.0,1.0,0.0\n1.0,two,0.0\n2.0,2.0\n", r"^CSV data row 1: could not convert string to float: 'two'$"),
+        ("0.0,1.0\n1.0,two,0.0\n", r"^CSV data row 0 has 2 fields, expected 3$"),
     ],
 )
 def test_csv_rejects_rows_that_do_not_match_the_header(rows, message):
     with pytest.raises(ValueError, match=message):
         read_path_csv(io.StringIO("t,x1,dx1\n" + rows))
+
+
+def test_csv_fields_parse_as_python_floats():
+    # the whole table is parsed in one numpy call; each field must come out
+    # bitwise as float() reads it, edge spellings included
+    fields = ["nan", "-0", "1_0", "1e400", "-1e400", "1.0e-320", "1e-400", " 2.5 ", "+3", "-inf", "0.1"]
+    fields += [repr(v) for v in (np.random.default_rng(3).normal(size=40) * 10.0 ** np.arange(-20, 20)).tolist()]
+    rows = [[str(k), v, v] for k, v in enumerate(fields)]
+    want = np.array([[float(v) for v in row] for row in rows])
+    assert _csv_array(rows, 3).tobytes() == want.tobytes()
+    assert _csv_array([], 3).shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
