@@ -6,11 +6,20 @@ only if all configured assertions pass (1 on assertion failure with a
 machine-readable failure report, 2 on config errors).  Outputs are
 deterministic given (config, seed); plots are optional and never affect the
 exit status.
+
+One driver, ``_drive``, owns all of that: the config and its hash, the key
+check, ``tol``, ``--strict``, ``--plot``, the report, ``failures.json``
+(removed again by a passing run) and the exit code.  A subcommand is a
+compute function that takes a ``Run`` and returns its report.  The ``Run``
+hands it the config, seed, tolerance, ``t``, the configured paths and a grid
+and partition sequence built on first use (``mc`` has none), and collects its
+tables, failed checks, unsettled trends and plot series.
 """
 
 from __future__ import annotations
 
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import click
@@ -34,15 +43,17 @@ from .io import (
     make_floor,
     make_function,
     make_generator,
+    number,
     require,
+    subsection,
     tolerance,
     write_csv,
     write_report,
     write_svg,
 )
 from .mc import McExperiment, run_mc
-from .partitions import dyadic_sequence, thinned_sequence
-from .paths import FVPath, GridPath, StepGenerator, as_fv, dyadic_grid
+from .partitions import PartitionSequence, dyadic_sequence, thinned_sequence
+from .paths import FVPath, GridPath, StepGenerator, TimeGrid, as_fv, dyadic_grid
 from .quadvar import DiscreteMeasure, measure_convergence_check, measure_vs_qv_check, qv_sequence
 
 _STOCHASTIC_KINDS = {"dyadic-brownian", "compound-jump", "geometric"}
@@ -75,54 +86,64 @@ def _levels(cfg: dict, override: str | None) -> tuple[int, int]:
     return n_min, n_max
 
 
-def _setup(cfg: dict, levels: str | None):
-    n_min, n_max = _levels(cfg, levels)
-    t_hor = float(cfg.get("T", 1.0))
-    grid_level = int(cfg.get("grid_level", n_max))
-    if grid_level < n_max:
-        raise ConfigError("grid_level must be at least the top partition level")
-    grid = dyadic_grid(t_hor, grid_level)
-    seq = dyadic_sequence(t_hor, n_min, n_max, grid=grid)
-    return grid, seq
+class Run:
+    """One invocation as a compute function sees it."""
 
+    def __init__(self, cfg: dict, out: Path, seed, levels_opt: str | None, cfg_hash: str, tol: float):
+        self.cfg, self.out, self.seed, self.levels_opt = cfg, out, seed, levels_opt
+        self.hash, self.tol = cfg_hash, tol
+        self.failures: list[str] = []
+        self.inconclusive: list[str] = []
+        self.series: dict | None = None
 
-def _path_from(cfg: dict, key: str, grid, seed, fv: bool = False) -> GridPath:
-    gen = make_generator(_with_seed(require(cfg, key, "config"), seed), key)
-    path = gen.generate(grid)
-    return as_fv(path) if fv or cfg.get(f"{key}_fv", False) else path
+    @cached_property
+    def levels(self) -> tuple[int, int]:
+        return _levels(self.cfg, self.levels_opt)
 
+    @cached_property
+    def grid(self) -> TimeGrid:
+        n_max = self.levels[1]
+        t_hor = number(self.cfg, "T", 1.0)
+        if not t_hor > 0:
+            raise ConfigError(f"T must be positive, got {t_hor}")
+        grid_level = int(number(self.cfg, "grid_level", n_max))
+        if grid_level < n_max:
+            raise ConfigError("grid_level must be at least the top partition level")
+        return dyadic_grid(t_hor, grid_level)
 
-class Failures(list):
+    @cached_property
+    def seq(self) -> PartitionSequence:
+        return dyadic_sequence(self.grid.T, *self.levels, grid=self.grid)
+
+    @cached_property
+    def t(self) -> float:
+        t = number(self.cfg, "t", self.grid.T)
+        if not 0 <= t <= self.grid.T:
+            raise ConfigError(f"t = {t} lies outside [0, T] = [0, {self.grid.T}]")
+        return t
+
+    def path(self, key: str) -> GridPath:
+        """The config's path ``key``; its finite-variation form when ``<key>_fv`` is set."""
+        return self.generate(require(self.cfg, key, "config"), key, self.cfg.get(f"{key}_fv", False))
+
+    def generate(self, ref, where: str, fv: bool = False) -> GridPath:
+        path = make_generator(_with_seed(ref, self.seed), where).generate(self.grid)
+        return as_fv(path) if fv else path
+
+    def table(self, name: str, header: list, columns: list) -> None:
+        write_csv(self.out / name, header, columns, self.hash)
+
     def check(self, ok: bool, message: str) -> None:
         if not ok:
-            self.append(message)
+            self.failures.append(message)
 
+    def unsettled(self, message: str) -> None:
+        self.inconclusive.append(message)
 
-def _finish(out: Path, command: str, report: dict, failures: list, h: str, strict: bool, inconclusive: list) -> int:
-    if strict:
-        failures = list(failures) + [f"strict: {m}" for m in inconclusive]
-    report["failures"] = list(failures)
-    report["inconclusive"] = list(inconclusive)
-    write_report(out / f"{command}_report.json", report, h)
-    if failures:
-        write_report(out / "failures.json", {"command": command, "failures": list(failures)}, h)
-        return 1
-    return 0
-
-
-def _level_axis(cfg: dict, levels_opt: str | None, values) -> range:
-    """The partition level of each per-level value, counted up from n_min."""
-    n_min, _ = _levels(cfg, levels_opt)
-    return range(n_min, n_min + len(values))
-
-
-def _maybe_plot(out: Path, command: str, plot: bool, series: dict) -> None:
-    if not plot:
-        return
-    try:
-        write_svg(out / f"{command}.svg", series)
-    except Exception as exc:  # plots are best-effort: never change the exit code
-        click.echo(f"plot skipped: {type(exc).__name__}: {exc}", err=True)
+    def plot(self, label: str, values: list) -> None:
+        """Offer one value per partition level, counted up from n_min, to ``--plot``."""
+        values = [v or 1e-17 for v in values]  # a zero gap stays on a log axis
+        self.series = {label: (range(self.levels[0], self.levels[0] + len(values)), values)}
 
 
 def common_options(fn):
@@ -140,43 +161,52 @@ def main():
     """Pathwise Ito calculus experiment runner."""
 
 
-def _run(impl, config_path, out_dir, seed, levels_opt, plot, strict, command):
+_COMMON_KEYS = {"seed", "levels", "grid_level", "T", "tol"}
+
+
+def _drive(compute, name: str, keys: set, stochastic: bool, config_path, out_dir, seed, levels_opt, plot, strict):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
         cfg = load_config(config_path)
         h = config_hash({**cfg, "__seed__": seed, "__levels__": levels_opt})
-        code = impl(cfg, out, seed if seed is not None else cfg.get("seed"), levels_opt, plot, strict, h)
+        check_keys(cfg, _COMMON_KEYS | keys, f"{name} config")
+        default_tol = STOCHASTIC_TOL if cfg.get("stochastic", stochastic) else DETERMINISTIC_TOL
+        run = Run(cfg, out, seed if seed is not None else cfg.get("seed"), levels_opt, h,
+                  tolerance(cfg, "tol", default_tol))
+        report = compute(run)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    sys.exit(code)
+    if plot and run.series is not None:
+        try:  # figures are named like the tables: ito.svg, not ito-check.svg
+            write_svg(out / f"{name.split('-')[0]}.svg", run.series)
+        except Exception as exc:  # plots are best-effort: never change the exit code
+            click.echo(f"plot skipped: {type(exc).__name__}: {exc}", err=True)
+    failures = run.failures + [f"strict: {m}" for m in run.inconclusive] if strict else run.failures
+    report["failures"] = failures
+    report["inconclusive"] = run.inconclusive
+    write_report(out / f"{name}_report.json", report, h)
+    if failures:
+        write_report(out / "failures.json", {"command": name, "failures": failures}, h)
+        sys.exit(1)
+    (out / "failures.json").unlink(missing_ok=True)
+    sys.exit(0)
 
 
-_HELP = {
-    "qv": "Quadratic variation along a partition sequence, with measure checks.",
-    "integrate": "Non-anticipative integral of an integrand against a path.",
-    "ito-check": "Residual table for the cadlag Ito formula.",
-    "assoc": "Gap between iterated and substituted integrals.",
-    "linear": "Solve Z = H + int Z_- dX by variation of constants.",
-    "nonlinear": "Solve Z = x0 + int f(s,Z) ds + int Z_- dX by reduction.",
-    "drawdown": "Solve the drawdown equation and check its constraint.",
-    "dppi": "Floor-guaranteed portfolio insurance on a seeded market.",
-    "cppi": "Alias of dppi with a constant multiplier.",
-    "mc": "Seeded semimartingale QV check on band-exit partitions.",
-    "appendix-measure": "Discrete-measure convergence to a left-limit integral.",
-}
+def _command(name: str, keys: set, stochastic: bool = False, aliases: dict | None = None):
+    """Register a compute function as ``name``, with its docstring as help, and
+    under each alias (alias -> help); every alias writes the files of ``name``."""
 
+    def deco(compute):
+        for cli_name, text in {name: compute.__doc__, **(aliases or {})}.items():
 
-def _register(name):
-    def deco(impl):
-        @main.command(name=name, help=_HELP.get(name))
-        @common_options
-        def cmd(config_path, out_dir, seed, levels_opt, plot, strict, _impl=impl, _name=name):
-            _run(_impl, config_path, out_dir, seed, levels_opt, plot, strict, _name)
+            @main.command(name=cli_name, help=text)
+            @common_options
+            def cmd(**options):
+                _drive(compute, name, keys, stochastic, **options)
 
-        cmd.__name__ = f"cmd_{name.replace('-', '_')}"
-        return impl
+        return compute
 
     return deco
 
@@ -185,33 +215,27 @@ def _register(name):
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-_COMMON_KEYS = {"seed", "levels", "grid_level", "T", "tol"}
 
+@_command("qv", {"path", "path_fv", "t", "stochastic"})
+def _qv(run: Run) -> dict:
+    """Quadratic variation along a partition sequence, with measure checks."""
+    x = run.path("path")
+    t = run.t
+    qv = qv_sequence(x, run.seq, tol=run.tol)
+    mvq = measure_vs_qv_check(x, run.seq, t)
 
-@_register("qv")
-def _qv(cfg, out, seed, levels_opt, plot, strict, h):
-    check_keys(cfg, _COMMON_KEYS | {"path", "path_fv", "t", "stochastic"}, "qv config")
-    grid, seq = _setup(cfg, levels_opt)
-    stochastic = bool(cfg.get("stochastic", False))
-    tol = tolerance(cfg, "tol", STOCHASTIC_TOL if stochastic else DETERMINISTIC_TOL)
-    x = _path_from(cfg, "path", grid, seed)
-    t = float(cfg.get("t", grid.T))
-    qv = qv_sequence(x, seq, tol=tol)
-    mvq = measure_vs_qv_check(x, seq, t)
-
-    times = list(map(repr, grid.times.tolist()))  # formatted once, repeated per level
+    times = list(map(repr, run.grid.times.tolist()))  # formatted once, repeated per level
     levels = []
     for n in range(len(qv.level_curves)):
         levels += [str(n)] * len(times)
     columns = [levels, times * len(qv.level_curves), np.concatenate(qv.level_curves)]
-    write_csv(out / "qv.csv", ["level", "t", "qv"], columns, h)
-    failures = Failures()
-    inconclusive = []
-    failures.check(qv.status != "no-qv", f"jump identity violated: {qv.cond2_worst}")
+    run.table("qv.csv", ["level", "t", "qv"], columns)
+    run.check(qv.status != "no-qv", f"jump identity violated: {qv.cond2_worst}")
     if qv.status == "inconclusive":
-        inconclusive.append("qv trend inconclusive")
-    failures.check(mvq.bounded, "measure-vs-qv straddle bound violated")
-    report = {
+        run.unsettled("qv trend inconclusive")
+    run.check(mvq.bounded, "measure-vs-qv straddle bound violated")
+    run.plot("gap", qv.level_gaps)
+    return {
         "levels": len(qv.level_curves),
         "qv_at_t": qv.at(t),
         "continuous_at_t": qv.continuous_at(t),
@@ -220,73 +244,48 @@ def _qv(cfg, out, seed, levels_opt, plot, strict, h):
         "cond2_worst": qv.cond2_worst,
         "measure_check": mvq.to_dict(),
     }
-    gaps = [g or 1e-17 for g in qv.level_gaps]
-    _maybe_plot(out, "qv", plot, {"gap": (_level_axis(cfg, levels_opt, gaps), gaps)})
-    return _finish(out, "qv", report, failures, h, strict, inconclusive)
 
 
-def _integrand_from(cfg, key, x, grid, seed):
-    ref = cfg.get(key, {"constant": 1.0})
+@_command("integrate", {"path", "path_fv", "integrand", "t", "stochastic"})
+def _integrate(run: Run) -> dict:
+    """Non-anticipative integral of an integrand against a path."""
+    x = run.path("path")
+    ref = subsection(run.cfg, "integrand", {"constant": 1.0}, {"constant", "f"})
     if "constant" in ref:
-        return float(ref["constant"])
-    if "f" in ref:
-        f = make_function(ref["f"], key)
-        return AdmissibleIntegrand(f, None, x)
-    raise ConfigError(f"{key} must carry 'constant' or 'f'")
-
-
-@_register("integrate")
-def _integrate(cfg, out, seed, levels_opt, plot, strict, h):
-    check_keys(cfg, _COMMON_KEYS | {"path", "path_fv", "integrand", "t", "stochastic"}, "integrate config")
-    grid, seq = _setup(cfg, levels_opt)
-    stochastic = bool(cfg.get("stochastic", False))
-    tol = tolerance(cfg, "tol", STOCHASTIC_TOL if stochastic else DETERMINISTIC_TOL)
-    x = _path_from(cfg, "path", grid, seed)
-    xi = _integrand_from(cfg, "integrand", x, grid, seed)
-    t = float(cfg.get("t", grid.T))
-    res = follmer_integral(xi, x, seq, tol=tol)
-    g = grid.clamp_index(t)
+        xi = number(ref, "constant", where="integrand")
+    elif "f" in ref:
+        xi = AdmissibleIntegrand(make_function(ref["f"], "integrand"), None, x)
+    else:
+        raise ConfigError("integrand must carry 'constant' or 'f'")
+    t = run.t
+    res = follmer_integral(xi, x, run.seq, tol=run.tol)
+    g = run.grid.clamp_index(t)
     at_t = [c[g] for c in res.level_curves]
-    write_csv(out / "integrate_levels.csv", ["level", "value_at_t"], [range(len(at_t)), at_t], h)
-    write_csv(out / "integrate_curve.csv", ["t", "value"], [grid.times, res.estimate], h)
-    failures = Failures()
-    inconclusive = []
+    run.table("integrate_levels.csv", ["level", "value_at_t"], [range(len(at_t)), at_t])
+    run.table("integrate_curve.csv", ["t", "value"], [run.grid.times, res.estimate])
     if res.status == "inconclusive" and res.claim == "unverified-hypothesis":
-        inconclusive.append("integral trend inconclusive (unverified integrand class)")
+        run.unsettled("integral trend inconclusive (unverified integrand class)")
     elif res.status == "inconclusive":
-        inconclusive.append("integral trend inconclusive")
-    report = {"value_at_t": res.at(t), "status": res.status, "claim": res.claim, "gaps": res.level_gaps}
-    gaps = [g_ or 1e-17 for g_ in res.level_gaps]
-    _maybe_plot(out, "integrate", plot, {"gap": (_level_axis(cfg, levels_opt, gaps), gaps)})
-    return _finish(out, "integrate", report, failures, h, strict, inconclusive)
+        run.unsettled("integral trend inconclusive")
+    run.plot("gap", res.level_gaps)
+    return {"value_at_t": res.at(t), "status": res.status, "claim": res.claim, "gaps": res.level_gaps}
 
 
-@_register("ito-check")
-def _ito_check(cfg, out, seed, levels_opt, plot, strict, h):
-    check_keys(
-        cfg,
-        _COMMON_KEYS | {"f", "path", "path_fv", "a", "t", "stochastic", "assert_residual"},
-        "ito-check config",
-    )
-    grid, seq = _setup(cfg, levels_opt)
-    stochastic = bool(cfg.get("stochastic", False))
-    tol = tolerance(cfg, "tol", STOCHASTIC_TOL if stochastic else DETERMINISTIC_TOL)
-    x = _path_from(cfg, "path", grid, seed)
-    a = None
-    if "a" in cfg:
-        a = as_fv(make_generator(_with_seed(cfg["a"], seed), "a").generate(grid))
-    f = make_function(require(cfg, "f", "config"))
-    t = float(cfg.get("t", grid.T))
-    rep = ito_formula_eval(f, a, x, seq, t, tol=tol)
+@_command("ito-check", {"f", "path", "path_fv", "a", "t", "stochastic", "assert_residual"})
+def _ito_check(run: Run) -> dict:
+    """Residual table for the cadlag Ito formula."""
+    x = run.path("path")
+    a = run.generate(run.cfg["a"], "a", fv=True) if "a" in run.cfg else None
+    f = make_function(require(run.cfg, "f", "config"))
+    rep = ito_formula_eval(f, a, x, run.seq, run.t, tol=run.tol)
     residuals = rep.residual_per_level
-    write_csv(out / "ito.csv", ["level", "residual"], [range(len(residuals)), residuals], h)
-    cap = tolerance(cfg, "assert_residual", tol)
-    failures = Failures()
-    inconclusive = []
-    failures.check(abs(rep.residual) <= cap, f"ito residual {rep.residual} above {cap}")
+    run.table("ito.csv", ["level", "residual"], [range(len(residuals)), residuals])
+    cap = tolerance(run.cfg, "assert_residual", run.tol)
+    run.check(abs(rep.residual) <= cap, f"ito residual {rep.residual} above {cap}")
     if not rep.trend.converged:
-        inconclusive.append("ito residual trend inconclusive")
-    report = {
+        run.unsettled("ito residual trend inconclusive")
+    run.plot("residual", rep.residual_per_level)
+    return {
         "lhs": rep.lhs,
         "terms": {
             "drift": rep.drift_term,
@@ -297,171 +296,125 @@ def _ito_check(cfg, out, seed, levels_opt, plot, strict, h):
         "residual": rep.residual,
         "residual_per_level": rep.residual_per_level,
     }
-    residuals = [r or 1e-17 for r in rep.residual_per_level]
-    _maybe_plot(out, "ito", plot, {"residual": (_level_axis(cfg, levels_opt, residuals), residuals)})
-    return _finish(out, "ito-check", report, failures, h, strict, inconclusive)
 
 
-@_register("assoc")
-def _assoc(cfg, out, seed, levels_opt, plot, strict, h):
-    check_keys(
-        cfg,
-        _COMMON_KEYS | {"path", "path_fv", "eta", "integrands", "t", "stochastic", "assert_gap"},
-        "assoc config",
-    )
-    grid, seq = _setup(cfg, levels_opt)
-    stochastic = bool(cfg.get("stochastic", False))
-    tol = tolerance(cfg, "tol", STOCHASTIC_TOL if stochastic else DETERMINISTIC_TOL)
-    x = _path_from(cfg, "path", grid, seed)
-    refs = require(cfg, "integrands", "config")
+@_command("assoc", {"path", "path_fv", "eta", "integrands", "t", "stochastic", "assert_gap"})
+def _assoc(run: Run) -> dict:
+    """Gap between iterated and substituted integrals."""
+    x = run.path("path")
+    refs = require(run.cfg, "integrands", "config")
     integrands = [AdmissibleIntegrand(make_function(r, "integrands"), None, x) for r in refs]
-    eta_ref = cfg.get("eta", {"constant": 1.0})
+    eta_ref = subsection(run.cfg, "eta", {"constant": 1.0}, {"constant", "f"})
     if "constant" in eta_ref:
         c = eta_ref["constant"]
-        arr = np.full((len(grid), len(integrands)), float(c) if np.isscalar(c) else 1.0)
-        if not np.isscalar(c):
-            arr = np.tile(np.asarray(c, dtype=float), (len(grid), 1))
-        eta = arr
+        values = c if isinstance(c, list) else [c] * len(integrands)
+        if len(values) != len(integrands):
+            raise ConfigError(f"eta.constant has {len(values)} values for {len(integrands)} integrands")
+        eta = np.tile([number({"constant": v}, "constant", where="eta") for v in values], (len(run.grid), 1))
     elif "f" in eta_ref:
         fe = make_function(eta_ref["f"], "eta")
-        eta = np.asarray(fe.value(np.zeros((len(grid), 0)), x.values), dtype=float)[:, None]
+        eta = np.asarray(fe.value(np.zeros((len(run.grid), 0)), x.values), dtype=float)[:, None]
     else:
         raise ConfigError("eta must carry 'constant' or 'f'")
-    t = float(cfg.get("t", grid.T))
-    rep = associativity_check(eta, integrands, x, seq, t, tol=tol)
+    rep = associativity_check(eta, integrands, x, run.seq, run.t, tol=run.tol)
     columns = [range(len(rep.gaps)), rep.lhs_per_level, rep.rhs_per_level, rep.gaps]
-    write_csv(out / "assoc.csv", ["level", "lhs", "rhs", "gap"], columns, h)
-    cap = tolerance(cfg, "assert_gap", tol)
-    failures = Failures()
-    inconclusive = []
-    failures.check(rep.gaps[-1] <= cap, f"associativity gap {rep.gaps[-1]} above {cap}")
+    run.table("assoc.csv", ["level", "lhs", "rhs", "gap"], columns)
+    cap = tolerance(run.cfg, "assert_gap", run.tol)
+    run.check(rep.gaps[-1] <= cap, f"associativity gap {rep.gaps[-1]} above {cap}")
     if rep.status != "converged":
-        inconclusive.append("associativity trend inconclusive")
-    report = {"lhs": rep.lhs_per_level, "rhs": rep.rhs_per_level, "gaps": rep.gaps, "status": rep.status}
-    return _finish(out, "assoc", report, failures, h, strict, inconclusive)
+        run.unsettled("associativity trend inconclusive")
+    return {"lhs": rep.lhs_per_level, "rhs": rep.rhs_per_level, "gaps": rep.gaps, "status": rep.status}
 
 
-def _fv_path_from(cfg, key, grid, seed) -> FVPath:
-    return as_fv(make_generator(_with_seed(require(cfg, key, "config"), seed), key).generate(grid))
-
-
-@_register("linear")
-def _linear(cfg, out, seed, levels_opt, plot, strict, h):
-    check_keys(
-        cfg,
-        _COMMON_KEYS | {"x", "x_fv", "h", "stochastic", "assert_value", "assert_tol"},
-        "linear config",
-    )
-    grid, seq = _setup(cfg, levels_opt)
-    stochastic = bool(cfg.get("stochastic", False))
-    tol = tolerance(cfg, "tol", STOCHASTIC_TOL if stochastic else DETERMINISTIC_TOL)
-    x = _path_from(cfg, "x", grid, seed)
-    href = cfg.get("h", {"constant": 1.0})
+@_command("linear", {"x", "x_fv", "h", "stochastic", "assert_value", "assert_tol"})
+def _linear(run: Run) -> dict:
+    """Solve Z = H + int Z_- dX by variation of constants."""
+    x = run.path("x")
+    href = subsection(run.cfg, "h", {"constant": 1.0}, {"constant", "path", "fv_decomposition", "a", "xi"})
     decomposition = None
     if "constant" in href:
-        hh = float(href["constant"])
+        hh = number(href, "constant", where="h")
     elif "path" in href:
-        hh = make_generator(_with_seed(href["path"], seed), "h.path").generate(grid)
+        hh = run.generate(href["path"], "h.path")
         if href.get("fv_decomposition", False) or "a" in href:
-            a = as_fv(hh) if "a" not in href else _fv_path_from(href, "a", grid, seed)
-            decomposition = (float(href.get("xi", 0.0)), a)
+            a = as_fv(hh) if "a" not in href else run.generate(href["a"], "a", fv=True)
+            decomposition = (number(href, "xi", 0.0, "h"), a)
     else:
         raise ConfigError("h must carry 'constant' or 'path'")
-    rep = solve_linear(hh, x, seq, decomposition=decomposition, tol=tol)
-    write_csv(out / "linear.csv", ["t", "z"], [grid.times, rep.z.x], h)
-    failures = Failures()
-    inconclusive = []
-    if "assert_value" in cfg:
-        target = float(cfg["assert_value"])
-        cap = tolerance(cfg, "assert_tol", 1e-6)
+    rep = solve_linear(hh, x, run.seq, decomposition=decomposition, tol=run.tol)
+    run.table("linear.csv", ["t", "z"], [run.grid.times, rep.z.x])
+    if "assert_value" in run.cfg:
+        target = number(run.cfg, "assert_value")
+        cap = tolerance(run.cfg, "assert_tol", 1e-6)
         zt = float(rep.z.x[-1])
-        failures.check(abs(zt - target) <= cap, f"Z(T)={zt} off target {target} by {abs(zt-target)}")
+        run.check(abs(zt - target) <= cap, f"Z(T)={zt} off target {target} by {abs(zt-target)}")
         if rep.z_alt is not None:
-            failures.check(rep.agreement <= cap, f"expression agreement {rep.agreement} above {cap}")
+            run.check(rep.agreement <= cap, f"expression agreement {rep.agreement} above {cap}")
     if not rep.trend.converged:
-        inconclusive.append("substitution residual trend inconclusive")
-    report = {
+        run.unsettled("substitution residual trend inconclusive")
+    return {
         "z_at_T": float(rep.z.x[-1]),
         "agreement": None if rep.z_alt is None else rep.agreement,
         "residual": rep.residual,
         "residual_per_level": rep.residual_per_level,
         "hypothesis": rep.hypothesis,
     }
-    return _finish(out, "linear", report, failures, h, strict, inconclusive)
 
 
-_DRIFTS = {
-    "zero": lambda **kw: (lambda t, z: 0.0 * z),
-    "constant": lambda c=1.0, **kw: (lambda t, z: c + 0.0 * z),
-    "linear": lambda a=1.0, b=0.0, **kw: (lambda t, z: a * z + b),
+_DRIFTS = {  # kind -> (parameter defaults, drift f(t, z) from the parameters)
+    "zero": ({}, lambda: (lambda t, z: 0.0 * z)),
+    "constant": ({"c": 1.0}, lambda c: (lambda t, z: c + 0.0 * z)),
+    "linear": ({"a": 1.0, "b": 0.0}, lambda a, b: (lambda t, z: a * z + b)),
 }
 
 
-@_register("nonlinear")
-def _nonlinear(cfg, out, seed, levels_opt, plot, strict, h):
-    check_keys(
-        cfg,
-        _COMMON_KEYS | {"x", "x_fv", "f", "x0", "stochastic", "assert_value", "assert_tol"},
-        "nonlinear config",
-    )
-    grid, seq = _setup(cfg, levels_opt)
-    stochastic = bool(cfg.get("stochastic", False))
-    tol = tolerance(cfg, "tol", STOCHASTIC_TOL if stochastic else DETERMINISTIC_TOL)
-    x = _path_from(cfg, "x", grid, seed)
-    fref = cfg.get("f", {"kind": "zero"})
+@_command("nonlinear", {"x", "x_fv", "f", "x0", "stochastic", "assert_value", "assert_tol"})
+def _nonlinear(run: Run) -> dict:
+    """Solve Z = x0 + int f(s,Z) ds + int Z_- dX by reduction."""
+    x = run.path("x")
+    fref = subsection(run.cfg, "f", {"kind": "zero"}, {"kind", "c", "a", "b"})
     kind = fref.get("kind")
     if kind not in _DRIFTS:
         raise ConfigError(f"unknown drift kind {kind!r}")
-    f = _DRIFTS[kind](**{k: v for k, v in fref.items() if k != "kind"})
-    rep = solve_nonlinear(f, x, float(cfg.get("x0", 1.0)), seq, tol=tol)
-    write_csv(out / "nonlinear.csv", ["t", "z"], [grid.times, rep.z.x], h)
-    failures = Failures()
-    inconclusive = []
-    if "assert_value" in cfg:
-        target = float(cfg["assert_value"])
-        cap = tolerance(cfg, "assert_tol", 1e-6)
+    params, drift = _DRIFTS[kind]
+    check_keys(fref, {"kind", *params}, f"f of kind {kind!r}")
+    f = drift(*(number(fref, k, v, "f") for k, v in params.items()))
+    rep = solve_nonlinear(f, x, number(run.cfg, "x0", 1.0), run.seq, tol=run.tol)
+    run.table("nonlinear.csv", ["t", "z"], [run.grid.times, rep.z.x])
+    if "assert_value" in run.cfg:
+        target = number(run.cfg, "assert_value")
+        cap = tolerance(run.cfg, "assert_tol", 1e-6)
         zt = float(rep.z.x[-1])
-        failures.check(abs(zt - target) <= cap, f"Z(T)={zt} off target {target}")
+        run.check(abs(zt - target) <= cap, f"Z(T)={zt} off target {target}")
     if not rep.trend.converged:
-        inconclusive.append("substitution residual trend inconclusive")
-    report = {"z_at_T": float(rep.z.x[-1]), "residual": rep.residual, "residual_per_level": rep.residual_per_level}
-    return _finish(out, "nonlinear", report, failures, h, strict, inconclusive)
+        run.unsettled("substitution residual trend inconclusive")
+    return {"z_at_T": float(rep.z.x[-1]), "residual": rep.residual, "residual_per_level": rep.residual_per_level}
 
 
-@_register("drawdown")
-def _drawdown(cfg, out, seed, levels_opt, plot, strict, h):
-    check_keys(
-        cfg,
-        _COMMON_KEYS | {"x", "floor", "stochastic", "assert_roundtrip"},
-        "drawdown config",
-    )
-    grid, seq = _setup(cfg, levels_opt)
-    stochastic = bool(cfg.get("stochastic", True))
-    tol = tolerance(cfg, "tol", STOCHASTIC_TOL if stochastic else DETERMINISTIC_TOL)
-    x = _path_from(cfg, "x", grid, seed)
-    floor = make_floor(require(cfg, "floor", "config"))
-    rep = solve_drawdown(floor, x, seq, tol=tol)
+@_command("drawdown", {"x", "floor", "stochastic", "assert_roundtrip"}, stochastic=True)
+def _drawdown(run: Run) -> dict:
+    """Solve the drawdown equation and check its constraint."""
+    x = run.path("x")
+    floor = make_floor(require(run.cfg, "floor", "config"))
+    rep = solve_drawdown(floor, x, run.seq, tol=run.tol)
     back = azema_yor_path(rep.transform.V, rep.y).path
     roundtrip = float(np.max(np.abs(back.x - x.x)))
     ybar = np.maximum.accumulate(rep.y.x)
-    write_csv(out / "drawdown.csv", ["t", "y", "floor_of_max"], [grid.times, rep.y.x, floor(ybar)], h)
-    cap = tolerance(cfg, "assert_roundtrip", 1e-6)
-    failures = Failures()
-    inconclusive = []
-    failures.check(rep.constraint_ok, f"drawdown constraint margin {rep.constraint_margin} not positive")
-    failures.check(roundtrip <= cap, f"inverse round trip {roundtrip} above {cap}")
+    run.table("drawdown.csv", ["t", "y", "floor_of_max"], [run.grid.times, rep.y.x, floor(ybar)])
+    cap = tolerance(run.cfg, "assert_roundtrip", 1e-6)
+    run.check(rep.constraint_ok, f"drawdown constraint margin {rep.constraint_margin} not positive")
+    run.check(roundtrip <= cap, f"inverse round trip {roundtrip} above {cap}")
     if not rep.trend.converged:
-        inconclusive.append("drawdown residual trend inconclusive")
-    report = {
+        run.unsettled("drawdown residual trend inconclusive")
+    return {
         "constraint_margin": rep.constraint_margin,
         "roundtrip": roundtrip,
         "residual_per_level": rep.residual_per_level,
     }
-    return _finish(out, "drawdown", report, failures, h, strict, inconclusive)
 
 
-def _market_from(cfg, grid, seed) -> Market:
-    mref = require(cfg, "market", "config")
+def _market_from(run: Run) -> Market:
+    mref = subsection(run.cfg, "market", None, {"csv", "s", "b"})
     if "csv" in mref:
         check_keys(mref, {"csv"}, "market")
         from .finance import read_market_csv
@@ -471,144 +424,116 @@ def _market_from(cfg, grid, seed) -> Market:
                 return read_market_csv(fp)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"market.csv: {exc}") from exc
-    check_keys(mref, {"s", "b"}, "market")
-    s = make_generator(_with_seed(require(mref, "s", "market"), seed), "market.s").generate(grid)
-    bref = mref.get("b", {"rate": 0.0})
+    s = run.generate(require(mref, "s", "market"), "market.s")
+    bref = subsection(mref, "b", {"rate": 0.0}, {"rate", "path"}, "market")
     if "rate" in bref:
-        b = FVPath(grid, np.exp(float(bref["rate"]) * grid.times))
+        b = FVPath(run.grid, np.exp(number(bref, "rate", where="market.b") * run.grid.times))
     elif "path" in bref:
-        b = as_fv(make_generator(_with_seed(bref["path"], seed), "market.b").generate(grid))
+        b = run.generate(bref["path"], "market.b", fv=True)
     else:
         raise ConfigError("market.b must carry 'rate' or 'path'")
     return Market(s, b)
 
 
-def _floor_spec_from(cfg, grid) -> FloorSpec:
-    lref = cfg.get("l", {"constant": 0.0})
-    if "constant" in lref:
-        return FloorSpec(FVPath(grid, np.full(len(grid), float(lref["constant"]))))
-    if "linear" in lref:
-        sl = lref["linear"]
-        vals = float(sl.get("start", 1.0)) + float(sl.get("slope", 0.0)) * grid.times
-        return FloorSpec(FVPath(grid, vals))
-    raise ConfigError("l must carry 'constant' or 'linear'")
-
-
-def _dppi_impl(cfg, out, seed, levels_opt, plot, strict, h):
-    check_keys(
-        cfg,
-        _COMMON_KEYS | {"market", "m", "l", "v0", "stochastic"},
-        "dppi config",
-    )
-    grid, seq = _setup(cfg, levels_opt)
-    stochastic = bool(cfg.get("stochastic", True))
-    tol = tolerance(cfg, "tol", STOCHASTIC_TOL if stochastic else DETERMINISTIC_TOL)
-    market = _market_from(cfg, grid, seed)
+@_command(
+    "dppi",
+    {"market", "m", "l", "v0", "stochastic"},
+    stochastic=True,
+    aliases={"cppi": "Alias of dppi with a constant multiplier."},
+)
+def _dppi(run: Run) -> dict:
+    """Floor-guaranteed portfolio insurance on a seeded market."""
+    grid, seq = run.grid, run.seq
+    market = _market_from(run)
     if market.grid is not grid:  # ingested market: partitions live on its grid
         grid = market.grid
         seq = thinned_sequence(grid, len(seq))
-    spec = _floor_spec_from(cfg, grid)
-    rep = dppi(market, float(cfg.get("m", 1.0)), spec, float(cfg.get("v0", 1.0)), seq, tol=tol)
-    with open(out / "strategy.csv", "w") as fp:
+    lref = subsection(run.cfg, "l", {"constant": 0.0}, {"constant", "linear"})
+    if "constant" in lref:
+        floor = np.full(len(grid), number(lref, "constant", where="l"))
+    elif "linear" in lref:
+        sl = subsection(lref, "linear", None, {"start", "slope"}, "l")
+        floor = number(sl, "start", 1.0, "l.linear") + number(sl, "slope", 0.0, "l.linear") * grid.times
+    else:
+        raise ConfigError("l must carry 'constant' or 'linear'")
+    spec = FloorSpec(FVPath(grid, floor))
+    rep = dppi(market, number(run.cfg, "m", 1.0), spec, number(run.cfg, "v0", 1.0), seq, tol=run.tol)
+    with open(run.out / "strategy.csv", "w") as fp:
         write_strategy_csv(rep.strategy, rep.floor_curve, fp)
-        fp.write(f"# config_hash={h}\n")
-    failures = Failures()
-    inconclusive = []
-    failures.check(rep.floor_ok, f"floor breached: margin {rep.floor_margin}")
+        fp.write(f"# config_hash={run.hash}\n")
+    run.check(rep.floor_ok, f"floor breached: margin {rep.floor_margin}")
     if not rep.self_financing.trend.converged:
-        inconclusive.append("self-financing residual trend inconclusive")
-    report = {
+        run.unsettled("self-financing residual trend inconclusive")
+    return {
         "floor_margin": rep.floor_margin,
         "self_financing_residuals": rep.self_financing.residual_per_level,
         "value_at_T": float(rep.strategy.value.x[-1]),
     }
-    return _finish(out, "dppi", report, failures, h, strict, inconclusive)
 
 
-_register("dppi")(_dppi_impl)
-_register("cppi")(_dppi_impl)
-
-
-@_register("mc")
-def _mc(cfg, out, seed, levels_opt, plot, strict, h):
-    check_keys(
-        cfg,
-        _COMMON_KEYS
-        | {
-            "seeds",
-            "n_min",
-            "n_max",
-            "sigma",
-            "jump_intensity",
-            "jump_size",
-            "jump_sampler",
-            "assert_pass_fraction",
-        },
-        "mc config",
-    )
-    n_min, n_max = _levels({"levels": [cfg.get("n_min", 3), cfg.get("n_max", 8)]}, levels_opt)
-    seeds_cfg = cfg.get("seeds", 16)
-    base = 0 if seed is None else int(seed)
-    seeds = tuple(range(base, base + int(seeds_cfg))) if isinstance(seeds_cfg, int) else tuple(seeds_cfg)
-    exp = McExperiment(
-        seeds=seeds,
-        n_min=n_min,
-        n_max=n_max,
-        grid_level=int(cfg.get("grid_level", 16)),
-        T=float(cfg.get("T", 1.0)),
-        sigma=float(cfg.get("sigma", 1.0)),
-        jump_intensity=float(cfg.get("jump_intensity", 0.0)),
-        jump_size=float(cfg.get("jump_size", 0.5)),
-        jump_sampler=str(cfg.get("jump_sampler", "coin")),
-        tol=tolerance(cfg, "tol", STOCHASTIC_TOL),
-    )
+@_command(
+    "mc",
+    {"seeds", "n_min", "n_max", "sigma", "jump_intensity", "jump_size", "jump_sampler", "assert_pass_fraction"},
+    stochastic=True,
+)
+def _mc(run: Run) -> dict:
+    """Seeded semimartingale QV check on band-exit partitions."""
+    cfg = run.cfg
+    if "levels" in cfg:
+        raise ConfigError("mc takes its levels from 'n_min' and 'n_max', not 'levels'")
+    n_min, n_max = _levels({"levels": [cfg.get("n_min", 3), cfg.get("n_max", 8)]}, run.levels_opt)
+    try:
+        seeds_cfg = cfg.get("seeds", 16)
+        base = 0 if run.seed is None else int(run.seed)
+        exp = McExperiment(
+            seeds=tuple(range(base, base + int(seeds_cfg))) if isinstance(seeds_cfg, int) else tuple(seeds_cfg),
+            n_min=n_min,
+            n_max=n_max,
+            grid_level=int(number(cfg, "grid_level", 16)),
+            T=number(cfg, "T", 1.0),
+            sigma=number(cfg, "sigma", 1.0),
+            jump_intensity=number(cfg, "jump_intensity", 0.0),
+            jump_size=number(cfg, "jump_size", 0.5),
+            jump_sampler=str(cfg.get("jump_sampler", "coin")),
+            tol=run.tol,
+        )
+    except (TypeError, ValueError) as exc:  # a ConfigError from number() too
+        raise ConfigError(f"mc: {exc}") from exc
     summary = run_mc(exp)
     oc = summary.outcomes
     columns = [[o.seed for o in oc], [int(o.passed) for o in oc], [o.sup_errors[-1] for o in oc]]
     columns += [[o.osc_sum for o in oc], [o.osc_sum_bound for o in oc]]
-    write_csv(out / "mc_seeds.csv", ["seed", "passed", "final_error", "osc_sum", "osc_bound"], columns, h)
-    need = float(cfg.get("assert_pass_fraction", 0.9))
-    failures = Failures()
-    failures.check(summary.pass_fraction >= need, f"pass fraction {summary.pass_fraction} below {need}")
-    failures.check(summary.bounds_fraction == 1.0, "constructive gap/oscillation bounds violated")
-    return _finish(out, "mc", summary.to_dict(), failures, h, strict, [])
+    run.table("mc_seeds.csv", ["seed", "passed", "final_error", "osc_sum", "osc_bound"], columns)
+    need = number(cfg, "assert_pass_fraction", 0.9)
+    run.check(summary.pass_fraction >= need, f"pass fraction {summary.pass_fraction} below {need}")
+    run.check(summary.bounds_fraction == 1.0, "constructive gap/oscillation bounds violated")
+    return summary.to_dict()
 
 
-@_register("appendix-measure")
-def _appendix(cfg, out, seed, levels_opt, plot, strict, h):
-    check_keys(
-        cfg,
-        _COMMON_KEYS | {"atom", "weight", "f", "t", "assert_tol"},
-        "appendix-measure config",
-    )
-    grid, seq = _setup(cfg, levels_opt)
-    tol = tolerance(cfg, "tol", DETERMINISTIC_TOL)
-    atom = float(cfg.get("atom", 0.5))
-    weight = float(cfg.get("weight", 1.0))
-    mu = DiscreteMeasure(np.array([atom]), np.array([weight]))
-    fref = cfg.get("f", {"kind": "step", "c": 1.0, "t0": atom})
-    fgen = make_generator(_with_seed(fref, seed), "f")
+@_command("appendix-measure", {"atom", "weight", "f", "t", "assert_tol"})
+def _appendix(run: Run) -> dict:
+    """Discrete-measure convergence to a left-limit integral."""
+    atom = number(run.cfg, "atom", 0.5)
+    mu = DiscreteMeasure(np.array([atom]), np.array([number(run.cfg, "weight", 1.0)]))
+    fref = run.cfg.get("f", {"kind": "step", "c": 1.0, "t0": atom})
+    fgen = make_generator(_with_seed(fref, run.seed), "f")
     if not isinstance(fgen, StepGenerator):
         raise ConfigError("appendix-measure expects a step path for f")
-    f = fgen.generate(grid)
-    t = float(cfg.get("t", grid.T))
-    mus = [_pushforward(mu, p.times) for p in seq]
-    rep = measure_convergence_check(mus, mu, f, t, tol=tol)
+    f = fgen.generate(run.grid)
+    mus = [_pushforward(mu, p.times) for p in run.seq]
+    rep = measure_convergence_check(mus, mu, f, run.t, tol=run.tol)
     per_level = rep.integral_per_level
     columns = [range(len(per_level)), per_level, [rep.integral_target] * len(per_level), rep.integral_gaps]
-    write_csv(out / "appendix.csv", ["level", "integral", "target", "gap"], columns, h)
-    cap = tolerance(cfg, "assert_tol", tol)
-    failures = Failures()
-    inconclusive = []
-    failures.check(rep.integral_gaps[-1] <= cap, f"appendix limit gap {rep.integral_gaps[-1]} above {cap}")
+    run.table("appendix.csv", ["level", "integral", "target", "gap"], columns)
+    cap = tolerance(run.cfg, "assert_tol", run.tol)
+    run.check(rep.integral_gaps[-1] <= cap, f"appendix limit gap {rep.integral_gaps[-1]} above {cap}")
     if not rep.hypotheses_ok:
-        inconclusive.append("hypothesis trends inconclusive")
-    report = {
+        run.unsettled("hypothesis trends inconclusive")
+    return {
         "per_level": rep.integral_per_level,
         "target": rep.integral_target,
         "gaps": rep.integral_gaps,
     }
-    return _finish(out, "appendix-measure", report, failures, h, strict, inconclusive)
 
 
 def _pushforward(mu: DiscreteMeasure, times: np.ndarray) -> DiscreteMeasure:

@@ -75,6 +75,32 @@ def require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _dotted(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def number(section: dict, key: str, default=None, where: str = "") -> float:
+    """``section[key]`` as a float; ``default`` when absent, required when ``default`` is None.
+
+    ``where`` is the dotted name of ``section``, empty at the top level.
+    """
+    value = require(section, key, where or "config") if default is None else section.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{_dotted(where, key)} must be a number, got {value!r}") from None
+
+
+def subsection(section: dict, key: str, default: dict | None, allowed: set, where: str = "") -> dict:
+    """``section[key]``, an object with no key outside ``allowed``; ``default``
+    when absent, required when ``default`` is None."""
+    value = require(section, key, where or "config") if default is None else section.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{_dotted(where, key)} must be an object, got {value!r}")
+    check_keys(value, allowed, _dotted(where, key))
+    return value
+
+
 def tolerance(section: dict, key: str, default: float) -> float:
     v = section.get(key, default)
     if not isinstance(v, (int, float)) or v < 0:

@@ -519,3 +519,115 @@ def test_subcommand_csvs_match_row_writer(tmp_path, command, cfg):
             assert all(isinstance(v[k], int) for v in values) == (name in _INT_COLUMNS), (path.name, name)
         write_csv_rows(tmp_path / "oracle.csv", header, values, hash_line.removeprefix("# config_hash="))
         assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes(), path.name
+
+
+# ---------------------------------------------------------------------------
+# The driver shared by every subcommand
+# ---------------------------------------------------------------------------
+
+_COMMANDS = dict(_SUBCOMMANDS, cppi=dict(_SUBCOMMANDS)["dppi"])
+
+
+def run_command(tmp_path, command, changes=None, *args):
+    """``command`` on its ``_SUBCOMMANDS`` config with ``changes`` merged in."""
+    base = _COMMANDS[command] if command == "mc" else {**_LEVEL_8, **_COMMANDS[command]}
+    return run_cli(tmp_path, command, {**base, **(changes or {})}, "--seed", "5", *args)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_subcommand_rejects_unknown_key(tmp_path, command):
+    result, out = run_command(tmp_path, command, {"bogus": 1})
+    assert result.exit_code == 2
+    assert "unknown keys" in result.stderr and "bogus" in result.stderr
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, changes, named",
+    [
+        ("integrate", {"integrand": 3}, "integrand must be an object"),
+        ("nonlinear", {"f": 3}, "f must be an object"),
+        ("nonlinear", {"f": {"kind": "constant", "c": "abc"}}, "f.c must be a number"),
+        ("dppi", {"market": {**_MARKET, "b": 0.03}}, "market.b must be an object"),
+        ("qv", {"T": "x"}, "T must be a number"),
+        ("qv", {"t": 5.0}, "t = 5.0 lies outside"),
+        ("assoc", {"eta": {"constant": [1.0, 2.0]}}, "eta.constant has 2 values for 1 integrands"),
+        ("mc", {"n_min": 0}, "n_min"),
+    ],
+)
+def test_malformed_value_exits_2(tmp_path, command, changes, named):
+    result, _ = run_command(tmp_path, command, changes)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert named in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, changes, unknown",
+    [
+        ("nonlinear", {"f": {"kind": "linear", "slope": 2.0}}, "slope"),
+        ("nonlinear", {"f": {"kind": "zero", "a": 2.0}}, "'a'"),
+        ("dppi", {"l": {"linear": {"start": 0.5, "slop": 0.1}}}, "slop"),
+        ("dppi", {"l": {"constant": 0.5, "scale": 2.0}}, "scale"),
+        ("dppi", {"market": {**_MARKET, "b": {"rate": 0.03, "compounding": 12}}}, "compounding"),
+        ("linear", {"h": {"constant": 1.0, "path_fv": True}}, "path_fv"),
+        ("assoc", {"eta": {"const": 1.0}}, "const"),
+        ("integrate", {"integrand": {"f": {"name": "square"}, "g": 1}}, "'g'"),
+    ],
+)
+def test_unknown_sub_key_exits_2(tmp_path, command, changes, unknown):
+    result, _ = run_command(tmp_path, command, changes)
+    assert result.exit_code == 2, result.output
+    assert "unknown keys" in result.stderr and unknown in result.stderr
+
+
+def test_mc_rejects_levels(tmp_path):
+    result, _ = run_command(tmp_path, "mc", {"levels": [1, 2]})
+    assert result.exit_code == 2
+    assert "n_min" in result.stderr and "n_max" in result.stderr
+
+
+def test_passing_run_clears_stale_failures(tmp_path):
+    failing, out = run_command(tmp_path, "ito-check", {"assert_residual": 1e-16})
+    assert failing.exit_code == 1 and (out / "failures.json").exists()
+    passing, out = run_command(tmp_path, "ito-check", {"assert_residual": 1.0})
+    assert passing.exit_code == 0, passing.output
+    assert json.loads((out / "ito-check_report.json").read_text())["failures"] == []
+    assert not (out / "failures.json").exists()
+
+
+def test_cppi_writes_dppi_files(tmp_path):
+    result, out = run_command(tmp_path, "cppi")
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in out.iterdir()) == ["dppi_report.json", "strategy.csv"]
+
+
+def test_cli_reaches_every_traced_function(tmp_path):
+    """Every function the benchmark traces is still called by some subcommand."""
+    import sys
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import spans
+    finally:
+        sys.path.pop(0)
+    g = fl.dyadic_grid(1.0, 8)
+    market = tmp_path / "market.csv"
+    market.write_text("t,S,B\n" + "".join(f"{t!r},{1.0 + t / 8!r},1.0\n" for t in g.times.tolist()))
+    tracer = spans.Tracer()
+    patches = spans.install(tracer)
+    try:
+        assert tracer.missing == []
+        for command in _COMMANDS:
+            run_command(tmp_path / command, command)
+        fv_path = {"path": {"kind": "compound-jump", "intensity": 3.0, "size": 0.5}, "path_fv": True}
+        for command in ("qv", "ito-check"):  # finite-variation paths
+            run_command(tmp_path / f"{command}-fv", command, fv_path)
+        result, _ = run_command(tmp_path / "csv", "dppi", {"market": {"csv": str(market)}})
+        assert result.exit_code == 0, result.output
+    finally:
+        spans.restore(patches)
+    reached = {s[0] for s in tracer.spans}
+    traced = {f"{m}.{f}" for m, fs in spans.FUNCTIONS.items() for f in fs}
+    # The runner's generators make one-dimensional paths, so no subcommand needs a covariation.
+    assert sorted(traced - reached) == ["quadvar.covariation"]
