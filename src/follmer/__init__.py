@@ -17,24 +17,19 @@ from .drawdown import (
     floor_proportional,
     floor_to_transform,
     floor_zero,
-    max_identity_check,
     solve_drawdown,
-    uniqueness_probe,
 )
 from .equations import (
     StochasticExponential,
     doleans_exponential,
-    gronwall_uniqueness_probe,
     reciprocal_exponential,
     solve_linear,
     solve_nonlinear,
-    verify_homogeneous,
 )
 from .finance import (
     FloorSpec,
     Market,
     Strategy,
-    discounted_equivalence,
     dppi,
     drawdown_strategy,
     make_strategy,
@@ -44,9 +39,7 @@ from .functions import C12Function, builtin_c12
 from .integrals import (
     AdmissibleIntegrand,
     IntegralResult,
-    admissible_rep_of_integral,
     associativity_check,
-    covariation_of_integrals,
     follmer_integral,
     integration_by_parts,
     ito_formula_eval,
@@ -76,16 +69,11 @@ from .paths import (
     as_fv,
     dyadic_grid,
     eval_left_limit,
-    generate,
     left_values,
     reciprocal_path,
     running_maximum,
-    scale_path,
-    total_variation,
-    value_at,
 )
 from .quadvar import (
-    CovMatrix,
     DiscreteMeasure,
     QVResult,
     covariation,
@@ -94,7 +82,6 @@ from .quadvar import (
     measure_vs_qv_check,
     qv_measure,
     qv_sequence,
-    weighted_sum_limit,
 )
 
 __version__ = "0.1.0"

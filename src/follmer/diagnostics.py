@@ -52,15 +52,6 @@ class TrendReport:
     def status(self) -> str:
         return "converged" if self.converged else "inconclusive"
 
-    def to_dict(self) -> dict:
-        return {
-            "gaps": list(self.gaps),
-            "tol": self.tol,
-            "nonincreasing": self.nonincreasing,
-            "final_gap": self.final_gap,
-            "status": self.status,
-        }
-
 
 def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if len(a) else 0.0

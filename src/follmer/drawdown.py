@@ -21,11 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport, sup_distance
-from .equations import doleans_exponential
-from .integrals import follmer_integral, integral_at
+from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport
+from .integrals import integral_at
 from .partitions import PartitionSequence
-from .paths import GridPath, left_values, reciprocal_path, running_maximum
+from .paths import GridPath, left_values, running_maximum
 
 __all__ = [
     "MonotoneC2Function",
@@ -37,9 +36,7 @@ __all__ = [
     "builtin_floor",
     "floor_to_transform",
     "azema_yor_path",
-    "max_identity_check",
     "solve_drawdown",
-    "uniqueness_probe",
 ]
 
 
@@ -55,7 +52,6 @@ class MonotoneC2Function:
     d1: Callable
     d2: Callable
     domain_start: float
-    increasing: bool = True
     name: str = ""
 
     def __call__(self, y):
@@ -78,41 +74,6 @@ class MonotoneC2Function:
         num2 = (self.deriv(s + h) - self.deriv(s - h)) / (2 * h)
         if not np.all(np.abs(self.deriv2(s) - num2) <= 1e-3 * (1.0 + np.abs(num2))):
             raise ValueError(f"{self.name or 'U'}: second derivative mismatch")
-
-
-def affine_u(alpha: float, beta: float, domain_start: float = 0.0) -> MonotoneC2Function:
-    return MonotoneC2Function(
-        value=lambda y: alpha * y + beta,
-        d1=lambda y: np.full_like(np.asarray(y, dtype=float), alpha),
-        d2=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        domain_start=domain_start,
-        increasing=alpha > 0,
-        name=f"affine({alpha},{beta})",
-    )
-
-
-def identity_u(domain_start: float = 0.0) -> MonotoneC2Function:
-    return affine_u(1.0, 0.0, domain_start)
-
-
-def compose_u(outer: MonotoneC2Function, inner: MonotoneC2Function) -> MonotoneC2Function:
-    """outer(inner(y)) with chain-rule derivatives."""
-
-    def d1(y):
-        return outer.d1(inner(y)) * inner.d1(y)
-
-    def d2(y):
-        f = inner(y)
-        return outer.d2(f) * inner.d1(y) ** 2 + outer.d1(f) * inner.d2(y)
-
-    return MonotoneC2Function(
-        value=lambda y: outer(inner(y)),
-        d1=d1,
-        d2=d2,
-        domain_start=inner.domain_start,
-        increasing=outer.increasing == inner.increasing,
-        name=f"{outer.name}o{inner.name}",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +342,7 @@ def floor_to_transform(
         m = floor.margin(y)
         return v_val(y) * np.asarray(floor.dw(np.asarray(y, dtype=float)), dtype=float) / (m * m)
 
-    V = MonotoneC2Function(v_val, v_d1, v_d2, a_star, True, name="V")
+    V = MonotoneC2Function(v_val, v_d1, v_d2, a_star, name="V")
 
     def u_val(x):
         return exponent.invert(np.log(np.asarray(x, dtype=float) / a))
@@ -395,7 +356,7 @@ def floor_to_transform(
         u = u_val(x)
         return -floor.margin(u) * np.asarray(floor.dw(u), dtype=float) / (x * x)
 
-    U = MonotoneC2Function(u_val, u_d1, u_d2, a, True, name="U")
+    U = MonotoneC2Function(u_val, u_d1, u_d2, a, name="U")
 
     ys = np.linspace(a_star, float(exponent._nodes[-1]), 1000)
     rt = float(np.max(np.abs(U(V(ys)) - ys)))
@@ -451,34 +412,6 @@ def azema_yor_path(
         residuals.append(abs(float(m_vals[g]) - a_star - integral))
     trend = TrendReport(tuple(residuals), tol, TREND_WINDOW)
     return AzemaYorReport(path, a_star, residuals[-1], tuple(residuals), trend)
-
-
-@dataclass(frozen=True)
-class MaxIdentityReport:
-    max_identity_sup: float
-    max_still_continuous: bool
-    composition_sup: float | None
-
-
-def max_identity_check(
-    u: MonotoneC2Function,
-    x: GridPath,
-    f: MonotoneC2Function | None = None,
-) -> MaxIdentityReport:
-    """sup | max(M^U(X)) - U(Xbar) |, and M^U(M^F(X)) vs M^{U o F}(X)."""
-    if not u.increasing:
-        raise ValueError("the max identity needs increasing U")
-    m = azema_yor_path(u, x).path
-    mbar, cont = running_maximum(m)
-    xbar, _ = running_maximum(x)
-    d1 = sup_distance(mbar.x, u(xbar.x))
-    comp = None
-    if f is not None:
-        inner = azema_yor_path(f, x).path
-        lhs = azema_yor_path(u, inner).path
-        rhs = azema_yor_path(compose_u(u, f), x).path
-        comp = sup_distance(lhs.x, rhs.x)
-    return MaxIdentityReport(d1, cont, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -537,56 +470,3 @@ def solve_drawdown(
     y_left = left_values(y)[:, 0]
     margin = float(np.min(np.minimum(y.x, y_left) - w_ybar))
     return DrawdownSolveReport(y, transform, residuals[-1], tuple(residuals), trend, margin)
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    integral_distance: float
-    path_distance: float
-    reconstruction_x: float
-    reconstruction_y: float
-    derived_tol: float
-    consistent: bool
-
-
-def uniqueness_probe(
-    x: GridPath,
-    y: GridPath,
-    seq: PartitionSequence,
-    t: float,
-    tol: float = DETERMINISTIC_TOL,
-    qv_tol: float | None = None,
-) -> UniquenessReport:
-    """If int dX/X_- and int dY/Y_- agree, X and Y must agree.
-
-    Both relative-increment integrals are estimated, the paths are rebuilt
-    as X_0 E(int dX/X_-), and the report compares the integral distance with
-    the path distance through the reconstruction errors.
-    """
-    xl, yl = left_values(x)[:, 0], left_values(y)[:, 0]
-    if np.any(x.x <= 0) or np.any(xl <= 0) or np.any(y.x <= 0) or np.any(yl <= 0):
-        raise ValueError("the probe needs strictly positive paths and left limits")
-    if float(x.x[0]) != float(y.x[0]):
-        raise ValueError("the probe needs X_0 = Y_0")
-    g = x.grid.clamp_index(t)
-    qt = tol if qv_tol is None else qv_tol
-
-    def rel_integral(p: GridPath) -> GridPath:
-        return follmer_integral(reciprocal_path(p), p, seq, tol=tol).path
-
-    zx, zy = rel_integral(x), rel_integral(y)
-    d_int = sup_distance(zx.x[: g + 1], zy.x[: g + 1])
-
-    def reconstruct(z: GridPath, p0: float) -> np.ndarray:
-        se = doleans_exponential(z, seq, tol=qt)
-        return p0 * se.values
-
-    rx = sup_distance(reconstruct(zx, float(x.x[0]))[: g + 1], x.x[: g + 1])
-    ry = sup_distance(reconstruct(zy, float(y.x[0]))[: g + 1], y.x[: g + 1])
-    d_path = sup_distance(x.x[: g + 1], y.x[: g + 1])
-    scale = float(max(np.max(x.x[: g + 1]), np.max(y.x[: g + 1])))
-    derived = rx + ry + float(x.x[0]) * (math.exp(d_int) - 1.0) * max(
-        1.0, scale / float(x.x[0])
-    )
-    consistent = d_path <= derived + tol * max(1.0, scale)
-    return UniquenessReport(d_int, d_path, rx, ry, derived, consistent)

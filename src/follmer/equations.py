@@ -22,18 +22,16 @@ import numpy as np
 from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport, sup_distance
 from .integrals import AdmissibleIntegrand, follmer_integral
 from .partitions import PartitionSequence
-from .paths import FVPath, GridPath, left_values, total_variation
+from .paths import FVPath, GridPath, left_values, reciprocal_path
 from .quadvar import QVResult, qv_sequence
 from .stieltjes import stieltjes_fv_curve, stieltjes_left
 
 __all__ = [
     "StochasticExponential",
     "doleans_exponential",
-    "verify_homogeneous",
     "reciprocal_exponential",
     "solve_linear",
     "solve_nonlinear",
-    "gronwall_uniqueness_probe",
 ]
 
 
@@ -52,9 +50,6 @@ class StochasticExponential:
     @property
     def values(self) -> np.ndarray:
         return self.path.x
-
-    def left(self) -> np.ndarray:
-        return left_values(self.path)[:, 0]
 
     def at(self, t: float) -> float:
         return float(self.values[self.path.grid.clamp_index(t)])
@@ -105,34 +100,10 @@ def _libm_exp(a: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in a.tolist()])
 
 
-@dataclass(frozen=True)
-class SubstitutionReport:
-    residual: float
-    residual_per_level: tuple
-    trend: TrendReport
-
-
-def verify_homogeneous(
-    solution: GridPath,
-    x: GridPath,
-    seq: PartitionSequence,
-    t: float,
-    tol: float = DETERMINISTIC_TOL,
-) -> SubstitutionReport:
-    """Residual of Y_t = 1 + int_0^t Y_{s-} dX_s for a candidate Y."""
-    res = follmer_integral(solution, x, seq, tol=tol)
-    g = x.grid.clamp_index(t)
-    y_t = float(solution.x[g])
-    residuals = tuple(abs(y_t - 1.0 - float(c[g])) for c in res.level_curves)
-    return SubstitutionReport(residuals[-1], residuals, TrendReport(residuals, tol, TREND_WINDOW))
-
-
 def _reciprocal_path(se: StochasticExponential) -> GridPath:
     if se.zero_hit:
         raise ValueError("E(X) hits zero: some jump of X equals -1")
-    values = 1.0 / se.values
-    cls = FVPath if isinstance(se.path, FVPath) else GridPath
-    return cls(se.path.grid, values, values - 1.0 / se.left())
+    return reciprocal_path(se.path)
 
 
 @dataclass(frozen=True)
@@ -185,7 +156,7 @@ class LinearSolveReport:
 
 def _h_path(h, grid) -> GridPath:
     if isinstance(h, AdmissibleIntegrand):
-        return h.as_path()
+        return GridPath(h.X.grid, h.values, h.values - h.values_left)
     if isinstance(h, GridPath):
         return h
     return GridPath(grid, np.full(len(grid), float(h)))
@@ -291,6 +262,9 @@ def _xi_arrays(xi, grid) -> tuple[np.ndarray, np.ndarray]:
     return v, v.copy()
 
 
+BLOWUP_LIMIT = 1e12  # |Z / E(X)| above this counts as a blow-up
+
+
 class OdeBlowUp(RuntimeError):
     def __init__(self, t: float):
         super().__init__(f"ODE solution blew up near t = {t}")
@@ -313,8 +287,6 @@ def solve_nonlinear(
     x0: float,
     seq: PartitionSequence,
     tol: float = DETERMINISTIC_TOL,
-    lipschitz_declared: bool = True,
-    blowup_limit: float = 1e12,
 ) -> NonlinearSolveReport:
     """Solve Z = x0 + int f(s, Z_s) ds + int Z_- dX by exponential reduction.
 
@@ -322,19 +294,15 @@ def solve_nonlinear(
     Y' = f(t, Y E) / E, integrated with a fixed-step fourth-order scheme on
     the grid; E(X) is held at its left value within each step, so sub-steps
     never cross grid points.  f is expected to be locally Lipschitz with
-    linear growth; ``lipschitz_declared=False`` runs a sampled spot check.
-    Within the steps f is called with Python floats, and an exception it
-    raises propagates unchanged; a non-finite or too large Y raises
-    ``OdeBlowUp``.
+    linear growth.  Within the steps f is called with Python floats, and an
+    exception it raises propagates unchanged; a non-finite Y, or one larger
+    than ``BLOWUP_LIMIT`` in magnitude, raises ``OdeBlowUp``.
     """
     se = doleans_exponential(x, seq, tol=tol)
     if se.zero_hit:
         raise ValueError("dX = -1 encountered: the equation degenerates")
     times = x.grid.times
     e_vals = se.values
-
-    if not lipschitz_declared:
-        _lipschitz_spot_check(f, float(times[-1]), x0, e_vals)
 
     # the RK4 steps run on Python floats: the same IEEE operations as on
     # numpy scalars, at a fraction of the cost per step
@@ -353,7 +321,7 @@ def solve_nonlinear(
         k3 = f(t0 + h / 2, (yg + h * k2 / 2) * e) / e
         k4 = f(t0 + h, (yg + h * k3) * e) / e
         yg = yg + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-        if not math.isfinite(yg) or abs(yg) > blowup_limit:
+        if not math.isfinite(yg) or abs(yg) > BLOWUP_LIMIT:
             raise OdeBlowUp(t1)
         ys.append(yg)
     y = np.array(ys, dtype=float)
@@ -391,47 +359,3 @@ def f_vec(f: Callable, times: np.ndarray, z: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array([f(float(t), float(v)) for t, v in zip(times, z)])
-
-
-def _lipschitz_spot_check(f, T: float, x0: float, e_vals: np.ndarray) -> None:
-    """Finite-difference Lipschitz and growth estimate on a sample lattice."""
-    m = max(1.0, 10.0 * abs(x0)) * float(np.max(np.abs(e_vals)))
-    ts = np.linspace(0.0, T, 10)
-    zs = np.linspace(-m, m, 10)
-    vals = np.array([[f(float(t), float(z)) for z in zs] for t in ts])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("f is not finite on the sampled lattice")
-    dz = zs[1] - zs[0]
-    slopes = np.abs(np.diff(vals, axis=1)) / dz
-    growth = np.abs(vals) / (1.0 + np.abs(zs)[None, :])
-    if not (np.all(np.isfinite(slopes)) and np.all(np.isfinite(growth))):
-        raise ValueError("f fails the sampled Lipschitz/growth check")
-
-
-@dataclass(frozen=True)
-class GronwallReport:
-    sup_distance: float
-    variation: float
-    bound: float
-    within: bool
-
-
-def gronwall_uniqueness_probe(
-    y1: GridPath,
-    y2: GridPath,
-    r: FVPath,
-    t: float,
-    tol: float = 1e-9,
-) -> GronwallReport:
-    """Numerical Gronwall bound: a zero forcing term forces sup |Y1-Y2| = 0.
-
-    Under |Y1_t - Y2_t| <= int |Y1-Y2|_{s-} dV(R)_s the bound is
-    0 * exp(V(R)_t) = 0; the probe reports the measured sup-distance and
-    whether it sits within tolerance of that bound.
-    """
-    g = y1.grid.clamp_index(t)
-    d = sup_distance(y1.x[: g + 1], y2.x[: g + 1])
-    v = total_variation(r, t)
-    bound = 0.0 * math.exp(v)
-    scale = max(1.0, float(np.max(np.abs(y1.x[: g + 1]))))
-    return GronwallReport(d, v, bound, d <= bound + tol * scale)

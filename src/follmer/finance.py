@@ -34,7 +34,6 @@ __all__ = [
     "make_strategy",
     "dppi",
     "self_financing_residual",
-    "discounted_equivalence",
     "drawdown_strategy",
     "read_market_csv",
     "write_strategy_csv",
@@ -64,12 +63,6 @@ class Market:
     @property
     def grid(self) -> TimeGrid:
         return self.s.grid
-
-    def discounted(self) -> GridPath:
-        """S~ = S / B with its declared jumps."""
-        vals = self.s.x / self.b.x
-        sl, bl = left_values(self.s)[:, 0], left_values(self.b)[:, 0]
-        return GridPath(self.grid, vals, vals - sl / bl)
 
 
 @dataclass(frozen=True)
@@ -236,46 +229,6 @@ def self_financing_residual(
         residuals.append(abs(float(v[g] - v[0] - c1 - c2)))
     return SelfFinancingReport(
         residuals[-1], tuple(residuals), TrendReport(tuple(residuals), tol, TREND_WINDOW)
-    )
-
-
-@dataclass(frozen=True)
-class DiscountedReport:
-    residual_raw: float
-    residual_discounted: float
-    raw_per_level: tuple
-    discounted_per_level: tuple
-    raw_trend: TrendReport
-    discounted_trend: TrendReport
-
-
-def discounted_equivalence(
-    strategy: Strategy,
-    market: Market,
-    seq: PartitionSequence,
-    t: float,
-    tol: float = DETERMINISTIC_TOL,
-) -> DiscountedReport:
-    """Self-financing residuals in raw and in discounted (V/B, S/B) form.
-
-    The two conditions are equivalent, so the residual trends must vanish
-    together; the report carries both.
-    """
-    raw = self_financing_residual(strategy, market, seq, t, tol=tol)
-    g = market.grid.clamp_index(t)
-    s_disc = market.discounted()
-    v_disc = strategy.value.x / market.b.x
-    residuals = []
-    for p in seq:
-        c = integral_at(strategy.xi.values, s_disc.values, p, g)
-        residuals.append(abs(float(v_disc[g] - v_disc[0] - c)))
-    return DiscountedReport(
-        residual_raw=raw.residual,
-        residual_discounted=residuals[-1],
-        raw_per_level=raw.residual_per_level,
-        discounted_per_level=tuple(residuals),
-        raw_trend=raw.trend,
-        discounted_trend=TrendReport(tuple(residuals), tol, TREND_WINDOW),
     )
 
 

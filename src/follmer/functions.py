@@ -7,8 +7,7 @@ Supplied derivatives are checked against central finite differences on
 sampled domain points before use.
 
 Built-ins are addressable by name for the config-driven runner: polynomial,
-exp-affine, log, product, power, the bilinear a*x, and a composition
-combinator for g(f(a, x)) with scalar C^2 outer g.
+exp-affine, log, product, power and the bilinear a*x.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "fv_scale",
     "square",
     "identity_fn",
-    "compose_scalar",
     "builtin_c12",
 ]
 
@@ -227,60 +225,6 @@ def fv_scale() -> C12Function:
         hess_x=lambda a, x: np.zeros((x.shape[0], 1, 1)),
         grad_a=lambda a, x: x[:, 0][:, None],
         name="fv-scale",
-    )
-
-
-def compose_scalar(
-    g: Callable,
-    dg: Callable,
-    d2g: Callable,
-    inner: C12Function,
-    name: str = "composed",
-    outer_domain: Callable | None = None,
-) -> C12Function:
-    """h(a, x) = g(f(a, x)) with scalar C^2 outer g (vectorized callables)."""
-
-    def val(a, x):
-        return np.asarray(g(inner.value(a, x)), dtype=float)
-
-    def grad_x(a, x):
-        f = np.asarray(inner.value(a, x), dtype=float)
-        gx = np.asarray(inner.grad_x(a, x), dtype=float)
-        return np.asarray(dg(f), dtype=float)[:, None] * gx
-
-    def hess_x(a, x):
-        f = np.asarray(inner.value(a, x), dtype=float)
-        gx = np.asarray(inner.grad_x(a, x), dtype=float)
-        hx = np.asarray(inner.hess_x(a, x), dtype=float)
-        d1 = np.asarray(dg(f), dtype=float)
-        d2 = np.asarray(d2g(f), dtype=float)
-        return d2[:, None, None] * gx[:, :, None] * gx[:, None, :] + d1[:, None, None] * hx
-
-    grad_a = None
-    if inner.m and inner.grad_a is not None:
-
-        def grad_a(a, x):
-            f = np.asarray(inner.value(a, x), dtype=float)
-            return np.asarray(dg(f), dtype=float)[:, None] * np.asarray(
-                inner.grad_a(a, x), dtype=float
-            )
-
-    def dom(a, x):
-        ok = inner.domain_ok(a, x)
-        if outer_domain is not None:
-            f = np.asarray(inner.value(a, x), dtype=float)
-            ok = ok & np.asarray(outer_domain(f), dtype=bool)
-        return ok
-
-    return C12Function(
-        m=inner.m,
-        d=inner.d,
-        value=val,
-        grad_x=grad_x,
-        hess_x=hess_x,
-        grad_a=grad_a,
-        in_domain=dom,
-        name=name,
     )
 
 

@@ -40,9 +40,7 @@ __all__ = [
     "ItoFormulaReport",
     "integration_by_parts",
     "qv_of_integral",
-    "covariation_of_integrals",
     "associativity_check",
-    "admissible_rep_of_integral",
 ]
 
 
@@ -80,17 +78,6 @@ class AdmissibleIntegrand:
         xi_l = np.asarray(self.f.grad_x(al, xl), dtype=float).reshape(len(self.X.grid), self.f.d)
         object.__setattr__(self, "values", xi)
         object.__setattr__(self, "values_left", xi_l)
-
-    @property
-    def grid(self):
-        return self.X.grid
-
-    @property
-    def dim(self) -> int:
-        return self.f.d
-
-    def as_path(self) -> GridPath:
-        return GridPath(self.X.grid, self.values, self.values - self.values_left)
 
 
 def _integrand_values(xi, grid) -> tuple[np.ndarray, np.ndarray]:
@@ -183,10 +170,6 @@ class IntegralResult:
     def at(self, t: float) -> float:
         return float(self.estimate[self.grid.clamp_index(t)])
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "converged"
-
 
 def follmer_integral(
     xi,
@@ -242,10 +225,6 @@ class ItoFormulaReport:
     residual: float
     residual_per_level: tuple
     trend: TrendReport
-
-    @property
-    def rhs(self) -> float:
-        return self.drift_term + self.integral_term + self.qv_term + self.jump_term
 
 
 def ito_formula_eval(
@@ -413,20 +392,15 @@ class QvOfIntegralReport:
     trend: TrendReport
 
 
-def _pair_target_curve(
-    xi_left_a: np.ndarray,
-    xi_left_b: np.ndarray,
-    x: GridPath,
-    seq: PartitionSequence,
-) -> np.ndarray:
-    """t -> sum_{k,l} int xi_a^k xi_b^l (s-) d[X^k,X^l]_s on the grid."""
+def _qv_target_curve(xi_left: np.ndarray, x: GridPath, seq: PartitionSequence) -> np.ndarray:
+    """t -> sum_{k,l} int xi^k xi^l (s-) d[X^k,X^l]_s on the grid."""
     n = len(x.grid)
     inc = np.zeros(n)
     for k in range(x.dim):
         for l in range(x.dim):
             xk, xloc = x.component(k), x.component(l)
             cov = qv_sequence(xk, seq) if k == l else covariation(xk, xloc, seq)
-            h = xi_left_a[:, k] * xi_left_b[:, l]
+            h = xi_left[:, k] * xi_left[:, l]
             inc[1:] += h[1:] * np.diff(cov.estimate)
     return np.cumsum(inc)
 
@@ -441,25 +415,9 @@ def qv_of_integral(
     res = follmer_integral(xi, x, seq, tol=tol)
     y = res.path
     qv = qv_sequence(y, seq, tol=tol, fv_exact=False)
-    target = _pair_target_curve(xi.values_left, xi.values_left, x, seq)
+    target = _qv_target_curve(xi.values_left, x, seq)
     gaps = tuple(sup_distance(c, target) for c in qv.level_curves)
     return QvOfIntegralReport(qv, target, gaps, TrendReport(gaps, tol, TREND_WINDOW))
-
-
-def covariation_of_integrals(
-    xi_a: AdmissibleIntegrand,
-    xi_b: AdmissibleIntegrand,
-    x: GridPath,
-    seq: PartitionSequence,
-    tol: float = DETERMINISTIC_TOL,
-) -> QvOfIntegralReport:
-    """[Y^a,Y^b] against sum_{k,l} int xi_a^k xi_b^l d[X^k,X^l]."""
-    ya = follmer_integral(xi_a, x, seq, tol=tol).path
-    yb = follmer_integral(xi_b, x, seq, tol=tol).path
-    cov = covariation(ya, yb, seq, tol=tol, fv_exact=False)
-    target = _pair_target_curve(xi_a.values_left, xi_b.values_left, x, seq)
-    gaps = tuple(sup_distance(c, target) for c in cov.level_curves)
-    return QvOfIntegralReport(cov, target, gaps, TrendReport(gaps, tol, TREND_WINDOW))
 
 
 @dataclass(frozen=True)
@@ -490,8 +448,6 @@ def associativity_check(
     if eta_vals.shape[1] != nu:
         raise ValueError("eta dimension must match the number of integrands")
     y_results = [follmer_integral(xi, x, seq, tol=tol) for xi in integrands]
-    if any(r.status == "inconclusive" and not isinstance(x, FVPath) for r in y_results):
-        pass  # the gap trend below will surface it
     g = x.grid.clamp_index(t)
 
     zeta = np.zeros((len(x.grid), x.dim))
@@ -510,55 +466,3 @@ def associativity_check(
     sides_ok = all(r.status != "inconclusive" or isinstance(x, FVPath) for r in y_results)
     status = trend.status if sides_ok else "inconclusive"
     return AssociativityReport(tuple(lhs_levels), tuple(rhs_levels), gaps, trend, status)
-
-
-def admissible_rep_of_integral(
-    xi: AdmissibleIntegrand,
-    x: GridPath,
-    seq: PartitionSequence,
-) -> AdmissibleIntegrand:
-    """An admissible witness for the integral path Y = int <xi_-, dX>.
-
-    Realized constructively: augment the FV component with
-    A0_t = f(A_t, X_t) - f(A_0, X_0) - Y_t and shift F(a0, a, x) =
-    f(a, x) - f(A_0, X_0) - a0, so that Y = F(A', X) and grad_x F = xi.
-    """
-    res = follmer_integral(xi, x, seq)
-    y = res.estimate[:, 0] if res.estimate.ndim > 1 else res.estimate
-    f, A = xi.f, xi.A
-    av, xv = A.values, x.values
-    f_traj = np.asarray(f.value(av, xv), dtype=float)
-    const = float(f_traj[0])
-    a0 = f_traj - const - y
-
-    al, xl = left_values(A), left_values(x)
-    rows = jump_rows(x, A)
-    da0 = np.zeros(len(x.grid))
-    df = np.asarray(f.value(av[rows], xv[rows]) - f.value(al[rows], xl[rows]), dtype=float)
-    da0[rows] = df - np.sum(xi.values_left[rows] * x.dX[rows], axis=1)
-    a_aug = FVPath(x.grid, np.hstack([a0[:, None], av]), np.hstack([da0[:, None], A.dX]))
-
-    inner = f
-
-    def val(a, xx):
-        return inner.value(a[:, 1:], xx) - const - a[:, 0]
-
-    def grad_a(a, xx):
-        n = a.shape[0]
-        out = np.empty((n, inner.m + 1))
-        out[:, 0] = -1.0
-        if inner.m:
-            out[:, 1:] = np.asarray(inner.grad_a(a[:, 1:], xx), dtype=float).reshape(n, inner.m)
-        return out
-
-    F = C12Function(
-        m=inner.m + 1,
-        d=inner.d,
-        value=val,
-        grad_x=lambda a, xx: inner.grad_x(a[:, 1:], xx),
-        hess_x=lambda a, xx: inner.hess_x(a[:, 1:], xx),
-        grad_a=grad_a,
-        in_domain=(lambda a, xx: inner.domain_ok(a[:, 1:], xx)) if inner.in_domain else None,
-        name=f"integral-rep({inner.name})",
-    )
-    return AdmissibleIntegrand(F, a_aug, x)

@@ -13,7 +13,6 @@ a per-seed pass/fail fraction with an exact binomial interval.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -89,9 +88,6 @@ class McSummary:
             "worst_seed": self.worst_seed,
             "per_level_median_error": list(self.per_level_median_error),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _sample_path(exp: McExperiment, seed: int) -> GridPath:

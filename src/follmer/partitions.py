@@ -25,7 +25,6 @@ __all__ = [
     "mesh",
     "lebesgue_partition",
     "oscillation",
-    "write_partition",
 ]
 
 
@@ -389,9 +388,3 @@ def oscillation(path: GridPath, p: Partition, t: float) -> float:
         if b > t_idx:
             break
     return worst
-
-
-def write_partition(p: Partition, fp) -> None:
-    """One time per line, plain text."""
-    for t in p.times:
-        fp.write(f"{float(t)!r}\n")

@@ -27,12 +27,9 @@ __all__ = [
     "eval_left_limit",
     "jump_rows",
     "left_values",
-    "value_at",
     "running_maximum",
-    "total_variation",
     "as_fv",
     "add_paths",
-    "scale_path",
     "reciprocal_path",
     "PathGenerator",
     "FormulaGenerator",
@@ -41,7 +38,6 @@ __all__ = [
     "CompoundJumpGenerator",
     "AffineCombinationGenerator",
     "GeometricGenerator",
-    "generate",
     "write_path_csv",
     "read_path_csv",
 ]
@@ -177,15 +173,9 @@ class GridPath:
 class FVPath(GridPath):
     """GridPath flagged as having finite variation on the grid.
 
-    Carries the total variation V(A)_t accumulated over grid increments and
-    the exact decomposition A = A^c + A^d, where A^d_t = sum_{0<s<=t} dA_s is
-    the pure-jump part built from the declared jumps.
+    Carries the exact decomposition A = A^c + A^d, where A^d_t =
+    sum_{0<s<=t} dA_s is the pure-jump part built from the declared jumps.
     """
-
-    @cached_property
-    def variation(self) -> np.ndarray:
-        inc = np.vstack([np.zeros((1, self.dim)), np.abs(np.diff(self.values, axis=0))])
-        return _readonly(np.cumsum(inc, axis=0))
 
     @cached_property
     def jump_part(self) -> np.ndarray:
@@ -227,11 +217,6 @@ def left_values(path: GridPath) -> np.ndarray:
     return path.values - path.dX
 
 
-def value_at(path: GridPath, t: float) -> np.ndarray:
-    """X_t for arbitrary t in [0, T], right-continuous between samples."""
-    return path.values[path.grid.clamp_index(t)].copy()
-
-
 def running_maximum(path: GridPath) -> tuple[GridPath, bool]:
     """Running maximum of a scalar path and its grid-scale continuity flag.
 
@@ -246,13 +231,6 @@ def running_maximum(path: GridPath) -> tuple[GridPath, bool]:
     return GridPath(path.grid, m, dm), not np.any(dm)
 
 
-def total_variation(path: FVPath, t: float, component: int = 0) -> float:
-    """V(A)_t: sum of absolute grid increments up to time t."""
-    if t > path.grid.T:
-        raise ValueError("t beyond the horizon")
-    return float(path.variation[path.grid.clamp_index(t), component])
-
-
 def add_paths(a: GridPath, b: GridPath, ca: float = 1.0, cb: float = 1.0) -> GridPath:
     """ca*A + cb*B on a shared grid; the jump set is the union."""
     if a.grid is not b.grid and not np.array_equal(a.grid.times, b.grid.times):
@@ -260,18 +238,15 @@ def add_paths(a: GridPath, b: GridPath, ca: float = 1.0, cb: float = 1.0) -> Gri
     return GridPath(a.grid, ca * a.values + cb * b.values, ca * a.dX + cb * b.dX)
 
 
-def scale_path(a: GridPath, c: float) -> GridPath:
-    return GridPath(a.grid, c * a.values, c * a.dX)
-
-
 def reciprocal_path(a: GridPath) -> GridPath:
-    """1/A for a scalar path that never touches 0, with its jumps declared."""
+    """1/A for a scalar path that never touches 0, with its jumps declared;
+    an ``FVPath`` stays one."""
     xs = a.x
     lv = left_values(a)[:, 0]
     if np.any(xs == 0.0) or np.any(lv == 0.0):
         raise ValueError("path touches zero; reciprocal undefined")
     r = 1.0 / xs
-    return GridPath(a.grid, r, r - 1.0 / lv)
+    return (FVPath if isinstance(a, FVPath) else GridPath)(a.grid, r, r - 1.0 / lv)
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +260,6 @@ class PathGenerator:
 
     def generate(self, grid: TimeGrid) -> GridPath:
         raise NotImplementedError
-
-
-def generate(gen: PathGenerator, grid: TimeGrid) -> GridPath:
-    return gen.generate(grid)
 
 
 @dataclass(frozen=True)

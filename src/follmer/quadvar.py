@@ -28,7 +28,6 @@ from .paths import FVPath, GridPath, TimeGrid, add_paths, eval_left_limit, jump_
 
 __all__ = [
     "QVResult",
-    "CovMatrix",
     "DiscreteMeasure",
     "discrete_qv",
     "qv_curve",
@@ -37,7 +36,6 @@ __all__ = [
     "covariation",
     "qv_measure",
     "measure_vs_qv_check",
-    "weighted_sum_limit",
     "measure_convergence_check",
 ]
 
@@ -126,14 +124,6 @@ class QVResult:
 
     def continuous_at(self, t: float) -> float:
         return float(self.continuous_part[self.grid.clamp_index(t)])
-
-    def to_report(self) -> dict:
-        return {
-            "levels": len(self.level_curves),
-            "gaps": list(self.level_gaps),
-            "cond2_worst": self.cond2_worst,
-            "status": self.status,
-        }
 
 
 def _assemble(
@@ -243,30 +233,6 @@ def covariation(
     return _assemble(x, y, seq, curves, tol, cond2_abs, cond2_rel, fv_exact)
 
 
-class CovMatrix:
-    """Symmetric d x d table of covariation results for a vector path."""
-
-    def __init__(self, x: GridPath, seq: PartitionSequence, **kwargs):
-        self.dim = x.dim
-        self._entries = {}
-        for i in range(x.dim):
-            for j in range(i, x.dim):
-                xi, xj = x.component(i), x.component(j)
-                self._entries[(i, j)] = (
-                    qv_sequence(xi, seq, **kwargs)
-                    if i == j
-                    else covariation(xi, xj, seq, **kwargs)
-                )
-
-    def __getitem__(self, ij) -> QVResult:
-        i, j = ij
-        return self._entries[(i, j) if i <= j else (j, i)]
-
-    @property
-    def ok(self) -> bool:
-        return all(entry.ok for entry in self._entries.values())
-
-
 # ---------------------------------------------------------------------------
 # Discrete measures mu^pi and their convergence
 # ---------------------------------------------------------------------------
@@ -309,12 +275,6 @@ class DiscreteMeasure:
         side = "right" if closed else "left"
         k = int(np.searchsorted(self.times, t, side=side))
         return float(np.sum(self.weights[:k]))
-
-    def atom_at(self, t: float) -> float:
-        k = int(np.searchsorted(self.times, t))
-        if k < self.times.size and self.times[k] == t:
-            return float(self.weights[k])
-        return 0.0
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray], t: float) -> float:
         """Sum of a_i f(t_i) over atoms with t_i <= t."""
@@ -397,61 +357,6 @@ def measure_vs_qv_check(x: GridPath, seq: PartitionSequence, t: float) -> Measur
     return MeasureVsQVReport(
         t, tuple(qv), tuple(mc), tuple(mo), tuple(dc), tuple(do), tuple(bounds), bounded
     )
-
-
-@dataclass(frozen=True)
-class WeightedSumReport:
-    per_level: tuple
-    target: float
-    gaps: tuple
-    trend: TrendReport
-
-
-def weighted_sum_limit(
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: GridPath,
-    y: GridPath | None,
-    i: int,
-    j: int,
-    seq: PartitionSequence,
-    t: float,
-    tol: float = DETERMINISTIC_TOL,
-) -> WeightedSumReport:
-    """Check the weighted-sum convergence
-
-        integral of g(X_s, Y_s) d mu^{pi_n}_{X^i,X^j}  -->
-        integral of g(X_{s-}, Y_{s-}) d [X^i,X^j]  over [0, t].
-
-    The target is a Stieltjes sum over the top-level covariation curve with
-    the weight evaluated at true left limits.
-    """
-    xi, xj = x.component(i), x.component(j)
-    cov = covariation(xi, xj, seq) if i != j else qv_sequence(xi, seq)
-    gidx = x.grid.clamp_index(t)
-
-    def weight(values_x: np.ndarray, values_y: np.ndarray | None) -> np.ndarray:
-        if y is None:
-            return np.asarray(g(values_x), dtype=float)
-        return np.asarray(g(values_x, values_y), dtype=float)
-
-    per_level = []
-    for p in seq:
-        mu = qv_measure(xi, xj, p)
-        k = int(np.searchsorted(mu.times, t, side="right"))
-        if k == 0:
-            per_level.append(0.0)
-            continue
-        atom_gidx = np.searchsorted(x.grid.times, mu.times[:k], side="right") - 1
-        w = weight(x.values[atom_gidx], None if y is None else y.values[atom_gidx])
-        per_level.append(float(np.sum(mu.weights[:k] * w)))
-
-    xv_left = left_values(x)
-    yv_left = left_values(y) if y is not None else None
-    h_left = weight(xv_left, yv_left)
-    target = float(np.sum(h_left[1 : gidx + 1] * np.diff(cov.estimate[: gidx + 1])))
-    gaps = tuple(abs(v - target) for v in per_level)
-    trend = TrendReport(gaps, tol, TREND_WINDOW)
-    return WeightedSumReport(tuple(per_level), target, gaps, trend)
 
 
 def _left_value_at(path: GridPath, s: float) -> float:

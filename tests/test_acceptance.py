@@ -328,3 +328,90 @@ def test_criterion_10_discrete_measure_limit():
         f"(worst excess {worst:.2e})",
     )
     budget(10, t0, 1.0)
+
+
+def test_criterion_11_qv_of_integral():
+    t0 = time.time()
+    seq = fl.dyadic_sequence(1.0, 6, 12)
+    w = fl.DyadicBrownianGenerator(seed=17).generate(seq.grid)
+    worst_bm, all_trend = 0.0, True
+    for f in (fn.polynomial([0.0, 0.0, 0.5]), fn.exp_affine((0.5,))):
+        rep = fl.qv_of_integral(fl.AdmissibleIntegrand(f, None, w), w, seq, tol=TOL_STOCH)
+        worst_bm = max(worst_bm, rep.gaps[-1])
+        all_trend = all_trend and rep.trend.converged
+
+    # pure-jump FV integrator with jumps on every level's points: exact
+    seq_j = fl.dyadic_sequence(1.0, 2, 10)
+    g = seq_j.grid
+    vals = np.ones(len(g))
+    jmap = {}
+    for tt, c in [(0.25, 0.5), (0.5, -0.7), (0.75, 1.2)]:
+        i = g.index_of(tt)
+        vals[i:] += c
+        jmap[i] = c
+    x = fl.FVPath(g, vals, jmap)
+    rep_j = fl.qv_of_integral(fl.AdmissibleIntegrand(fn.polynomial([0.0, 0.0, 0.5]), None, x), x, seq_j)
+    worst_jump = max(rep_j.gaps)
+
+    ok = worst_bm <= TOL_STOCH and all_trend and worst_jump <= 1e-12
+    report(
+        11,
+        ok,
+        f"[int xi dX] vs int xi^2 d[X]: Brownian final gap {worst_bm:.2e} (<=5e-2), trends decreasing: "
+        f"{all_trend}; pure-jump worst gap {worst_jump:.1e} (<=1e-12)",
+    )
+    budget(11, t0, 10.0)
+
+
+def test_criterion_12_reciprocal_exponential():
+    t0 = time.time()
+    seq = fl.dyadic_sequence(1.0, 6, 12)
+    g = seq.grid
+    worst_fv, worst_inv = 0.0, 0.0
+    linear = fl.as_fv(fl.FormulaGenerator(lambda t: t).generate(g))
+    for x in (linear, fl.as_fv(fl.StepGenerator(c=0.8).generate(g))):
+        se = fl.doleans_exponential(x, seq)
+        rep = fl.reciprocal_exponential(se, seq, 1.0)
+        worst_fv = max(worst_fv, abs(rep.residual))
+        worst_inv = max(worst_inv, float(np.max(np.abs(rep.path.x * se.values - 1.0))))
+
+    worst_bm = 0.0
+    for seed in range(1, 5):
+        x = fl.add_paths(
+            fl.DyadicBrownianGenerator(seed=seed, sigma=0.4).generate(g),
+            fl.CompoundJumpGenerator(seed=seed, intensity=4.0, size=0.3, sampler="uniform").generate(g),
+        )
+        se = fl.doleans_exponential(x, seq, tol=TOL_STOCH)
+        rep = fl.reciprocal_exponential(se, seq, 1.0, tol=TOL_STOCH)
+        worst_bm = max(worst_bm, abs(rep.residual))
+        worst_inv = max(worst_inv, float(np.max(np.abs(rep.path.x * se.values - 1.0))))
+
+    ok = worst_fv <= 1e-8 and worst_bm <= TOL_STOCH and worst_inv <= 1e-14
+    report(
+        12,
+        ok,
+        f"1/E(X) representation residual: FV {worst_fv:.2e} (<=1e-8), Brownian with jumps {worst_bm:.2e} "
+        f"(<=5e-2); sup |(1/E(X)) E(X) - 1| {worst_inv:.1e} (<=1e-14)",
+    )
+    budget(12, t0, 10.0)
+
+
+def test_criterion_13_drawdown_strategy():
+    t0 = time.time()
+    seq = fl.dyadic_sequence(1.0, 6, 12)
+    v0 = 1.0
+    all_trend, worst_margin = True, np.inf
+    for seed in (5, 7, 11):
+        s = fl.GeometricGenerator(seed=seed, sigma=0.25, s0=2.0).generate(seq.grid)
+        for floor in (fl.floor_zero(a_star=v0), fl.floor_proportional(0.3, a_star=v0)):
+            rep = fl.drawdown_strategy(s, v0, floor, seq, tol=TOL_STOCH)
+            all_trend = all_trend and rep.self_financing.trend.converged
+            worst_margin = min(worst_margin, rep.constraint_margin)
+    ok = all_trend and worst_margin > 0.0
+    report(
+        13,
+        ok,
+        f"drawdown strategies, 3 seeds x zero and proportional floors: self-financing trends "
+        f"decreasing: {all_trend}; constraint margin {worst_margin:.3f} > 0",
+    )
+    budget(13, t0, 10.0)

@@ -4,7 +4,42 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 import follmer as fl
-from follmer.drawdown import _CumulativeExponent, _hermite, affine_u, compose_u, identity_u
+from follmer.drawdown import _CumulativeExponent, _hermite
+
+
+def affine_u(alpha: float, beta: float) -> fl.MonotoneC2Function:
+    """U(y) = alpha y + beta on [0, infinity)."""
+    return fl.MonotoneC2Function(
+        value=lambda y: alpha * y + beta,
+        d1=lambda y: np.full_like(y, alpha),
+        d2=lambda y: np.zeros_like(y),
+        domain_start=0.0,
+        name=f"affine({alpha},{beta})",
+    )
+
+
+def compose_u(outer: fl.MonotoneC2Function, inner: fl.MonotoneC2Function) -> fl.MonotoneC2Function:
+    """outer(inner(y)) with chain-rule derivatives."""
+    return fl.MonotoneC2Function(
+        value=lambda y: outer(inner(y)),
+        d1=lambda y: outer.deriv(inner(y)) * inner.deriv(y),
+        d2=lambda y: outer.deriv2(inner(y)) * inner.deriv(y) ** 2 + outer.deriv(inner(y)) * inner.deriv2(y),
+        domain_start=inner.domain_start,
+    )
+
+
+def max_identity_gap(u: fl.MonotoneC2Function, x: fl.GridPath) -> tuple[float, bool]:
+    """sup |max M^U(X) - U(max X)| and whether max M^U(X) is continuous."""
+    mbar, cont = fl.running_maximum(fl.azema_yor_path(u, x).path)
+    xbar, _ = fl.running_maximum(x)
+    return float(np.max(np.abs(mbar.x - u(xbar.x)))), cont
+
+
+def composition_gap(u: fl.MonotoneC2Function, f: fl.MonotoneC2Function, x: fl.GridPath) -> float:
+    """sup |M^U(M^F(X)) - M^{U o F}(X)|."""
+    lhs = fl.azema_yor_path(u, fl.azema_yor_path(f, x).path).path
+    rhs = fl.azema_yor_path(compose_u(u, f), x).path
+    return float(np.max(np.abs(lhs.x - rhs.x)))
 
 
 @pytest.fixture(scope="module")
@@ -18,13 +53,13 @@ def positive_sample():
 class TestAzemaYor:
     def test_identity_reproduces_path(self, positive_sample):
         seq, s = positive_sample
-        rep = fl.azema_yor_path(identity_u(0.0), s, seq)
+        rep = fl.azema_yor_path(affine_u(1.0, 0.0), s, seq)
         assert np.array_equal(rep.path.x, s.x)
         assert rep.integral_residual == pytest.approx(0.0, abs=1e-12)
 
     def test_affine_exact(self, positive_sample):
         _, s = positive_sample
-        rep = fl.azema_yor_path(affine_u(2.0, 1.0, 0.0), s)
+        rep = fl.azema_yor_path(affine_u(2.0, 1.0), s)
         assert np.allclose(rep.path.x, 2.0 * s.x + 1.0, rtol=1e-14)
 
     def test_square_formula_and_residual(self, positive_sample):
@@ -46,14 +81,14 @@ class TestAzemaYor:
         seq = fl.dyadic_sequence(1.0, 2, 6)
         x = fl.StepGenerator(c=1.0, t0=0.5, x0=1.0).generate(seq.grid)
         with pytest.raises(ValueError):
-            fl.azema_yor_path(identity_u(0.0), x)
+            fl.azema_yor_path(affine_u(1.0, 0.0), x)
 
     def test_jump_law_of_azema_yor_path(self):
         # a downward jump keeps the maximum continuous; dM = U'(max) dX
         seq = fl.dyadic_sequence(1.0, 3, 9)
         base = fl.DyadicBrownianGenerator(seed=6, sigma=0.2, x0=3.0).generate(seq.grid)
         x = fl.add_paths(base, fl.StepGenerator(c=-0.5, t0=0.5).generate(seq.grid))
-        u = affine_u(3.0, -1.0, 0.0)
+        u = affine_u(3.0, -1.0)
         rep = fl.azema_yor_path(u, x)
         i = seq.grid.index_of(0.5)
         assert rep.path.jump_at(i)[0] == pytest.approx(3.0 * (-0.5), rel=1e-14)
@@ -62,15 +97,14 @@ class TestAzemaYor:
 class TestMaxIdentity:
     def test_identity(self, positive_sample):
         _, s = positive_sample
-        rep = fl.max_identity_check(identity_u(0.0), s)
-        assert rep.max_identity_sup == 0.0
-        assert rep.max_still_continuous
+        gap, cont = max_identity_gap(affine_u(1.0, 0.0), s)
+        assert gap == 0.0
+        assert cont
 
     def test_affine_composition_exact(self, positive_sample):
         _, s = positive_sample
-        rep = fl.max_identity_check(affine_u(2.0, 1.0, 0.0), s, affine_u(1.5, 0.2, 0.0))
-        assert rep.max_identity_sup == 0.0
-        assert rep.composition_sup == pytest.approx(0.0, abs=1e-12)
+        assert max_identity_gap(affine_u(2.0, 1.0), s)[0] == 0.0
+        assert composition_gap(affine_u(2.0, 1.0), affine_u(1.5, 0.2), s) == pytest.approx(0.0, abs=1e-12)
 
     def test_power_log_pair(self, positive_sample):
         _, s = positive_sample
@@ -85,14 +119,8 @@ class TestMaxIdentity:
             value=np.log, d1=lambda y: 1.0 / y, d2=lambda y: -1.0 / y**2,
             domain_start=0.1, name="log",
         )
-        rep = fl.max_identity_check(logu, s, power)
-        assert rep.max_identity_sup <= 1e-12
-        assert rep.composition_sup <= 1e-10
-
-    def test_decreasing_u_rejected(self, positive_sample):
-        _, s = positive_sample
-        with pytest.raises(ValueError):
-            fl.max_identity_check(affine_u(-1.0, 0.0, 0.0), s)
+        assert max_identity_gap(logu, s)[0] <= 1e-12
+        assert composition_gap(logu, power, s) <= 1e-10
 
 
 class TestFloorTransforms:
@@ -176,31 +204,6 @@ class TestSolveDrawdown:
             fl.solve_drawdown(fl.floor_zero(0.1), x, seq)
 
 
-class TestUniquenessProbe:
-    def test_identical_paths(self, positive_sample):
-        seq, s = positive_sample
-        rep = fl.uniqueness_probe(s, s, seq, 1.0, tol=fl.STOCHASTIC_TOL, qv_tol=fl.STOCHASTIC_TOL)
-        assert rep.integral_distance == 0.0
-        assert rep.path_distance == 0.0
-        assert rep.consistent
-
-    def test_scaled_path_precondition_rejected(self, positive_sample):
-        seq, s = positive_sample
-        s2 = fl.scale_path(s, 2.0)
-        with pytest.raises(ValueError):
-            fl.uniqueness_probe(s, s2, seq, 1.0)
-
-    def test_step_reconstruction(self):
-        seq = fl.dyadic_sequence(1.0, 2, 9)
-        sv = np.full(len(seq.grid), 2.0)
-        i = seq.grid.index_of(0.5)
-        sv[i:] = 3.0
-        s = fl.FVPath(seq.grid, sv, {i: 1.0})
-        rep = fl.uniqueness_probe(s, s, seq, 1.0)
-        assert rep.reconstruction_x <= 1e-12
-        assert rep.consistent
-
-
 def test_max_increment_identity_tends_to_zero(positive_sample):
     # sum (max - X) d(max) over grid increments vanishes with refinement
     # when the running maximum is continuous
@@ -214,18 +217,6 @@ def test_max_increment_identity_tends_to_zero(positive_sample):
         vals.append(float(np.sum((m[:-1] - s.x[idx[:-1]]) * np.diff(m))))
     assert abs(vals[-1]) < abs(vals[0]) + 1e-12
     assert abs(vals[-1]) < 5e-3
-
-
-def test_compose_u_chain_rule():
-    u = affine_u(2.0, 1.0, 0.0)
-    f = fl.MonotoneC2Function(
-        value=lambda y: y**2, d1=lambda y: 2 * y, d2=lambda y: 2.0 + 0 * y,
-        domain_start=0.0, name="sq",
-    )
-    comp = compose_u(u, f)
-    ys = np.linspace(0.5, 3.0, 7)
-    assert np.allclose(comp(ys), 2 * ys**2 + 1)
-    comp.validate(ys)
 
 
 # Tables for the PCHIP oracle: rising, flat pieces, local extrema (zero

@@ -31,15 +31,6 @@ class TestMarket:
         with pytest.raises(ValueError):
             fl.Market(s, b)
 
-    def test_discounted_jumps(self, seq):
-        mkt = geometric_market(seq)
-        sd = mkt.discounted()
-        sl = fl.left_values(mkt.s)[:, 0]
-        bl = fl.left_values(mkt.b)[:, 0]
-        for i in mkt.s.jumps:
-            expect = sd.x[i] - sl[i] / bl[i]
-            assert sd.jump_at(i)[0] == pytest.approx(expect, rel=1e-14)
-
 
 class TestDppi:
     def test_full_risky_unit_bank_closed_form(self, seq):
@@ -139,22 +130,6 @@ class TestSelfFinancing:
         rep = fl.self_financing_residual(st, mkt, seq, 1.0)
         assert rep.residual > 0.1
 
-
-class TestDiscountedEquivalence:
-    def test_unit_bank_identical(self, seq):
-        s = fl.GeometricGenerator(seed=33, sigma=0.25).generate(seq.grid)
-        mkt = fl.Market(s, fl.FVPath(seq.grid, np.ones(len(seq.grid))))
-        st = make_strategy(mkt, constant_path(seq.grid, 1.0), constant_path(seq.grid, 1.0))
-        rep = fl.discounted_equivalence(st, mkt, seq, 1.0)
-        assert rep.raw_per_level == rep.discounted_per_level
-
-    def test_buy_and_hold_deterministic_bank(self, seq):
-        mkt = geometric_market(seq, jumps=0.0)
-        st = make_strategy(mkt, constant_path(seq.grid, 2.0), constant_path(seq.grid, 1.0))
-        rep = fl.discounted_equivalence(st, mkt, seq, 1.0)
-        assert rep.residual_raw <= 1e-12
-        assert rep.residual_discounted <= 1e-12
-
     def test_dppi_with_jumpy_bank(self, seq):
         g = seq.grid
         bv = np.exp(0.02 * g.times)
@@ -165,8 +140,7 @@ class TestDiscountedEquivalence:
         mkt = fl.Market(s, b)
         spec = fl.FloorSpec(fl.FVPath(g, np.full(len(g), 0.3)))
         rep = fl.dppi(mkt, 0.5, spec, 1.0, seq, tol=fl.STOCHASTIC_TOL)
-        de = fl.discounted_equivalence(rep.strategy, mkt, seq, 1.0, tol=fl.STOCHASTIC_TOL)
-        assert de.raw_trend.converged and de.discounted_trend.converged
+        assert rep.self_financing.trend.converged
 
 
 class TestDrawdownStrategy:

@@ -56,14 +56,6 @@ class TestBuiltins:
             fn.builtin_c12("no-such-function")
 
 
-def test_composition_chain_rule():
-    inner = fn.polynomial([0.0, 1.0, 1.0])  # x + x^2
-    comp = fn.compose_scalar(np.exp, np.exp, np.exp, inner, name="exp(x+x^2)")
-    a, x = sample_points(-1.0, 1.0)
-    comp.validate(a, x)
-    assert np.allclose(comp(a, x), np.exp(x[:, 0] + x[:, 0] ** 2))
-
-
 def test_wrong_gradient_detected():
     bad = fn.C12Function(
         m=0,

@@ -225,13 +225,6 @@ class TestQvOfIntegral:
         assert rep.trend.converged
         assert rep.gaps[-1] < fl.STOCHASTIC_TOL
 
-    def test_covariation_of_two_integrals(self, bm_setup):
-        seq, w = bm_setup
-        xi1 = fl.AdmissibleIntegrand(fn.polynomial([0.0, 1.0]), None, w)
-        xi2 = fl.AdmissibleIntegrand(fn.polynomial([2.0]), None, w)
-        rep = fl.covariation_of_integrals(xi1, xi2, w, seq, tol=fl.STOCHASTIC_TOL)
-        assert rep.gaps[-1] < fl.STOCHASTIC_TOL
-
 
 class TestAssociativity:
     def test_unit_eta(self, bm_setup):
@@ -274,16 +267,6 @@ class TestAssociativity:
         eta = y_res.estimate[:, None]
         rep = fl.associativity_check(eta, [xi], x, seq, 1.0)
         assert rep.gaps[-1] <= 1e-12
-
-
-def test_admissible_rep_of_integral(bm_setup):
-    seq, w = bm_setup
-    xi = fl.AdmissibleIntegrand(fn.square(), None, w)
-    res = fl.follmer_integral(xi, w, seq, tol=fl.STOCHASTIC_TOL)
-    rep = fl.admissible_rep_of_integral(xi, w, seq)
-    # the witness reproduces the integral path and the integrand
-    assert np.allclose(np.asarray(rep.f.value(rep.A.values, w.values)), res.estimate, atol=1e-12)
-    assert np.allclose(rep.values, xi.values)
 
 
 def test_integral_curve_matches_riemann_sum(bm_setup):

@@ -338,6 +338,37 @@ class TestCli:
         report = json.loads((out / "drawdown_report.json").read_text())
         assert report["constraint_margin"] > 0
 
+    def test_drawdown_table_floor(self, tmp_path):
+        # a table floor on a line is the proportional floor w(y) = y / 4
+        ys = [2.0, 3.0, 4.0, 6.0, 10.0]
+        base = {"x": {"kind": "geometric", "s0": 2.0, "sigma": 0.25}, "levels": [5, 10]}
+        floors = {
+            "table": {"name": "table", "a_star": 2.0, "ys": ys, "ws": [y / 4 for y in ys]},
+            "proportional": {"name": "proportional", "alpha": 0.25, "a_star": 2.0},
+        }
+        y = {}
+        for name, floor in floors.items():
+            result, out = run_cli(tmp_path / name, "drawdown", {**base, "floor": floor}, "--seed", "11")
+            assert result.exit_code == 0, result.output
+            assert json.loads((out / "drawdown_report.json").read_text())["constraint_margin"] > 0
+            rows = (out / "drawdown.csv").read_text().splitlines()[1:-1]
+            y[name] = np.array([float(r.split(",")[1]) for r in rows])
+        assert np.allclose(y["table"], y["proportional"], rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        "f, path, cap",
+        [
+            ({"name": "identity"}, {"kind": "dyadic-brownian"}, 1e-12),
+            ({"name": "power", "p": 1.7}, {"kind": "geometric", "s0": 2.0, "sigma": 0.25}, 5e-2),
+        ],
+        ids=["identity", "power"],
+    )
+    def test_ito_check_builtin_functions(self, tmp_path, f, path, cap):
+        cfg = {"f": f, "path": path, "levels": [6, 12], "stochastic": True, "assert_residual": cap}
+        result, out = run_cli(tmp_path, "ito-check", cfg, "--seed", "3")
+        assert result.exit_code == 0, result.output
+        assert abs(json.loads((out / "ito-check_report.json").read_text())["residual"]) <= cap
+
     def test_assoc_subcommand(self, tmp_path):
         cfg = {
             "path": {"kind": "step", "c": 1.0, "t0": 0.5, "x0": 1.0},

@@ -1,4 +1,3 @@
-import io
 import math
 import warnings
 
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 import follmer as fl
 from follmer import partitions
-from follmer.partitions import _exit_window, thinned_sequence, write_partition
+from follmer.partitions import _exit_window, thinned_sequence
 
 
 class TestDyadic:
@@ -219,14 +218,6 @@ def test_mesh_nonincreasing_enforced():
     coarse = fl.Partition(g, np.array([0, 8, 16]))
     with pytest.raises(ValueError):
         fl.PartitionSequence((fine, coarse))
-
-
-def test_partition_serialization():
-    g = fl.dyadic_grid(1.0, 2)
-    p = fl.Partition(g, np.array([0, 2, 4]))
-    buf = io.StringIO()
-    write_partition(p, buf)
-    assert buf.getvalue().splitlines() == ["0.0", "0.5", "1.0"]
 
 
 def _lebesgue_scan_py(x: np.ndarray, times: np.ndarray, thr: float, cap: float) -> list[int]:

@@ -99,29 +99,6 @@ class TestRunningMaximum:
         assert np.array_equal(m.x, mm.x)
 
 
-class TestTotalVariation:
-    def test_monotone(self):
-        g = fl.dyadic_grid(1.0, 4)
-        a = fl.as_fv(fl.FormulaGenerator(lambda t: t).generate(g))
-        assert fl.total_variation(a, 1.0) == pytest.approx(1.0)
-
-    def test_zigzag(self):
-        g = fl.TimeGrid(np.array([0.0, 0.5, 1.0]))
-        a = fl.as_fv(fl.GridPath(g, np.array([0.0, 1.0, 0.0])))
-        assert fl.total_variation(a, 1.0) == 2.0
-
-    def test_constant(self):
-        g = fl.dyadic_grid(1.0, 3)
-        a = fl.as_fv(fl.GridPath(g, np.ones(9)))
-        assert fl.total_variation(a, 1.0) == 0.0
-
-    def test_beyond_horizon(self):
-        g = fl.dyadic_grid(1.0, 3)
-        a = fl.as_fv(fl.GridPath(g, np.ones(9)))
-        with pytest.raises(ValueError):
-            fl.total_variation(a, 1.5)
-
-
 def test_fv_decomposition_exact():
     g = fl.dyadic_grid(1.0, 5)
     vals = np.sin(g.times).copy()
@@ -218,6 +195,16 @@ def test_reciprocal_path_declares_jumps():
     r = reciprocal_path(s)
     i = g.index_of(0.5)
     assert r.jump_at(i)[0] == pytest.approx(0.5 - 1.0)
+    assert type(r) is fl.GridPath
+
+
+def test_reciprocal_path_of_fv_path_stays_fv():
+    g = fl.dyadic_grid(1.0, 4)
+    a = fl.as_fv(fl.StepGenerator(c=1.0, t0=0.5, x0=2.0).generate(g))
+    r = reciprocal_path(a)
+    assert isinstance(r, fl.FVPath)
+    assert np.array_equal(r.x, 1.0 / a.x)
+    assert np.array_equal(r.dX, reciprocal_path(fl.GridPath(g, a.values, a.dX)).dX)
 
 
 def test_csv_round_trip():

@@ -44,8 +44,8 @@ class TestDiscreteQV:
         total = 0.0
         ts = p.times
         for a, b in zip(ts, ts[1:]):
-            xa = fl.value_at(x, min(a, t))[0]
-            xb = fl.value_at(x, min(b, t))[0]
+            xa = x.x[g.clamp_index(min(a, t))]
+            xb = x.x[g.clamp_index(min(b, t))]
             total += (xb - xa) ** 2
         assert fl.discrete_qv(x, p, t) == pytest.approx(total, rel=1e-14)
 
@@ -221,47 +221,6 @@ class TestMeasureVsQV:
         assert rep.diff_closed[-1] == pytest.approx(1.0)
 
 
-def riemann_stieltjes_oracle(f, F, t, n=200_000):
-    """Brute-force sum of f dF over (0, t] on a fine uniform mesh."""
-    s = np.linspace(0.0, t, n + 1)
-    return float(np.sum(f(s[1:]) * np.diff(F(s))))
-
-
-class TestWeightedSum:
-    def test_constant_weight_reduces_to_measure_mass(self):
-        seq = fl.dyadic_sequence(1.0, 3, 9)
-        x = fl.DyadicBrownianGenerator(seed=6).generate(seq.grid)
-        rep = fl.weighted_sum_limit(lambda xv: np.ones(xv.shape[0]), x, None, 0, 0, seq, 0.75)
-        for v, p in zip(rep.per_level, seq):
-            mu = fl.qv_measure(x, x, p)
-            assert v == pytest.approx(mu.mass(0.75), rel=1e-12)
-
-    def test_step_left_limit_weight(self):
-        seq = fl.dyadic_sequence(1.0, 2, 8)
-        x = fl.StepGenerator(c=2.0, t0=0.5).generate(seq.grid)
-        rep = fl.weighted_sum_limit(lambda xv: xv[:, 0], x, None, 0, 0, seq, 1.0)
-        assert rep.target == 0.0  # weight at the left limit X_{0.5-} = 0
-        assert all(v == 0.0 for v in rep.per_level)
-
-    def test_vanishing_qv(self):
-        seq = fl.dyadic_sequence(1.0, 3, 10)
-        x = fl.FormulaGenerator(lambda t: t).generate(seq.grid)
-        rep = fl.weighted_sum_limit(lambda xv: xv[:, 0] ** 2, x, None, 0, 0, seq, 1.0)
-        assert abs(rep.target) < 1e-3
-        assert abs(rep.per_level[-1]) < 1e-3
-        assert rep.trend.nonincreasing
-
-    def test_brownian_against_oracle(self):
-        # target: integral of g(X_{s-}) d[X,X]_s ~ grid Stieltjes oracle
-        seq = fl.dyadic_sequence(1.0, 5, 11)
-        x = fl.DyadicBrownianGenerator(seed=10).generate(seq.grid)
-        rep = fl.weighted_sum_limit(
-            lambda xv: np.cos(xv[:, 0]), x, None, 0, 0, seq, 1.0, tol=fl.STOCHASTIC_TOL
-        )
-        assert abs(rep.per_level[-1] - rep.target) < fl.STOCHASTIC_TOL
-        assert rep.trend.converged
-
-
 def pushforward(mu, times):
     weights = np.zeros(len(times) - 1)
     for s, w in zip(mu.times, mu.weights):
@@ -361,24 +320,6 @@ def test_qv_curve_matches_discrete_qv_on_grid_times():
     for g_idx in (0, 5, 17, len(seq.grid) - 1):
         t = float(seq.grid.times[g_idx])
         assert curve[g_idx] == pytest.approx(fl.discrete_qv(x, p, t), rel=1e-14)
-
-
-def test_cov_matrix_symmetric_entries():
-    seq = fl.dyadic_sequence(1.0, 3, 8)
-    g = seq.grid
-    vals = np.column_stack(
-        [
-            fl.DyadicBrownianGenerator(seed=1).generate(g).x,
-            fl.DyadicBrownianGenerator(seed=2).generate(g).x,
-        ]
-    )
-    x = fl.GridPath(g, vals)
-    cm = fl.CovMatrix(x, seq, tol=fl.STOCHASTIC_TOL)
-    assert cm[0, 1] is cm[1, 0]
-    assert cm[0, 0].diagonal and not cm[0, 1].diagonal
-    # independent construction agrees bit for bit
-    direct = fl.covariation(x.component(0), x.component(1), seq, tol=fl.STOCHASTIC_TOL)
-    assert np.array_equal(cm[0, 1].estimate, direct.estimate)
 
 
 @settings(max_examples=25, deadline=None)
