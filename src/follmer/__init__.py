@@ -52,6 +52,7 @@ from .partitions import (
     PartitionSequence,
     dyadic_sequence,
     lebesgue_partition,
+    lebesgue_partitions,
     mesh,
     oscillation,
 )

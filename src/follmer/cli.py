@@ -505,7 +505,12 @@ def _mc(run: Run) -> dict:
     columns += [[o.osc_sum for o in oc], [o.osc_sum_bound for o in oc]]
     run.table("mc_seeds.csv", ["seed", "passed", "final_error", "osc_sum", "osc_bound"], columns)
     need = number(cfg, "assert_pass_fraction", 0.9)
-    run.check(summary.pass_fraction >= need, f"pass fraction {summary.pass_fraction} below {need}")
+    worst_error = max(o.sup_errors[-1] for o in oc)
+    run.check(
+        summary.pass_fraction >= need,
+        f"pass fraction {summary.pass_fraction} below {need}; worst seed {summary.worst_seed}: "
+        f"sup error {worst_error} at n={n_max}",
+    )
     run.check(summary.bounds_fraction == 1.0, "constructive gap/oscillation bounds violated")
     return summary.to_dict()
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -103,8 +104,8 @@ def subsection(section: dict, key: str, default: dict | None, allowed: set, wher
 
 def tolerance(section: dict, key: str, default: float) -> float:
     v = section.get(key, default)
-    if not isinstance(v, (int, float)) or v < 0:
-        raise ConfigError(f"tolerance {key!r} must be a nonnegative number")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v <= sys.float_info.max:
+        raise ConfigError(f"tolerance {key!r} must be a finite nonnegative number, got {v!r}")
     return float(v)
 
 

@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .diagnostics import STOCHASTIC_TOL, TREND_WINDOW, TrendReport
-from .partitions import lebesgue_partition, mesh, oscillation
+from .partitions import lebesgue_partitions, mesh, oscillation
 from .paths import (
     CompoundJumpGenerator,
     DyadicBrownianGenerator,
     GridPath,
+    TimeGrid,
     add_paths,
     dyadic_grid,
 )
@@ -47,8 +49,18 @@ class McExperiment:
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if not self.seeds:
+            raise ValueError("seeds is empty: need at least one seed")
         if self.n_min < 1 or self.n_min > self.n_max:
             raise ValueError("need 1 <= n_min <= n_max")
+        for name in ("T", "sigma", "jump_intensity", "jump_size"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+
+    @cached_property
+    def grid(self) -> TimeGrid:
+        """The dyadic grid of every seed's path, built once per experiment."""
+        return dyadic_grid(self.T, self.grid_level)
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,7 @@ class McSummary:
 
 
 def _sample_path(exp: McExperiment, seed: int) -> GridPath:
-    grid = dyadic_grid(exp.T, exp.grid_level)
+    grid = exp.grid
     base = DyadicBrownianGenerator(seed=seed, sigma=exp.sigma).generate(grid)
     if exp.jump_intensity <= 0.0:
         return base
@@ -139,8 +151,7 @@ def run_seed(exp: McExperiment, seed: int) -> SeedOutcome:
     path = _sample_path(exp, seed)
     target = _target_curve(exp, path)
     sup_errors, oscs, gaps = [], [], []
-    for n in range(exp.n_min, exp.n_max + 1):
-        p = lebesgue_partition(path, n)
+    for p in lebesgue_partitions(path, range(exp.n_min, exp.n_max + 1)):
         curve = qv_curve(path, p)
         sup_errors.append(float(np.max(np.abs(curve - target))))
         oscs.append(oscillation(path, p, exp.T))

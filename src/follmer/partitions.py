@@ -24,6 +24,7 @@ __all__ = [
     "thinned_sequence",
     "mesh",
     "lebesgue_partition",
+    "lebesgue_partitions",
     "oscillation",
 ]
 
@@ -153,6 +154,13 @@ def thinned_sequence(grid: TimeGrid, levels: int) -> PartitionSequence:
 # |x_j - x_i| > thr for some sample j of the block, rounding included.  (A
 # NaN would poison its blocks' extrema, so lebesgue_partition rejects
 # non-finite paths.)
+#
+# The levels of one path share one _Scan, made per call and never cached
+# on the path (GridPath.values is a view of an array its caller may still
+# write): the finite check, the QV sum and every level's window are taken
+# once; the block extrema are built on the first far exit of any level, and
+# the tables of every table level on the first table read, in one pass over
+# k = 1..W that forms each |x[i+k] - x[i]| once for all of them.
 _EXIT_WINDOW = 16
 _BLOCK_BITS = 4
 _BLOCK_MASK = (1 << _BLOCK_BITS) - 1
@@ -181,9 +189,10 @@ def _block_extrema(x: np.ndarray) -> list:
     return tiers
 
 
-def _first_exits(x: np.ndarray, times: np.ndarray, thr: float, cap: float, window: int) -> np.ndarray:
-    """Per start i, the offset of its chain successor when that lies within
-    ``window`` samples, else the code ``window + 1`` (uint8).
+def _first_exits(x: np.ndarray, times: np.ndarray, levels: list) -> list[bytes]:
+    """Per level (thr, cap, window) and per start i, the offset of i's chain
+    successor when that lies within ``window`` samples, else the code
+    ``window + 1``; one byte per start.
 
     The successor is the first exit or, if earlier, the cap index, the last
     j with t_j <= fl(t_i + cap).  The code stands for three cases the chain
@@ -191,23 +200,31 @@ def _first_exits(x: np.ndarray, times: np.ndarray, thr: float, cap: float, windo
     admits no later time, and the horizon (the last start).
     """
     size = x.size
-    none = window + 1
+    firsts = [np.full(size, window + 1, dtype=np.uint8) for _, _, window in levels]
     # least k <= W with |x[i+k] - x[i]| > thr, branch-free as
-    # min(first, W + 1 - hit * (W + 1 - k)) in uint8, with one set of
-    # scratch buffers for all W passes (fresh temporaries page-fault)
-    first = np.full(size, none, dtype=np.uint8)
+    # min(first, W + 1 - hit * (W + 1 - k)) in uint8; each |x[i+k] - x[i]|
+    # serves every level, and one set of scratch buffers serves every pass
+    # (fresh temporaries page-fault)
     diff, hit = np.empty(size), np.empty(size, dtype=np.uint8)
-    for k in range(1, min(window, size - 1) + 1):
-        d, h, f = diff[: size - k], hit[: size - k], first[: size - k]
+    for k in range(1, min(max(window for _, _, window in levels), size - 1) + 1):
+        d, h = diff[: size - k], hit[: size - k]
         np.abs(np.subtract(x[k:], x[:-k], out=d), out=d)
-        np.greater(d, thr, out=h)
-        np.multiply(h, none - k, out=h)
-        np.subtract(none, h, out=h)
-        np.minimum(f, h, out=f)
-    # the cap comes first where the table's exit, i + first[i] (clipped to
-    # the horizon), lies past fl(t_i + cap).  That cannot happen when every
-    # start's cap reaches W + 1 samples on; elsewhere only those starts are
-    # searched, and their cap offsets, 0..W, replace first[i] in place
+        for (thr, _, window), first in zip(levels, firsts):
+            if k <= window:
+                np.greater(d, thr, out=h)
+                np.multiply(h, window + 1 - k, out=h)
+                np.subtract(window + 1, h, out=h)
+                np.minimum(first[: size - k], h, out=first[: size - k])
+    return [_cap_offsets(first, times, cap, window + 1).tobytes() for (_, cap, window), first in zip(levels, firsts)]
+
+
+def _cap_offsets(first: np.ndarray, times: np.ndarray, cap: float, none: int) -> np.ndarray:
+    """``first`` with the cap applied: the cap comes first where the table's
+    exit, i + first[i] (clipped to the horizon), lies past fl(t_i + cap).
+    That cannot happen when every start's cap reaches ``none`` samples on;
+    elsewhere only those starts are searched, and their cap offsets,
+    0..none - 1, replace first[i] in place."""
+    size = times.size
     if size > none and np.all(times[none:] <= times[:-none] + cap):
         return first
     lim = times + cap
@@ -219,26 +236,74 @@ def _first_exits(x: np.ndarray, times: np.ndarray, thr: float, cap: float, windo
     return first
 
 
-def _lebesgue_scan(x: np.ndarray, times: np.ndarray, n: int) -> list[int]:
+class _Scan:
+    """The band-exit state of one scalar path, shared by the levels of one
+    call: the path and its times (also as memoryviews), each level's exit
+    window, and, built on first use, the block extrema and the first-exit
+    tables of every level that has a window."""
+
+    def __init__(self, path: GridPath, levels):
+        self.levels = list(levels)
+        if any(n < 1 for n in self.levels):
+            raise ValueError("level n must be >= 1 (the 1/n cap is undefined at 0)")
+        if path.dim != 1:
+            raise ValueError("stopping-time partitions are built from scalar paths")
+        x = np.ascontiguousarray(path.x)
+        finite = np.isfinite(x)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(
+                f"stopping-time partition of a path with a non-finite value {float(x[i])!r} "
+                f"at grid index {i}, t = {path.grid.times[i]:.6g}"
+            )
+        self.x, self.times = x, path.grid.times
+        self.xs, self.ts = memoryview(x), memoryview(self.times)
+        # a diffusion leaves a band of half-width thr about [X] / thr^2 times,
+        # so on a grid of N steps its exits lie about N thr^2 / sum (dx)^2
+        # samples apart; np.sum, not np.dot, which may start BLAS threads
+        with np.errstate(over="ignore"):  # an infinite sum only predicts close exits
+            qv = float(np.sum(np.square(np.diff(x))))
+        self.windows = {}
+        for n in self.levels:
+            thr = 0.5 ** (n + 1)
+            self.windows[n] = _exit_window((x.size - 1) * thr * thr / qv if qv else math.inf)
+        self._tiers = None
+        self._tables = None
+
+    @property
+    def tiers(self) -> list:
+        """The block extrema of the path (``_block_extrema``)."""
+        if self._tiers is None:
+            self._tiers = _block_extrema(self.x)
+        return self._tiers
+
+    def table(self, n: int) -> bytes:
+        """Level n's first-exit table over the whole path."""
+        if self._tables is None:
+            levels = [m for m, window in self.windows.items() if window]
+            specs = [(0.5 ** (m + 1), 1.0 / m, self.windows[m]) for m in levels]
+            self._tables = dict(zip(levels, _first_exits(self.x, self.times, specs)))
+        return self._tables[n]
+
+
+def _lebesgue_scan(scan: _Scan, n: int) -> list[int]:
     """Band-exit chain from index 0: each point is the first later index whose
     value leaves the band |x - x_i| <= thr, or the 1/n cap index if earlier.
 
-    Each level picks its search from the path itself (``_exit_window``): a
-    diffusion leaves a band of half-width thr about [X] / thr^2 times, so on
-    a grid of N steps its exits lie about d = N thr^2 / sum (dx)^2 samples
-    apart.  The sum of squares is taken with ``np.sum``, not ``np.dot``,
-    which may start BLAS threads.
+    Each level's search is picked from the path (``_Scan.windows``), by the
+    mean exit distance d its quadratic variation predicts:
 
     - d > 32: no table.  Every chain point walks the block extrema from
       i + 1 and finds its cap by binary search.  A path whose quadratic
       variation under-predicts its exits (a strong drift) shows it as a run
       of 64 points with a mean step of 32 samples or less; the rest of the
-      level is then scanned with a table.
-    - Otherwise a first-exit table with a window of 32 samples (16 when
-      d <= 2: where exits are a sample or two apart the extra passes cost
-      more than the far exits they save).  Offsets are at most 32 and the
-      stop code 33, so the table is uint8.  Chain points with no exit in
-      their window go on with the block walk.
+      level is then scanned with a table built on that suffix alone.
+    - Otherwise the level's first-exit table, with a window of 32 samples
+      (16 when d <= 2: where exits are a sample or two apart the extra
+      passes cost more than the far exits they save), read as bytes:
+      offsets are at most 32 and the stop code 33.  Chain points with no
+      exit in their window go on with the block walk.  The tables of all
+      such levels of the scan are built together, on the first read.
 
     Both searches decide |x_j - x_i| > thr with the same floating-point
     comparisons as a sample-by-sample scan, so the indices are those of that
@@ -246,16 +311,15 @@ def _lebesgue_scan(x: np.ndarray, times: np.ndarray, n: int) -> list[int]:
     """
     thr = 0.5 ** (n + 1)
     cap = 1.0 / n
+    x, times, xs, ts = scan.x, scan.times, scan.xs, scan.ts
     size = times.size
-    xs, ts = memoryview(x), memoryview(times)
-    with np.errstate(over="ignore"):  # an infinite sum only predicts close exits
-        qv = float(np.sum(np.square(np.diff(x))))
-    window = _exit_window((size - 1) * thr * thr / qv if qv else math.inf)
+    window = scan.windows[n]
     out = [0]
     i = 0
-    tiers = None
-    if not window:
-        tiers = _block_extrema(x)
+    if window:
+        offset = scan.table(n)
+    else:
+        tiers = scan.tiers
         mark = 0
         while i < size - 1:
             last = bisect_right(ts, ts[i] + cap) - 1
@@ -270,12 +334,11 @@ def _lebesgue_scan(x: np.ndarray, times: np.ndarray, n: int) -> list[int]:
                 mark = i
         if i == size - 1:
             return out
-    # the table for the starts from i on; a code above the window sends the
-    # walk to its one slow branch
+        # the rest of the level on a table of the starts from i on
+        (suffix,) = _first_exits(x[i:], times[i:], [(thr, cap, window)])
+        offset = bytes([window + 1]) * i + suffix
+    # a code above the window sends the walk to its one slow branch
     none = window + 1
-    offset = _first_exits(x[i:], times[i:], thr, cap, window).tolist()
-    if i:
-        offset = [none] * i + offset
     append = out.append
     while True:
         k = offset[i]
@@ -285,9 +348,7 @@ def _lebesgue_scan(x: np.ndarray, times: np.ndarray, n: int) -> list[int]:
             last = bisect_right(ts, ts[i] + cap) - 1
             if last == i:
                 raise _too_coarse(times, i, n)
-            if tiers is None:
-                tiers = _block_extrema(x)
-            k = _far_exit(xs, tiers, i, i + none, last, thr)
+            k = _far_exit(xs, scan.tiers, i, i + none, last, thr)
         i += k
         append(i)
 
@@ -304,6 +365,20 @@ def _far_exit(xs, tiers, i: int, j: int, last: int, thr: float) -> int:
     of ``last`` if there is none; the samples strictly between i and j are
     known to stay in the band."""
     xi = xs[i]
+    # pre-tests while the 16-block, then the 256-block, holding j begins
+    # before i: the walk below cannot take such a block whole, as its
+    # samples before i may leave the band, but if none of its samples does,
+    # its rest from j is skipped in one test instead of sample by sample or
+    # block by block
+    for tier in range(_BLOCK_TIERS - 1):
+        if j > last:
+            return last - i
+        shift = _BLOCK_BITS * (tier + 1)
+        b = j >> shift
+        hi, lo = tiers[tier]
+        if b << shift >= i or hi[b] - xi > thr or xi - lo[b] > thr:
+            break
+        j = (b + 1) << shift
     tier = 0
     # start in the coarsest block holding j that begins at or after i: its
     # samples before j are known to stay in the band
@@ -331,7 +406,7 @@ def _far_exit(xs, tiers, i: int, j: int, last: int, thr: float) -> int:
     return last - i
 
 
-def lebesgue_partition(path: GridPath, n: int) -> Partition:
+def lebesgue_partition(path: GridPath, n: int, _scan: _Scan | None = None) -> Partition:
     """Stopping-time partition at level n for a scalar path.
 
     T_0 = 0 and T_{k+1} is the first grid time strictly after T_k at which
@@ -340,21 +415,19 @@ def lebesgue_partition(path: GridPath, n: int) -> Partition:
     time.  Every gap is <= 1/n, and for the generating path the oscillation
     over each partition interval is <= 2^-n at grid resolution.  A path with
     a NaN or infinite value is rejected with ``ValueError``.
+    ``lebesgue_partitions`` builds several levels of one path together.
     """
-    if n < 1:
-        raise ValueError("level n must be >= 1 (the 1/n cap is undefined at 0)")
-    if path.dim != 1:
-        raise ValueError("stopping-time partitions are built from scalar paths")
-    x = np.ascontiguousarray(path.x)
-    finite = np.isfinite(x)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(
-            f"stopping-time partition of a path with a non-finite value {float(x[i])!r} "
-            f"at grid index {i}, t = {path.grid.times[i]:.6g}"
-        )
-    idx = _lebesgue_scan(x, path.grid.times, n)
-    return Partition(path.grid, np.asarray(idx, dtype=int))
+    if _scan is None:
+        _scan = _Scan(path, [n])
+    return Partition(path.grid, np.asarray(_lebesgue_scan(_scan, n), dtype=int))
+
+
+def lebesgue_partitions(path: GridPath, levels) -> list[Partition]:
+    """``[lebesgue_partition(path, n) for n in levels]``, with the per-path
+    work shared across the levels: the finite check and the QV sum once,
+    the block extrema once, and the first-exit tables in one pass."""
+    scan = _Scan(path, levels)
+    return [lebesgue_partition(path, n, _scan=scan) for n in scan.levels]
 
 
 def oscillation(path: GridPath, p: Partition, t: float) -> float:

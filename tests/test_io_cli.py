@@ -13,7 +13,16 @@ from hypothesis import strategies as st
 
 import follmer as fl
 from follmer.cli import main
-from follmer.io import ConfigError, config_hash, make_floor, make_function, make_generator, write_csv, write_svg
+from follmer.io import (
+    ConfigError,
+    config_hash,
+    make_floor,
+    make_function,
+    make_generator,
+    tolerance,
+    write_csv,
+    write_svg,
+)
 from follmer.paths import _CSV_BLOCK, read_path_csv, write_path_csv
 
 
@@ -584,6 +593,14 @@ def test_every_subcommand_rejects_unknown_key(tmp_path, command):
         ("qv", {"t": 5.0}, "t = 5.0 lies outside"),
         ("assoc", {"eta": {"constant": [1.0, 2.0]}}, "eta.constant has 2 values for 1 integrands"),
         ("mc", {"n_min": 0}, "n_min"),
+        ("mc", {"seeds": -1}, "seeds is empty"),
+        ("mc", {"seeds": []}, "seeds is empty"),
+        ("mc", {"sigma": float("nan")}, "sigma must be finite, got nan"),
+        ("mc", {"T": float("inf")}, "T must be finite, got inf"),
+        ("mc", {"jump_size": float("-inf")}, "jump_size must be finite, got -inf"),
+        ("mc", {"tol": float("nan")}, "tolerance 'tol' must be a finite nonnegative number, got nan"),
+        ("qv", {"tol": True}, "tolerance 'tol' must be a finite nonnegative number, got True"),
+        ("ito-check", {"assert_residual": float("inf")}, "'assert_residual' must be a finite nonnegative number"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):
@@ -610,6 +627,30 @@ def test_unknown_sub_key_exits_2(tmp_path, command, changes, unknown):
     result, _ = run_command(tmp_path, command, changes)
     assert result.exit_code == 2, result.output
     assert "unknown keys" in result.stderr and unknown in result.stderr
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0, 10**400, True, False, "0.1", None])
+def test_tolerance_rejects_all_but_finite_nonnegative_numbers(value):
+    with pytest.raises(ConfigError, match=r"^tolerance 'assert_tol' must be a finite nonnegative number, got "):
+        tolerance({"assert_tol": value}, "assert_tol", 0.1)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, 2, 1e-12])
+def test_tolerance_accepts_finite_nonnegative_numbers(value):
+    got = tolerance({"tol": value}, "tol", 0.1)
+    assert type(got) is float and got == value
+
+
+def test_mc_failure_names_the_worst_seed(tmp_path):
+    result, out = run_command(tmp_path, "mc", {"assert_pass_fraction": 1.1})
+    assert result.exit_code == 1, result.output
+    report = json.loads((out / "mc_report.json").read_text())
+    rows = [r.split(",") for r in (out / "mc_seeds.csv").read_text().splitlines()[1:-1]]
+    worst = max(rows, key=lambda r: float(r[2]))
+    assert int(worst[0]) == report["worst_seed"]
+    assert report["failures"] == [
+        f"pass fraction {report['pass_fraction']} below 1.1; worst seed {worst[0]}: sup error {worst[2]} at n=3"
+    ]
 
 
 def test_mc_rejects_levels(tmp_path):

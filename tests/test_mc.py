@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import beta
 
 import follmer as fl
+from follmer import partitions
 from follmer.mc import _binomial_interval, run_seed
 
 
@@ -65,6 +66,44 @@ def test_jumpy_batch_targets_include_jumps():
     out = run_seed(exp, 11)
     assert out.gaps_ok and out.osc_ok
     assert out.sup_errors[-1] <= 5e-2
+
+
+def test_run_seed_builds_every_level_through_lebesgue_partition(monkeypatch):
+    # one traced call per level, all sharing the per-path scan state
+    calls = []
+    real = partitions.lebesgue_partition
+
+    def spy(path, n, **kwargs):
+        calls.append((n, kwargs["_scan"]))
+        return real(path, n, **kwargs)
+
+    monkeypatch.setattr(partitions, "lebesgue_partition", spy)
+    exp = fl.McExperiment(seeds=(0,), n_min=3, n_max=8, grid_level=12, jump_intensity=2.0)
+    out = run_seed(exp, 0)
+    assert [n for n, _ in calls] == [3, 4, 5, 6, 7, 8]
+    assert len({id(scan) for _, scan in calls}) == 1
+    monkeypatch.undo()
+    assert run_seed(exp, 0) == out
+
+
+def test_seed_paths_share_the_experiments_grid():
+    exp = fl.McExperiment(seeds=(0, 1), grid_level=8, jump_intensity=2.0)
+    grids = {id(fl.mc._sample_path(exp, s).grid) for s in exp.seeds}
+    assert grids == {id(exp.grid)}
+    assert np.array_equal(exp.grid.times, fl.dyadic_grid(1.0, 8).times)
+
+
+@pytest.mark.parametrize("seeds", [(), []])
+def test_empty_seeds_rejected(seeds):
+    with pytest.raises(ValueError, match="^seeds is empty"):
+        fl.McExperiment(seeds=seeds)
+
+
+@pytest.mark.parametrize("field", ["T", "sigma", "jump_intensity", "jump_size"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_fields_rejected(field, bad):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {bad!r}$"):
+        fl.McExperiment(seeds=(0,), **{field: bad})
 
 
 def _beta_interval(k, n):

@@ -381,6 +381,36 @@ class TestBlockExtremaSearch:
                         x[200:] = edge + ulps * np.spacing(edge)
                         assert_matches_reference(fl.GridPath(g, x), [n])
 
+    @pytest.mark.parametrize("before", [False, True])
+    @pytest.mark.parametrize("offset", [2, 130, 300])
+    def test_block_pre_tests_on_rounding_edges(self, offset, before):
+        # the 1/3 cap puts a chain point at i = 333, inside the 16-block
+        # 320..335 and the 256-block 256..511, where the path moves from
+        # b = c - 0.6 thr to c.  One sample ``offset`` past i (in i's
+        # 16-block, in its 256-block only, or past both) sits one or two ulps
+        # around fl(c +- thr), so a whole-block pre-test decides it; c +- thr
+        # rounds when |c| < thr or the sum changes binade.  With ``before``,
+        # a sample of i's 16-block before i leaves c's band (but not b's), so
+        # that pre-test must not skip the block
+        g = fl.TimeGrid(np.linspace(0.0, 1.0, 1001))
+        n, i = 3, 333
+        thr = 0.5 ** (n + 1)
+        rng = np.random.default_rng(23)
+        binades = 2.0 ** rng.integers(-1, 4, size=12) + thr * rng.uniform(-1.0, 1.0, size=12)
+        small = thr * rng.uniform(-1.0, 1.0, size=4)
+        for c in np.concatenate([binades * rng.choice([-1.0, 1.0], size=12), small]):
+            b = c - 0.6 * thr
+            for edge in (c + thr, c - thr):
+                for ulps in (-2, -1, 0, 1, 2):
+                    x = np.full(len(g), b)
+                    x[i:] = c
+                    if before:
+                        x[i - 5] = b - 0.6 * thr
+                    x[i + offset] = edge + ulps * np.spacing(edge)
+                    path = fl.GridPath(g, x)
+                    assert fl.lebesgue_partition(path, n).indices[1] == i
+                    assert_matches_reference(path, [n])
+
 
 class TestScanModes:
     """Each level's search is picked from the path (no table, a 32-sample or
@@ -453,6 +483,90 @@ class TestScanModes:
         path = fl.add_paths(fl.DyadicBrownianGenerator(seed=5, sigma=0.02).generate(g), jumps)
         assert np.sum(jumps.dX**2) > 0.9 * np.sum(np.diff(path.x) ** 2)
         assert_matches_reference(path, range(3, 9))
+
+
+def assert_levels_match_reference(path, levels):
+    """``lebesgue_partitions`` gives the reference chain at every level, or
+    raises for the first level, in order, whose grid is too coarse."""
+    x = np.ascontiguousarray(path.x)
+    want = [_scan_outcome(lambda: _lebesgue_scan_py(x, path.grid.times, 0.5 ** (n + 1), 1.0 / n)) for n in levels]
+    if "too coarse" in want:
+        n = levels[want.index("too coarse")]
+        with pytest.raises(ValueError, match=rf"^grid too coarse for the 1/n time cap at level n={n}: "):
+            fl.lebesgue_partitions(path, levels)
+    else:
+        assert [p.indices.tolist() for p in fl.lebesgue_partitions(path, levels)] == want
+
+
+class TestLebesguePartitions:
+    """All levels of one path built together share its scan state: one
+    finite check and QV sum, one set of block extrema, one pass for every
+    first-exit table.  Each level must still be the reference chain."""
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_brownian_with_and_without_jumps(self, seed):
+        g = fl.dyadic_grid(1.0, 16)
+        w = fl.DyadicBrownianGenerator(seed=seed).generate(g)
+        jumps = fl.CompoundJumpGenerator(seed=seed, intensity=2.0, size=0.5).generate(g)
+        assert jumps.jumps
+        for path in (w, fl.add_paths(w, jumps)):
+            assert_levels_match_reference(path, list(range(1, 9)))
+
+    def test_drift_hand_over_among_table_levels(self, monkeypatch):
+        # level 3 is table-free by its QV and hands over to a table of its
+        # own on the suffix; levels 7 and 8 share one pass over the path
+        g = fl.dyadic_grid(1.0, 16)
+        x = np.maximum(np.arange(len(g)) - 60_000, 0) * (0.5**4 / 2.5)
+        x = x + 1e-3 * np.random.default_rng(1).normal(size=len(g))
+        calls = []
+        real = partitions._first_exits
+
+        def spy(x, times, levels):
+            calls.append((x.size, [window for _, _, window in levels]))
+            return real(x, times, levels)
+
+        monkeypatch.setattr(partitions, "_first_exits", spy)
+        assert_levels_match_reference(fl.GridPath(g, x), [3, 7, 8])
+        (suffix, windows), shared = calls
+        assert 60_000 < len(g) - suffix < 61_000 and windows == [32]
+        assert shared == (len(g), [16, 16])
+
+    def test_nonuniform_grid(self):
+        steps = np.random.default_rng(5).exponential(size=4999)
+        g = fl.TimeGrid(np.concatenate([[0.0], np.cumsum(steps) / steps.sum()]))
+        x = np.cumsum(np.random.default_rng(6).normal(size=len(g)) * np.sqrt(np.diff(g.times, prepend=0.0)))
+        assert_levels_match_reference(fl.GridPath(g, x), [8, 1, 5, 5, 3])
+
+    def test_constant_path(self):
+        x = fl.FormulaGenerator(lambda t: 0.0 * t).generate(fl.dyadic_grid(1.0, 10))
+        assert_levels_match_reference(x, list(range(1, 9)))
+
+    @pytest.mark.parametrize("levels", [[1, 2, 3, 4], [2, 4, 3], [4, 1]])
+    def test_too_coarse_grid(self, levels):
+        g = fl.TimeGrid(np.array([0.0, 0.125, 0.25, 0.375, 0.5, 0.875, 1.0]))
+        assert_levels_match_reference(fl.GridPath(g, np.array([0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0])), levels)
+
+    def test_rejects_like_lebesgue_partition(self):
+        g = fl.dyadic_grid(1.0, 6)
+        x = np.zeros(len(g))
+        with pytest.raises(ValueError, match=r"level n must be >= 1"):
+            fl.lebesgue_partitions(fl.GridPath(g, x), [3, 0])
+        x[40] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite value nan at grid index 40"):
+            fl.lebesgue_partitions(fl.GridPath(g, x), [3])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.integers(2, 6000),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 1e-1]),
+        levels=st.lists(st.integers(1, 10), min_size=1, max_size=6),
+    )
+    def test_property_random_walks_and_level_lists(self, size, seed, scale, levels):
+        rng = np.random.default_rng(seed)
+        steps = rng.exponential(size=size - 1)
+        g = fl.TimeGrid(np.concatenate([[0.0], np.cumsum(steps) / steps.sum()]))
+        assert_levels_match_reference(fl.GridPath(g, _walk_with_jumps(rng, size, scale)), levels)
 
 
 def _ulps(t: float, k: int) -> float:
