@@ -417,6 +417,8 @@ def _market_from(run: Run) -> Market:
     mref = subsection(run.cfg, "market", None, {"csv", "s", "b"})
     if "csv" in mref:
         check_keys(mref, {"csv"}, "market")
+        if not isinstance(mref["csv"], str):  # open() would take an integer as a file descriptor
+            raise ConfigError(f"market.csv must be a file path, got {mref['csv']!r}")
         from .finance import read_market_csv
 
         try:

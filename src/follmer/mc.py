@@ -9,6 +9,13 @@ bounds per sample -- every gap <= 1/n and oscillation <= 2^-n -- so the
 summability hypothesis behind the convergence statement is certified
 deterministically, not statistically; the convergence itself is reported as
 a per-seed pass/fail fraction with an exact binomial interval.
+
+A level is measured on the segments of its partition, never on a curve over
+the whole grid: the sup distance from the QV curve to the target comes from
+the errors at the partition points plus the interiors of the few segments
+whose error bound reaches past them (``_sup_error``), and the oscillation
+from ``partitions.oscillation``, which gathers the diameters of short
+segments.  Both give the floats the full-grid formulas give.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .diagnostics import STOCHASTIC_TOL, TREND_WINDOW, TrendReport
-from .partitions import lebesgue_partitions, mesh, oscillation
+from .partitions import Partition, lebesgue_partitions, mesh, oscillation
 from .paths import (
     CompoundJumpGenerator,
     DyadicBrownianGenerator,
@@ -29,7 +36,7 @@ from .paths import (
     add_paths,
     dyadic_grid,
 )
-from .quadvar import qv_curve
+from .quadvar import _anchor_sums, qv_curve
 
 __all__ = ["McExperiment", "SeedOutcome", "McSummary", "run_mc"]
 
@@ -147,16 +154,54 @@ def _binomial_interval(k: int, n: int, alpha: float = 0.05) -> tuple:
     return (lo, hi)
 
 
+def _sup_error(path: GridPath, p: Partition, target: np.ndarray, n: int) -> float:
+    """``max |qv_curve(path, p) - target|`` over the grid, the same float,
+    from the segments of ``p`` without building the curve.
+
+    Valid only where ``p`` is the band-exit partition of ``path`` at level
+    ``n`` (``lebesgue_partition``) and ``target`` is nondecreasing.  The
+    scan ends a segment [a, b) at its first sample with |fl(x_g - x_a)| >
+    thr = 2^-(n+1), or earlier at the 1/n cap, so every sample g strictly
+    inside it has |fl(x_g - x_a)| <= thr.  There the curve is fl(C +
+    fl((x_g - x_a)^2)), C the sum at the anchor a, so it lies in [C, fl(C +
+    thr^2)]; rounding is monotone and T_a <= T_g <= T_b, so the error lies
+    in [fl(C - T_b), fl(fl(C + thr^2) - T_a)].  The sup is the largest error
+    at the partition points unless one of these bounds reaches past it, and
+    only the interiors of such segments are evaluated, with
+    ``product_curve``'s own float operations.  A non-finite sum takes the
+    full curve.
+    """
+    x, idx = path.x, p.indices
+    xa = x[idx]
+    csum = _anchor_sums(xa, xa)
+    if not (math.isfinite(csum[-1]) and math.isfinite(target[-1])):
+        return float(np.max(np.abs(qv_curve(path, p) - target)))
+    ta = target[idx]
+    worst = np.max(np.abs(csum - ta))
+    thr = 0.5 ** (n + 1)
+    c = csum[:-1]
+    over = np.flatnonzero(np.maximum((c + thr * thr) - ta[:-1], ta[1:] - c) > worst)
+    if over.size:
+        # the samples a + 1 .. b - 1 of each such segment, and its anchor
+        a = idx[over]
+        counts = idx[over + 1] - a - 1
+        g = np.arange(counts.sum()) + np.repeat(a + 1 - (np.cumsum(counts) - counts), counts)
+        k = np.repeat(over, counts)
+        d = x[g] - xa[k]
+        worst = np.max(np.abs((csum[k] + d * d) - target[g]), initial=worst)
+    return float(worst)
+
+
 def run_seed(exp: McExperiment, seed: int) -> SeedOutcome:
     path = _sample_path(exp, seed)
     target = _target_curve(exp, path)
     sup_errors, oscs, gaps = [], [], []
-    for p in lebesgue_partitions(path, range(exp.n_min, exp.n_max + 1)):
-        curve = qv_curve(path, p)
-        sup_errors.append(float(np.max(np.abs(curve - target))))
+    levels = range(exp.n_min, exp.n_max + 1)
+    for n, p in zip(levels, lebesgue_partitions(path, levels)):
+        sup_errors.append(_sup_error(path, p, target, n))
         oscs.append(oscillation(path, p, exp.T))
         gaps.append(mesh(p))
-    levels = np.arange(exp.n_min, exp.n_max + 1)
+    levels = np.asarray(levels)
     gaps_ok = bool(np.all(np.asarray(gaps) <= 1.0 / levels + 1e-12))
     osc_ok = bool(np.all(np.asarray(oscs) <= 0.5**levels + 1e-12))
     osc_sum = float(np.sum(oscs))

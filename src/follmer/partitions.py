@@ -278,12 +278,20 @@ class _Scan:
         return self._tiers
 
     def table(self, n: int) -> bytes:
-        """Level n's first-exit table over the whole path."""
+        """Level n's first-exit table over the whole path.  The scan lets go
+        of each table as it hands it out, so a table lives only while its
+        level's chain is walked; a level asked for again gets its table
+        rebuilt alone."""
         if self._tables is None:
             levels = [m for m, window in self.windows.items() if window]
-            specs = [(0.5 ** (m + 1), 1.0 / m, self.windows[m]) for m in levels]
-            self._tables = dict(zip(levels, _first_exits(self.x, self.times, specs)))
-        return self._tables[n]
+            self._tables = dict(zip(levels, _first_exits(self.x, self.times, [self._spec(m) for m in levels])))
+        table = self._tables.pop(n, None)
+        if table is None:
+            (table,) = _first_exits(self.x, self.times, [self._spec(n)])
+        return table
+
+    def _spec(self, n: int) -> tuple:
+        return 0.5 ** (n + 1), 1.0 / n, self.windows[n]
 
 
 def _lebesgue_scan(scan: _Scan, n: int) -> list[int]:
@@ -419,7 +427,8 @@ def lebesgue_partition(path: GridPath, n: int, _scan: _Scan | None = None) -> Pa
     """
     if _scan is None:
         _scan = _Scan(path, [n])
-    return Partition(path.grid, np.asarray(_lebesgue_scan(_scan, n), dtype=int))
+    out = _lebesgue_scan(_scan, n)
+    return Partition(path.grid, np.fromiter(out, dtype=np.intp, count=len(out)))
 
 
 def lebesgue_partitions(path: GridPath, levels) -> list[Partition]:
@@ -441,13 +450,10 @@ def oscillation(path: GridPath, p: Partition, t: float) -> float:
     t_idx = path.grid.clamp_index(t)
     idx = p.indices
     if path.dim == 1:
-        # segments [idx[k], idx[k+1]) of the samples up to t, via reduceat;
-        # the last runs to t (a singleton, of zero diameter, at a point <= t)
+        # segments [idx[k], idx[k+1]) of the samples up to t; the last runs
+        # to t (a singleton, of zero diameter, at a point <= t)
         x = path.values[: t_idx + 1, 0]
-        starts = idx[: np.searchsorted(idx, t_idx, side="right")]
-        mx = np.maximum.reduceat(x, starts)
-        mn = np.minimum.reduceat(x, starts)
-        return float(np.max(mx - mn))
+        return _max_diameter(x, idx[: np.searchsorted(idx, t_idx, side="right")])
     worst = 0.0
     for a, b in zip(idx, idx[1:]):
         hi = min(b, t_idx + 1)  # exclusive; half-open at t_{i+1}
@@ -461,3 +467,52 @@ def oscillation(path: GridPath, p: Partition, t: float) -> float:
         if b > t_idx:
             break
     return worst
+
+
+# segments of at most this many samples are measured by gathers, one per
+# sample column, and longer ones by reduceat; a level whose segments average
+# more samples than _REDUCEAT_MEAN takes reduceat over all of them
+_GATHER_SPAN = 16
+_REDUCEAT_MEAN = 8
+
+
+def _max_diameter(x: np.ndarray, starts: np.ndarray) -> float:
+    """The largest max - min of x over the segments [starts[k], starts[k+1]),
+    the last running to the end of x.
+
+    Two reduceat passes over every segment pay per sample and per segment;
+    they are the faster route where segments hold more than about 8 samples
+    on average (band-exit partitions at coarse levels).  Where most segments
+    hold one or two samples (fine levels) the diameters come from gathers
+    instead: |x[a+1] - x[a]| is the diameter of a segment of two samples
+    (and 0, as x[a] - x[a], of one), a segment of 3..16 samples takes one
+    gather per sample column, clipped to its last sample, and only longer
+    ones take reduceat.  max and min pick samples exactly, so every diameter
+    is the float that reduceat gives.
+    """
+    if x.size > _REDUCEAT_MEAN * starts.size:
+        return float(np.max(np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)))
+    ends = np.append(starts[1:] - 1, x.size - 1)
+    # at most the diameter of a longer segment, so it changes no maximum
+    worst = np.max(np.abs(x[np.minimum(starts + 1, ends)] - x[starts]))
+    wide = np.flatnonzero(ends - starts > 1)
+    if wide.size:
+        a, e = starts[wide], ends[wide]
+        gather = e - a < _GATHER_SPAN
+        ga, ge = a[gather], e[gather]
+        if ga.size:
+            hi = x[ga]
+            lo = hi.copy()
+            for c in range(1, int(np.max(ge - ga)) + 1):
+                v = x[np.minimum(ga + c, ge)]
+                np.maximum(hi, v, out=hi)
+                np.minimum(lo, v, out=lo)
+            worst = np.maximum(worst, np.max(hi - lo))
+        if ga.size < a.size:
+            # [a, e + 1) pairs; reduceat runs the last index to the end of x
+            bounds = np.column_stack((a[~gather], e[~gather] + 1)).ravel()
+            if bounds[-1] == x.size:
+                bounds = bounds[:-1]
+            diameters = np.maximum.reduceat(x, bounds) - np.minimum.reduceat(x, bounds)
+            worst = np.maximum(worst, np.max(diameters[::2]))
+    return float(worst)

@@ -52,11 +52,17 @@ def _anchor_runs(idx: np.ndarray, n: int) -> np.ndarray:
     return np.diff(idx, append=n)
 
 
+def _anchor_sums(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
+    """The product sums at the partition points themselves, from the values
+    ``xa``, ``ya`` there: 0, then the running sum of increment products."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(xa) * np.diff(ya))])
+
+
 def product_curve(x: np.ndarray, y: np.ndarray, p: Partition) -> np.ndarray:
     """t -> sum of (X_{t_{i+1}^t} - X_{t_i^t})(Y_{t_{i+1}^t} - Y_{t_i^t}) on the grid."""
     idx = p.indices
     xa, ya = x[idx], y[idx]
-    csum = np.concatenate([[0.0], np.cumsum(np.diff(xa) * np.diff(ya))])
+    csum = _anchor_sums(xa, ya)
     runs = _anchor_runs(idx, x.size)
     dx = np.repeat(xa, runs)
     np.subtract(x, dx, out=dx)

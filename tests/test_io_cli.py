@@ -601,6 +601,8 @@ def test_every_subcommand_rejects_unknown_key(tmp_path, command):
         ("mc", {"tol": float("nan")}, "tolerance 'tol' must be a finite nonnegative number, got nan"),
         ("qv", {"tol": True}, "tolerance 'tol' must be a finite nonnegative number, got True"),
         ("ito-check", {"assert_residual": float("inf")}, "'assert_residual' must be a finite nonnegative number"),
+        ("dppi", {"market": {"csv": 3}}, "market.csv must be a file path, got 3"),
+        ("dppi", {"market": {"csv": ["m.csv"]}}, "market.csv must be a file path, got ['m.csv']"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):

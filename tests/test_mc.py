@@ -128,3 +128,89 @@ def test_binomial_interval_matches_beta_quantiles_large_n(n, frac):
     k = round(frac * n)
     lo, hi = _beta_interval(np.array(k), n)
     assert _binomial_interval(k, n) == pytest.approx((float(lo), float(hi)), rel=1e-12, abs=0.0)
+
+
+def _full_sup_error(path, p, target):
+    """The sup error from the QV curve over the whole grid."""
+    return float(np.max(np.abs(fl.mc.qv_curve(path, p) - target)))
+
+
+def _test_path(size, uniform, sigma, jumps, jump_size, seed):
+    """A diffusion on a dyadic or a non-uniform grid of ``size + 1`` points,
+    plus compound jumps ("coin", "uniform") when ``jumps`` names a sampler."""
+    rng = np.random.default_rng(seed)
+    if uniform:
+        g = fl.TimeGrid(np.arange(size + 1) / size)
+    else:
+        steps = rng.uniform(0.5, 1.5, size=size)
+        g = fl.TimeGrid(np.concatenate([[0.0], np.cumsum(steps) / steps.sum()]))
+    dw = rng.normal(size=size) * np.sqrt(np.diff(g.times))
+    path = fl.GridPath(g, sigma * np.concatenate([[0.0], np.cumsum(dw)]))
+    if jumps:
+        gen = fl.CompoundJumpGenerator(seed=seed, intensity=8.0, size=jump_size, sampler=jumps)
+        path = fl.add_paths(path, gen.generate(g))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(64, 4096),
+    uniform=st.booleans(),
+    sigma=st.sampled_from([0.0, 1e-3, 0.05, 0.3, 1.0, 3.0]),
+    jumps=st.sampled_from([None, "coin", "uniform"]),
+    jump_size=st.sampled_from([1e-3, 0.1, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 10),
+    stepped=st.booleans(),
+)
+def test_sup_error_is_the_full_curve_formula(size, uniform, sigma, jumps, jump_size, seed, n, stepped):
+    # small sigma at low n ends segments at the 1/n cap, jumps of 2.0 lie far
+    # outside every band; the target is mc's, or a random nondecreasing one
+    path = _test_path(size, uniform, sigma, jumps, jump_size, seed)
+    p = fl.lebesgue_partition(path, n)
+    if stepped:
+        target = np.cumsum(np.random.default_rng(seed + 1).exponential(size=len(path.grid)) * 4.0 / size)
+    else:
+        target = sigma**2 * path.grid.times + np.cumsum(path.dX[:, 0] ** 2)
+    assert fl.mc._sup_error(path, p, target, n) == _full_sup_error(path, p, target)
+
+
+def test_sup_error_on_cap_ended_segments():
+    # a quiet path leaves no band at levels 1..3: every segment ends at the cap
+    path = _test_path(4096, True, 1e-3, None, 0.0, 4)
+    target = 1e-6 * path.grid.times
+    g = path.grid
+    for n in (1, 2, 3):
+        p = fl.lebesgue_partition(path, n)
+        assert all(b == g.clamp_index(g.times[a] + 1.0 / n) for a, b in zip(p.indices, p.indices[1:]))
+        assert fl.mc._sup_error(path, p, target, n) == _full_sup_error(path, p, target)
+
+
+def test_sup_error_takes_the_full_curve_when_the_sums_overflow():
+    path = _test_path(256, True, 1.0, "coin", 1e200, 2)
+    with np.errstate(over="ignore"):
+        target = path.grid.times + np.cumsum(path.dX[:, 0] ** 2)
+    p = fl.lebesgue_partition(path, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(fl.mc._sup_error(path, p, target, 4)) and np.isnan(_full_sup_error(path, p, target))
+
+
+def _full_grid_oscillation(path, p, t):
+    """The oscillation from two reduceat passes over every segment up to t."""
+    t_idx = path.grid.clamp_index(t)
+    starts = p.indices[: np.searchsorted(p.indices, t_idx, side="right")]
+    x = path.values[: t_idx + 1, 0]
+    return float(np.max(np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)))
+
+
+@pytest.mark.parametrize("jumps", [0.0, 2.0])
+def test_run_seed_matches_the_full_grid_formulas(jumps):
+    # the benchmark's settings: grid level 16, levels 3..8, eight seeds per kind
+    exp = fl.McExperiment(seeds=tuple(range(8)), grid_level=16, jump_intensity=jumps)
+    for seed in exp.seeds:
+        out = run_seed(exp, seed)
+        path = fl.mc._sample_path(exp, seed)
+        target = fl.mc._target_curve(exp, path)
+        ps = fl.lebesgue_partitions(path, range(3, 9))
+        assert out.sup_errors == tuple(_full_sup_error(path, p, target) for p in ps)
+        assert out.oscillations == tuple(_full_grid_oscillation(path, p, exp.T) for p in ps)

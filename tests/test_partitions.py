@@ -179,6 +179,57 @@ def test_oscillation_equals_the_interval_loop(steps, seed, points, where):
     assert fl.oscillation(path, p, t) == _oscillation_loop(path, p, g.clamp_index(t))
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    size=st.integers(64, 2048),
+    uniform=st.booleans(),
+    sigma=st.sampled_from([1e-3, 0.05, 0.3, 1.0, 3.0]),
+    jumps=st.sampled_from([None, "coin", "uniform"]),
+    jump_size=st.sampled_from([1e-3, 0.1, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 10),
+    where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+)
+def test_oscillation_of_band_exit_partitions_equals_the_interval_loop(
+    size, uniform, sigma, jumps, jump_size, seed, n, where
+):
+    # band-exit partitions hold every mix of segment lengths from one or two
+    # samples (fine levels, jumps) to the 1/n cap (small sigma, coarse levels)
+    rng = np.random.default_rng(seed)
+    if uniform:
+        g = fl.TimeGrid(np.arange(size + 1) / size)
+    else:
+        steps = rng.uniform(0.5, 1.5, size=size)
+        g = fl.TimeGrid(np.concatenate([[0.0], np.cumsum(steps) / steps.sum()]))
+    dw = rng.normal(size=size) * np.sqrt(np.diff(g.times))
+    path = fl.GridPath(g, sigma * np.concatenate([[0.0], np.cumsum(dw)]))
+    if jumps:
+        gen = fl.CompoundJumpGenerator(seed=seed, intensity=8.0, size=jump_size, sampler=jumps)
+        path = fl.add_paths(path, gen.generate(g))
+    p = fl.lebesgue_partition(path, n)
+    for t in [g.T] + [w * g.T for w in where]:
+        assert fl.oscillation(path, p, t) == _oscillation_loop(path, p, g.clamp_index(t))
+
+
+@pytest.mark.parametrize("long_last", [False, True])
+def test_max_diameter_takes_every_segment_length(long_last):
+    # mean length under 8 takes the gathers: lengths 1 and 2, 3..16 by
+    # columns, 17 and 40 by reduceat over [start, end + 1) pairs, the last
+    # pair's end being the end of x when a long segment comes last
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        lens = rng.permutation([1] * 40 + [2] * 20 + list(range(3, 17)) + [17, 40])
+        k = int(np.argmax(lens)) if long_last else len(lens) - 1
+        j = len(lens) - 1 if long_last else int(np.argmin(lens))
+        lens[[j, k]] = lens[[k, j]]
+        assert (lens[-1] == 40) == long_last
+        starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+        x = rng.normal(size=int(lens.sum()))
+        assert x.size <= partitions._REDUCEAT_MEAN * starts.size
+        want = max(float(x[a : a + m].max() - x[a : a + m].min()) for a, m in zip(starts, lens))
+        assert partitions._max_diameter(x, starts) == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(2, 40),
@@ -283,6 +334,28 @@ class TestLebesgueMatchesReference:
     def test_linear_path(self):
         x = fl.FormulaGenerator(lambda t: t).generate(fl.dyadic_grid(1.0, 10))
         assert_matches_reference(x, range(1, 9))
+
+    def test_tables_are_released_once_walked(self, monkeypatch):
+        # the scan lets go of each table as its level takes it; a level
+        # asked for again gets its table rebuilt alone
+        path = fl.DyadicBrownianGenerator(seed=4).generate(fl.dyadic_grid(1.0, 12))
+        calls = []
+        real = partitions._first_exits
+
+        def spy(x, times, levels):
+            calls.append([window for _, _, window in levels])
+            return real(x, times, levels)
+
+        monkeypatch.setattr(partitions, "_first_exits", spy)
+        scan = partitions._Scan(path, [6, 7, 7])
+        assert scan.windows[6] and scan.windows[7]
+        fl.lebesgue_partition(path, 6, _scan=scan)
+        assert list(scan._tables) == [7]
+        fl.lebesgue_partition(path, 7, _scan=scan)
+        fl.lebesgue_partition(path, 7, _scan=scan)
+        assert scan._tables == {} and calls == [[16, 16], [16]]
+        monkeypatch.undo()
+        assert_levels_match_reference(path, [6, 7, 7])
 
     def test_nonuniform_grid(self):
         steps = np.random.default_rng(5).exponential(size=4999)
@@ -530,6 +603,28 @@ class TestLebesguePartitions:
         (suffix, windows), shared = calls
         assert 60_000 < len(g) - suffix < 61_000 and windows == [32]
         assert shared == (len(g), [16, 16])
+
+    def test_tables_are_released_once_walked(self, monkeypatch):
+        # the scan lets go of each table as its level takes it; a level
+        # asked for again gets its table rebuilt alone
+        path = fl.DyadicBrownianGenerator(seed=4).generate(fl.dyadic_grid(1.0, 12))
+        calls = []
+        real = partitions._first_exits
+
+        def spy(x, times, levels):
+            calls.append([window for _, _, window in levels])
+            return real(x, times, levels)
+
+        monkeypatch.setattr(partitions, "_first_exits", spy)
+        scan = partitions._Scan(path, [6, 7, 7])
+        assert scan.windows[6] and scan.windows[7]
+        fl.lebesgue_partition(path, 6, _scan=scan)
+        assert list(scan._tables) == [7]
+        fl.lebesgue_partition(path, 7, _scan=scan)
+        fl.lebesgue_partition(path, 7, _scan=scan)
+        assert scan._tables == {} and calls == [[16, 16], [16]]
+        monkeypatch.undo()
+        assert_levels_match_reference(path, [6, 7, 7])
 
     def test_nonuniform_grid(self):
         steps = np.random.default_rng(5).exponential(size=4999)
