@@ -29,6 +29,7 @@ from .diagnostics import DETERMINISTIC_TOL, STOCHASTIC_TOL
 from .drawdown import azema_yor_path, solve_drawdown
 from .equations import solve_linear, solve_nonlinear
 from .finance import FloorSpec, Market, dppi, write_strategy_csv
+from .functions import C12Function
 from .integrals import (
     AdmissibleIntegrand,
     associativity_check,
@@ -54,7 +55,7 @@ from .io import (
 from .mc import McExperiment, run_mc
 from .partitions import PartitionSequence, dyadic_sequence, thinned_sequence
 from .paths import FVPath, GridPath, StepGenerator, TimeGrid, as_fv, dyadic_grid
-from .quadvar import DiscreteMeasure, measure_convergence_check, measure_vs_qv_check, qv_sequence
+from .quadvar import DiscreteMeasure, QVResult, measure_convergence_check, measure_vs_qv_check, qv_sequence
 
 _STOCHASTIC_KINDS = {"dyadic-brownian", "compound-jump", "geometric"}
 
@@ -140,10 +141,30 @@ class Run:
     def unsettled(self, message: str) -> None:
         self.inconclusive.append(message)
 
+    def qv_of_x(self, qv: QVResult) -> None:
+        """Record the status of the quadratic variation of X that a solver
+        built E(X) from: no QV fails, an unsettled trend is unsettled."""
+        self.check(qv.status != "no-qv", f"quadratic variation of X: jump identity violated: {qv.cond2_worst}")
+        if qv.status == "inconclusive":
+            self.unsettled("quadratic variation of X inconclusive")
+
     def plot(self, label: str, values: list) -> None:
         """Offer one value per partition level, counted up from n_min, to ``--plot``."""
         values = [v or 1e-17 for v in values]  # a zero gap stays on a log axis
         self.series = {label: (range(self.levels[0], self.levels[0] + len(values)), values)}
+
+
+def _function(ref, where: str, x: GridPath, a: GridPath | None = None) -> C12Function:
+    """``make_function(ref, where)`` for evaluation on the path ``x`` (and the
+    finite-variation path ``a``); a function of other arity is a config error."""
+    f = make_function(ref, where)
+    m = 0 if a is None else a.dim
+    if (f.m, f.d) != (m, x.dim):
+        raise ConfigError(
+            f"{where}: function {f.name!r} takes {f.m} finite-variation and {f.d} path components; "
+            f"the config gives {m} and {x.dim}"
+        )
+    return f
 
 
 def common_options(fn):
@@ -254,7 +275,7 @@ def _integrate(run: Run) -> dict:
     if "constant" in ref:
         xi = number(ref, "constant", where="integrand")
     elif "f" in ref:
-        xi = AdmissibleIntegrand(make_function(ref["f"], "integrand"), None, x)
+        xi = AdmissibleIntegrand(_function(ref["f"], "integrand.f", x), None, x)
     else:
         raise ConfigError("integrand must carry 'constant' or 'f'")
     t = run.t
@@ -276,7 +297,7 @@ def _ito_check(run: Run) -> dict:
     """Residual table for the cadlag Ito formula."""
     x = run.path("path")
     a = run.generate(run.cfg["a"], "a", fv=True) if "a" in run.cfg else None
-    f = make_function(require(run.cfg, "f", "config"))
+    f = _function(require(run.cfg, "f", "config"), "f", x, a)
     rep = ito_formula_eval(f, a, x, run.seq, run.t, tol=run.tol)
     residuals = rep.residual_per_level
     run.table("ito.csv", ["level", "residual"], [range(len(residuals)), residuals])
@@ -303,7 +324,9 @@ def _assoc(run: Run) -> dict:
     """Gap between iterated and substituted integrals."""
     x = run.path("path")
     refs = require(run.cfg, "integrands", "config")
-    integrands = [AdmissibleIntegrand(make_function(r, "integrands"), None, x) for r in refs]
+    if not isinstance(refs, list) or not refs:  # no integrands would pass with nothing checked
+        raise ConfigError(f"integrands must be a non-empty list of functions, got {refs!r}")
+    integrands = [AdmissibleIntegrand(_function(r, "integrands", x), None, x) for r in refs]
     eta_ref = subsection(run.cfg, "eta", {"constant": 1.0}, {"constant", "f"})
     if "constant" in eta_ref:
         c = eta_ref["constant"]
@@ -312,7 +335,7 @@ def _assoc(run: Run) -> dict:
             raise ConfigError(f"eta.constant has {len(values)} values for {len(integrands)} integrands")
         eta = np.tile([number({"constant": v}, "constant", where="eta") for v in values], (len(run.grid), 1))
     elif "f" in eta_ref:
-        fe = make_function(eta_ref["f"], "eta")
+        fe = _function(eta_ref["f"], "eta.f", x)
         eta = np.asarray(fe.value(np.zeros((len(run.grid), 0)), x.values), dtype=float)[:, None]
     else:
         raise ConfigError("eta must carry 'constant' or 'f'")
@@ -342,6 +365,7 @@ def _linear(run: Run) -> dict:
     else:
         raise ConfigError("h must carry 'constant' or 'path'")
     rep = solve_linear(hh, x, run.seq, decomposition=decomposition, tol=run.tol)
+    run.qv_of_x(rep.exponential.qv)
     run.table("linear.csv", ["t", "z"], [run.grid.times, rep.z.x])
     if "assert_value" in run.cfg:
         target = number(run.cfg, "assert_value")
@@ -380,6 +404,7 @@ def _nonlinear(run: Run) -> dict:
     check_keys(fref, {"kind", *params}, f"f of kind {kind!r}")
     f = drift(*(number(fref, k, v, "f") for k, v in params.items()))
     rep = solve_nonlinear(f, x, number(run.cfg, "x0", 1.0), run.seq, tol=run.tol)
+    run.qv_of_x(rep.exponential.qv)
     run.table("nonlinear.csv", ["t", "z"], [run.grid.times, rep.z.x])
     if "assert_value" in run.cfg:
         target = number(run.cfg, "assert_value")
@@ -460,6 +485,7 @@ def _dppi(run: Run) -> dict:
         raise ConfigError("l must carry 'constant' or 'linear'")
     spec = FloorSpec(FVPath(grid, floor))
     rep = dppi(market, number(run.cfg, "m", 1.0), spec, number(run.cfg, "v0", 1.0), seq, tol=run.tol)
+    run.qv_of_x(rep.exponential.qv)
     with open(run.out / "strategy.csv", "w") as fp:
         write_strategy_csv(rep.strategy, rep.floor_curve, fp)
         fp.write(f"# config_hash={run.hash}\n")

@@ -18,14 +18,13 @@ STOCHASTIC_TOL = 5e-2
 TREND_WINDOW = 3
 
 _REL_SLACK = 1e-9
+_NOISE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class TrendReport:
     gaps: tuple
     tol: float
-    window: int = TREND_WINDOW
-    noise_floor: float = 1e-12
     nonincreasing: bool = field(init=False, default=False)
     final_gap: float = field(init=False, default=float("nan"))
     converged: bool = field(init=False, default=False)
@@ -36,14 +35,13 @@ class TrendReport:
         if not gaps:
             return
         # gaps at float-noise level are ties, not trend violations
-        floor = self.noise_floor
-        tail = [max(g, floor) for g in gaps[-self.window :]]
+        tail = [max(g, _NOISE_FLOOR) for g in gaps[-TREND_WINDOW:]]
         scale = max(abs(g) for g in gaps) or 1.0
         slack = _REL_SLACK * scale
         noninc = all(a >= b - slack for a, b in zip(tail, tail[1:]))
         final = gaps[-1]
         # a tail entirely below tolerance counts as settled regardless of order
-        settled = all(g <= self.tol for g in gaps[-self.window :])
+        settled = all(g <= self.tol for g in gaps[-TREND_WINDOW:])
         object.__setattr__(self, "nonincreasing", noninc)
         object.__setattr__(self, "final_gap", final)
         object.__setattr__(self, "converged", (noninc or settled) and final <= self.tol)

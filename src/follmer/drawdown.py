@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport
+from .diagnostics import DETERMINISTIC_TOL, TrendReport
 from .integrals import integral_at
 from .partitions import PartitionSequence
 from .paths import GridPath, left_values, running_maximum
@@ -38,6 +38,9 @@ __all__ = [
     "azema_yor_path",
     "solve_drawdown",
 ]
+
+
+_D1_RTOL = 1e-5  # relative tolerance of a first derivative against its central difference
 
 
 @dataclass(frozen=True)
@@ -63,13 +66,13 @@ class MonotoneC2Function:
     def deriv2(self, y):
         return np.asarray(self.d2(np.asarray(y, dtype=float)), dtype=float)
 
-    def validate(self, samples: np.ndarray, rtol: float = 1e-5) -> None:
+    def validate(self, samples: np.ndarray) -> None:
         s = np.asarray(samples, dtype=float)
         h = 1e-5 * (1.0 + np.abs(s))
         inside = s - h > self.domain_start
         s, h = s[inside], h[inside]
         num1 = (self(s + h) - self(s - h)) / (2 * h)
-        if not np.all(np.abs(self.deriv(s) - num1) <= rtol * (1.0 + np.abs(num1))):
+        if not np.all(np.abs(self.deriv(s) - num1) <= _D1_RTOL * (1.0 + np.abs(num1))):
             raise ValueError(f"{self.name or 'U'}: first derivative mismatch")
         num2 = (self.deriv(s + h) - self.deriv(s - h)) / (2 * h)
         if not np.all(np.abs(self.deriv2(s) - num2) <= 1e-3 * (1.0 + np.abs(num2))):
@@ -219,6 +222,7 @@ def builtin_floor(name: str, a_star: float, **params) -> FloorFunction:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_NODES_PER_UNIT = 256  # nodes of the exponent's table per unit of y
 
 
 # invert() extends the node table by 1.5x per round up to y = a_star +
@@ -237,10 +241,9 @@ class _CumulativeExponent:
     analytic slope 1/m is used.  The table extends on demand.
     """
 
-    def __init__(self, floor: FloorFunction, nodes_per_unit: int = 256):
+    def __init__(self, floor: FloorFunction):
         self.floor = floor
         self.a_star = floor.a_star
-        self.nodes_per_unit = nodes_per_unit
         self._nodes = np.array([self.a_star])
         self._vals = np.array([0.0])
         self._extend_to(self.a_star + 1.0)
@@ -248,7 +251,7 @@ class _CumulativeExponent:
     def _extend_to(self, hi: float) -> None:
         lo = float(self._nodes[-1])
         span = hi - lo
-        count = max(8, int(math.ceil(span * self.nodes_per_unit)))
+        count = max(8, int(math.ceil(span * _NODES_PER_UNIT)))
         new = np.linspace(lo, hi, count + 1)[1:]
         margins = self.floor.margin(new)
         if np.any(margins <= 0.0):
@@ -313,11 +316,7 @@ class DrawdownTransform:
     roundtrip_error: float
 
 
-def floor_to_transform(
-    floor: FloorFunction,
-    a: float,
-    y_hint: float | None = None,
-) -> DrawdownTransform:
+def floor_to_transform(floor: FloorFunction, a: float) -> DrawdownTransform:
     """Build V(y) = a exp(int_{a*}^{y} ds/(s - w(s))) and U = V^{-1}.
 
     V' = V / m(y) and V'' = V w'(y) / m(y)^2 are analytic given V; U comes
@@ -328,8 +327,6 @@ def floor_to_transform(
     if a <= 0:
         raise ValueError("the transform needs a > 0")
     exponent = _CumulativeExponent(floor)
-    if y_hint is not None:
-        exponent.ensure(float(y_hint))
     a_star = floor.a_star
 
     def v_val(y):
@@ -410,7 +407,7 @@ def azema_yor_path(
     for p in seq:
         integral = float(integral_at(integrand.values, x.values, p, g))
         residuals.append(abs(float(m_vals[g]) - a_star - integral))
-    trend = TrendReport(tuple(residuals), tol, TREND_WINDOW)
+    trend = TrendReport(tuple(residuals), tol)
     return AzemaYorReport(path, a_star, residuals[-1], tuple(residuals), trend)
 
 
@@ -452,7 +449,7 @@ def solve_drawdown(
     if not cont:
         raise ValueError("running maximum is discontinuous at grid scale")
     a = float(x.x[0])
-    transform = floor_to_transform(floor, a, y_hint=None)
+    transform = floor_to_transform(floor, a)
     transform.U(np.array([float(xbar.x.max())]))  # force table coverage
     ay = azema_yor_path(transform.U, x)
     y = ay.path
@@ -465,7 +462,7 @@ def solve_drawdown(
     for p in seq:
         integral = float(integral_at(xi_vals[:, None], x.values, p, g))
         residuals.append(abs(float(y.x[g]) - floor.a_star - integral))
-    trend = TrendReport(tuple(residuals), tol, TREND_WINDOW)
+    trend = TrendReport(tuple(residuals), tol)
 
     y_left = left_values(y)[:, 0]
     margin = float(np.min(np.minimum(y.x, y_left) - w_ybar))

@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport, sup_distance
-from .integrals import AdmissibleIntegrand, follmer_integral
+from .diagnostics import DETERMINISTIC_TOL, TrendReport, sup_distance
+from .integrals import AdmissibleIntegrand, _integrand_values, integral_curves
 from .partitions import PartitionSequence
 from .paths import FVPath, GridPath, left_values, reciprocal_path
 from .quadvar import QVResult, qv_sequence
@@ -58,20 +58,16 @@ class StochasticExponential:
 def doleans_exponential(
     x: GridPath,
     seq: PartitionSequence,
-    qv: QVResult | None = None,
     tol: float = DETERMINISTIC_TOL,
 ) -> StochasticExponential:
     """Evaluate the closed form of E(X) on the grid.
 
     The continuous part [X,X]^c comes from the quadratic-variation engine
     (exact for declared finite-variation paths); the jump product runs over
-    the declared jumps only.  Raises if the quadratic variation of X cannot
-    be certified along the sequence.
+    the declared jumps only.  The result carries that quadratic variation,
+    ``qv``, whose status says whether it is certified along the sequence.
     """
-    if qv is None:
-        qv = qv_sequence(x, seq, tol=tol)
-    if not qv.ok:
-        raise ValueError(f"quadratic variation of X is {qv.status}")
+    qv = qv_sequence(x, seq, tol=tol)
     xs = x.x
     exponent = xs - xs[0] - 0.5 * qv.continuous_part
     dx = x.dX[:, 0]
@@ -113,12 +109,7 @@ class ReciprocalReport:
     terms: dict
 
 
-def reciprocal_exponential(
-    se: StochasticExponential,
-    seq: PartitionSequence,
-    t: float,
-    tol: float = DETERMINISTIC_TOL,
-) -> ReciprocalReport:
+def reciprocal_exponential(se: StochasticExponential, seq: PartitionSequence, t: float) -> ReciprocalReport:
     """1/E(X) and the residual of its integral representation
 
     1/E(X)_t - 1 = -int R_- dX + int R_- d[X,X]^c
@@ -128,10 +119,8 @@ def reciprocal_exponential(
     x = se.x
     g = x.grid.clamp_index(t)
     r_left = left_values(r)[:, 0]
-    if isinstance(x, FVPath):
-        i1 = float(stieltjes_fv_curve(r.x, r_left, x)[g])
-    else:
-        i1 = follmer_integral(r, x, seq, tol=tol).at(t)
+    (i1_curve,) = integral_curves(r.x, r_left, x, (seq.top,))
+    i1 = float(i1_curve[g])
     i2 = stieltjes_left(r_left, se.qv.continuous_part, upto=g)
     dx = x.dX[: g + 1, 0]
     j = np.flatnonzero(dx)
@@ -182,9 +171,7 @@ def solve_linear(
     the jump sum is evaluated as well and the two are compared.  The returned
     solution is verified by substitution into the equation.
 
-    For a declared finite-variation X the inner integrals are Stieltjes
-    integrals and are evaluated with the jump-exact second-order rule;
-    otherwise they are left Riemann sums along the sequence.
+    The integrals against X and 1/E(X) are ``integral_curves``.
     """
     se = doleans_exponential(x, seq, tol=tol)
     if se.zero_hit:
@@ -201,10 +188,7 @@ def solve_linear(
         hypothesis = "admissible"
 
     r_left = left_values(r)[:, 0]
-    if isinstance(x, FVPath):
-        inner = stieltjes_fv_curve(hv, hl, r)
-    else:
-        inner = follmer_integral(hp, r, seq, tol=tol).estimate
+    (inner,) = integral_curves(hv, hl, r, (seq.top,))
     z_vals = hv - se.values * inner
     z = GridPath(grid, z_vals, _z_jumps(z_vals, hj, x))
 
@@ -212,14 +196,9 @@ def solve_linear(
     agreement = float("nan")
     if decomposition is not None:
         xi, a = decomposition
-        xi_vals, xi_left = _xi_arrays(xi, grid)
+        xi_vals, xi_left = (v[:, 0] for v in _integrand_values(xi, grid))
         h0 = float(hv[0])
-        if isinstance(x, FVPath):
-            t1_x = stieltjes_fv_curve(xi_vals * r.x, xi_left * r_left, x)
-        else:
-            t1_x = follmer_integral(
-                GridPath(grid, xi_vals * r.x), x, seq, tol=tol
-            ).estimate
+        (t1_x,) = integral_curves(xi_vals * r.x, xi_left * r_left, x, (seq.top,))
         t1_a = stieltjes_fv_curve(r.x, r_left, a)
         t2 = np.cumsum(
             np.concatenate(
@@ -233,14 +212,9 @@ def solve_linear(
         z_alt = GridPath(grid, z_alt_vals, _z_jumps(z_alt_vals, hj, x))
         agreement = sup_distance(z_vals, z_alt_vals)
 
-    if isinstance(x, FVPath):
-        z_left = left_values(z)[:, 0]
-        sub = stieltjes_fv_curve(z.x, z_left, x)
-        residuals = (sup_distance(z_vals, hv + sub),)
-    else:
-        sub_levels = follmer_integral(z, x, seq, tol=tol).level_curves
-        residuals = tuple(sup_distance(z_vals, hv + c) for c in sub_levels)
-    trend = TrendReport(residuals, tol, TREND_WINDOW)
+    sub_curves = integral_curves(z_vals, left_values(z)[:, 0], x, seq)
+    residuals = tuple(sup_distance(z_vals, hv + c) for c in sub_curves)
+    trend = TrendReport(residuals, tol)
     return LinearSolveReport(
         z=z,
         z_alt=z_alt,
@@ -251,15 +225,6 @@ def solve_linear(
         hypothesis=hypothesis,
         exponential=se,
     )
-
-
-def _xi_arrays(xi, grid) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(xi, AdmissibleIntegrand):
-        return xi.values[:, 0], xi.values_left[:, 0]
-    if isinstance(xi, GridPath):
-        return xi.x, left_values(xi)[:, 0]
-    v = np.full(len(grid), float(xi))
-    return v, v.copy()
 
 
 BLOWUP_LIMIT = 1e12  # |Z / E(X)| above this counts as a blow-up
@@ -333,11 +298,7 @@ def solve_nonlinear(
     drift = np.concatenate(
         [[0.0], np.cumsum(0.5 * (fz[:-1] + fz[1:]) * np.diff(times))]
     )
-    if isinstance(x, FVPath):
-        z_left = left_values(z)[:, 0]
-        sub_curves = [stieltjes_fv_curve(z.x, z_left, x)]
-    else:
-        sub_curves = list(follmer_integral(z, x, seq, tol=tol).level_curves)
+    sub_curves = integral_curves(z_vals, left_values(z)[:, 0], x, seq)
     residuals = tuple(
         sup_distance(z_vals, x0 + drift + c) for c in sub_curves
     )
@@ -346,7 +307,7 @@ def solve_nonlinear(
         y=y,
         residual=residuals[-1],
         residual_per_level=residuals,
-        trend=TrendReport(residuals, tol, TREND_WINDOW),
+        trend=TrendReport(residuals, tol),
         exponential=se,
     )
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport
+from .diagnostics import DETERMINISTIC_TOL, TrendReport
 from .drawdown import FloorFunction, azema_yor_path, floor_to_transform
 from .equations import StochasticExponential, doleans_exponential
-from .integrals import AdmissibleIntegrand, integral_at, integral_curve
+from .integrals import _integrand_values, integral_at, integral_curve
 from .partitions import PartitionSequence
 from .paths import FVPath, GridPath, TimeGrid, _csv_array, _write_csv_columns, left_values, running_maximum
 from .stieltjes import stieltjes_fv_curve
@@ -101,15 +101,6 @@ class FloorSpec:
         return bool(np.all(np.diff(self.l.x) <= 1e-15))
 
 
-def _multiplier_values(m, grid) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(m, AdmissibleIntegrand):
-        return m.values[:, 0], m.values_left[:, 0]
-    if isinstance(m, GridPath):
-        raise TypeError("raw multiplier paths are rejected; supply a witness or a constant")
-    v = np.full(len(grid), float(m))
-    return v, v.copy()
-
-
 @dataclass(frozen=True)
 class DppiReport:
     strategy: Strategy
@@ -144,7 +135,9 @@ def dppi(
     grid = market.grid
     s, b = market.s, market.b
     sl, bl = left_values(s)[:, 0], left_values(b)[:, 0]
-    mv, ml = _multiplier_values(m, grid)
+    if isinstance(m, GridPath) or np.ndim(m):
+        raise TypeError("raw multiplier paths are rejected; supply a witness or a constant")
+    mv, ml = (v[:, 0] for v in _integrand_values(m, grid))
 
     xi1 = (mv / s.x)[:, None]
     xi2 = ((1.0 - mv) / b.x)[:, None]
@@ -227,9 +220,7 @@ def self_financing_residual(
         c1 = integral_at(strategy.xi.values, market.s.values, p, g)
         c2 = integral_at(strategy.eta.values, market.b.values, p, g)
         residuals.append(abs(float(v[g] - v[0] - c1 - c2)))
-    return SelfFinancingReport(
-        residuals[-1], tuple(residuals), TrendReport(tuple(residuals), tol, TREND_WINDOW)
-    )
+    return SelfFinancingReport(residuals[-1], tuple(residuals), TrendReport(tuple(residuals), tol))
 
 
 @dataclass(frozen=True)

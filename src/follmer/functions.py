@@ -36,6 +36,9 @@ class DerivativeMismatch(ValueError):
     """Supplied derivatives disagree with finite differences."""
 
 
+_GRAD_RTOL = 1e-5  # relative tolerance of a first derivative against its central difference
+
+
 def _as2d(v, cols: int) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if cols == 0:
@@ -72,11 +75,12 @@ class C12Function:
             return np.ones(x2.shape[0], dtype=bool)
         return np.asarray(self.in_domain(a2, x2), dtype=bool)
 
-    def validate(self, a, x, rtol: float = 1e-5) -> None:
+    def validate(self, a, x) -> None:
         """Check grad/hess against central differences at the given points.
 
-        Tolerance: |analytic - numeric| <= rtol * (1 + |analytic|), with the
-        step 1e-5 scaled by coordinate magnitude.
+        Tolerance: |analytic - numeric| <= 1e-5 * (1 + |analytic|) for the
+        gradients, 1e-3 for the Hessian, with the step 1e-5 scaled by
+        coordinate magnitude.
         """
         a2, x2 = _as2d(a, self.m), _as2d(x, self.d)
         n = x2.shape[0]
@@ -98,7 +102,7 @@ class C12Function:
 
         for k in range(self.d):
             num_g, num_h_col = fd(k)
-            if not np.all(np.abs(gx[:, k] - num_g) <= rtol * (1.0 + np.abs(gx[:, k]))):
+            if not np.all(np.abs(gx[:, k] - num_g) <= _GRAD_RTOL * (1.0 + np.abs(gx[:, k]))):
                 raise DerivativeMismatch(f"{self.name or 'f'}: grad_x[{k}] mismatch")
             anal = hx[:, :, k]
             if not np.all(np.abs(anal - num_h_col) <= 1e-3 * (1.0 + np.abs(anal))):
@@ -115,7 +119,7 @@ class C12Function:
                     np.asarray(self.value(ap, x2), dtype=float)
                     - np.asarray(self.value(am, x2), dtype=float)
                 ) / (2 * h)
-                if not np.all(np.abs(ga[:, k] - num) <= rtol * (1.0 + np.abs(ga[:, k]))):
+                if not np.all(np.abs(ga[:, k] - num) <= _GRAD_RTOL * (1.0 + np.abs(ga[:, k]))):
                     raise DerivativeMismatch(f"{self.name or 'f'}: grad_a[{k}] mismatch")
 
 

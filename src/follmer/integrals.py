@@ -22,12 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport, sup_distance
+from .diagnostics import DETERMINISTIC_TOL, TrendReport, sup_distance
 from .functions import C12Function
 from .partitions import Partition, PartitionSequence
 from .paths import FVPath, GridPath, as_fv, jump_rows, left_values
 from .quadvar import QVResult, _anchor_runs, covariation, qv_sequence
-from .stieltjes import stieltjes_fv, stieltjes_left
+from .stieltjes import stieltjes_fv, stieltjes_fv_curve, stieltjes_left
 
 __all__ = [
     "AdmissibleIntegrand",
@@ -35,6 +35,7 @@ __all__ = [
     "riemann_sum",
     "integral_curve",
     "integral_at",
+    "integral_curves",
     "follmer_integral",
     "ito_formula_eval",
     "ItoFormulaReport",
@@ -123,6 +124,20 @@ def integral_at(xi_vals: np.ndarray, x_vals: np.ndarray, p: Partition, g: int) -
     return head + straddle[0]
 
 
+def integral_curves(h: np.ndarray, h_left: np.ndarray, x: GridPath, parts) -> list[np.ndarray]:
+    """Running integrals t -> int_0^t h(s-) dX_s of a scalar integrand with
+    values ``h`` and left limits ``h_left`` against a scalar path X.
+
+    For a declared finite-variation X the pathwise integral is the Stieltjes
+    integral (Follmer 1981), so one curve is returned, ``stieltjes_fv_curve``:
+    each declared jump exactly, the continuous part by the trapezoid rule.
+    Otherwise there is one left Riemann sum curve per partition of ``parts``.
+    """
+    if isinstance(x, FVPath):
+        return [stieltjes_fv_curve(h, h_left, x)]
+    return [integral_curve(h[:, None], x.values, p) for p in parts]
+
+
 def riemann_sum(
     xi,
     x: GridPath,
@@ -188,7 +203,7 @@ def follmer_integral(
     curves = [integral_curve(xi_vals, x.values, p) for p in seq]
     estimate = curves[-1]
     gaps = tuple(sup_distance(c, estimate) for c in curves[:-1])
-    trend = TrendReport(gaps, tol, TREND_WINDOW)
+    trend = TrendReport(gaps, tol)
     if isinstance(xi, AdmissibleIntegrand):
         claim = "admissible"
     elif isinstance(x, FVPath):
@@ -234,7 +249,6 @@ def ito_formula_eval(
     seq: PartitionSequence,
     t: float,
     tol: float = DETERMINISTIC_TOL,
-    qv_kwargs: dict | None = None,
 ) -> ItoFormulaReport:
     """Evaluate both sides of the cadlag Ito formula and their residual.
 
@@ -284,11 +298,7 @@ def ito_formula_eval(
     for k in range(X.dim):
         for l in range(k, X.dim):
             xk, xloc = X.component(k), X.component(l)
-            covs[(k, l)] = (
-                qv_sequence(xk, seq, **(qv_kwargs or {}))
-                if k == l
-                else covariation(xk, xloc, seq, **(qv_kwargs or {}))
-            )
+            covs[(k, l)] = qv_sequence(xk, seq) if k == l else covariation(xk, xloc, seq)
 
     def qv_term_at_level(n: int) -> float:
         total = 0.0
@@ -313,7 +323,7 @@ def ito_formula_eval(
         for n in range(len(seq))
     )
     abs_res = tuple(abs(r) for r in residuals)
-    trend = TrendReport(abs_res, tol, TREND_WINDOW)
+    trend = TrendReport(abs_res, tol)
     qv_top = qv_term_at_level(len(seq) - 1)
     return ItoFormulaReport(
         lhs=lhs,
@@ -370,7 +380,7 @@ def integration_by_parts(
         s_dxy = float(np.sum(np.diff(xv * yv)))
         worst_identity = max(worst_identity, abs(s_dxy - (s_ydx + s_xdy + s_dxdy)))
         residuals.append(abs(lhs - (s_ydx + s_xdy + cov.level_curves[n][g])))
-    trend = TrendReport(tuple(residuals), tol, TREND_WINDOW)
+    trend = TrendReport(tuple(residuals), tol)
     return PartsReport(
         residual=residuals[-1],
         residual_per_level=tuple(residuals),
@@ -417,7 +427,7 @@ def qv_of_integral(
     qv = qv_sequence(y, seq, tol=tol, fv_exact=False)
     target = _qv_target_curve(xi.values_left, x, seq)
     gaps = tuple(sup_distance(c, target) for c in qv.level_curves)
-    return QvOfIntegralReport(qv, target, gaps, TrendReport(gaps, tol, TREND_WINDOW))
+    return QvOfIntegralReport(qv, target, gaps, TrendReport(gaps, tol))
 
 
 @dataclass(frozen=True)
@@ -462,7 +472,7 @@ def associativity_check(
         lhs_levels.append(total)
         rhs_levels.append(float(integral_at(zeta, x.values, p, g)))
     gaps = tuple(abs(a - b) for a, b in zip(lhs_levels, rhs_levels))
-    trend = TrendReport(gaps, tol, TREND_WINDOW)
+    trend = TrendReport(gaps, tol)
     sides_ok = all(r.status != "inconclusive" or isinstance(x, FVPath) for r in y_results)
     status = trend.status if sides_ok else "inconclusive"
     return AssociativityReport(tuple(lhs_levels), tuple(rhs_levels), gaps, trend, status)

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .diagnostics import STOCHASTIC_TOL, TREND_WINDOW, TrendReport
+from .diagnostics import STOCHASTIC_TOL, TrendReport
 from .partitions import Partition, lebesgue_partitions, mesh, oscillation
 from .paths import (
     CompoundJumpGenerator,
@@ -139,16 +139,19 @@ def _bisect(above) -> float:
     return mid
 
 
-def _binomial_interval(k: int, n: int, alpha: float = 0.05) -> tuple:
+_ALPHA = 0.05  # the pass interval is a 95% one
+
+
+def _binomial_interval(k: int, n: int) -> tuple:
     """Clopper-Pearson interval for k successes in n trials: the p at which
-    the binomial tail beyond k on each side has mass alpha/2."""
+    the binomial tail beyond k on each side has mass _ALPHA / 2."""
     log_comb = [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1) for j in range(n + 1)]
 
     def mass(p: float, js: range) -> float:
         lp, lq = math.log(p), math.log1p(-p)
         return math.fsum(math.exp(log_comb[j] + j * lp + (n - j) * lq) for j in js)
 
-    a = alpha / 2
+    a = _ALPHA / 2
     lo = 0.0 if k == 0 else _bisect(lambda p: mass(p, range(k, n + 1)) >= a)
     hi = 1.0 if k == n else _bisect(lambda p: mass(p, range(k + 1)) <= a)
     return (lo, hi)
@@ -206,7 +209,7 @@ def run_seed(exp: McExperiment, seed: int) -> SeedOutcome:
     osc_ok = bool(np.all(np.asarray(oscs) <= 0.5**levels + 1e-12))
     osc_sum = float(np.sum(oscs))
     osc_bound = float(np.sum(0.5**levels))
-    trend = TrendReport(tuple(sup_errors), exp.tol, TREND_WINDOW)
+    trend = TrendReport(tuple(sup_errors), exp.tol)
     return SeedOutcome(
         seed=seed,
         sup_errors=tuple(sup_errors),

@@ -69,7 +69,6 @@ class PartitionSequence:
     """A refining family (pi_n); the mesh must be nonincreasing in n."""
 
     levels: tuple
-    kind: str = "custom"
 
     def __post_init__(self):
         levels = tuple(self.levels)
@@ -120,7 +119,7 @@ def dyadic_sequence(
         if rem or step == 0:
             raise ValueError(f"host grid cannot host dyadic level {n}")
         levels.append(Partition(grid, np.arange(0, spaces + 1, step)))
-    return PartitionSequence(tuple(levels), kind="dyadic")
+    return PartitionSequence(tuple(levels))
 
 
 def thinned_sequence(grid: TimeGrid, levels: int) -> PartitionSequence:
@@ -142,7 +141,7 @@ def thinned_sequence(grid: TimeGrid, levels: int) -> PartitionSequence:
         if idx.size < 2:
             idx = np.array([0, n - 1])
         out.append(Partition(grid, idx))
-    return PartitionSequence(tuple(out), kind="thinned")
+    return PartitionSequence(tuple(out))
 
 
 # Band exits are found two ways.  A first-exit table, built for every start
@@ -165,8 +164,6 @@ _EXIT_WINDOW = 16
 _BLOCK_BITS = 4
 _BLOCK_MASK = (1 << _BLOCK_BITS) - 1
 _BLOCK_TIERS = 3
-# the table-free walk checks its mean step after every run of this many points
-_GUARD_POINTS = 64
 
 
 def _exit_window(mean_step: float) -> int:
@@ -302,10 +299,7 @@ def _lebesgue_scan(scan: _Scan, n: int) -> list[int]:
     mean exit distance d its quadratic variation predicts:
 
     - d > 32: no table.  Every chain point walks the block extrema from
-      i + 1 and finds its cap by binary search.  A path whose quadratic
-      variation under-predicts its exits (a strong drift) shows it as a run
-      of 64 points with a mean step of 32 samples or less; the rest of the
-      level is then scanned with a table built on that suffix alone.
+      i + 1 and finds its cap by binary search.
     - Otherwise the level's first-exit table, with a window of 32 samples
       (16 when d <= 2: where exits are a sample or two apart the extra
       passes cost more than the far exits they save), read as bytes:
@@ -319,32 +313,21 @@ def _lebesgue_scan(scan: _Scan, n: int) -> list[int]:
     """
     thr = 0.5 ** (n + 1)
     cap = 1.0 / n
-    x, times, xs, ts = scan.x, scan.times, scan.xs, scan.ts
+    times, xs, ts = scan.times, scan.xs, scan.ts
     size = times.size
     window = scan.windows[n]
     out = [0]
     i = 0
-    if window:
-        offset = scan.table(n)
-    else:
+    if not window:
         tiers = scan.tiers
-        mark = 0
         while i < size - 1:
             last = bisect_right(ts, ts[i] + cap) - 1
             if last == i:
                 raise _too_coarse(times, i, n)
             i += _far_exit(xs, tiers, i, i + 1, last, thr)
             out.append(i)
-            if len(out) % _GUARD_POINTS == 1:  # 0, then runs of 64 points
-                window = _exit_window((i - mark) / _GUARD_POINTS)
-                if window:
-                    break
-                mark = i
-        if i == size - 1:
-            return out
-        # the rest of the level on a table of the starts from i on
-        (suffix,) = _first_exits(x[i:], times[i:], [(thr, cap, window)])
-        offset = bytes([window + 1]) * i + suffix
+        return out
+    offset = scan.table(n)
     # a code above the window sends the walk to its one slow branch
     none = window + 1
     append = out.append

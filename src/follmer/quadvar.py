@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diagnostics import DETERMINISTIC_TOL, TREND_WINDOW, TrendReport, sup_distance
+from .diagnostics import DETERMINISTIC_TOL, TrendReport, sup_distance
 from .partitions import Partition, PartitionSequence
 from .paths import FVPath, GridPath, TimeGrid, add_paths, eval_left_limit, jump_rows, left_values
 
@@ -132,14 +132,18 @@ class QVResult:
         return float(self.continuous_part[self.grid.clamp_index(t)])
 
 
+# slack of the jump identity d[X,Y]_t = dX_t dY_t: absolute, and relative to
+# the jump product (plus tol times the jump sizes, see _assemble)
+_COND2_ABS = 1e-9
+_COND2_REL = 1e-6
+
+
 def _assemble(
     x: GridPath,
     y: GridPath,
     seq: PartitionSequence,
     curves: list[np.ndarray],
     tol: float,
-    cond2_abs: float,
-    cond2_rel: float,
     fv_exact: bool,
 ) -> QVResult:
     jump_part = np.cumsum(x.dX[:, 0] * y.dX[:, 0])
@@ -149,7 +153,7 @@ def _assemble(
         estimate = curves[-1]
     cont = estimate - jump_part
     gaps = tuple(sup_distance(c, estimate) for c in curves[: len(curves) - (0 if fv_exact else 1)])
-    trend = TrendReport(gaps, tol, TREND_WINDOW)
+    trend = TrendReport(gaps, tol)
 
     xs, ys = x.x, y.x
     xl, yl = left_values(x)[:, 0], left_values(y)[:, 0]
@@ -163,7 +167,7 @@ def _assemble(
     worst = float(np.max(v, initial=0.0))
     # the violation is the pre-jump anchor motion times the jump: zero
     # for paths flat before their jumps, tol-scaled slack otherwise
-    bound = np.maximum(cond2_abs, cond2_rel * np.abs(target)) + tol * (np.abs(dx) + np.abs(dy))
+    bound = np.maximum(_COND2_ABS, _COND2_REL * np.abs(target)) + tol * (np.abs(dx) + np.abs(dy))
     ok = not np.any(v > bound)
 
     if not ok:
@@ -195,8 +199,6 @@ def qv_sequence(
     path: GridPath,
     seq: PartitionSequence,
     tol: float = DETERMINISTIC_TOL,
-    cond2_abs: float = 1e-9,
-    cond2_rel: float = 1e-6,
     fv_exact: bool | None = None,
 ) -> QVResult:
     """Quadratic variation of a scalar path along a partition sequence.
@@ -209,7 +211,7 @@ def qv_sequence(
     if fv_exact is None:
         fv_exact = isinstance(path, FVPath)
     curves = [qv_curve(path, p) for p in seq]
-    return _assemble(path, path, seq, curves, tol, cond2_abs, cond2_rel, fv_exact)
+    return _assemble(path, path, seq, curves, tol, fv_exact)
 
 
 def covariation(
@@ -217,8 +219,6 @@ def covariation(
     y: GridPath,
     seq: PartitionSequence,
     tol: float = DETERMINISTIC_TOL,
-    cond2_abs: float = 1e-9,
-    cond2_rel: float = 1e-6,
     fv_exact: bool | None = None,
 ) -> QVResult:
     """[X,Y] by polarization of the squared-increment curves.
@@ -236,7 +236,7 @@ def covariation(
         0.5 * (qv_curve(s, p) - qv_curve(x, p) - qv_curve(y, p))
         for p in seq
     ]
-    return _assemble(x, y, seq, curves, tol, cond2_abs, cond2_rel, fv_exact)
+    return _assemble(x, y, seq, curves, tol, fv_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +384,16 @@ class MeasureConvergenceReport:
     hypotheses_ok: bool
 
 
+# atoms of the limit at most this heavy are not checked as straddling weights
+_ATOM_TOL = 1e-12
+
+
 def measure_convergence_check(
     mus: Sequence[DiscreteMeasure],
     mu: DiscreteMeasure,
     f: GridPath,
     t: float,
     tol: float = DETERMINISTIC_TOL,
-    atom_tol: float = 1e-12,
 ) -> MeasureConvergenceReport:
     """Numerical verification of discrete-measure convergence to a limit.
 
@@ -416,7 +419,7 @@ def measure_convergence_check(
 
     star: dict[float, tuple] = {}
     for s, w in zip(mu.times, mu.weights):
-        if s > t or abs(w) <= atom_tol:
+        if s > t or abs(w) <= _ATOM_TOL:
             continue
         gaps = tuple(abs(m.straddling_weight(s) - w) for m in mus)
         star[float(s)] = gaps
@@ -432,7 +435,7 @@ def measure_convergence_check(
         sum(w * _left_value_at(f, s) for s, w in zip(mu.times[:k], mu.weights[:k]))
     )
     gaps = tuple(abs(v - target) for v in per_level)
-    trend = TrendReport(gaps, tol, TREND_WINDOW)
+    trend = TrendReport(gaps, tol)
     hyp_ok = TrendReport(dist_gaps, tol).nonincreasing and all(
         TrendReport(g, tol).nonincreasing for g in star.values()
     )

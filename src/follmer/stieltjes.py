@@ -32,38 +32,28 @@ def stieltjes_left(h_left: np.ndarray, curve: np.ndarray, upto: int | None = Non
     return float(np.sum(h_left[1:hi] * np.diff(curve[:hi])))
 
 
-def _continuous_part(a: GridPath, component: int) -> np.ndarray:
-    return a.values[:, component] - a.jump_curve()[:, component]
+def _continuous_part(a: GridPath) -> np.ndarray:
+    return a.x - a.jump_curve()[:, 0]
 
 
-def stieltjes_fv(
-    h_values: np.ndarray,
-    h_left: np.ndarray,
-    a: GridPath,
-    upto: int | None = None,
-    component: int = 0,
-) -> float:
-    """Integral of h(s-) dA_s over (0, t] for a finite-variation path A."""
+def stieltjes_fv(h_values: np.ndarray, h_left: np.ndarray, a: GridPath, upto: int | None = None) -> float:
+    """Integral of h(s-) dA_s over (0, t] for a scalar finite-variation path A."""
     hi = len(a.grid) if upto is None else upto + 1
-    dc = np.diff(_continuous_part(a, component)[:hi])
+    dc = np.diff(_continuous_part(a)[:hi])
     total = float(np.sum(0.5 * (h_values[: hi - 1] + h_left[1:hi]) * dc))
-    dx = a.dX[:hi, component]
+    dx = a.dX[:hi, 0]
     j = np.flatnonzero(dx)
     # atoms added left to right: np.sum's pairwise order would round differently
     return float(np.cumsum(np.concatenate([[total], h_left[j] * dx[j]]))[-1])
 
 
-def stieltjes_fv_curve(
-    h_values: np.ndarray,
-    h_left: np.ndarray,
-    a: GridPath,
-    component: int = 0,
-) -> np.ndarray:
-    """Running Stieltjes integral t -> integral of h(s-) dA_s on the grid."""
+def stieltjes_fv_curve(h_values: np.ndarray, h_left: np.ndarray, a: GridPath) -> np.ndarray:
+    """Running Stieltjes integral t -> integral of h(s-) dA_s on the grid, for
+    a scalar finite-variation path A."""
     n = len(a.grid)
     inc = np.zeros(n)
-    inc[1:] = 0.5 * (h_values[:-1] + h_left[1:]) * np.diff(_continuous_part(a, component))
-    dx = a.dX[:, component]
+    inc[1:] = 0.5 * (h_values[:-1] + h_left[1:]) * np.diff(_continuous_part(a))
+    dx = a.dX[:, 0]
     j = np.flatnonzero(dx)
     inc[j] += h_left[j] * dx[j]
     return np.cumsum(inc)

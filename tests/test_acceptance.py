@@ -382,7 +382,7 @@ def test_criterion_12_reciprocal_exponential():
             fl.CompoundJumpGenerator(seed=seed, intensity=4.0, size=0.3, sampler="uniform").generate(g),
         )
         se = fl.doleans_exponential(x, seq, tol=TOL_STOCH)
-        rep = fl.reciprocal_exponential(se, seq, 1.0, tol=TOL_STOCH)
+        rep = fl.reciprocal_exponential(se, seq, 1.0)
         worst_bm = max(worst_bm, abs(rep.residual))
         worst_inv = max(worst_inv, float(np.max(np.abs(rep.path.x * se.values - 1.0))))
 

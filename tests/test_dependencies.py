@@ -1,7 +1,8 @@
 """Every import in the package is the standard library, the package itself,
 or a dependency declared in pyproject.toml.  An undeclared import (say, a
 plotting or JIT library present on one machine only) would make code paths
-depend on what happens to be installed."""
+depend on what happens to be installed.  And every name a module imports is
+used there: an import left behind by a deletion fails here."""
 
 import ast
 import os
@@ -60,3 +61,23 @@ def test_cli_import_loads_no_scipy():
 def test_imports_are_stdlib_package_or_declared(path):
     allowed = set(sys.stdlib_module_names) | {"follmer"} | _declared()
     assert _imported_roots(path) - allowed == set()
+
+
+def _unused_imports(path: Path) -> set:
+    """The names ``path`` binds by import and never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_every_imported_name_is_used(path):
+    # __init__.py imports to re-export, so it is left out
+    assert _unused_imports(path) == set()

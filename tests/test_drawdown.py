@@ -149,7 +149,7 @@ class TestFloorTransforms:
         assert np.allclose(tr.U(xs), a_star + np.log(xs / a), rtol=1e-11)
 
     def test_round_trip_tolerance(self):
-        tr = fl.floor_to_transform(fl.floor_proportional(0.5, 1.0), a=1.0, y_hint=8.0)
+        tr = fl.floor_to_transform(fl.floor_proportional(0.5, 1.0), a=1.0)
         ys = np.linspace(1.0, 8.0, 1000)
         assert np.max(np.abs(tr.U(tr.V(ys)) - ys)) <= 1e-9 * (1.0 + np.max(np.abs(ys)))
 
@@ -159,7 +159,7 @@ class TestFloorTransforms:
             fl.floor_to_transform(bad, a=1.0)
 
     def test_derivatives_consistent(self):
-        tr = fl.floor_to_transform(fl.floor_proportional(0.4, 1.0), a=2.0, y_hint=6.0)
+        tr = fl.floor_to_transform(fl.floor_proportional(0.4, 1.0), a=2.0)
         tr.V.validate(np.linspace(1.1, 5.0, 50))
         tr.U.validate(np.linspace(tr.V(np.array([1.1]))[0], tr.V(np.array([5.0]))[0], 50))
 

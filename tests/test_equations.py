@@ -54,11 +54,13 @@ class TestDoleans:
             dx = float(x.jump_at(i)[0])
             assert se.path.jump_at(i)[0] == pytest.approx(lv[i] * dx, rel=1e-12)
 
-    def test_inconclusive_qv_raises(self):
+    def test_inconclusive_qv_is_carried(self):
+        # an uncertified QV of X is part of the result, not an exception
         seq = fl.dyadic_sequence(1.0, 1, 4)
         w = fl.DyadicBrownianGenerator(seed=1).generate(seq.grid)
-        with pytest.raises(ValueError):
-            fl.doleans_exponential(w, seq, tol=1e-9)
+        se = fl.doleans_exponential(w, seq, tol=1e-9)
+        assert se.qv.status == "inconclusive" and not se.qv.ok
+        assert np.array_equal(se.exponent, w.x - w.x[0] - 0.5 * se.qv.continuous_part)
 
 
 def homogeneous_residuals(y, x, seq, tol=fl.DETERMINISTIC_TOL) -> fl.TrendReport:

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import follmer as fl
 import follmer.functions as fn
-from follmer.integrals import integral_at, integral_curve
+from follmer.integrals import integral_at, integral_curve, integral_curves
 from follmer.quadvar import product_curve, qv_curve
-from follmer.stieltjes import stieltjes_left
+from follmer.stieltjes import stieltjes_fv_curve, stieltjes_left
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +267,35 @@ class TestAssociativity:
         eta = y_res.estimate[:, None]
         rep = fl.associativity_check(eta, [xi], x, seq, 1.0)
         assert rep.gaps[-1] <= 1e-12
+
+
+class TestIntegralCurves:
+    """The one place that picks the integration rule: Riemann sums along the
+    partitions, or one Stieltjes curve for a finite-variation integrator."""
+
+    @staticmethod
+    def _integrand(grid):
+        h = np.cos(3.0 * grid.times) + (grid.times >= 0.5)
+        h_left = fl.left_values(fl.GridPath(grid, h, np.where(grid.times == 0.5, 1.0, 0.0)))[:, 0]
+        return h, h_left
+
+    def test_riemann_sums_along_every_partition(self, bm_setup):
+        seq, w = bm_setup
+        x = fl.add_paths(w, fl.StepGenerator(c=0.3, t0=0.25).generate(seq.grid))
+        h, h_left = self._integrand(seq.grid)
+        got = integral_curves(h, h_left, x, seq)
+        want = fl.follmer_integral(fl.GridPath(seq.grid, h), x, seq).level_curves
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_one_stieltjes_curve_for_a_finite_variation_path(self, continuous):
+        seq = fl.dyadic_sequence(1.0, 2, 8)
+        g = seq.grid
+        steps = fl.StepGenerator(c=-0.4, t0=0.625).generate(g)
+        x = fl.as_fv(fl.add_paths(steps, fl.FormulaGenerator(np.sin).generate(g)) if continuous else steps)
+        h, h_left = self._integrand(g)
+        (got,) = integral_curves(h, h_left, x, seq)
+        assert np.array_equal(got, stieltjes_fv_curve(h, h_left, x))
 
 
 def test_integral_curve_matches_riemann_sum(bm_setup):

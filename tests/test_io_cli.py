@@ -603,6 +603,18 @@ def test_every_subcommand_rejects_unknown_key(tmp_path, command):
         ("ito-check", {"assert_residual": float("inf")}, "'assert_residual' must be a finite nonnegative number"),
         ("dppi", {"market": {"csv": 3}}, "market.csv must be a file path, got 3"),
         ("dppi", {"market": {"csv": ["m.csv"]}}, "market.csv must be a file path, got ['m.csv']"),
+        ("assoc", {"integrands": 3}, "integrands must be a non-empty list of functions, got 3"),
+        ("assoc", {"integrands": []}, "integrands must be a non-empty list of functions, got []"),
+        # a function of the wrong arity for the configured paths
+        (
+            "ito-check",
+            {"f": {"name": "product"}},
+            "f: function 'product' takes 0 finite-variation and 2 path components; the config gives 0 and 1",
+        ),
+        ("ito-check", {"f": {"name": "fv-scale"}}, "f: function 'fv-scale' takes 1 finite-variation and 1 path"),
+        ("integrate", {"integrand": {"f": {"name": "product"}}}, "integrand.f: function 'product' takes"),
+        ("assoc", {"integrands": [{"name": "product"}]}, "integrands: function 'product' takes"),
+        ("assoc", {"eta": {"f": {"name": "product"}}}, "eta.f: function 'product' takes"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):
@@ -610,6 +622,48 @@ def test_malformed_value_exits_2(tmp_path, command, changes, named):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert named in result.stderr
+
+
+def test_unsettled_qv_of_x_is_inconclusive(tmp_path):
+    # the QV trend of X does not settle at these levels: E(X) is still built,
+    # and the run reports the trend as unsettled, a failure under --strict
+    x = {"kind": "dyadic-brownian", "seed": 1}
+    cfg = {"x": x, "stochastic": True, "levels": [3, 6], "f": {"kind": "linear", "a": 1.0}}
+    result, out = run_cli(tmp_path / "plain", "nonlinear", cfg)
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "nonlinear_report.json").read_text())
+    assert report["inconclusive"] == ["quadratic variation of X inconclusive"] and report["failures"] == []
+    assert not (out / "failures.json").exists()
+    result, out = run_cli(tmp_path / "strict", "nonlinear", cfg, "--strict")
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    failures = json.loads((out / "failures.json").read_text())["failures"]
+    assert failures == ["strict: quadratic variation of X inconclusive"]
+
+
+_JUMP_OFF_THE_PARTITION = {
+    "kind": "affine-combination",
+    "x": {"kind": "dyadic-brownian", "seed": 3},
+    "y": {"kind": "step", "c": 0.5, "t0": 0.3046875},
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("linear", {"x": _JUMP_OFF_THE_PARTITION, "grid_level": 10, "h": {"constant": 1.0}}),
+        ("dppi", {"market": _MARKET, "m": 2.0, "l": {"constant": 0.6}, "v0": 1.0, "grid_level": 8, "seed": 5}),
+    ],
+    ids=["linear", "dppi"],
+)
+def test_qv_of_x_without_the_jump_identity_fails(tmp_path, command, cfg):
+    # X moves between the last partition point before a jump and the jump, so
+    # at the deterministic tolerance its jump identity fails: a failed check
+    # with a report, not a traceback
+    result, out = run_cli(tmp_path, command, {**cfg, "levels": [3, 6]})
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    (failure,) = json.loads((out / "failures.json").read_text())["failures"]
+    assert failure.startswith("quadratic variation of X: jump identity violated: ")
+    assert (out / f"{command}_report.json").exists()
 
 
 @pytest.mark.parametrize(
