@@ -78,7 +78,7 @@ def _levels(cfg: dict, override: str | None) -> tuple[int, int]:
         if not isinstance(lv, (list, tuple)):
             raise TypeError
         n_min, n_max = (int(v) for v in lv)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if override:
             raise ConfigError(f"bad --levels {override!r}; expected a..b") from exc
         raise ConfigError(f"bad 'levels' {lv!r}; expected [n_min, n_max]") from exc
@@ -128,7 +128,7 @@ class Run:
         return self.generate(require(self.cfg, key, "config"), key, self.cfg.get(f"{key}_fv", False))
 
     def generate(self, ref, where: str, fv: bool = False) -> GridPath:
-        path = make_generator(_with_seed(ref, self.seed), where).generate(self.grid)
+        path = make_generator(_with_seed(ref, self.seed), self.grid, where).generate(self.grid)
         return as_fv(path) if fv else path
 
     def table(self, name: str, header: list, columns: list) -> None:
@@ -154,15 +154,15 @@ class Run:
         self.series = {label: (range(self.levels[0], self.levels[0] + len(values)), values)}
 
 
-def _function(ref, where: str, x: GridPath, a: GridPath | None = None) -> C12Function:
-    """``make_function(ref, where)`` for evaluation on the path ``x`` (and the
-    finite-variation path ``a``); a function of other arity is a config error."""
+def _function(ref, where: str, a: GridPath | None = None) -> C12Function:
+    """``make_function(ref, where)`` for evaluation with the finite-variation
+    path ``a``, or without one; a function of other arity is a config error."""
     f = make_function(ref, where)
-    m = 0 if a is None else a.dim
-    if (f.m, f.d) != (m, x.dim):
+    takes, given = int(f.grad_a is not None), int(a is not None)
+    if takes != given:
         raise ConfigError(
-            f"{where}: function {f.name!r} takes {f.m} finite-variation and {f.d} path components; "
-            f"the config gives {m} and {x.dim}"
+            f"{where}: function {f.name!r} takes {takes} finite-variation and 1 path components; "
+            f"the config gives {given} and 1"
         )
     return f
 
@@ -192,6 +192,8 @@ def _drive(compute, name: str, keys: set, stochastic: bool, config_path, out_dir
         cfg = load_config(config_path)
         h = config_hash({**cfg, "__seed__": seed, "__levels__": levels_opt})
         check_keys(cfg, _COMMON_KEYS | keys, f"{name} config")
+        if "seed" in cfg:
+            number(cfg, "seed")  # a NaN or infinite seed is rejected by name
         default_tol = STOCHASTIC_TOL if cfg.get("stochastic", stochastic) else DETERMINISTIC_TOL
         run = Run(cfg, out, seed if seed is not None else cfg.get("seed"), levels_opt, h,
                   tolerance(cfg, "tol", default_tol))
@@ -275,7 +277,7 @@ def _integrate(run: Run) -> dict:
     if "constant" in ref:
         xi = number(ref, "constant", where="integrand")
     elif "f" in ref:
-        xi = AdmissibleIntegrand(_function(ref["f"], "integrand.f", x), None, x)
+        xi = AdmissibleIntegrand(_function(ref["f"], "integrand.f"), None, x)
     else:
         raise ConfigError("integrand must carry 'constant' or 'f'")
     t = run.t
@@ -297,7 +299,7 @@ def _ito_check(run: Run) -> dict:
     """Residual table for the cadlag Ito formula."""
     x = run.path("path")
     a = run.generate(run.cfg["a"], "a", fv=True) if "a" in run.cfg else None
-    f = _function(require(run.cfg, "f", "config"), "f", x, a)
+    f = _function(require(run.cfg, "f", "config"), "f", a)
     rep = ito_formula_eval(f, a, x, run.seq, run.t, tol=run.tol)
     residuals = rep.residual_per_level
     run.table("ito.csv", ["level", "residual"], [range(len(residuals)), residuals])
@@ -326,17 +328,16 @@ def _assoc(run: Run) -> dict:
     refs = require(run.cfg, "integrands", "config")
     if not isinstance(refs, list) or not refs:  # no integrands would pass with nothing checked
         raise ConfigError(f"integrands must be a non-empty list of functions, got {refs!r}")
-    integrands = [AdmissibleIntegrand(_function(r, "integrands", x), None, x) for r in refs]
+    integrands = [AdmissibleIntegrand(_function(r, "integrands"), None, x) for r in refs]
     eta_ref = subsection(run.cfg, "eta", {"constant": 1.0}, {"constant", "f"})
     if "constant" in eta_ref:
         c = eta_ref["constant"]
         values = c if isinstance(c, list) else [c] * len(integrands)
         if len(values) != len(integrands):
             raise ConfigError(f"eta.constant has {len(values)} values for {len(integrands)} integrands")
-        eta = np.tile([number({"constant": v}, "constant", where="eta") for v in values], (len(run.grid), 1))
+        eta = [number({"constant": v}, "constant", where="eta") for v in values]
     elif "f" in eta_ref:
-        fe = _function(eta_ref["f"], "eta.f", x)
-        eta = np.asarray(fe.value(np.zeros((len(run.grid), 0)), x.values), dtype=float)[:, None]
+        eta = [_function(eta_ref["f"], "eta.f")(np.zeros(len(run.grid)), x.x)]
     else:
         raise ConfigError("eta must carry 'constant' or 'f'")
     rep = associativity_check(eta, integrands, x, run.seq, run.t, tol=run.tol)
@@ -483,7 +484,10 @@ def _dppi(run: Run) -> dict:
         floor = number(sl, "start", 1.0, "l.linear") + number(sl, "slope", 0.0, "l.linear") * grid.times
     else:
         raise ConfigError("l must carry 'constant' or 'linear'")
-    spec = FloorSpec(FVPath(grid, floor))
+    try:
+        spec = FloorSpec(FVPath(grid, floor))
+    except ValueError as exc:
+        raise ConfigError(f"l: {exc}") from None
     rep = dppi(market, number(run.cfg, "m", 1.0), spec, number(run.cfg, "v0", 1.0), seq, tol=run.tol)
     run.qv_of_x(rep.exponential.qv)
     with open(run.out / "strategy.csv", "w") as fp:
@@ -509,12 +513,16 @@ def _mc(run: Run) -> dict:
     cfg = run.cfg
     if "levels" in cfg:
         raise ConfigError("mc takes its levels from 'n_min' and 'n_max', not 'levels'")
-    n_min, n_max = _levels({"levels": [cfg.get("n_min", 3), cfg.get("n_max", 8)]}, run.levels_opt)
+    n_min, n_max = _levels({"levels": [number(cfg, "n_min", 3), number(cfg, "n_max", 8)]}, run.levels_opt)
+    seeds_cfg = cfg.get("seeds", 16)
+    base = 0 if run.seed is None else int(run.seed)
     try:
-        seeds_cfg = cfg.get("seeds", 16)
-        base = 0 if run.seed is None else int(run.seed)
+        seeds = range(base, base + seeds_cfg) if isinstance(seeds_cfg, int) else [int(s) for s in seeds_cfg]
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"seeds must be a count or a list of integer seeds, got {seeds_cfg!r}") from None
+    try:
         exp = McExperiment(
-            seeds=tuple(range(base, base + int(seeds_cfg))) if isinstance(seeds_cfg, int) else tuple(seeds_cfg),
+            seeds=tuple(seeds),
             n_min=n_min,
             n_max=n_max,
             grid_level=int(number(cfg, "grid_level", 16)),
@@ -548,13 +556,18 @@ def _appendix(run: Run) -> dict:
     """Discrete-measure convergence to a left-limit integral."""
     atom = number(run.cfg, "atom", 0.5)
     mu = DiscreteMeasure(np.array([atom]), np.array([number(run.cfg, "weight", 1.0)]))
+    if "f" not in run.cfg and atom not in run.grid.times:
+        raise ConfigError(f"atom = {atom!r} is not a grid time, where the default f steps")
     fref = run.cfg.get("f", {"kind": "step", "c": 1.0, "t0": atom})
-    fgen = make_generator(_with_seed(fref, run.seed), "f")
+    fgen = make_generator(_with_seed(fref, run.seed), run.grid, "f")
     if not isinstance(fgen, StepGenerator):
         raise ConfigError("appendix-measure expects a step path for f")
     f = fgen.generate(run.grid)
     mus = [_pushforward(mu, p.times) for p in run.seq]
-    rep = measure_convergence_check(mus, mu, f, run.t, tol=run.tol)
+    try:
+        rep = measure_convergence_check(mus, mu, f, run.t, tol=run.tol)
+    except ValueError as exc:  # a negative weight
+        raise ConfigError(f"weight: {exc}") from None
     per_level = rep.integral_per_level
     columns = [range(len(per_level)), per_level, [rep.integral_target] * len(per_level), rep.integral_gaps]
     run.table("appendix.csv", ["level", "integral", "target", "gap"], columns)

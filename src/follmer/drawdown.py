@@ -396,16 +396,15 @@ def azema_yor_path(
     mb = xbar.x
     uv, du = u(mb), u.deriv(mb)
     m_vals = uv - du * (mb - x.x)
-    path = GridPath(x.grid, m_vals, du * x.dX[:, 0])
+    path = GridPath(x.grid, m_vals, du * x.dX)
     a_star = float(u(np.array([x.x[0]]))[0])
 
     if seq is None:
         return AzemaYorReport(path, a_star, None, (), None)
     g = len(x.grid) - 1
-    integrand = GridPath(x.grid, du)
     residuals = []
     for p in seq:
-        integral = float(integral_at(integrand.values, x.values, p, g))
+        integral = float(integral_at(du, x.x, p, g))
         residuals.append(abs(float(m_vals[g]) - a_star - integral))
     trend = TrendReport(tuple(residuals), tol)
     return AzemaYorReport(path, a_star, residuals[-1], tuple(residuals), trend)
@@ -442,7 +441,7 @@ def solve_drawdown(
     transform.  The report carries the substitution residual per level and
     the worst-case strict-constraint margin min(Y ^ Y_- - w(Ybar)).
     """
-    xl = left_values(x)[:, 0]
+    xl = left_values(x)
     if np.any(x.x <= 0.0) or np.any(xl <= 0.0):
         raise ValueError("the drawdown construction needs X > 0 and X_- > 0")
     xbar, cont = running_maximum(x)
@@ -460,10 +459,10 @@ def solve_drawdown(
     residuals = []
     g = len(x.grid) - 1
     for p in seq:
-        integral = float(integral_at(xi_vals[:, None], x.values, p, g))
+        integral = float(integral_at(xi_vals, x.x, p, g))
         residuals.append(abs(float(y.x[g]) - floor.a_star - integral))
     trend = TrendReport(tuple(residuals), tol)
 
-    y_left = left_values(y)[:, 0]
+    y_left = left_values(y)
     margin = float(np.min(np.minimum(y.x, y_left) - w_ybar))
     return DrawdownSolveReport(y, transform, residuals[-1], tuple(residuals), trend, margin)

@@ -70,7 +70,7 @@ def doleans_exponential(
     qv = qv_sequence(x, seq, tol=tol)
     xs = x.x
     exponent = xs - xs[0] - 0.5 * qv.continuous_part
-    dx = x.dX[:, 0]
+    dx = x.dX
     j = np.flatnonzero(dx)
     factors = np.ones(len(x.grid))
     factors[j] = (1.0 + dx[j]) * _libm_exp(-dx[j])
@@ -118,11 +118,11 @@ def reciprocal_exponential(se: StochasticExponential, seq: PartitionSequence, t:
     r = _reciprocal_path(se)
     x = se.x
     g = x.grid.clamp_index(t)
-    r_left = left_values(r)[:, 0]
+    r_left = left_values(r)
     (i1_curve,) = integral_curves(r.x, r_left, x, (seq.top,))
     i1 = float(i1_curve[g])
     i2 = stieltjes_left(r_left, se.qv.continuous_part, upto=g)
-    dx = x.dX[: g + 1, 0]
+    dx = x.dX[: g + 1]
     j = np.flatnonzero(dx)
     terms = r_left[j] * dx[j] * dx[j] / (1.0 + dx[j])
     jsum = float(np.cumsum(np.concatenate([[0.0], terms]))[-1])  # left to right, not pairwise
@@ -153,7 +153,7 @@ def _h_path(h, grid) -> GridPath:
 
 def _z_jumps(z_vals: np.ndarray, dh: np.ndarray, x: GridPath) -> np.ndarray:
     """Jumps of a solution of Z = H + int Z_- dX: dZ = dH + Z_- dX."""
-    return z_vals - (z_vals - dh) / (1.0 + x.dX[:, 0])
+    return z_vals - (z_vals - dh) / (1.0 + x.dX)
 
 
 def solve_linear(
@@ -179,7 +179,7 @@ def solve_linear(
     r = _reciprocal_path(se)
     grid = x.grid
     hp = _h_path(h, grid)
-    hv, hl, hj = hp.x, left_values(hp)[:, 0], hp.dX[:, 0]
+    hv, hl, hj = hp.x, left_values(hp), hp.dX
     if isinstance(h, AdmissibleIntegrand):
         hypothesis = "admissible"
     elif isinstance(h, GridPath) and not isinstance(h, FVPath):
@@ -187,7 +187,7 @@ def solve_linear(
     else:
         hypothesis = "admissible"
 
-    r_left = left_values(r)[:, 0]
+    r_left = left_values(r)
     (inner,) = integral_curves(hv, hl, r, (seq.top,))
     z_vals = hv - se.values * inner
     z = GridPath(grid, z_vals, _z_jumps(z_vals, hj, x))
@@ -196,7 +196,7 @@ def solve_linear(
     agreement = float("nan")
     if decomposition is not None:
         xi, a = decomposition
-        xi_vals, xi_left = (v[:, 0] for v in _integrand_values(xi, grid))
+        xi_vals, xi_left = _integrand_values(xi, grid)
         h0 = float(hv[0])
         (t1_x,) = integral_curves(xi_vals * r.x, xi_left * r_left, x, (seq.top,))
         t1_a = stieltjes_fv_curve(r.x, r_left, a)
@@ -205,14 +205,14 @@ def solve_linear(
                 [[0.0], (xi_left * r_left)[1:] * np.diff(se.qv.continuous_part)]
             )
         )
-        dx = x.dX[:, 0]
-        dh = xi_left * dx + a.dX[:, 0]
+        dx = x.dX
+        dh = xi_left * dx + a.dX
         t3 = np.cumsum(np.where(dx != 0.0, r_left * dh * dx / (1.0 + dx), 0.0))
         z_alt_vals = se.values * (h0 + t1_x + t1_a - t2 - t3)
         z_alt = GridPath(grid, z_alt_vals, _z_jumps(z_alt_vals, hj, x))
         agreement = sup_distance(z_vals, z_alt_vals)
 
-    sub_curves = integral_curves(z_vals, left_values(z)[:, 0], x, seq)
+    sub_curves = integral_curves(z_vals, left_values(z), x, seq)
     residuals = tuple(sup_distance(z_vals, hv + c) for c in sub_curves)
     trend = TrendReport(residuals, tol)
     return LinearSolveReport(
@@ -298,7 +298,7 @@ def solve_nonlinear(
     drift = np.concatenate(
         [[0.0], np.cumsum(0.5 * (fz[:-1] + fz[1:]) * np.diff(times))]
     )
-    sub_curves = integral_curves(z_vals, left_values(z)[:, 0], x, seq)
+    sub_curves = integral_curves(z_vals, left_values(z), x, seq)
     residuals = tuple(
         sup_distance(z_vals, x0 + drift + c) for c in sub_curves
     )

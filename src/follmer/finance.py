@@ -52,7 +52,7 @@ class Market:
             self.s.grid.times, self.b.grid.times
         ):
             raise ValueError("S and B must share one grid")
-        sl, bl = left_values(self.s)[:, 0], left_values(self.b)[:, 0]
+        sl, bl = left_values(self.s), left_values(self.b)
         if np.any(self.s.x <= 0) or np.any(sl <= 0):
             raise ValueError("S and S_- must be strictly positive")
         if np.any(self.b.x <= 0) or np.any(bl <= 0):
@@ -76,8 +76,8 @@ class Strategy:
 
 def make_strategy(market: Market, xi: GridPath, eta: GridPath) -> Strategy:
     v = xi.x * market.s.x + eta.x * market.b.x
-    xl, el = left_values(xi)[:, 0], left_values(eta)[:, 0]
-    sl, bl = left_values(market.s)[:, 0], left_values(market.b)[:, 0]
+    xl, el = left_values(xi), left_values(eta)
+    sl, bl = left_values(market.s), left_values(market.b)
     v_left = xl * sl + el * bl
     return Strategy(xi, eta, GridPath(market.grid, v, v - v_left))
 
@@ -134,15 +134,13 @@ def dppi(
         raise ValueError("initial wealth below the initial floor")
     grid = market.grid
     s, b = market.s, market.b
-    sl, bl = left_values(s)[:, 0], left_values(b)[:, 0]
+    sl, bl = left_values(s), left_values(b)
     if isinstance(m, GridPath) or np.ndim(m):
         raise TypeError("raw multiplier paths are rejected; supply a witness or a constant")
-    mv, ml = (v[:, 0] for v in _integrand_values(m, grid))
+    mv, ml = _integrand_values(m, grid)
 
-    xi1 = (mv / s.x)[:, None]
-    xi2 = ((1.0 - mv) / b.x)[:, None]
-    x_vals = integral_curve(xi1, s.values, seq.top) + integral_curve(xi2, b.values, seq.top)
-    x_jumps = ml * s.dX[:, 0] / sl + (1.0 - ml) * b.dX[:, 0] / bl
+    x_vals = integral_curve(mv / s.x, s.x, seq.top) + integral_curve((1.0 - mv) / b.x, b.x, seq.top)
+    x_jumps = ml * s.dX / sl + (1.0 - ml) * b.dX / bl
     if np.any(x_jumps == -1.0):
         raise ValueError("dX = -1 encountered: the cushion exponential degenerates")
     fv_driver = isinstance(s, FVPath)
@@ -151,12 +149,12 @@ def dppi(
 
     se = doleans_exponential(x_path, seq, tol=tol)
     e_vals = se.values
-    e_left = left_values(se.path)[:, 0]
+    e_left = left_values(se.path)
 
     h_vals = b.x / e_vals
     h_left = bl / e_left
     c_curve = stieltjes_fv_curve(h_vals, h_left, l.continuous())
-    dl = l.dX[:, 0]
+    dl = l.dX
     jl = np.flatnonzero(dl)
     l_atoms = np.zeros(len(grid))
     l_atoms[jl] = b.x[jl] * dl[jl] / (e_left[jl] * (1.0 + x_jumps[jl]))
@@ -164,7 +162,7 @@ def dppi(
 
     cushion = v0 - float(l.x[0]) - c_curve - jsum
     v_vals = l.x * b.x + e_vals * cushion
-    l_left = left_values(l)[:, 0]
+    l_left = left_values(l)
     v_left = l_left * bl + e_left * (v0 - float(l.x[0]) - c_curve - (jsum - l_atoms))
 
     xi_vals = mv * (v_vals - l.x * b.x) / s.x
@@ -217,8 +215,8 @@ def self_financing_residual(
     v = strategy.value.x
     residuals = []
     for p in seq:
-        c1 = integral_at(strategy.xi.values, market.s.values, p, g)
-        c2 = integral_at(strategy.eta.values, market.b.values, p, g)
+        c1 = integral_at(strategy.xi.x, market.s.x, p, g)
+        c2 = integral_at(strategy.eta.x, market.b.x, p, g)
         residuals.append(abs(float(v[g] - v[0] - c1 - c2)))
     return SelfFinancingReport(residuals[-1], tuple(residuals), TrendReport(tuple(residuals), tol))
 
@@ -251,7 +249,7 @@ def drawdown_strategy(
     sbar, cont = running_maximum(s)
     if not cont:
         raise ValueError("running maximum of S is discontinuous at grid scale")
-    sl = left_values(s)[:, 0]
+    sl = left_values(s)
     if np.any(s.x <= 0) or np.any(sl <= 0):
         raise ValueError("S and S_- must be strictly positive")
     grid = s.grid
@@ -263,7 +261,7 @@ def drawdown_strategy(
     xi_vals = transform.U.deriv(sbar.x)
     xi_path = GridPath(grid, xi_vals)  # Sbar continuous: xi carries no jumps
     eta_vals = v_path.x - xi_vals * s.x
-    v_left = left_values(v_path)[:, 0]
+    v_left = left_values(v_path)
     eta_left = v_left - xi_vals * sl
     eta_path = GridPath(grid, eta_vals, eta_vals - eta_left)
 

@@ -1,8 +1,9 @@
 """Non-anticipative Riemann sums and the pathwise Ito calculus built on them.
 
-The integral of xi against X along a partition is the left-sampled sum
+Paths and integrands are scalar.  The integral of xi against X along a
+partition is the left-sampled sum
 
-    sum over t_i in pi of <xi_{t_i}, X_{t_{i+1} ^ t} - X_{t_i ^ t}>,
+    sum over t_i in pi of xi_{t_i} (X_{t_{i+1} ^ t} - X_{t_i ^ t}),
 
 whose limit along a refining sequence defines the pathwise (Ito-Follmer)
 integral.  Convergence is claimed for admissible integrands -- realizations
@@ -25,7 +26,7 @@ import numpy as np
 from .diagnostics import DETERMINISTIC_TOL, TrendReport, sup_distance
 from .functions import C12Function
 from .partitions import Partition, PartitionSequence
-from .paths import FVPath, GridPath, as_fv, jump_rows, left_values
+from .paths import FVPath, GridPath, jump_rows, left_values
 from .quadvar import QVResult, _anchor_runs, covariation, qv_sequence
 from .stieltjes import stieltjes_fv, stieltjes_fv_curve, stieltjes_left
 
@@ -45,17 +46,18 @@ __all__ = [
 ]
 
 
-def _empty_fv(grid) -> FVPath:
-    return FVPath(grid, np.zeros((len(grid), 0)))
+def _zero_fv(grid) -> FVPath:
+    return FVPath(grid, np.zeros(len(grid)))
 
 
 @dataclass(frozen=True)
 class AdmissibleIntegrand:
     """The witness triple (f, A, X) realizing xi_t = grad_x f(A_t, X_t).
 
-    Construction checks the domain predicate along the whole trajectory
-    (including left limits) and validates the supplied derivatives against
-    finite differences on a trajectory subsample.
+    A is given exactly when f takes a finite-variation argument; otherwise
+    it is the zero path.  Construction checks the domain predicate along the
+    whole trajectory (including left limits) and validates the supplied
+    derivatives against finite differences on a trajectory subsample.
     """
 
     f: C12Function
@@ -63,65 +65,62 @@ class AdmissibleIntegrand:
     X: GridPath
 
     def __post_init__(self):
-        if self.A is None:
-            object.__setattr__(self, "A", _empty_fv(self.X.grid))
-        if self.f.m != self.A.dim or self.f.d != self.X.dim:
+        if (self.A is None) != (self.f.grad_a is None):
             raise ValueError("function arity does not match the paths")
+        if self.A is None:
+            object.__setattr__(self, "A", _zero_fv(self.X.grid))
         if len(self.A.grid) != len(self.X.grid):
             raise ValueError("A and X live on different grids")
-        av, xv = self.A.values, self.X.values
+        av, xv = self.A.x, self.X.x
         al, xl = left_values(self.A), left_values(self.X)
         if not (np.all(self.f.domain_ok(av, xv)) and np.all(self.f.domain_ok(al, xl))):
             raise ValueError("trajectory leaves the function's domain")
         step = max(1, len(self.X.grid) // 32)
         self.f.validate(av[::step], xv[::step])
-        xi = np.asarray(self.f.grad_x(av, xv), dtype=float).reshape(len(self.X.grid), self.f.d)
-        xi_l = np.asarray(self.f.grad_x(al, xl), dtype=float).reshape(len(self.X.grid), self.f.d)
+        xi = np.asarray(self.f.grad_x(av, xv), dtype=float)
+        xi_l = np.asarray(self.f.grad_x(al, xl), dtype=float)
         object.__setattr__(self, "values", xi)
         object.__setattr__(self, "values_left", xi_l)
 
 
 def _integrand_values(xi, grid) -> tuple[np.ndarray, np.ndarray]:
-    """(values, left values) of an integrand given in any accepted form."""
+    """(values, left values) of an integrand given in any accepted form: an
+    ``AdmissibleIntegrand``, a ``GridPath``, a constant or a grid-length array."""
     if isinstance(xi, AdmissibleIntegrand):
         return xi.values, xi.values_left
     if isinstance(xi, GridPath):
-        return xi.values, left_values(xi)
+        return xi.x, left_values(xi)
     arr = np.asarray(xi, dtype=float)
     if arr.ndim == 0:
-        v = np.full((len(grid), 1), float(arr))
+        v = np.full(len(grid), float(arr))
         return v, v
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    if arr.shape != (len(grid),):
+        raise ValueError(f"integrand values have shape {arr.shape}, expected ({len(grid)},)")
     return arr, arr
 
 
 def integral_curve(xi_vals: np.ndarray, x_vals: np.ndarray, p: Partition) -> np.ndarray:
-    """Running truncated Riemann sum t -> sum <xi_{t_i}, X_{t_{i+1}^t} - X_{t_i^t}>."""
+    """Running truncated Riemann sum t -> sum xi_{t_i} (X_{t_{i+1}^t} - X_{t_i^t})."""
     idx = p.indices
     xv = x_vals[idx]
-    inc = np.einsum("ij,ij->i", xi_vals[idx[:-1]], np.diff(xv, axis=0))
-    csum = np.concatenate([[0.0], np.cumsum(inc)])
-    runs = _anchor_runs(idx, x_vals.shape[0])
-    dx = np.repeat(xv, runs, axis=0)
+    # summed from +0.0, so no running sum is -0.0
+    csum = np.cumsum(np.concatenate([[0.0], xi_vals[idx[:-1]] * np.diff(xv)]))
+    runs = _anchor_runs(idx, x_vals.size)
+    dx = np.repeat(xv, runs)
     np.subtract(x_vals, dx, out=dx)
-    straddle = np.einsum("ij,ij->i", np.repeat(xi_vals[idx], runs, axis=0), dx)
-    return np.add(np.repeat(csum, runs), straddle, out=straddle)
+    np.multiply(np.repeat(xi_vals[idx], runs), dx, out=dx)
+    return np.add(np.repeat(csum, runs), dx, out=dx)
 
 
 def integral_at(xi_vals: np.ndarray, x_vals: np.ndarray, p: Partition, g: int) -> np.float64:
     """``integral_curve(xi_vals, x_vals, p)[g]``, bit for bit, without the
     curve: the sequential sum of the whole increments up to the anchor a of
-    g (the last partition point <= g), plus the straddle <xi_a, X_g - X_a>."""
+    g (the last partition point <= g), plus the straddle xi_a (X_g - X_a)."""
     idx = p.indices
     k = int(np.searchsorted(idx, g, side="right")) - 1
-    a = idx[k : k + 1]
-    head = np.float64(0.0)
-    if k:
-        inc = np.einsum("ij,ij->i", xi_vals[idx[:k]], np.diff(x_vals[idx[: k + 1]], axis=0))
-        head = np.cumsum(inc)[-1]
-    straddle = np.einsum("ij,ij->i", xi_vals[a], x_vals[g : g + 1] - x_vals[a])
-    return head + straddle[0]
+    a = idx[k]
+    head = np.cumsum(np.concatenate([[0.0], xi_vals[idx[:k]] * np.diff(x_vals[idx[: k + 1]])]))[-1]
+    return head + xi_vals[a] * (x_vals[g] - x_vals[a])
 
 
 def integral_curves(h: np.ndarray, h_left: np.ndarray, x: GridPath, parts) -> list[np.ndarray]:
@@ -135,7 +134,7 @@ def integral_curves(h: np.ndarray, h_left: np.ndarray, x: GridPath, parts) -> li
     """
     if isinstance(x, FVPath):
         return [stieltjes_fv_curve(h, h_left, x)]
-    return [integral_curve(h[:, None], x.values, p) for p in parts]
+    return [integral_curve(h, x.x, p) for p in parts]
 
 
 def riemann_sum(
@@ -147,25 +146,20 @@ def riemann_sum(
 ) -> float:
     """One non-anticipative Riemann sum; integrand sampled at left endpoints.
 
-    ``truncated``: sum of <xi_{t_i}, X_{t_{i+1} ^ t} - X_{t_i ^ t}> over all
+    ``truncated``: sum of xi_{t_i} (X_{t_{i+1} ^ t} - X_{t_i ^ t}) over all
     partition points.  ``restricted``: sum of full increments over t_i <= t.
     The two agree whenever t is a partition point.
     """
     xi_vals, _ = _integrand_values(xi, x.grid)
-    if xi_vals.shape[1] != x.dim:
-        raise ValueError("integrand and integrator dimensions differ")
     g = x.grid.clamp_index(t)
     idx = p.indices
     if convention == "truncated":
-        j = np.minimum(idx, g)
-        xv = x.values[j]
-        sv = xi_vals[idx[:-1]]
-        return float(np.einsum("ij,ij->i", sv, np.diff(xv, axis=0)).sum())
+        inc = np.diff(x.x[np.minimum(idx, g)])
+        return float(np.sum(xi_vals[idx[:-1]] * inc))
     if convention == "restricted":
         keep = x.grid.times[idx[:-1]] <= t
-        sv = xi_vals[idx[:-1]][keep]
-        inc = np.diff(x.values[idx], axis=0)[keep]
-        return float(np.einsum("ij,ij->i", sv, inc).sum())
+        inc = np.diff(x.x[idx])[keep]
+        return float(np.sum(xi_vals[idx[:-1]][keep] * inc))
     raise ValueError(f"unknown convention {convention!r}")
 
 
@@ -197,10 +191,10 @@ def follmer_integral(
     The estimate is the top-level running sum; the status is the gap trend
     of the lower levels against it.  A diverging trend yields status
     ``inconclusive``, never a silent answer.  The returned path carries the
-    integral's declared jumps <xi_{t-}, dX_t>.
+    integral's declared jumps xi_{t-} dX_t.
     """
     xi_vals, xi_left = _integrand_values(xi, x.grid)
-    curves = [integral_curve(xi_vals, x.values, p) for p in seq]
+    curves = [integral_curve(xi_vals, x.x, p) for p in seq]
     estimate = curves[-1]
     gaps = tuple(sup_distance(c, estimate) for c in curves[:-1])
     trend = TrendReport(gaps, tol)
@@ -210,9 +204,8 @@ def follmer_integral(
         claim = "fv-integrator"
     else:
         claim = "unverified-hypothesis"
-    # d(int xi dX)_t = <xi_{t-}, dX_t>
-    jumps = np.sum(xi_left * x.dX, axis=1)
-    path = (FVPath if isinstance(x, FVPath) else GridPath)(x.grid, estimate, jumps)
+    # d(int xi dX)_t = xi_{t-} dX_t
+    path = (FVPath if isinstance(x, FVPath) else GridPath)(x.grid, estimate, xi_left * x.dX)
     return IntegralResult(
         grid=x.grid,
         level_curves=tuple(curves),
@@ -253,9 +246,9 @@ def ito_formula_eval(
     """Evaluate both sides of the cadlag Ito formula and their residual.
 
     LHS is f(A_t, X_t) - f(A_0, X_0); the RHS terms are computed separately:
-    the Stieltjes drift against (A^k)^c, the pathwise integral of
-    grad_x f(A_-, X_-), half the Stieltjes sum of the Hessian against
-    [X^k,X^l]^c, and the jump compensation sum over declared jump times.
+    the Stieltjes drift against A^c, the pathwise integral of
+    grad_x f(A_-, X_-), half the Stieltjes sum of the second derivative
+    against [X,X]^c, and the jump compensation sum over declared jump times.
     The residual is reported per level (integral and QV terms at that level)
     so its decay is checkable.  For a declared finite-variation X the
     headline integral term is the jump-exact Stieltjes value (the pathwise
@@ -266,57 +259,37 @@ def ito_formula_eval(
     A = integrand.A
     grid = X.grid
     g = grid.clamp_index(t)
-    av, xv = A.values, X.values
+    av, xv = A.x, X.x
     al, xl = left_values(A), left_values(X)
 
-    lhs = float(integrand.f(av[g : g + 1], xv[g : g + 1])[0] - integrand.f(av[:1], xv[:1])[0])
+    lhs = float(f(av[g : g + 1], xv[g : g + 1])[0] - f(av[:1], xv[:1])[0])
 
     drift = 0.0
-    if A.dim:
-        dfda = np.asarray(f.grad_a(av, xv), dtype=float).reshape(len(grid), A.dim)
-        dfda_left = np.asarray(f.grad_a(al, xl), dtype=float).reshape(len(grid), A.dim)
-        for k in range(A.dim):
-            ack = GridPath(grid, A.cont_part[:, k])
-            drift += stieltjes_fv(dfda[:, k], dfda_left[:, k], ack, upto=g)
+    if f.grad_a is not None:
+        dfda = np.asarray(f.grad_a(av, xv), dtype=float)
+        dfda_left = np.asarray(f.grad_a(al, xl), dtype=float)
+        drift += stieltjes_fv(dfda, dfda_left, GridPath(grid, A.cont_part), upto=g)
 
     level_integrals = [integral_at(integrand.values, xv, p, g) for p in seq]
     if isinstance(X, FVPath):
-        integral_used = sum(
-            stieltjes_fv(
-                integrand.values[:, k],
-                integrand.values_left[:, k],
-                as_fv(X.component(k)),
-                upto=g,
-            )
-            for k in range(X.dim)
-        )
+        integral_used = stieltjes_fv(integrand.values, integrand.values_left, X, upto=g)
     else:
         integral_used = level_integrals[-1]
 
-    hess_left = np.asarray(f.hess_x(al, xl), dtype=float).reshape(len(grid), X.dim, X.dim)
-    covs = {}
-    for k in range(X.dim):
-        for l in range(k, X.dim):
-            xk, xloc = X.component(k), X.component(l)
-            covs[(k, l)] = qv_sequence(xk, seq) if k == l else covariation(xk, xloc, seq)
+    hess_left = np.asarray(f.hess_x(al, xl), dtype=float)
+    qv = qv_sequence(X, seq)
 
     def qv_term_at_level(n: int) -> float:
-        total = 0.0
-        for (k, l), cov in covs.items():
-            curve = cov.level_curves[n] - cov.jump_part
-            v = stieltjes_left(hess_left[:, k, l], curve, upto=g)
-            total += 0.5 * v if k == l else v  # off-diagonal counted twice
-        return total
+        return 0.5 * stieltjes_left(hess_left, qv.level_curves[n] - qv.jump_part, upto=g)
 
     ji = jump_rows(X, A)
     ji = ji[ji <= g]
     jump_term = 0.0
     if ji.size:
-        f_after = integrand.f(av[ji], xv[ji])
-        f_before = integrand.f(al[ji], xl[ji])
-        gx_before = np.asarray(f.grad_x(al[ji], xl[ji]), dtype=float).reshape(ji.size, X.dim)
-        dx = xv[ji] - xl[ji]
-        jump_term = float(np.sum(f_after - f_before - np.einsum("ij,ij->i", gx_before, dx)))
+        f_after = f(av[ji], xv[ji])
+        f_before = f(al[ji], xl[ji])
+        gx_before = np.asarray(f.grad_x(al[ji], xl[ji]), dtype=float)
+        jump_term = float(np.sum(f_after - f_before - gx_before * (xv[ji] - xl[ji])))
 
     residuals = tuple(
         lhs - (drift + level_integrals[n] + qv_term_at_level(n) + jump_term)
@@ -403,15 +376,9 @@ class QvOfIntegralReport:
 
 
 def _qv_target_curve(xi_left: np.ndarray, x: GridPath, seq: PartitionSequence) -> np.ndarray:
-    """t -> sum_{k,l} int xi^k xi^l (s-) d[X^k,X^l]_s on the grid."""
-    n = len(x.grid)
-    inc = np.zeros(n)
-    for k in range(x.dim):
-        for l in range(x.dim):
-            xk, xloc = x.component(k), x.component(l)
-            cov = qv_sequence(xk, seq) if k == l else covariation(xk, xloc, seq)
-            h = xi_left[:, k] * xi_left[:, l]
-            inc[1:] += h[1:] * np.diff(cov.estimate)
+    """t -> int xi^2 (s-) d[X,X]_s on the grid."""
+    inc = np.zeros(len(x.grid))
+    inc[1:] = (xi_left * xi_left)[1:] * np.diff(qv_sequence(x, seq, fv_exact=False).estimate)
     return np.cumsum(inc)
 
 
@@ -421,7 +388,7 @@ def qv_of_integral(
     seq: PartitionSequence,
     tol: float = DETERMINISTIC_TOL,
 ) -> QvOfIntegralReport:
-    """[Y,Y] for Y = int <xi_-, dX> against sum_{k,l} int xi^k xi^l d[X^k,X^l]."""
+    """[Y,Y] for Y = int xi_- dX against int xi^2 d[X,X]."""
     res = follmer_integral(xi, x, seq, tol=tol)
     y = res.path
     qv = qv_sequence(y, seq, tol=tol, fv_exact=False)
@@ -440,37 +407,37 @@ class AssociativityReport:
 
 
 def associativity_check(
-    eta,
+    eta: Sequence,
     integrands: Sequence[AdmissibleIntegrand],
     x: GridPath,
     seq: PartitionSequence,
     t: float,
     tol: float = DETERMINISTIC_TOL,
 ) -> AssociativityReport:
-    """Per-level gap between int <eta_-, dY> and int <sum eta^k xi^(k)_-, dX>.
+    """Per-level gap between sum_k int eta^k_- dY^k and int (sum_k eta^k xi^(k))_- dX.
 
-    Y^k are the top-level integral paths of the xi^(k); the left side sums
-    eta against them, the right side sums the pointwise product integrand
-    against X directly.
+    ``eta`` holds one integrand eta^k, in any form ``riemann_sum`` accepts,
+    per admissible integrand xi^(k).  Y^k are the top-level integral paths of
+    the xi^(k); the left side sums the eta^k against them, the right side
+    sums the pointwise product integrand against X directly.
     """
-    eta_vals, _ = _integrand_values(eta, x.grid)
-    nu = len(integrands)
-    if eta_vals.shape[1] != nu:
-        raise ValueError("eta dimension must match the number of integrands")
+    if len(eta) != len(integrands):
+        raise ValueError("eta needs one integrand per admissible integrand")
+    eta_vals = [_integrand_values(e, x.grid)[0] for e in eta]
     y_results = [follmer_integral(xi, x, seq, tol=tol) for xi in integrands]
     g = x.grid.clamp_index(t)
 
-    zeta = np.zeros((len(x.grid), x.dim))
-    for k, xi in enumerate(integrands):
-        zeta += eta_vals[:, k : k + 1] * xi.values
+    zeta = np.zeros(len(x.grid))
+    for e, xi in zip(eta_vals, integrands):
+        zeta += e * xi.values
 
     lhs_levels, rhs_levels = [], []
     for p in seq:
         total = 0.0
-        for k, r in enumerate(y_results):
-            total += float(integral_at(eta_vals[:, k : k + 1], r.estimate[:, None], p, g))
+        for e, r in zip(eta_vals, y_results):
+            total += float(integral_at(e, r.estimate, p, g))
         lhs_levels.append(total)
-        rhs_levels.append(float(integral_at(zeta, x.values, p, g)))
+        rhs_levels.append(float(integral_at(zeta, x.x, p, g)))
     gaps = tuple(abs(a - b) for a, b in zip(lhs_levels, rhs_levels))
     trend = TrendReport(gaps, tol)
     sides_ok = all(r.status != "inconclusive" or isinstance(x, FVPath) for r in y_results)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .paths import (
     GeometricGenerator,
     PathGenerator,
     StepGenerator,
+    TimeGrid,
     _write_csv_columns,
 )
 
@@ -81,15 +83,29 @@ def _dotted(where: str, key: str) -> str:
 
 
 def number(section: dict, key: str, default=None, where: str = "") -> float:
-    """``section[key]`` as a float; ``default`` when absent, required when ``default`` is None.
+    """``section[key]`` as a finite float; ``default`` when absent, required when ``default`` is None.
 
     ``where`` is the dotted name of ``section``, empty at the top level.
     """
     value = require(section, key, where or "config") if default is None else section.get(key, default)
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{_dotted(where, key)} must be a number, got {value!r}") from None
+    _finite(out, _dotted(where, key))
+    return out
+
+
+def _finite(value, key: str) -> None:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+
+
+def _finite_params(params: dict, where: str) -> None:
+    """Reject a NaN or infinite parameter, or list entry, naming its dotted key."""
+    for key, value in params.items():
+        for v in value if isinstance(value, list) else (value,):
+            _finite(v, _dotted(where, key))
 
 
 def subsection(section: dict, key: str, default: dict | None, allowed: set, where: str = "") -> dict:
@@ -121,18 +137,23 @@ _FORMULAS = {
 }
 
 
-def make_generator(ref: dict, where: str = "generator") -> PathGenerator:
+def make_generator(ref: dict, grid: TimeGrid, where: str = "generator") -> PathGenerator:
+    """The generator of ``ref`` for paths on ``grid``; a step time off the grid is a config error."""
     if not isinstance(ref, dict) or "kind" not in ref:
         raise ConfigError(f"{where} must be an object with a 'kind'")
     kind = ref["kind"]
     params = {k: v for k, v in ref.items() if k != "kind"}
+    _finite_params(params, where)
     try:
         if kind == "formula":
             name = params.pop("name")
             fn = _FORMULAS[name](**params)
             return FormulaGenerator(fn)
         if kind == "step":
-            return StepGenerator(**params)
+            step = StepGenerator(**params)
+            if step.t0 not in grid.times:
+                raise ConfigError(f"{where}.t0 = {step.t0!r} is not a grid time")
+            return step
         if kind == "dyadic-brownian":
             return DyadicBrownianGenerator(**params)
         if kind == "compound-jump":
@@ -140,8 +161,8 @@ def make_generator(ref: dict, where: str = "generator") -> PathGenerator:
         if kind == "geometric":
             return GeometricGenerator(**params)
         if kind == "affine-combination":
-            gx = make_generator(params.pop("x"), where + ".x")
-            gy = make_generator(params.pop("y"), where + ".y")
+            gx = make_generator(params.pop("x"), grid, where + ".x")
+            gy = make_generator(params.pop("y"), grid, where + ".y")
             return AffineCombinationGenerator(gx, gy, **params)
     except KeyError as exc:
         raise ConfigError(f"{where}: unknown name {exc}") from exc
@@ -154,6 +175,7 @@ def make_function(ref: dict, where: str = "f") -> C12Function:
     if not isinstance(ref, dict) or "name" not in ref:
         raise ConfigError(f"{where} must be an object with a 'name'")
     params = {k: v for k, v in ref.items() if k != "name"}
+    _finite_params(params, where)
     try:
         return builtin_c12(ref["name"], **params)
     except KeyError as exc:
@@ -166,8 +188,10 @@ def make_floor(ref: dict, where: str = "floor") -> FloorFunction:
     if not isinstance(ref, dict) or "name" not in ref:
         raise ConfigError(f"{where} must be an object with a 'name'")
     params = {k: v for k, v in ref.items() if k not in ("name", "a_star")}
+    _finite_params(params, where)
+    a_star = number(ref, "a_star", where=where)
     try:
-        return builtin_floor(ref["name"], float(require(ref, "a_star", where)), **params)
+        return builtin_floor(ref["name"], a_star, **params)
     except KeyError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     except TypeError as exc:

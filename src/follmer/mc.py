@@ -124,7 +124,7 @@ def _sample_path(exp: McExperiment, seed: int) -> GridPath:
 
 
 def _target_curve(exp: McExperiment, path: GridPath) -> np.ndarray:
-    return exp.sigma**2 * path.grid.times + np.cumsum(path.dX[:, 0] ** 2)
+    return exp.sigma**2 * path.grid.times + np.cumsum(path.dX**2)
 
 
 def _bisect(above) -> float:

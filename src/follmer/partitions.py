@@ -155,7 +155,7 @@ def thinned_sequence(grid: TimeGrid, levels: int) -> PartitionSequence:
 # non-finite paths.)
 #
 # The levels of one path share one _Scan, made per call and never cached
-# on the path (GridPath.values is a view of an array its caller may still
+# on the path (GridPath.x is a view of an array its caller may still
 # write): the finite check, the QV sum and every level's window are taken
 # once; the block extrema are built on the first far exit of any level, and
 # the tables of every table level on the first table read, in one pass over
@@ -243,8 +243,6 @@ class _Scan:
         self.levels = list(levels)
         if any(n < 1 for n in self.levels):
             raise ValueError("level n must be >= 1 (the 1/n cap is undefined at 0)")
-        if path.dim != 1:
-            raise ValueError("stopping-time partitions are built from scalar paths")
         x = np.ascontiguousarray(path.x)
         finite = np.isfinite(x)
         if not finite.all():
@@ -432,24 +430,9 @@ def oscillation(path: GridPath, p: Partition, t: float) -> float:
         raise ValueError("t beyond the horizon")
     t_idx = path.grid.clamp_index(t)
     idx = p.indices
-    if path.dim == 1:
-        # segments [idx[k], idx[k+1]) of the samples up to t; the last runs
-        # to t (a singleton, of zero diameter, at a point <= t)
-        x = path.values[: t_idx + 1, 0]
-        return _max_diameter(x, idx[: np.searchsorted(idx, t_idx, side="right")])
-    worst = 0.0
-    for a, b in zip(idx, idx[1:]):
-        hi = min(b, t_idx + 1)  # exclusive; half-open at t_{i+1}
-        if hi - a < 2:
-            if a > t_idx:
-                break
-            continue
-        seg = path.values[a:hi]
-        diff = seg[:, None, :] - seg[None, :, :]
-        worst = max(worst, float(np.sqrt((diff**2).sum(-1)).max()))
-        if b > t_idx:
-            break
-    return worst
+    # segments [idx[k], idx[k+1]) of the samples up to t; the last runs to t
+    # (a singleton, of zero diameter, at a point <= t)
+    return _max_diameter(path.x[: t_idx + 1], idx[: np.searchsorted(idx, t_idx, side="right")])
 
 
 # segments of at most this many samples are measured by gathers, one per

@@ -1,6 +1,7 @@
 """Cadlag paths on finite time grids with explicitly declared jumps.
 
-A path is sampled right-continuously on a finite grid 0 = t_0 < ... < t_N = T.
+A path is scalar, sampled right-continuously on a finite grid
+0 = t_0 < ... < t_N = T.
 Jumps live only at grid times and are declared, never inferred: the left limit
 at a jump time is the stored value minus the declared jump, and the path is
 regarded as continuous at every other grid time.  The convention at the
@@ -94,9 +95,8 @@ def dyadic_grid(T: float = 1.0, level: int = 0) -> TimeGrid:
     return TimeGrid(T * (np.arange(n + 1) / n))
 
 
-def _jump_array(jumps, shape: tuple) -> np.ndarray:
-    """The (N, d) jump array of a {grid index: size} mapping or an array."""
-    n = shape[0]
+def _jump_array(jumps, n: int) -> np.ndarray:
+    """The length-n jump array of a {grid index: size} mapping or an array."""
     if jumps is None or isinstance(jumps, Mapping):
         jumps = jumps or {}
         idx = np.fromiter(map(int, jumps), dtype=np.intp, count=len(jumps))
@@ -104,70 +104,53 @@ def _jump_array(jumps, shape: tuple) -> np.ndarray:
             raise ValueError("a jump at t=0 is forbidden (X_{0-} = X_0)")
         if np.any((idx < 0) | (idx >= n)):
             raise ValueError("jump index outside the grid")
-        dX = np.zeros(shape)
-        if idx.size:
-            dX[idx] = np.array(list(jumps.values()), dtype=float).reshape(idx.size, -1)
+        sizes = np.array(list(jumps.values()), dtype=float)
+        if sizes.shape != idx.shape:
+            raise ValueError(f"jump sizes have shape {sizes.shape}, expected {idx.shape}")
+        dX = np.zeros(n)
+        dX[idx] = sizes
     else:
         dX = np.array(jumps, dtype=float)
-        if dX.ndim == 1 and shape[1] == 1:
-            dX = dX[:, None]
-        if dX.shape != shape:
-            raise ValueError(f"jump array has shape {dX.shape}, expected {shape}")
-        if np.any(dX[0] != 0.0):
+        if dX.shape != (n,):
+            raise ValueError(f"jump array has shape {dX.shape}, expected ({n},)")
+        if dX[0] != 0.0:
             raise ValueError("a jump at t=0 is forbidden (X_{0-} = X_0)")
-    dX += 0.0  # a zero row is +0.0, never -0.0
+    dX += 0.0  # a zero jump is +0.0, never -0.0
     return dX
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class GridPath:
-    """Right-continuous path values on a grid plus a declared jump array.
+    """Right-continuous scalar path values on a grid plus a declared jump array.
 
-    values[i] = X_{t_i} and dX[i] = X_{t_i} - X_{t_i-}, both read-only
-    (N, d) arrays.  Row 0 of dX is zero (X_{0-} = X_0) and every zero row is
-    a continuity point of the discrete path.  ``jumps`` may be given as a
-    mapping {grid index: size} or as an array of shape (N,) or (N, d).
+    x[i] = X_{t_i} and dX[i] = X_{t_i} - X_{t_i-}, both read-only 1-d arrays
+    of the grid's length.  dX[0] is zero (X_{0-} = X_0) and every zero entry
+    is a continuity point of the discrete path.  ``jumps`` may be given as a
+    mapping {grid index: size} or as an array.
     """
 
     grid: TimeGrid
-    values: np.ndarray
+    x: np.ndarray
     dX: np.ndarray
 
-    def __init__(self, grid: TimeGrid, values, jumps=None):
-        v = np.asarray(values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.shape[0] != len(grid):
+    def __init__(self, grid: TimeGrid, x, jumps=None):
+        v = np.asarray(x, dtype=float)
+        if v.ndim != 1:
+            raise ValueError(f"path values must be one-dimensional, got shape {v.shape}")
+        if v.size != len(grid):
             raise ValueError("values length must match grid length")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", _readonly(v))
-        object.__setattr__(self, "dX", _readonly(_jump_array(jumps, v.shape)))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def x(self) -> np.ndarray:
-        """1-d view of a scalar path's values."""
-        if self.dim != 1:
-            raise ValueError("path is not one-dimensional")
-        return self.values[:, 0]
+        object.__setattr__(self, "x", _readonly(v))
+        object.__setattr__(self, "dX", _readonly(_jump_array(jumps, v.size)))
 
     @cached_property
-    def jumps(self) -> Mapping[int, np.ndarray]:
-        """Read-only {grid index: dX row} view of the nonzero rows."""
+    def jumps(self) -> Mapping[int, float]:
+        """Read-only {grid index: jump size} view of the nonzero jumps."""
         return MappingProxyType({int(i): self.dX[i] for i in jump_rows(self)})
-
-    def component(self, k: int) -> "GridPath":
-        return GridPath(self.grid, self.values[:, k : k + 1], self.dX[:, k : k + 1])
-
-    def jump_at(self, i: int) -> np.ndarray:
-        return self.dX[i]
 
     def jump_curve(self) -> np.ndarray:
         """The pure-jump part: sum of dX_s over 0 < s <= t, at every grid time."""
-        return np.cumsum(self.dX, axis=0)
+        return np.cumsum(self.dX)
 
 
 class FVPath(GridPath):
@@ -183,7 +166,7 @@ class FVPath(GridPath):
 
     @cached_property
     def cont_part(self) -> np.ndarray:
-        return _readonly(self.values - self.jump_part)
+        return _readonly(self.x - self.jump_part)
 
     def continuous(self) -> GridPath:
         """The continuous part A^c (no jumps)."""
@@ -197,24 +180,24 @@ class FVPath(GridPath):
 def as_fv(path: GridPath) -> FVPath:
     if isinstance(path, FVPath):
         return path
-    return FVPath(path.grid, path.values, path.dX)
+    return FVPath(path.grid, path.x, path.dX)
 
 
 def jump_rows(*paths: GridPath) -> np.ndarray:
     """Sorted grid indices where at least one of the paths jumps."""
-    return np.flatnonzero(np.any(np.hstack([p.dX for p in paths]) != 0.0, axis=1))
+    return np.flatnonzero(np.any([p.dX for p in paths], axis=0))
 
 
-def eval_left_limit(path: GridPath, i: int) -> np.ndarray:
+def eval_left_limit(path: GridPath, i: int) -> np.float64:
     """X_{t_i-}: the stored value minus the declared jump; X_{0-} = X_0."""
     if not 0 <= i < len(path.grid):
         raise IndexError(f"grid index {i} out of range")
-    return path.values[i] - path.dX[i]
+    return path.x[i] - path.dX[i]
 
 
 def left_values(path: GridPath) -> np.ndarray:
     """Array of left limits X_{t_i-} at every grid time."""
-    return path.values - path.dX
+    return path.x - path.dX
 
 
 def running_maximum(path: GridPath) -> tuple[GridPath, bool]:
@@ -226,7 +209,7 @@ def running_maximum(path: GridPath) -> tuple[GridPath, bool]:
     xs = path.x
     m = np.maximum.accumulate(xs)
     # max(M_{t-}, X_{t-}); it bounds X_t wherever X does not jump
-    m_left = np.maximum(np.concatenate([m[:1], m[:-1]]), left_values(path)[:, 0])
+    m_left = np.maximum(np.concatenate([m[:1], m[:-1]]), left_values(path))
     dm = np.where(xs > m_left, xs - m_left, 0.0)
     return GridPath(path.grid, m, dm), not np.any(dm)
 
@@ -235,14 +218,14 @@ def add_paths(a: GridPath, b: GridPath, ca: float = 1.0, cb: float = 1.0) -> Gri
     """ca*A + cb*B on a shared grid; the jump set is the union."""
     if a.grid is not b.grid and not np.array_equal(a.grid.times, b.grid.times):
         raise ValueError("paths live on different grids")
-    return GridPath(a.grid, ca * a.values + cb * b.values, ca * a.dX + cb * b.dX)
+    return GridPath(a.grid, ca * a.x + cb * b.x, ca * a.dX + cb * b.dX)
 
 
 def reciprocal_path(a: GridPath) -> GridPath:
     """1/A for a scalar path that never touches 0, with its jumps declared;
     an ``FVPath`` stays one."""
     xs = a.x
-    lv = left_values(a)[:, 0]
+    lv = left_values(a)
     if np.any(xs == 0.0) or np.any(lv == 0.0):
         raise ValueError("path touches zero; reciprocal undefined")
     r = 1.0 / xs
@@ -404,35 +387,31 @@ class GeometricGenerator(PathGenerator):
             size=self.jump_size,
             sampler="uniform",
         ).generate(grid)
-        factor = 1.0 + overlay.dX[:, 0]
+        factor = 1.0 + overlay.dX
         # one suffix product per jump, in grid order; a cumprod would round
         # the products differently
-        for i in np.flatnonzero(overlay.dX[:, 0]):
+        for i in np.flatnonzero(overlay.dX):
             vals[i:] *= factor[i]
         return GridPath(grid, vals, vals - vals / factor)
 
 
 # ---------------------------------------------------------------------------
-# Serialization: CSV with header t,x1,...,xd,dx1,...,dxd.
+# Serialization: CSV with header t,x1,dx1.
 # ---------------------------------------------------------------------------
 
 
 def write_path_csv(path: GridPath, fp) -> None:
-    d = path.dim
-    header = ["t"] + [f"x{k+1}" for k in range(d)] + [f"dx{k+1}" for k in range(d)]
-    columns = [path.grid.times] + [path.values[:, k] for k in range(d)] + [path.dX[:, k] for k in range(d)]
-    _write_csv_columns(fp, header, columns)
+    _write_csv_columns(fp, ["t", "x1", "dx1"], [path.grid.times, path.x, path.dX])
 
 
 def read_path_csv(fp) -> GridPath:
-    """Path from CSV with header t,x1,...,xd,dx1,...,dxd (d >= 1)."""
+    """Path from CSV with header t,x1,dx1."""
     r = csv.reader(row for row in fp if not row.startswith("#"))
     header = next(r, [])
-    d = (len(header) - 1) // 2
-    if d < 1 or header != ["t"] + [f"x{k+1}" for k in range(d)] + [f"dx{k+1}" for k in range(d)]:
-        raise ValueError(f"path CSV header {','.join(header)!r} is not t,x1..xd,dx1..dxd, d >= 1")
-    a = _csv_array(list(r), 1 + 2 * d)
-    return GridPath(TimeGrid(a[:, 0]), a[:, 1 : 1 + d], a[:, 1 + d :])
+    if header != ["t", "x1", "dx1"]:
+        raise ValueError(f"path CSV header {','.join(header)!r} is not t,x1,dx1")
+    t, x, dx = _csv_array(list(r), 3).T
+    return GridPath(TimeGrid(t), x, dx)
 
 
 def _csv_array(rows: list, width: int) -> np.ndarray:

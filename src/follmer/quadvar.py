@@ -146,7 +146,7 @@ def _assemble(
     tol: float,
     fv_exact: bool,
 ) -> QVResult:
-    jump_part = np.cumsum(x.dX[:, 0] * y.dX[:, 0])
+    jump_part = np.cumsum(x.dX * y.dX)
     if fv_exact:
         estimate = jump_part.copy()
     else:
@@ -156,7 +156,7 @@ def _assemble(
     trend = TrendReport(gaps, tol)
 
     xs, ys = x.x, y.x
-    xl, yl = left_values(x)[:, 0], left_values(y)[:, 0]
+    xl, yl = left_values(x), left_values(y)
     top = seq.top.indices
     j = jump_rows(x, y)
     a = top[np.maximum(np.searchsorted(top, j, side="left") - 1, 0)]
@@ -369,8 +369,8 @@ def _left_value_at(path: GridPath, s: float) -> float:
     """f(s-) for a grid step function: exact left limit at grid times."""
     g = path.grid.clamp_index(s)
     if path.grid.times[g] == s:
-        return float(eval_left_limit(path, g)[0])
-    return float(path.values[g, 0])
+        return float(eval_left_limit(path, g))
+    return float(path.x[g])
 
 
 @dataclass(frozen=True)
@@ -427,7 +427,7 @@ def measure_convergence_check(
     def f_vals(times: np.ndarray) -> np.ndarray:
         if np.any(times < 0):
             raise ValueError("negative time")
-        return f.values[np.searchsorted(f.grid.times, times, side="right") - 1, 0]
+        return f.x[np.searchsorted(f.grid.times, times, side="right") - 1]
 
     per_level = tuple(m.integrate(f_vals, t) for m in mus)
     k = int(np.searchsorted(mu.times, t, side="right"))

@@ -33,7 +33,7 @@ def stieltjes_left(h_left: np.ndarray, curve: np.ndarray, upto: int | None = Non
 
 
 def _continuous_part(a: GridPath) -> np.ndarray:
-    return a.x - a.jump_curve()[:, 0]
+    return a.x - a.jump_curve()
 
 
 def stieltjes_fv(h_values: np.ndarray, h_left: np.ndarray, a: GridPath, upto: int | None = None) -> float:
@@ -41,7 +41,7 @@ def stieltjes_fv(h_values: np.ndarray, h_left: np.ndarray, a: GridPath, upto: in
     hi = len(a.grid) if upto is None else upto + 1
     dc = np.diff(_continuous_part(a)[:hi])
     total = float(np.sum(0.5 * (h_values[: hi - 1] + h_left[1:hi]) * dc))
-    dx = a.dX[:hi, 0]
+    dx = a.dX[:hi]
     j = np.flatnonzero(dx)
     # atoms added left to right: np.sum's pairwise order would round differently
     return float(np.cumsum(np.concatenate([[total], h_left[j] * dx[j]]))[-1])
@@ -53,7 +53,7 @@ def stieltjes_fv_curve(h_values: np.ndarray, h_left: np.ndarray, a: GridPath) ->
     n = len(a.grid)
     inc = np.zeros(n)
     inc[1:] = 0.5 * (h_values[:-1] + h_left[1:]) * np.diff(_continuous_part(a))
-    dx = a.dX[:, 0]
+    dx = a.dX
     j = np.flatnonzero(dx)
     inc[j] += h_left[j] * dx[j]
     return np.cumsum(inc)

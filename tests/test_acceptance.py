@@ -88,7 +88,7 @@ def test_criterion_2_ito_formula_residuals():
 
     log_paths = paths(1.5)
     for _, p, _ in log_paths:  # the log instances must stay in the domain
-        assert np.min(fl.left_values(p)[:, 0]) > 0.2
+        assert np.min(fl.left_values(p)) > 0.2
     cases = {
         "square": (fn.square(), paths(0.0)),
         "exp": (fn.exp_affine(), paths(0.0)),
@@ -98,7 +98,7 @@ def test_criterion_2_ito_formula_residuals():
 
     worst_exact, worst_final, all_trend = 0.0, 0.0, True
     for fname, (f, instances) in cases.items():
-        a = a_lin if f.m else None
+        a = a_lin if f.grad_a else None
         for label, x, is_pure_jump in instances:
             if is_pure_jump:
                 rep = fl.ito_formula_eval(f, a, x, seq, 1.0)
@@ -143,13 +143,13 @@ def test_criterion_4_associativity():
 
     w = fl.DyadicBrownianGenerator(seed=17).generate(g)
     xi = fl.AdmissibleIntegrand(fn.polynomial([0.0, 0.0, 0.5]), None, w)
-    eta = fl.follmer_integral(xi, w, seq, tol=TOL_STOCH).estimate[:, None]
+    eta = [fl.follmer_integral(xi, w, seq, tol=TOL_STOCH).estimate]
     stoch = fl.associativity_check(eta, [xi], w, seq, 1.0, tol=TOL_STOCH)
     stoch_ok = stoch.trend.converged and stoch.gaps[-1] <= TOL_STOCH and stoch.gaps[-2] <= TOL_STOCH
 
     x = fl.as_fv(fl.StepGenerator(c=1.0, t0=0.5, x0=1.0).generate(g))
     xij = fl.AdmissibleIntegrand(fn.square(), None, x)
-    etaj = fl.follmer_integral(xij, x, seq).estimate[:, None]
+    etaj = [fl.follmer_integral(xij, x, seq).estimate]
     pure = fl.associativity_check(etaj, [xij], x, seq, 1.0)
     pure_ok = max(pure.gaps) <= 1e-10
 
@@ -335,7 +335,7 @@ def test_criterion_11_qv_of_integral():
     seq = fl.dyadic_sequence(1.0, 6, 12)
     w = fl.DyadicBrownianGenerator(seed=17).generate(seq.grid)
     worst_bm, all_trend = 0.0, True
-    for f in (fn.polynomial([0.0, 0.0, 0.5]), fn.exp_affine((0.5,))):
+    for f in (fn.polynomial([0.0, 0.0, 0.5]), fn.exp_affine(0.5)):
         rep = fl.qv_of_integral(fl.AdmissibleIntegrand(f, None, w), w, seq, tol=TOL_STOCH)
         worst_bm = max(worst_bm, rep.gaps[-1])
         all_trend = all_trend and rep.trend.converged

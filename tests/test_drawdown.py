@@ -91,7 +91,7 @@ class TestAzemaYor:
         u = affine_u(3.0, -1.0)
         rep = fl.azema_yor_path(u, x)
         i = seq.grid.index_of(0.5)
-        assert rep.path.jump_at(i)[0] == pytest.approx(3.0 * (-0.5), rel=1e-14)
+        assert rep.path.dX[i] == pytest.approx(3.0 * (-0.5), rel=1e-14)
 
 
 class TestMaxIdentity:
@@ -187,7 +187,7 @@ class TestSolveDrawdown:
         assert rep.constraint_ok
         assert rep.trend.converged
         ybar, _ = fl.running_maximum(rep.y)
-        lv = fl.left_values(rep.y)[:, 0]
+        lv = fl.left_values(rep.y)
         assert np.min(np.minimum(rep.y.x, lv) - floor(ybar.x)) > 0.0
 
     def test_round_trip_inverse_direction(self, positive_sample):

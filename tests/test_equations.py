@@ -49,10 +49,10 @@ class TestDoleans:
             fl.CompoundJumpGenerator(seed=31, intensity=4.0, size=0.3, sampler="uniform").generate(seq.grid),
         )
         se = fl.doleans_exponential(x, seq, tol=fl.STOCHASTIC_TOL)
-        lv = fl.left_values(se.path)[:, 0]
+        lv = fl.left_values(se.path)
         for i in x.jumps:
-            dx = float(x.jump_at(i)[0])
-            assert se.path.jump_at(i)[0] == pytest.approx(lv[i] * dx, rel=1e-12)
+            dx = float(x.dX[i])
+            assert se.path.dX[i] == pytest.approx(lv[i] * dx, rel=1e-12)
 
     def test_inconclusive_qv_is_carried(self):
         # an uncertified QV of X is part of the result, not an exception
@@ -255,7 +255,7 @@ def test_solve_linear_nontrivial_decomposition_agreement():
     hv = h_int.estimate + a.x
     hj = {}
     for i in sorted(set(x.jumps) | set(a.jumps)):
-        dh = xi_c * float(x.jump_at(i)[0]) + float(a.jump_at(i)[0])
+        dh = xi_c * float(x.dX[i]) + float(a.dX[i])
         if dh:
             hj[i] = dh
     h = fl.GridPath(g, hv, hj)

@@ -57,7 +57,7 @@ class TestDppi:
         spec = fl.FloorSpec(fl.FVPath(seq.grid, np.full(len(seq.grid), 0.4)))
         for m in (0.0, 0.25, 0.5, 0.75, 1.0):
             rep = fl.dppi(mkt, m, spec, 1.0, seq, tol=fl.STOCHASTIC_TOL)
-            assert all(v > -1.0 for v in (float(rep.x_path.jump_at(i)[0]) for i in rep.x_path.jumps))
+            assert all(v > -1.0 for v in (float(rep.x_path.dX[i]) for i in rep.x_path.jumps))
             assert rep.floor_ok
 
     def test_single_jump_transcription_by_hand(self):
@@ -81,7 +81,7 @@ class TestDppi:
         assert v[0] == pytest.approx(1.0, abs=1e-14)
         assert v[i1 - 1] == pytest.approx(1.0, abs=1e-14)
         assert v[i1] == pytest.approx(1.15, abs=1e-12)
-        assert rep.strategy.value.jump_at(i1)[0] == pytest.approx(0.15, abs=1e-12)
+        assert rep.strategy.value.dX[i1] == pytest.approx(0.15, abs=1e-12)
         assert rep.self_financing.residual <= 1e-12
         assert rep.floor_ok
 
@@ -204,14 +204,14 @@ class TestReadMarketCsv:
         # a dS column without dB: the stock's jumps must not be dropped
         text = "t,S,B,dS\n0.0,1.0,1.0,0.0\n0.5,1.25,1.0,0.25\n1.0,1.5,1.0,0.0\n"
         mkt = read_market_csv(StringIO(text))
-        assert dict(mkt.s.jumps) == {1: np.array([0.25])}
+        assert dict(mkt.s.jumps) == {1: 0.25}
         assert not mkt.b.jumps
         # columns in any order, dB alone
         text = "B,dB,t,S\n1.0,0.0,0.0,2.0\n1.5,0.5,0.5,2.0\n1.5,0.0,1.0,2.0\n"
         mkt = read_market_csv(StringIO(text))
         assert np.array_equal(mkt.grid.times, [0.0, 0.5, 1.0])
-        assert not mkt.s.jumps and dict(mkt.b.jumps) == {1: np.array([0.5])}
-        assert fl.left_values(mkt.b)[1, 0] == 1.0
+        assert not mkt.s.jumps and dict(mkt.b.jumps) == {1: 0.5}
+        assert fl.left_values(mkt.b)[1] == 1.0
 
     @pytest.mark.parametrize(
         "text, message",

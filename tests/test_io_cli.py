@@ -26,9 +26,12 @@ from follmer.io import (
 from follmer.paths import _CSV_BLOCK, read_path_csv, write_path_csv
 
 
+_GRID = fl.dyadic_grid(1.0, 4)
+
+
 class TestConfigRefs:
     def test_generator_refs(self):
-        g = make_generator({"kind": "step", "c": 2.0, "t0": 0.5})
+        g = make_generator({"kind": "step", "c": 2.0, "t0": 0.5}, _GRID)
         assert isinstance(g, fl.StepGenerator)
         nested = make_generator(
             {
@@ -36,21 +39,22 @@ class TestConfigRefs:
                 "x": {"kind": "step", "c": 1.0, "t0": 0.25},
                 "y": {"kind": "dyadic-brownian", "seed": 1},
                 "a": 2.0,
-            }
+            },
+            _GRID,
         )
         assert isinstance(nested, fl.AffineCombinationGenerator)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            make_generator({"kind": "martingale-madness"})
+            make_generator({"kind": "martingale-madness"}, _GRID)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ConfigError):
-            make_generator({"kind": "step", "notaparam": 1})
+            make_generator({"kind": "step", "notaparam": 1}, _GRID)
 
     def test_function_refs(self):
         f = make_function({"name": "polynomial", "coeffs": [0, 0, 1]})
-        assert f.d == 1
+        assert f.grad_a is None
         with pytest.raises(ConfigError):
             make_function({"name": "mystery"})
 
@@ -497,20 +501,20 @@ class TestCsvWriter:
         g = fl.dyadic_grid(1.0, 8)
         x = fl.GridPath(
             g,
-            np.random.default_rng(3).standard_normal((len(g), 2)).cumsum(axis=0),
-            {5: [0.5, -0.25], 100: [-0.0, 1e-05]},
+            np.random.default_rng(3).standard_normal(len(g)).cumsum(),
+            {5: 0.5, 100: 1e-05, 200: -0.0},
         )
         buf = io.StringIO()
         write_path_csv(x, buf)
         old = io.StringIO()
         w = csv.writer(old, lineterminator="\n")
-        w.writerow(["t", "x1", "x2", "dx1", "dx2"])
-        for t, v, dx in zip(x.grid.times, x.values, x.dX):
-            w.writerow([repr(float(t))] + [repr(float(a)) for a in v] + [repr(float(a)) for a in dx])
+        w.writerow(["t", "x1", "dx1"])
+        for t, v, dx in zip(x.grid.times, x.x, x.dX):
+            w.writerow([repr(float(t)), repr(float(v)), repr(float(dx))])
         assert buf.getvalue() == old.getvalue()
         buf.seek(0)
         y = read_path_csv(buf)
-        assert np.array_equal(y.values, x.values) and np.array_equal(y.dX, x.dX)
+        assert np.array_equal(y.x, x.x) and np.array_equal(y.dX, x.dX)
         assert np.array_equal(y.grid.times, x.grid.times)
 
 
@@ -582,6 +586,13 @@ def test_every_subcommand_rejects_unknown_key(tmp_path, command):
     assert not list(out.iterdir())
 
 
+_JUMP_OFF_THE_PARTITION = {
+    "kind": "affine-combination",
+    "x": {"kind": "dyadic-brownian", "seed": 3},
+    "y": {"kind": "step", "c": 0.5, "t0": 0.3046875},
+}
+
+
 @pytest.mark.parametrize(
     "command, changes, named",
     [
@@ -608,13 +619,40 @@ def test_every_subcommand_rejects_unknown_key(tmp_path, command):
         # a function of the wrong arity for the configured paths
         (
             "ito-check",
-            {"f": {"name": "product"}},
-            "f: function 'product' takes 0 finite-variation and 2 path components; the config gives 0 and 1",
+            {"a": {"kind": "formula", "name": "linear"}},
+            "f: function 'polynomial([0.0, 0.0, 1.0])' takes 0 finite-variation and 1 path components; "
+            "the config gives 1 and 1",
         ),
         ("ito-check", {"f": {"name": "fv-scale"}}, "f: function 'fv-scale' takes 1 finite-variation and 1 path"),
-        ("integrate", {"integrand": {"f": {"name": "product"}}}, "integrand.f: function 'product' takes"),
-        ("assoc", {"integrands": [{"name": "product"}]}, "integrands: function 'product' takes"),
-        ("assoc", {"eta": {"f": {"name": "product"}}}, "eta.f: function 'product' takes"),
+        ("integrate", {"integrand": {"f": {"name": "fv-scale"}}}, "integrand.f: function 'fv-scale' takes 1"),
+        ("assoc", {"integrands": [{"name": "fv-scale"}]}, "integrands: function 'fv-scale' takes 1"),
+        ("assoc", {"eta": {"f": {"name": "fv-scale"}}}, "eta.f: function 'fv-scale' takes 1"),
+        # a step time off the grid
+        (
+            "linear",
+            {"x": {**_JUMP_OFF_THE_PARTITION, "y": {"kind": "step", "c": 0.5, "t0": 0.3}}, "levels": [3, 6], "grid_level": 10},
+            "x.y.t0 = 0.3 is not a grid time",
+        ),
+        ("appendix-measure", {"f": {"kind": "step", "c": 1.0, "t0": 0.3}}, "f.t0 = 0.3 is not a grid time"),
+        # non-finite numbers
+        ("appendix-measure", {"atom": float("nan")}, "atom must be finite, got nan"),
+        ("linear", {"h": {"constant": float("nan")}}, "h.constant must be finite, got nan"),
+        ("dppi", {"m": float("nan")}, "m must be finite, got nan"),
+        ("dppi", {"v0": float("inf")}, "v0 must be finite, got inf"),
+        ("nonlinear", {"x0": float("nan")}, "x0 must be finite, got nan"),
+        ("qv", {"grid_level": float("nan")}, "grid_level must be finite, got nan"),
+        ("qv", {"path": {"kind": "dyadic-brownian", "sigma": float("nan")}}, "path.sigma must be finite, got nan"),
+        ("qv", {"levels": [3, float("inf")]}, "bad 'levels' [3, inf]"),
+        ("mc", {"seeds": float("nan")}, "seeds must be a count or a list of integer seeds, got nan"),
+        ("mc", {"n_max": float("inf")}, "n_max must be finite, got inf"),
+        ("drawdown", {"floor": {"name": "proportional", "alpha": float("nan"), "a_star": 2.0}}, "floor.alpha must be finite"),
+        ("ito-check", {"f": {"name": "polynomial", "coeffs": [0.0, float("-inf")]}}, "f.coeffs must be finite, got -inf"),
+        # exp-affine is scalar
+        ("ito-check", {"f": {"name": "exp-affine", "c": [1.0, 2.0]}}, "f: bad parameters: c must be a number or a one-element list"),
+        # domain errors of the floor and of the measure
+        ("dppi", {"l": {"constant": -0.5}}, "l: L must be nonnegative"),
+        ("appendix-measure", {"weight": -1}, "weight: discrete-measure convergence needs nonnegative atoms"),
+        ("appendix-measure", {"atom": 0.3}, "atom = 0.3 is not a grid time, where the default f steps"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):
@@ -622,6 +660,38 @@ def test_malformed_value_exits_2(tmp_path, command, changes, named):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert named in result.stderr
+
+
+def _numeric_leaves(cfg, key=()):
+    """The key path of every number (not bool) in a config, lists included."""
+    if isinstance(cfg, (dict, list)):
+        for k, v in cfg.items() if isinstance(cfg, dict) else enumerate(cfg):
+            yield from _numeric_leaves(v, key + (k,))
+    elif isinstance(cfg, (int, float)) and not isinstance(cfg, bool):
+        yield key
+
+
+def _replaced(cfg, key, value):
+    if not key:
+        return value
+    out = dict(cfg) if isinstance(cfg, dict) else list(cfg)
+    out[key[0]] = _replaced(cfg[key[0]], key[1:], value)
+    return out
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_non_finite_numbers_exit_cleanly_naming_the_key(tmp_path, command, value):
+    # each number of the config in turn, top-level or nested, made non-finite
+    base = _COMMANDS[command] if command == "mc" else {**_LEVEL_8, **_COMMANDS[command]}
+    leaves = list(_numeric_leaves(base))
+    assert leaves
+    for k, key in enumerate(leaves):
+        result, _ = run_cli(tmp_path / str(k), command, _replaced(base, key, value), "--seed", "5")
+        assert result.exit_code in (0, 1, 2) and isinstance(result.exception, SystemExit), (key, result.output)
+        if result.exit_code == 2:
+            dotted = ".".join(p for p in key if isinstance(p, str))
+            assert dotted in result.stderr, (key, result.stderr)
 
 
 def test_unsettled_qv_of_x_is_inconclusive(tmp_path):
@@ -638,13 +708,6 @@ def test_unsettled_qv_of_x_is_inconclusive(tmp_path):
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     failures = json.loads((out / "failures.json").read_text())["failures"]
     assert failures == ["strict: quadratic variation of X inconclusive"]
-
-
-_JUMP_OFF_THE_PARTITION = {
-    "kind": "affine-combination",
-    "x": {"kind": "dyadic-brownian", "seed": 3},
-    "y": {"kind": "step", "c": 0.5, "t0": 0.3046875},
-}
 
 
 @pytest.mark.parametrize(

@@ -171,7 +171,7 @@ def test_sup_error_is_the_full_curve_formula(size, uniform, sigma, jumps, jump_s
     if stepped:
         target = np.cumsum(np.random.default_rng(seed + 1).exponential(size=len(path.grid)) * 4.0 / size)
     else:
-        target = sigma**2 * path.grid.times + np.cumsum(path.dX[:, 0] ** 2)
+        target = sigma**2 * path.grid.times + np.cumsum(path.dX ** 2)
     assert fl.mc._sup_error(path, p, target, n) == _full_sup_error(path, p, target)
 
 
@@ -189,7 +189,7 @@ def test_sup_error_on_cap_ended_segments():
 def test_sup_error_takes_the_full_curve_when_the_sums_overflow():
     path = _test_path(256, True, 1.0, "coin", 1e200, 2)
     with np.errstate(over="ignore"):
-        target = path.grid.times + np.cumsum(path.dX[:, 0] ** 2)
+        target = path.grid.times + np.cumsum(path.dX ** 2)
     p = fl.lebesgue_partition(path, 4)
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(fl.mc._sup_error(path, p, target, 4)) and np.isnan(_full_sup_error(path, p, target))
@@ -199,7 +199,7 @@ def _full_grid_oscillation(path, p, t):
     """The oscillation from two reduceat passes over every segment up to t."""
     t_idx = path.grid.clamp_index(t)
     starts = p.indices[: np.searchsorted(p.indices, t_idx, side="right")]
-    x = path.values[: t_idx + 1, 0]
+    x = path.x[: t_idx + 1]
     return float(np.max(np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)))
 
 

@@ -156,7 +156,7 @@ def _oscillation_loop(path, p, t_idx):
             if a > t_idx:
                 break
             continue
-        seg = path.values[a:hi, 0]
+        seg = path.x[a:hi]
         worst = max(worst, float(seg.max() - seg.min()))
         if b > t_idx:
             break

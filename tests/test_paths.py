@@ -34,18 +34,18 @@ class TestLeftLimit:
         g = fl.dyadic_grid(1.0, 4)
         x = fl.StepGenerator(c=2.0, t0=0.5).generate(g)
         i = g.index_of(0.5)
-        assert fl.eval_left_limit(x, i)[0] == 0.0
+        assert fl.eval_left_limit(x, i) == 0.0
 
     def test_origin_convention(self):
         g = fl.dyadic_grid(1.0, 3)
         x = fl.StepGenerator(c=1.5, t0=0.25).generate(g)
-        assert fl.eval_left_limit(x, 0)[0] == x.values[0, 0]
+        assert fl.eval_left_limit(x, 0) == x.x[0]
 
     def test_continuous_path_left_limit_is_value(self):
         g = fl.dyadic_grid(1.0, 5)
         x = fl.FormulaGenerator(lambda t: np.sin(t)).generate(g)
         for i in (0, 7, 31):
-            assert fl.eval_left_limit(x, i)[0] == x.values[i, 0]
+            assert fl.eval_left_limit(x, i) == x.x[i]
 
     def test_out_of_range(self):
         g = fl.dyadic_grid(1.0, 2)
@@ -61,7 +61,7 @@ class TestLeftLimit:
         )
         lv = fl.left_values(x)
         for i in range(len(g)):
-            assert x.values[i, 0] - lv[i, 0] == x.jump_at(i)[0]
+            assert x.x[i] - lv[i] == x.dX[i]
 
 
 class TestRunningMaximum:
@@ -108,8 +108,8 @@ def test_fv_decomposition_exact():
     c = a.continuous()
     d = a.discontinuous()
     assert not c.jumps
-    assert np.array_equal(c.values + d.values, a.values)
-    assert d.values[i, 0] == pytest.approx(0.7)
+    assert np.array_equal(c.x + d.x, a.x)
+    assert d.x[i] == pytest.approx(0.7)
 
 
 class TestGenerators:
@@ -117,8 +117,8 @@ class TestGenerators:
         g = fl.dyadic_grid(1.0, 4)
         x = fl.StepGenerator(c=2.0, t0=0.5).generate(g)
         i = g.index_of(0.5)
-        assert x.jumps == {i: np.array([2.0])} or x.jump_at(i)[0] == 2.0
-        assert x.values[i - 1, 0] == 0.0 and x.values[i, 0] == 2.0
+        assert x.jumps == {i: 2.0} and x.dX[i] == 2.0
+        assert x.x[i - 1] == 0.0 and x.x[i] == 2.0
 
     def test_dyadic_brownian_refinement_consistency(self):
         fine = fl.DyadicBrownianGenerator(seed=7).generate(fl.dyadic_grid(1.0, 9))
@@ -156,8 +156,8 @@ class TestGenerators:
             b=3.0,
         )
         x = gen.generate(g)
-        assert x.jump_at(g.index_of(0.25))[0] == 2.0
-        assert x.jump_at(g.index_of(0.75))[0] == 6.0
+        assert x.dX[g.index_of(0.25)] == 2.0
+        assert x.dX[g.index_of(0.75)] == 6.0
 
     def test_dyadic_generator_rejects_non_dyadic_grid(self):
         g = fl.TimeGrid(np.array([0.0, 0.3, 1.0]))
@@ -168,7 +168,7 @@ class TestGenerators:
         g = fl.dyadic_grid(1.0, 8)
         s = fl.GeometricGenerator(seed=3, jump_intensity=5.0, jump_size=0.3).generate(g)
         assert np.all(s.x > 0)
-        assert np.all(fl.left_values(s)[:, 0] > 0)
+        assert np.all(fl.left_values(s) > 0)
         assert s.jumps
 
 
@@ -194,7 +194,7 @@ def test_reciprocal_path_declares_jumps():
     s = fl.StepGenerator(c=1.0, t0=0.5, x0=1.0).generate(g)
     r = reciprocal_path(s)
     i = g.index_of(0.5)
-    assert r.jump_at(i)[0] == pytest.approx(0.5 - 1.0)
+    assert r.dX[i] == pytest.approx(0.5 - 1.0)
     assert type(r) is fl.GridPath
 
 
@@ -204,7 +204,7 @@ def test_reciprocal_path_of_fv_path_stays_fv():
     r = reciprocal_path(a)
     assert isinstance(r, fl.FVPath)
     assert np.array_equal(r.x, 1.0 / a.x)
-    assert np.array_equal(r.dX, reciprocal_path(fl.GridPath(g, a.values, a.dX)).dX)
+    assert np.array_equal(r.dX, reciprocal_path(fl.GridPath(g, a.x, a.dX)).dX)
 
 
 def test_csv_round_trip():
@@ -214,7 +214,7 @@ def test_csv_round_trip():
     write_path_csv(x, buf)
     buf.seek(0)
     y = read_path_csv(buf)
-    assert np.array_equal(x.values, y.values)
+    assert np.array_equal(x.x, y.x) and np.array_equal(x.dX, y.dX)
     assert set(x.jumps) == set(y.jumps)
     assert np.array_equal(x.grid.times, y.grid.times)
 
@@ -242,17 +242,18 @@ def test_fv_decomposition_property(seed, jumps):
             jmap[i] = c
     a = fl.FVPath(g, vals, jmap)
     assert not a.continuous().jumps
-    assert np.allclose(a.continuous().values + a.discontinuous().values, a.values, atol=1e-15)
+    assert np.allclose(a.continuous().x + a.discontinuous().x, a.x, atol=1e-15)
     lv = fl.left_values(a)
     for i in range(len(g)):
         scale = max(1.0, abs(vals[i]))
-        assert abs((vals[i] - lv[i, 0]) - a.jump_at(i)[0]) <= 4e-16 * scale
+        assert abs((vals[i] - lv[i]) - a.dX[i]) <= 4e-16 * scale
 
 
 @pytest.mark.parametrize(
     "text",
     [
-        "t,x1\n0.0,1.0\n1.0,2.0\n",  # no jump column: d would be 0
+        "t,x1\n0.0,1.0\n1.0,2.0\n",  # no jump column
+        "t,x1,x2,dx1,dx2\n0.0,1.0,1.0,0.0,0.0\n",  # paths are scalar
         "t,a,b\n0.0,1.0,0.0\n1.0,2.0,0.0\n",  # wrong column names
         "",  # no header at all
     ],
@@ -310,16 +311,16 @@ def test_dense_jumps_match_the_declared_map(level, seed, jmap):
     g, vals = _grid_and_values(level, seed)
     jmap = {i: c for i, c in jmap.items() if i < len(g)}
     p = fl.GridPath(g, vals, jmap)
-    assert p.dX.shape == (len(g), 1) and p.dX[0, 0] == 0.0
-    assert np.array_equal(p.values - fl.left_values(p), p.dX)
+    assert p.dX.shape == (len(g),) and p.dX[0] == 0.0
+    assert np.array_equal(p.x - fl.left_values(p), p.dX)
     # a declared zero jump is a continuity point
     assert set(p.jumps) == {i for i, c in jmap.items() if c != 0.0}
     for i, c in jmap.items():
         if c == 0.0:
-            assert fl.eval_left_limit(p, i)[0] == p.values[i, 0]
+            assert fl.eval_left_limit(p, i) == p.x[i]
     # the mapping view rebuilds the same array
     assert np.array_equal(fl.GridPath(g, vals, p.jumps).dX, p.dX)
-    assert np.array_equal(fl.GridPath(g, vals, p.dX[:, 0]).dX, p.dX)
+    assert np.array_equal(fl.GridPath(g, vals, p.dX).dX, p.dX)
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,11 +334,11 @@ def test_jump_part_is_the_index_ordered_running_sum(level, seed, jmap):
     jmap = {i: c for i, c in jmap.items() if i < len(g)}
     vals = np.random.default_rng(seed).standard_normal(len(g))
     a = fl.FVPath(g, vals, jmap)
-    expect = np.zeros((len(g), 1))
+    expect = np.zeros(len(g))
     for i in sorted(jmap):
         expect[i:] += jmap[i]
     assert np.array_equal(a.jump_part, expect)
-    assert np.array_equal(a.jump_part, np.cumsum(a.dX, axis=0))
+    assert np.array_equal(a.jump_part, np.cumsum(a.dX))
     assert np.array_equal(a.jump_curve(), a.jump_part)
 
 
@@ -361,7 +362,7 @@ def test_bad_jump_declarations_raise():
     for bad in ({0: 1.0}, {5: 1.0}, {-1: 1.0}, np.array([1.0, 0, 0, 0, 0])):
         with pytest.raises(ValueError, match="t=0|outside"):
             fl.GridPath(g, v, bad)
-    for shape in ((4,), (5, 2), (6, 1), (5, 1, 1)):
+    for shape in ((4,), (5, 2), (6,), (5, 1), (5, 1, 1)):
         with pytest.raises(ValueError, match="shape"):
             fl.GridPath(g, v, np.zeros(shape))
     with pytest.raises(ValueError):
@@ -372,20 +373,20 @@ def test_dx_is_read_only():
     g = fl.dyadic_grid(1.0, 2)
     p = fl.GridPath(g, np.arange(5.0), {2: 1.0})
     with pytest.raises(ValueError):
-        p.dX[3, 0] = 1.0
+        p.dX[3] = 1.0
     with pytest.raises(TypeError):
-        p.jumps[3] = np.array([1.0])
+        p.jumps[3] = 1.0
 
 
 def test_constructors_leave_the_callers_arrays_writable():
     # the stored arrays are read-only views; the caller's own arrays are not frozen
     t = np.linspace(0.0, 1.0, 5)
     g = fl.TimeGrid(t)
-    v = np.arange(10.0).reshape(5, 2)
+    v = np.arange(5.0)
     path = fl.GridPath(g, v)
     a = np.array([0, 2, 4])
     p = fl.Partition(g, a)
-    for caller, stored in ((t, g.times), (v, path.values), (a, p.indices)):
+    for caller, stored in ((t, g.times), (v, path.x), (a, p.indices)):
         assert caller.flags.writeable
         assert not stored.flags.writeable
         assert np.shares_memory(caller, stored)
@@ -404,17 +405,22 @@ def test_large_jump_map_builds_the_same_array():
     assert len(jmap) == 65_536
     from_map = fl.GridPath(g, vals, jmap).dX
     assert np.array_equal(from_map.view(np.uint64), fl.GridPath(g, vals, sizes).dX.view(np.uint64))
-    assert not np.signbit(from_map[7, 0])
+    assert not np.signbit(from_map[7])
     # JSON objects give string keys
     from_json = fl.GridPath(g, vals, {str(i): float(c) for i, c in jmap.items()}).dX
     assert np.array_equal(from_json.view(np.uint64), from_map.view(np.uint64))
 
 
 def test_jump_map_on_a_vector_path():
+    # paths are scalar: a jump size that is not one number is rejected
     g = fl.dyadic_grid(1.0, 2)
-    p = fl.GridPath(g, np.zeros((5, 2)), {3: [1.0, -2.0], 1: [0.5, 0.0]})
-    assert np.array_equal(p.dX, [[0, 0], [0.5, 0], [0, 0], [1.0, -2.0], [0, 0]])
-    # a scalar size jumps every component
-    assert np.array_equal(fl.GridPath(g, np.zeros((5, 2)), {2: 0.5}).dX[2], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        fl.GridPath(g, np.zeros((5, 2)), {3: [1.0, -2.0], 1: 0.5})  # sizes of mixed shapes
+    for bad in ({3: [1.0, -2.0]}, {2: [0.5]}, {1: np.array([0.5])}):
+        with pytest.raises(ValueError):
+            fl.GridPath(g, np.zeros(5), bad)
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (5, 1), (1, 5)])
+def test_values_that_are_not_one_column_raise_naming_the_shape(shape):
+    g = fl.dyadic_grid(1.0, 2)
+    with pytest.raises(ValueError, match=rf"one-dimensional, got shape \({shape[0]}, {shape[1]}\)"):
+        fl.GridPath(g, np.zeros(shape))

@@ -154,7 +154,7 @@ class TestCovariation:
         assert np.max(np.abs(qxa.continuous_part - qx.continuous_part)) < fl.STOCHASTIC_TOL
         cov = fl.covariation(x, a, seq, tol=fl.STOCHASTIC_TOL)
         i = g.index_of(0.25)
-        expect = np.where(np.arange(len(g)) >= i, x.jump_at(i)[0] * 0.5, 0.0)
+        expect = np.where(np.arange(len(g)) >= i, x.dX[i] * 0.5, 0.0)
         assert np.array_equal(cov.jump_part, expect)
 
 
@@ -276,7 +276,7 @@ class TestMeasureConvergence:
         rep = fl.measure_convergence_check(mus, mu, f, 0.7, tol=1e-2)
         for m, got in zip(mus, rep.integral_per_level):
             k = int(np.searchsorted(m.times, 0.7, side="right"))
-            f_at = np.array([f.values[grid.clamp_index(s), 0] for s in m.times[:k]])
+            f_at = np.array([f.x[grid.clamp_index(s)] for s in m.times[:k]])
             assert got == float(np.sum(m.weights[:k] * f_at))
 
     def test_negative_atom_time_rejected(self):
