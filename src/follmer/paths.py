@@ -438,6 +438,7 @@ def _csv_floats(row: list, width: int, i: int) -> list:
 
 
 _CSV_BLOCK = 4096  # rows formatted and written at a time
+_CSV_DISTINCT_SHARE = 0.75  # float columns at most this share distinct are formatted per distinct value
 
 
 def _write_csv_columns(fp, header: list, columns: list) -> None:
@@ -445,6 +446,7 @@ def _write_csv_columns(fp, header: list, columns: list) -> None:
 
     A column is a list of formatted str cells or anything ``np.asarray`` makes
     one-dimensional, whose floats come out as their ``repr`` and ints as decimals.
+    A float64 array that repeats its values is formatted once per distinct value.
     """
     fp.write(",".join(header) + "\n")
     n = len(columns[0]) if columns else 0
@@ -452,12 +454,39 @@ def _write_csv_columns(fp, header: list, columns: list) -> None:
         raise ValueError(f"CSV columns differ in length: {[len(col) for col in columns]}")
     m = len(columns)
     line = ",".join(["%s"] * m) + "\n"
+    columns = [_csv_distinct(col) for col in columns]
     for k in range(0, n, _CSV_BLOCK):
         rows = min(_CSV_BLOCK, n - k)
         cells = [None] * (m * rows)
-        for j, col in enumerate(columns):
-            cells[j::m] = _csv_cells(col[k : k + rows])
+        for j, (text, col) in enumerate(columns):
+            block = col[k : k + rows]
+            cells[j::m] = _csv_cells(block) if text is None else text[block].tolist()
         fp.write((line * rows) % tuple(cells))
+
+
+def _csv_distinct(col) -> tuple:
+    """(None, ``col``), or, for a float64 array with at most ``_CSV_DISTINCT_SHARE``
+    of its values distinct, (``repr`` of each distinct value, each cell's index
+    into them).  Values are compared by their bits, so -0.0 and 0.0 stay apart.
+    The first block is tested on its own first, so that a column of distinct
+    floats costs the sort of one block, not of the whole column."""
+    if not (isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1):
+        return None, col
+    bits = col.view(np.int64)
+    for head in (bits[:_CSV_BLOCK], bits):
+        distinct = _sorted_distinct(head)
+        if len(distinct) > _CSV_DISTINCT_SHARE * len(head):
+            return None, col
+    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text, np.searchsorted(distinct, bits)
+
+
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending."""
+    s = np.sort(a)
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    return s[first]
 
 
 def _csv_cells(col) -> list:

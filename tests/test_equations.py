@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import follmer as fl
-from follmer.equations import OdeBlowUp
+from follmer.equations import OdeBlowUp, _libm_exp
 
 
 def linear_fv(grid):
@@ -61,6 +61,24 @@ class TestDoleans:
         se = fl.doleans_exponential(w, seq, tol=1e-9)
         assert se.qv.status == "inconclusive" and not se.qv.ok
         assert np.array_equal(se.exponent, w.x - w.x[0] - 0.5 * se.qv.continuous_part)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.zeros(0),
+        np.array([-0.0, 0.0, 0.0, -0.0]),
+        np.array([0.5, -0.25, 0.5, 1e-300, -0.25, 0.5, -0.0, 0.0, 700.0, -745.5, 709.7, np.inf, -np.inf]),
+        np.random.default_rng(7).choice([2.0**-6, -(2.0**-6), 0.1, -0.0, 0.0], size=4097),
+        np.random.default_rng(8).standard_normal(300).repeat(3),
+    ],
+    ids=["empty", "signed-zeros", "edges", "coin-4097", "triples"],
+)
+def test_libm_exp_is_math_exp_per_argument(a):
+    expected = np.array([math.exp(v) for v in a.tolist()], dtype=float)
+    got = _libm_exp(a)
+    assert got.dtype == np.float64 and got.shape == a.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def homogeneous_residuals(y, x, seq, tol=fl.DETERMINISTIC_TOL) -> fl.TrendReport:

@@ -23,7 +23,7 @@ from follmer.io import (
     write_csv,
     write_svg,
 )
-from follmer.paths import _CSV_BLOCK, read_path_csv, write_path_csv
+from follmer.paths import _CSV_BLOCK, _csv_distinct, read_path_csv, write_path_csv
 
 
 _GRID = fl.dyadic_grid(1.0, 4)
@@ -433,13 +433,24 @@ def assert_writers_agree(tmp_path, header, columns, python_columns):
     values as Python ints and floats."""
     write_csv(tmp_path / "new.csv", header, columns, "abc")
     write_csv_rows(tmp_path / "old.csv", header, zip(*python_columns), "abc")
+    assert_same_file(tmp_path / "new.csv", tmp_path / "old.csv")
     text = (tmp_path / "new.csv").read_text()
-    assert text == (tmp_path / "old.csv").read_text()
     assert "np." not in text
     return text
 
 
+def assert_same_file(path: Path, expected: Path) -> None:
+    """Fail naming the first differing line (pytest's own diff of two long
+    texts takes minutes)."""
+    got, want = path.read_bytes().split(b"\n"), expected.read_bytes().split(b"\n")
+    if got != want:
+        k = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        got_k, want_k = (lines[k] if k < len(lines) else b"<end>" for lines in (got, want))
+        pytest.fail(f"{path.name} line {k}: {got_k!r}, expected {want_k!r}")
+
+
 _EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-05, 1e16, 5e-324, 0.1, -2.5]
+_POOL_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 0.1, 1e16]
 
 
 class TestCsvWriter:
@@ -491,6 +502,32 @@ class TestCsvWriter:
         with tempfile.TemporaryDirectory() as d:
             assert_writers_agree(Path(d), ["i", "x", "y"], [np.array(c) for c in cols], cols)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([0, 1, 2, 7, 40, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 3]),
+        st.lists(st.sampled_from(_POOL_FLOATS), min_size=1, max_size=len(_POOL_FLOATS), unique_by=repr),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_repeated_floats_agree_with_row_writer(self, n, pool, seed):
+        # columns drawn from a small pool take the per-distinct-value path
+        rng = np.random.default_rng(seed)
+        x = np.array(pool)[rng.integers(len(pool), size=n)]
+        y = np.array(pool[::-1])[rng.integers(len(pool), size=n)]
+        t = np.arange(n) / max(n, 1)
+        if n >= 40:
+            assert _csv_distinct(x)[0] is not None and _csv_distinct(t)[0] is None
+        with tempfile.TemporaryDirectory() as d:
+            text = assert_writers_agree(
+                Path(d), ["t", "x", "y"], [t, x, y], [t.tolist(), x.tolist(), y.tolist()]
+            )
+        assert len(text.splitlines()) == n + 2
+
+    def test_signed_zeros_stay_apart(self, tmp_path):
+        x = np.zeros(10_000)
+        x[::2] = -0.0
+        text = assert_writers_agree(tmp_path, ["x"], [x], [x.tolist()])
+        assert text.splitlines()[1:-1] == ["-0.0", "0.0"] * 5_000
+
     def test_ragged_or_two_dimensional_columns_raise(self, tmp_path):
         with pytest.raises(ValueError, match="length"):
             write_csv(tmp_path / "a.csv", ["a", "b"], [np.zeros(3), np.zeros(2)], "abc")
@@ -537,6 +574,15 @@ _SUBCOMMANDS = [
     ("appendix-measure", {"atom": 0.375}),
     ("mc", {"seeds": 2, "n_min": 1, "n_max": 3, "grid_level": 8, "jump_intensity": 2.0}),
 ]
+# A +/-2^-6 coin jump at every point of grid level 8: its QV and integral
+# curves repeat values, so qv.csv and integrate_curve.csv take the writer's
+# per-distinct-value path (linear.csv's z is all distinct).
+_COIN_JUMPS = {"kind": "compound-jump", "intensity": 1024.0, "size": 2.0**-6, "sampler": "coin"}
+_DENSE_SUBCOMMANDS = [
+    ("qv", {"path": _COIN_JUMPS, "path_fv": True}),
+    ("integrate", {"path": _COIN_JUMPS, "path_fv": True, "integrand": {"f": {"name": "square"}}}),
+    ("linear", {"x": _COIN_JUMPS, "x_fv": True, "h": {"constant": 1.0}}),
+]
 _INT_COLUMNS = {"level", "seed", "passed"}
 
 
@@ -547,7 +593,11 @@ def _cell(text: str):
         return float(text)
 
 
-@pytest.mark.parametrize("command, cfg", _SUBCOMMANDS, ids=[c for c, _ in _SUBCOMMANDS])
+@pytest.mark.parametrize(
+    "command, cfg",
+    _SUBCOMMANDS + _DENSE_SUBCOMMANDS,
+    ids=[c for c, _ in _SUBCOMMANDS] + [f"dense-{c}" for c, _ in _DENSE_SUBCOMMANDS],
+)
 def test_subcommand_csvs_match_row_writer(tmp_path, command, cfg):
     cfg = cfg if command == "mc" else {**_LEVEL_8, **cfg}
     result, out = run_cli(tmp_path / "run", command, cfg, "--seed", "5")
@@ -562,7 +612,7 @@ def test_subcommand_csvs_match_row_writer(tmp_path, command, cfg):
         for k, name in enumerate(header):
             assert all(isinstance(v[k], int) for v in values) == (name in _INT_COLUMNS), (path.name, name)
         write_csv_rows(tmp_path / "oracle.csv", header, values, hash_line.removeprefix("# config_hash="))
-        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes(), path.name
+        assert_same_file(path, tmp_path / "oracle.csv")
 
 
 # ---------------------------------------------------------------------------
