@@ -54,7 +54,7 @@ from .io import (
 )
 from .mc import McExperiment, run_mc
 from .partitions import PartitionSequence, dyadic_sequence, thinned_sequence
-from .paths import FVPath, GridPath, StepGenerator, TimeGrid, as_fv, dyadic_grid
+from .paths import FVPath, GridPath, StepGenerator, TimeGrid, _repeated_column, as_fv, dyadic_grid
 from .quadvar import DiscreteMeasure, QVResult, measure_convergence_check, measure_vs_qv_check, qv_sequence
 
 _STOCHASTIC_KINDS = {"dyadic-brownian", "compound-jump", "geometric"}
@@ -247,11 +247,13 @@ def _qv(run: Run) -> dict:
     qv = qv_sequence(x, run.seq, tol=run.tol)
     mvq = measure_vs_qv_check(x, run.seq, t)
 
-    times = list(map(repr, run.grid.times.tolist()))  # formatted once, repeated per level
-    levels = []
-    for n in range(len(qv.level_curves)):
-        levels += [str(n)] * len(times)
-    columns = [levels, times * len(qv.level_curves), np.concatenate(qv.level_curves)]
+    # the level numbers and grid times are formatted once and repeated
+    points, levels = np.arange(len(run.grid)), np.arange(len(qv.level_curves))
+    columns = [
+        _repeated_column(levels, levels.repeat(len(points))),
+        _repeated_column(run.grid.times, np.tile(points, len(levels))),
+        np.concatenate(qv.level_curves),
+    ]
     run.table("qv.csv", ["level", "t", "qv"], columns)
     run.check(qv.status != "no-qv", f"jump identity violated: {qv.cond2_worst}")
     if qv.status == "inconclusive":

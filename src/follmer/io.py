@@ -137,13 +137,25 @@ _FORMULAS = {
 }
 
 
+_GENERATOR_NAMES = {"name", "sampler", "x", "y"}  # the generator parameters that are not numbers
+
+
 def make_generator(ref: dict, grid: TimeGrid, where: str = "generator") -> PathGenerator:
-    """The generator of ``ref`` for paths on ``grid``; a step time off the grid is a config error."""
+    """The generator of ``ref`` for paths on ``grid``.  A parameter that is not
+    a number (other than ``_GENERATOR_NAMES``), an unknown sampler and a step
+    time off the grid are config errors."""
     if not isinstance(ref, dict) or "kind" not in ref:
         raise ConfigError(f"{where} must be an object with a 'kind'")
     kind = ref["kind"]
     params = {k: v for k, v in ref.items() if k != "kind"}
     _finite_params(params, where)
+    for key, value in params.items():
+        if key not in _GENERATOR_NAMES and not isinstance(value, (int, float)):
+            raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    if kind == "compound-jump" and params.get("sampler", "coin") not in CompoundJumpGenerator.SAMPLERS:
+        raise ConfigError(
+            f"{where}.sampler must be one of {list(CompoundJumpGenerator.SAMPLERS)}, got {params['sampler']!r}"
+        )
     try:
         if kind == "formula":
             name = params.pop("name")

@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._floatrepr import blocks, float_text, int_text
+
 __all__ = [
     "TimeGrid",
     "GridPath",
@@ -330,6 +332,7 @@ class CompoundJumpGenerator(PathGenerator):
     sampler: str = "coin"
     x0: float = 0.0
     kind = "compound-jump"
+    SAMPLERS = ("coin", "uniform")
 
     def generate(self, grid: TimeGrid) -> GridPath:
         rng = np.random.default_rng(np.random.SeedSequence([int(self.seed), 11]))
@@ -437,39 +440,64 @@ def _csv_floats(row: list, width: int, i: int) -> list:
         raise ValueError(f"CSV data row {i}: {exc}") from None
 
 
-_CSV_BLOCK = 4096  # rows formatted and written at a time
+_CSV_BLOCK = 4096  # rows formatted at a time (``blocks`` evens out the last)
+_CSV_JOIN = 512  # rows joined and written at a time
 _CSV_DISTINCT_SHARE = 0.75  # float columns at most this share distinct are formatted per distinct value
+
+
+@dataclass(frozen=True)
+class _TextColumn:
+    """A CSV column formatted ahead: cell i is row ``index[i]`` of ``text``, a
+    byte matrix as ``_csv_text`` makes it."""
+
+    text: np.ndarray
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+def _repeated_column(values, index) -> _TextColumn:
+    """The CSV column whose cell i is ``values[index[i]]``, each value formatted once."""
+    return _TextColumn(_csv_text(values), index)
 
 
 def _write_csv_columns(fp, header: list, columns: list) -> None:
     """Write a CSV header row, then ``columns`` side by side, a block of rows at a time.
 
-    A column is a list of formatted str cells or anything ``np.asarray`` makes
-    one-dimensional, whose floats come out as their ``repr`` and ints as decimals.
-    A float64 array that repeats its values is formatted once per distinct value.
+    A column is a ``_TextColumn``, a list of str cells, or anything ``np.asarray``
+    makes one-dimensional, whose floats come out as their ``repr`` and ints as
+    decimals.  A float64 array that repeats its values is formatted once per
+    distinct value.  A block is one byte matrix of NUL-padded cells and
+    separators, written with its NUL bytes dropped; a str cell must hold none.
     """
     fp.write(",".join(header) + "\n")
     n = len(columns[0]) if columns else 0
     if any(len(col) != n for col in columns):
         raise ValueError(f"CSV columns differ in length: {[len(col) for col in columns]}")
-    m = len(columns)
-    line = ",".join(["%s"] * m) + "\n"
     columns = [_csv_distinct(col) for col in columns]
-    for k in range(0, n, _CSV_BLOCK):
-        rows = min(_CSV_BLOCK, n - k)
-        cells = [None] * (m * rows)
-        for j, (text, col) in enumerate(columns):
-            block = col[k : k + rows]
-            cells[j::m] = _csv_cells(block) if text is None else text[block].tolist()
-        fp.write((line * rows) % tuple(cells))
+    for k, k_end in blocks(n, _CSV_BLOCK):
+        rows = k_end - k
+        comma, newline = np.full((rows, 1), ord(","), np.uint8), np.full((rows, 1), ord("\n"), np.uint8)
+        parts = []
+        for text, col in columns:
+            cells = col[k:k_end]
+            parts += [_csv_text(cells) if text is None else text.take(cells, axis=0), comma]
+        parts[-1] = newline
+        for j in range(0, rows, _CSV_JOIN):
+            block = np.concatenate([part[j : j + _CSV_JOIN] for part in parts], axis=1).ravel()
+            fp.write(np.compress(block != 0, block).tobytes().decode())
 
 
 def _csv_distinct(col) -> tuple:
-    """(None, ``col``), or, for a float64 array with at most ``_CSV_DISTINCT_SHARE``
-    of its values distinct, (``repr`` of each distinct value, each cell's index
-    into them).  Values are compared by their bits, so -0.0 and 0.0 stay apart.
-    The first block is tested on its own first, so that a column of distinct
-    floats costs the sort of one block, not of the whole column."""
+    """(None, ``col``), or (the text of each distinct value, each cell's index
+    into them).  A ``_TextColumn`` is the second already; a float64 array is
+    when at most ``_CSV_DISTINCT_SHARE`` of its values are distinct.  Values
+    are compared by their bits, so -0.0 and 0.0 stay apart.  The first block
+    is tested on its own first, so that a column of distinct floats costs the
+    sort of one block, not of the whole column."""
+    if isinstance(col, _TextColumn):
+        return col.text, col.index
     if not (isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1):
         return None, col
     bits = col.view(np.int64)
@@ -477,8 +505,7 @@ def _csv_distinct(col) -> tuple:
         distinct = _sorted_distinct(head)
         if len(distinct) > _CSV_DISTINCT_SHARE * len(head):
             return None, col
-    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return text, np.searchsorted(distinct, bits)
+    return float_text(distinct.view(np.float64)), np.searchsorted(distinct, bits)
 
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
@@ -489,11 +516,17 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     return s[first]
 
 
-def _csv_cells(col) -> list:
-    """One column block as str cells, or as Python numbers whose ``%s`` is their ``repr``."""
-    if isinstance(col, list) and col and isinstance(col[0], str):
-        return col
-    a = np.asarray(col)
-    if a.ndim != 1:
-        raise ValueError(f"a CSV column must be one-dimensional, got shape {a.shape}")
-    return a.tolist()
+def _csv_text(cells) -> np.ndarray:
+    """``cells`` as a uint8 matrix, one NUL-padded row of text per cell: floats
+    as their ``repr``, ints as decimals, str cells and anything else as ``str``."""
+    if not (isinstance(cells, list) and cells and isinstance(cells[0], str)):
+        a = np.asarray(cells)
+        if a.ndim != 1:
+            raise ValueError(f"a CSV column must be one-dimensional, got shape {a.shape}")
+        if a.dtype.kind == "f" and a.itemsize <= 8:
+            return float_text(a)
+        text = int_text(a) if a.dtype.kind in "iu" else None
+        if text is not None:
+            return text
+        cells = a.tolist()
+    return np.array([str(v).encode() for v in cells]).view(np.uint8).reshape(len(cells), -1)

@@ -62,3 +62,54 @@ def test_no_pairs_is_an_error(tmp_path):
     argv = ["--pr", "1", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
     assert bench_fold.main(argv + ["-o", str(tmp_path / "out.json")]) == 2
     assert not (tmp_path / "out.json").exists()
+
+
+def _fold(tmp_path, parent_runs, change_runs, *args):
+    """Fold (setup, cycle, rss) runs paired by seed; return (exit status, doc)."""
+    for side, runs in (("parent", parent_runs), ("change", change_runs)):
+        for seed, run in enumerate(runs):
+            _result(tmp_path / side, "w", seed, *run)
+    out = tmp_path / "out.json"
+    argv = ["--pr", "1", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "-o", str(out)]
+    return bench_fold.main(argv + list(args)), json.loads(out.read_text())
+
+
+def test_metrics_worse_than_their_bound_are_flagged(tmp_path, capsys):
+    # cycle_ms 30% worse (bound 25%), peak_rss_mb 5% worse (bound 10%)
+    code, doc = _fold(tmp_path, [(1.0, 100.0, 100.0)] * 3, [(1.0, 130.0, 105.0)] * 3)
+    assert code == 1
+    assert [(f["workload"], f["metric"]) for f in doc["flags"]] == [("w", "cycle_ms")]
+    assert doc["flags"][0]["worse_by"] == pytest.approx(0.3)
+    assert "FLAG w cycle_ms: worse by 30.0%, bound 25%" in capsys.readouterr().out
+
+
+def test_within_bounds_nothing_is_flagged(tmp_path):
+    code, doc = _fold(tmp_path, [(1.0, 100.0, 100.0)] * 3, [(1.2, 124.0, 109.0)] * 3)
+    assert code == 0 and doc["flags"] == [] and doc["claims"] == []
+
+
+_PARENT_CYCLES = [100.0, 102.0] * 5  # median 101, IQR 2
+
+
+@pytest.mark.parametrize(
+    "change_cycles, holds",
+    [
+        ([80.0] * 9 + [200.0], True),  # 9 of 10 wins, median gap 21
+        ([80.0] * 8 + [200.0] * 2, False),  # 8 of 10 wins
+        ([c - 0.5 for c in _PARENT_CYCLES], False),  # 10 of 10 wins, median gap 0.5
+    ],
+)
+def test_claim_needs_9_of_10_wins_and_a_gap_over_the_parent_iqr(tmp_path, capsys, change_cycles, holds):
+    parent = [(1.0, cycle, 50.0) for cycle in _PARENT_CYCLES]
+    change = [(1.0, cycle, 50.0) for cycle in change_cycles]
+    code, doc = _fold(tmp_path, parent, change, "--claim", "w/cycle_ms")
+    (claim,) = doc["claims"]
+    assert claim["holds"] is holds and claim["pairs"] == 10
+    assert claim["parent_iqr"] == pytest.approx(2.0)
+    assert code == (0 if holds else 1)
+    assert f"claim w/cycle_ms {'holds' if holds else 'FAILS'}" in capsys.readouterr().out
+
+
+def test_claim_of_an_unknown_metric_is_an_error(tmp_path):
+    with pytest.raises(SystemExit, match="no folded metric 'w/speed'"):
+        _fold(tmp_path, [(1.0, 1.0, 1.0)], [(1.0, 1.0, 1.0)], "--claim", "w/speed")

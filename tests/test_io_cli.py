@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import follmer as fl
+from follmer import cli
 from follmer.cli import main
+from follmer.diagnostics import STOCHASTIC_TOL
+from follmer.equations import solve_linear
+from follmer.finance import FloorSpec, dppi
+from follmer.integrals import AdmissibleIntegrand, follmer_integral
 from follmer.io import (
     ConfigError,
     config_hash,
@@ -24,6 +29,7 @@ from follmer.io import (
     write_svg,
 )
 from follmer.paths import _CSV_BLOCK, _csv_distinct, read_path_csv, write_path_csv
+from follmer.quadvar import qv_sequence
 
 
 _GRID = fl.dyadic_grid(1.0, 4)
@@ -615,6 +621,54 @@ def test_subcommand_csvs_match_row_writer(tmp_path, command, cfg):
         assert_same_file(path, tmp_path / "oracle.csv")
 
 
+# A geometric price with a jump at about every point of grid level 8.
+_DENSE_MARKET = {"s": {"kind": "geometric", "sigma": 0.2, "jump_intensity": 1024.0, "jump_size": 0.05}, "b": {"rate": 0.03}}
+
+
+def _library_columns(command, cfg) -> tuple:
+    """The CSV file ``command`` writes on ``cfg`` at seed 5, and its columns as
+    the library computes them: level and time columns, then the float arrays."""
+    run = cli.Run(cfg, Path("."), 5, None, "", tolerance(cfg, "tol", STOCHASTIC_TOL))
+    times = run.grid.times
+    if command == "qv":
+        curves = qv_sequence(run.path("path"), run.seq, tol=run.tol).level_curves
+        levels = np.arange(len(curves)).repeat(len(times))
+        return "qv.csv", [levels, np.tile(times, len(curves)), np.concatenate(curves)]
+    if command == "integrate":
+        x = run.path("path")
+        xi = AdmissibleIntegrand(cli._function(cfg["integrand"]["f"], "integrand.f"), None, x)
+        return "integrate_curve.csv", [times, follmer_integral(xi, x, run.seq, tol=run.tol).estimate]
+    if command == "linear":
+        return "linear.csv", [times, solve_linear(1.0, run.path("x"), run.seq, tol=run.tol).z.x]
+    floor = FloorSpec(fl.FVPath(run.grid, np.full(len(times), cfg["l"]["constant"])))
+    rep = dppi(cli._market_from(run), cfg["m"], floor, cfg["v0"], run.seq, tol=run.tol)
+    strategy = rep.strategy
+    return "strategy.csv", [times, strategy.xi.x, strategy.eta.x, strategy.value.x, rep.floor_curve]
+
+
+_VALUE_CASES = [(c, cfg) for c, cfg in _SUBCOMMANDS if c in ("qv", "integrate", "linear", "dppi")]
+_VALUE_CASES += _DENSE_SUBCOMMANDS + [("dppi", {**dict(_SUBCOMMANDS)["dppi"], "market": _DENSE_MARKET})]
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    _VALUE_CASES,
+    ids=[c for c, _ in _VALUE_CASES[:4]] + [f"dense-{c}" for c, _ in _VALUE_CASES[4:]],
+)
+def test_subcommand_csvs_hold_the_library_values(tmp_path, command, cfg):
+    # every cell of the table, read back, is bit for bit the library's value
+    # in its row and column
+    cfg = {**_LEVEL_8, **cfg}
+    result, out = run_cli(tmp_path, command, cfg, "--seed", "5")
+    assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+    name, columns = _library_columns(command, cfg)
+    lines = (out / name).read_text().splitlines()[1:-1]
+    assert len(lines) == len(columns[0])
+    for k, (cells, want) in enumerate(zip(zip(*(line.split(",") for line in lines)), columns)):
+        got = np.array([float(c) for c in cells])
+        assert got.view(np.int64).tolist() == np.asarray(want, dtype=float).view(np.int64).tolist(), (name, k)
+
+
 # ---------------------------------------------------------------------------
 # The driver shared by every subcommand
 # ---------------------------------------------------------------------------
@@ -703,6 +757,9 @@ _JUMP_OFF_THE_PARTITION = {
         ("dppi", {"l": {"constant": -0.5}}, "l: L must be nonnegative"),
         ("appendix-measure", {"weight": -1}, "weight: discrete-measure convergence needs nonnegative atoms"),
         ("appendix-measure", {"atom": 0.3}, "atom = 0.3 is not a grid time, where the default f steps"),
+        # generator parameters checked when the config is read
+        ("qv", {"path": {"kind": "compound-jump", "sampler": "foo"}}, "path.sampler must be one of ['coin', 'uniform'], got 'foo'"),
+        ("nonlinear", {"x": {"kind": "step", "c": "abc"}}, "x.c must be a number, got 'abc'"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):

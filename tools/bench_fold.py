@@ -3,7 +3,7 @@
 
 Usage, from the repository root:
 
-    python3 tools/bench_fold.py --pr N --parent PATH... --change PATH... [-o FILE]
+    python3 tools/bench_fold.py --pr N --parent PATH... --change PATH... [-o FILE] [--claim W/M]...
 
 Each PATH is a result file written by ``perfbench/run.py`` or a directory of
 them.  Only untraced runs (``trace`` 0) count.  A parent run and a change run
@@ -13,6 +13,14 @@ count, the seeds, and, for each end-to-end metric of ``BENCHMARK.json``, the
 median, quartiles and IQR of each side, the change's number of wins (ties
 count for neither), and the operations attempted and failed on each side.
 The ``machine`` block of the result files is copied once per distinct value.
+
+Every (workload, metric) whose change median is worse than the parent's by
+more than the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the
+parent's median) is listed under ``flags``.  Each ``--claim WORKLOAD/METRIC``
+is checked and listed under ``claims``: it holds when the change is better in
+at least 9 of every 10 pairs and its median beats the parent's by more than
+the parent's IQR.  The exit status is 1 when a metric is flagged or a claim
+fails, 2 when nothing pairs up, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -91,18 +99,57 @@ def fold(parent: dict, change: dict, end_to_end: list) -> dict:
     return {"workloads": workloads, "machine": machines}
 
 
+def flags(workloads: dict, end_to_end: list) -> list:
+    """The (workload, metric) pairs whose change median is worse than the
+    parent's by more than the metric's bound, a fraction of the parent's median."""
+    out = []
+    for name, w in workloads.items():
+        for metric in end_to_end:
+            m = w["metrics"][metric["name"]]
+            before, after = m["parent"]["median"], m["change"]["median"]
+            worse = (after - before) if metric["better"] == "lower" else (before - after)
+            if worse > metric["bound"] * abs(before):
+                out.append({"workload": name, "metric": metric["name"], "parent": before, "change": after,
+                            "bound": metric["bound"], "worse_by": worse / abs(before) if before else float("inf")})
+    return out
+
+
+def check_claim(workloads: dict, claim: str) -> dict:
+    """Whether the change wins ``claim`` = "WORKLOAD/METRIC": better in at least
+    9 of every 10 pairs, with a median gap wider than the parent's IQR."""
+    name, _, key = claim.partition("/")
+    if name not in workloads or key not in workloads[name]["metrics"]:
+        raise SystemExit(f"error: no folded metric {claim!r}")
+    w = workloads[name]
+    m = w["metrics"][key]
+    sign = 1 if m["better"] == "lower" else -1
+    gap = sign * (m["parent"]["median"] - m["change"]["median"])
+    return {
+        "workload": name,
+        "metric": key,
+        "wins": m["change_wins"],
+        "pairs": w["pairs"],
+        "gap": gap,
+        "parent_iqr": m["parent"]["iqr"],
+        "holds": 10 * m["change_wins"] >= 9 * w["pairs"] and gap > m["parent"]["iqr"],
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--parent", nargs="+", required=True)
     ap.add_argument("--change", nargs="+", required=True)
     ap.add_argument("-o", "--output", default=None, help="default: BENCH_<pr>.json at the repository root")
+    ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD/METRIC")
     args = ap.parse_args(argv)
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     doc = {"pr": args.pr, **fold(load_runs(args.parent), load_runs(args.change), end_to_end)}
     if not doc["workloads"]:
         print("error: no parent/change pairs", file=sys.stderr)
         return 2
+    doc["flags"] = flags(doc["workloads"], end_to_end)
+    doc["claims"] = [check_claim(doc["workloads"], c) for c in args.claim]
     out = Path(args.output) if args.output else ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for name, w in doc["workloads"].items():
@@ -111,7 +158,14 @@ def main(argv=None) -> int:
                 f"{name} {key}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} {m['unit']}"
                 f" (parent IQR {m['parent']['iqr']:.3g}), change better in {m['change_wins']}/{w['pairs']}"
             )
-    return 0
+    for f in doc["flags"]:
+        print(f"FLAG {f['workload']} {f['metric']}: worse by {f['worse_by']:.1%}, bound {f['bound']:.0%}")
+    for c in doc["claims"]:
+        print(
+            f"claim {c['workload']}/{c['metric']} {'holds' if c['holds'] else 'FAILS'}: better in"
+            f" {c['wins']}/{c['pairs']}, median gap {c['gap']:.4g} against parent IQR {c['parent_iqr']:.3g}"
+        )
+    return 1 if doc["flags"] or not all(c["holds"] for c in doc["claims"]) else 0
 
 
 if __name__ == "__main__":
