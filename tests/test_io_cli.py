@@ -499,6 +499,12 @@ class TestCsvWriter:
         cells = [repr(v) for v in _EDGE_FLOATS]
         assert_writers_agree(tmp_path, ["x", "y"], [cells, _EDGE_FLOATS], [_EDGE_FLOATS, _EDGE_FLOATS])
 
+    def test_bools_huge_ints_and_non_ascii_cells_are_written_as_str(self, tmp_path):
+        flags, huge, words = [True, False, True], [2**70, -(10**18), 7], ["é", "", "naïve"]
+        assert_writers_agree(
+            tmp_path, ["b", "i", "s"], [np.array(flags), huge, words], [flags, huge, words]
+        )
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.tuples(st.integers(-(2**62), 2**62), st.floats(), st.floats(width=32)), max_size=12)
