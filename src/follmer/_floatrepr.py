@@ -1,4 +1,4 @@
-"""CSV cell text of float64 and integer arrays, computed block by block in numpy.
+"""CSV cell text of float64 arrays, computed block by block in numpy.
 
 ``repr`` prints a double as the shortest decimal that reads back as the same
 double (the nearest one when several are shortest, the even one on a tie), laid
@@ -11,8 +11,7 @@ doubles", 2020) on uint64 arrays.  Subnormals, infinities and NaN are left to
 
 The text comes as a uint8 matrix with one row per value: the sign, the digits
 and point, and the exponent, at fixed columns with NUL bytes around them.
-Dropping every NUL of a row leaves the value's text.  ``int_text`` does the
-same for integers.
+Dropping every NUL of a row leaves the value's text.
 """
 
 from __future__ import annotations
@@ -21,20 +20,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["blocks", "float_text", "int_text"]
+__all__ = ["BLOCK", "float_text"]
 
-_CHUNK = 4096  # values per pass
+BLOCK = 4096  # values formatted per pass; the CSV writer's rows per block
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
 _POW10 = np.array([10**j for j in range(1, 20)], dtype=_U)
-_INT_LIMIT = 10**18  # int_text takes magnitudes below this
 _EXP0 = 400  # the exponent table's row for e = 0
 # The digit string of m·10**k: "000", m's 18 digits, "0"; the point goes in
 # front of one of its columns, so a float row is a column for the sign before
 # the first digit, 23 columns of digits and point, and 5 of exponent.
 _Z = 22
 _FLOAT_WIDTH = 1 + _Z + 1 + 5
-_INT_WIDTH = 1 + 18
 
 
 def _floor_log10_pow2(q, three_quarters=0):
@@ -241,21 +238,14 @@ def _patch(out, values, rows) -> None:
         out[i, : len(text)] = np.frombuffer(text, np.uint8)
 
 
-def blocks(n: int, size: int) -> list:
-    """The bounds of round(n / size) blocks of about equal length covering
-    range(n): no block is shorter than size / 2 unless range(n) is."""
-    count = max(1, round(n / size)) if n else 0
-    return [(n * j // count, n * (j + 1) // count) for j in range(count)]
-
-
 def float_text(a) -> np.ndarray:
     """The rows of ``repr(v)`` for the values v of a one-dimensional float
     array; only the columns some row uses."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     out = np.empty((len(a), _FLOAT_WIDTH), np.uint8)
     lo, hi = _FLOAT_WIDTH, 0
-    for i, j in blocks(len(a), _CHUNK):
-        used = _float_rows(a[i:j], out[i:j])
+    for i in range(0, len(a), BLOCK):
+        used = _float_rows(a[i : i + BLOCK], out[i : i + BLOCK])
         lo, hi = min(lo, used[0]), max(hi, used[1])
     be = (a.view(_U) >> _U(52)) & _U(0x7FF)
     special = np.flatnonzero((be == 0x7FF) | ((be == 0) & (a != 0)))
@@ -264,21 +254,3 @@ def float_text(a) -> np.ndarray:
         lo, hi = 0, _FLOAT_WIDTH
     return out[:, lo:hi]
 
-
-def int_text(a) -> np.ndarray | None:
-    """The rows of ``str(v)`` for the values v of a one-dimensional integer
-    array, only the columns some row uses; or None if one is 10**18 or more
-    in magnitude."""
-    a = np.asarray(a)
-    if not len(a):
-        return np.zeros((0, 1), np.uint8)
-    if not (-_INT_LIMIT < a.min() and a.max() < _INT_LIMIT):
-        return None
-    out = np.empty((len(a), _INT_WIDTH), np.uint8)
-    m = np.abs(a.astype(np.int64)).astype(_U)
-    _digits(m, out[:, 1:])
-    lead = 18 - np.searchsorted(_POW10, m, side="right") - 1  # columns before the first digit
-    out[:, 1:] *= _TABLES.ranges.take(lead * (_Z + 2) + 18, axis=0)[:, :18]
-    out[:, 0] = 0
-    out.ravel()[np.arange(0, out.size, _INT_WIDTH) + lead] = (a < 0) * ord("-")
-    return out[:, lead.min() :]

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._floatrepr import blocks, float_text, int_text
+from ._floatrepr import BLOCK, float_text
 
 __all__ = [
     "TimeGrid",
@@ -440,7 +440,6 @@ def _csv_floats(row: list, width: int, i: int) -> list:
         raise ValueError(f"CSV data row {i}: {exc}") from None
 
 
-_CSV_BLOCK = 4096  # rows formatted at a time (``blocks`` evens out the last)
 _CSV_JOIN = 512  # rows joined and written at a time
 _CSV_DISTINCT_SHARE = 0.75  # float columns at most this share distinct are formatted per distinct value
 
@@ -476,7 +475,8 @@ def _write_csv_columns(fp, header: list, columns: list) -> None:
     if any(len(col) != n for col in columns):
         raise ValueError(f"CSV columns differ in length: {[len(col) for col in columns]}")
     columns = [_csv_distinct(col) for col in columns]
-    for k, k_end in blocks(n, _CSV_BLOCK):
+    for k in range(0, n, BLOCK):
+        k_end = min(k + BLOCK, n)
         rows = k_end - k
         comma, newline = np.full((rows, 1), ord(","), np.uint8), np.full((rows, 1), ord("\n"), np.uint8)
         parts = []
@@ -501,7 +501,7 @@ def _csv_distinct(col) -> tuple:
     if not (isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1):
         return None, col
     bits = col.view(np.int64)
-    for head in (bits[:_CSV_BLOCK], bits):
+    for head in (bits[:BLOCK], bits):
         distinct = _sorted_distinct(head)
         if len(distinct) > _CSV_DISTINCT_SHARE * len(head):
             return None, col
@@ -518,15 +518,13 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
 
 def _csv_text(cells) -> np.ndarray:
     """``cells`` as a uint8 matrix, one NUL-padded row of text per cell: floats
-    as their ``repr``, ints as decimals, str cells and anything else as ``str``."""
+    as their ``repr``, anything else (ints, bools, str cells) as ``str``."""
     if not (isinstance(cells, list) and cells and isinstance(cells[0], str)):
         a = np.asarray(cells)
         if a.ndim != 1:
             raise ValueError(f"a CSV column must be one-dimensional, got shape {a.shape}")
         if a.dtype.kind == "f" and a.itemsize <= 8:
             return float_text(a)
-        text = int_text(a) if a.dtype.kind in "iu" else None
-        if text is not None:
-            return text
         cells = a.tolist()
-    return np.array([str(v).encode() for v in cells]).view(np.uint8).reshape(len(cells), -1)
+    text = np.array([str(v).encode() for v in cells], dtype=bytes)
+    return text.view(np.uint8).reshape(len(cells), text.itemsize)

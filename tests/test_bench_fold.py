@@ -15,14 +15,16 @@ _spec.loader.exec_module(bench_fold)
 MACHINE = {"cpu_count": 2, "python": "3.x"}
 
 
-def _result(directory: Path, workload: str, seed: int, setup: float, cycle: float, rss: float, trace: int = 0):
+def _result(
+    directory: Path, workload: str, seed: int, setup: float, cycle: float, rss: float, trace: int = 0, failed: int = 0
+):
     directory.mkdir(exist_ok=True)
     doc = {
         "machine": MACHINE,
         "workload": {"name": workload, "seed": seed},
         "trace": trace,
         "attempted": 10,
-        "failed": 0,
+        "failed": failed,
         "metrics": {
             "setup_s": {"unit": "s", "value": setup},
             "cycle_ms": {"unit": "ms", "value": cycle},
@@ -88,6 +90,19 @@ def test_within_bounds_nothing_is_flagged(tmp_path):
     assert code == 0 and doc["flags"] == [] and doc["claims"] == []
 
 
+def test_a_change_spread_wider_than_the_bound_is_unresolved(tmp_path, capsys):
+    # setup_s: median unchanged, IQR 0.5 against a bound of 0.25 · 1.0;
+    # cycle_ms: IQR 20 within 0.25 · 100
+    parent = [(1.0, 100.0, 50.0)] * 4
+    change = [(0.6, 80.0, 50.0), (0.8, 95.0, 50.0), (1.2, 105.0, 50.0), (1.4, 120.0, 50.0)]
+    code, doc = _fold(tmp_path, parent, change)
+    assert code == 0 and doc["flags"] == []
+    assert [(u["workload"], u["metric"]) for u in doc["unresolved"]] == [("w", "setup_s")]
+    assert doc["unresolved"][0]["change_iqr"] == pytest.approx(0.5)
+    assert doc["unresolved"][0]["bound_width"] == pytest.approx(0.25)
+    assert "UNRESOLVED w setup_s: change IQR 0.5 is wider than the bound's 0.25" in capsys.readouterr().out
+
+
 _PARENT_CYCLES = [100.0, 102.0] * 5  # median 101, IQR 2
 
 
@@ -113,3 +128,17 @@ def test_claim_needs_9_of_10_wins_and_a_gap_over_the_parent_iqr(tmp_path, capsys
 def test_claim_of_an_unknown_metric_is_an_error(tmp_path):
     with pytest.raises(SystemExit, match="no folded metric 'w/speed'"):
         _fold(tmp_path, [(1.0, 1.0, 1.0)], [(1.0, 1.0, 1.0)], "--claim", "w/speed")
+
+
+def test_claim_fails_when_a_larger_share_of_ops_fails(tmp_path, capsys):
+    # 10 of 10 wins by far, but 1 of the change's 100 ops failed and none of the parent's
+    for seed, cycle in enumerate(_PARENT_CYCLES):
+        _result(tmp_path / "parent", "w", seed, 1.0, cycle, 50.0)
+        _result(tmp_path / "change", "w", seed, 1.0, cycle / 2, 50.0, failed=int(seed == 3))
+    out = tmp_path / "out.json"
+    argv = ["--pr", "1", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "-o", str(out)]
+    assert bench_fold.main(argv + ["--claim", "w/cycle_ms"]) == 1
+    (claim,) = json.loads(out.read_text())["claims"]
+    assert claim["wins"] == 10 and claim["holds"] is False
+    assert claim["failed_share"] == {"parent": 0.0, "change": pytest.approx(0.01)}
+    assert "failed ops 0.00% -> 1.00%" in capsys.readouterr().out

@@ -1,10 +1,10 @@
-"""The numpy float and int formatter against ``repr`` and ``str``, its oracles."""
+"""The numpy float formatter against ``repr``, its oracle."""
 
 import numpy as np
 import pytest
 
 from follmer import _floatrepr
-from follmer._floatrepr import blocks, float_text, int_text
+from follmer._floatrepr import float_text
 
 
 def _joined(text: np.ndarray) -> str:
@@ -59,16 +59,6 @@ def test_float32_and_float16_take_their_double_values():
         assert _joined(float_text(a.astype(dtype))) == "".join(f"{v!r}," for v in a.astype(dtype).tolist())
 
 
-def test_ints_below_10_to_18():
-    ints = np.concatenate([np.arange(-1000, 1001), [10**17, -(10**17), 10**18 - 1, -(10**18) + 1]])
-    ints = np.concatenate([ints, np.random.default_rng(5).integers(-(10**18) + 1, 10**18, 10_000)])
-    assert _joined(int_text(ints)) == "".join(f"{v}," for v in ints.tolist())
-    assert _joined(int_text(np.arange(7, dtype=np.uint8))) == "0,1,2,3,4,5,6,"
-    assert _joined(int_text(np.array([-128, 127], dtype=np.int8))) == "-128,127,"
-    assert int_text(np.array([10**18])) is None and int_text(np.array([-(10**18)])) is None
-    assert int_text(np.zeros(0, dtype=np.int64)).shape[0] == 0
-
-
 def test_table_formulas_are_exact_on_the_range_used():
     # k = floor(log10(2**q)) (or of (3/4)·2**q) and floor(log2(10**e)) for
     # every binary exponent q of a double and every decimal exponent e
@@ -84,11 +74,3 @@ def test_table_formulas_are_exact_on_the_range_used():
         want = (10**e).bit_length() - 1 if e >= 0 else -((10**-e).bit_length())
         assert _floatrepr._floor_log2_pow10(e) == want
 
-
-@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 3071, 3072, 4096, 4097, 10_000])
-def test_blocks_cover_the_range_evenly(n):
-    bounds = blocks(n, 2048)
-    edges = [0] + [j for _, j in bounds]
-    assert bounds == list(zip(edges[:-1], edges[1:])) and edges[-1] == n
-    assert all(abs((j - i) - n / len(bounds)) < 1 for i, j in bounds)
-    assert n < 1024 or all(1024 <= j - i < 3072 for i, j in bounds)

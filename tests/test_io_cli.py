@@ -28,7 +28,8 @@ from follmer.io import (
     write_csv,
     write_svg,
 )
-from follmer.paths import _CSV_BLOCK, _csv_distinct, read_path_csv, write_path_csv
+from follmer._floatrepr import BLOCK
+from follmer.paths import _csv_distinct, read_path_csv, write_path_csv
 from follmer.quadvar import qv_sequence
 
 
@@ -480,7 +481,7 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_block_edges(self, tmp_path, extra):
-        n = _CSV_BLOCK + extra
+        n = BLOCK + extra
         t = np.arange(n) / n
         x = np.random.default_rng(n).standard_normal(n)
         text = assert_writers_agree(
@@ -516,7 +517,7 @@ class TestCsvWriter:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.sampled_from([0, 1, 2, 7, 40, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 3]),
+        st.sampled_from([0, 1, 2, 7, 40, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
         st.lists(st.sampled_from(_POOL_FLOATS), min_size=1, max_size=len(_POOL_FLOATS), unique_by=repr),
         st.integers(0, 2**32 - 1),
     )

@@ -16,11 +16,15 @@ The ``machine`` block of the result files is copied once per distinct value.
 
 Every (workload, metric) whose change median is worse than the parent's by
 more than the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the
-parent's median) is listed under ``flags``.  Each ``--claim WORKLOAD/METRIC``
-is checked and listed under ``claims``: it holds when the change is better in
-at least 9 of every 10 pairs and its median beats the parent's by more than
-the parent's IQR.  The exit status is 1 when a metric is flagged or a claim
-fails, 2 when nothing pairs up, 0 otherwise.
+parent's median) is listed under ``flags``.  Every (workload, metric) whose
+change IQR is wider than that same bound is listed under ``unresolved``: its
+runs spread too widely to tell whether the median moved within the bound.
+Each ``--claim WORKLOAD/METRIC`` is checked and listed under ``claims``: it
+holds when the change is better in at least 9 of every 10 pairs, its median
+beats the parent's by more than the parent's IQR, and no larger share of its
+operations failed than of the parent's.  The exit status is 1 when a metric
+is flagged or a claim fails, 2 when nothing pairs up, 0 otherwise; an
+unresolved metric is printed and wants more runs, not a verdict.
 """
 
 from __future__ import annotations
@@ -99,6 +103,20 @@ def fold(parent: dict, change: dict, end_to_end: list) -> dict:
     return {"workloads": workloads, "machine": machines}
 
 
+def unresolved(workloads: dict, end_to_end: list) -> list:
+    """The (workload, metric) pairs whose change IQR is wider than the
+    metric's bound, a fraction of the parent's median."""
+    out = []
+    for name, w in workloads.items():
+        for metric in end_to_end:
+            m = w["metrics"][metric["name"]]
+            width = metric["bound"] * abs(m["parent"]["median"])
+            if m["change"]["iqr"] > width:
+                out.append({"workload": name, "metric": metric["name"], "change_iqr": m["change"]["iqr"],
+                            "bound_width": width})
+    return out
+
+
 def flags(workloads: dict, end_to_end: list) -> list:
     """The (workload, metric) pairs whose change median is worse than the
     parent's by more than the metric's bound, a fraction of the parent's median."""
@@ -116,7 +134,8 @@ def flags(workloads: dict, end_to_end: list) -> list:
 
 def check_claim(workloads: dict, claim: str) -> dict:
     """Whether the change wins ``claim`` = "WORKLOAD/METRIC": better in at least
-    9 of every 10 pairs, with a median gap wider than the parent's IQR."""
+    9 of every 10 pairs, with a median gap wider than the parent's IQR, and no
+    larger share of failed operations than the parent."""
     name, _, key = claim.partition("/")
     if name not in workloads or key not in workloads[name]["metrics"]:
         raise SystemExit(f"error: no folded metric {claim!r}")
@@ -124,6 +143,7 @@ def check_claim(workloads: dict, claim: str) -> dict:
     m = w["metrics"][key]
     sign = 1 if m["better"] == "lower" else -1
     gap = sign * (m["parent"]["median"] - m["change"]["median"])
+    failed = {side: ops["failed"] / ops["attempted"] if ops["attempted"] else 0.0 for side, ops in w["ops"].items()}
     return {
         "workload": name,
         "metric": key,
@@ -131,7 +151,9 @@ def check_claim(workloads: dict, claim: str) -> dict:
         "pairs": w["pairs"],
         "gap": gap,
         "parent_iqr": m["parent"]["iqr"],
-        "holds": 10 * m["change_wins"] >= 9 * w["pairs"] and gap > m["parent"]["iqr"],
+        "failed_share": failed,
+        "holds": 10 * m["change_wins"] >= 9 * w["pairs"] and gap > m["parent"]["iqr"]
+        and failed["change"] <= failed["parent"],
     }
 
 
@@ -149,6 +171,7 @@ def main(argv=None) -> int:
         print("error: no parent/change pairs", file=sys.stderr)
         return 2
     doc["flags"] = flags(doc["workloads"], end_to_end)
+    doc["unresolved"] = unresolved(doc["workloads"], end_to_end)
     doc["claims"] = [check_claim(doc["workloads"], c) for c in args.claim]
     out = Path(args.output) if args.output else ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -160,10 +183,16 @@ def main(argv=None) -> int:
             )
     for f in doc["flags"]:
         print(f"FLAG {f['workload']} {f['metric']}: worse by {f['worse_by']:.1%}, bound {f['bound']:.0%}")
+    for u in doc["unresolved"]:
+        print(
+            f"UNRESOLVED {u['workload']} {u['metric']}: change IQR {u['change_iqr']:.3g}"
+            f" is wider than the bound's {u['bound_width']:.3g}"
+        )
     for c in doc["claims"]:
         print(
             f"claim {c['workload']}/{c['metric']} {'holds' if c['holds'] else 'FAILS'}: better in"
-            f" {c['wins']}/{c['pairs']}, median gap {c['gap']:.4g} against parent IQR {c['parent_iqr']:.3g}"
+            f" {c['wins']}/{c['pairs']}, median gap {c['gap']:.4g} against parent IQR {c['parent_iqr']:.3g},"
+            f" failed ops {c['failed_share']['parent']:.2%} -> {c['failed_share']['change']:.2%}"
         )
     return 1 if doc["flags"] or not all(c["holds"] for c in doc["claims"]) else 0
 
