@@ -92,9 +92,10 @@ def test_within_bounds_nothing_is_flagged(tmp_path):
 
 def test_a_change_spread_wider_than_the_bound_is_unresolved(tmp_path, capsys):
     # setup_s: median unchanged, IQR 0.5 against a bound of 0.25 · 1.0;
-    # cycle_ms: IQR 20 within 0.25 · 100
+    # cycle_ms: IQR 20 within 0.25 · 100; peak_rss_mb: IQR 10 against a
+    # bound of 0.1 · 50, but every change run is below every parent run
     parent = [(1.0, 100.0, 50.0)] * 4
-    change = [(0.6, 80.0, 50.0), (0.8, 95.0, 50.0), (1.2, 105.0, 50.0), (1.4, 120.0, 50.0)]
+    change = [(0.6, 80.0, 20.0), (0.8, 95.0, 25.0), (1.2, 105.0, 35.0), (1.4, 120.0, 40.0)]
     code, doc = _fold(tmp_path, parent, change)
     assert code == 0 and doc["flags"] == []
     assert [(u["workload"], u["metric"]) for u in doc["unresolved"]] == [("w", "setup_s")]

@@ -18,7 +18,8 @@ Every (workload, metric) whose change median is worse than the parent's by
 more than the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the
 parent's median) is listed under ``flags``.  Every (workload, metric) whose
 change IQR is wider than that same bound is listed under ``unresolved``: its
-runs spread too widely to tell whether the median moved within the bound.
+runs spread too widely to tell whether the median moved within the bound,
+unless every change run is better than every parent run.
 Each ``--claim WORKLOAD/METRIC`` is checked and listed under ``claims``: it
 holds when the change is better in at least 9 of every 10 pairs, its median
 beats the parent's by more than the parent's IQR, and no larger share of its
@@ -105,13 +106,16 @@ def fold(parent: dict, change: dict, end_to_end: list) -> dict:
 
 def unresolved(workloads: dict, end_to_end: list) -> list:
     """The (workload, metric) pairs whose change IQR is wider than the
-    metric's bound, a fraction of the parent's median."""
+    metric's bound, a fraction of the parent's median, and whose change runs
+    are not all better than every parent run."""
     out = []
     for name, w in workloads.items():
         for metric in end_to_end:
             m = w["metrics"][metric["name"]]
             width = metric["bound"] * abs(m["parent"]["median"])
-            if m["change"]["iqr"] > width:
+            sign = 1 if metric["better"] == "lower" else -1
+            all_better = max(sign * v for v in m["change"]["runs"]) < min(sign * v for v in m["parent"]["runs"])
+            if m["change"]["iqr"] > width and not all_better:
                 out.append({"workload": name, "metric": metric["name"], "change_iqr": m["change"]["iqr"],
                             "bound_width": width})
     return out
