@@ -253,4 +253,3 @@ def float_text(a) -> np.ndarray:
         _patch(out, a, special)
         lo, hi = 0, _FLOAT_WIDTH
     return out[:, lo:hi]
-
