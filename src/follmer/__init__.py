@@ -32,7 +32,6 @@ from .finance import (
     Strategy,
     dppi,
     drawdown_strategy,
-    make_strategy,
     self_financing_residual,
 )
 from .functions import C12Function, builtin_c12
@@ -44,7 +43,6 @@ from .integrals import (
     integration_by_parts,
     ito_formula_eval,
     qv_of_integral,
-    riemann_sum,
 )
 from .mc import McExperiment, run_mc
 from .partitions import (
@@ -78,7 +76,6 @@ from .quadvar import (
     DiscreteMeasure,
     QVResult,
     covariation,
-    discrete_qv,
     measure_convergence_check,
     measure_vs_qv_check,
     qv_measure,

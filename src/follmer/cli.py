@@ -245,7 +245,7 @@ def _qv(run: Run) -> dict:
     x = run.path("path")
     t = run.t
     qv = qv_sequence(x, run.seq, tol=run.tol)
-    mvq = measure_vs_qv_check(x, run.seq, t)
+    mvq = measure_vs_qv_check(x, run.seq, t, qv.level_curves)
 
     # the level numbers and grid times are formatted once and repeated
     points, levels = np.arange(len(run.grid)), np.arange(len(qv.level_curves))

@@ -40,9 +40,6 @@ __all__ = [
 ]
 
 
-_D1_RTOL = 1e-5  # relative tolerance of a first derivative against its central difference
-
-
 @dataclass(frozen=True)
 class MonotoneC2Function:
     """Scalar C^2 function on [domain_start, infinity) with derivatives.
@@ -62,21 +59,6 @@ class MonotoneC2Function:
 
     def deriv(self, y):
         return np.asarray(self.d1(np.asarray(y, dtype=float)), dtype=float)
-
-    def deriv2(self, y):
-        return np.asarray(self.d2(np.asarray(y, dtype=float)), dtype=float)
-
-    def validate(self, samples: np.ndarray) -> None:
-        s = np.asarray(samples, dtype=float)
-        h = 1e-5 * (1.0 + np.abs(s))
-        inside = s - h > self.domain_start
-        s, h = s[inside], h[inside]
-        num1 = (self(s + h) - self(s - h)) / (2 * h)
-        if not np.all(np.abs(self.deriv(s) - num1) <= _D1_RTOL * (1.0 + np.abs(num1))):
-            raise ValueError(f"{self.name or 'U'}: first derivative mismatch")
-        num2 = (self.deriv(s + h) - self.deriv(s - h)) / (2 * h)
-        if not np.all(np.abs(self.deriv2(s) - num2) <= 1e-3 * (1.0 + np.abs(num2))):
-            raise ValueError(f"{self.name or 'U'}: second derivative mismatch")
 
 
 # ---------------------------------------------------------------------------

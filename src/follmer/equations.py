@@ -51,9 +51,6 @@ class StochasticExponential:
     def values(self) -> np.ndarray:
         return self.path.x
 
-    def at(self, t: float) -> float:
-        return float(self.values[self.path.grid.clamp_index(t)])
-
 
 def doleans_exponential(
     x: GridPath,

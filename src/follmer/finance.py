@@ -31,7 +31,6 @@ __all__ = [
     "Market",
     "Strategy",
     "FloorSpec",
-    "make_strategy",
     "dppi",
     "self_financing_residual",
     "drawdown_strategy",
@@ -72,18 +71,6 @@ class Strategy:
     xi: GridPath
     eta: GridPath
     value: GridPath
-
-
-def make_strategy(market: Market, xi: GridPath, eta: GridPath) -> Strategy:
-    v = xi.x * market.s.x + eta.x * market.b.x
-    xl, el = left_values(xi), left_values(eta)
-    sl, bl = left_values(market.s), left_values(market.b)
-    v_left = xl * sl + el * bl
-    return Strategy(xi, eta, GridPath(market.grid, v, v - v_left))
-
-
-def constant_path(grid: TimeGrid, c: float) -> GridPath:
-    return GridPath(grid, np.full(len(grid), float(c)))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .stieltjes import stieltjes_fv, stieltjes_fv_curve, stieltjes_left
 __all__ = [
     "AdmissibleIntegrand",
     "IntegralResult",
-    "riemann_sum",
     "integral_curve",
     "integral_at",
     "integral_curves",
@@ -135,32 +134,6 @@ def integral_curves(h: np.ndarray, h_left: np.ndarray, x: GridPath, parts) -> li
     if isinstance(x, FVPath):
         return [stieltjes_fv_curve(h, h_left, x)]
     return [integral_curve(h, x.x, p) for p in parts]
-
-
-def riemann_sum(
-    xi,
-    x: GridPath,
-    p: Partition,
-    t: float,
-    convention: str = "truncated",
-) -> float:
-    """One non-anticipative Riemann sum; integrand sampled at left endpoints.
-
-    ``truncated``: sum of xi_{t_i} (X_{t_{i+1} ^ t} - X_{t_i ^ t}) over all
-    partition points.  ``restricted``: sum of full increments over t_i <= t.
-    The two agree whenever t is a partition point.
-    """
-    xi_vals, _ = _integrand_values(xi, x.grid)
-    g = x.grid.clamp_index(t)
-    idx = p.indices
-    if convention == "truncated":
-        inc = np.diff(x.x[np.minimum(idx, g)])
-        return float(np.sum(xi_vals[idx[:-1]] * inc))
-    if convention == "restricted":
-        keep = x.grid.times[idx[:-1]] <= t
-        inc = np.diff(x.x[idx])[keep]
-        return float(np.sum(xi_vals[idx[:-1]][keep] * inc))
-    raise ValueError(f"unknown convention {convention!r}")
 
 
 @dataclass(frozen=True)
@@ -335,6 +308,8 @@ def integration_by_parts(
     Also reports the worst per-level violation of the discrete identity
     sum d(XY) = sum Y_{t_i} dX + sum X_{t_i} dY + sum dX dY, which is an
     algebraic expansion and must hold to float precision at every level.
+    The two integrals are the left Riemann sums read by ``integral_at`` and
+    sum dX dY is the covariation curve, each at t.
     """
     g = x.grid.clamp_index(t)
     xs, ys = x.x, y.x
@@ -345,14 +320,12 @@ def integration_by_parts(
     worst_identity = 0.0
     for n, p in enumerate(seq):
         j = np.minimum(p.indices, g)
-        xv, yv = xs[j], ys[j]
-        dx, dy = np.diff(xv), np.diff(yv)
-        s_ydx = float(np.sum(yv[:-1] * dx))
-        s_xdy = float(np.sum(xv[:-1] * dy))
-        s_dxdy = float(np.sum(dx * dy))
-        s_dxy = float(np.sum(np.diff(xv * yv)))
-        worst_identity = max(worst_identity, abs(s_dxy - (s_ydx + s_xdy + s_dxdy)))
-        residuals.append(abs(lhs - (s_ydx + s_xdy + cov.level_curves[n][g])))
+        s_ydx = integral_at(ys, xs, p, g)
+        s_xdy = integral_at(xs, ys, p, g)
+        s_dxdy = cov.level_curves[n][g]
+        s_dxy = float(np.sum(np.diff(xs[j] * ys[j])))
+        worst_identity = max(worst_identity, float(abs(s_dxy - (s_ydx + s_xdy + s_dxdy))))
+        residuals.append(float(abs(lhs - (s_ydx + s_xdy + s_dxdy))))
     trend = TrendReport(tuple(residuals), tol)
     return PartsReport(
         residual=residuals[-1],
@@ -416,10 +389,10 @@ def associativity_check(
 ) -> AssociativityReport:
     """Per-level gap between sum_k int eta^k_- dY^k and int (sum_k eta^k xi^(k))_- dX.
 
-    ``eta`` holds one integrand eta^k, in any form ``riemann_sum`` accepts,
-    per admissible integrand xi^(k).  Y^k are the top-level integral paths of
-    the xi^(k); the left side sums the eta^k against them, the right side
-    sums the pointwise product integrand against X directly.
+    ``eta`` holds one integrand eta^k, in any form ``follmer_integral``
+    accepts, per admissible integrand xi^(k).  Y^k are the top-level
+    integral paths of the xi^(k); the left side sums the eta^k against them,
+    the right side sums the pointwise product integrand against X directly.
     """
     if len(eta) != len(integrands):
         raise ValueError("eta needs one integrand per admissible integrand")

@@ -289,6 +289,4 @@ def _json_default(v):
         return v.item()
     if isinstance(v, np.ndarray):
         return v.tolist()
-    if isinstance(v, tuple):
-        return list(v)
     raise TypeError(f"not JSON-serializable: {type(v)}")

@@ -54,10 +54,6 @@ class Partition:
     def __len__(self) -> int:
         return self.indices.size
 
-    def refines(self, other: "Partition") -> bool:
-        """Every point of ``other`` is a point of this partition."""
-        return bool(np.isin(other.indices, self.indices, assume_unique=True).all())
-
 
 def mesh(p: Partition) -> float:
     """|pi| = max gap between consecutive partition times."""
@@ -92,9 +88,6 @@ class PartitionSequence:
     @property
     def top(self) -> Partition:
         return self.levels[-1]
-
-    def meshes(self) -> list[float]:
-        return [mesh(p) for p in self.levels]
 
 
 def dyadic_sequence(

@@ -174,10 +174,6 @@ class FVPath(GridPath):
         """The continuous part A^c (no jumps)."""
         return GridPath(self.grid, self.cont_part)
 
-    def discontinuous(self) -> GridPath:
-        """The pure-jump part A^d."""
-        return GridPath(self.grid, self.jump_part, self.dX)
-
 
 def as_fv(path: GridPath) -> FVPath:
     if isinstance(path, FVPath):
@@ -242,9 +238,6 @@ def reciprocal_path(a: GridPath) -> GridPath:
 
 class PathGenerator:
     kind = "abstract"
-
-    def generate(self, grid: TimeGrid) -> GridPath:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)

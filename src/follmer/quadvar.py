@@ -29,7 +29,6 @@ from .paths import FVPath, GridPath, TimeGrid, add_paths, eval_left_limit, jump_
 __all__ = [
     "QVResult",
     "DiscreteMeasure",
-    "discrete_qv",
     "qv_curve",
     "product_curve",
     "qv_sequence",
@@ -80,16 +79,6 @@ def qv_curve(path: GridPath, p: Partition) -> np.ndarray:
     return product_curve(x, x, p)
 
 
-def discrete_qv(path: GridPath, p: Partition, t: float) -> float:
-    """[X,X]^pi_t for arbitrary t <= T (path right-continuous between samples)."""
-    if t > path.grid.T:
-        raise ValueError("t beyond the horizon")
-    g = path.grid.clamp_index(t)
-    j = np.minimum(p.indices, g)
-    d = np.diff(path.x[j])
-    return float(np.sum(d * d))
-
-
 # ---------------------------------------------------------------------------
 # Limits along a sequence
 # ---------------------------------------------------------------------------
@@ -120,10 +109,6 @@ class QVResult:
     diagonal: bool = True
     fv_exact: bool = False
     estimate_nondecreasing: bool = True
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("converged", "exact-fv")
 
     def at(self, t: float) -> float:
         return float(self.estimate[self.grid.clamp_index(t)])
@@ -277,10 +262,11 @@ class DiscreteMeasure:
         return bool(np.all(self.weights >= 0.0))
 
     def mass(self, t: float, closed: bool = True) -> float:
-        """mu([0, t]) (closed) or mu([0, t[) of the atom representation."""
+        """mu([0, t]) (closed) or mu([0, t[) of the atom representation,
+        its atoms added left to right as ``_anchor_sums`` adds them."""
         side = "right" if closed else "left"
         k = int(np.searchsorted(self.times, t, side=side))
-        return float(np.sum(self.weights[:k]))
+        return float(np.cumsum(np.concatenate([[0.0], self.weights[:k]]))[-1])
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray], t: float) -> float:
         """Sum of a_i f(t_i) over atoms with t_i <= t."""
@@ -330,18 +316,23 @@ class MeasureVsQVReport:
         }
 
 
-def measure_vs_qv_check(x: GridPath, seq: PartitionSequence, t: float) -> MeasureVsQVReport:
+def measure_vs_qv_check(
+    x: GridPath, seq: PartitionSequence, t: float, curves: Sequence[np.ndarray]
+) -> MeasureVsQVReport:
     """Compare [X,X]^{pi_n}_t with mu^{pi_n}_X([0,t]) level by level.
 
-    The closed-interval difference obeys the straddle bound
-    |diff| <= 4 sup_{s <= t+|pi_n|} |X_s| |X_{t_{i+1}} - X_t| with
-    t in [t_i, t_{i+1}[; when t is a partition point the open-interval
-    difference vanishes identically.
+    ``curves`` are the curves [X,X]^{pi_n} of ``qv_sequence(x, seq)``, one
+    per level, read at t.  The closed-interval difference obeys the straddle
+    bound |diff| <= 4 sup_{s <= t+|pi_n|} |X_s| |X_{t_{i+1}} - X_t| with
+    t in [t_i, t_{i+1}[; when t is a partition point the curve and the
+    measure add the same atoms in the same order, so the open-interval
+    difference is exactly 0.0.
     """
     xs = x.x
+    g = x.grid.clamp_index(t)
     qv, mc, mo, dc, do, bounds = [], [], [], [], [], []
-    for p in seq:
-        v = discrete_qv(x, p, t)
+    for p, curve in zip(seq, curves, strict=True):
+        v = float(curve[g])
         mu = qv_measure(x, x, p)
         closed = mu.mass(t, closed=True)
         opened = mu.mass(t, closed=False)
@@ -356,7 +347,7 @@ def measure_vs_qv_check(x: GridPath, seq: PartitionSequence, t: float) -> Measur
         g_hi = x.grid.clamp_index(min(x.grid.T, t + float(np.max(np.diff(times)))))
         sup_x = float(np.max(np.abs(xs[: g_hi + 1])))
         x_next = xs[x.grid.clamp_index(nxt)]
-        x_t = xs[x.grid.clamp_index(t)]
+        x_t = xs[g]
         bounds.append(4.0 * sup_x * abs(x_next - x_t))
     scale = max(1.0, max(qv, default=1.0))
     bounded = all(d <= b + 1e-12 * scale for d, b in zip(dc, bounds))

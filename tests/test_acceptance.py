@@ -12,6 +12,7 @@ import numpy as np
 
 import follmer as fl
 import follmer.functions as fn
+from follmer.quadvar import qv_curve
 
 TOL_STOCH = 5e-2
 
@@ -57,7 +58,7 @@ def test_criterion_1_exact_jump_identities():
         x = fl.FVPath(g, vals, jmap)
         target = sum(c * c for _, c in jumps)
         for p in seq:
-            worst = max(worst, abs(fl.discrete_qv(x, p, 1.0) - target))
+            worst = max(worst, abs(qv_curve(x, p)[-1] - target))
     report(1, worst <= 1e-12, f"step-path QV equals sum of squared jumps, worst gap {worst:.2e}")
     budget(1, t0, 1.0)
 

@@ -2,9 +2,11 @@
 or a dependency declared in pyproject.toml.  An undeclared import (say, a
 plotting or JIT library present on one machine only) would make code paths
 depend on what happens to be installed.  And every name a module imports is
-used there: an import left behind by a deletion fails here."""
+used there, and every name its ``__all__`` exports exists: an import or an
+export left behind by a deletion fails here."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -81,3 +83,9 @@ def _unused_imports(path: Path) -> set:
 def test_every_imported_name_is_used(path):
     # __init__.py imports to re-export, so it is left out
     assert _unused_imports(path) == set()
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_exists(path):
+    module = importlib.import_module("follmer" if path.stem == "__init__" else f"follmer.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []

@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 import follmer as fl
-from follmer.finance import constant_path, make_strategy
+
+
+def constant_path(grid, c):
+    return fl.GridPath(grid, np.full(len(grid), float(c)))
+
+
+def make_strategy(market, xi, eta):
+    """Holdings (xi, eta) with their value path xi S + eta B and its jumps."""
+    v = xi.x * market.s.x + eta.x * market.b.x
+    xl, el = fl.left_values(xi), fl.left_values(eta)
+    sl, bl = fl.left_values(market.s), fl.left_values(market.b)
+    return fl.Strategy(xi, eta, fl.GridPath(market.grid, v, v - (xl * sl + el * bl)))
 
 
 def geometric_market(seq, seed=21, sigma=0.2, rate=0.03, jumps=2.0):

@@ -7,7 +7,14 @@ import follmer as fl
 import follmer.functions as fn
 from follmer.integrals import integral_at, integral_curve, integral_curves
 from follmer.quadvar import product_curve, qv_curve
-from follmer.stieltjes import stieltjes_fv_curve, stieltjes_left
+from follmer.stieltjes import stieltjes_fv, stieltjes_fv_curve, stieltjes_left
+
+
+def riemann_sum(xi_vals, x_vals, p, g):
+    """Oracle: the left Riemann sum of xi against X along pi at grid index g,
+    sum xi_{t_i} (X_{t_{i+1} ^ t} - X_{t_i ^ t}), added pairwise by ``np.sum``."""
+    idx = p.indices
+    return float(np.sum(xi_vals[idx[:-1]] * np.diff(x_vals[np.minimum(idx, g)])))
 
 
 @pytest.fixture(scope="module")
@@ -18,38 +25,19 @@ def bm_setup():
 
 
 class TestRiemannSum:
+    """The left Riemann sum, read at one grid index by ``integral_at``."""
+
     def test_unit_integrand_telescopes(self, bm_setup):
         seq, w = bm_setup
         for p in seq:
-            v = fl.riemann_sum(1.0, w, p, 1.0)
+            v = integral_at(np.ones(len(w.grid)), w.x, p, len(w.grid) - 1)
             assert v == pytest.approx(w.x[-1] - w.x[0], rel=1e-14)
 
     def test_left_sampling_at_jump(self):
         g = fl.dyadic_grid(1.0, 5)
         x = fl.StepGenerator(c=2.0, t0=0.5).generate(g)
         p = fl.dyadic_sequence(1.0, 1, 1, grid=g).top  # {0, .5, 1} straddles
-        assert fl.riemann_sum(x, x, p, 1.0) == 0.0
-
-    def test_conventions_at_partition_points(self, bm_setup):
-        # at t in pi the two sums differ by exactly the closed-boundary term
-        # xi_t (X_next - X_t), which right continuity kills in the limit; on
-        # a path flat past t they coincide exactly
-        seq, w = bm_setup
-        p = seq.levels[2]
-        k = len(p) // 2
-        t = float(p.times[k])
-        a = fl.riemann_sum(w, w, p, t, "truncated")
-        b = fl.riemann_sum(w, w, p, t, "restricted")
-        i, j = p.indices[k], p.indices[k + 1]
-        boundary = w.x[i] * (w.x[j] - w.x[i])
-        assert b - a == pytest.approx(boundary, rel=1e-12)
-
-        g = fl.dyadic_grid(1.0, 5)
-        step = fl.StepGenerator(c=2.0, t0=0.25).generate(g)
-        ps = fl.dyadic_sequence(1.0, 1, 1, grid=g).top  # flat on [.5, 1]
-        assert fl.riemann_sum(step, step, ps, 0.5, "truncated") == fl.riemann_sum(
-            step, step, ps, 0.5, "restricted"
-        )
+        assert integral_at(x.x, x.x, p, len(g) - 1) == 0.0
 
     def test_non_anticipation(self, bm_setup):
         # the sum samples the integrand at left endpoints only: changing it
@@ -62,19 +50,17 @@ class TestRiemannSum:
         mask = np.ones(len(w.grid), dtype=bool)
         mask[p.indices] = False
         noisy[mask] = rng.normal(size=mask.sum())
-        a = fl.riemann_sum(fl.GridPath(w.grid, vals), w, p, 0.8)
-        b = fl.riemann_sum(fl.GridPath(w.grid, noisy), w, p, 0.8)
-        assert a == b
+        g = w.grid.clamp_index(0.8)
+        assert integral_at(vals, w.x, p, g) == integral_at(noisy, w.x, p, g)
 
     def test_linearity_exact_per_level(self, bm_setup):
         seq, w = bm_setup
         xi = np.sin(w.x)
         eta = np.cos(w.x)
+        g = len(w.grid) - 1
         for p in seq.levels[:3]:
-            lhs = fl.riemann_sum(fl.GridPath(w.grid, 2.0 * xi + 3.0 * eta), w, p, 1.0)
-            rhs = 2.0 * fl.riemann_sum(fl.GridPath(w.grid, xi), w, p, 1.0) + 3.0 * fl.riemann_sum(
-                fl.GridPath(w.grid, eta), w, p, 1.0
-            )
+            lhs = integral_at(2.0 * xi + 3.0 * eta, w.x, p, g)
+            rhs = 2.0 * integral_at(xi, w.x, p, g) + 3.0 * integral_at(eta, w.x, p, g)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
     def test_shift_rule_exact(self, bm_setup):
@@ -82,10 +68,10 @@ class TestRiemannSum:
         seq, w = bm_setup
         a = fl.as_fv(fl.StepGenerator(c=0.7, t0=0.25).generate(seq.grid))
         y = fl.add_paths(w, a)
-        xi = fl.GridPath(w.grid, np.tanh(w.x))
+        xi, g = np.tanh(w.x), len(w.grid) - 1
         for p in seq.levels[:3]:
-            lhs = fl.riemann_sum(xi, y, p, 1.0)
-            rhs = fl.riemann_sum(xi, w, p, 1.0) + fl.riemann_sum(xi, a, p, 1.0)
+            lhs = integral_at(xi, y.x, p, g)
+            rhs = integral_at(xi, w.x, p, g) + integral_at(xi, a.x, p, g)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
@@ -191,7 +177,7 @@ class TestIntegrationByParts:
         rep = fl.integration_by_parts(x, x, seq, 1.0)
         assert rep.residual == 0.0
         for p in seq:
-            assert fl.riemann_sum(x, x, p, 1.0) == 0.0
+            assert integral_at(x.x, x.x, p, len(seq.grid) - 1) == 0.0
 
     def test_constant_second_factor(self, bm_setup):
         seq, w = bm_setup
@@ -298,14 +284,37 @@ class TestIntegralCurves:
         assert np.array_equal(got, stieltjes_fv_curve(h, h_left, x))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    level=st.integers(1, 9),
+    slope=st.floats(-3, 3, allow_nan=False),
+    jumps=st.lists(st.tuples(st.integers(1, 512), st.floats(-1, 1, allow_nan=False)), max_size=6),
+)
+def test_stieltjes_fv_is_its_curve_at_every_point(level, slope, jumps):
+    # an FV path with a continuous part and jumps: the point reader sums the
+    # curve's increments in the curve's order, so they agree bit for bit
+    g = fl.dyadic_grid(1.0, level)
+    vals = slope * g.times + 0.3 * np.sin(7.0 * g.times)
+    jmap = {}
+    for i, c in jumps:
+        i = min(i, len(g) - 1)
+        vals[i:] += c
+        jmap[i] = jmap.get(i, 0.0) + c
+    a = fl.FVPath(g, vals, {i: c for i, c in jmap.items() if c})
+    h, h_left = np.exp(-a.x), np.exp(-fl.left_values(a))
+    curve = stieltjes_fv_curve(h, h_left, a)
+    points = np.array([stieltjes_fv(h, h_left, a, upto=k) for k in range(len(g))])
+    assert points.view(np.int64).tolist() == curve.view(np.int64).tolist()
+    assert stieltjes_fv(h, h_left, a) == curve[-1]
+
+
 def test_integral_curve_matches_riemann_sum(bm_setup):
     seq, w = bm_setup
     p = seq.levels[1]
     xi = np.sin(w.x)
     curve = integral_curve(xi, w.x, p)
     for g_idx in (0, 7, 100, len(seq.grid) - 1):
-        t = float(seq.grid.times[g_idx])
-        direct = fl.riemann_sum(fl.GridPath(w.grid, xi), w, p, t)
+        direct = riemann_sum(xi, w.x, p, g_idx)
         assert curve[g_idx] == pytest.approx(direct, rel=1e-12, abs=1e-14)
 
 

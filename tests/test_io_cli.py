@@ -154,6 +154,24 @@ class TestCli:
         values = {float(r.split(",")[2]) for r in rows[1:-1]}
         assert values == {0.0}
 
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.3])
+    def test_qv_measure_check_reads_the_table(self, tmp_path, t):
+        # the measure check reads each level at t off the curves in qv.csv,
+        # the headline is the top level's, and at a partition point the open
+        # measure adds the curve's atoms in the curve's order
+        cfg = {**_LEVEL_8, "path": _BROWNIAN_JUMPS, "stochastic": True, "t": t}
+        result, out = run_cli(tmp_path, "qv", cfg, "--seed", "5")
+        assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+        report = json.loads((out / "qv_report.json").read_text())
+        check = report["measure_check"]
+        rows = [line.split(",") for line in (out / "qv.csv").read_text().splitlines()[1:-1]]
+        level, times, qv = (np.array(column, dtype=float) for column in zip(*rows))
+        at_t = [qv[(level == n) & (times <= t)][-1] for n in range(report["levels"])]
+        assert check["qv"] == at_t
+        assert report["qv_at_t"] == check["qv"][-1]
+        if t != 0.3:
+            assert check["diff_open"] == [0.0] * len(at_t)
+
     def test_linear_oracle(self, tmp_path):
         cfg = {
             "x": {"kind": "formula", "name": "linear"},

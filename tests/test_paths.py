@@ -106,10 +106,9 @@ def test_fv_decomposition_exact():
     vals[i:] += 0.7
     a = fl.FVPath(g, vals, {i: 0.7})
     c = a.continuous()
-    d = a.discontinuous()
     assert not c.jumps
-    assert np.array_equal(c.x + d.x, a.x)
-    assert d.x[i] == pytest.approx(0.7)
+    assert np.array_equal(c.x + a.jump_part, a.x)
+    assert a.jump_part[i] == pytest.approx(0.7)
 
 
 class TestGenerators:
@@ -242,7 +241,7 @@ def test_fv_decomposition_property(seed, jumps):
             jmap[i] = c
     a = fl.FVPath(g, vals, jmap)
     assert not a.continuous().jumps
-    assert np.allclose(a.continuous().x + a.discontinuous().x, a.x, atol=1e-15)
+    assert np.allclose(a.continuous().x + a.jump_part, a.x, atol=1e-15)
     lv = fl.left_values(a)
     for i in range(len(g)):
         scale = max(1.0, abs(vals[i]))

@@ -8,6 +8,17 @@ import follmer as fl
 from follmer.quadvar import product_curve, qv_curve
 
 
+def discrete_qv(path, p, t):
+    """Oracle: [X,X]^pi_t, the sum of (X_{t_{i+1} ^ t} - X_{t_i ^ t})^2 over
+    pi, added pairwise by ``np.sum``."""
+    d = np.diff(path.x[np.minimum(p.indices, path.grid.clamp_index(t))])
+    return float(np.sum(d * d))
+
+
+def measure_check(x, seq, t):
+    return fl.measure_vs_qv_check(x, seq, t, [qv_curve(x, p) for p in seq])
+
+
 def zigzag(base=0.0, amplitude=1.0, period=0.5):
     return lambda t: base + amplitude * (2.0 / period) * np.minimum(
         np.mod(t, period), period - np.mod(t, period)
@@ -20,7 +31,7 @@ class TestDiscreteQV:
         x = fl.StepGenerator(c=2.0, t0=0.5).generate(g)
         for n in (1, 2, 4):
             p = fl.dyadic_sequence(1.0, n, n, grid=g).top
-            assert fl.discrete_qv(x, p, 1.0) == 4.0
+            assert qv_curve(x, p)[-1] == 4.0
 
     def test_linear_closed_form(self):
         # sum over 2^n intervals of (2^-n)^2 = 2^-n, independently derived
@@ -28,13 +39,13 @@ class TestDiscreteQV:
             g = fl.dyadic_grid(1.0, n)
             x = fl.FormulaGenerator(lambda t: t).generate(g)
             p = fl.dyadic_sequence(1.0, n, n, grid=g).top
-            assert fl.discrete_qv(x, p, 1.0) == pytest.approx(0.5**n, rel=1e-12)
+            assert qv_curve(x, p)[-1] == pytest.approx(0.5**n, rel=1e-12)
 
     def test_constant(self):
         g = fl.dyadic_grid(1.0, 5)
         x = fl.FormulaGenerator(lambda t: 0 * t + 3.0).generate(g)
         p = fl.dyadic_sequence(1.0, 2, 2, grid=g).top
-        assert fl.discrete_qv(x, p, 0.7) == 0.0
+        assert qv_curve(x, p)[g.clamp_index(0.7)] == 0.0
 
     def test_brute_force_oracle_at_interior_t(self):
         g = fl.dyadic_grid(1.0, 5)
@@ -47,7 +58,7 @@ class TestDiscreteQV:
             xa = x.x[g.clamp_index(min(a, t))]
             xb = x.x[g.clamp_index(min(b, t))]
             total += (xb - xa) ** 2
-        assert fl.discrete_qv(x, p, t) == pytest.approx(total, rel=1e-14)
+        assert qv_curve(x, p)[g.clamp_index(t)] == pytest.approx(total, rel=1e-14)
 
 
 class TestQvSequence:
@@ -197,14 +208,30 @@ class TestMeasureVsQV:
     def test_partition_point_open_mass_agrees_exactly(self):
         seq = fl.dyadic_sequence(1.0, 2, 6)
         x = fl.DyadicBrownianGenerator(seed=4).generate(seq.grid)
-        rep = fl.measure_vs_qv_check(x, seq, 0.5)
+        rep = measure_check(x, seq, 0.5)
         assert all(d == 0.0 for d in rep.diff_open)
         assert rep.bounded
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(0, 1024))
+    def test_open_mass_is_the_curve_at_partition_points(self, seed, k):
+        # mu^pi([0, t_k[) adds the atoms of [X]^pi_{t_k} in the same order
+        seq = fl.dyadic_sequence(1.0, 4, 10)
+        x = fl.add_paths(
+            fl.DyadicBrownianGenerator(seed=seed).generate(seq.grid),
+            fl.CompoundJumpGenerator(seed=seed, intensity=3.0, size=0.5, sampler="uniform").generate(seq.grid),
+        )
+        t = float(seq.grid.times[k])
+        rep = measure_check(x, seq, t)
+        for p, v, opened, do in zip(seq, rep.qv, rep.mass_open, rep.diff_open):
+            assert v == qv_curve(x, p)[k]
+            if t in p.times:
+                assert opened == v and do == 0.0
 
     def test_linear_interior_t_bound(self):
         seq = fl.dyadic_sequence(1.0, 2, 8)
         x = fl.FormulaGenerator(lambda t: t).generate(seq.grid)
-        rep = fl.measure_vs_qv_check(x, seq, 0.3)
+        rep = measure_check(x, seq, 0.3)
         assert rep.bounded
         assert rep.diff_closed[-1] <= rep.diff_closed[0] + 1e-15
 
@@ -212,7 +239,7 @@ class TestMeasureVsQV:
         seq = fl.dyadic_sequence(1.0, 1, 8)
         x = fl.StepGenerator(c=1.0, t0=0.5).generate(seq.grid)
         t = 0.5 - 0.5**8  # just below the jump
-        rep = fl.measure_vs_qv_check(x, seq, t)
+        rep = measure_check(x, seq, t)
         assert rep.bounded
         # the open mass counts the jump square until the mesh separates t
         # from the jump time; the closed mass keeps the straddling atom
@@ -319,7 +346,7 @@ def test_qv_curve_matches_discrete_qv_on_grid_times():
     curve = qv_curve(x, p)
     for g_idx in (0, 5, 17, len(seq.grid) - 1):
         t = float(seq.grid.times[g_idx])
-        assert curve[g_idx] == pytest.approx(fl.discrete_qv(x, p, t), rel=1e-14)
+        assert curve[g_idx] == pytest.approx(discrete_qv(x, p, t), rel=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
