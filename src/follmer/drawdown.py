@@ -15,7 +15,6 @@ that respects the strict constraint Y ^ Y_- > w(Ybar).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,15 +41,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MonotoneC2Function:
-    """Scalar C^2 function on [domain_start, infinity) with derivatives.
+    """Scalar C^2 function on [domain_start, infinity) with its derivative.
 
-    Only right derivatives are meant at the left endpoint.  All callables
+    Only right derivatives are meant at the left endpoint.  Both callables
     are vectorized.
     """
 
     value: Callable
     d1: Callable
-    d2: Callable
     domain_start: float
     name: str = ""
 
@@ -204,88 +202,99 @@ def builtin_floor(name: str, a_star: float, **params) -> FloorFunction:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_NODES_PER_UNIT = 256  # nodes of the exponent's table per unit of y
-
-
-# invert() extends the node table by 1.5x per round up to y = a_star +
-# _MAX_SPAN * max(1, a_star) and raises there: a target can stay out of reach
-# (an overshooting Hermite cubic near a vanishing margin), and the table must
-# not grow until memory runs out.  The cap is relative to a_star, so a floor
-# at any price scale can follow its path over a 1024-fold rise
-_MAX_SPAN = 1024.0
+_NODES_PER_UNIT = 1024  # lattice nodes per unit of I
+_BLOCK = 256  # lattice nodes placed per call of the margin, about a quarter unit of I
+_MAX_NODES = 32 * _NODES_PER_UNIT  # the lattice's budget: 28 to 32 units of I for the builtin floors
 
 
 class _CumulativeExponent:
-    """I(y) = int_{a_star}^{y} ds / m(s), tabulated and C^1-interpolated.
+    """I(y) = int_{a_star}^{y} ds / m(s) on a node lattice uniform in I.
 
-    Node values are Gauss-Legendre quadratures over segments that end at the
-    nodes and at the floor's knots; between nodes a Hermite cubic with the
-    analytic slope 1/m is used.  The table extends on demand.
+    From a_star, each node steps by m / _NODES_PER_UNIT past the last, so an
+    interval adds about 1 / _NODES_PER_UNIT to I at any price scale.  A block
+    of _BLOCK nodes steps by the margin at its start, and ends early where the
+    margin falls below half of it.  Node values are Gauss-Legendre quadratures
+    over pieces that end at the nodes and at the floor's knots; between nodes
+    a Hermite cubic with the analytic slope 1/m is used.  The lattice depends
+    on the floor alone: it grows only by appending blocks, up to _MAX_NODES
+    nodes, and starts with the first unit of I.
     """
 
     def __init__(self, floor: FloorFunction):
         self.floor = floor
         self.a_star = floor.a_star
+        self._knots = np.asarray(floor.knots, dtype=float)
+        self._m_last = float(floor.margin(self.a_star))
+        if not self._m_last > 0.0:
+            raise ValueError(f"floor margin y - w(y) is not positive at a_star = {self.a_star}")
         self._nodes = np.array([self.a_star])
         self._vals = np.array([0.0])
-        self._extend_to(self.a_star + 1.0)
+        self._slopes = np.array([1.0 / self._m_last])
+        self._grow(past_i=1.0)
 
-    def _extend_to(self, hi: float) -> None:
-        lo = float(self._nodes[-1])
-        span = hi - lo
-        count = max(8, int(math.ceil(span * _NODES_PER_UNIT)))
-        new = np.linspace(lo, hi, count + 1)[1:]
-        margins = self.floor.margin(new)
-        if np.any(margins <= 0.0):
-            bad = float(new[np.argmax(margins <= 0.0)])
-            raise ValueError(f"floor margin y - w(y) is not positive near y = {bad}")
-        # one 16-point Gauss-Legendre rule per piece; pieces end at the new
-        # nodes and at the floor's knots, so every integrand is smooth
-        knots = np.asarray(self.floor.knots, dtype=float)
-        ends = np.union1d(new, knots[(knots > lo) & (knots < new[-1])])
-        starts = np.concatenate([[lo], ends[:-1]])
-        half, mid = 0.5 * (ends - starts), 0.5 * (ends + starts)
-        s = mid[:, None] + half[:, None] * _GL_NODES
-        m = self.floor.margin(s.ravel()).reshape(s.shape)
-        if np.any(m <= 0.0):
-            raise ValueError(f"floor margin y - w(y) is not positive near y = {float(np.min(s[m <= 0.0]))}")
-        pieces = half * ((1.0 / m) @ _GL_WEIGHTS)
-        vals = np.cumsum(np.concatenate([self._vals[-1:], pieces]))[np.searchsorted(ends, new) + 1]
-        self._nodes = np.concatenate([self._nodes, new])
-        self._vals = np.concatenate([self._vals, vals])
-        self._slopes = 1.0 / self.floor.margin(self._nodes)
-
-    def ensure(self, y_max: float) -> None:
-        if y_max > self._nodes[-1]:
-            self._extend_to(max(y_max, self._nodes[-1] + 0.5))
+    def _grow(self, past_y: float = -np.inf, past_i: float = -np.inf) -> None:
+        """Append blocks until the last node lies beyond y = past_y and I = past_i."""
+        y0, v0, m0 = float(self._nodes[-1]), float(self._vals[-1]), self._m_last
+        if y0 > past_y and v0 > past_i:
+            return
+        count = self._nodes.size
+        nodes, vals, slopes = [self._nodes], [self._vals], [self._slopes]
+        while (y0 <= past_y or v0 <= past_i) and count < _MAX_NODES:
+            ys = y0 + m0 / _NODES_PER_UNIT * np.arange(1, _BLOCK + 1)
+            m = self.floor.margin(ys)
+            if not m[0] > 0.0:
+                raise ValueError(f"floor margin y - w(y) is not positive near y = {ys[0]}")
+            short = np.flatnonzero(~(m >= 0.5 * m0))
+            k = max(1, int(short[0])) if short.size else _BLOCK
+            ys, m = ys[:k], m[:k]
+            # one 16-point Gauss-Legendre rule per piece; pieces end at the
+            # nodes and at the floor's knots, so every integrand is smooth
+            ends = np.union1d(ys, self._knots[(self._knots > y0) & (self._knots < ys[-1])])
+            starts = np.concatenate([[y0], ends[:-1]])
+            half, mid = 0.5 * (ends - starts), 0.5 * (ends + starts)
+            s = mid[:, None] + half[:, None] * _GL_NODES
+            mq = self.floor.margin(s.ravel()).reshape(s.shape)
+            if not np.all(mq > 0.0):
+                bad = float(np.min(s[~(mq > 0.0)]))
+                raise ValueError(f"floor margin y - w(y) is not positive near y = {bad}")
+            pieces = half * ((1.0 / mq) @ _GL_WEIGHTS)
+            v = np.cumsum(np.concatenate([[v0], pieces]))[np.searchsorted(ends, ys) + 1]
+            nodes.append(ys)
+            vals.append(v)
+            slopes.append(1.0 / m)
+            y0, v0, m0 = float(ys[-1]), float(v[-1]), float(m[-1])
+            count += k
+        self._nodes, self._vals, self._slopes = (np.concatenate(parts) for parts in (nodes, vals, slopes))
+        self._m_last = m0
+        if y0 <= past_y or v0 <= past_i:
+            short_of = f"y = {past_y:.6g}" if y0 <= past_y else f"I = {past_i:.6g}"
+            raise ValueError(
+                f"the drawdown exponent from a_star = {self.a_star:.6g} reaches only I = {v0:.6g} at y = {y0:.6g} "
+                f"within its budget of {_MAX_NODES} nodes, short of {short_of}"
+            )
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
-        if y.size and float(np.max(y)) > self._nodes[-1]:
-            self.ensure(float(np.max(y)) + 0.25)
+        if y.size:
+            self._grow(past_y=float(np.max(y)))
         return _hermite(self._nodes, self._vals, self._slopes, y)[0]
 
     def invert(self, target):
-        """Solve I(y) = target by table bracket plus Newton (I' = 1/m)."""
+        """Solve I(y) = target by Newton steps (I' = 1/m) from the lattice's
+        linear interpolant, each kept inside its target's lattice interval."""
         target = np.asarray(target, dtype=float)
-        y_cap = self.a_star + _MAX_SPAN * max(1.0, abs(self.a_star))
-        while float(np.max(target)) > self._vals[-1]:
-            if self._nodes[-1] >= y_cap:
-                raise ValueError(
-                    f"cannot invert the drawdown exponent for a_star = {self.a_star:.6g}: target "
-                    f"I = {float(np.max(target)):.6g} is beyond the last tabulated I = {self._vals[-1]:.6g} "
-                    f"at y = {self._nodes[-1]:.6g}, where the table stops"
-                )
-            self._extend_to(min(self._nodes[-1] * 1.5 + 1.0, y_cap))
+        if target.size:
+            self._grow(past_i=float(np.max(target)))
+        i = np.clip(np.searchsorted(self._vals, target, side="right") - 1, 0, self._vals.size - 2)
+        lo, hi = self._nodes[i], self._nodes[i + 1]
         y = np.interp(target, self._vals, self._nodes)
-        lo, hi = self._nodes[0], self._nodes[-1]
         for _ in range(60):
-            err = self(y) - target
-            y_new = np.clip(y - err * self.floor.margin(y), lo, hi)
-            if np.allclose(y_new, y, rtol=0.0, atol=1e-14 * (1.0 + np.abs(y).max())):
-                y = y_new
-                break
+            m = self.floor.margin(y)
+            y_new = np.clip(y - (self(y) - target) * m, lo, hi)
+            done = np.all(np.abs(y_new - y) <= 1e-14 * (np.abs(y) + m))
             y = y_new
+            if done:
+                break
         return y
 
 
@@ -295,16 +304,15 @@ class DrawdownTransform:
     U: MonotoneC2Function
     floor: FloorFunction
     a: float
-    roundtrip_error: float
 
 
 def floor_to_transform(floor: FloorFunction, a: float) -> DrawdownTransform:
     """Build V(y) = a exp(int_{a*}^{y} ds/(s - w(s))) and U = V^{-1}.
 
-    V' = V / m(y) and V'' = V w'(y) / m(y)^2 are analytic given V; U comes
-    from monotone inversion of the tabulated exponent, with U' = m(U(x)) / x
-    and U'' = -m(U(x)) w'(U(x)) / x^2.  The round trip U(V(y)) = y is checked
-    on a sample of the tabulated range.
+    V' = V / m(y) is analytic given V; U is the Newton inverse of V's
+    Hermite interpolant, with U' = m(U(x)) / x.  The round trip U(V(y)) = y
+    is checked, relative to |y| + m(y), on a sample of the lattice's first
+    unit of I.
     """
     if a <= 0:
         raise ValueError("the transform needs a > 0")
@@ -317,11 +325,7 @@ def floor_to_transform(floor: FloorFunction, a: float) -> DrawdownTransform:
     def v_d1(y):
         return v_val(y) / floor.margin(y)
 
-    def v_d2(y):
-        m = floor.margin(y)
-        return v_val(y) * np.asarray(floor.dw(np.asarray(y, dtype=float)), dtype=float) / (m * m)
-
-    V = MonotoneC2Function(v_val, v_d1, v_d2, a_star, name="V")
+    V = MonotoneC2Function(v_val, v_d1, a_star, name="V")
 
     def u_val(x):
         return exponent.invert(np.log(np.asarray(x, dtype=float) / a))
@@ -330,18 +334,13 @@ def floor_to_transform(floor: FloorFunction, a: float) -> DrawdownTransform:
         x = np.asarray(x, dtype=float)
         return floor.margin(u_val(x)) / x
 
-    def u_d2(x):
-        x = np.asarray(x, dtype=float)
-        u = u_val(x)
-        return -floor.margin(u) * np.asarray(floor.dw(u), dtype=float) / (x * x)
+    U = MonotoneC2Function(u_val, u_d1, a, name="U")
 
-    U = MonotoneC2Function(u_val, u_d1, u_d2, a, name="U")
-
-    ys = np.linspace(a_star, float(exponent._nodes[-1]), 1000)
-    rt = float(np.max(np.abs(U(V(ys)) - ys)))
-    if rt > 1e-9 * (1.0 + float(np.max(np.abs(ys)))):
-        raise ValueError(f"transform round trip off by {rt}")
-    return DrawdownTransform(V, U, floor, a, rt)
+    ys = np.linspace(a_star, float(exponent._nodes[-1]), 1000, endpoint=False)
+    rt = float(np.max(np.abs(U(V(ys)) - ys) / (np.abs(ys) + floor.margin(ys))))
+    if rt > 1e-9:
+        raise ValueError(f"transform round trip off by {rt} relative to |y| + m(y)")
+    return DrawdownTransform(V, U, floor, a)
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +425,8 @@ def solve_drawdown(
     xl = left_values(x)
     if np.any(x.x <= 0.0) or np.any(xl <= 0.0):
         raise ValueError("the drawdown construction needs X > 0 and X_- > 0")
-    xbar, cont = running_maximum(x)
-    if not cont:
-        raise ValueError("running maximum is discontinuous at grid scale")
-    a = float(x.x[0])
-    transform = floor_to_transform(floor, a)
-    transform.U(np.array([float(xbar.x.max())]))  # force table coverage
-    ay = azema_yor_path(transform.U, x)
+    transform = floor_to_transform(floor, float(x.x[0]))
+    ay = azema_yor_path(transform.U, x)  # rejects a discontinuous running maximum
     y = ay.path
     ybar, _ = running_maximum(y)
     w_ybar = floor(ybar.x)

@@ -43,7 +43,6 @@ class StochasticExponential:
     path: GridPath
     qv: QVResult
     exponent: np.ndarray  # X_t - X_0 - [X,X]^c_t / 2
-    jump_product: np.ndarray
     zero_hit: bool  # some dX = -1: E(X) is absorbed at 0
     positive: bool  # all dX > -1: E(X) and E(X)_- stay positive
 
@@ -81,7 +80,6 @@ def doleans_exponential(
         path=cls(x.grid, values, dE),
         qv=qv,
         exponent=exponent,
-        jump_product=jump_product,
         zero_hit=bool(np.any(dx == -1.0)),
         positive=not np.any(dx <= -1.0),
     )

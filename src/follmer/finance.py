@@ -97,7 +97,6 @@ class DppiReport:
     floor_margin: float
     floor_ok: bool
     self_financing: "SelfFinancingReport"
-    general_floor_gap: np.ndarray
 
 
 def dppi(
@@ -170,7 +169,6 @@ def dppi(
             f"floor breached by {margin} despite dX > -1; this is a bug"
         )
     sf = self_financing_residual(strategy, market, seq, grid.T, tol=tol)
-    general_gap = (v_vals - floor_curve) / e_vals
     return DppiReport(
         strategy=strategy,
         x_path=x_path,
@@ -179,7 +177,6 @@ def dppi(
         floor_margin=margin,
         floor_ok=floor_ok,
         self_financing=sf,
-        general_floor_gap=general_gap,
     )
 
 
@@ -241,7 +238,6 @@ def drawdown_strategy(
         raise ValueError("S and S_- must be strictly positive")
     grid = s.grid
     transform = floor_to_transform(floor, float(s.x[0]))
-    transform.U(np.array([float(sbar.x.max())]))
     ay = azema_yor_path(transform.U, s)
     v_path = ay.path
 

@@ -343,7 +343,6 @@ def integration_by_parts(
 @dataclass(frozen=True)
 class QvOfIntegralReport:
     qv: QVResult
-    target: np.ndarray
     gaps: tuple
     trend: TrendReport
 
@@ -367,7 +366,7 @@ def qv_of_integral(
     qv = qv_sequence(y, seq, tol=tol, fv_exact=False)
     target = _qv_target_curve(xi.values_left, x, seq)
     gaps = tuple(sup_distance(c, target) for c in qv.level_curves)
-    return QvOfIntegralReport(qv, target, gaps, TrendReport(gaps, tol))
+    return QvOfIntegralReport(qv, gaps, TrendReport(gaps, tol))
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,8 @@ def make_generator(ref: dict, grid: TimeGrid, where: str = "generator") -> PathG
         raise ConfigError(
             f"{where}.sampler must be one of {list(CompoundJumpGenerator.SAMPLERS)}, got {params['sampler']!r}"
         )
+    if kind == "geometric" and not abs(params.get("jump_size", GeometricGenerator.jump_size)) < 1.0:
+        raise ConfigError(f"{where}.jump_size must stay below 1 in magnitude, got {params['jump_size']!r}")
     try:
         if kind == "formula":
             name = params.pop("name")
@@ -197,17 +199,28 @@ def make_function(ref: dict, where: str = "f") -> C12Function:
 
 
 def make_floor(ref: dict, where: str = "floor") -> FloorFunction:
+    """The floor of ``ref``.  A proportional ``alpha`` outside [0, 1), a
+    constant margin ``c`` that is not positive and an ``a_star`` where the
+    margin y - w(y) is not positive are config errors."""
     if not isinstance(ref, dict) or "name" not in ref:
         raise ConfigError(f"{where} must be an object with a 'name'")
     params = {k: v for k, v in ref.items() if k not in ("name", "a_star")}
     _finite_params(params, where)
     a_star = number(ref, "a_star", where=where)
+    name = ref["name"]
+    if name == "proportional" and "alpha" in params and not 0.0 <= number(params, "alpha", where=where) < 1.0:
+        raise ConfigError(f"{where}.alpha must satisfy 0 <= alpha < 1, got {params['alpha']!r}")
+    if name == "constant-margin" and "c" in params and not number(params, "c", where=where) > 0.0:
+        raise ConfigError(f"{where}.c must be positive, got {params['c']!r}")
     try:
-        return builtin_floor(ref["name"], a_star, **params)
+        floor = builtin_floor(name, a_star, **params)
     except KeyError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     except TypeError as exc:
         raise ConfigError(f"{where}: bad parameters: {exc}") from exc
+    if not float(floor.margin(a_star)) > 0.0:
+        raise ConfigError(f"{where}.a_star = {ref['a_star']!r}: the floor margin y - w(y) is not positive there")
+    return floor
 
 
 def write_csv(path: Path, header: list, columns: list, cfg_hash: str) -> None:

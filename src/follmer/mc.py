@@ -75,7 +75,6 @@ class SeedOutcome:
     seed: int
     sup_errors: tuple
     oscillations: tuple
-    max_gaps: tuple
     gaps_ok: bool
     osc_ok: bool
     osc_sum: float
@@ -214,7 +213,6 @@ def run_seed(exp: McExperiment, seed: int) -> SeedOutcome:
         seed=seed,
         sup_errors=tuple(sup_errors),
         oscillations=tuple(oscs),
-        max_gaps=tuple(gaps),
         gaps_ok=gaps_ok,
         osc_ok=osc_ok,
         osc_sum=osc_sum,

@@ -370,9 +370,11 @@ class GeometricGenerator(PathGenerator):
     jump_size: float = 0.1
     kind = "geometric"
 
-    def generate(self, grid: TimeGrid) -> GridPath:
-        if abs(self.jump_size) >= 1.0:
+    def __post_init__(self):
+        if not abs(self.jump_size) < 1.0:
             raise ValueError("jump size must stay below 1 in magnitude")
+
+    def generate(self, grid: TimeGrid) -> GridPath:
         w = DyadicBrownianGenerator(seed=self.seed, sigma=self.sigma).generate(grid)
         vals = self.s0 * np.exp(w.x + self.mu * grid.times)
         if self.jump_intensity <= 0.0:

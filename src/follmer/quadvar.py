@@ -104,11 +104,7 @@ class QVResult:
     level_gaps: tuple
     trend: TrendReport
     cond2_worst: float
-    cond2_ok: bool
     status: str
-    diagonal: bool = True
-    fv_exact: bool = False
-    estimate_nondecreasing: bool = True
 
     def at(self, t: float) -> float:
         return float(self.estimate[self.grid.clamp_index(t)])
@@ -161,8 +157,6 @@ def _assemble(
         status = "exact-fv"
     else:
         status = trend.status
-    scale = float(np.max(np.abs(estimate))) or 1.0
-    monotone = bool(np.all(np.diff(estimate) >= -1e-12 * scale)) if x is y else True
     return QVResult(
         grid=x.grid,
         level_curves=tuple(curves),
@@ -172,11 +166,7 @@ def _assemble(
         level_gaps=gaps,
         trend=trend,
         cond2_worst=worst,
-        cond2_ok=ok,
         status=status,
-        diagonal=x is y,
-        fv_exact=fv_exact,
-        estimate_nondecreasing=monotone,
     )
 
 
@@ -229,6 +219,11 @@ def covariation(
 # ---------------------------------------------------------------------------
 
 
+def _running_total(v: np.ndarray) -> float:
+    """0.0 plus the entries of ``v``, left to right."""
+    return float(np.cumsum(np.concatenate([[0.0], v]))[-1])
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """mu = sum of a_i delta_{t_i} with atoms at partition points.
@@ -266,14 +261,13 @@ class DiscreteMeasure:
         its atoms added left to right as ``_anchor_sums`` adds them."""
         side = "right" if closed else "left"
         k = int(np.searchsorted(self.times, t, side=side))
-        return float(np.cumsum(np.concatenate([[0.0], self.weights[:k]]))[-1])
+        return _running_total(self.weights[:k])
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray], t: float) -> float:
-        """Sum of a_i f(t_i) over atoms with t_i <= t."""
+        """Sum of a_i f(t_i) over atoms with t_i <= t, added in ``mass``'s
+        order, so that f = 1 gives ``mass(t)`` bit for bit."""
         k = int(np.searchsorted(self.times, t, side="right"))
-        if k == 0:
-            return 0.0
-        return float(np.sum(self.weights[:k] * np.asarray(f(self.times[:k]), dtype=float)))
+        return _running_total(self.weights[:k] * np.asarray(f(self.times[:k]), dtype=float))
 
     def straddling_weight(self, t: float) -> float:
         """Weight of the atom whose interval ]b_i, b_{i+1}] contains t."""
@@ -298,7 +292,6 @@ def qv_measure(x: GridPath, y: GridPath, p: Partition) -> DiscreteMeasure:
 class MeasureVsQVReport:
     t: float
     qv: tuple
-    mass_closed: tuple
     mass_open: tuple
     diff_closed: tuple
     diff_open: tuple
@@ -330,14 +323,13 @@ def measure_vs_qv_check(
     """
     xs = x.x
     g = x.grid.clamp_index(t)
-    qv, mc, mo, dc, do, bounds = [], [], [], [], [], []
+    qv, mo, dc, do, bounds = [], [], [], [], []
     for p, curve in zip(seq, curves, strict=True):
         v = float(curve[g])
         mu = qv_measure(x, x, p)
         closed = mu.mass(t, closed=True)
         opened = mu.mass(t, closed=False)
         qv.append(v)
-        mc.append(closed)
         mo.append(opened)
         dc.append(abs(v - closed))
         do.append(abs(v - opened))
@@ -352,7 +344,7 @@ def measure_vs_qv_check(
     scale = max(1.0, max(qv, default=1.0))
     bounded = all(d <= b + 1e-12 * scale for d, b in zip(dc, bounds))
     return MeasureVsQVReport(
-        t, tuple(qv), tuple(mc), tuple(mo), tuple(dc), tuple(do), tuple(bounds), bounded
+        t, tuple(qv), tuple(mo), tuple(dc), tuple(do), tuple(bounds), bounded
     )
 
 
@@ -366,8 +358,6 @@ def _left_value_at(path: GridPath, s: float) -> float:
 
 @dataclass(frozen=True)
 class MeasureConvergenceReport:
-    distribution_gaps: tuple
-    condition_star_gaps: dict
     integral_per_level: tuple
     integral_target: float
     integral_gaps: tuple
@@ -430,6 +420,4 @@ def measure_convergence_check(
     hyp_ok = TrendReport(dist_gaps, tol).nonincreasing and all(
         TrendReport(g, tol).nonincreasing for g in star.values()
     )
-    return MeasureConvergenceReport(
-        dist_gaps, star, per_level, target, gaps, trend, hyp_ok
-    )
+    return MeasureConvergenceReport(per_level, target, gaps, trend, hyp_ok)

@@ -3,7 +3,8 @@ or a dependency declared in pyproject.toml.  An undeclared import (say, a
 plotting or JIT library present on one machine only) would make code paths
 depend on what happens to be installed.  And every name a module imports is
 used there, and every name its ``__all__`` exports exists: an import or an
-export left behind by a deletion fails here."""
+export left behind by a deletion fails here.  So does a dataclass field
+that nothing reads."""
 
 import ast
 import importlib
@@ -89,3 +90,29 @@ def test_every_imported_name_is_used(path):
 def test_every_exported_name_exists(path):
     module = importlib.import_module("follmer" if path.stem == "__init__" else f"follmer.{path.stem}")
     assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+def _dataclass_fields(path: Path) -> list:
+    """``Class.field`` for each annotated field of each ``@dataclass`` in ``path``."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef) and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+            out.extend(
+                f"{node.name}.{st.target.id}"
+                for st in node.body
+                if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)
+            )
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    # a field whose value nothing reads is work for no one: some were
+    # computed over the whole grid on every call
+    read = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    fields = [f for path in sorted(PACKAGE.glob("*.py")) for f in _dataclass_fields(path)]
+    assert len(fields) > 100
+    assert [f for f in fields if f.split(".")[1] not in read] == []

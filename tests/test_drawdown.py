@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 import follmer as fl
-from follmer.drawdown import _CumulativeExponent, _hermite
+from follmer.drawdown import _MAX_NODES, _NODES_PER_UNIT, _CumulativeExponent, _hermite
 
 
 def affine_u(alpha: float, beta: float) -> fl.MonotoneC2Function:
@@ -12,7 +12,6 @@ def affine_u(alpha: float, beta: float) -> fl.MonotoneC2Function:
     return fl.MonotoneC2Function(
         value=lambda y: alpha * y + beta,
         d1=lambda y: np.full_like(y, alpha),
-        d2=lambda y: np.zeros_like(y),
         domain_start=0.0,
         name=f"affine({alpha},{beta})",
     )
@@ -23,22 +22,19 @@ def compose_u(outer: fl.MonotoneC2Function, inner: fl.MonotoneC2Function) -> fl.
     return fl.MonotoneC2Function(
         value=lambda y: outer(inner(y)),
         d1=lambda y: outer.deriv(inner(y)) * inner.deriv(y),
-        d2=lambda y: outer.d2(inner(y)) * inner.deriv(y) ** 2 + outer.deriv(inner(y)) * inner.d2(y),
         domain_start=inner.domain_start,
     )
 
 
-def assert_derivatives_match(u: fl.MonotoneC2Function, samples: np.ndarray) -> None:
-    """u's first and second derivatives against central differences, at the
-    samples a step inside the domain."""
+def assert_derivative_matches(u: fl.MonotoneC2Function, samples: np.ndarray) -> None:
+    """u's derivative against central differences, at the samples a step
+    inside the domain."""
     s = np.asarray(samples, dtype=float)
     h = 1e-5 * (1.0 + np.abs(s))
     inside = s - h > u.domain_start
     s, h = s[inside], h[inside]
-    num1 = (u(s + h) - u(s - h)) / (2 * h)
-    assert np.all(np.abs(u.deriv(s) - num1) <= 1e-5 * (1.0 + np.abs(num1))), f"{u.name}: first derivative"
-    num2 = (u.deriv(s + h) - u.deriv(s - h)) / (2 * h)
-    assert np.all(np.abs(u.d2(s) - num2) <= 1e-3 * (1.0 + np.abs(num2))), f"{u.name}: second derivative"
+    num = (u(s + h) - u(s - h)) / (2 * h)
+    assert np.all(np.abs(u.deriv(s) - num) <= 1e-5 * (1.0 + np.abs(num))), f"{u.name}: derivative"
 
 
 def max_identity_gap(u: fl.MonotoneC2Function, x: fl.GridPath) -> tuple[float, bool]:
@@ -80,7 +76,6 @@ class TestAzemaYor:
         u = fl.MonotoneC2Function(
             value=lambda y: y**2,
             d1=lambda y: 2.0 * y,
-            d2=lambda y: 2.0 + 0.0 * y,
             domain_start=0.0,
             name="square",
         )
@@ -124,13 +119,11 @@ class TestMaxIdentity:
         power = fl.MonotoneC2Function(
             value=lambda y: y**1.5,
             d1=lambda y: 1.5 * y**0.5,
-            d2=lambda y: 0.75 / y**0.5,
             domain_start=0.0,
             name="p15",
         )
         logu = fl.MonotoneC2Function(
-            value=np.log, d1=lambda y: 1.0 / y, d2=lambda y: -1.0 / y**2,
-            domain_start=0.1, name="log",
+            value=np.log, d1=lambda y: 1.0 / y, domain_start=0.1, name="log",
         )
         assert max_identity_gap(logu, s)[0] <= 1e-12
         assert composition_gap(logu, power, s) <= 1e-10
@@ -173,8 +166,8 @@ class TestFloorTransforms:
 
     def test_derivatives_consistent(self):
         tr = fl.floor_to_transform(fl.floor_proportional(0.4, 1.0), a=2.0)
-        assert_derivatives_match(tr.V, np.linspace(1.1, 5.0, 50))
-        assert_derivatives_match(tr.U, np.linspace(tr.V(np.array([1.1]))[0], tr.V(np.array([5.0]))[0], 50))
+        assert_derivative_matches(tr.V, np.linspace(1.1, 5.0, 50))
+        assert_derivative_matches(tr.U, np.linspace(tr.V(np.array([1.1]))[0], tr.V(np.array([5.0]))[0], 50))
 
     def test_table_floor(self):
         ys = np.linspace(1.0, 6.0, 30)
@@ -297,7 +290,7 @@ class TestScipyOracles:
             fl.floor_zero(0.01),
             fl.floor_proportional(0.3, 1.5),
             fl.floor_constant_margin(0.25, 1.0),
-            # knots at 1 + 0.3k + 0.1/256: inside the 1/256 node segments
+            # knots at 1 + 0.3k + 0.1/256, off the lattice's nodes
             fl.floor_from_table(1.0 + 0.3 * np.arange(15) + 0.1 / 256, 0.2 + 0.12 * np.arange(15) ** 0.8, 1.0),
             # flat pieces: the margin's slope jumps at every knot
             fl.floor_from_table([0.5, 1.3, 2.2, 2.9, 5.0], [0.0, 0.4, 0.4, 0.4, 1.5], 0.5),
@@ -305,9 +298,13 @@ class TestScipyOracles:
         ids=["zero", "zero-small-a-star", "proportional", "constant-margin", "table", "table-flat"],
     )
     def test_node_values_match_quad(self, floor):
+        # the lattice as V leaves it after reaching past every knot
         exponent = _CumulativeExponent(floor)
-        exponent.ensure(floor.a_star + 4.0)
-        nodes, knots = exponent._nodes, np.asarray(floor.knots)
+        exponent(np.array([floor.a_star + 4.0]))
+        nodes, vals, knots = exponent._nodes, exponent._vals, np.asarray(floor.knots)
+        assert nodes[-1] > floor.a_star + 4.0
+        # no interval adds more than twice the lattice's step in I
+        assert np.max(np.diff(vals)) <= 2.0 / _NODES_PER_UNIT
 
         def piece(a, b):
             inside = knots[(knots > a) & (knots < b)]
@@ -315,37 +312,103 @@ class TestScipyOracles:
                         epsabs=1e-15, epsrel=1e-13, limit=200)[0]
 
         ref = np.cumsum([0.0] + [piece(a, b) for a, b in zip(nodes[:-1], nodes[1:])])
-        np.testing.assert_allclose(exponent._vals, ref, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(vals, ref, rtol=1e-13, atol=1e-15)
 
     def test_invert_stops_at_its_span(self):
-        # near a_star = 1e-5 the Hermite cubic overshoots far past every
-        # tabulated I, and each extension round adds only log(1.5)
-        with pytest.raises(ValueError, match=r"a_star = 1e-05: target I = [\d.]+ is beyond the last tabulated I = [\d.]+ at y = 1024"):
-            fl.floor_to_transform(fl.floor_zero(1e-5), 1.0)
+        # the span is a budget of 32 x 1024 nodes, whatever a_star
+        tr = fl.floor_to_transform(fl.floor_zero(2.0), a=2.0)
+        np.testing.assert_allclose(tr.U(2.0 * np.exp([20.0])), 2.0 * np.exp(20.0), rtol=1e-10)
+        with pytest.raises(
+            ValueError,
+            match=rf"a_star = 2 reaches only I = 2\d\.\d+ at y = [\d.e+]+ within its budget of {_MAX_NODES} nodes, "
+            r"short of I = 40$",
+        ):
+            tr.U(2.0 * np.exp([40.0]))
+
+    def test_invert_stops_relative_to_a_star(self):
+        # the zero floor's lattice at a_star is a_star times the one at 1, up
+        # to rounding, so the budget stops it at the same I at every scale
+        reach = []
+        for a_star in (1e-5, 1.0, 3000.0):
+            exponent = _CumulativeExponent(fl.floor_zero(a_star))
+            with pytest.raises(ValueError, match="within its budget") as info:
+                exponent.invert(np.array([40.0]))
+            assert exponent._nodes.size == _MAX_NODES + 1
+            reach.append(exponent._vals[-1])
+            assert str(info.value).startswith(f"the drawdown exponent from a_star = {a_star:.6g} reaches only I = ")
+        np.testing.assert_allclose(reach, reach[0], rtol=1e-12)
+        assert 25.0 < reach[0] < 32.0
 
     @pytest.mark.parametrize("rise", [1.0004, 1.1, 2.0])
     def test_invert_follows_a_rise_at_a_large_price_scale(self, rise):
-        # the table's reach scales with a_star: a floor at 3000 follows its
-        # path up to 2x (its first extension alone spans 1500 units)
         a_star = 3000.0
         tr = fl.floor_to_transform(fl.floor_zero(a_star), a=a_star)
         xs = a_star * np.linspace(1.0, rise, 50)
         np.testing.assert_allclose(tr.U(xs), xs, rtol=1e-11)
         np.testing.assert_allclose(tr.V(tr.U(xs)), xs, rtol=1e-11)
 
-    def test_invert_stops_relative_to_a_star(self):
-        # at a_star = 2 the table stops at y = 2 + 2 * 1024
-        tr = fl.floor_to_transform(fl.floor_zero(2.0), a=2.0)
-        np.testing.assert_allclose(tr.U(np.array([1600.0])), 1600.0, rtol=1e-11)
-        with pytest.raises(ValueError, match=r"at y = 2050, where the table stops"):
-            tr.U(np.array([2200.0]))
-
     def test_margin_vanishing_between_nodes_rejected(self):
-        # the margin (y - c)^2 - 2^-22 is negative only within 2^-11 of c,
-        # midway between the nodes 1.5 and 1.5 + 2^-8; quadrature points see it
+        # a unit margin with a dip below zero within 1e-4 of 1.5 + 2^-11,
+        # midway between the lattice nodes 1.5 and about 1.5 + 2^-10; the
+        # nodes miss it, the quadrature points see it
+        def w(y):
+            y = np.asarray(y, dtype=float)
+            return y - 1.0 + 2.0 * np.exp(-(((y - 1.5 - 2.0**-11) / 2.0**-13) ** 2))
+
+        bad = fl.FloorFunction(w=w, dw=lambda y: np.ones_like(y), a_star=1.0)
+        with pytest.raises(ValueError, match=r"not positive near y = 1\.500"):
+            fl.floor_to_transform(bad, a=1.0)
+
+
+class TestLattice:
+    """The exponent's lattice depends on the floor alone, not on the price
+    scale or on the calls made before."""
+
+    def test_v_and_u_are_independent_of_earlier_calls(self):
+        ys = np.linspace(3.0, 10.1234, 1001)
+        xs = np.linspace(3.0, 30.0, 1001)
+        fresh = fl.floor_to_transform(fl.floor_zero(2.0), a=2.0)
+        v, u = fresh.V(ys), fresh.U(xs)
+        grown = fl.floor_to_transform(fl.floor_zero(2.0), a=2.0)
+        grown.U(np.array([40.0]))
+        grown.V(np.array([500.0]))
+        assert np.array_equal(grown.V(ys), v)
+        assert np.array_equal(grown.U(xs), u)
+
+    @pytest.mark.parametrize("rise", [2.0, 1024.0])
+    def test_a_rise_builds_the_same_nodes_at_every_scale(self, rise):
+        counts = []
+        for a_star in (1.0, 3000.0):
+            exponent = _CumulativeExponent(fl.floor_zero(a_star))
+            exponent.invert(np.log(np.array([rise])))
+            counts.append(exponent._nodes.size)
+        assert counts[0] == counts[1] <= (1.0 + 1.2 * np.log(rise)) * _NODES_PER_UNIT + 1
+
+    @pytest.mark.parametrize("a_star", [1e-5, 1e-3, 1.0, 3000.0])
+    @pytest.mark.parametrize("name", ["zero", "proportional", "constant-margin"])
+    def test_closed_forms_at_every_scale(self, name, a_star):
+        a = 1.7 * a_star
+        x = a * np.geomspace(1.0, 1024.0, 1001)
+        floor, u = {
+            "zero": (fl.floor_zero(a_star), a_star * x / a),
+            "proportional": (fl.floor_proportional(0.3, a_star), a_star * (x / a) ** 0.7),
+            "constant-margin": (fl.floor_constant_margin(0.25 * a_star, a_star), a_star + 0.25 * a_star * np.log(x / a)),
+        }[name]
+        tr = fl.floor_to_transform(floor, a)
+        np.testing.assert_allclose(tr.U(x), u, rtol=1e-10)
+        np.testing.assert_allclose(tr.V(tr.U(x)), x, rtol=1e-10)
+        np.testing.assert_allclose(tr.V(u), x, rtol=1e-10)
+
+    def test_lattice_stops_short_of_a_vanishing_margin(self):
+        # the margin (y - c)^2 - 2^-22 vanishes at r = c - 2^-11: I diverges
+        # there, so U stays below r and the lattice never reaches y = 2
         c = 1.5 + 1.0 / 512
+        r = c - 2.0**-11
         bad = fl.FloorFunction(
             w=lambda y: y - (y - c) ** 2 + 2.0**-22, dw=lambda y: 1 - 2 * (y - c), a_star=1.0
         )
-        with pytest.raises(ValueError, match="not positive near y = 1.50"):
-            fl.floor_to_transform(bad, a=1.0)
+        tr = fl.floor_to_transform(bad, a=1.0)
+        u = tr.U(np.array([2.0, 1e3]))
+        assert np.all(np.diff(u) > 0.0) and u[-1] < r
+        with pytest.raises(ValueError, match=rf"within its budget of {_MAX_NODES} nodes, short of y = 2$"):
+            tr.V(np.array([2.0]))

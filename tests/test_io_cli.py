@@ -785,6 +785,19 @@ _JUMP_OFF_THE_PARTITION = {
         # generator parameters checked when the config is read
         ("qv", {"path": {"kind": "compound-jump", "sampler": "foo"}}, "path.sampler must be one of ['coin', 'uniform'], got 'foo'"),
         ("nonlinear", {"x": {"kind": "step", "c": "abc"}}, "x.c must be a number, got 'abc'"),
+        ("qv", {"path": {"kind": "geometric", "jump_size": 1.5}}, "path.jump_size must stay below 1 in magnitude, got 1.5"),
+        # floor parameters outside the model's domain
+        (
+            "drawdown",
+            {"floor": {"name": "proportional", "alpha": 1.5, "a_star": 2.0}},
+            "floor.alpha must satisfy 0 <= alpha < 1, got 1.5",
+        ),
+        ("drawdown", {"floor": {"name": "constant-margin", "c": -1, "a_star": 2.0}}, "floor.c must be positive, got -1"),
+        (
+            "drawdown",
+            {"floor": {"name": "zero", "a_star": -2}},
+            "floor.a_star = -2: the floor margin y - w(y) is not positive there",
+        ),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):

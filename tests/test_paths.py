@@ -170,6 +170,11 @@ class TestGenerators:
         assert np.all(fl.left_values(s) > 0)
         assert s.jumps
 
+    @pytest.mark.parametrize("size", [1.0, -1.5, float("nan")])
+    def test_geometric_rejects_a_jump_size_when_built(self, size):
+        with pytest.raises(ValueError, match="jump size must stay below 1 in magnitude"):
+            fl.GeometricGenerator(jump_size=size)
+
 
 @settings(max_examples=30, deadline=None)
 @given(

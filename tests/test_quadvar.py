@@ -204,6 +204,17 @@ class TestQvMeasure:
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
 
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_integrating_one_is_the_mass(self, seed):
+        # one summation order: f = 1 gives mu([0, t]) bit for bit at every atom
+        seq = fl.dyadic_sequence(1.0, 3, 10)
+        x = fl.DyadicBrownianGenerator(seed=seed).generate(seq.grid)
+        for p in seq:
+            mu = fl.qv_measure(x, x, p)
+            for t in mu.times:
+                assert mu.integrate(np.ones_like, t) == mu.mass(t)
+
+
 class TestMeasureVsQV:
     def test_partition_point_open_mass_agrees_exactly(self):
         seq = fl.dyadic_sequence(1.0, 2, 6)
@@ -304,7 +315,8 @@ class TestMeasureConvergence:
         for m, got in zip(mus, rep.integral_per_level):
             k = int(np.searchsorted(m.times, 0.7, side="right"))
             f_at = np.array([f.x[grid.clamp_index(s)] for s in m.times[:k]])
-            assert got == float(np.sum(m.weights[:k] * f_at))
+            # added left to right from 0.0, as mass adds the weights
+            assert got == float(np.cumsum(np.concatenate([[0.0], m.weights[:k] * f_at]))[-1])
 
     def test_negative_atom_time_rejected(self):
         seq = fl.dyadic_sequence(1.0, 2, 4)
