@@ -91,7 +91,7 @@ class QVResult:
     ``estimate`` is the top-level curve (or the exact jump sum for paths
     declared finite-variation).  ``jump_part`` is J_t = sum of squared jumps
     up to t, ``continuous_part`` is the estimate minus J.  ``level_gaps``
-    hold the sup-distance of each non-top level to the estimate; ``cond2``
+    hold the sup-distance of each non-top level to the estimate; ``cond2_worst``
     reports the worst violation of the jump identity d[X,X]_t = (dX_t)^2 at
     the declared jump times.
     """
