@@ -7,7 +7,8 @@ out positionally when its decimal point position ``decpt`` meets
 those digits with Schubfach (R. Giulietti, "The Schubfach way to render
 doubles", 2020) on uint64 arrays.  Subnormals, infinities and NaN are left to
 ``repr``: Schubfach's shortest digits for a subnormal are not always CPython's
-(``4.9e-323`` against ``5e-323``).
+(``4.9e-323`` against ``5e-323``).  So are arrays of fewer than ``_SHORT``
+values, where ``repr`` costs less than the kernel's numpy calls.
 
 The text comes as a uint8 matrix with one row per value: the sign, the digits
 and point, and the exponent, at fixed columns with NUL bytes around them.
@@ -23,6 +24,10 @@ import numpy as np
 __all__ = ["BLOCK", "float_text"]
 
 BLOCK = 4096  # values formatted per pass; the CSV writer's rows per block
+# Arrays shorter than this go through ``repr``, one value at a time: the
+# kernel's fixed cost is about 140 us a call, ``repr`` costs about 1.6 us a
+# value, and the two met at 80 to 90 values (numpy 2.4, Python 3.11, 2 CPUs).
+_SHORT = 64
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
 _POW10 = np.array([10**j for j in range(1, 20)], dtype=_U)
@@ -240,8 +245,12 @@ def _patch(out, values, rows) -> None:
 
 def float_text(a) -> np.ndarray:
     """The rows of ``repr(v)`` for the values v of a one-dimensional float
-    array; only the columns some row uses."""
+    array; from ``_SHORT`` values on, only the columns some row uses."""
     a = np.ascontiguousarray(a, dtype=np.float64)
+    if len(a) < _SHORT:
+        out = np.zeros((len(a), _FLOAT_WIDTH), np.uint8)
+        _patch(out, a, np.arange(len(a)))
+        return out
     out = np.empty((len(a), _FLOAT_WIDTH), np.uint8)
     lo, hi = _FLOAT_WIDTH, 0
     for i in range(0, len(a), BLOCK):

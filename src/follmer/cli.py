@@ -54,7 +54,7 @@ from .io import (
 )
 from .mc import McExperiment, run_mc
 from .partitions import PartitionSequence, dyadic_sequence, thinned_sequence
-from .paths import FVPath, GridPath, StepGenerator, TimeGrid, _repeated_column, as_fv, dyadic_grid
+from .paths import FVPath, GridPath, StepGenerator, TimeGrid, _repeated_column, _TextColumn, as_fv, dyadic_grid
 from .quadvar import DiscreteMeasure, QVResult, measure_convergence_check, measure_vs_qv_check, qv_sequence
 
 _STOCHASTIC_KINDS = {"dyadic-brownian", "compound-jump", "geometric"}
@@ -251,7 +251,7 @@ def _qv(run: Run) -> dict:
     points, levels = np.arange(len(run.grid)), np.arange(len(qv.level_curves))
     columns = [
         _repeated_column(levels, levels.repeat(len(points))),
-        _repeated_column(run.grid.times, np.tile(points, len(levels))),
+        _TextColumn(run.grid.text, np.tile(points, len(levels))),
         np.concatenate(qv.level_curves),
     ]
     run.table("qv.csv", ["level", "t", "qv"], columns)
@@ -287,7 +287,7 @@ def _integrate(run: Run) -> dict:
     g = run.grid.clamp_index(t)
     at_t = [c[g] for c in res.level_curves]
     run.table("integrate_levels.csv", ["level", "value_at_t"], [range(len(at_t)), at_t])
-    run.table("integrate_curve.csv", ["t", "value"], [run.grid.times, res.estimate])
+    run.table("integrate_curve.csv", ["t", "value"], [run.grid, res.estimate])
     if res.status == "inconclusive" and res.claim == "unverified-hypothesis":
         run.unsettled("integral trend inconclusive (unverified integrand class)")
     elif res.status == "inconclusive":
@@ -369,7 +369,7 @@ def _linear(run: Run) -> dict:
         raise ConfigError("h must carry 'constant' or 'path'")
     rep = solve_linear(hh, x, run.seq, decomposition=decomposition, tol=run.tol)
     run.qv_of_x(rep.exponential.qv)
-    run.table("linear.csv", ["t", "z"], [run.grid.times, rep.z.x])
+    run.table("linear.csv", ["t", "z"], [run.grid, rep.z.x])
     if "assert_value" in run.cfg:
         target = number(run.cfg, "assert_value")
         cap = tolerance(run.cfg, "assert_tol", 1e-6)
@@ -408,7 +408,7 @@ def _nonlinear(run: Run) -> dict:
     f = drift(*(number(fref, k, v, "f") for k, v in params.items()))
     rep = solve_nonlinear(f, x, number(run.cfg, "x0", 1.0), run.seq, tol=run.tol)
     run.qv_of_x(rep.exponential.qv)
-    run.table("nonlinear.csv", ["t", "z"], [run.grid.times, rep.z.x])
+    run.table("nonlinear.csv", ["t", "z"], [run.grid, rep.z.x])
     if "assert_value" in run.cfg:
         target = number(run.cfg, "assert_value")
         cap = tolerance(run.cfg, "assert_tol", 1e-6)
@@ -428,7 +428,7 @@ def _drawdown(run: Run) -> dict:
     back = azema_yor_path(rep.transform.V, rep.y).path
     roundtrip = float(np.max(np.abs(back.x - x.x)))
     ybar = np.maximum.accumulate(rep.y.x)
-    run.table("drawdown.csv", ["t", "y", "floor_of_max"], [run.grid.times, rep.y.x, floor(ybar)])
+    run.table("drawdown.csv", ["t", "y", "floor_of_max"], [run.grid, rep.y.x, floor(ybar)])
     cap = tolerance(run.cfg, "assert_roundtrip", 1e-6)
     run.check(rep.constraint_ok, f"drawdown constraint margin {rep.constraint_margin} not positive")
     run.check(roundtrip <= cap, f"inverse round trip {roundtrip} above {cap}")

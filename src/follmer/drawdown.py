@@ -44,7 +44,8 @@ class MonotoneC2Function:
     """Scalar C^2 function on [domain_start, infinity) with its derivative.
 
     Only right derivatives are meant at the left endpoint.  Both callables
-    are vectorized.
+    are vectorized; ``d1(y, fy)`` is the derivative at ``y`` given the value
+    ``fy`` there, which a transform's derivative is built from.
     """
 
     value: Callable
@@ -55,8 +56,10 @@ class MonotoneC2Function:
     def __call__(self, y):
         return np.asarray(self.value(np.asarray(y, dtype=float)), dtype=float)
 
-    def deriv(self, y):
-        return np.asarray(self.d1(np.asarray(y, dtype=float)), dtype=float)
+    def deriv(self, y, fy=None):
+        """The derivative at ``y``; ``fy`` is ``self(y)`` when already computed."""
+        y = np.asarray(y, dtype=float)
+        return np.asarray(self.d1(y, self(y) if fy is None else fy), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +313,10 @@ def floor_to_transform(floor: FloorFunction, a: float) -> DrawdownTransform:
     """Build V(y) = a exp(int_{a*}^{y} ds/(s - w(s))) and U = V^{-1}.
 
     V' = V / m(y) is analytic given V; U is the Newton inverse of V's
-    Hermite interpolant, with U' = m(U(x)) / x.  The round trip U(V(y)) = y
-    is checked, relative to |y| + m(y), on a sample of the lattice's first
-    unit of I.
+    Hermite interpolant, with U' = m(U(x)) / x.  Each derivative takes the
+    value at its points, so U'(x) after U(x) inverts nothing again.  The
+    round trip U(V(y)) = y is checked, relative to |y| + m(y), on a sample
+    of the lattice's first unit of I.
     """
     if a <= 0:
         raise ValueError("the transform needs a > 0")
@@ -322,17 +326,16 @@ def floor_to_transform(floor: FloorFunction, a: float) -> DrawdownTransform:
     def v_val(y):
         return a * np.exp(exponent(y))
 
-    def v_d1(y):
-        return v_val(y) / floor.margin(y)
+    def v_d1(y, vy):
+        return vy / floor.margin(y)
 
     V = MonotoneC2Function(v_val, v_d1, a_star, name="V")
 
     def u_val(x):
         return exponent.invert(np.log(np.asarray(x, dtype=float) / a))
 
-    def u_d1(x):
-        x = np.asarray(x, dtype=float)
-        return floor.margin(u_val(x)) / x
+    def u_d1(x, ux):
+        return floor.margin(ux) / x
 
     U = MonotoneC2Function(u_val, u_d1, a, name="U")
 
@@ -351,6 +354,7 @@ def floor_to_transform(floor: FloorFunction, a: float) -> DrawdownTransform:
 @dataclass(frozen=True)
 class AzemaYorReport:
     path: GridPath
+    integrand: np.ndarray  # U'(Xbar) at every grid time
     a_star: float
     integral_residual: float | None
     residual_per_level: tuple
@@ -375,20 +379,21 @@ def azema_yor_path(
     if x.x[0] < u.domain_start - 1e-12:
         raise ValueError("X_0 is below the domain of U")
     mb = xbar.x
-    uv, du = u(mb), u.deriv(mb)
+    uv = u(mb)
+    du = u.deriv(mb, uv)
     m_vals = uv - du * (mb - x.x)
     path = GridPath(x.grid, m_vals, du * x.dX)
     a_star = float(u(np.array([x.x[0]]))[0])
 
     if seq is None:
-        return AzemaYorReport(path, a_star, None, (), None)
+        return AzemaYorReport(path, du, a_star, None, (), None)
     g = len(x.grid) - 1
     residuals = []
     for p in seq:
         integral = float(integral_at(du, x.x, p, g))
         residuals.append(abs(float(m_vals[g]) - a_star - integral))
     trend = TrendReport(tuple(residuals), tol)
-    return AzemaYorReport(path, a_star, residuals[-1], tuple(residuals), trend)
+    return AzemaYorReport(path, du, a_star, residuals[-1], tuple(residuals), trend)
 
 
 # ---------------------------------------------------------------------------

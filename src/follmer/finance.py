@@ -230,7 +230,7 @@ def drawdown_strategy(
     """
     if abs(floor.a_star - v0) > 1e-12 * max(1.0, abs(v0)):
         raise ValueError("the floor domain must start at the initial wealth v0")
-    sbar, cont = running_maximum(s)
+    _, cont = running_maximum(s)
     if not cont:
         raise ValueError("running maximum of S is discontinuous at grid scale")
     sl = left_values(s)
@@ -241,7 +241,7 @@ def drawdown_strategy(
     ay = azema_yor_path(transform.U, s)
     v_path = ay.path
 
-    xi_vals = transform.U.deriv(sbar.x)
+    xi_vals = ay.integrand  # U'(Sbar)
     xi_path = GridPath(grid, xi_vals)  # Sbar continuous: xi carries no jumps
     eta_vals = v_path.x - xi_vals * s.x
     v_left = left_values(v_path)
@@ -281,5 +281,5 @@ def write_strategy_csv(strategy: Strategy, floor_curve: np.ndarray | None, fp) -
     """Strategy output CSV t,xi,eta,V,floor."""
     grid = strategy.value.grid
     fl = np.zeros(len(grid)) if floor_curve is None else floor_curve
-    columns = [grid.times, strategy.xi.x, strategy.eta.x, strategy.value.x, fl]
+    columns = [grid, strategy.xi.x, strategy.eta.x, strategy.value.x, fl]
     _write_csv_columns(fp, ["t", "xi", "eta", "V", "floor"], columns)

@@ -200,8 +200,10 @@ def make_function(ref: dict, where: str = "f") -> C12Function:
 
 def make_floor(ref: dict, where: str = "floor") -> FloorFunction:
     """The floor of ``ref``.  A proportional ``alpha`` outside [0, 1), a
-    constant margin ``c`` that is not positive and an ``a_star`` where the
-    margin y - w(y) is not positive are config errors."""
+    constant margin ``c`` that is not positive, a table whose ``ys`` and
+    ``ws`` are not two equal-length lists of at least 2 numbers with ``ys``
+    strictly increasing, and an ``a_star`` where the margin y - w(y) is not
+    positive are config errors."""
     if not isinstance(ref, dict) or "name" not in ref:
         raise ConfigError(f"{where} must be an object with a 'name'")
     params = {k: v for k, v in ref.items() if k not in ("name", "a_star")}
@@ -212,6 +214,8 @@ def make_floor(ref: dict, where: str = "floor") -> FloorFunction:
         raise ConfigError(f"{where}.alpha must satisfy 0 <= alpha < 1, got {params['alpha']!r}")
     if name == "constant-margin" and "c" in params and not number(params, "c", where=where) > 0.0:
         raise ConfigError(f"{where}.c must be positive, got {params['c']!r}")
+    if name == "table":
+        _table_points(params, where)
     try:
         floor = builtin_floor(name, a_star, **params)
     except KeyError as exc:
@@ -221,6 +225,19 @@ def make_floor(ref: dict, where: str = "floor") -> FloorFunction:
     if not float(floor.margin(a_star)) > 0.0:
         raise ConfigError(f"{where}.a_star = {ref['a_star']!r}: the floor margin y - w(y) is not positive there")
     return floor
+
+
+def _table_points(params: dict, where: str) -> None:
+    """Reject table points other than ``floor_from_table`` takes, naming the key."""
+    for key in ("ys", "ws"):
+        value = require(params, key, where)
+        if not (isinstance(value, list) and len(value) >= 2 and all(isinstance(v, (int, float)) for v in value)):
+            raise ConfigError(f"{where}.{key} must be a list of at least 2 numbers, got {value!r}")
+    ys, ws = params["ys"], params["ws"]
+    if len(ws) != len(ys):
+        raise ConfigError(f"{where}.ws has {len(ws)} values for the {len(ys)} points of {where}.ys")
+    if not all(a < b for a, b in zip(ys, ys[1:])):
+        raise ConfigError(f"{where}.ys must be strictly increasing, got {ys!r}")
 
 
 def write_csv(path: Path, header: list, columns: list, cfg_hash: str) -> None:

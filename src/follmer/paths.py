@@ -14,7 +14,7 @@ import csv
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable
 
@@ -68,10 +68,17 @@ class TimeGrid:
         if not np.all(np.diff(t) > 0):
             raise ValueError("grid times must be strictly increasing")
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "_index", None)
 
     def __len__(self) -> int:
         return self.times.size
+
+    @cached_property
+    def text(self) -> np.ndarray:
+        """The CSV text of ``times`` as ``_csv_text`` makes it, read-only;
+        formatted by the first table that writes the grid as a column."""
+        text = _csv_text(self.times)
+        text.setflags(write=False)
+        return text
 
     @property
     def T(self) -> float:
@@ -91,10 +98,20 @@ class TimeGrid:
         return int(np.searchsorted(self.times, t, side="right")) - 1
 
 
+_GRIDS_KEPT = 8  # dyadic grids kept per process, with their CSV text once written
+
+
+@lru_cache(maxsize=_GRIDS_KEPT)
 def dyadic_grid(T: float = 1.0, level: int = 0) -> TimeGrid:
-    """Grid {k * T * 2^-level}.  k/2^level is exact in binary floats."""
+    """Grid {k * T * 2^-level}.  k/2^level is exact in binary floats.
+
+    One grid is shared by the calls with equal arguments, so the tables
+    written on it format its times once.  Its times cannot be made writable.
+    """
     n = 1 << level
-    return TimeGrid(T * (np.arange(n + 1) / n))
+    times = T * (np.arange(n + 1) / n)
+    times.setflags(write=False)
+    return TimeGrid(times)
 
 
 def _jump_array(jumps, n: int) -> np.ndarray:
@@ -399,7 +416,7 @@ class GeometricGenerator(PathGenerator):
 
 
 def write_path_csv(path: GridPath, fp) -> None:
-    _write_csv_columns(fp, ["t", "x1", "dx1"], [path.grid.times, path.x, path.dX])
+    _write_csv_columns(fp, ["t", "x1", "dx1"], [path.grid, path.x, path.dX])
 
 
 def read_path_csv(fp) -> GridPath:
@@ -459,8 +476,9 @@ def _repeated_column(values, index) -> _TextColumn:
 def _write_csv_columns(fp, header: list, columns: list) -> None:
     """Write a CSV header row, then ``columns`` side by side, a block of rows at a time.
 
-    A column is a ``_TextColumn``, a list of str cells, or anything ``np.asarray``
-    makes one-dimensional, whose floats come out as their ``repr`` and ints as
+    A column is a ``_TextColumn``, a ``TimeGrid`` (its times, from its cached
+    text), a list of str cells, or anything ``np.asarray`` makes
+    one-dimensional, whose floats come out as their ``repr`` and ints as
     decimals.  A float64 array that repeats its values is formatted once per
     distinct value.  A block is one byte matrix of NUL-padded cells and
     separators, written with its NUL bytes dropped; a str cell must hold none.
@@ -486,13 +504,16 @@ def _write_csv_columns(fp, header: list, columns: list) -> None:
 
 def _csv_distinct(col) -> tuple:
     """(None, ``col``), or (the text of each distinct value, each cell's index
-    into them).  A ``_TextColumn`` is the second already; a float64 array is
-    when at most ``_CSV_DISTINCT_SHARE`` of its values are distinct.  Values
-    are compared by their bits, so -0.0 and 0.0 stay apart.  The first block
+    into them).  A ``_TextColumn`` is the second already, and a ``TimeGrid``
+    is its text and the row numbers; a float64 array is when at most
+    ``_CSV_DISTINCT_SHARE`` of its values are distinct.  Values are compared
+    by their bits, so -0.0 and 0.0 stay apart.  The first block
     is tested on its own first, so that a column of distinct floats costs the
     sort of one block, not of the whole column."""
     if isinstance(col, _TextColumn):
         return col.text, col.index
+    if isinstance(col, TimeGrid):
+        return col.text, np.arange(len(col))
     if not (isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1):
         return None, col
     bits = col.view(np.int64)

@@ -105,9 +105,28 @@ def _dataclass_fields(path: Path) -> list:
     return out
 
 
+def _set_attributes(path: Path) -> list:
+    """``Class.name`` for each ``object.__setattr__(self, "name", ...)`` in a
+    class of ``path``: the attributes a frozen class sets outside its fields."""
+    out = []
+    for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(cls, ast.ClassDef):
+            out.extend(
+                f"{cls.name}.{node.args[1].value}"
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "object.__setattr__"
+                and len(node.args) == 3
+                and ast.unparse(node.args[0]) == "self"
+                and isinstance(node.args[1], ast.Constant)
+            )
+    return out
+
+
 def test_every_dataclass_field_is_read():
     # a field whose value nothing reads is work for no one: some were
-    # computed over the whole grid on every call
+    # computed over the whole grid on every call; so is an attribute set
+    # with object.__setattr__
     read = set()
     for top in ("src", "tests", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
@@ -115,4 +134,6 @@ def test_every_dataclass_field_is_read():
             read.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
     fields = [f for path in sorted(PACKAGE.glob("*.py")) for f in _dataclass_fields(path)]
     assert len(fields) > 100
-    assert [f for f in fields if f.split(".")[1] not in read] == []
+    set_attrs = [a for path in sorted(PACKAGE.glob("*.py")) for a in _set_attributes(path)]
+    assert len(set_attrs) > 10
+    assert [f for f in fields + set_attrs if f.split(".")[1] not in read] == []

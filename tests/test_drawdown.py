@@ -11,7 +11,7 @@ def affine_u(alpha: float, beta: float) -> fl.MonotoneC2Function:
     """U(y) = alpha y + beta on [0, infinity)."""
     return fl.MonotoneC2Function(
         value=lambda y: alpha * y + beta,
-        d1=lambda y: np.full_like(y, alpha),
+        d1=lambda y, fy: np.full_like(y, alpha),
         domain_start=0.0,
         name=f"affine({alpha},{beta})",
     )
@@ -21,7 +21,7 @@ def compose_u(outer: fl.MonotoneC2Function, inner: fl.MonotoneC2Function) -> fl.
     """outer(inner(y)) with chain-rule derivatives."""
     return fl.MonotoneC2Function(
         value=lambda y: outer(inner(y)),
-        d1=lambda y: outer.deriv(inner(y)) * inner.deriv(y),
+        d1=lambda y, fy: outer.deriv(inner(y), fy) * inner.deriv(y),
         domain_start=inner.domain_start,
     )
 
@@ -75,7 +75,7 @@ class TestAzemaYor:
         seq, s = positive_sample
         u = fl.MonotoneC2Function(
             value=lambda y: y**2,
-            d1=lambda y: 2.0 * y,
+            d1=lambda y, fy: 2.0 * y,
             domain_start=0.0,
             name="square",
         )
@@ -118,12 +118,12 @@ class TestMaxIdentity:
         _, s = positive_sample
         power = fl.MonotoneC2Function(
             value=lambda y: y**1.5,
-            d1=lambda y: 1.5 * y**0.5,
+            d1=lambda y, fy: 1.5 * y**0.5,
             domain_start=0.0,
             name="p15",
         )
         logu = fl.MonotoneC2Function(
-            value=np.log, d1=lambda y: 1.0 / y, domain_start=0.1, name="log",
+            value=np.log, d1=lambda y, fy: 1.0 / y, domain_start=0.1, name="log",
         )
         assert max_identity_gap(logu, s)[0] <= 1e-12
         assert composition_gap(logu, power, s) <= 1e-10

@@ -5,6 +5,7 @@ import pytest
 
 from follmer import _floatrepr
 from follmer._floatrepr import float_text
+from follmer.paths import dyadic_grid
 
 
 def _joined(text: np.ndarray) -> str:
@@ -38,6 +39,14 @@ def test_dyadic_grid_times():
     assert_reprs(np.arange(2**20 + 1) / 2**20)
 
 
+@pytest.mark.parametrize("T", [1.0, 2.0, 0.5, 3.0, 1e-3])
+def test_grid_text_is_the_repr_of_every_time(T):
+    # a dyadic grid's cached CSV text, which every t column is written from
+    for level in range(17):
+        g = dyadic_grid(T, level)
+        assert _joined(g.text) == "".join(f"{t!r}," for t in g.times.tolist()), level
+
+
 def test_edge_values():
     powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
     powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
@@ -51,6 +60,21 @@ def test_edge_values():
         assert_reprs(-_with_neighbours(a))
     for a in (subnormals, special, ties, -ties, np.zeros(0)):
         assert_reprs(a)
+
+
+def test_kernel_on_short_arrays(monkeypatch):
+    # arrays this short take repr; the kernel must still give its bytes
+    monkeypatch.setattr(_floatrepr, "_SHORT", 0)
+    ties = 2.0**50 + np.arange(1, 64, 2) / 4
+    for a in (np.array([0.0, -0.0, np.inf, -np.inf, np.nan]), ties, -ties, np.array([1e-05, 1e16]), np.zeros(0)):
+        assert_reprs(a)
+
+
+@pytest.mark.parametrize("n", [1, _floatrepr._SHORT - 1, _floatrepr._SHORT, _floatrepr._SHORT + 1])
+def test_lengths_around_the_repr_cutoff(n):
+    bits = np.random.default_rng(n).integers(0, 2**64, size=n, dtype=np.uint64)
+    assert_reprs(bits.view(np.float64))
+    assert_reprs(np.arange(n) / 16384)
 
 
 def test_float32_and_float16_take_their_double_values():

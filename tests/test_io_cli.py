@@ -633,6 +633,30 @@ def test_subcommand_csvs_match_row_writer(tmp_path, command, cfg):
     cfg = cfg if command == "mc" else {**_LEVEL_8, **cfg}
     result, out = run_cli(tmp_path / "run", command, cfg, "--seed", "5")
     assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+    assert_csvs_match_row_writer(tmp_path, out)
+
+
+def test_tables_on_shared_grids_match_row_writer(tmp_path):
+    # in one process: two commands on one grid, one on another (T, grid_level),
+    # then the first again; each writes its times from its grid's shared text
+    qv = {**_LEVEL_8, **dict(_SUBCOMMANDS)["qv"]}
+    runs = [
+        ("qv", qv),
+        ("linear", {**_LEVEL_8, **dict(_SUBCOMMANDS)["linear"]}),
+        ("integrate", {**dict(_SUBCOMMANDS)["integrate"], "levels": [3, 6], "grid_level": 7, "T": 0.5}),
+        ("qv", qv),
+    ]
+    for k, (command, cfg) in enumerate(runs):
+        result, out = run_cli(tmp_path / str(k), command, cfg, "--seed", "5")
+        assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+        assert_csvs_match_row_writer(tmp_path / str(k), out)
+    assert "text" in vars(fl.dyadic_grid(1.0, 8)) and "text" in vars(fl.dyadic_grid(0.5, 7))
+    assert (tmp_path / "0" / "out" / "qv.csv").read_bytes() == (tmp_path / "3" / "out" / "qv.csv").read_bytes()
+
+
+def assert_csvs_match_row_writer(tmp_path, out):
+    """Every CSV in ``out`` is the row oracle's rewrite of its own cells, with
+    int columns exactly where ``_INT_COLUMNS`` says."""
     written = sorted(out.glob("*.csv"))
     assert written
     for path in written:
@@ -798,6 +822,23 @@ _JUMP_OFF_THE_PARTITION = {
             {"floor": {"name": "zero", "a_star": -2}},
             "floor.a_star = -2: the floor margin y - w(y) is not positive there",
         ),
+        # malformed table floors
+        (
+            "drawdown",
+            {"floor": {"name": "table", "ys": [2.0, 1.0], "ws": [0.5, 0.6], "a_star": 2.0}},
+            "floor.ys must be strictly increasing, got [2.0, 1.0]",
+        ),
+        (
+            "drawdown",
+            {"floor": {"name": "table", "ys": [2.0, 3.0, 4.0], "ws": [0.5, 0.6], "a_star": 2.0}},
+            "floor.ws has 2 values for the 3 points of floor.ys",
+        ),
+        (
+            "drawdown",
+            {"floor": {"name": "table", "ys": [2.0, 3.0], "ws": ["a", 0.6], "a_star": 2.0}},
+            "floor.ws must be a list of at least 2 numbers, got ['a', 0.6]",
+        ),
+        ("drawdown", {"floor": {"name": "table", "ys": 3, "ws": [0.5], "a_star": 2.0}}, "floor.ys must be a list"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):

@@ -23,6 +23,23 @@ def test_grid_invariants():
         g.index_of(0.3)  # membership is exact, never fuzzy
 
 
+def test_dyadic_grid_is_shared_per_T_and_level():
+    g = fl.dyadic_grid(2.0, 5)
+    assert fl.dyadic_grid(2.0, 5) is g and fl.dyadic_grid(2, np.int64(5)) is g
+    assert fl.dyadic_grid(2.0, 6) is not g and fl.dyadic_grid(1.0, 5) is not g
+    assert g.text is g.text
+
+
+def test_shared_grid_times_and_text_are_read_only():
+    g = fl.dyadic_grid(1.0, 4)
+    with pytest.raises(ValueError):
+        g.times[1] = 0.5
+    with pytest.raises(ValueError):
+        g.times.setflags(write=True)
+    with pytest.raises(ValueError):
+        g.text[0, 0] = ord("1")
+
+
 def test_jump_at_zero_forbidden():
     g = fl.dyadic_grid(1.0, 2)
     with pytest.raises(ValueError):
