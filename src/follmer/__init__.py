@@ -57,6 +57,7 @@ from .partitions import (
 from .paths import (
     AffineCombinationGenerator,
     CompoundJumpGenerator,
+    DomainError,
     DyadicBrownianGenerator,
     FormulaGenerator,
     FVPath,
@@ -71,6 +72,7 @@ from .paths import (
     left_values,
     reciprocal_path,
     running_maximum,
+    same_grid,
 )
 from .quadvar import (
     DiscreteMeasure,

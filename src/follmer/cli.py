@@ -37,13 +37,16 @@ from .integrals import (
     ito_formula_eval,
 )
 from .io import (
+    MAX_LEVEL,
     ConfigError,
+    DomainError,
     check_keys,
     config_hash,
     load_config,
     make_floor,
     make_function,
     make_generator,
+    integer,
     number,
     require,
     subsection,
@@ -74,17 +77,12 @@ def _with_seed(ref: dict, seed: int | None) -> dict:
 
 def _levels(cfg: dict, override: str | None) -> tuple[int, int]:
     lv = override.split("..") if override else cfg.get("levels", [6, 12])
-    try:
-        if not isinstance(lv, (list, tuple)):
-            raise TypeError
-        n_min, n_max = (int(v) for v in lv)
-    except (TypeError, ValueError, OverflowError) as exc:
+    if not isinstance(lv, (list, tuple)) or len(lv) != 2:
         if override:
-            raise ConfigError(f"bad --levels {override!r}; expected a..b") from exc
-        raise ConfigError(f"bad 'levels' {lv!r}; expected [n_min, n_max]") from exc
-    if not 0 <= n_min <= n_max:
-        raise ConfigError(f"levels need 0 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
-    return n_min, n_max
+            raise ConfigError(f"bad --levels {override!r}; expected a..b")
+        raise ConfigError(f"bad 'levels' {lv!r}; expected [n_min, n_max]")
+    pair = dict(zip(("n_min", "n_max"), lv))
+    return tuple(integer(pair, k, where="--levels" if override else "levels", top=MAX_LEVEL) for k in pair)
 
 
 class Run:
@@ -105,9 +103,7 @@ class Run:
     def grid(self) -> TimeGrid:
         n_max = self.levels[1]
         t_hor = number(self.cfg, "T", 1.0)
-        if not t_hor > 0:
-            raise ConfigError(f"T must be positive, got {t_hor}")
-        grid_level = int(number(self.cfg, "grid_level", n_max))
+        grid_level = integer(self.cfg, "grid_level", n_max, top=MAX_LEVEL)
         if grid_level < n_max:
             raise ConfigError("grid_level must be at least the top partition level")
         return dyadic_grid(t_hor, grid_level)
@@ -192,13 +188,11 @@ def _drive(compute, name: str, keys: set, stochastic: bool, config_path, out_dir
         cfg = load_config(config_path)
         h = config_hash({**cfg, "__seed__": seed, "__levels__": levels_opt})
         check_keys(cfg, _COMMON_KEYS | keys, f"{name} config")
-        if "seed" in cfg:
-            number(cfg, "seed")  # a NaN or infinite seed is rejected by name
+        cfg_seed = integer(cfg, "seed") if "seed" in cfg else None  # checked even when --seed overrides it
         default_tol = STOCHASTIC_TOL if cfg.get("stochastic", stochastic) else DETERMINISTIC_TOL
-        run = Run(cfg, out, seed if seed is not None else cfg.get("seed"), levels_opt, h,
-                  tolerance(cfg, "tol", default_tol))
+        run = Run(cfg, out, cfg_seed if seed is None else seed, levels_opt, h, tolerance(cfg, "tol", default_tol))
         report = compute(run)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:  # DomainError: an input outside the model's domain
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     if plot and run.series is not None:
@@ -452,7 +446,7 @@ def _market_from(run: Run) -> Market:
         try:
             with open(mref["csv"]) as fp:
                 return read_market_csv(fp)
-        except (OSError, ValueError) as exc:
+        except (OSError, DomainError) as exc:
             raise ConfigError(f"market.csv: {exc}") from exc
     s = run.generate(require(mref, "s", "market"), "market.s")
     bref = subsection(mref, "b", {"rate": 0.0}, {"rate", "path"}, "market")
@@ -479,6 +473,7 @@ def _dppi(run: Run) -> dict:
         grid = market.grid
         seq = thinned_sequence(grid, len(seq))
     lref = subsection(run.cfg, "l", {"constant": 0.0}, {"constant", "linear"})
+    lkey = "l.constant" if "constant" in lref else "l.linear"
     if "constant" in lref:
         floor = np.full(len(grid), number(lref, "constant", where="l"))
     elif "linear" in lref:
@@ -488,8 +483,8 @@ def _dppi(run: Run) -> dict:
         raise ConfigError("l must carry 'constant' or 'linear'")
     try:
         spec = FloorSpec(FVPath(grid, floor))
-    except ValueError as exc:
-        raise ConfigError(f"l: {exc}") from None
+    except DomainError as exc:  # name the key L came from
+        raise ConfigError(f"l: {exc} (from {lkey})") from None
     rep = dppi(market, number(run.cfg, "m", 1.0), spec, number(run.cfg, "v0", 1.0), seq, tol=run.tol)
     run.qv_of_x(rep.exponential.qv)
     with open(run.out / "strategy.csv", "w") as fp:
@@ -515,29 +510,32 @@ def _mc(run: Run) -> dict:
     cfg = run.cfg
     if "levels" in cfg:
         raise ConfigError("mc takes its levels from 'n_min' and 'n_max', not 'levels'")
-    n_min, n_max = _levels({"levels": [number(cfg, "n_min", 3), number(cfg, "n_max", 8)]}, run.levels_opt)
+    levels = integer(cfg, "n_min", 3, top=MAX_LEVEL), integer(cfg, "n_max", 8, top=MAX_LEVEL)
+    n_min, n_max = run.levels if run.levels_opt else levels
     seeds_cfg = cfg.get("seeds", 16)
-    base = 0 if run.seed is None else int(run.seed)
+    if isinstance(seeds_cfg, list):
+        seeds = [integer({"seeds": s}, "seeds") for s in seeds_cfg]
+    else:
+        base = 0 if run.seed is None else run.seed
+        seeds = range(base, base + integer(cfg, "seeds", 16))
+    exp = McExperiment(
+        seeds=tuple(seeds),
+        n_min=n_min,
+        n_max=n_max,
+        grid_level=integer(cfg, "grid_level", 16, top=MAX_LEVEL),
+        T=number(cfg, "T", 1.0),
+        sigma=number(cfg, "sigma", 1.0),
+        jump_intensity=number(cfg, "jump_intensity", 0.0),
+        jump_size=number(cfg, "jump_size", 0.5),
+        jump_sampler=str(cfg.get("jump_sampler", "coin")),
+        tol=run.tol,
+    )
     try:
-        seeds = range(base, base + seeds_cfg) if isinstance(seeds_cfg, int) else [int(s) for s in seeds_cfg]
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"seeds must be a count or a list of integer seeds, got {seeds_cfg!r}") from None
-    try:
-        exp = McExperiment(
-            seeds=tuple(seeds),
-            n_min=n_min,
-            n_max=n_max,
-            grid_level=int(number(cfg, "grid_level", 16)),
-            T=number(cfg, "T", 1.0),
-            sigma=number(cfg, "sigma", 1.0),
-            jump_intensity=number(cfg, "jump_intensity", 0.0),
-            jump_size=number(cfg, "jump_size", 0.5),
-            jump_sampler=str(cfg.get("jump_sampler", "coin")),
-            tol=run.tol,
-        )
-    except (TypeError, ValueError) as exc:  # a ConfigError from number() too
-        raise ConfigError(f"mc: {exc}") from exc
-    summary = run_mc(exp)
+        summary = run_mc(exp)
+    except DomainError as exc:  # the band-exit scan names the grid, which grid_level sets
+        if exc.key != "grid":
+            raise
+        raise ConfigError(f"grid_level: {exc}") from None
     oc = summary.outcomes
     columns = [[o.seed for o in oc], [int(o.passed) for o in oc], [o.sup_errors[-1] for o in oc]]
     columns += [[o.osc_sum for o in oc], [o.osc_sum_bound for o in oc]]
@@ -558,18 +556,15 @@ def _appendix(run: Run) -> dict:
     """Discrete-measure convergence to a left-limit integral."""
     atom = number(run.cfg, "atom", 0.5)
     mu = DiscreteMeasure(np.array([atom]), np.array([number(run.cfg, "weight", 1.0)]))
-    if "f" not in run.cfg and atom not in run.grid.times:
-        raise ConfigError(f"atom = {atom!r} is not a grid time, where the default f steps")
+    if "f" not in run.cfg and atom not in run.grid.times[1:]:  # no jump at t=0
+        raise ConfigError(f"atom = {atom!r} is not a grid time, where the default f steps, after t = 0")
     fref = run.cfg.get("f", {"kind": "step", "c": 1.0, "t0": atom})
     fgen = make_generator(_with_seed(fref, run.seed), run.grid, "f")
     if not isinstance(fgen, StepGenerator):
         raise ConfigError("appendix-measure expects a step path for f")
     f = fgen.generate(run.grid)
     mus = [_pushforward(mu, p.times) for p in run.seq]
-    try:
-        rep = measure_convergence_check(mus, mu, f, run.t, tol=run.tol)
-    except ValueError as exc:  # a negative weight
-        raise ConfigError(f"weight: {exc}") from None
+    rep = measure_convergence_check(mus, mu, f, run.t, tol=run.tol)
     per_level = rep.integral_per_level
     columns = [range(len(per_level)), per_level, [rep.integral_target] * len(per_level), rep.integral_gaps]
     run.table("appendix.csv", ["level", "integral", "target", "gap"], columns)

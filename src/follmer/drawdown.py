@@ -23,7 +23,7 @@ import numpy as np
 from .diagnostics import DETERMINISTIC_TOL, TrendReport
 from .integrals import integral_at
 from .partitions import PartitionSequence
-from .paths import GridPath, left_values, running_maximum
+from .paths import DomainError, GridPath, left_values, running_maximum
 
 __all__ = [
     "MonotoneC2Function",
@@ -100,7 +100,7 @@ def floor_zero(a_star: float) -> FloorFunction:
 
 def floor_proportional(alpha: float, a_star: float) -> FloorFunction:
     if not 0.0 <= alpha < 1.0:
-        raise ValueError("proportional floor needs 0 <= alpha < 1")
+        raise DomainError("alpha", f"must satisfy 0 <= alpha < 1, got {alpha!r}")
     return FloorFunction(
         w=lambda y: alpha * np.asarray(y, dtype=float),
         dw=lambda y: np.full_like(np.asarray(y, dtype=float), alpha),
@@ -110,8 +110,8 @@ def floor_proportional(alpha: float, a_star: float) -> FloorFunction:
 
 
 def floor_constant_margin(c: float, a_star: float) -> FloorFunction:
-    if c <= 0:
-        raise ValueError("constant margin must be positive")
+    if not c > 0:
+        raise DomainError("c", f"must be positive, got {c!r}")
     return FloorFunction(
         w=lambda y: np.asarray(y, dtype=float) - c,
         dw=lambda y: np.ones_like(np.asarray(y, dtype=float)),
@@ -166,17 +166,27 @@ def _pchip_slopes(xs, ys) -> np.ndarray:
     return d
 
 
+def _table_points(values, key: str) -> np.ndarray:
+    """``values`` as a float array of at least 2 finite numbers, else a ``DomainError`` naming ``key``."""
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # not numbers at all
+        a = np.zeros(0)
+    if a.ndim != 1 or a.size < 2:
+        raise DomainError(key, f"must be a list of at least 2 numbers, got {values!r}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError(key, f"must hold only finite values, got {values!r}")
+    return a
+
+
 def floor_from_table(ys, ws, a_star: float | None = None) -> FloorFunction:
     """User floor from a monotone table, interpolated shape-preservingly
     (PCHIP: cubic Hermite with Fritsch-Carlson slopes)."""
-    ys = np.asarray(ys, dtype=float)
-    ws = np.asarray(ws, dtype=float)
-    if ys.ndim != 1 or ws.shape != ys.shape or ys.size < 2:
-        raise ValueError("a floor table needs two equal-length lists of at least 2 numbers")
-    if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(ws))):
-        raise ValueError("a floor table must contain only finite values")
+    ys, ws = _table_points(ys, "ys"), _table_points(ws, "ws")
+    if ws.size != ys.size:
+        raise DomainError("ws", f"has {ws.size} values for the {ys.size} points of ys")
     if not np.all(np.diff(ys) > 0):
-        raise ValueError("floor table points must be strictly increasing")
+        raise DomainError("ys", f"must be strictly increasing, got {ys.tolist()!r}")
     slopes = _pchip_slopes(ys, ws)
     return FloorFunction(
         w=lambda y: _hermite(ys, ws, slopes, y)[0],
@@ -229,7 +239,7 @@ class _CumulativeExponent:
         self._knots = np.asarray(floor.knots, dtype=float)
         self._m_last = float(floor.margin(self.a_star))
         if not self._m_last > 0.0:
-            raise ValueError(f"floor margin y - w(y) is not positive at a_star = {self.a_star}")
+            raise DomainError("floor.a_star", f"= {self.a_star:g}: the floor margin y - w(y) is not positive there")
         self._nodes = np.array([self.a_star])
         self._vals = np.array([0.0])
         self._slopes = np.array([1.0 / self._m_last])
@@ -246,7 +256,7 @@ class _CumulativeExponent:
             ys = y0 + m0 / _NODES_PER_UNIT * np.arange(1, _BLOCK + 1)
             m = self.floor.margin(ys)
             if not m[0] > 0.0:
-                raise ValueError(f"floor margin y - w(y) is not positive near y = {ys[0]}")
+                raise DomainError("floor", f"margin y - w(y) is not positive near y = {ys[0]}")
             short = np.flatnonzero(~(m >= 0.5 * m0))
             k = max(1, int(short[0])) if short.size else _BLOCK
             ys, m = ys[:k], m[:k]
@@ -259,7 +269,7 @@ class _CumulativeExponent:
             mq = self.floor.margin(s.ravel()).reshape(s.shape)
             if not np.all(mq > 0.0):
                 bad = float(np.min(s[~(mq > 0.0)]))
-                raise ValueError(f"floor margin y - w(y) is not positive near y = {bad}")
+                raise DomainError("floor", f"margin y - w(y) is not positive near y = {bad}")
             pieces = half * ((1.0 / mq) @ _GL_WEIGHTS)
             v = np.cumsum(np.concatenate([[v0], pieces]))[np.searchsorted(ends, ys) + 1]
             nodes.append(ys)
@@ -375,7 +385,7 @@ def azema_yor_path(
     """
     xbar, cont = running_maximum(x)
     if not cont:
-        raise ValueError("running maximum is discontinuous at grid scale")
+        raise DomainError("x", "has a running maximum that is discontinuous at grid scale")
     if x.x[0] < u.domain_start - 1e-12:
         raise ValueError("X_0 is below the domain of U")
     mb = xbar.x
@@ -429,7 +439,7 @@ def solve_drawdown(
     """
     xl = left_values(x)
     if np.any(x.x <= 0.0) or np.any(xl <= 0.0):
-        raise ValueError("the drawdown construction needs X > 0 and X_- > 0")
+        raise DomainError("x", "must be positive, with positive left limits, for the drawdown construction")
     transform = floor_to_transform(floor, float(x.x[0]))
     ay = azema_yor_path(transform.U, x)  # rejects a discontinuous running maximum
     y = ay.path

@@ -22,7 +22,7 @@ import numpy as np
 from .diagnostics import DETERMINISTIC_TOL, TrendReport, sup_distance
 from .integrals import AdmissibleIntegrand, _integrand_values, integral_curves
 from .partitions import PartitionSequence
-from .paths import FVPath, GridPath, left_values, reciprocal_path
+from .paths import DomainError, FVPath, GridPath, left_values, reciprocal_path
 from .quadvar import QVResult, qv_sequence
 from .stieltjes import stieltjes_fv_curve, stieltjes_left
 
@@ -91,9 +91,15 @@ def _libm_exp(a: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in a.tolist()])
 
 
+def _minus_one_jump(x: GridPath, consequence: str) -> DomainError:
+    """The error for a path x with a jump dX = -1, named by its first time."""
+    t = float(x.grid.times[np.argmax(x.dX == -1.0)])
+    return DomainError("x", f"has a jump dX = -1 at t = {t!r}: {consequence}")
+
+
 def _reciprocal_path(se: StochasticExponential) -> GridPath:
     if se.zero_hit:
-        raise ValueError("E(X) hits zero: some jump of X equals -1")
+        raise _minus_one_jump(se.x, "E(X) hits zero")
     return reciprocal_path(se.path)
 
 
@@ -169,9 +175,7 @@ def solve_linear(
     The integrals against X and 1/E(X) are ``integral_curves``.
     """
     se = doleans_exponential(x, seq, tol=tol)
-    if se.zero_hit:
-        raise ValueError("dX = -1 encountered: the equation degenerates")
-    r = _reciprocal_path(se)
+    r = _reciprocal_path(se)  # rejects a jump dX = -1
     grid = x.grid
     hp = _h_path(h, grid)
     hv, hl, hj = hp.x, left_values(hp), hp.dX
@@ -260,7 +264,7 @@ def solve_nonlinear(
     """
     se = doleans_exponential(x, seq, tol=tol)
     if se.zero_hit:
-        raise ValueError("dX = -1 encountered: the equation degenerates")
+        raise _minus_one_jump(x, "the equation degenerates")
     times = x.grid.times
     e_vals = se.values
 

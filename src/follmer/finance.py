@@ -24,7 +24,17 @@ from .drawdown import FloorFunction, azema_yor_path, floor_to_transform
 from .equations import StochasticExponential, doleans_exponential
 from .integrals import _integrand_values, integral_at, integral_curve
 from .partitions import PartitionSequence
-from .paths import FVPath, GridPath, TimeGrid, _csv_array, _write_csv_columns, left_values, running_maximum
+from .paths import (
+    DomainError,
+    FVPath,
+    GridPath,
+    TimeGrid,
+    _csv_array,
+    _write_csv_columns,
+    left_values,
+    running_maximum,
+    same_grid,
+)
 from .stieltjes import stieltjes_fv_curve
 
 __all__ = [
@@ -47,17 +57,15 @@ class Market:
     b: FVPath
 
     def __post_init__(self):
-        if len(self.s.grid) != len(self.b.grid) or not np.array_equal(
-            self.s.grid.times, self.b.grid.times
-        ):
+        if not same_grid(self.s.grid, self.b.grid):
             raise ValueError("S and B must share one grid")
         sl, bl = left_values(self.s), left_values(self.b)
-        if np.any(self.s.x <= 0) or np.any(sl <= 0):
-            raise ValueError("S and S_- must be strictly positive")
-        if np.any(self.b.x <= 0) or np.any(bl <= 0):
-            raise ValueError("B and B_- must be strictly positive")
+        if not (np.all(self.s.x > 0) and np.all(sl > 0)):  # a NaN is not positive either
+            raise DomainError("S", "and S_- must be strictly positive")
+        if not (np.all(self.b.x > 0) and np.all(bl > 0)):
+            raise DomainError("B", "and B_- must be strictly positive")
         if self.b.x[0] != 1.0:
-            raise ValueError("B_0 must equal 1")
+            raise DomainError("B_0", f"must equal 1, got {float(self.b.x[0])!r}")
 
     @property
     def grid(self) -> TimeGrid:
@@ -81,7 +89,9 @@ class FloorSpec:
 
     def __post_init__(self):
         if np.any(self.l.x < 0):
-            raise ValueError("L must be nonnegative")
+            i = int(np.argmin(self.l.x >= 0))
+            t = float(self.l.grid.times[i])
+            raise DomainError("L", f"must be nonnegative, got {float(self.l.x[i])!r} at t = {t!r}")
 
     @property
     def nonincreasing(self) -> bool:
@@ -116,8 +126,8 @@ def dppi(
     in the numerator.
     """
     l = floor.l
-    if v0 < float(l.x[0]):
-        raise ValueError("initial wealth below the initial floor")
+    if not v0 >= float(l.x[0]):
+        raise DomainError("v0", f"= {v0!r} is below the initial floor L_0 = {float(l.x[0])!r}")
     grid = market.grid
     s, b = market.s, market.b
     sl, bl = left_values(s), left_values(b)
@@ -128,7 +138,8 @@ def dppi(
     x_vals = integral_curve(mv / s.x, s.x, seq.top) + integral_curve((1.0 - mv) / b.x, b.x, seq.top)
     x_jumps = ml * s.dX / sl + (1.0 - ml) * b.dX / bl
     if np.any(x_jumps == -1.0):
-        raise ValueError("dX = -1 encountered: the cushion exponential degenerates")
+        t = float(grid.times[np.argmax(x_jumps == -1.0)])
+        raise DomainError("m", f"makes a jump dX = -1 of the driver X at t = {t!r}: the cushion degenerates")
     fv_driver = isinstance(s, FVPath)
     x_path = (FVPath if fv_driver else GridPath)(grid, x_vals, x_jumps)
     dx_above = bool(np.all(x_jumps > -1.0))
@@ -230,12 +241,7 @@ def drawdown_strategy(
     """
     if abs(floor.a_star - v0) > 1e-12 * max(1.0, abs(v0)):
         raise ValueError("the floor domain must start at the initial wealth v0")
-    _, cont = running_maximum(s)
-    if not cont:
-        raise ValueError("running maximum of S is discontinuous at grid scale")
     sl = left_values(s)
-    if np.any(s.x <= 0) or np.any(sl <= 0):
-        raise ValueError("S and S_- must be strictly positive")
     grid = s.grid
     transform = floor_to_transform(floor, float(s.x[0]))
     ay = azema_yor_path(transform.U, s)
@@ -270,7 +276,7 @@ def read_market_csv(fp) -> Market:
     header = [name.strip() for name in next(r, [])]
     missing = [name for name in ("t", "S", "B") if name not in header]
     if missing:
-        raise ValueError(f"market CSV header {','.join(header)!r} lacks {','.join(missing)}")
+        raise DomainError("header", f"{','.join(header)!r} of a market CSV lacks {','.join(missing)}")
     a = _csv_array(list(r), len(header))
     col = {name: a[:, k] for k, name in enumerate(header)}
     grid = TimeGrid(col["t"])

@@ -26,7 +26,7 @@ import numpy as np
 from .diagnostics import DETERMINISTIC_TOL, TrendReport, sup_distance
 from .functions import C12Function
 from .partitions import Partition, PartitionSequence
-from .paths import FVPath, GridPath, jump_rows, left_values
+from .paths import DomainError, FVPath, GridPath, jump_rows, left_values
 from .quadvar import QVResult, _anchor_runs, covariation, qv_sequence
 from .stieltjes import stieltjes_fv, stieltjes_fv_curve, stieltjes_left
 
@@ -73,7 +73,7 @@ class AdmissibleIntegrand:
         av, xv = self.A.x, self.X.x
         al, xl = left_values(self.A), left_values(self.X)
         if not (np.all(self.f.domain_ok(av, xv)) and np.all(self.f.domain_ok(al, xl))):
-            raise ValueError("trajectory leaves the function's domain")
+            raise DomainError("f", "is not defined along the trajectory, which leaves its domain")
         step = max(1, len(self.X.grid) // 32)
         self.f.validate(av[::step], xv[::step])
         xi = np.asarray(self.f.grad_x(av, xv), dtype=float)

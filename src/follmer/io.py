@@ -23,6 +23,7 @@ from .functions import C12Function, builtin_c12
 from .paths import (
     AffineCombinationGenerator,
     CompoundJumpGenerator,
+    DomainError,
     DyadicBrownianGenerator,
     FormulaGenerator,
     GeometricGenerator,
@@ -34,6 +35,7 @@ from .paths import (
 
 __all__ = [
     "ConfigError",
+    "MAX_LEVEL",
     "load_config",
     "config_hash",
     "check_keys",
@@ -96,14 +98,35 @@ def number(section: dict, key: str, default=None, where: str = "") -> float:
     return out
 
 
+MAX_LEVEL = 20  # the finest grid_level or partition level a config may ask for: 2^20 + 1 grid points
+
+
+def integer(section: dict, key: str, default=None, where: str = "", top: int | None = None) -> int:
+    """``section[key]`` as an int from 0 to ``top`` (no bound when None), read like ``number``;
+    a whole float and an integer's text (``--levels a..b``) are taken."""
+    value = require(section, key, where or "config") if default is None else section.get(key, default)
+    if isinstance(value, str) and value.strip().removeprefix("-").isdecimal():
+        value = int(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0 or top is not None and value > top:
+        _finite(value, _dotted(where, key))
+        bound = "a nonnegative integer" if top is None else f"an integer from 0 to {top}"
+        raise ConfigError(f"{_dotted(where, key)} must be {bound}, got {section.get(key, default)!r}")
+    return value
+
+
 def _finite(value, key: str) -> None:
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value!r}")
 
 
-def _finite_params(params: dict, where: str) -> None:
-    """Reject a NaN or infinite parameter, or list entry, naming its dotted key."""
+def _finite_params(params: dict, where: str, names: set | None = None) -> None:
+    """Reject a NaN or infinite parameter, or list entry, naming its dotted
+    key; given ``names``, also a parameter outside them that is not a number."""
     for key, value in params.items():
+        if names is not None and key not in names and not isinstance(value, (int, float)):
+            raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
         for v in value if isinstance(value, list) else (value,):
             _finite(v, _dotted(where, key))
 
@@ -142,22 +165,16 @@ _GENERATOR_NAMES = {"name", "sampler", "x", "y"}  # the generator parameters tha
 
 def make_generator(ref: dict, grid: TimeGrid, where: str = "generator") -> PathGenerator:
     """The generator of ``ref`` for paths on ``grid``.  A parameter that is not
-    a number (other than ``_GENERATOR_NAMES``), an unknown sampler and a step
-    time off the grid are config errors."""
+    a number (other than ``_GENERATOR_NAMES``), a seed that is not a
+    nonnegative integer, a step time off the grid and a parameter outside the
+    generator's domain are config errors naming the key."""
     if not isinstance(ref, dict) or "kind" not in ref:
         raise ConfigError(f"{where} must be an object with a 'kind'")
     kind = ref["kind"]
     params = {k: v for k, v in ref.items() if k != "kind"}
-    _finite_params(params, where)
-    for key, value in params.items():
-        if key not in _GENERATOR_NAMES and not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    if kind == "compound-jump" and params.get("sampler", "coin") not in CompoundJumpGenerator.SAMPLERS:
-        raise ConfigError(
-            f"{where}.sampler must be one of {list(CompoundJumpGenerator.SAMPLERS)}, got {params['sampler']!r}"
-        )
-    if kind == "geometric" and not abs(params.get("jump_size", GeometricGenerator.jump_size)) < 1.0:
-        raise ConfigError(f"{where}.jump_size must stay below 1 in magnitude, got {params['jump_size']!r}")
+    _finite_params(params, where, _GENERATOR_NAMES)
+    if "seed" in params:
+        params["seed"] = integer(params, "seed", where=where)
     try:
         if kind == "formula":
             name = params.pop("name")
@@ -182,6 +199,8 @@ def make_generator(ref: dict, grid: TimeGrid, where: str = "generator") -> PathG
         raise ConfigError(f"{where}: unknown name {exc}") from exc
     except TypeError as exc:
         raise ConfigError(f"{where}: bad parameters for kind {kind!r}: {exc}") from exc
+    except DomainError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
     raise ConfigError(f"{where}: unknown generator kind {kind!r}")
 
 
@@ -199,45 +218,21 @@ def make_function(ref: dict, where: str = "f") -> C12Function:
 
 
 def make_floor(ref: dict, where: str = "floor") -> FloorFunction:
-    """The floor of ``ref``.  A proportional ``alpha`` outside [0, 1), a
-    constant margin ``c`` that is not positive, a table whose ``ys`` and
-    ``ws`` are not two equal-length lists of at least 2 numbers with ``ys``
-    strictly increasing, and an ``a_star`` where the margin y - w(y) is not
-    positive are config errors."""
+    """The floor of ``ref``.  A parameter that is not a number (a table's
+    ``ys`` and ``ws`` aside) and one outside the floor's domain are config
+    errors naming the key."""
     if not isinstance(ref, dict) or "name" not in ref:
         raise ConfigError(f"{where} must be an object with a 'name'")
     params = {k: v for k, v in ref.items() if k not in ("name", "a_star")}
-    _finite_params(params, where)
-    a_star = number(ref, "a_star", where=where)
-    name = ref["name"]
-    if name == "proportional" and "alpha" in params and not 0.0 <= number(params, "alpha", where=where) < 1.0:
-        raise ConfigError(f"{where}.alpha must satisfy 0 <= alpha < 1, got {params['alpha']!r}")
-    if name == "constant-margin" and "c" in params and not number(params, "c", where=where) > 0.0:
-        raise ConfigError(f"{where}.c must be positive, got {params['c']!r}")
-    if name == "table":
-        _table_points(params, where)
+    _finite_params(params, where, {"ys", "ws"})
     try:
-        floor = builtin_floor(name, a_star, **params)
+        return builtin_floor(ref["name"], number(ref, "a_star", where=where), **params)
     except KeyError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     except TypeError as exc:
         raise ConfigError(f"{where}: bad parameters: {exc}") from exc
-    if not float(floor.margin(a_star)) > 0.0:
-        raise ConfigError(f"{where}.a_star = {ref['a_star']!r}: the floor margin y - w(y) is not positive there")
-    return floor
-
-
-def _table_points(params: dict, where: str) -> None:
-    """Reject table points other than ``floor_from_table`` takes, naming the key."""
-    for key in ("ys", "ws"):
-        value = require(params, key, where)
-        if not (isinstance(value, list) and len(value) >= 2 and all(isinstance(v, (int, float)) for v in value)):
-            raise ConfigError(f"{where}.{key} must be a list of at least 2 numbers, got {value!r}")
-    ys, ws = params["ys"], params["ws"]
-    if len(ws) != len(ys):
-        raise ConfigError(f"{where}.ws has {len(ws)} values for the {len(ys)} points of {where}.ys")
-    if not all(a < b for a, b in zip(ys, ys[1:])):
-        raise ConfigError(f"{where}.ys must be strictly increasing, got {ys!r}")
+    except DomainError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
 
 
 def write_csv(path: Path, header: list, columns: list, cfg_hash: str) -> None:

@@ -30,6 +30,7 @@ from .diagnostics import STOCHASTIC_TOL, TrendReport
 from .partitions import Partition, lebesgue_partitions, mesh, oscillation
 from .paths import (
     CompoundJumpGenerator,
+    DomainError,
     DyadicBrownianGenerator,
     GridPath,
     TimeGrid,
@@ -57,12 +58,17 @@ class McExperiment:
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.seeds:
-            raise ValueError("seeds is empty: need at least one seed")
-        if self.n_min < 1 or self.n_min > self.n_max:
-            raise ValueError("need 1 <= n_min <= n_max")
+            raise DomainError("seeds", "is empty: need at least one seed")
+        if not 1 <= self.n_min <= self.n_max:
+            raise DomainError("levels", f"need 1 <= n_min <= n_max, got n_min={self.n_min}, n_max={self.n_max}")
         for name in ("T", "sigma", "jump_intensity", "jump_size"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+                raise DomainError(name, f"must be finite, got {getattr(self, name)!r}")
+        if self.jump_intensity < 0:
+            raise DomainError("jump_intensity", f"must be nonnegative, got {self.jump_intensity!r}")
+        if self.jump_sampler not in CompoundJumpGenerator.SAMPLERS:
+            samplers = list(CompoundJumpGenerator.SAMPLERS)
+            raise DomainError("jump_sampler", f"must be one of {samplers}, got {self.jump_sampler!r}")
 
     @cached_property
     def grid(self) -> TimeGrid:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import GridPath, TimeGrid, dyadic_grid
+from .paths import DomainError, GridPath, TimeGrid, dyadic_grid
 
 __all__ = [
     "Partition",
@@ -101,8 +101,8 @@ def dyadic_sequence(
     The host grid defaults to the dyadic grid at level n_max; a finer dyadic
     grid may be supplied instead.
     """
-    if n_min > n_max or n_min < 0:
-        raise ValueError("need 0 <= n_min <= n_max")
+    if not 0 <= n_min <= n_max:
+        raise DomainError("levels", f"need 0 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
     if grid is None:
         grid = dyadic_grid(T, n_max)
     spaces = len(grid) - 1
@@ -335,10 +335,11 @@ def _lebesgue_scan(scan: _Scan, n: int) -> list[int]:
         append(i)
 
 
-def _too_coarse(times: np.ndarray, i: int, n: int) -> ValueError:
-    return ValueError(
-        f"grid too coarse for the 1/n time cap at level n={n}: cap 1/n = {1.0 / n:.6g} "
-        f"is below the grid step {times[i + 1] - times[i]:.6g} at t = {times[i]:.6g}"
+def _too_coarse(times: np.ndarray, i: int, n: int) -> DomainError:
+    return DomainError(
+        "grid",
+        f"too coarse for the 1/n time cap at level n={n}: cap 1/n = {1.0 / n:.6g} "
+        f"is below the grid step {times[i + 1] - times[i]:.6g} at t = {times[i]:.6g}",
     )
 
 

@@ -23,10 +23,12 @@ import numpy as np
 from ._floatrepr import BLOCK, float_text
 
 __all__ = [
+    "DomainError",
     "TimeGrid",
     "GridPath",
     "FVPath",
     "dyadic_grid",
+    "same_grid",
     "eval_left_limit",
     "jump_rows",
     "left_values",
@@ -46,6 +48,15 @@ __all__ = [
 ]
 
 
+class DomainError(ValueError):
+    """An input outside the model's domain, raised where the rule it breaks is
+    defined.  ``key`` names the rejected parameter and starts the message."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key} {message}")
+        self.key = key
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     """A read-only float view of a; the caller's own array stays writable."""
     a = np.asarray(a, dtype=float).view()
@@ -53,20 +64,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing evaluation times starting at 0."""
+    """Strictly increasing evaluation times starting at 0.  A grid equals only
+    itself; ``same_grid`` compares the times of two grids."""
 
     times: np.ndarray
 
     def __post_init__(self):
         t = _readonly(self.times)
         if t.ndim != 1 or t.size < 2:
-            raise ValueError("grid needs at least two times")
+            raise DomainError("times", "must be one-dimensional with at least two entries")
         if t[0] != 0.0:
-            raise ValueError("grid must start at 0")
+            raise DomainError("times", "must start at 0")
         if not np.all(np.diff(t) > 0):
-            raise ValueError("grid times must be strictly increasing")
+            raise DomainError("times", "must be strictly increasing")
         object.__setattr__(self, "times", t)
 
     def __len__(self) -> int:
@@ -108,10 +120,17 @@ def dyadic_grid(T: float = 1.0, level: int = 0) -> TimeGrid:
     One grid is shared by the calls with equal arguments, so the tables
     written on it format its times once.  Its times cannot be made writable.
     """
+    if not T > 0:
+        raise DomainError("T", f"must be positive, got {T!r}")
     n = 1 << level
     times = T * (np.arange(n + 1) / n)
     times.setflags(write=False)
     return TimeGrid(times)
+
+
+def same_grid(a: TimeGrid, b: TimeGrid) -> bool:
+    """Whether two grids hold the same times: the same grid, or equal arrays."""
+    return a is b or np.array_equal(a.times, b.times)
 
 
 def _jump_array(jumps, n: int) -> np.ndarray:
@@ -120,7 +139,7 @@ def _jump_array(jumps, n: int) -> np.ndarray:
         jumps = jumps or {}
         idx = np.fromiter(map(int, jumps), dtype=np.intp, count=len(jumps))
         if np.any(idx == 0):
-            raise ValueError("a jump at t=0 is forbidden (X_{0-} = X_0)")
+            raise DomainError("jumps", "hold a jump at t=0, which is forbidden (X_{0-} = X_0)")
         if np.any((idx < 0) | (idx >= n)):
             raise ValueError("jump index outside the grid")
         sizes = np.array(list(jumps.values()), dtype=float)
@@ -133,7 +152,7 @@ def _jump_array(jumps, n: int) -> np.ndarray:
         if dX.shape != (n,):
             raise ValueError(f"jump array has shape {dX.shape}, expected ({n},)")
         if dX[0] != 0.0:
-            raise ValueError("a jump at t=0 is forbidden (X_{0-} = X_0)")
+            raise DomainError("jumps", "hold a jump at t=0, which is forbidden (X_{0-} = X_0)")
     dX += 0.0  # a zero jump is +0.0, never -0.0
     return dX
 
@@ -231,7 +250,7 @@ def running_maximum(path: GridPath) -> tuple[GridPath, bool]:
 
 def add_paths(a: GridPath, b: GridPath, ca: float = 1.0, cb: float = 1.0) -> GridPath:
     """ca*A + cb*B on a shared grid; the jump set is the union."""
-    if a.grid is not b.grid and not np.array_equal(a.grid.times, b.grid.times):
+    if not same_grid(a.grid, b.grid):
         raise ValueError("paths live on different grids")
     return GridPath(a.grid, ca * a.x + cb * b.x, ca * a.dX + cb * b.dX)
 
@@ -255,6 +274,10 @@ def reciprocal_path(a: GridPath) -> GridPath:
 
 class PathGenerator:
     kind = "abstract"
+
+    def __post_init__(self):  # generators with checks of their own call it first
+        if not getattr(self, "seed", 0) >= 0:
+            raise DomainError("seed", f"must be nonnegative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -344,6 +367,15 @@ class CompoundJumpGenerator(PathGenerator):
     kind = "compound-jump"
     SAMPLERS = ("coin", "uniform")
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.intensity >= 0:
+            raise DomainError("intensity", f"must be nonnegative, got {self.intensity!r}")
+        if self.sampler not in self.SAMPLERS:
+            raise DomainError("sampler", f"must be one of {list(self.SAMPLERS)}, got {self.sampler!r}")
+        if self.sampler == "uniform" and not self.size >= 0:
+            raise DomainError("size", f"must be nonnegative for the uniform sampler, got {self.size!r}")
+
     def generate(self, grid: TimeGrid) -> GridPath:
         rng = np.random.default_rng(np.random.SeedSequence([int(self.seed), 11]))
         count = rng.poisson(self.intensity * grid.T)
@@ -351,10 +383,8 @@ class CompoundJumpGenerator(PathGenerator):
         idx = np.sort(rng.choice(np.arange(1, len(grid)), size=count, replace=False))
         if self.sampler == "coin":
             sizes = self.size * rng.choice([-1.0, 1.0], size=count)
-        elif self.sampler == "uniform":
-            sizes = rng.uniform(-self.size, self.size, size=count)
         else:
-            raise ValueError(f"unknown jump sampler {self.sampler!r}")
+            sizes = rng.uniform(-self.size, self.size, size=count)
         dx = np.zeros(len(grid))
         dx[idx] = sizes
         return GridPath(grid, np.cumsum(np.concatenate([[self.x0], dx[1:]])), dx)
@@ -388,8 +418,11 @@ class GeometricGenerator(PathGenerator):
     kind = "geometric"
 
     def __post_init__(self):
+        super().__post_init__()
+        if not self.s0 > 0:
+            raise DomainError("s0", f"must be positive, got {self.s0!r}")
         if not abs(self.jump_size) < 1.0:
-            raise ValueError("jump size must stay below 1 in magnitude")
+            raise DomainError("jump_size", f"must stay below 1 in magnitude, got {self.jump_size!r}")
 
     def generate(self, grid: TimeGrid) -> GridPath:
         w = DyadicBrownianGenerator(seed=self.seed, sigma=self.sigma).generate(grid)
@@ -424,7 +457,7 @@ def read_path_csv(fp) -> GridPath:
     r = csv.reader(row for row in fp if not row.startswith("#"))
     header = next(r, [])
     if header != ["t", "x1", "dx1"]:
-        raise ValueError(f"path CSV header {','.join(header)!r} is not t,x1,dx1")
+        raise DomainError("header", f"{','.join(header)!r} of a path CSV is not t,x1,dx1")
     t, x, dx = _csv_array(list(r), 3).T
     return GridPath(TimeGrid(t), x, dx)
 
@@ -445,11 +478,11 @@ def _csv_array(rows: list, width: int) -> np.ndarray:
 def _csv_floats(row: list, width: int, i: int) -> list:
     """The floats of data row i (counted from 0 after the header)."""
     if len(row) != width:
-        raise ValueError(f"CSV data row {i} has {len(row)} fields, expected {width}")
+        raise DomainError("CSV", f"data row {i} has {len(row)} fields, expected {width}")
     try:
         return [float(v) for v in row]
     except ValueError as exc:
-        raise ValueError(f"CSV data row {i}: {exc}") from None
+        raise DomainError("CSV", f"data row {i}: {exc}") from None
 
 
 _CSV_JOIN = 512  # rows joined and written at a time

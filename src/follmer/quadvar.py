@@ -24,7 +24,17 @@ import numpy as np
 
 from .diagnostics import DETERMINISTIC_TOL, TrendReport, sup_distance
 from .partitions import Partition, PartitionSequence
-from .paths import FVPath, GridPath, TimeGrid, add_paths, eval_left_limit, jump_rows, left_values
+from .paths import (
+    DomainError,
+    FVPath,
+    GridPath,
+    TimeGrid,
+    add_paths,
+    eval_left_limit,
+    jump_rows,
+    left_values,
+    same_grid,
+)
 
 __all__ = [
     "QVResult",
@@ -200,10 +210,8 @@ def covariation(
 
     The per-level curves are (1/2)([X+Y] - [X] - [Y]), which coincides bit
     for bit with the product-increment curve.  The jump identity checked is
-    d[X,Y]_t = dX_t dY_t.
+    d[X,Y]_t = dX_t dY_t.  Paths on different grids are rejected by ``add_paths``.
     """
-    if x.grid is not y.grid and not np.array_equal(x.grid.times, y.grid.times):
-        raise ValueError("paths live on different grids")
     if fv_exact is None:
         fv_exact = isinstance(x, FVPath) and isinstance(y, FVPath)
     s = add_paths(x, y)
@@ -281,7 +289,7 @@ class DiscreteMeasure:
 
 def qv_measure(x: GridPath, y: GridPath, p: Partition) -> DiscreteMeasure:
     """mu^pi_{X,Y}: atom (t_i, delta_i X * delta_i Y) per partition interval."""
-    if x.grid is not y.grid and not np.array_equal(x.grid.times, y.grid.times):
+    if not same_grid(x.grid, y.grid):
         raise ValueError("paths live on different grids")
     idx = p.indices
     w = np.diff(x.x[idx]) * np.diff(y.x[idx])
@@ -388,7 +396,7 @@ def measure_convergence_check(
     """
     for m in mus:
         if not m.nonnegative:
-            raise ValueError("discrete-measure convergence needs nonnegative atoms")
+            raise DomainError("weights", "must be nonnegative: discrete-measure convergence needs nonnegative atoms")
 
     samples = [0.0, t]
     samples.extend(float(s) for s in mu.times if s <= t)

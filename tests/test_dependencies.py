@@ -137,3 +137,12 @@ def test_every_dataclass_field_is_read():
     set_attrs = [a for path in sorted(PACKAGE.glob("*.py")) for a in _set_attributes(path)]
     assert len(set_attrs) > 10
     assert [f for f in fields + set_attrs if f.split(".")[1] not in read] == []
+
+
+def test_cli_catches_no_value_error():
+    # a model-domain rule raises DomainError where it is defined; a ValueError
+    # caught in the runner would turn an internal fault into a "config error"
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    handlers = [node.type for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.type]
+    caught = {n.id for h in handlers for n in ast.walk(h) if isinstance(n, ast.Name)}
+    assert "DomainError" in caught and "ValueError" not in caught

@@ -219,13 +219,14 @@ class TestCli:
     def test_negative_level_exits_2(self, tmp_path):
         result, _ = run_cli(tmp_path, "qv", {"path": {"kind": "step"}}, "--levels", "-1..3")
         assert result.exit_code == 2
-        assert "n_min=-1" in result.stderr
+        assert "--levels.n_min must be an integer from 0 to 20, got '-1'" in result.stderr
 
     @pytest.mark.parametrize("levels", [["a", 3], [3], [1, 2, 3], 5, "3..8"])
     def test_malformed_config_levels_exit_2(self, tmp_path, levels):
         result, _ = run_cli(tmp_path, "qv", {"path": {"kind": "step"}, "levels": levels})
         assert result.exit_code == 2
-        assert "bad 'levels'" in result.stderr
+        named = "levels.n_min must be an integer from 0 to 20, got 'a'" if levels == ["a", 3] else "bad 'levels'"
+        assert named in result.stderr
 
     def test_market_csv_short_row_exits_2(self, tmp_path):
         csv_path = tmp_path / "market.csv"
@@ -757,7 +758,7 @@ _JUMP_OFF_THE_PARTITION = {
         ("qv", {"t": 5.0}, "t = 5.0 lies outside"),
         ("assoc", {"eta": {"constant": [1.0, 2.0]}}, "eta.constant has 2 values for 1 integrands"),
         ("mc", {"n_min": 0}, "n_min"),
-        ("mc", {"seeds": -1}, "seeds is empty"),
+        ("mc", {"seeds": -1}, "seeds must be a nonnegative integer, got -1"),
         ("mc", {"seeds": []}, "seeds is empty"),
         ("mc", {"sigma": float("nan")}, "sigma must be finite, got nan"),
         ("mc", {"T": float("inf")}, "T must be finite, got inf"),
@@ -795,8 +796,8 @@ _JUMP_OFF_THE_PARTITION = {
         ("nonlinear", {"x0": float("nan")}, "x0 must be finite, got nan"),
         ("qv", {"grid_level": float("nan")}, "grid_level must be finite, got nan"),
         ("qv", {"path": {"kind": "dyadic-brownian", "sigma": float("nan")}}, "path.sigma must be finite, got nan"),
-        ("qv", {"levels": [3, float("inf")]}, "bad 'levels' [3, inf]"),
-        ("mc", {"seeds": float("nan")}, "seeds must be a count or a list of integer seeds, got nan"),
+        ("qv", {"levels": [3, float("inf")]}, "levels.n_max must be finite, got inf"),
+        ("mc", {"seeds": float("nan")}, "seeds must be finite, got nan"),
         ("mc", {"n_max": float("inf")}, "n_max must be finite, got inf"),
         ("drawdown", {"floor": {"name": "proportional", "alpha": float("nan"), "a_star": 2.0}}, "floor.alpha must be finite"),
         ("ito-check", {"f": {"name": "polynomial", "coeffs": [0.0, float("-inf")]}}, "f.coeffs must be finite, got -inf"),
@@ -804,7 +805,11 @@ _JUMP_OFF_THE_PARTITION = {
         ("ito-check", {"f": {"name": "exp-affine", "c": [1.0, 2.0]}}, "f: bad parameters: c must be a number or a one-element list"),
         # domain errors of the floor and of the measure
         ("dppi", {"l": {"constant": -0.5}}, "l: L must be nonnegative"),
-        ("appendix-measure", {"weight": -1}, "weight: discrete-measure convergence needs nonnegative atoms"),
+        (
+            "appendix-measure",
+            {"weight": -1},
+            "weights must be nonnegative: discrete-measure convergence needs nonnegative atoms",
+        ),
         ("appendix-measure", {"atom": 0.3}, "atom = 0.3 is not a grid time, where the default f steps"),
         # generator parameters checked when the config is read
         ("qv", {"path": {"kind": "compound-jump", "sampler": "foo"}}, "path.sampler must be one of ['coin', 'uniform'], got 'foo'"),
@@ -831,7 +836,7 @@ _JUMP_OFF_THE_PARTITION = {
         (
             "drawdown",
             {"floor": {"name": "table", "ys": [2.0, 3.0, 4.0], "ws": [0.5, 0.6], "a_star": 2.0}},
-            "floor.ws has 2 values for the 3 points of floor.ys",
+            "floor.ws has 2 values for the 3 points of ys",
         ),
         (
             "drawdown",
@@ -839,6 +844,50 @@ _JUMP_OFF_THE_PARTITION = {
             "floor.ws must be a list of at least 2 numbers, got ['a', 0.6]",
         ),
         ("drawdown", {"floor": {"name": "table", "ys": 3, "ws": [0.5], "a_star": 2.0}}, "floor.ys must be a list"),
+        # inputs outside the model's domain, each raised where its rule is defined
+        ("dppi", {"v0": -1.0}, "v0 = -1.0 is below the initial floor L_0 = 0.6"),
+        ("linear", {"x": {"kind": "step", "c": -1.0, "t0": 0.5}}, "x has a jump dX = -1 at t = 0.5: E(X) hits zero"),
+        (
+            "nonlinear",
+            {"x": {"kind": "affine-combination", "x": {"kind": "dyadic-brownian"}, "y": {"kind": "step", "c": -1.0}}},
+            "x has a jump dX = -1 at t = 0.5: the equation degenerates",
+        ),
+        ("qv", {"path": {"kind": "dyadic-brownian", "seed": -3}}, "path.seed must be a nonnegative integer, got -3"),
+        ("mc", {"seeds": [1, -2]}, "seeds must be a nonnegative integer, got -2"),
+        ("qv", {"path": {"kind": "compound-jump", "intensity": -2.0}}, "path.intensity must be nonnegative, got -2.0"),
+        ("mc", {"jump_sampler": "foo", "jump_intensity": 1.0}, "jump_sampler must be one of ['coin', 'uniform'], got 'foo'"),
+        (
+            "mc",
+            {"grid_level": 2, "n_min": 1, "n_max": 8},
+            "grid_level: grid too coarse for the 1/n time cap at level n=5: cap 1/n = 0.2 is below the grid step 0.25",
+        ),
+        (
+            "qv",
+            {"path": {"kind": "compound-jump", "size": -1.0, "sampler": "uniform"}},
+            "path.size must be nonnegative for the uniform sampler, got -1.0",
+        ),
+        ("drawdown", {"x": {"kind": "geometric", "s0": 0.0}}, "x.s0 must be positive, got 0.0"),
+        ("appendix-measure", {"atom": 0.0}, "atom = 0.0 is not a grid time, where the default f steps, after t = 0"),
+        ("dppi", {"l": {"constant": -1.0}}, "l: L must be nonnegative, got -1.0 at t = 0.0 (from l.constant)"),
+        (
+            "dppi",
+            {"l": {"linear": {"start": 0.5, "slope": -1.0}}},
+            "l: L must be nonnegative, got -0.00390625 at t = 0.50390625 (from l.linear)",
+        ),
+        ("mc", {"jump_intensity": -1.0}, "jump_intensity must be nonnegative, got -1.0"),
+        ("mc", {"T": -1.0}, "T must be positive, got -1.0"),
+        # integer keys: whole, not boolean, nonnegative, and grid and partition levels at most MAX_LEVEL
+        ("qv", {"grid_level": 8.5}, "grid_level must be an integer from 0 to 20, got 8.5"),
+        ("mc", {"grid_level": True}, "grid_level must be an integer from 0 to 20, got True"),
+        ("mc", {"grid_level": 0}, "grid_level: grid too coarse for the 1/n time cap at level n=2"),
+        ("qv", {"levels": [3.5, 8]}, "levels.n_min must be an integer from 0 to 20, got 3.5"),
+        ("mc", {"n_max": 8.7}, "n_max must be an integer from 0 to 20, got 8.7"),
+        ("qv", {"seed": 1.5}, "seed must be a nonnegative integer, got 1.5"),
+        ("qv", {"path": {"kind": "dyadic-brownian", "seed": True}}, "path.seed must be a nonnegative integer, got True"),
+        # the level bound, tried only where numpy refuses the grid at once
+        ("qv", {"grid_level": 63}, "grid_level must be an integer from 0 to 20, got 63"),
+        ("qv", {"levels": [3, 63]}, "levels.n_max must be an integer from 0 to 20, got 63"),
+        ("mc", {"grid_level": 64}, "grid_level must be an integer from 0 to 20, got 64"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):
@@ -865,19 +914,58 @@ def _replaced(cfg, key, value):
     return out
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["NaN", "Infinity", "-Infinity"])
+_LEAF_VALUES = [float("nan"), float("inf"), -float("inf"), "x", -1, 0, 0.5, [], {}, None, True]
+
+
+@pytest.mark.parametrize(
+    "value", _LEAF_VALUES, ids=["NaN", "Infinity", "-Infinity", "x", "-1", "0", "0.5", "[]", "{}", "null", "true"]
+)
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_non_finite_numbers_exit_cleanly_naming_the_key(tmp_path, command, value):
-    # each number of the config in turn, top-level or nested, made non-finite
+    # each number of the config in turn, top-level or nested, replaced: a run
+    # passes or fails (exit 0 or 1) or is a config error naming the key (exit
+    # 2), never a traceback
     base = _COMMANDS[command] if command == "mc" else {**_LEVEL_8, **_COMMANDS[command]}
     leaves = list(_numeric_leaves(base))
     assert leaves
     for k, key in enumerate(leaves):
         result, _ = run_cli(tmp_path / str(k), command, _replaced(base, key, value), "--seed", "5")
-        assert result.exit_code in (0, 1, 2) and isinstance(result.exception, SystemExit), (key, result.output)
+        clean = result.exception is None if result.exit_code == 0 else isinstance(result.exception, SystemExit)
+        assert result.exit_code in (0, 1, 2) and clean, (key, result.output)
         if result.exit_code == 2:
             dotted = ".".join(p for p in key if isinstance(p, str))
             assert dotted in result.stderr, (key, result.stderr)
+
+
+def test_a_fault_in_a_compute_function_keeps_its_traceback(tmp_path, monkeypatch):
+    # only ConfigError and DomainError are config errors (exit 2); any other
+    # exception is a fault of the program and leaves the run with exit 1
+    def broken(*args, **kwargs):
+        raise TypeError("a fault")
+
+    monkeypatch.setattr(cli, "qv_sequence", broken)
+    result, out = run_command(tmp_path, "qv")
+    assert result.exit_code == 1 and isinstance(result.exception, TypeError)
+    assert not (out / "qv_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ("0.0,1.0,1.0\n0.5,1.0,1.0\n0.25,1.0,1.0\n", "times must be strictly increasing"),
+        ("0.0,1.0,1.0,0.5\n1.0,1.5,1.0,0.5\n", "jumps hold a jump at t=0"),
+        ("0.0,1.0,1.0\n1.0,-1.0,1.0\n", "S and S_- must be strictly positive"),
+        ("0.0,1.0,1.0\n0.5,nan,1.0\n1.0,1.0,1.0\n", "S and S_- must be strictly positive"),
+        ("0.0,1.0,2.0\n1.0,1.0,2.0\n", "B_0 must equal 1, got 2.0"),
+    ],
+)
+def test_market_csv_outside_the_domain_exits_2(tmp_path, rows, named):
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    csv_path = tmp_path / "market.csv"
+    csv_path.write_text(("t,S,B,dS\n" if rows.count(",") > 2 * rows.count("\n") else "t,S,B\n") + rows)
+    result, _ = run_command(tmp_path, "dppi", {"market": {"csv": str(csv_path)}, "levels": [0, 1]})
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
+    assert f"market.csv: {named}" in result.stderr
 
 
 def test_unsettled_qv_of_x_is_inconclusive(tmp_path):

@@ -40,6 +40,14 @@ def test_shared_grid_times_and_text_are_read_only():
         g.text[0, 0] = ord("1")
 
 
+def test_grids_compare_by_identity_and_same_grid_by_times():
+    g = fl.dyadic_grid(1.0, 3)
+    copy = fl.TimeGrid(g.times.copy())
+    assert g == g and g != copy and len({g, copy, g}) == 2  # neither raises
+    assert fl.same_grid(g, g) and fl.same_grid(g, copy)
+    assert not fl.same_grid(g, fl.dyadic_grid(1.0, 4)) and not fl.same_grid(g, fl.dyadic_grid(2.0, 3))
+
+
 def test_jump_at_zero_forbidden():
     g = fl.dyadic_grid(1.0, 2)
     with pytest.raises(ValueError):
@@ -189,7 +197,7 @@ class TestGenerators:
 
     @pytest.mark.parametrize("size", [1.0, -1.5, float("nan")])
     def test_geometric_rejects_a_jump_size_when_built(self, size):
-        with pytest.raises(ValueError, match="jump size must stay below 1 in magnitude"):
+        with pytest.raises(fl.DomainError, match="jump_size must stay below 1 in magnitude"):
             fl.GeometricGenerator(jump_size=size)
 
 
