@@ -163,6 +163,16 @@ def _function(ref, where: str, a: GridPath | None = None) -> C12Function:
     return f
 
 
+def _integrand(ref, where: str, x: GridPath) -> AdmissibleIntegrand:
+    """The integrand grad f(X) of the config's function ``ref`` along x; a
+    path that leaves the function's domain is a config error naming ``where``."""
+    f = _function(ref, where)
+    try:
+        return AdmissibleIntegrand(f, None, x)
+    except DomainError as exc:  # the library names f, not the config key
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def common_options(fn):
     fn = click.option("--config", "config_path", required=True, type=click.Path())(fn)
     fn = click.option("--out", "out_dir", default=".", type=click.Path())(fn)
@@ -253,13 +263,13 @@ def _qv(run: Run) -> dict:
     if qv.status == "inconclusive":
         run.unsettled("qv trend inconclusive")
     run.check(mvq.bounded, "measure-vs-qv straddle bound violated")
-    run.plot("gap", qv.level_gaps)
+    run.plot("gap", qv.trend.gaps)
     return {
         "levels": len(qv.level_curves),
         "qv_at_t": qv.at(t),
         "continuous_at_t": qv.continuous_at(t),
         "status": qv.status,
-        "gaps": qv.level_gaps,
+        "gaps": qv.trend.gaps,
         "cond2_worst": qv.cond2_worst,
         "measure_check": mvq.to_dict(),
     }
@@ -273,7 +283,7 @@ def _integrate(run: Run) -> dict:
     if "constant" in ref:
         xi = number(ref, "constant", where="integrand")
     elif "f" in ref:
-        xi = AdmissibleIntegrand(_function(ref["f"], "integrand.f"), None, x)
+        xi = _integrand(ref["f"], "integrand.f", x)
     else:
         raise ConfigError("integrand must carry 'constant' or 'f'")
     t = run.t
@@ -286,8 +296,8 @@ def _integrate(run: Run) -> dict:
         run.unsettled("integral trend inconclusive (unverified integrand class)")
     elif res.status == "inconclusive":
         run.unsettled("integral trend inconclusive")
-    run.plot("gap", res.level_gaps)
-    return {"value_at_t": res.at(t), "status": res.status, "claim": res.claim, "gaps": res.level_gaps}
+    run.plot("gap", res.trend.gaps)
+    return {"value_at_t": res.at(t), "status": res.status, "claim": res.claim, "gaps": res.trend.gaps}
 
 
 @_command("ito-check", {"f", "path", "path_fv", "a", "t", "stochastic", "assert_residual"})
@@ -297,13 +307,13 @@ def _ito_check(run: Run) -> dict:
     a = run.generate(run.cfg["a"], "a", fv=True) if "a" in run.cfg else None
     f = _function(require(run.cfg, "f", "config"), "f", a)
     rep = ito_formula_eval(f, a, x, run.seq, run.t, tol=run.tol)
-    residuals = rep.residual_per_level
+    residuals = rep.trend.gaps
     run.table("ito.csv", ["level", "residual"], [range(len(residuals)), residuals])
     cap = tolerance(run.cfg, "assert_residual", run.tol)
     run.check(abs(rep.residual) <= cap, f"ito residual {rep.residual} above {cap}")
     if not rep.trend.converged:
         run.unsettled("ito residual trend inconclusive")
-    run.plot("residual", rep.residual_per_level)
+    run.plot("residual", residuals)
     return {
         "lhs": rep.lhs,
         "terms": {
@@ -313,7 +323,7 @@ def _ito_check(run: Run) -> dict:
             "jumps": rep.jump_term,
         },
         "residual": rep.residual,
-        "residual_per_level": rep.residual_per_level,
+        "residual_per_level": residuals,
     }
 
 
@@ -324,7 +334,7 @@ def _assoc(run: Run) -> dict:
     refs = require(run.cfg, "integrands", "config")
     if not isinstance(refs, list) or not refs:  # no integrands would pass with nothing checked
         raise ConfigError(f"integrands must be a non-empty list of functions, got {refs!r}")
-    integrands = [AdmissibleIntegrand(_function(r, "integrands"), None, x) for r in refs]
+    integrands = [_integrand(r, "integrands", x) for r in refs]
     eta_ref = subsection(run.cfg, "eta", {"constant": 1.0}, {"constant", "f"})
     if "constant" in eta_ref:
         c = eta_ref["constant"]
@@ -337,13 +347,14 @@ def _assoc(run: Run) -> dict:
     else:
         raise ConfigError("eta must carry 'constant' or 'f'")
     rep = associativity_check(eta, integrands, x, run.seq, run.t, tol=run.tol)
-    columns = [range(len(rep.gaps)), rep.lhs_per_level, rep.rhs_per_level, rep.gaps]
+    gaps, gap = rep.trend.gaps, rep.trend.final_gap
+    columns = [range(len(gaps)), rep.lhs_per_level, rep.rhs_per_level, gaps]
     run.table("assoc.csv", ["level", "lhs", "rhs", "gap"], columns)
     cap = tolerance(run.cfg, "assert_gap", run.tol)
-    run.check(rep.gaps[-1] <= cap, f"associativity gap {rep.gaps[-1]} above {cap}")
+    run.check(gap <= cap, f"associativity gap {gap} above {cap}")
     if rep.status != "converged":
         run.unsettled("associativity trend inconclusive")
-    return {"lhs": rep.lhs_per_level, "rhs": rep.rhs_per_level, "gaps": rep.gaps, "status": rep.status}
+    return {"lhs": rep.lhs_per_level, "rhs": rep.rhs_per_level, "gaps": gaps, "status": rep.status}
 
 
 @_command("linear", {"x", "x_fv", "h", "stochastic", "assert_value", "assert_tol"})
@@ -376,8 +387,8 @@ def _linear(run: Run) -> dict:
     return {
         "z_at_T": float(rep.z.x[-1]),
         "agreement": None if rep.z_alt is None else rep.agreement,
-        "residual": rep.residual,
-        "residual_per_level": rep.residual_per_level,
+        "residual": rep.trend.final_gap,
+        "residual_per_level": rep.trend.gaps,
         "hypothesis": rep.hypothesis,
     }
 
@@ -410,7 +421,7 @@ def _nonlinear(run: Run) -> dict:
         run.check(abs(zt - target) <= cap, f"Z(T)={zt} off target {target}")
     if not rep.trend.converged:
         run.unsettled("substitution residual trend inconclusive")
-    return {"z_at_T": float(rep.z.x[-1]), "residual": rep.residual, "residual_per_level": rep.residual_per_level}
+    return {"z_at_T": float(rep.z.x[-1]), "residual": rep.trend.final_gap, "residual_per_level": rep.trend.gaps}
 
 
 @_command("drawdown", {"x", "floor", "stochastic", "assert_roundtrip"}, stochastic=True)
@@ -431,7 +442,7 @@ def _drawdown(run: Run) -> dict:
     return {
         "constraint_margin": rep.constraint_margin,
         "roundtrip": roundtrip,
-        "residual_per_level": rep.residual_per_level,
+        "residual_per_level": rep.trend.gaps,
     }
 
 
@@ -491,11 +502,11 @@ def _dppi(run: Run) -> dict:
         write_strategy_csv(rep.strategy, rep.floor_curve, fp)
         fp.write(f"# config_hash={run.hash}\n")
     run.check(rep.floor_ok, f"floor breached: margin {rep.floor_margin}")
-    if not rep.self_financing.trend.converged:
+    if not rep.self_financing.converged:
         run.unsettled("self-financing residual trend inconclusive")
     return {
         "floor_margin": rep.floor_margin,
-        "self_financing_residuals": rep.self_financing.residual_per_level,
+        "self_financing_residuals": rep.self_financing.gaps,
         "value_at_T": float(rep.strategy.value.x[-1]),
     }
 
@@ -537,11 +548,11 @@ def _mc(run: Run) -> dict:
             raise
         raise ConfigError(f"grid_level: {exc}") from None
     oc = summary.outcomes
-    columns = [[o.seed for o in oc], [int(o.passed) for o in oc], [o.sup_errors[-1] for o in oc]]
+    columns = [[o.seed for o in oc], [int(o.passed) for o in oc], [o.trend.final_gap for o in oc]]
     columns += [[o.osc_sum for o in oc], [o.osc_sum_bound for o in oc]]
     run.table("mc_seeds.csv", ["seed", "passed", "final_error", "osc_sum", "osc_bound"], columns)
     need = number(cfg, "assert_pass_fraction", 0.9)
-    worst_error = max(o.sup_errors[-1] for o in oc)
+    worst_error = max(o.trend.final_gap for o in oc)
     run.check(
         summary.pass_fraction >= need,
         f"pass fraction {summary.pass_fraction} below {need}; worst seed {summary.worst_seed}: "
@@ -565,17 +576,17 @@ def _appendix(run: Run) -> dict:
     f = fgen.generate(run.grid)
     mus = [_pushforward(mu, p.times) for p in run.seq]
     rep = measure_convergence_check(mus, mu, f, run.t, tol=run.tol)
-    per_level = rep.integral_per_level
-    columns = [range(len(per_level)), per_level, [rep.integral_target] * len(per_level), rep.integral_gaps]
+    per_level, gaps = rep.integral_per_level, rep.trend.gaps
+    columns = [range(len(per_level)), per_level, [rep.integral_target] * len(per_level), gaps]
     run.table("appendix.csv", ["level", "integral", "target", "gap"], columns)
     cap = tolerance(run.cfg, "assert_tol", run.tol)
-    run.check(rep.integral_gaps[-1] <= cap, f"appendix limit gap {rep.integral_gaps[-1]} above {cap}")
+    run.check(rep.trend.final_gap <= cap, f"appendix limit gap {rep.trend.final_gap} above {cap}")
     if not rep.hypotheses_ok:
         run.unsettled("hypothesis trends inconclusive")
     return {
         "per_level": rep.integral_per_level,
         "target": rep.integral_target,
-        "gaps": rep.integral_gaps,
+        "gaps": gaps,
     }
 
 

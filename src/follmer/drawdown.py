@@ -365,23 +365,12 @@ def floor_to_transform(floor: FloorFunction, a: float) -> DrawdownTransform:
 class AzemaYorReport:
     path: GridPath
     integrand: np.ndarray  # U'(Xbar) at every grid time
-    a_star: float
-    integral_residual: float | None
-    residual_per_level: tuple
-    trend: TrendReport | None
 
 
-def azema_yor_path(
-    u: MonotoneC2Function,
-    x: GridPath,
-    seq: PartitionSequence | None = None,
-    tol: float = DETERMINISTIC_TOL,
-) -> AzemaYorReport:
-    """M^U(X) = U(Xbar) - U'(Xbar)(Xbar - X), with the integral check.
+def azema_yor_path(u: MonotoneC2Function, x: GridPath) -> AzemaYorReport:
+    """M^U(X) = U(Xbar) - U'(Xbar)(Xbar - X), with its integrand U'(Xbar).
 
-    Requires a continuous running maximum; rejects otherwise.  When a
-    sequence is supplied, the residual of M^U_t(X) = U(X_0) + int U'(Xbar) dX
-    is reported per level at the horizon.
+    Requires a continuous running maximum; rejects otherwise.
     """
     xbar, cont = running_maximum(x)
     if not cont:
@@ -392,18 +381,7 @@ def azema_yor_path(
     uv = u(mb)
     du = u.deriv(mb, uv)
     m_vals = uv - du * (mb - x.x)
-    path = GridPath(x.grid, m_vals, du * x.dX)
-    a_star = float(u(np.array([x.x[0]]))[0])
-
-    if seq is None:
-        return AzemaYorReport(path, du, a_star, None, (), None)
-    g = len(x.grid) - 1
-    residuals = []
-    for p in seq:
-        integral = float(integral_at(du, x.x, p, g))
-        residuals.append(abs(float(m_vals[g]) - a_star - integral))
-    trend = TrendReport(tuple(residuals), tol)
-    return AzemaYorReport(path, du, a_star, residuals[-1], tuple(residuals), trend)
+    return AzemaYorReport(GridPath(x.grid, m_vals, du * x.dX), du)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +393,7 @@ def azema_yor_path(
 class DrawdownSolveReport:
     y: GridPath
     transform: DrawdownTransform
-    residual: float
-    residual_per_level: tuple
-    trend: TrendReport
+    trend: TrendReport  # the substitution residual per level, at the horizon
     constraint_margin: float
 
     @property
@@ -434,7 +410,7 @@ def solve_drawdown(
     """Solve Y = a* + int (Y_- - w(Ybar)) / X_- dX for positive X.
 
     The solution is the Azema-Yor path M^U(X) with U from the floor
-    transform.  The report carries the substitution residual per level and
+    transform.  The report carries the substitution residual's trend and
     the worst-case strict-constraint margin min(Y ^ Y_- - w(Ybar)).
     """
     xl = left_values(x)
@@ -452,8 +428,7 @@ def solve_drawdown(
     for p in seq:
         integral = float(integral_at(xi_vals, x.x, p, g))
         residuals.append(abs(float(y.x[g]) - floor.a_star - integral))
-    trend = TrendReport(tuple(residuals), tol)
 
     y_left = left_values(y)
     margin = float(np.min(np.minimum(y.x, y_left) - w_ybar))
-    return DrawdownSolveReport(y, transform, residuals[-1], tuple(residuals), trend, margin)
+    return DrawdownSolveReport(y, transform, TrendReport(residuals, tol), margin)

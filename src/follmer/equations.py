@@ -23,8 +23,8 @@ from .diagnostics import DETERMINISTIC_TOL, TrendReport, sup_distance
 from .integrals import AdmissibleIntegrand, _integrand_values, integral_curves
 from .partitions import PartitionSequence
 from .paths import DomainError, FVPath, GridPath, left_values, reciprocal_path
-from .quadvar import QVResult, qv_sequence
-from .stieltjes import stieltjes_fv_curve, stieltjes_left
+from .quadvar import QVResult, _running_total, qv_sequence
+from .stieltjes import stieltjes_fv_curve, stieltjes_left, stieltjes_left_curve
 
 __all__ = [
     "StochasticExponential",
@@ -126,7 +126,7 @@ def reciprocal_exponential(se: StochasticExponential, seq: PartitionSequence, t:
     dx = x.dX[: g + 1]
     j = np.flatnonzero(dx)
     terms = r_left[j] * dx[j] * dx[j] / (1.0 + dx[j])
-    jsum = float(np.cumsum(np.concatenate([[0.0], terms]))[-1])  # left to right, not pairwise
+    jsum = _running_total(terms)
     lhs = float(r.x[g]) - 1.0
     residual = lhs - (-i1 + i2 + jsum)
     return ReciprocalReport(r, residual, {"dX": i1, "dQVc": i2, "jumps": jsum})
@@ -137,9 +137,7 @@ class LinearSolveReport:
     z: GridPath
     z_alt: GridPath | None
     agreement: float
-    residual: float
-    residual_per_level: tuple
-    trend: TrendReport
+    trend: TrendReport  # the substitution residual per level
     hypothesis: str
     exponential: StochasticExponential
 
@@ -199,11 +197,7 @@ def solve_linear(
         h0 = float(hv[0])
         (t1_x,) = integral_curves(xi_vals * r.x, xi_left * r_left, x, (seq.top,))
         t1_a = stieltjes_fv_curve(r.x, r_left, a)
-        t2 = np.cumsum(
-            np.concatenate(
-                [[0.0], (xi_left * r_left)[1:] * np.diff(se.qv.continuous_part)]
-            )
-        )
+        t2 = stieltjes_left_curve(xi_left * r_left, se.qv.continuous_part)
         dx = x.dX
         dh = xi_left * dx + a.dX
         t3 = np.cumsum(np.where(dx != 0.0, r_left * dh * dx / (1.0 + dx), 0.0))
@@ -212,15 +206,11 @@ def solve_linear(
         agreement = sup_distance(z_vals, z_alt_vals)
 
     sub_curves = integral_curves(z_vals, left_values(z), x, seq)
-    residuals = tuple(sup_distance(z_vals, hv + c) for c in sub_curves)
-    trend = TrendReport(residuals, tol)
     return LinearSolveReport(
         z=z,
         z_alt=z_alt,
         agreement=agreement,
-        residual=residuals[-1],
-        residual_per_level=residuals,
-        trend=trend,
+        trend=TrendReport([sup_distance(z_vals, hv + c) for c in sub_curves], tol),
         hypothesis=hypothesis,
         exponential=se,
     )
@@ -239,9 +229,7 @@ class OdeBlowUp(RuntimeError):
 class NonlinearSolveReport:
     z: GridPath
     y: np.ndarray
-    residual: float
-    residual_per_level: tuple
-    trend: TrendReport
+    trend: TrendReport  # the substitution residual per level
     exponential: StochasticExponential
 
 
@@ -298,15 +286,10 @@ def solve_nonlinear(
         [[0.0], np.cumsum(0.5 * (fz[:-1] + fz[1:]) * np.diff(times))]
     )
     sub_curves = integral_curves(z_vals, left_values(z), x, seq)
-    residuals = tuple(
-        sup_distance(z_vals, x0 + drift + c) for c in sub_curves
-    )
     return NonlinearSolveReport(
         z=z,
         y=y,
-        residual=residuals[-1],
-        residual_per_level=residuals,
-        trend=TrendReport(residuals, tol),
+        trend=TrendReport([sup_distance(z_vals, x0 + drift + c) for c in sub_curves], tol),
         exponential=se,
     )
 

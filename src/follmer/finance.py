@@ -106,7 +106,7 @@ class DppiReport:
     floor_curve: np.ndarray
     floor_margin: float
     floor_ok: bool
-    self_financing: "SelfFinancingReport"
+    self_financing: TrendReport
 
 
 def dppi(
@@ -191,20 +191,13 @@ def dppi(
     )
 
 
-@dataclass(frozen=True)
-class SelfFinancingReport:
-    residual: float
-    residual_per_level: tuple
-    trend: TrendReport
-
-
 def self_financing_residual(
     strategy: Strategy,
     market: Market,
     seq: PartitionSequence,
     t: float,
     tol: float = DETERMINISTIC_TOL,
-) -> SelfFinancingReport:
+) -> TrendReport:
     """Residual of V_t = V_0 + int xi_- dS + int eta_- dB, per level."""
     g = market.grid.clamp_index(t)
     v = strategy.value.x
@@ -213,13 +206,13 @@ def self_financing_residual(
         c1 = integral_at(strategy.xi.x, market.s.x, p, g)
         c2 = integral_at(strategy.eta.x, market.b.x, p, g)
         residuals.append(abs(float(v[g] - v[0] - c1 - c2)))
-    return SelfFinancingReport(residuals[-1], tuple(residuals), TrendReport(tuple(residuals), tol))
+    return TrendReport(residuals, tol)
 
 
 @dataclass(frozen=True)
 class DrawdownStrategyReport:
     strategy: Strategy
-    self_financing: SelfFinancingReport
+    self_financing: TrendReport
     constraint_margin: float
 
     @property

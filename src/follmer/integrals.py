@@ -27,8 +27,8 @@ from .diagnostics import DETERMINISTIC_TOL, TrendReport, sup_distance
 from .functions import C12Function
 from .partitions import Partition, PartitionSequence
 from .paths import DomainError, FVPath, GridPath, jump_rows, left_values
-from .quadvar import QVResult, _anchor_runs, covariation, qv_sequence
-from .stieltjes import stieltjes_fv, stieltjes_fv_curve, stieltjes_left
+from .quadvar import QVResult, _anchor_runs, _running_total, covariation, qv_sequence
+from .stieltjes import stieltjes_fv, stieltjes_fv_curve, stieltjes_left, stieltjes_left_curve
 
 __all__ = [
     "AdmissibleIntegrand",
@@ -138,12 +138,12 @@ def integral_curves(h: np.ndarray, h_left: np.ndarray, x: GridPath, parts) -> li
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Per-level running sums, the top-level estimate path, and diagnostics."""
+    """Per-level running sums, the top-level estimate path, and diagnostics:
+    ``trend.gaps`` hold the sup-distance of each lower level to the estimate."""
 
     grid: object
     level_curves: tuple
     estimate: np.ndarray
-    level_gaps: tuple
     trend: TrendReport
     status: str
     claim: str
@@ -169,8 +169,7 @@ def follmer_integral(
     xi_vals, xi_left = _integrand_values(xi, x.grid)
     curves = [integral_curve(xi_vals, x.x, p) for p in seq]
     estimate = curves[-1]
-    gaps = tuple(sup_distance(c, estimate) for c in curves[:-1])
-    trend = TrendReport(gaps, tol)
+    trend = TrendReport([sup_distance(c, estimate) for c in curves[:-1]], tol)
     if isinstance(xi, AdmissibleIntegrand):
         claim = "admissible"
     elif isinstance(x, FVPath):
@@ -183,7 +182,6 @@ def follmer_integral(
         grid=x.grid,
         level_curves=tuple(curves),
         estimate=estimate,
-        level_gaps=gaps,
         trend=trend,
         status=trend.status if len(seq) > 1 else "inconclusive",
         claim=claim,
@@ -203,9 +201,8 @@ class ItoFormulaReport:
     integral_term: float
     qv_term: float
     jump_term: float
-    residual: float
-    residual_per_level: tuple
-    trend: TrendReport
+    residual: float  # signed, with integral_term, which is jump-exact for an FVPath
+    trend: TrendReport  # |residual| per level
 
 
 def ito_formula_eval(
@@ -262,14 +259,12 @@ def ito_formula_eval(
         f_after = f(av[ji], xv[ji])
         f_before = f(al[ji], xl[ji])
         gx_before = np.asarray(f.grad_x(al[ji], xl[ji]), dtype=float)
-        jump_term = float(np.sum(f_after - f_before - gx_before * (xv[ji] - xl[ji])))
+        jump_term = _running_total(f_after - f_before - gx_before * (xv[ji] - xl[ji]))
 
-    residuals = tuple(
-        lhs - (drift + level_integrals[n] + qv_term_at_level(n) + jump_term)
-        for n in range(len(seq))
+    trend = TrendReport(
+        [abs(lhs - (drift + level_integrals[n] + qv_term_at_level(n) + jump_term)) for n in range(len(seq))],
+        tol,
     )
-    abs_res = tuple(abs(r) for r in residuals)
-    trend = TrendReport(abs_res, tol)
     qv_top = qv_term_at_level(len(seq) - 1)
     return ItoFormulaReport(
         lhs=lhs,
@@ -278,7 +273,6 @@ def ito_formula_eval(
         qv_term=qv_top,
         jump_term=jump_term,
         residual=lhs - (drift + integral_used + qv_top + jump_term),
-        residual_per_level=abs_res,
         trend=trend,
     )
 
@@ -290,10 +284,8 @@ def ito_formula_eval(
 
 @dataclass(frozen=True)
 class PartsReport:
-    residual: float
-    residual_per_level: tuple
     discrete_identity_worst: float
-    trend: TrendReport
+    trend: TrendReport  # the residual per level
 
 
 def integration_by_parts(
@@ -326,13 +318,7 @@ def integration_by_parts(
         s_dxy = float(np.sum(np.diff(xs[j] * ys[j])))
         worst_identity = max(worst_identity, float(abs(s_dxy - (s_ydx + s_xdy + s_dxdy))))
         residuals.append(float(abs(lhs - (s_ydx + s_xdy + s_dxdy))))
-    trend = TrendReport(tuple(residuals), tol)
-    return PartsReport(
-        residual=residuals[-1],
-        residual_per_level=tuple(residuals),
-        discrete_identity_worst=worst_identity,
-        trend=trend,
-    )
+    return PartsReport(discrete_identity_worst=worst_identity, trend=TrendReport(residuals, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +329,12 @@ def integration_by_parts(
 @dataclass(frozen=True)
 class QvOfIntegralReport:
     qv: QVResult
-    gaps: tuple
-    trend: TrendReport
+    trend: TrendReport  # sup-distance of each level's [Y,Y] to the target
 
 
 def _qv_target_curve(xi_left: np.ndarray, x: GridPath, seq: PartitionSequence) -> np.ndarray:
     """t -> int xi^2 (s-) d[X,X]_s on the grid."""
-    inc = np.zeros(len(x.grid))
-    inc[1:] = (xi_left * xi_left)[1:] * np.diff(qv_sequence(x, seq, fv_exact=False).estimate)
-    return np.cumsum(inc)
+    return stieltjes_left_curve(xi_left * xi_left, qv_sequence(x, seq, fv_exact=False).estimate)
 
 
 def qv_of_integral(
@@ -365,16 +348,14 @@ def qv_of_integral(
     y = res.path
     qv = qv_sequence(y, seq, tol=tol, fv_exact=False)
     target = _qv_target_curve(xi.values_left, x, seq)
-    gaps = tuple(sup_distance(c, target) for c in qv.level_curves)
-    return QvOfIntegralReport(qv, gaps, TrendReport(gaps, tol))
+    return QvOfIntegralReport(qv, TrendReport([sup_distance(c, target) for c in qv.level_curves], tol))
 
 
 @dataclass(frozen=True)
 class AssociativityReport:
     lhs_per_level: tuple
     rhs_per_level: tuple
-    gaps: tuple
-    trend: TrendReport
+    trend: TrendReport  # |lhs - rhs| per level
     status: str
 
 
@@ -410,8 +391,7 @@ def associativity_check(
             total += float(integral_at(e, r.estimate, p, g))
         lhs_levels.append(total)
         rhs_levels.append(float(integral_at(zeta, x.x, p, g)))
-    gaps = tuple(abs(a - b) for a, b in zip(lhs_levels, rhs_levels))
-    trend = TrendReport(gaps, tol)
+    trend = TrendReport([abs(a - b) for a, b in zip(lhs_levels, rhs_levels)], tol)
     sides_ok = all(r.status != "inconclusive" or isinstance(x, FVPath) for r in y_results)
     status = trend.status if sides_ok else "inconclusive"
-    return AssociativityReport(tuple(lhs_levels), tuple(rhs_levels), gaps, trend, status)
+    return AssociativityReport(tuple(lhs_levels), tuple(rhs_levels), trend, status)

@@ -69,6 +69,8 @@ class McExperiment:
         if self.jump_sampler not in CompoundJumpGenerator.SAMPLERS:
             samplers = list(CompoundJumpGenerator.SAMPLERS)
             raise DomainError("jump_sampler", f"must be one of {samplers}, got {self.jump_sampler!r}")
+        if self.jump_sampler == "uniform" and self.jump_size < 0:
+            raise DomainError("jump_size", f"must be nonnegative for the uniform sampler, got {self.jump_size!r}")
 
     @cached_property
     def grid(self) -> TimeGrid:
@@ -79,13 +81,12 @@ class McExperiment:
 @dataclass(frozen=True)
 class SeedOutcome:
     seed: int
-    sup_errors: tuple
     oscillations: tuple
     gaps_ok: bool
     osc_ok: bool
     osc_sum: float
     osc_sum_bound: float
-    trend: TrendReport
+    trend: TrendReport  # the sup error per level
 
     @property
     def passed(self) -> bool:
@@ -214,16 +215,14 @@ def run_seed(exp: McExperiment, seed: int) -> SeedOutcome:
     osc_ok = bool(np.all(np.asarray(oscs) <= 0.5**levels + 1e-12))
     osc_sum = float(np.sum(oscs))
     osc_bound = float(np.sum(0.5**levels))
-    trend = TrendReport(tuple(sup_errors), exp.tol)
     return SeedOutcome(
         seed=seed,
-        sup_errors=tuple(sup_errors),
         oscillations=tuple(oscs),
         gaps_ok=gaps_ok,
         osc_ok=osc_ok,
         osc_sum=osc_sum,
         osc_sum_bound=osc_bound,
-        trend=trend,
+        trend=TrendReport(sup_errors, exp.tol),
     )
 
 
@@ -232,8 +231,8 @@ def run_mc(exp: McExperiment) -> McSummary:
     n = len(outcomes)
     k = sum(1 for o in outcomes if o.passed)
     bounds_k = sum(1 for o in outcomes if o.gaps_ok and o.osc_ok)
-    errors = np.array([o.sup_errors for o in outcomes])
-    worst = max(outcomes, key=lambda o: o.sup_errors[-1]).seed
+    errors = np.array([o.trend.gaps for o in outcomes])
+    worst = max(outcomes, key=lambda o: o.trend.final_gap).seed
     return McSummary(
         experiment=exp,
         outcomes=outcomes,

@@ -407,7 +407,8 @@ class AffineCombinationGenerator(PathGenerator):
 @dataclass(frozen=True)
 class GeometricGenerator(PathGenerator):
     """Strictly positive price path s0 exp(sigma W + mu t) with optional
-    multiplicative jumps (1 + J) at Poisson times; J > -1 by construction."""
+    multiplicative jumps (1 + J) at Poisson times, J uniform on (-jump_size,
+    jump_size) with 0 <= jump_size < 1, so J > -1."""
 
     seed: int = 0
     s0: float = 1.0
@@ -423,6 +424,8 @@ class GeometricGenerator(PathGenerator):
             raise DomainError("s0", f"must be positive, got {self.s0!r}")
         if not abs(self.jump_size) < 1.0:
             raise DomainError("jump_size", f"must stay below 1 in magnitude, got {self.jump_size!r}")
+        if self.jump_size < 0:
+            raise DomainError("jump_size", f"must be nonnegative, got {self.jump_size!r}")
 
     def generate(self, grid: TimeGrid) -> GridPath:
         w = DyadicBrownianGenerator(seed=self.seed, sigma=self.sigma).generate(grid)

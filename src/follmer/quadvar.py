@@ -100,7 +100,7 @@ class QVResult:
 
     ``estimate`` is the top-level curve (or the exact jump sum for paths
     declared finite-variation).  ``jump_part`` is J_t = sum of squared jumps
-    up to t, ``continuous_part`` is the estimate minus J.  ``level_gaps``
+    up to t, ``continuous_part`` is the estimate minus J.  ``trend.gaps``
     hold the sup-distance of each non-top level to the estimate; ``cond2_worst``
     reports the worst violation of the jump identity d[X,X]_t = (dX_t)^2 at
     the declared jump times.
@@ -111,7 +111,6 @@ class QVResult:
     estimate: np.ndarray
     jump_part: np.ndarray
     continuous_part: np.ndarray
-    level_gaps: tuple
     trend: TrendReport
     cond2_worst: float
     status: str
@@ -143,8 +142,7 @@ def _assemble(
     else:
         estimate = curves[-1]
     cont = estimate - jump_part
-    gaps = tuple(sup_distance(c, estimate) for c in curves[: len(curves) - (0 if fv_exact else 1)])
-    trend = TrendReport(gaps, tol)
+    trend = TrendReport([sup_distance(c, estimate) for c in curves[: len(curves) - (0 if fv_exact else 1)]], tol)
 
     xs, ys = x.x, y.x
     xl, yl = left_values(x), left_values(y)
@@ -173,7 +171,6 @@ def _assemble(
         estimate=estimate,
         jump_part=jump_part,
         continuous_part=cont,
-        level_gaps=gaps,
         trend=trend,
         cond2_worst=worst,
         status=status,
@@ -368,8 +365,7 @@ def _left_value_at(path: GridPath, s: float) -> float:
 class MeasureConvergenceReport:
     integral_per_level: tuple
     integral_target: float
-    integral_gaps: tuple
-    trend: TrendReport
+    trend: TrendReport  # |integral - target| per level
     hypotheses_ok: bool
 
 
@@ -423,9 +419,8 @@ def measure_convergence_check(
     target = float(
         sum(w * _left_value_at(f, s) for s, w in zip(mu.times[:k], mu.weights[:k]))
     )
-    gaps = tuple(abs(v - target) for v in per_level)
-    trend = TrendReport(gaps, tol)
+    trend = TrendReport([abs(v - target) for v in per_level], tol)
     hyp_ok = TrendReport(dist_gaps, tol).nonincreasing and all(
         TrendReport(g, tol).nonincreasing for g in star.values()
     )
-    return MeasureConvergenceReport(per_level, target, gaps, trend, hyp_ok)
+    return MeasureConvergenceReport(per_level, target, trend, hyp_ok)

@@ -2,10 +2,12 @@
 
 Two evaluation rules are used in the package:
 
-* ``stieltjes_left`` realizes integrals of the form "integrand at s- against
-  the increments of a grid curve": mass of the step (t_{g-1}, t_g] times the
-  left limit of the integrand at t_g.  No interpolation.  This is the pinned
-  rule for integrals against quadratic-variation curves.
+* ``stieltjes_left_curve`` realizes integrals of the form "integrand at s-
+  against the increments of a grid curve": mass of the step (t_{g-1}, t_g]
+  times the left limit of the integrand at t_g, added left to right.  No
+  interpolation.  This is the pinned rule for integrals against
+  quadratic-variation curves; ``stieltjes_left(..., upto=g)`` is the curve's
+  value at g bit for bit.
 
 * ``stieltjes_fv_curve`` integrates against a declared finite-variation path,
   with declared jumps handled exactly (atom mass times the integrand's left
@@ -23,15 +25,18 @@ import numpy as np
 
 from .paths import GridPath
 
-__all__ = ["stieltjes_left", "stieltjes_fv", "stieltjes_fv_curve"]
+__all__ = ["stieltjes_left", "stieltjes_left_curve", "stieltjes_fv", "stieltjes_fv_curve"]
+
+
+def stieltjes_left_curve(h_left: np.ndarray, curve: np.ndarray) -> np.ndarray:
+    """Running sum g -> sum of h(t_k-) * (F_k - F_{k-1}) for 0 < k <= g."""
+    return np.cumsum(np.concatenate([[0.0], h_left[1:] * np.diff(curve)]))
 
 
 def stieltjes_left(h_left: np.ndarray, curve: np.ndarray, upto: int | None = None) -> float:
-    """Sum of h(t_g-) * (F_g - F_{g-1}) for 0 < g <= upto."""
+    """``stieltjes_left_curve(h_left, curve)[upto]``, without the rest of the curve."""
     hi = len(curve) if upto is None else upto + 1
-    if hi < 2:
-        return 0.0
-    return float(np.sum(h_left[1:hi] * np.diff(curve[:hi])))
+    return float(stieltjes_left_curve(h_left[:hi], curve[:hi])[-1])
 
 
 def _fv_increments(h_values: np.ndarray, h_left: np.ndarray, a: GridPath, hi: int) -> np.ndarray:

@@ -146,20 +146,20 @@ def test_criterion_4_associativity():
     xi = fl.AdmissibleIntegrand(fn.polynomial([0.0, 0.0, 0.5]), None, w)
     eta = [fl.follmer_integral(xi, w, seq, tol=TOL_STOCH).estimate]
     stoch = fl.associativity_check(eta, [xi], w, seq, 1.0, tol=TOL_STOCH)
-    stoch_ok = stoch.trend.converged and stoch.gaps[-1] <= TOL_STOCH and stoch.gaps[-2] <= TOL_STOCH
+    stoch_ok = stoch.trend.converged and stoch.trend.final_gap <= TOL_STOCH and stoch.trend.gaps[-2] <= TOL_STOCH
 
     x = fl.as_fv(fl.StepGenerator(c=1.0, t0=0.5, x0=1.0).generate(g))
     xij = fl.AdmissibleIntegrand(fn.square(), None, x)
     etaj = [fl.follmer_integral(xij, x, seq).estimate]
     pure = fl.associativity_check(etaj, [xij], x, seq, 1.0)
-    pure_ok = max(pure.gaps) <= 1e-10
+    pure_ok = max(pure.trend.gaps) <= 1e-10
 
     ok = stoch_ok and pure_ok
     report(
         4,
         ok,
-        f"stochastic gaps tail {[f'{v:.1e}' for v in stoch.gaps[-3:]]} (<=5e-2, decreasing); "
-        f"pure-jump worst gap {max(pure.gaps):.1e} (<=1e-10)",
+        f"stochastic gaps tail {[f'{v:.1e}' for v in stoch.trend.gaps[-3:]]} (<=5e-2, decreasing); "
+        f"pure-jump worst gap {max(pure.trend.gaps):.1e} (<=1e-10)",
     )
     budget(4, t0, 30.0)
 
@@ -270,7 +270,7 @@ def test_criterion_8_cppi_floor_guarantee():
             rep = fl.dppi(market, m, spec, 0.9, seq, tol=TOL_STOCH)
             scale = float(np.max(np.abs(rep.strategy.value.x)))
             worst_margin_rel = min(worst_margin_rel, rep.floor_margin / scale)
-            all_trend = all_trend and rep.self_financing.trend.converged
+            all_trend = all_trend and rep.self_financing.converged
     ok = worst_margin_rel >= -1e-9 and all_trend
     report(
         8,
@@ -318,7 +318,7 @@ def test_criterion_10_discrete_measure_limit():
         lo = g.clamp_index(0.5 - h10)
         hi = g.clamp_index(0.5)
         window_var = float(np.sum(np.abs(np.diff(f.x[lo : hi + 1]))))
-        err = rep.integral_gaps[-1]
+        err = rep.trend.final_gap
         worst = max(worst, err - window_var)
         assert rep.hypotheses_ok
     ok = worst <= 1e-12
@@ -338,7 +338,7 @@ def test_criterion_11_qv_of_integral():
     worst_bm, all_trend = 0.0, True
     for f in (fn.polynomial([0.0, 0.0, 0.5]), fn.exp_affine(0.5)):
         rep = fl.qv_of_integral(fl.AdmissibleIntegrand(f, None, w), w, seq, tol=TOL_STOCH)
-        worst_bm = max(worst_bm, rep.gaps[-1])
+        worst_bm = max(worst_bm, rep.trend.final_gap)
         all_trend = all_trend and rep.trend.converged
 
     # pure-jump FV integrator with jumps on every level's points: exact
@@ -352,7 +352,7 @@ def test_criterion_11_qv_of_integral():
         jmap[i] = c
     x = fl.FVPath(g, vals, jmap)
     rep_j = fl.qv_of_integral(fl.AdmissibleIntegrand(fn.polynomial([0.0, 0.0, 0.5]), None, x), x, seq_j)
-    worst_jump = max(rep_j.gaps)
+    worst_jump = max(rep_j.trend.gaps)
 
     ok = worst_bm <= TOL_STOCH and all_trend and worst_jump <= 1e-12
     report(
@@ -406,7 +406,7 @@ def test_criterion_13_drawdown_strategy():
         s = fl.GeometricGenerator(seed=seed, sigma=0.25, s0=2.0).generate(seq.grid)
         for floor in (fl.floor_zero(a_star=v0), fl.floor_proportional(0.3, a_star=v0)):
             rep = fl.drawdown_strategy(s, v0, floor, seq, tol=TOL_STOCH)
-            all_trend = all_trend and rep.self_financing.trend.converged
+            all_trend = all_trend and rep.self_financing.converged
             worst_margin = min(worst_margin, rep.constraint_margin)
     ok = all_trend and worst_margin > 0.0
     report(

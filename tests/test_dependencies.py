@@ -139,6 +139,23 @@ def test_every_dataclass_field_is_read():
     assert [f for f in fields + set_attrs if f.split(".")[1] not in read] == []
 
 
+# names under which a report kept a copy of its trend's per-level values
+_TREND_COPIES = {"residual_per_level", "gaps", "level_gaps", "integral_gaps", "sup_errors", "integral_residual"}
+
+
+def test_a_trend_is_the_only_record_of_its_per_level_values():
+    # a report with a TrendReport reads its per-level values as trend.gaps and
+    # the last as trend.final_gap; a second field holding them is a copy
+    copies = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                fields = {st.target.id: ast.unparse(st.annotation) for st in node.body if isinstance(st, ast.AnnAssign)}
+                if "TrendReport" in fields.get("trend", ""):
+                    copies.extend(f"{node.name}.{f}" for f in sorted(_TREND_COPIES & fields.keys()))
+    assert copies == []
+
+
 def test_cli_catches_no_value_error():
     # a model-domain rule raises DomainError where it is defined; a ValueError
     # caught in the runner would turn an internal fault into a "config error"

@@ -163,7 +163,7 @@ class TestSolveLinear:
         assert rep.z.x[-1] == pytest.approx(oracle, abs=1e-6)
         assert rep.z_alt.x[-1] == pytest.approx(oracle, abs=1e-6)
         assert rep.agreement <= 1e-6
-        assert rep.residual <= 1e-6
+        assert rep.trend.final_gap <= 1e-6
 
     def test_jumpy_forcing_substitution(self):
         seq = fl.dyadic_sequence(1.0, 6, 12)
@@ -213,7 +213,7 @@ class TestSolveNonlinear:
         rep = fl.solve_nonlinear(lambda t, z: z, linear_fv(seq.grid), 1.0, seq)
         oracle = ode_oracle(lambda t, y: 2.0 * y, 1.0)
         assert rep.z.x[-1] == pytest.approx(oracle, rel=1e-9)
-        assert rep.residual < 1e-6
+        assert rep.trend.final_gap < 1e-6
 
     def test_blow_up_reported_with_time(self):
         seq = fl.dyadic_sequence(1.0, 4, 8)

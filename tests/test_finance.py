@@ -93,7 +93,7 @@ class TestDppi:
         assert v[i1 - 1] == pytest.approx(1.0, abs=1e-14)
         assert v[i1] == pytest.approx(1.15, abs=1e-12)
         assert rep.strategy.value.dX[i1] == pytest.approx(0.15, abs=1e-12)
-        assert rep.self_financing.residual <= 1e-12
+        assert rep.self_financing.final_gap <= 1e-12
         assert rep.floor_ok
 
     def test_floor_requires_initial_wealth(self, seq):
@@ -124,13 +124,13 @@ class TestSelfFinancing:
         mkt = geometric_market(seq)
         st = make_strategy(mkt, constant_path(seq.grid, 2.0), constant_path(seq.grid, 3.0))
         rep = fl.self_financing_residual(st, mkt, seq, 1.0)
-        assert rep.residual <= 1e-12
+        assert rep.final_gap <= 1e-12
 
     def test_dppi_trend(self, seq):
         mkt = geometric_market(seq)
         spec = fl.FloorSpec(fl.FVPath(seq.grid, np.full(len(seq.grid), 0.5)))
         rep = fl.dppi(mkt, 0.5, spec, 1.0, seq, tol=fl.STOCHASTIC_TOL)
-        assert rep.self_financing.trend.converged
+        assert rep.self_financing.converged
 
     def test_perturbed_holdings_fail(self, seq):
         mkt = geometric_market(seq)
@@ -139,7 +139,7 @@ class TestSelfFinancing:
         vals[len(vals) // 2 :] += 0.5  # undeclared rebalance injects wealth
         st = make_strategy(mkt, constant_path(seq.grid, 2.0), fl.GridPath(seq.grid, vals))
         rep = fl.self_financing_residual(st, mkt, seq, 1.0)
-        assert rep.residual > 0.1
+        assert rep.final_gap > 0.1
 
     def test_dppi_with_jumpy_bank(self, seq):
         g = seq.grid
@@ -151,7 +151,7 @@ class TestSelfFinancing:
         mkt = fl.Market(s, b)
         spec = fl.FloorSpec(fl.FVPath(g, np.full(len(g), 0.3)))
         rep = fl.dppi(mkt, 0.5, spec, 1.0, seq, tol=fl.STOCHASTIC_TOL)
-        assert rep.self_financing.trend.converged
+        assert rep.self_financing.converged
 
 
 class TestDrawdownStrategy:
@@ -178,13 +178,13 @@ class TestDrawdownStrategy:
         expect_xi = (1.0 - alpha) * (v0 / 2.0 ** (1 - alpha)) * sbar.x ** (-alpha)
         assert np.allclose(rep.strategy.xi.x, expect_xi, rtol=1e-9)
         assert rep.constraint_ok
-        assert rep.self_financing.trend.converged
+        assert rep.self_financing.converged
 
     def test_constant_price(self, seq):
         s = fl.as_fv(fl.FormulaGenerator(lambda t: 2.0 + 0 * t).generate(seq.grid))
         rep = fl.drawdown_strategy(s, 1.0, fl.floor_proportional(0.5, a_star=1.0), seq)
         assert np.allclose(rep.strategy.value.x, 1.0, atol=1e-13)
-        assert rep.self_financing.residual <= 1e-13
+        assert rep.self_financing.final_gap <= 1e-13
 
     def test_floor_anchor_must_match_v0(self, seq):
         s = fl.GeometricGenerator(seed=5, sigma=0.2, s0=2.0).generate(seq.grid)

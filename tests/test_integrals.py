@@ -7,7 +7,7 @@ import follmer as fl
 import follmer.functions as fn
 from follmer.integrals import integral_at, integral_curve, integral_curves
 from follmer.quadvar import product_curve, qv_curve
-from follmer.stieltjes import stieltjes_fv, stieltjes_fv_curve, stieltjes_left
+from follmer.stieltjes import stieltjes_fv, stieltjes_fv_curve, stieltjes_left, stieltjes_left_curve
 
 
 def riemann_sum(xi_vals, x_vals, p, g):
@@ -175,7 +175,7 @@ class TestIntegrationByParts:
         seq = fl.dyadic_sequence(1.0, 1, 6)
         x = fl.StepGenerator(c=3.0, t0=0.5).generate(seq.grid)
         rep = fl.integration_by_parts(x, x, seq, 1.0)
-        assert rep.residual == 0.0
+        assert rep.trend.final_gap == 0.0
         for p in seq:
             assert integral_at(x.x, x.x, p, len(seq.grid) - 1) == 0.0
 
@@ -183,7 +183,7 @@ class TestIntegrationByParts:
         seq, w = bm_setup
         ones = fl.FormulaGenerator(lambda t: np.ones_like(t)).generate(seq.grid)
         rep = fl.integration_by_parts(w, ones, seq, 1.0)
-        assert rep.residual == pytest.approx(0.0, abs=1e-12)
+        assert rep.trend.final_gap == pytest.approx(0.0, abs=1e-12)
 
 
 class TestQvOfIntegral:
@@ -209,7 +209,7 @@ class TestQvOfIntegral:
         xi = fl.AdmissibleIntegrand(fn.polynomial([0.0, 0.0, 0.5]), None, w)
         rep = fl.qv_of_integral(xi, w, seq, tol=fl.STOCHASTIC_TOL)
         assert rep.trend.converged
-        assert rep.gaps[-1] < fl.STOCHASTIC_TOL
+        assert rep.trend.final_gap < fl.STOCHASTIC_TOL
 
 
 class TestAssociativity:
@@ -221,8 +221,8 @@ class TestAssociativity:
         y_res = fl.follmer_integral(xi, w, seq, tol=fl.STOCHASTIC_TOL)
         rep = fl.associativity_check([1.0], [xi], w, seq, 1.0, tol=fl.STOCHASTIC_TOL)
         own = [abs(float(c[-1] - y_res.estimate[-1])) for c in y_res.level_curves]
-        assert rep.gaps == pytest.approx(own, rel=1e-10, abs=1e-14)
-        assert rep.gaps[-1] == 0.0
+        assert rep.trend.gaps == pytest.approx(own, rel=1e-10, abs=1e-14)
+        assert rep.trend.final_gap == 0.0
 
     def test_unit_integrand(self, bm_setup):
         # Y = X - X_0 has the same increments as X
@@ -230,7 +230,7 @@ class TestAssociativity:
         one = fl.AdmissibleIntegrand(fn.identity_fn(), None, w)
         eta = [np.cos(w.x)]
         rep = fl.associativity_check(eta, [one], w, seq, 1.0, tol=fl.STOCHASTIC_TOL)
-        assert max(rep.gaps) <= 1e-12
+        assert max(rep.trend.gaps) <= 1e-12
 
     def test_integral_as_eta_on_brownian(self):
         # eta = Y = int X dX: int Y dY vs int Y X dX, deep enough that the
@@ -242,7 +242,7 @@ class TestAssociativity:
         eta = [y_res.estimate]
         rep = fl.associativity_check(eta, [xi], w, seq, 1.0, tol=fl.STOCHASTIC_TOL)
         assert rep.trend.converged
-        assert rep.gaps[-2] < fl.STOCHASTIC_TOL
+        assert rep.trend.gaps[-2] < fl.STOCHASTIC_TOL
         assert rep.status == "converged"
 
     def test_pure_jump_exact(self):
@@ -252,7 +252,7 @@ class TestAssociativity:
         y_res = fl.follmer_integral(xi, x, seq)
         eta = [y_res.estimate]
         rep = fl.associativity_check(eta, [xi], x, seq, 1.0)
-        assert rep.gaps[-1] <= 1e-12
+        assert rep.trend.final_gap <= 1e-12
 
 
 class TestIntegralCurves:
@@ -324,6 +324,22 @@ def test_stieltjes_left_step_mass():
     h_left = g.times.copy()  # integrand value .5- at the mass point
     v = stieltjes_left(h_left, f_curve)
     assert v == pytest.approx(0.5 * 2.0)
+
+
+def test_stieltjes_left_is_its_curve_at_every_point(bm_setup):
+    # the curve adds h(t_k-) (F_k - F_{k-1}) left to right, as a Python loop
+    # does, and the point reader is the curve at that point bit for bit
+    seq, w = bm_setup
+    f = fl.qv_sequence(w, seq).estimate
+    h_left = np.cos(fl.left_values(w))
+    total, expect = 0.0, [0.0]
+    for v in (h_left[1:] * np.diff(f)).tolist():
+        total += v
+        expect.append(total)
+    curve = stieltjes_left_curve(h_left, f)
+    assert curve.tolist() == expect
+    points = np.array([stieltjes_left(h_left, f, upto=k) for k in range(len(f))])
+    assert points.view(np.int64).tolist() == curve.view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("c,t0_k", [(2.0, 8), (-1.5, 3), (0.25, 13)])

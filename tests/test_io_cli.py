@@ -888,6 +888,16 @@ _JUMP_OFF_THE_PARTITION = {
         ("qv", {"grid_level": 63}, "grid_level must be an integer from 0 to 20, got 63"),
         ("qv", {"levels": [3, 63]}, "levels.n_max must be an integer from 0 to 20, got 63"),
         ("mc", {"grid_level": 64}, "grid_level must be an integer from 0 to 20, got 64"),
+        # a path outside an integrand's domain, named by the config key of its function
+        ("integrate", {"integrand": {"f": {"name": "log"}}}, "integrand.f: f is not defined along the trajectory"),
+        ("assoc", {"integrands": [{"name": "square"}, {"name": "log"}]}, "integrands: f is not defined along"),
+        # a negative jump size, rejected under its own key
+        (
+            "qv",
+            {"path": {"kind": "geometric", "jump_size": -0.5, "jump_intensity": 2.0}},
+            "path.jump_size must be nonnegative, got -0.5",
+        ),
+        ("mc", {"jump_sampler": "uniform", "jump_size": -0.5}, "jump_size must be nonnegative for the uniform sampler"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):

@@ -14,7 +14,7 @@ from follmer.mc import _binomial_interval, run_seed
 def test_constant_path_exact():
     exp = fl.McExperiment(seeds=(0,), n_min=2, n_max=5, grid_level=10, sigma=0.0)
     out = run_seed(exp, 0)
-    assert out.sup_errors == (0.0, 0.0, 0.0, 0.0)
+    assert out.trend.gaps == (0.0, 0.0, 0.0, 0.0)
     assert out.osc_sum == 0.0
     assert out.gaps_ok and out.osc_ok and out.passed
 
@@ -27,7 +27,7 @@ def test_pure_jump_exact_once_isolated():
     out = run_seed(exp, 3)
     # band exits land exactly on the jump times, so the QV curve matches the
     # squared-jump target once every jump exceeds the band
-    assert out.sup_errors[-1] <= 1e-12
+    assert out.trend.final_gap <= 1e-12
     assert out.gaps_ok and out.osc_ok
 
 
@@ -65,7 +65,7 @@ def test_jumpy_batch_targets_include_jumps():
     )
     out = run_seed(exp, 11)
     assert out.gaps_ok and out.osc_ok
-    assert out.sup_errors[-1] <= 5e-2
+    assert out.trend.final_gap <= 5e-2
 
 
 def test_run_seed_builds_every_level_through_lebesgue_partition(monkeypatch):
@@ -104,6 +104,12 @@ def test_empty_seeds_rejected(seeds):
 def test_non_finite_fields_rejected(field, bad):
     with pytest.raises(ValueError, match=rf"^{field} must be finite, got {bad!r}$"):
         fl.McExperiment(seeds=(0,), **{field: bad})
+
+
+def test_negative_uniform_jump_size_rejected():
+    with pytest.raises(fl.DomainError, match=r"^jump_size must be nonnegative for the uniform sampler, got -0.5$"):
+        fl.McExperiment(seeds=(0,), jump_sampler="uniform", jump_size=-0.5)
+    assert fl.McExperiment(seeds=(0,), jump_sampler="coin", jump_size=-0.5).jump_size == -0.5
 
 
 def _beta_interval(k, n):
@@ -212,5 +218,5 @@ def test_run_seed_matches_the_full_grid_formulas(jumps):
         path = fl.mc._sample_path(exp, seed)
         target = fl.mc._target_curve(exp, path)
         ps = fl.lebesgue_partitions(path, range(3, 9))
-        assert out.sup_errors == tuple(_full_sup_error(path, p, target) for p in ps)
+        assert out.trend.gaps == tuple(_full_sup_error(path, p, target) for p in ps)
         assert out.oscillations == tuple(_full_grid_oscillation(path, p, exp.T) for p in ps)

@@ -200,6 +200,12 @@ class TestGenerators:
         with pytest.raises(fl.DomainError, match="jump_size must stay below 1 in magnitude"):
             fl.GeometricGenerator(jump_size=size)
 
+    def test_geometric_rejects_a_negative_jump_size_when_built(self):
+        # the size bounds the uniform overlay's jumps, so -0.5 is not a size
+        with pytest.raises(fl.DomainError, match=r"^jump_size must be nonnegative, got -0.5$"):
+            fl.GeometricGenerator(jump_size=-0.5)
+        assert fl.GeometricGenerator(jump_size=0.0).jump_size == 0.0
+
 
 @settings(max_examples=30, deadline=None)
 @given(

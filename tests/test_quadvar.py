@@ -276,7 +276,7 @@ class TestMeasureConvergence:
         f = fl.StepGenerator(c=2.0, t0=0.5, x0=1.0).generate(seq.grid)
         rep = fl.measure_convergence_check(mus, mu, f, 1.0)
         assert rep.integral_target == 1.0  # f(0.5-) * 1
-        assert rep.integral_gaps[-1] == 0.0
+        assert rep.trend.final_gap == 0.0
         assert rep.hypotheses_ok
 
     def test_smooth_measure_against_quadrature_oracle(self):
@@ -291,7 +291,7 @@ class TestMeasureConvergence:
         oracle = quad(lambda s: np.cos(3 * s) * 2 * s, 0.0, 1.0, epsabs=1e-12)[0]
         # the tabulated target uses left-point masses: O(grid step) bias
         assert rep.integral_target == pytest.approx(oracle, abs=5e-3)
-        assert rep.integral_gaps[-1] < 1e-2
+        assert rep.trend.final_gap < 1e-2
         assert rep.trend.converged
 
     def test_indicator_is_distribution_convergence(self):
