@@ -40,8 +40,11 @@ from .io import (
     MAX_LEVEL,
     ConfigError,
     DomainError,
+    build,
     check_keys,
+    choice,
     config_hash,
+    flag,
     load_config,
     make_floor,
     make_function,
@@ -59,21 +62,6 @@ from .mc import McExperiment, run_mc
 from .partitions import PartitionSequence, dyadic_sequence, thinned_sequence
 from .paths import FVPath, GridPath, StepGenerator, TimeGrid, _repeated_column, _TextColumn, as_fv, dyadic_grid
 from .quadvar import DiscreteMeasure, QVResult, measure_convergence_check, measure_vs_qv_check, qv_sequence
-
-_STOCHASTIC_KINDS = {"dyadic-brownian", "compound-jump", "geometric"}
-
-
-def _with_seed(ref: dict, seed: int | None) -> dict:
-    if seed is None or not isinstance(ref, dict):
-        return ref
-    out = dict(ref)
-    if out.get("kind") in _STOCHASTIC_KINDS and "seed" not in out:
-        out["seed"] = seed
-    for key in ("x", "y"):
-        if isinstance(out.get(key), dict):
-            out[key] = _with_seed(out[key], seed)
-    return out
-
 
 def _levels(cfg: dict, override: str | None) -> tuple[int, int]:
     lv = override.split("..") if override else cfg.get("levels", [6, 12])
@@ -121,10 +109,10 @@ class Run:
 
     def path(self, key: str) -> GridPath:
         """The config's path ``key``; its finite-variation form when ``<key>_fv`` is set."""
-        return self.generate(require(self.cfg, key, "config"), key, self.cfg.get(f"{key}_fv", False))
+        return self.generate(require(self.cfg, key, "config"), key, flag(self.cfg, f"{key}_fv", False))
 
     def generate(self, ref, where: str, fv: bool = False) -> GridPath:
-        path = make_generator(_with_seed(ref, self.seed), self.grid, where).generate(self.grid)
+        path = make_generator(ref, self.grid, where, self.seed).generate(self.grid)
         return as_fv(path) if fv else path
 
     def table(self, name: str, header: list, columns: list) -> None:
@@ -199,7 +187,7 @@ def _drive(compute, name: str, keys: set, stochastic: bool, config_path, out_dir
         h = config_hash({**cfg, "__seed__": seed, "__levels__": levels_opt})
         check_keys(cfg, _COMMON_KEYS | keys, f"{name} config")
         cfg_seed = integer(cfg, "seed") if "seed" in cfg else None  # checked even when --seed overrides it
-        default_tol = STOCHASTIC_TOL if cfg.get("stochastic", stochastic) else DETERMINISTIC_TOL
+        default_tol = STOCHASTIC_TOL if flag(cfg, "stochastic", stochastic) else DETERMINISTIC_TOL
         run = Run(cfg, out, cfg_seed if seed is None else seed, levels_opt, h, tolerance(cfg, "tol", default_tol))
         report = compute(run)
     except (ConfigError, DomainError) as exc:  # DomainError: an input outside the model's domain
@@ -279,13 +267,8 @@ def _qv(run: Run) -> dict:
 def _integrate(run: Run) -> dict:
     """Non-anticipative integral of an integrand against a path."""
     x = run.path("path")
-    ref = subsection(run.cfg, "integrand", {"constant": 1.0}, {"constant", "f"})
-    if "constant" in ref:
-        xi = number(ref, "constant", where="integrand")
-    elif "f" in ref:
-        xi = _integrand(ref["f"], "integrand.f", x)
-    else:
-        raise ConfigError("integrand must carry 'constant' or 'f'")
+    kind, ref = choice(run.cfg, "integrand", {"constant": 1.0}, {"constant": (), "f": ()})
+    xi = number(ref, "constant", where="integrand") if kind == "constant" else _integrand(ref["f"], "integrand.f", x)
     t = run.t
     res = follmer_integral(xi, x, run.seq, tol=run.tol)
     g = run.grid.clamp_index(t)
@@ -335,17 +318,18 @@ def _assoc(run: Run) -> dict:
     if not isinstance(refs, list) or not refs:  # no integrands would pass with nothing checked
         raise ConfigError(f"integrands must be a non-empty list of functions, got {refs!r}")
     integrands = [_integrand(r, "integrands", x) for r in refs]
-    eta_ref = subsection(run.cfg, "eta", {"constant": 1.0}, {"constant", "f"})
-    if "constant" in eta_ref:
+    kind, eta_ref = choice(run.cfg, "eta", {"constant": 1.0}, {"constant": (), "f": ()})
+    if kind == "constant":
         c = eta_ref["constant"]
         values = c if isinstance(c, list) else [c] * len(integrands)
-        if len(values) != len(integrands):
-            raise ConfigError(f"eta.constant has {len(values)} values for {len(integrands)} integrands")
         eta = [number({"constant": v}, "constant", where="eta") for v in values]
-    elif "f" in eta_ref:
-        eta = [_function(eta_ref["f"], "eta.f")(np.zeros(len(run.grid)), x.x)]
     else:
-        raise ConfigError("eta must carry 'constant' or 'f'")
+        f, a = _function(eta_ref["f"], "eta.f"), np.zeros(len(run.grid))
+        if not np.all(f.domain_ok(a, x.x)):  # eta is f along the path, where f must be defined
+            raise ConfigError("eta.f: f is not defined along the trajectory, which leaves its domain")
+        eta = [f(a, x.x)]
+    if len(eta) != len(integrands):
+        raise ConfigError(f"eta.{kind} has {len(eta)} values for {len(integrands)} integrands")
     rep = associativity_check(eta, integrands, x, run.seq, run.t, tol=run.tol)
     gaps, gap = rep.trend.gaps, rep.trend.final_gap
     columns = [range(len(gaps)), rep.lhs_per_level, rep.rhs_per_level, gaps]
@@ -361,17 +345,17 @@ def _assoc(run: Run) -> dict:
 def _linear(run: Run) -> dict:
     """Solve Z = H + int Z_- dX by variation of constants."""
     x = run.path("x")
-    href = subsection(run.cfg, "h", {"constant": 1.0}, {"constant", "path", "fv_decomposition", "a", "xi"})
+    kind, href = choice(run.cfg, "h", {"constant": 1.0}, {"constant": (), "path": ("fv_decomposition", "a", "xi")})
     decomposition = None
-    if "constant" in href:
+    if kind == "constant":
         hh = number(href, "constant", where="h")
-    elif "path" in href:
+    else:
         hh = run.generate(href["path"], "h.path")
-        if href.get("fv_decomposition", False) or "a" in href:
+        if flag(href, "fv_decomposition", False, "h") or "a" in href:
             a = as_fv(hh) if "a" not in href else run.generate(href["a"], "a", fv=True)
             decomposition = (number(href, "xi", 0.0, "h"), a)
-    else:
-        raise ConfigError("h must carry 'constant' or 'path'")
+        elif "xi" in href:  # xi is one half of the decomposition (xi, A)
+            raise ConfigError("h.xi is read only with h.fv_decomposition or h.a")
     rep = solve_linear(hh, x, run.seq, decomposition=decomposition, tol=run.tol)
     run.qv_of_x(rep.exponential.qv)
     run.table("linear.csv", ["t", "z"], [run.grid, rep.z.x])
@@ -393,10 +377,10 @@ def _linear(run: Run) -> dict:
     }
 
 
-_DRIFTS = {  # kind -> (parameter defaults, drift f(t, z) from the parameters)
-    "zero": ({}, lambda: (lambda t, z: 0.0 * z)),
-    "constant": ({"c": 1.0}, lambda c: (lambda t, z: c + 0.0 * z)),
-    "linear": ({"a": 1.0, "b": 0.0}, lambda a, b: (lambda t, z: a * z + b)),
+_DRIFTS = {  # kind -> drift f(t, z) from its parameters
+    "zero": lambda: (lambda t, z: 0.0 * z),
+    "constant": lambda c=1.0: (lambda t, z: c + 0.0 * z),
+    "linear": lambda a=1.0, b=0.0: (lambda t, z: a * z + b),
 }
 
 
@@ -404,13 +388,7 @@ _DRIFTS = {  # kind -> (parameter defaults, drift f(t, z) from the parameters)
 def _nonlinear(run: Run) -> dict:
     """Solve Z = x0 + int f(s,Z) ds + int Z_- dX by reduction."""
     x = run.path("x")
-    fref = subsection(run.cfg, "f", {"kind": "zero"}, {"kind", "c", "a", "b"})
-    kind = fref.get("kind")
-    if kind not in _DRIFTS:
-        raise ConfigError(f"unknown drift kind {kind!r}")
-    params, drift = _DRIFTS[kind]
-    check_keys(fref, {"kind", *params}, f"f of kind {kind!r}")
-    f = drift(*(number(fref, k, v, "f") for k, v in params.items()))
+    f = build(run.cfg.get("f", {"kind": "zero"}), "f", "kind", _DRIFTS)
     rep = solve_nonlinear(f, x, number(run.cfg, "x0", 1.0), run.seq, tol=run.tol)
     run.qv_of_x(rep.exponential.qv)
     run.table("nonlinear.csv", ["t", "z"], [run.grid, rep.z.x])
@@ -447,9 +425,8 @@ def _drawdown(run: Run) -> dict:
 
 
 def _market_from(run: Run) -> Market:
-    mref = subsection(run.cfg, "market", None, {"csv", "s", "b"})
-    if "csv" in mref:
-        check_keys(mref, {"csv"}, "market")
+    kind, mref = choice(run.cfg, "market", None, {"csv": (), "s": ("b",)})
+    if kind == "csv":
         if not isinstance(mref["csv"], str):  # open() would take an integer as a file descriptor
             raise ConfigError(f"market.csv must be a file path, got {mref['csv']!r}")
         from .finance import read_market_csv
@@ -459,14 +436,12 @@ def _market_from(run: Run) -> Market:
                 return read_market_csv(fp)
         except (OSError, DomainError) as exc:
             raise ConfigError(f"market.csv: {exc}") from exc
-    s = run.generate(require(mref, "s", "market"), "market.s")
-    bref = subsection(mref, "b", {"rate": 0.0}, {"rate", "path"}, "market")
-    if "rate" in bref:
+    s = run.generate(mref["s"], "market.s")
+    kind, bref = choice(mref, "b", {"rate": 0.0}, {"rate": (), "path": ()}, "market")
+    if kind == "rate":
         b = FVPath(run.grid, np.exp(number(bref, "rate", where="market.b") * run.grid.times))
-    elif "path" in bref:
-        b = run.generate(bref["path"], "market.b", fv=True)
     else:
-        raise ConfigError("market.b must carry 'rate' or 'path'")
+        b = run.generate(bref["path"], "market.b", fv=True)
     return Market(s, b)
 
 
@@ -483,19 +458,16 @@ def _dppi(run: Run) -> dict:
     if market.grid is not grid:  # ingested market: partitions live on its grid
         grid = market.grid
         seq = thinned_sequence(grid, len(seq))
-    lref = subsection(run.cfg, "l", {"constant": 0.0}, {"constant", "linear"})
-    lkey = "l.constant" if "constant" in lref else "l.linear"
-    if "constant" in lref:
+    kind, lref = choice(run.cfg, "l", {"constant": 0.0}, {"constant": (), "linear": ()})
+    if kind == "constant":
         floor = np.full(len(grid), number(lref, "constant", where="l"))
-    elif "linear" in lref:
+    else:
         sl = subsection(lref, "linear", None, {"start", "slope"}, "l")
         floor = number(sl, "start", 1.0, "l.linear") + number(sl, "slope", 0.0, "l.linear") * grid.times
-    else:
-        raise ConfigError("l must carry 'constant' or 'linear'")
     try:
         spec = FloorSpec(FVPath(grid, floor))
     except DomainError as exc:  # name the key L came from
-        raise ConfigError(f"l: {exc} (from {lkey})") from None
+        raise ConfigError(f"l: {exc} (from l.{kind})") from None
     rep = dppi(market, number(run.cfg, "m", 1.0), spec, number(run.cfg, "v0", 1.0), seq, tol=run.tol)
     run.qv_of_x(rep.exponential.qv)
     with open(run.out / "strategy.csv", "w") as fp:
@@ -570,7 +542,7 @@ def _appendix(run: Run) -> dict:
     if "f" not in run.cfg and atom not in run.grid.times[1:]:  # no jump at t=0
         raise ConfigError(f"atom = {atom!r} is not a grid time, where the default f steps, after t = 0")
     fref = run.cfg.get("f", {"kind": "step", "c": 1.0, "t0": atom})
-    fgen = make_generator(_with_seed(fref, run.seed), run.grid, "f")
+    fgen = make_generator(fref, run.grid, "f", run.seed)
     if not isinstance(fgen, StepGenerator):
         raise ConfigError("appendix-measure expects a step path for f")
     f = fgen.generate(run.grid)

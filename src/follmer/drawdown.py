@@ -197,16 +197,20 @@ def floor_from_table(ys, ws, a_star: float | None = None) -> FloorFunction:
     )
 
 
+_FLOORS = {  # name -> constructor; its parameters are the keys the name takes
+    "zero": floor_zero,
+    "proportional": floor_proportional,
+    "constant-margin": floor_constant_margin,
+    "table": lambda ys, ws, a_star: floor_from_table(ys, ws, a_star),  # a_star required here too
+}
+
+
 def builtin_floor(name: str, a_star: float, **params) -> FloorFunction:
-    if name == "zero":
-        return floor_zero(a_star)
-    if name == "proportional":
-        return floor_proportional(params["alpha"], a_star)
-    if name == "constant-margin":
-        return floor_constant_margin(params["c"], a_star)
-    if name == "table":
-        return floor_from_table(params["ys"], params["ws"], a_star)
-    raise KeyError(f"unknown floor {name!r}")
+    try:
+        make = _FLOORS[name]
+    except KeyError:
+        raise KeyError(f"unknown floor {name!r}") from None
+    return make(a_star=a_star, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -178,15 +178,15 @@ def _scalar(v, key: str) -> float:
     return float(v)
 
 
-_BUILTINS = {
-    "polynomial": lambda **kw: polynomial(kw["coeffs"]),
-    "square": lambda **kw: square(),
-    "identity": lambda **kw: identity_fn(),
+_BUILTINS = {  # name -> constructor; its parameters are the keys the name takes
+    "polynomial": polynomial,
+    "square": square,
+    "identity": identity_fn,
     "exp-affine": lambda c=1.0, b=None: exp_affine(_scalar(c, "c"), None if b is None else _scalar(b, "b")),
-    "exp": lambda **kw: exp_affine(),
-    "log": lambda **kw: log_fn(),
-    "power": lambda **kw: power_fn(kw["p"]),
-    "fv-scale": lambda **kw: fv_scale(),
+    "exp": lambda: exp_affine(),
+    "log": log_fn,
+    "power": power_fn,
+    "fv-scale": fv_scale,
 }
 
 

@@ -11,6 +11,7 @@ optional SVG figures are written with the standard library alone.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -18,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .drawdown import FloorFunction, builtin_floor
-from .functions import C12Function, builtin_c12
+from .drawdown import _FLOORS, FloorFunction
+from .functions import _BUILTINS, C12Function
 from .paths import (
     AffineCombinationGenerator,
     CompoundJumpGenerator,
@@ -116,19 +117,17 @@ def integer(section: dict, key: str, default=None, where: str = "", top: int | N
     return value
 
 
+def flag(section: dict, key: str, default: bool, where: str = "") -> bool:
+    """``section[key]``, JSON ``true`` or ``false``; ``default`` when absent."""
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{_dotted(where, key)} must be true or false, got {value!r}")
+    return value
+
+
 def _finite(value, key: str) -> None:
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value!r}")
-
-
-def _finite_params(params: dict, where: str, names: set | None = None) -> None:
-    """Reject a NaN or infinite parameter, or list entry, naming its dotted
-    key; given ``names``, also a parameter outside them that is not a number."""
-    for key, value in params.items():
-        if names is not None and key not in names and not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-        for v in value if isinstance(value, list) else (value,):
-            _finite(v, _dotted(where, key))
 
 
 def subsection(section: dict, key: str, default: dict | None, allowed: set, where: str = "") -> dict:
@@ -148,91 +147,93 @@ def tolerance(section: dict, key: str, default: float) -> float:
     return float(v)
 
 
-_FORMULAS = {
-    "linear": lambda slope=1.0, intercept=0.0: (lambda t: intercept + slope * t),
-    "constant": lambda c=0.0: (lambda t: np.full_like(np.asarray(t, dtype=float), c)),
-    "zigzag": lambda base=0.0, amplitude=1.0, period=0.5: (
+_FORMULAS = {  # the formula generators, by name
+    "linear": lambda slope=1.0, intercept=0.0: FormulaGenerator(lambda t: intercept + slope * t),
+    "constant": lambda c=0.0: FormulaGenerator(lambda t: np.full_like(np.asarray(t, dtype=float), c)),
+    "zigzag": lambda base=0.0, amplitude=1.0, period=0.5: FormulaGenerator(
         lambda t: base
         + amplitude
         * (2.0 / period)
         * np.minimum(np.mod(t, period), period - np.mod(t, period))
     ),
 }
+_GENERATORS = {g.kind: g for g in (StepGenerator, DyadicBrownianGenerator, CompoundJumpGenerator, GeometricGenerator)}
+_GENERATORS[FormulaGenerator.kind] = _FORMULAS
 
 
-_GENERATOR_NAMES = {"name", "sampler", "x", "y"}  # the generator parameters that are not numbers
+def build(ref, where: str, tag: str, table: dict, names=frozenset(), **given):
+    """``table[ref[tag]]`` called with the other keys of ``ref``.
 
-
-def make_generator(ref: dict, grid: TimeGrid, where: str = "generator") -> PathGenerator:
-    """The generator of ``ref`` for paths on ``grid``.  A parameter that is not
-    a number (other than ``_GENERATOR_NAMES``), a seed that is not a
-    nonnegative integer, a step time off the grid and a parameter outside the
-    generator's domain are config errors naming the key."""
-    if not isinstance(ref, dict) or "kind" not in ref:
-        raise ConfigError(f"{where} must be an object with a 'kind'")
-    kind = ref["kind"]
-    params = {k: v for k, v in ref.items() if k != "kind"}
-    _finite_params(params, where, _GENERATOR_NAMES)
-    if "seed" in params:
-        params["seed"] = integer(params, "seed", where=where)
+    The keys a name takes are exactly its constructor's parameters; an entry
+    that is a table of its own is read again by ``name``.  A value is a finite
+    number unless its key is in ``names`` (a list's entries must still be
+    finite).  A ``given`` value that is not None fills a parameter the
+    constructor takes and ``ref`` leaves out.  An unknown name, an unknown or
+    missing key, a value that is not a number and a ``DomainError`` are config
+    errors naming the key.
+    """
+    if not isinstance(ref, dict) or tag not in ref:
+        raise ConfigError(f"{where} must be an object with a {tag!r}")
+    name, params = ref[tag], {k: v for k, v in ref.items() if k != tag}
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{_dotted(where, tag)} must be one of {sorted(table)}, got {name!r}")
+    if isinstance(table[name], dict):
+        return build(params, where, "name", table[name], names, **given)
+    takes = inspect.signature(table[name]).parameters
+    check_keys(params, set(takes), where)
+    for key in takes:
+        if takes[key].default is inspect.Parameter.empty:
+            require(params, key, where)
+    for key, value in params.items():
+        if key not in names and not isinstance(value, (int, float)):
+            raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+        for v in value if isinstance(value, list) else (value,):
+            _finite(v, f"{where}.{key}")
+    params.update({k: v for k, v in given.items() if k in takes and k not in params and v is not None})
     try:
-        if kind == "formula":
-            name = params.pop("name")
-            fn = _FORMULAS[name](**params)
-            return FormulaGenerator(fn)
-        if kind == "step":
-            step = StepGenerator(**params)
-            if step.t0 not in grid.times:
-                raise ConfigError(f"{where}.t0 = {step.t0!r} is not a grid time")
-            return step
-        if kind == "dyadic-brownian":
-            return DyadicBrownianGenerator(**params)
-        if kind == "compound-jump":
-            return CompoundJumpGenerator(**params)
-        if kind == "geometric":
-            return GeometricGenerator(**params)
-        if kind == "affine-combination":
-            gx = make_generator(params.pop("x"), grid, where + ".x")
-            gy = make_generator(params.pop("y"), grid, where + ".y")
-            return AffineCombinationGenerator(gx, gy, **params)
-    except KeyError as exc:
-        raise ConfigError(f"{where}: unknown name {exc}") from exc
+        return table[name](**params)
     except TypeError as exc:
-        raise ConfigError(f"{where}: bad parameters for kind {kind!r}: {exc}") from exc
+        raise ConfigError(f"{where}: bad parameters: {exc}") from exc
     except DomainError as exc:
         raise ConfigError(f"{where}.{exc}") from None
-    raise ConfigError(f"{where}: unknown generator kind {kind!r}")
+
+
+def choice(section: dict, key: str, default: dict | None, alternatives: dict, where: str = "") -> tuple[str, dict]:
+    """``section[key]`` read like ``subsection``: an object holding exactly one
+    key of ``alternatives`` and, besides it, only the keys that key maps to.
+    Returns that key and the object."""
+    value = subsection(section, key, default, set(alternatives).union(*alternatives.values()), where)
+    present = [k for k in alternatives if k in value]
+    if len(present) != 1:
+        raise ConfigError(f"{_dotted(where, key)} must carry exactly one of {list(alternatives)}, got {present}")
+    check_keys(value, {present[0], *alternatives[present[0]]}, _dotted(where, key))
+    return present[0], value
+
+
+def make_generator(ref: dict, grid: TimeGrid, where: str = "generator", seed: int | None = None) -> PathGenerator:
+    """The generator of ``ref`` for paths on ``grid``, read by ``build``; a
+    kind that takes a seed gets ``seed`` when ``ref`` names none, nested refs
+    included.  A step time off the grid is a config error naming the key."""
+
+    def affine(x, y, a=1.0, b=1.0):  # its parents are generators of their own
+        gx, gy = make_generator(x, grid, where + ".x", seed), make_generator(y, grid, where + ".y", seed)
+        return AffineCombinationGenerator(gx, gy, a, b)
+
+    table = {**_GENERATORS, AffineCombinationGenerator.kind: affine}
+    gen = build(ref, where, "kind", table, {"sampler", "x", "y"}, seed=seed)
+    if isinstance(gen, StepGenerator) and gen.t0 not in grid.times:
+        raise ConfigError(f"{where}.t0 = {gen.t0!r} is not a grid time")
+    return gen
 
 
 def make_function(ref: dict, where: str = "f") -> C12Function:
-    if not isinstance(ref, dict) or "name" not in ref:
-        raise ConfigError(f"{where} must be an object with a 'name'")
-    params = {k: v for k, v in ref.items() if k != "name"}
-    _finite_params(params, where)
-    try:
-        return builtin_c12(ref["name"], **params)
-    except KeyError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"{where}: bad parameters: {exc}") from exc
+    """The built-in function of ``ref``, read by ``build``."""
+    return build(ref, where, "name", _BUILTINS, {"coeffs", "c", "b"})
 
 
 def make_floor(ref: dict, where: str = "floor") -> FloorFunction:
-    """The floor of ``ref``.  A parameter that is not a number (a table's
-    ``ys`` and ``ws`` aside) and one outside the floor's domain are config
-    errors naming the key."""
-    if not isinstance(ref, dict) or "name" not in ref:
-        raise ConfigError(f"{where} must be an object with a 'name'")
-    params = {k: v for k, v in ref.items() if k not in ("name", "a_star")}
-    _finite_params(params, where, {"ys", "ws"})
-    try:
-        return builtin_floor(ref["name"], number(ref, "a_star", where=where), **params)
-    except KeyError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"{where}: bad parameters: {exc}") from exc
-    except DomainError as exc:
-        raise ConfigError(f"{where}.{exc}") from None
+    """The floor of ``ref``, read by ``build``; every floor takes ``a_star``."""
+    return build(ref, where, "name", _FLOORS, {"ys", "ws"})
 
 
 def write_csv(path: Path, header: list, columns: list, cfg_hash: str) -> None:

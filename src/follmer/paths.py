@@ -273,11 +273,12 @@ def reciprocal_path(a: GridPath) -> GridPath:
 
 
 class PathGenerator:
-    kind = "abstract"
+    """A generator; ``kind`` names it in a config."""
 
     def __post_init__(self):  # generators with checks of their own call it first
-        if not getattr(self, "seed", 0) >= 0:
-            raise DomainError("seed", f"must be nonnegative, got {self.seed!r}")
+        seed = getattr(self, "seed", 0)
+        if isinstance(seed, bool) or not seed >= 0 or seed % 1:
+            raise DomainError("seed", f"must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -285,7 +286,7 @@ class FormulaGenerator(PathGenerator):
     """Deterministic continuous path t -> fn(t) (vectorized callable)."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    kind = "deterministic-formula"
+    kind = "formula"
 
     def generate(self, grid: TimeGrid) -> GridPath:
         return GridPath(grid, np.asarray(self.fn(grid.times), dtype=float))

@@ -49,6 +49,11 @@ class TestBuiltins:
         with pytest.raises(KeyError):
             fn.builtin_c12("no-such-function")
 
+    def test_exp_takes_no_parameters(self):
+        assert fn.builtin_c12("exp").name == "exp-affine"
+        with pytest.raises(TypeError):
+            fn.builtin_c12("exp", c=2.0)
+
     @pytest.mark.parametrize("c", [0.5, [0.5]])
     def test_exp_affine_takes_a_number_or_a_one_element_list(self, c):
         f = fn.builtin_c12("exp-affine", c=c, b=c)

@@ -59,6 +59,13 @@ class TestConfigRefs:
         with pytest.raises(ConfigError):
             make_generator({"kind": "step", "notaparam": 1}, _GRID)
 
+    def test_the_run_seed_reaches_every_seeded_kind_that_names_none(self):
+        ref = {"kind": "affine-combination", "x": {"kind": "dyadic-brownian"}, "y": {"kind": "geometric", "seed": 2}}
+        g = make_generator(ref, _GRID, seed=9)
+        assert (g.gen_x.seed, g.gen_y.seed) == (9, 2)
+        assert make_generator(ref, _GRID).gen_x.seed == 0
+        assert make_generator({"kind": "step"}, _GRID, seed=9) == fl.StepGenerator()
+
     def test_function_refs(self):
         f = make_function({"name": "polynomial", "coeffs": [0, 0, 1]})
         assert f.grad_a is None
@@ -898,6 +905,27 @@ _JUMP_OFF_THE_PARTITION = {
             "path.jump_size must be nonnegative, got -0.5",
         ),
         ("mc", {"jump_sampler": "uniform", "jump_size": -0.5}, "jump_size must be nonnegative for the uniform sampler"),
+        # boolean keys take only true and false
+        ("qv", {"path_fv": "false"}, "path_fv must be true or false, got 'false'"),
+        ("qv", {"stochastic": 1}, "stochastic must be true or false, got 1"),
+        ("linear", {"x_fv": "true"}, "x_fv must be true or false, got 'true'"),
+        (
+            "linear",
+            {"h": {"path": {"kind": "dyadic-brownian"}, "fv_decomposition": "yes"}},
+            "h.fv_decomposition must be true or false, got 'yes'",
+        ),
+        # eta.f is evaluated along the path, so it must be defined there, and it is one eta
+        ("assoc", {"eta": {"f": {"name": "log"}}}, "eta.f: f is not defined along the trajectory"),
+        (
+            "assoc",
+            {"eta": {"f": {"name": "square"}}, "integrands": [{"name": "square"}, {"name": "identity"}]},
+            "eta.f has 1 values for 2 integrands",
+        ),
+        # a key that is read only beside another one
+        ("linear", {"h": {"path": {"kind": "dyadic-brownian"}, "xi": 2.0}}, "h.xi is read only with h.fv_decomposition"),
+        # exp takes no parameters: its c is not exp-affine's
+        ("ito-check", {"f": {"name": "exp", "c": 2.0}}, "unknown keys in f: ['c']"),
+        ("qv", {"path": {"kind": "dyadic-brownian", "seed": 2.5}}, "path.seed must be a nonnegative integer, got 2.5"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):
@@ -1030,6 +1058,82 @@ def test_unknown_sub_key_exits_2(tmp_path, command, changes, unknown):
     result, _ = run_command(tmp_path, command, changes)
     assert result.exit_code == 2, result.output
     assert "unknown keys" in result.stderr and unknown in result.stderr
+
+
+_FUNCTION_PATH = {"path": {"kind": "geometric"}, "stochastic": True}  # positive, so log and power are defined
+_POSITIVE_X = {"kind": "geometric", "s0": 2.0, "sigma": 0.25}
+# one valid section for every name of every table the config reader looks
+# names up in: (command, section key, section, the rest of the config)
+_NAMED = [
+    *[("qv", "path", {"kind": "formula", "name": name}, {}) for name in ("linear", "constant", "zigzag")],
+    ("qv", "path", {"kind": "step", "t0": 0.5}, {}),
+    ("qv", "path", {"kind": "dyadic-brownian"}, {}),
+    ("qv", "path", {"kind": "compound-jump"}, {}),
+    ("qv", "path", {"kind": "geometric"}, {}),
+    ("qv", "path", {"kind": "affine-combination", "x": {"kind": "dyadic-brownian"}, "y": {"kind": "step"}}, {}),
+    ("ito-check", "f", {"name": "polynomial", "coeffs": [0.0, 1.0, 1.0]}, _FUNCTION_PATH),
+    *[("ito-check", "f", {"name": name}, _FUNCTION_PATH) for name in ("square", "identity", "exp", "log")],
+    ("ito-check", "f", {"name": "exp-affine", "c": 0.5}, _FUNCTION_PATH),
+    ("ito-check", "f", {"name": "power", "p": 1.5}, _FUNCTION_PATH),
+    ("ito-check", "f", {"name": "fv-scale"}, {**_FUNCTION_PATH, "a": {"kind": "formula", "name": "linear"}}),
+    ("drawdown", "floor", {"name": "zero", "a_star": 2.0}, {"x": _POSITIVE_X}),
+    ("drawdown", "floor", {"name": "proportional", "alpha": 0.3, "a_star": 2.0}, {"x": _POSITIVE_X}),
+    ("drawdown", "floor", {"name": "constant-margin", "c": 1.5, "a_star": 2.0}, {"x": _POSITIVE_X}),
+    ("drawdown", "floor", {"name": "table", "ys": [1.0, 2.0, 8.0], "ws": [0.1, 0.5, 1.0], "a_star": 2.0}, {"x": _POSITIVE_X}),
+    *[("nonlinear", "f", {"kind": kind}, {}) for kind in ("zero", "constant", "linear")],
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, section, extra", _NAMED, ids=[f"{c}-{s.get('name', s.get('kind'))}" for c, _, s, _ in _NAMED]
+)
+def test_every_named_object_rejects_an_extra_key(tmp_path, command, key, section, extra):
+    # the keys a name takes are its constructor's parameters: the section is
+    # valid as it stands, and one key more is a config error naming both
+    result, _ = run_command(tmp_path / "valid", command, {**extra, key: section})
+    assert result.exit_code in (0, 1) and isinstance(result.exception, (SystemExit, type(None))), result.output
+    result, _ = run_command(tmp_path / "extra", command, {**extra, key: {**section, "bogus": 1.0}})
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
+    assert f"unknown keys in {key}: ['bogus']" in result.stderr
+
+
+def test_every_table_name_is_tried_with_an_extra_key():
+    from follmer import drawdown, functions, io as fio
+
+    tried = {}
+    for _, key, section, _ in _NAMED:
+        table = "formula" if section.get("kind") == "formula" else key
+        tried.setdefault(table, set()).add(section["name"] if "name" in section else section["kind"])
+    assert tried == {
+        "path": set(fio._GENERATORS) - {"formula"} | {"affine-combination"},
+        "formula": set(fio._FORMULAS),
+        "f": set(functions._BUILTINS) | set(cli._DRIFTS),
+        "floor": set(drawdown._FLOORS),
+    }
+
+
+def test_a_nested_generator_rejects_an_extra_key(tmp_path):
+    path = {**_BROWNIAN_JUMPS, "y": {**_BROWNIAN_JUMPS["y"], "bogus": 1.0}}
+    result, _ = run_command(tmp_path, "qv", {"path": path})
+    assert result.exit_code == 2, result.output
+    assert "unknown keys in path.y: ['bogus']" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, changes, section",
+    [
+        ("integrate", {"integrand": {"constant": 1.0, "f": {"name": "log"}}}, "integrand"),
+        ("assoc", {"eta": {"constant": [1.0], "f": {"name": "log"}}}, "eta"),
+        ("linear", {"h": {"constant": 1.0, "path": {"kind": "dyadic-brownian"}}}, "h"),
+        ("dppi", {"l": {"constant": 0.6, "linear": {"start": 0.5, "slope": 0.1}}}, "l"),
+        ("dppi", {"market": {**_MARKET, "csv": "market.csv"}}, "market"),
+        ("dppi", {"market": {**_MARKET, "b": {"rate": 0.03, "path": {"kind": "formula", "name": "constant", "c": 1.0}}}}, "market.b"),
+    ],
+)
+def test_an_either_or_section_with_two_alternatives_exits_2(tmp_path, command, changes, section):
+    result, _ = run_command(tmp_path, command, changes)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
+    assert f"{section} must carry exactly one of " in result.stderr
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0, 10**400, True, False, "0.1", None])

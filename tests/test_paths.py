@@ -206,6 +206,14 @@ class TestGenerators:
             fl.GeometricGenerator(jump_size=-0.5)
         assert fl.GeometricGenerator(jump_size=0.0).jump_size == 0.0
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, float("nan")])
+    def test_a_seed_is_a_nonnegative_integer(self, seed):
+        with pytest.raises(fl.DomainError, match=r"^seed must be a nonnegative integer, got "):
+            fl.DyadicBrownianGenerator(seed=seed)
+        grid = fl.dyadic_grid(1.0, 6)  # a whole float seeds like its integer
+        a, b = fl.CompoundJumpGenerator(seed=3.0).generate(grid), fl.CompoundJumpGenerator(seed=3).generate(grid)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.dX, b.dX)
+
 
 @settings(max_examples=30, deadline=None)
 @given(
