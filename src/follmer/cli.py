@@ -27,7 +27,7 @@ import numpy as np
 
 from .diagnostics import DETERMINISTIC_TOL, STOCHASTIC_TOL
 from .drawdown import azema_yor_path, solve_drawdown
-from .equations import solve_linear, solve_nonlinear
+from .equations import OdeBlowUp, solve_linear, solve_nonlinear
 from .finance import FloorSpec, Market, dppi, write_strategy_csv
 from .functions import C12Function
 from .integrals import (
@@ -389,7 +389,11 @@ def _nonlinear(run: Run) -> dict:
     """Solve Z = x0 + int f(s,Z) ds + int Z_- dX by reduction."""
     x = run.path("x")
     f = build(run.cfg.get("f", {"kind": "zero"}), "f", "kind", _DRIFTS)
-    rep = solve_nonlinear(f, x, number(run.cfg, "x0", 1.0), run.seq, tol=run.tol)
+    try:
+        rep = solve_nonlinear(f, x, number(run.cfg, "x0", 1.0), run.seq, tol=run.tol)
+    except OdeBlowUp as exc:  # the config is valid; its solution leaves every bound
+        run.check(False, str(exc))
+        return {"blowup_t": exc.t}
     run.qv_of_x(rep.exponential.qv)
     run.table("nonlinear.csv", ["t", "z"], [run.grid, rep.z.x])
     if "assert_value" in run.cfg:

@@ -14,7 +14,6 @@ construction at every grid point.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from .paths import (
     GridPath,
     TimeGrid,
     _csv_array,
+    _csv_lines,
     _write_csv_columns,
     left_values,
     running_maximum,
@@ -265,12 +265,12 @@ def drawdown_strategy(
 def read_market_csv(fp) -> Market:
     """Market from CSV with columns t,S,B and optional jump columns dS,dB,
     found by header name."""
-    r = csv.reader(row for row in fp if not row.startswith("#"))
-    header = [name.strip() for name in next(r, [])]
+    header, lines = _csv_lines(fp)
+    header = [name.strip() for name in header]
     missing = [name for name in ("t", "S", "B") if name not in header]
     if missing:
         raise DomainError("header", f"{','.join(header)!r} of a market CSV lacks {','.join(missing)}")
-    a = _csv_array(list(r), len(header))
+    a = _csv_array(lines, len(header))
     col = {name: a[:, k] for k, name in enumerate(header)}
     grid = TimeGrid(col["t"])
     return Market(GridPath(grid, col["S"], col.get("dS")), FVPath(grid, col["B"], col.get("dB")))

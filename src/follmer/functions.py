@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .paths import DomainError
+
 __all__ = [
     "C12Function",
     "DerivativeMismatch",
@@ -97,7 +99,12 @@ class C12Function:
 
 def polynomial(coeffs) -> C12Function:
     """f(x) = sum c_k x^k."""
-    c = np.asarray(coeffs, dtype=float)
+    try:
+        c = np.asarray(coeffs, dtype=float)
+    except (TypeError, ValueError):
+        c = None
+    if c is None or c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+        raise DomainError("coeffs", f"must be a nonempty list of finite numbers, got {coeffs!r}")
     d1 = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
     d2 = np.polynomial.polynomial.polyder(c, 2) if c.size > 2 else np.zeros(1)
     pv = np.polynomial.polynomial.polyval

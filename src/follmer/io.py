@@ -147,15 +147,18 @@ def tolerance(section: dict, key: str, default: float) -> float:
     return float(v)
 
 
+def _zigzag(base=0.0, amplitude=1.0, period=0.5) -> FormulaGenerator:
+    if not period > 0:
+        raise DomainError("period", f"must be positive, got {period!r}")
+    return FormulaGenerator(
+        lambda t: base + amplitude * (2.0 / period) * np.minimum(np.mod(t, period), period - np.mod(t, period))
+    )
+
+
 _FORMULAS = {  # the formula generators, by name
     "linear": lambda slope=1.0, intercept=0.0: FormulaGenerator(lambda t: intercept + slope * t),
     "constant": lambda c=0.0: FormulaGenerator(lambda t: np.full_like(np.asarray(t, dtype=float), c)),
-    "zigzag": lambda base=0.0, amplitude=1.0, period=0.5: FormulaGenerator(
-        lambda t: base
-        + amplitude
-        * (2.0 / period)
-        * np.minimum(np.mod(t, period), period - np.mod(t, period))
-    ),
+    "zigzag": _zigzag,
 }
 _GENERATORS = {g.kind: g for g in (StepGenerator, DyadicBrownianGenerator, CompoundJumpGenerator, GeometricGenerator)}
 _GENERATORS[FormulaGenerator.kind] = _FORMULAS

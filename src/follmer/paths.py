@@ -458,25 +458,49 @@ def write_path_csv(path: GridPath, fp) -> None:
 
 def read_path_csv(fp) -> GridPath:
     """Path from CSV with header t,x1,dx1."""
-    r = csv.reader(row for row in fp if not row.startswith("#"))
-    header = next(r, [])
+    header, lines = _csv_lines(fp)
     if header != ["t", "x1", "dx1"]:
         raise DomainError("header", f"{','.join(header)!r} of a path CSV is not t,x1,dx1")
-    t, x, dx = _csv_array(list(r), 3).T
+    t, x, dx = _csv_array(lines, 3).T
     return GridPath(TimeGrid(t), x, dx)
 
 
-def _csv_array(rows: list, width: int) -> np.ndarray:
-    """The data rows as a (rows, width) float array, parsed in one call (numpy
-    converts each field with ``float``).  A row of another width or a field
-    that is not a float sends the rows through ``_csv_floats``, which raises
-    naming the first bad row."""
-    if all(len(row) == width for row in rows):
-        try:
-            return np.array(rows, dtype=float).reshape(len(rows), width)
-        except ValueError:
-            pass
-    return np.array([_csv_floats(row, width, i) for i, row in enumerate(rows)]).reshape(len(rows), width)
+def _csv_lines(fp) -> tuple:
+    """(the header fields, the data lines) of a CSV table, lines that start
+    with ``#`` dropped.  The header is read by ``csv.reader``, which takes as
+    many lines as its record spans."""
+    lines = iter([line for line in fp if not line.startswith("#")])
+    header = next(csv.reader(lines), [])
+    return header, list(lines)
+
+
+# numpy strips these separators around a number as blanks; float() rejects them
+_NUMPY_ONLY_BLANKS = "\x1c\x1d\x1e\x1f"
+
+
+def _csv_array(lines: list, width: int) -> np.ndarray:
+    """The data lines as a (lines, width) float array, each field bitwise as
+    ``float`` reads it.
+
+    The whole table is parsed in one numpy call, whose result is taken only at
+    that shape (numpy skips blank lines).  A table numpy rejects or shapes
+    otherwise, one holding a separator numpy alone strips, and one whose first
+    line is blank (numpy warns on a table of blank lines) is split by
+    ``csv.reader`` and read by ``_csv_floats``, which parses what only
+    ``float`` accepts (``1_0``, non-ASCII digits) and raises naming the first
+    bad row."""
+    if lines and lines[0].strip("\r\n"):
+        text = "".join(lines)
+        if not any(c in text for c in _NUMPY_ONLY_BLANKS):
+            try:
+                a = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if a.shape == (len(lines), width):
+                    return a
+    rows = list(csv.reader(lines))  # a csv.Error anywhere comes before a bad row
+    return np.array([_csv_floats(row, width, i) for i, row in enumerate(rows)]).reshape(-1, width)
 
 
 def _csv_floats(row: list, width: int, i: int) -> list:
@@ -536,7 +560,7 @@ def _write_csv_columns(fp, header: list, columns: list) -> None:
         parts[-1] = newline
         for j in range(0, rows, _CSV_JOIN):
             block = np.concatenate([part[j : j + _CSV_JOIN] for part in parts], axis=1).ravel()
-            fp.write(np.compress(block != 0, block).tobytes().decode())
+            fp.write(block.tobytes().translate(None, b"\0").decode())
 
 
 def _csv_distinct(col) -> tuple:

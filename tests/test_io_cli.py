@@ -926,6 +926,17 @@ _JUMP_OFF_THE_PARTITION = {
         # exp takes no parameters: its c is not exp-affine's
         ("ito-check", {"f": {"name": "exp", "c": 2.0}}, "unknown keys in f: ['c']"),
         ("qv", {"path": {"kind": "dyadic-brownian", "seed": 2.5}}, "path.seed must be a nonnegative integer, got 2.5"),
+        # a polynomial's coefficients are a nonempty list of numbers
+        (
+            "ito-check",
+            {"f": {"name": "polynomial", "coeffs": [0, "x"]}},
+            "f.coeffs must be a nonempty list of finite numbers, got [0, 'x']",
+        ),
+        ("ito-check", {"f": {"name": "polynomial", "coeffs": []}}, "f.coeffs must be a nonempty list of finite numbers"),
+        ("ito-check", {"f": {"name": "polynomial", "coeffs": "abc"}}, "f.coeffs must be a nonempty list of finite"),
+        # a zigzag's period is positive
+        ("qv", {"path": {"kind": "formula", "name": "zigzag", "period": 0}}, "path.period must be positive, got 0"),
+        ("qv", {"path": {"kind": "formula", "name": "zigzag", "period": -0.5}}, "path.period must be positive, got -0.5"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):
@@ -1020,6 +1031,17 @@ def test_unsettled_qv_of_x_is_inconclusive(tmp_path):
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     failures = json.loads((out / "failures.json").read_text())["failures"]
     assert failures == ["strict: quadratic variation of X inconclusive"]
+
+
+def test_nonlinear_blowup_is_a_failed_check_with_a_report(tmp_path):
+    # a valid config whose solution leaves every bound: the run writes its
+    # report and fails, naming the time of the blow-up
+    result, out = run_command(tmp_path, "nonlinear", {"f": {"kind": "linear", "a": 1e300}})
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    (failure,) = json.loads((out / "failures.json").read_text())["failures"]
+    assert failure == "ODE solution blew up near t = 0.00390625"
+    report = json.loads((out / "nonlinear_report.json").read_text())
+    assert report["blowup_t"] == 0.00390625 and report["failures"] == [failure]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import follmer as fl
-from follmer.paths import _csv_array, read_path_csv, reciprocal_path, write_path_csv
+from follmer.finance import Market, read_market_csv
+from follmer.paths import _csv_array, _write_csv_columns, read_path_csv, reciprocal_path, write_path_csv
 
 
 def test_grid_invariants():
@@ -329,8 +332,116 @@ def test_csv_fields_parse_as_python_floats():
     fields += [repr(v) for v in (np.random.default_rng(3).normal(size=40) * 10.0 ** np.arange(-20, 20)).tolist()]
     rows = [[str(k), v, v] for k, v in enumerate(fields)]
     want = np.array([[float(v) for v in row] for row in rows])
-    assert _csv_array(rows, 3).tobytes() == want.tobytes()
+    assert _csv_array([",".join(row) + "\n" for row in rows], 3).tobytes() == want.tobytes()
     assert _csv_array([], 3).shape == (0, 3)
+
+
+def _market_oracle(text: str) -> Market:
+    """The market of a CSV table read row by row: ``csv.reader`` fields and
+    ``float`` of each, lines that start with ``#`` dropped."""
+    r = csv.reader(line for line in io.StringIO(text) if not line.startswith("#"))
+    header = [name.strip() for name in next(r)]
+    col = dict(zip(header, np.array([[float(v) for v in row] for row in r]).T))
+    grid = fl.TimeGrid(col["t"])
+    return Market(fl.GridPath(grid, col["S"], col.get("dS")), fl.FVPath(grid, col["B"], col.get("dB")))
+
+
+def _market_outcome(read, text: str):
+    """The bits of every array of the market ``read`` makes of ``text``, or its error text."""
+    try:
+        m = read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [a.tobytes() for a in (m.grid.times, m.s.x, m.s.dX, m.b.x, m.b.dX)]
+
+
+# floats whose repr reads back as themselves: every finite float, both
+# infinities and the one nan repr writes
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf, -math.inf, math.nan]),
+)
+_TIMES = st.lists(st.floats(0.0, 1e300, exclude_min=True), min_size=1, max_size=40, unique=True).map(
+    lambda t: np.array([0.0, *sorted(t)])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), times=_TIMES)
+def test_csv_tables_read_back_bitwise(data, times):
+    n = len(times)
+    x = np.array(data.draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n)))
+    dx = np.array([data.draw(st.sampled_from([0.0, -0.0]))] + data.draw(st.lists(_ANY_FLOAT, min_size=n - 1, max_size=n - 1)))
+    path = fl.GridPath(fl.TimeGrid(times), x, dx)
+    buf = io.StringIO()
+    write_path_csv(path, buf)
+    back = read_path_csv(io.StringIO(buf.getvalue()))
+    for a, b in ((path.grid.times, back.grid.times), (path.x, back.x), (path.dX, back.dX)):
+        assert a.tobytes() == b.tobytes()
+    # a market table: positive prices (a nan or a zero is the domain's error)
+    # with B_0 = 1, and nonpositive jumps, so S_- and B_- stay positive
+    price = st.one_of(st.floats(0.0, exclude_min=True), st.sampled_from([5e-324, math.inf, math.nan, 0.0]))
+    drop = st.one_of(st.floats(max_value=0.0), st.sampled_from([-0.0, -5e-324, -math.inf]))
+    s, b, ds, db = (np.array(data.draw(st.lists(kind, min_size=n, max_size=n))) for kind in (price, price, drop, drop))
+    b[0], ds[0], db[0] = 1.0, 0.0, -0.0
+    buf = io.StringIO()
+    _write_csv_columns(buf, ["t", "S", "B", "dS", "dB"], [times, s, b, ds, db])
+    text = buf.getvalue()
+    assert _market_outcome(lambda t: read_market_csv(io.StringIO(t)), text) == _market_outcome(_market_oracle, text)
+
+
+@pytest.mark.filterwarnings("error")  # numpy warns on a table with no data
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        ("0.0,1.0,0.0\n\n1.0,2.0,0.0\n", "CSV data row 1 has 0 fields, expected 3"),
+        ("\n0.0,1.0,0.0\n1.0,2.0,0.0\n", "CSV data row 0 has 0 fields, expected 3"),
+        ("\n\r\n", "CSV data row 0 has 0 fields, expected 3"),
+        ("0.0,1.0,0.0\n \n1.0,2.0,0.0\n", "CSV data row 1 has 1 fields, expected 3"),
+        ('0.0,"1.0",0.0\n1.0,2.0,0.0\n', [[0.0, 1.0], [1.0, 2.0], [0.0, 0.0]]),
+        ("0.0,1.0,0.0\n1.0,2.0 # two,0.0\n", "CSV data row 1: could not convert string to float: '2.0 # two'"),
+        ("0.0,1.0,0.0\n# a comment\n1.0,2.0,0.0\n", [[0.0, 1.0], [1.0, 2.0], [0.0, 0.0]]),
+        ("0.0,1_0,0.0\n1.0,2.0,0.0\n", [[0.0, 1.0], [10.0, 2.0], [0.0, 0.0]]),
+        ("0.0,\u0661,0.0\n1.0,2.0,0.0\n", [[0.0, 1.0], [1.0, 2.0], [0.0, 0.0]]),
+        # numpy strips the separators 0x1c-0x1f around a number, float() does not
+        ("0.0,\x1c1.0,0.0\n1.0,2.0,0.0\n", "CSV data row 0: could not convert string to float: '\\x1c1.0'"),
+        ("0.0,1.0,0.0\n1.0,2.0\n", "CSV data row 1 has 2 fields, expected 3"),
+        ("0.0,1.0,0.0\n1.0,2.0,0.0,9.0\n", "CSV data row 1 has 4 fields, expected 3"),
+        ("0.0,1.0,0.0\r\n1.0,2.0,0.5\r\n", [[0.0, 1.0], [1.0, 2.0], [0.0, 0.5]]),
+        ("0.0,1.0,0.0\n1.0,2.0,0.5", [[0.0, 1.0], [1.0, 2.0], [0.0, 0.5]]),
+        ("0.0, +1.0 ,-0\n 1e-320,-inf ,nan\n", [[0.0, 1e-320], [1.0, -math.inf], [0.0, math.nan]]),
+        ("", "times must be one-dimensional with at least two entries"),
+    ],
+    ids=[
+        "blank-line-mid-table",
+        "blank-first-line",
+        "blank-lines-only",
+        "whitespace-only-line",
+        "quoted-field",
+        "inline-hash",
+        "hash-starting-a-line",
+        "underscore",
+        "non-ascii-digit",
+        "separator-x1c",
+        "short-row",
+        "long-row",
+        "crlf",
+        "no-final-newline",
+        "blanks-and-signs",
+        "header-only",
+    ],
+)
+def test_csv_edge_lines_read_as_row_by_row(rows, want):
+    # each table gives the array, or the error, that csv.reader and float()
+    # give row by row
+    text = "t,x1,dx1\n" + rows
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as exc:
+            read_path_csv(io.StringIO(text))
+        assert str(exc.value) == want
+    else:
+        path = read_path_csv(io.StringIO(text))
+        assert np.array([path.grid.times, path.x, path.dX]).tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
