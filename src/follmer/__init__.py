@@ -11,7 +11,6 @@ from .drawdown import (
     FloorFunction,
     MonotoneC2Function,
     azema_yor_path,
-    builtin_floor,
     floor_constant_margin,
     floor_from_table,
     floor_proportional,

@@ -64,11 +64,16 @@ from .paths import FVPath, GridPath, StepGenerator, TimeGrid, _repeated_column, 
 from .quadvar import DiscreteMeasure, QVResult, measure_convergence_check, measure_vs_qv_check, qv_sequence
 
 def _levels(cfg: dict, override: str | None) -> tuple[int, int]:
-    lv = override.split("..") if override else cfg.get("levels", [6, 12])
-    if not isinstance(lv, (list, tuple)) or len(lv) != 2:
-        if override:
+    """(n_min, n_max) from ``--levels a..b`` when given, from the config's ``levels`` otherwise."""
+    if override:  # the one place where text is read as a number
+        lv = override.split("..")
+        if len(lv) != 2 or not all(s.strip().removeprefix("-").isdecimal() for s in lv):
             raise ConfigError(f"bad --levels {override!r}; expected a..b")
-        raise ConfigError(f"bad 'levels' {lv!r}; expected [n_min, n_max]")
+        lv = [int(s) for s in lv]
+    else:
+        lv = cfg.get("levels", [6, 12])
+        if not isinstance(lv, list) or len(lv) != 2:
+            raise ConfigError(f"bad 'levels' {lv!r}; expected [n_min, n_max]")
     pair = dict(zip(("n_min", "n_max"), lv))
     return tuple(integer(pair, k, where="--levels" if override else "levels", top=MAX_LEVEL) for k in pair)
 
@@ -460,6 +465,8 @@ def _dppi(run: Run) -> dict:
     grid, seq = run.grid, run.seq
     market = _market_from(run)
     if market.grid is not grid:  # ingested market: partitions live on its grid
+        if "T" in run.cfg and grid.T != market.grid.T:
+            raise ConfigError(f"T = {grid.T!r} is not the horizon {market.grid.T!r} of market.csv")
         grid = market.grid
         seq = thinned_sequence(grid, len(seq))
     kind, lref = choice(run.cfg, "l", {"constant": 0.0}, {"constant": (), "linear": ()})

@@ -32,7 +32,6 @@ __all__ = [
     "floor_proportional",
     "floor_constant_margin",
     "floor_from_table",
-    "builtin_floor",
     "floor_to_transform",
     "azema_yor_path",
     "solve_drawdown",
@@ -203,14 +202,6 @@ _FLOORS = {  # name -> constructor; its parameters are the keys the name takes
     "constant-margin": floor_constant_margin,
     "table": lambda ys, ws, a_star: floor_from_table(ys, ws, a_star),  # a_star required here too
 }
-
-
-def builtin_floor(name: str, a_star: float, **params) -> FloorFunction:
-    try:
-        make = _FLOORS[name]
-    except KeyError:
-        raise KeyError(f"unknown floor {name!r}") from None
-    return make(a_star=a_star, **params)
 
 
 # ---------------------------------------------------------------------------

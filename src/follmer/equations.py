@@ -246,8 +246,8 @@ def solve_nonlinear(
     Y' = f(t, Y E) / E, integrated with a fixed-step fourth-order scheme on
     the grid; E(X) is held at its left value within each step, so sub-steps
     never cross grid points.  f is expected to be locally Lipschitz with
-    linear growth.  Within the steps f is called with Python floats, and an
-    exception it raises propagates unchanged; a non-finite Y, or one larger
+    linear growth.  f is called with Python floats only, and an exception it
+    raises propagates unchanged; a non-finite Y, or one larger
     than ``BLOWUP_LIMIT`` in magnitude, raises ``OdeBlowUp``.
     """
     se = doleans_exponential(x, seq, tol=tol)
@@ -260,7 +260,7 @@ def solve_nonlinear(
     # numpy scalars, at a fraction of the cost per step
     ts, es = times.tolist(), e_vals.tolist()
     yg = float(x0)
-    ys = [yg]
+    ys, fz = [yg], []  # fz: f(t_g, Z_g) at every grid point, for the drift
     for g in range(len(ts) - 1):
         t0, t1, e = ts[g], ts[g + 1], es[g]  # E held left-constant within the step
         h = t1 - t0
@@ -268,7 +268,8 @@ def solve_nonlinear(
             # E(X) underflowed to zero: numpy scalars made the step inf or
             # nan, a blow-up; Python floats would raise ZeroDivisionError
             raise OdeBlowUp(t1)
-        k1 = f(t0, yg * e) / e
+        fz.append(f(t0, yg * e))
+        k1 = fz[-1] / e
         k2 = f(t0 + h / 2, (yg + h * k1 / 2) * e) / e
         k3 = f(t0 + h / 2, (yg + h * k2 / 2) * e) / e
         k4 = f(t0 + h, (yg + h * k3) * e) / e
@@ -281,7 +282,7 @@ def solve_nonlinear(
     z_vals = y * e_vals
     z = GridPath(x.grid, z_vals, _z_jumps(z_vals, 0.0, x))
 
-    fz = f_vec(f, times, z_vals)
+    fz = np.array(fz + [f(ts[-1], yg * es[-1])], dtype=float)
     drift = np.concatenate(
         [[0.0], np.cumsum(0.5 * (fz[:-1] + fz[1:]) * np.diff(times))]
     )
@@ -293,12 +294,3 @@ def solve_nonlinear(
         exponential=se,
     )
 
-
-def f_vec(f: Callable, times: np.ndarray, z: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(f(times, z), dtype=float)
-        if out.shape == times.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([f(float(t), float(v)) for t, v in zip(times, z)])

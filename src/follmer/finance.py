@@ -59,11 +59,11 @@ class Market:
     def __post_init__(self):
         if not same_grid(self.s.grid, self.b.grid):
             raise ValueError("S and B must share one grid")
-        sl, bl = left_values(self.s), left_values(self.b)
-        if not (np.all(self.s.x > 0) and np.all(sl > 0)):  # a NaN is not positive either
-            raise DomainError("S", "and S_- must be strictly positive")
-        if not (np.all(self.b.x > 0) and np.all(bl > 0)):
-            raise DomainError("B", "and B_- must be strictly positive")
+        with np.errstate(over="ignore"):  # a left limit beyond the float range is infinite, rejected below
+            sl, bl = left_values(self.s), left_values(self.b)
+        for key, v, vl in (("S", self.s.x, sl), ("B", self.b.x, bl)):
+            if not np.all((v > 0) & (v < np.inf) & (vl > 0) & (vl < np.inf)):  # a NaN is neither
+                raise DomainError(key, f"and {key}_- must be strictly positive and finite")
         if self.b.x[0] != 1.0:
             raise DomainError("B_0", f"must equal 1, got {float(self.b.x[0])!r}")
 
@@ -83,19 +83,20 @@ class Strategy:
 
 @dataclass(frozen=True)
 class FloorSpec:
-    """Floor multiplier L (finite variation, >= 0); the floor is K = L B."""
+    """Floor multiplier L (finite variation, >= 0, nonincreasing); the floor is K = L B."""
 
     l: FVPath
 
     def __post_init__(self):
-        if np.any(self.l.x < 0):
-            i = int(np.argmin(self.l.x >= 0))
-            t = float(self.l.grid.times[i])
-            raise DomainError("L", f"must be nonnegative, got {float(self.l.x[i])!r} at t = {t!r}")
-
-    @property
-    def nonincreasing(self) -> bool:
-        return bool(np.all(np.diff(self.l.x) <= 1e-15))
+        x, times = self.l.x, self.l.grid.times
+        if np.any(x < 0):
+            i = int(np.argmin(x >= 0))
+            raise DomainError("L", f"must be nonnegative, got {float(x[i])!r} at t = {float(times[i])!r}")
+        falls = np.diff(x) <= 1e-15  # the DPPI floor guarantee holds for a nonincreasing L only
+        if not np.all(falls):
+            i = int(np.argmin(falls)) + 1
+            rise = f"{float(x[i - 1])!r} then {float(x[i])!r} at t = {float(times[i])!r}"
+            raise DomainError("L", f"must be nonincreasing, got {rise}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import hashlib
 import inspect
 import json
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -85,36 +84,43 @@ def _dotted(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
+def _number(value, key: str, kind: str = "a number") -> float:
+    """``value`` as a float when it is a config number: a JSON number (an int
+    or a float, never a bool) that is finite as a float, an int too large for
+    a float counting as infinite.  Otherwise a config error: ``key`` must be
+    ``kind``, or must be finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return out
+
+
 def number(section: dict, key: str, default=None, where: str = "") -> float:
     """``section[key]`` as a finite float; ``default`` when absent, required when ``default`` is None.
 
     ``where`` is the dotted name of ``section``, empty at the top level.
     """
     value = require(section, key, where or "config") if default is None else section.get(key, default)
-    try:
-        out = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{_dotted(where, key)} must be a number, got {value!r}") from None
-    _finite(out, _dotted(where, key))
-    return out
+    return _number(value, _dotted(where, key))
 
 
 MAX_LEVEL = 20  # the finest grid_level or partition level a config may ask for: 2^20 + 1 grid points
 
 
 def integer(section: dict, key: str, default=None, where: str = "", top: int | None = None) -> int:
-    """``section[key]`` as an int from 0 to ``top`` (no bound when None), read like ``number``;
-    a whole float and an integer's text (``--levels a..b``) are taken."""
+    """``section[key]`` as an int from 0 to ``top`` (no bound when None), read
+    like ``number``; a whole float such as ``8.0`` is taken."""
     value = require(section, key, where or "config") if default is None else section.get(key, default)
-    if isinstance(value, str) and value.strip().removeprefix("-").isdecimal():
-        value = int(value)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0 or top is not None and value > top:
-        _finite(value, _dotted(where, key))
-        bound = "a nonnegative integer" if top is None else f"an integer from 0 to {top}"
-        raise ConfigError(f"{_dotted(where, key)} must be {bound}, got {section.get(key, default)!r}")
-    return value
+    bound = "a nonnegative integer" if top is None else f"an integer from 0 to {top}"
+    out = _number(value, _dotted(where, key), bound)
+    if not out.is_integer() or out < 0 or top is not None and out > top:
+        raise ConfigError(f"{_dotted(where, key)} must be {bound}, got {value!r}")
+    return int(value)
 
 
 def flag(section: dict, key: str, default: bool, where: str = "") -> bool:
@@ -123,11 +129,6 @@ def flag(section: dict, key: str, default: bool, where: str = "") -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{_dotted(where, key)} must be true or false, got {value!r}")
     return value
-
-
-def _finite(value, key: str) -> None:
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
 
 
 def subsection(section: dict, key: str, default: dict | None, allowed: set, where: str = "") -> dict:
@@ -141,10 +142,14 @@ def subsection(section: dict, key: str, default: dict | None, allowed: set, wher
 
 
 def tolerance(section: dict, key: str, default: float) -> float:
-    v = section.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v <= sys.float_info.max:
-        raise ConfigError(f"tolerance {key!r} must be a finite nonnegative number, got {v!r}")
-    return float(v)
+    """``section[key]``, a config number that is not negative; ``default`` when absent."""
+    value = section.get(key, default)
+    try:
+        if _number(value, key) >= 0:
+            return float(value)
+    except ConfigError:
+        pass
+    raise ConfigError(f"tolerance {key!r} must be a finite nonnegative number, got {value!r}")
 
 
 def _zigzag(base=0.0, amplitude=1.0, period=0.5) -> FormulaGenerator:
@@ -168,12 +173,13 @@ def build(ref, where: str, tag: str, table: dict, names=frozenset(), **given):
     """``table[ref[tag]]`` called with the other keys of ``ref``.
 
     The keys a name takes are exactly its constructor's parameters; an entry
-    that is a table of its own is read again by ``name``.  A value is a finite
-    number unless its key is in ``names`` (a list's entries must still be
-    finite).  A ``given`` value that is not None fills a parameter the
-    constructor takes and ``ref`` leaves out.  An unknown name, an unknown or
-    missing key, a value that is not a number and a ``DomainError`` are config
-    errors naming the key.
+    that is a table of its own is read again by ``name``.  Each value is a
+    config number (``_number``), except that a key in ``names`` may also hold
+    text, an object, or a list whose entries (named ``key[i]``) are config
+    numbers.  Values are passed on as given.  A ``given`` value that is not None fills
+    a parameter the constructor takes and ``ref`` leaves out.  An unknown
+    name, an unknown or missing key, a value that is not a number and a
+    ``DomainError`` are config errors naming the key.
     """
     if not isinstance(ref, dict) or tag not in ref:
         raise ConfigError(f"{where} must be an object with a {tag!r}")
@@ -188,10 +194,11 @@ def build(ref, where: str, tag: str, table: dict, names=frozenset(), **given):
         if takes[key].default is inspect.Parameter.empty:
             require(params, key, where)
     for key, value in params.items():
-        if key not in names and not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-        for v in value if isinstance(value, list) else (value,):
-            _finite(v, f"{where}.{key}")
+        if key in names and isinstance(value, list):
+            for i, v in enumerate(value):
+                _number(v, f"{where}.{key}[{i}]")
+        elif key not in names or not isinstance(value, (str, dict)):
+            _number(value, f"{where}.{key}")
     params.update({k: v for k, v in given.items() if k in takes and k not in params and v is not None})
     try:
         return table[name](**params)

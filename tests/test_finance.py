@@ -102,6 +102,17 @@ class TestDppi:
         with pytest.raises(ValueError):
             fl.dppi(mkt, 0.5, spec, 1.0, seq)
 
+    def test_floor_multiplier_must_not_rise(self, seq):
+        # the floor guarantee holds for a nonincreasing L only: a rise, by a
+        # slope or by a jump, is outside the model's domain
+        g = seq.grid
+        i = g.index_of(0.5)
+        rising = [0.5 + 0.1 * g.times, np.where(g.times < 0.5, 0.4, 0.5)]
+        for lv, jumps in zip(rising, (None, {i: 0.1})):
+            with pytest.raises(fl.DomainError, match=r"^L must be nonincreasing, got 0\.[0-9]+ then 0\.[0-9]+ at t = "):
+                fl.FloorSpec(fl.FVPath(g, lv, jumps))
+        fl.FloorSpec(fl.FVPath(g, 0.5 - 0.1 * g.times))  # a falling L is taken
+
     def test_raw_multiplier_path_rejected(self, seq):
         mkt = geometric_market(seq)
         spec = fl.FloorSpec(fl.FVPath(seq.grid, np.zeros(len(seq.grid))))
@@ -197,7 +208,6 @@ def test_floor_guarantee_across_seeds():
     g = seq.grid
     lv = 0.7 - 0.2 * g.times
     spec = fl.FloorSpec(fl.FVPath(g, lv))
-    assert spec.nonincreasing
     for seed in range(8):
         mkt = geometric_market(seq, seed=seed, jumps=3.0)
         for m in (0.0, 0.5, 1.0):

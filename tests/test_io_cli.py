@@ -226,7 +226,7 @@ class TestCli:
     def test_negative_level_exits_2(self, tmp_path):
         result, _ = run_cli(tmp_path, "qv", {"path": {"kind": "step"}}, "--levels", "-1..3")
         assert result.exit_code == 2
-        assert "--levels.n_min must be an integer from 0 to 20, got '-1'" in result.stderr
+        assert "--levels.n_min must be an integer from 0 to 20, got -1" in result.stderr
 
     @pytest.mark.parametrize("levels", [["a", 3], [3], [1, 2, 3], 5, "3..8"])
     def test_malformed_config_levels_exit_2(self, tmp_path, levels):
@@ -807,7 +807,7 @@ _JUMP_OFF_THE_PARTITION = {
         ("mc", {"seeds": float("nan")}, "seeds must be finite, got nan"),
         ("mc", {"n_max": float("inf")}, "n_max must be finite, got inf"),
         ("drawdown", {"floor": {"name": "proportional", "alpha": float("nan"), "a_star": 2.0}}, "floor.alpha must be finite"),
-        ("ito-check", {"f": {"name": "polynomial", "coeffs": [0.0, float("-inf")]}}, "f.coeffs must be finite, got -inf"),
+        ("ito-check", {"f": {"name": "polynomial", "coeffs": [0.0, float("-inf")]}}, "f.coeffs[1] must be finite, got -inf"),
         # exp-affine is scalar
         ("ito-check", {"f": {"name": "exp-affine", "c": [1.0, 2.0]}}, "f: bad parameters: c must be a number or a one-element list"),
         # domain errors of the floor and of the measure
@@ -848,7 +848,7 @@ _JUMP_OFF_THE_PARTITION = {
         (
             "drawdown",
             {"floor": {"name": "table", "ys": [2.0, 3.0], "ws": ["a", 0.6], "a_star": 2.0}},
-            "floor.ws must be a list of at least 2 numbers, got ['a', 0.6]",
+            "floor.ws[0] must be a number, got 'a'",
         ),
         ("drawdown", {"floor": {"name": "table", "ys": 3, "ws": [0.5], "a_star": 2.0}}, "floor.ys must be a list"),
         # inputs outside the model's domain, each raised where its rule is defined
@@ -890,7 +890,7 @@ _JUMP_OFF_THE_PARTITION = {
         ("qv", {"levels": [3.5, 8]}, "levels.n_min must be an integer from 0 to 20, got 3.5"),
         ("mc", {"n_max": 8.7}, "n_max must be an integer from 0 to 20, got 8.7"),
         ("qv", {"seed": 1.5}, "seed must be a nonnegative integer, got 1.5"),
-        ("qv", {"path": {"kind": "dyadic-brownian", "seed": True}}, "path.seed must be a nonnegative integer, got True"),
+        ("qv", {"path": {"kind": "dyadic-brownian", "seed": True}}, "path.seed must be a number, got True"),
         # the level bound, tried only where numpy refuses the grid at once
         ("qv", {"grid_level": 63}, "grid_level must be an integer from 0 to 20, got 63"),
         ("qv", {"levels": [3, 63]}, "levels.n_max must be an integer from 0 to 20, got 63"),
@@ -930,13 +930,52 @@ _JUMP_OFF_THE_PARTITION = {
         (
             "ito-check",
             {"f": {"name": "polynomial", "coeffs": [0, "x"]}},
-            "f.coeffs must be a nonempty list of finite numbers, got [0, 'x']",
+            "f.coeffs[1] must be a number, got 'x'",
         ),
         ("ito-check", {"f": {"name": "polynomial", "coeffs": []}}, "f.coeffs must be a nonempty list of finite numbers"),
         ("ito-check", {"f": {"name": "polynomial", "coeffs": "abc"}}, "f.coeffs must be a nonempty list of finite"),
         # a zigzag's period is positive
         ("qv", {"path": {"kind": "formula", "name": "zigzag", "period": 0}}, "path.period must be positive, got 0"),
         ("qv", {"path": {"kind": "formula", "name": "zigzag", "period": -0.5}}, "path.period must be positive, got -0.5"),
+        # a config number is a JSON number, not a bool or a number's text, read by io.number ...
+        ("qv", {"T": True}, "T must be a number, got True"),
+        ("qv", {"t": "0.5"}, "t must be a number, got '0.5'"),
+        ("mc", {"sigma": " 1 "}, "sigma must be a number, got ' 1 '"),
+        # ... by io.integer ...
+        ("qv", {"grid_level": "8"}, "grid_level must be an integer from 0 to 20, got '8'"),
+        ("qv", {"levels": ["3", "8"]}, "levels.n_min must be an integer from 0 to 20, got '3'"),
+        ("qv", {"seed": "3"}, "seed must be a nonnegative integer, got '3'"),
+        ("mc", {"seeds": ["1", 2]}, "seeds must be a nonnegative integer, got '1'"),
+        # ... and by io.build, a list's entries included
+        ("qv", {"path": {"kind": "dyadic-brownian", "sigma": True}}, "path.sigma must be a number, got True"),
+        ("qv", {"path": {"kind": "step", "t0": True}}, "path.t0 must be a number, got True"),
+        ("nonlinear", {"f": {"kind": "linear", "a": True}}, "f.a must be a number, got True"),
+        ("drawdown", {"floor": {"name": "proportional", "alpha": False, "a_star": 2.0}}, "floor.alpha must be a number"),
+        ("ito-check", {"f": {"name": "polynomial", "coeffs": [0, "0", "1"]}}, "f.coeffs[1] must be a number, got '0'"),
+        (
+            "drawdown",
+            {"floor": {"name": "table", "ys": ["2", 3, 4], "ws": [0, 1, 2], "a_star": 2.0}},
+            "floor.ys[0] must be a number, got '2'",
+        ),
+        (
+            "drawdown",
+            {"floor": {"name": "table", "ys": [2, 3, 4], "ws": [0, True, 2], "a_star": 2.0}},
+            "floor.ws[1] must be a number, got True",
+        ),
+        ("assoc", {"eta": {"constant": [True]}}, "eta.constant must be a number, got True"),
+        # an int too large for a float is not finite
+        ("qv", {"path": {"kind": "compound-jump", "intensity": 10**400}}, "path.intensity must be finite, got 1000"),
+        ("qv", {"path": {"kind": "formula", "name": "linear", "slope": 10**400}}, "path.slope must be finite, got 1000"),
+        ("drawdown", {"floor": {"name": "zero", "a_star": 10**400}}, "floor.a_star must be finite, got 1000"),
+        ("nonlinear", {"f": {"kind": "constant", "c": 10**400}}, "f.c must be finite, got 1000"),
+        ("ito-check", {"f": {"name": "exp-affine", "c": 10**400}}, "f.c must be finite, got 1000"),
+        ("mc", {"seeds": 10**400}, "seeds must be finite, got 1000"),
+        # the DPPI floor guarantee needs a nonincreasing multiplier L
+        (
+            "dppi",
+            {"l": {"linear": {"start": 0.9, "slope": 0.5}}},
+            "l: L must be nonincreasing, got 0.9 then 0.901953125 at t = 0.00390625 (from l.linear)",
+        ),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):
@@ -963,17 +1002,18 @@ def _replaced(cfg, key, value):
     return out
 
 
-_LEAF_VALUES = [float("nan"), float("inf"), -float("inf"), "x", -1, 0, 0.5, [], {}, None, True]
+_NOT_NUMBERS = [True, False, "1", 10**400]  # a config error on every numeric leaf
+_LEAF_VALUES = [float("nan"), float("inf"), -float("inf"), "x", -1, 0, 0.5, [], {}, None, *_NOT_NUMBERS]
+_LEAF_IDS = ["NaN", "Infinity", "-Infinity", "x", "-1", "0", "0.5", "[]", "{}", "null", "true", "false", "'1'", "1e400"]
 
 
-@pytest.mark.parametrize(
-    "value", _LEAF_VALUES, ids=["NaN", "Infinity", "-Infinity", "x", "-1", "0", "0.5", "[]", "{}", "null", "true"]
-)
+@pytest.mark.parametrize("value", _LEAF_VALUES, ids=_LEAF_IDS)
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_non_finite_numbers_exit_cleanly_naming_the_key(tmp_path, command, value):
     # each number of the config in turn, top-level or nested, replaced: a run
     # passes or fails (exit 0 or 1) or is a config error naming the key (exit
-    # 2), never a traceback
+    # 2), never a traceback; a bool, a number's text or an int too large for
+    # a float is always a config error
     base = _COMMANDS[command] if command == "mc" else {**_LEVEL_8, **_COMMANDS[command]}
     leaves = list(_numeric_leaves(base))
     assert leaves
@@ -981,6 +1021,7 @@ def test_non_finite_numbers_exit_cleanly_naming_the_key(tmp_path, command, value
         result, _ = run_cli(tmp_path / str(k), command, _replaced(base, key, value), "--seed", "5")
         clean = result.exception is None if result.exit_code == 0 else isinstance(result.exception, SystemExit)
         assert result.exit_code in (0, 1, 2) and clean, (key, result.output)
+        assert result.exit_code == 2 or not any(value is v for v in _NOT_NUMBERS), (key, result.output)
         if result.exit_code == 2:
             dotted = ".".join(p for p in key if isinstance(p, str))
             assert dotted in result.stderr, (key, result.stderr)
@@ -1006,6 +1047,9 @@ def test_a_fault_in_a_compute_function_keeps_its_traceback(tmp_path, monkeypatch
         ("0.0,1.0,1.0\n1.0,-1.0,1.0\n", "S and S_- must be strictly positive"),
         ("0.0,1.0,1.0\n0.5,nan,1.0\n1.0,1.0,1.0\n", "S and S_- must be strictly positive"),
         ("0.0,1.0,2.0\n1.0,1.0,2.0\n", "B_0 must equal 1, got 2.0"),
+        ("0.0,1.0,1.0\n1.0,inf,1.0\n", "S and S_- must be strictly positive and finite"),
+        # S_- = S - dS is beyond the float range
+        ("0.0,1.0,1.0,0.0\n1.0,1.5e308,1.0,-5e307\n", "S and S_- must be strictly positive and finite"),
     ],
 )
 def test_market_csv_outside_the_domain_exits_2(tmp_path, rows, named):
@@ -1015,6 +1059,20 @@ def test_market_csv_outside_the_domain_exits_2(tmp_path, rows, named):
     result, _ = run_command(tmp_path, "dppi", {"market": {"csv": str(csv_path)}, "levels": [0, 1]})
     assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
     assert f"market.csv: {named}" in result.stderr
+
+
+@pytest.mark.parametrize("changes, code", [({"T": 2.0}, 2), ({"T": 0.5}, 2), ({"T": 1.0}, 0), ({}, 0)])
+def test_market_csv_sets_the_horizon(tmp_path, changes, code):
+    # beside an ingested market, T is the file's last time or absent;
+    # grid_level (8 in every case here) is still taken
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    csv_path = tmp_path / "market.csv"
+    csv_path.write_text("t,S,B\n0.0,1.0,1.0\n0.5,1.1,1.0\n1.0,1.2,1.0\n")
+    cfg = {"market": {"csv": str(csv_path)}, "levels": [0, 1], **changes}
+    result, _ = run_command(tmp_path, "dppi", cfg)
+    assert result.exit_code == code and isinstance(result.exception, (SystemExit, type(None))), result.output
+    if code == 2:
+        assert f"T = {changes['T']!r} is not the horizon 1.0 of market.csv" in result.stderr
 
 
 def test_unsettled_qv_of_x_is_inconclusive(tmp_path):
