@@ -38,6 +38,7 @@ from .integrals import (
 )
 from .io import (
     MAX_LEVEL,
+    MAX_SEEDS,
     ConfigError,
     DomainError,
     build,
@@ -60,7 +61,7 @@ from .io import (
 )
 from .mc import McExperiment, run_mc
 from .partitions import PartitionSequence, dyadic_sequence, thinned_sequence
-from .paths import FVPath, GridPath, StepGenerator, TimeGrid, _repeated_column, _TextColumn, as_fv, dyadic_grid
+from .paths import FVPath, GridPath, StepGenerator, TimeGrid, as_fv, dyadic_grid, repeated_column
 from .quadvar import DiscreteMeasure, QVResult, measure_convergence_check, measure_vs_qv_check, qv_sequence
 
 def _levels(cfg: dict, override: str | None) -> tuple[int, int]:
@@ -117,7 +118,10 @@ class Run:
         return self.generate(require(self.cfg, key, "config"), key, flag(self.cfg, f"{key}_fv", False))
 
     def generate(self, ref, where: str, fv: bool = False) -> GridPath:
-        path = make_generator(ref, self.grid, where, self.seed).generate(self.grid)
+        try:
+            path = make_generator(ref, self.grid, where, self.seed).generate(self.grid)
+        except DomainError as exc:  # a rule a generator checks on the grid (intensity * T), named under where
+            raise ConfigError(f"{where}.{exc}") from None
         return as_fv(path) if fv else path
 
     def table(self, name: str, header: list, columns: list) -> None:
@@ -247,8 +251,8 @@ def _qv(run: Run) -> dict:
     # the level numbers and grid times are formatted once and repeated
     points, levels = np.arange(len(run.grid)), np.arange(len(qv.level_curves))
     columns = [
-        _repeated_column(levels, levels.repeat(len(points))),
-        _TextColumn(run.grid.text, np.tile(points, len(levels))),
+        repeated_column(levels, levels.repeat(len(points))),
+        repeated_column(run.grid, np.tile(points, len(levels))),
         np.concatenate(qv.level_curves),
     ]
     run.table("qv.csv", ["level", "t", "qv"], columns)
@@ -507,11 +511,14 @@ def _mc(run: Run) -> dict:
     levels = integer(cfg, "n_min", 3, top=MAX_LEVEL), integer(cfg, "n_max", 8, top=MAX_LEVEL)
     n_min, n_max = run.levels if run.levels_opt else levels
     seeds_cfg = cfg.get("seeds", 16)
+    count = len(seeds_cfg) if isinstance(seeds_cfg, list) else integer(cfg, "seeds", 16)
+    if count > MAX_SEEDS:
+        raise ConfigError(f"seeds must ask for at most {MAX_SEEDS} seeds, got {count}")
     if isinstance(seeds_cfg, list):
         seeds = [integer({"seeds": s}, "seeds") for s in seeds_cfg]
     else:
         base = 0 if run.seed is None else run.seed
-        seeds = range(base, base + integer(cfg, "seeds", 16))
+        seeds = range(base, base + count)
     exp = McExperiment(
         seeds=tuple(seeds),
         n_min=n_min,
@@ -526,10 +533,11 @@ def _mc(run: Run) -> dict:
     )
     try:
         summary = run_mc(exp)
-    except DomainError as exc:  # the band-exit scan names the grid, which grid_level sets
-        if exc.key != "grid":
+    except DomainError as exc:  # the library names the grid and the jump intensity, which these keys set
+        key = {"grid": "grid_level", "intensity": "jump_intensity"}.get(exc.key)
+        if key is None:
             raise
-        raise ConfigError(f"grid_level: {exc}") from None
+        raise ConfigError(f"{key}: {exc}") from None
     oc = summary.outcomes
     columns = [[o.seed for o in oc], [int(o.passed) for o in oc], [o.trend.final_gap for o in oc]]
     columns += [[o.osc_sum for o in oc], [o.osc_sum_bound for o in oc]]

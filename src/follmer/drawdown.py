@@ -196,7 +196,7 @@ def floor_from_table(ys, ws, a_star: float | None = None) -> FloorFunction:
     )
 
 
-_FLOORS = {  # name -> constructor; its parameters are the keys the name takes
+FLOORS = {  # name -> constructor; its parameters are the keys the name takes
     "zero": floor_zero,
     "proportional": floor_proportional,
     "constant-margin": floor_constant_margin,

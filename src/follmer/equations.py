@@ -20,11 +20,11 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import DETERMINISTIC_TOL, TrendReport, sup_distance
-from .integrals import AdmissibleIntegrand, _integrand_values, integral_curves
+from .integrals import AdmissibleIntegrand, integral_curves, integrand_values
 from .partitions import PartitionSequence
 from .paths import DomainError, FVPath, GridPath, left_values, reciprocal_path
-from .quadvar import QVResult, _running_total, qv_sequence
-from .stieltjes import stieltjes_fv_curve, stieltjes_left, stieltjes_left_curve
+from .quadvar import QVResult, qv_sequence
+from .stieltjes import running_sum, stieltjes_fv_curve, stieltjes_left, stieltjes_left_curve
 
 __all__ = [
     "StochasticExponential",
@@ -126,7 +126,7 @@ def reciprocal_exponential(se: StochasticExponential, seq: PartitionSequence, t:
     dx = x.dX[: g + 1]
     j = np.flatnonzero(dx)
     terms = r_left[j] * dx[j] * dx[j] / (1.0 + dx[j])
-    jsum = _running_total(terms)
+    jsum = float(running_sum(terms)[-1])
     lhs = float(r.x[g]) - 1.0
     residual = lhs - (-i1 + i2 + jsum)
     return ReciprocalReport(r, residual, {"dX": i1, "dQVc": i2, "jumps": jsum})
@@ -193,14 +193,14 @@ def solve_linear(
     agreement = float("nan")
     if decomposition is not None:
         xi, a = decomposition
-        xi_vals, xi_left = _integrand_values(xi, grid)
+        xi_vals, xi_left = integrand_values(xi, grid)
         h0 = float(hv[0])
         (t1_x,) = integral_curves(xi_vals * r.x, xi_left * r_left, x, (seq.top,))
         t1_a = stieltjes_fv_curve(r.x, r_left, a)
         t2 = stieltjes_left_curve(xi_left * r_left, se.qv.continuous_part)
         dx = x.dX
         dh = xi_left * dx + a.dX
-        t3 = np.cumsum(np.where(dx != 0.0, r_left * dh * dx / (1.0 + dx), 0.0))
+        t3 = running_sum(np.where(dx != 0.0, r_left * dh * dx / (1.0 + dx), 0.0)[1:])
         z_alt_vals = se.values * (h0 + t1_x + t1_a - t2 - t3)
         z_alt = GridPath(grid, z_alt_vals, _z_jumps(z_alt_vals, hj, x))
         agreement = sup_distance(z_vals, z_alt_vals)
@@ -283,9 +283,7 @@ def solve_nonlinear(
     z = GridPath(x.grid, z_vals, _z_jumps(z_vals, 0.0, x))
 
     fz = np.array(fz + [f(ts[-1], yg * es[-1])], dtype=float)
-    drift = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (fz[:-1] + fz[1:]) * np.diff(times))]
-    )
+    drift = running_sum(0.5 * (fz[:-1] + fz[1:]) * np.diff(times))
     sub_curves = integral_curves(z_vals, left_values(z), x, seq)
     return NonlinearSolveReport(
         z=z,

@@ -21,21 +21,21 @@ import numpy as np
 from .diagnostics import DETERMINISTIC_TOL, TrendReport
 from .drawdown import FloorFunction, azema_yor_path, floor_to_transform
 from .equations import StochasticExponential, doleans_exponential
-from .integrals import _integrand_values, integral_at, integral_curve
+from .integrals import integral_at, integral_curve, integrand_values
 from .partitions import PartitionSequence
 from .paths import (
     DomainError,
     FVPath,
     GridPath,
     TimeGrid,
-    _csv_array,
-    _csv_lines,
-    _write_csv_columns,
+    csv_array,
+    csv_lines,
     left_values,
     running_maximum,
     same_grid,
+    write_csv_columns,
 )
-from .stieltjes import stieltjes_fv_curve
+from .stieltjes import running_sum, stieltjes_fv_curve
 
 __all__ = [
     "Market",
@@ -134,7 +134,7 @@ def dppi(
     sl, bl = left_values(s), left_values(b)
     if isinstance(m, GridPath) or np.ndim(m):
         raise TypeError("raw multiplier paths are rejected; supply a witness or a constant")
-    mv, ml = _integrand_values(m, grid)
+    mv, ml = integrand_values(m, grid)
 
     x_vals = integral_curve(mv / s.x, s.x, seq.top) + integral_curve((1.0 - mv) / b.x, b.x, seq.top)
     x_jumps = ml * s.dX / sl + (1.0 - ml) * b.dX / bl
@@ -156,7 +156,7 @@ def dppi(
     jl = np.flatnonzero(dl)
     l_atoms = np.zeros(len(grid))
     l_atoms[jl] = b.x[jl] * dl[jl] / (e_left[jl] * (1.0 + x_jumps[jl]))
-    jsum = np.cumsum(l_atoms)
+    jsum = running_sum(l_atoms[1:])
 
     cushion = v0 - float(l.x[0]) - c_curve - jsum
     v_vals = l.x * b.x + e_vals * cushion
@@ -266,12 +266,12 @@ def drawdown_strategy(
 def read_market_csv(fp) -> Market:
     """Market from CSV with columns t,S,B and optional jump columns dS,dB,
     found by header name."""
-    header, lines = _csv_lines(fp)
+    header, lines = csv_lines(fp)
     header = [name.strip() for name in header]
     missing = [name for name in ("t", "S", "B") if name not in header]
     if missing:
         raise DomainError("header", f"{','.join(header)!r} of a market CSV lacks {','.join(missing)}")
-    a = _csv_array(lines, len(header))
+    a = csv_array(lines, len(header))
     col = {name: a[:, k] for k, name in enumerate(header)}
     grid = TimeGrid(col["t"])
     return Market(GridPath(grid, col["S"], col.get("dS")), FVPath(grid, col["B"], col.get("dB")))
@@ -282,4 +282,4 @@ def write_strategy_csv(strategy: Strategy, floor_curve: np.ndarray | None, fp) -
     grid = strategy.value.grid
     fl = np.zeros(len(grid)) if floor_curve is None else floor_curve
     columns = [grid, strategy.xi.x, strategy.eta.x, strategy.value.x, fl]
-    _write_csv_columns(fp, ["t", "xi", "eta", "V", "floor"], columns)
+    write_csv_columns(fp, ["t", "xi", "eta", "V", "floor"], columns)

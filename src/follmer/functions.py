@@ -185,7 +185,7 @@ def _scalar(v, key: str) -> float:
     return float(v)
 
 
-_BUILTINS = {  # name -> constructor; its parameters are the keys the name takes
+BUILTINS = {  # name -> constructor; its parameters are the keys the name takes
     "polynomial": polynomial,
     "square": square,
     "identity": identity_fn,
@@ -199,7 +199,7 @@ _BUILTINS = {  # name -> constructor; its parameters are the keys the name takes
 
 def builtin_c12(name: str, **params) -> C12Function:
     try:
-        make = _BUILTINS[name]
+        make = BUILTINS[name]
     except KeyError:
         raise KeyError(f"unknown built-in function {name!r}") from None
     return make(**params)

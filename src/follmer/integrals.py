@@ -27,8 +27,8 @@ from .diagnostics import DETERMINISTIC_TOL, TrendReport, sup_distance
 from .functions import C12Function
 from .partitions import Partition, PartitionSequence
 from .paths import DomainError, FVPath, GridPath, jump_rows, left_values
-from .quadvar import QVResult, _anchor_runs, _running_total, covariation, qv_sequence
-from .stieltjes import stieltjes_fv, stieltjes_fv_curve, stieltjes_left, stieltjes_left_curve
+from .quadvar import QVResult, covariation, qv_sequence
+from .stieltjes import running_sum, stieltjes_fv, stieltjes_fv_curve, stieltjes_left, stieltjes_left_curve
 
 __all__ = [
     "AdmissibleIntegrand",
@@ -43,10 +43,6 @@ __all__ = [
     "qv_of_integral",
     "associativity_check",
 ]
-
-
-def _zero_fv(grid) -> FVPath:
-    return FVPath(grid, np.zeros(len(grid)))
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ class AdmissibleIntegrand:
         if (self.A is None) != (self.f.grad_a is None):
             raise ValueError("function arity does not match the paths")
         if self.A is None:
-            object.__setattr__(self, "A", _zero_fv(self.X.grid))
+            object.__setattr__(self, "A", FVPath(self.X.grid, np.zeros(len(self.X.grid))))
         if len(self.A.grid) != len(self.X.grid):
             raise ValueError("A and X live on different grids")
         av, xv = self.A.x, self.X.x
@@ -82,7 +78,7 @@ class AdmissibleIntegrand:
         object.__setattr__(self, "values_left", xi_l)
 
 
-def _integrand_values(xi, grid) -> tuple[np.ndarray, np.ndarray]:
+def integrand_values(xi, grid) -> tuple[np.ndarray, np.ndarray]:
     """(values, left values) of an integrand given in any accepted form: an
     ``AdmissibleIntegrand``, a ``GridPath``, a constant or a grid-length array."""
     if isinstance(xi, AdmissibleIntegrand):
@@ -100,11 +96,9 @@ def _integrand_values(xi, grid) -> tuple[np.ndarray, np.ndarray]:
 
 def integral_curve(xi_vals: np.ndarray, x_vals: np.ndarray, p: Partition) -> np.ndarray:
     """Running truncated Riemann sum t -> sum xi_{t_i} (X_{t_{i+1}^t} - X_{t_i^t})."""
-    idx = p.indices
+    idx, runs = p.indices, p.runs
     xv = x_vals[idx]
-    # summed from +0.0, so no running sum is -0.0
-    csum = np.cumsum(np.concatenate([[0.0], xi_vals[idx[:-1]] * np.diff(xv)]))
-    runs = _anchor_runs(idx, x_vals.size)
+    csum = running_sum(xi_vals[idx[:-1]] * np.diff(xv))
     dx = np.repeat(xv, runs)
     np.subtract(x_vals, dx, out=dx)
     np.multiply(np.repeat(xi_vals[idx], runs), dx, out=dx)
@@ -118,7 +112,7 @@ def integral_at(xi_vals: np.ndarray, x_vals: np.ndarray, p: Partition, g: int) -
     idx = p.indices
     k = int(np.searchsorted(idx, g, side="right")) - 1
     a = idx[k]
-    head = np.cumsum(np.concatenate([[0.0], xi_vals[idx[:k]] * np.diff(x_vals[idx[: k + 1]])]))[-1]
+    head = running_sum(xi_vals[idx[:k]] * np.diff(x_vals[idx[: k + 1]]))[-1]
     return head + xi_vals[a] * (x_vals[g] - x_vals[a])
 
 
@@ -166,7 +160,7 @@ def follmer_integral(
     ``inconclusive``, never a silent answer.  The returned path carries the
     integral's declared jumps xi_{t-} dX_t.
     """
-    xi_vals, xi_left = _integrand_values(xi, x.grid)
+    xi_vals, xi_left = integrand_values(xi, x.grid)
     curves = [integral_curve(xi_vals, x.x, p) for p in seq]
     estimate = curves[-1]
     trend = TrendReport([sup_distance(c, estimate) for c in curves[:-1]], tol)
@@ -259,7 +253,7 @@ def ito_formula_eval(
         f_after = f(av[ji], xv[ji])
         f_before = f(al[ji], xl[ji])
         gx_before = np.asarray(f.grad_x(al[ji], xl[ji]), dtype=float)
-        jump_term = _running_total(f_after - f_before - gx_before * (xv[ji] - xl[ji]))
+        jump_term = float(running_sum(f_after - f_before - gx_before * (xv[ji] - xl[ji]))[-1])
 
     trend = TrendReport(
         [abs(lhs - (drift + level_integrals[n] + qv_term_at_level(n) + jump_term)) for n in range(len(seq))],
@@ -315,7 +309,7 @@ def integration_by_parts(
         s_ydx = integral_at(ys, xs, p, g)
         s_xdy = integral_at(xs, ys, p, g)
         s_dxdy = cov.level_curves[n][g]
-        s_dxy = float(np.sum(np.diff(xs[j] * ys[j])))
+        s_dxy = float(running_sum(np.diff(xs[j] * ys[j]))[-1])
         worst_identity = max(worst_identity, float(abs(s_dxy - (s_ydx + s_xdy + s_dxdy))))
         residuals.append(float(abs(lhs - (s_ydx + s_xdy + s_dxdy))))
     return PartsReport(discrete_identity_worst=worst_identity, trend=TrendReport(residuals, tol))
@@ -332,11 +326,6 @@ class QvOfIntegralReport:
     trend: TrendReport  # sup-distance of each level's [Y,Y] to the target
 
 
-def _qv_target_curve(xi_left: np.ndarray, x: GridPath, seq: PartitionSequence) -> np.ndarray:
-    """t -> int xi^2 (s-) d[X,X]_s on the grid."""
-    return stieltjes_left_curve(xi_left * xi_left, qv_sequence(x, seq, fv_exact=False).estimate)
-
-
 def qv_of_integral(
     xi: AdmissibleIntegrand,
     x: GridPath,
@@ -347,7 +336,8 @@ def qv_of_integral(
     res = follmer_integral(xi, x, seq, tol=tol)
     y = res.path
     qv = qv_sequence(y, seq, tol=tol, fv_exact=False)
-    target = _qv_target_curve(xi.values_left, x, seq)
+    xi_left = xi.values_left  # the target is t -> int xi^2 (s-) d[X,X]_s
+    target = stieltjes_left_curve(xi_left * xi_left, qv_sequence(x, seq, fv_exact=False).estimate)
     return QvOfIntegralReport(qv, TrendReport([sup_distance(c, target) for c in qv.level_curves], tol))
 
 
@@ -376,7 +366,7 @@ def associativity_check(
     """
     if len(eta) != len(integrands):
         raise ValueError("eta needs one integrand per admissible integrand")
-    eta_vals = [_integrand_values(e, x.grid)[0] for e in eta]
+    eta_vals = [integrand_values(e, x.grid)[0] for e in eta]
     y_results = [follmer_integral(xi, x, seq, tol=tol) for xi in integrands]
     g = x.grid.clamp_index(t)
 

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .drawdown import _FLOORS, FloorFunction
-from .functions import _BUILTINS, C12Function
+from .drawdown import FLOORS, FloorFunction
+from .functions import BUILTINS, C12Function
 from .paths import (
     AffineCombinationGenerator,
     CompoundJumpGenerator,
@@ -30,12 +30,13 @@ from .paths import (
     PathGenerator,
     StepGenerator,
     TimeGrid,
-    _write_csv_columns,
+    write_csv_columns,
 )
 
 __all__ = [
     "ConfigError",
     "MAX_LEVEL",
+    "MAX_SEEDS",
     "load_config",
     "config_hash",
     "check_keys",
@@ -110,6 +111,7 @@ def number(section: dict, key: str, default=None, where: str = "") -> float:
 
 
 MAX_LEVEL = 20  # the finest grid_level or partition level a config may ask for: 2^20 + 1 grid points
+MAX_SEEDS = 1024  # the most seeds an mc config may ask for, by a count or a list
 
 
 def integer(section: dict, key: str, default=None, where: str = "", top: int | None = None) -> int:
@@ -238,18 +240,18 @@ def make_generator(ref: dict, grid: TimeGrid, where: str = "generator", seed: in
 
 def make_function(ref: dict, where: str = "f") -> C12Function:
     """The built-in function of ``ref``, read by ``build``."""
-    return build(ref, where, "name", _BUILTINS, {"coeffs", "c", "b"})
+    return build(ref, where, "name", BUILTINS, {"coeffs", "c", "b"})
 
 
 def make_floor(ref: dict, where: str = "floor") -> FloorFunction:
     """The floor of ``ref``, read by ``build``; every floor takes ``a_star``."""
-    return build(ref, where, "name", _FLOORS, {"ys", "ws"})
+    return build(ref, where, "name", FLOORS, {"ys", "ws"})
 
 
 def write_csv(path: Path, header: list, columns: list, cfg_hash: str) -> None:
-    """``paths._write_csv_columns`` to ``path``, then the ``# config_hash=`` line."""
+    """``paths.write_csv_columns`` to ``path``, then the ``# config_hash=`` line."""
     with open(path, "w") as fp:
-        _write_csv_columns(fp, header, columns)
+        write_csv_columns(fp, header, columns)
         fp.write(f"# config_hash={cfg_hash}\n")
 
 

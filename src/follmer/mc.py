@@ -37,7 +37,8 @@ from .paths import (
     add_paths,
     dyadic_grid,
 )
-from .quadvar import _anchor_sums, qv_curve
+from .quadvar import qv_curve
+from .stieltjes import running_sum
 
 __all__ = ["McExperiment", "SeedOutcome", "McSummary", "run_mc"]
 
@@ -130,7 +131,7 @@ def _sample_path(exp: McExperiment, seed: int) -> GridPath:
 
 
 def _target_curve(exp: McExperiment, path: GridPath) -> np.ndarray:
-    return exp.sigma**2 * path.grid.times + np.cumsum(path.dX**2)
+    return exp.sigma**2 * path.grid.times + running_sum(path.dX[1:] ** 2)
 
 
 def _bisect(above) -> float:
@@ -182,7 +183,7 @@ def _sup_error(path: GridPath, p: Partition, target: np.ndarray, n: int) -> floa
     """
     x, idx = path.x, p.indices
     xa = x[idx]
-    csum = _anchor_sums(xa, xa)
+    csum = running_sum(np.diff(xa) ** 2)
     if not (math.isfinite(csum[-1]) and math.isfinite(target[-1])):
         return float(np.max(np.abs(qv_curve(path, p) - target)))
     ta = target[idx]

@@ -51,6 +51,12 @@ class Partition:
     def times(self) -> np.ndarray:
         return self.grid.times[self.indices]
 
+    @property
+    def runs(self) -> np.ndarray:
+        """Run lengths of the step anchors: point k is the last one <= g for g in
+        [indices[k], indices[k+1]), so ``np.repeat(v, runs)`` spreads v[k] over that run."""
+        return np.diff(self.indices, append=len(self.grid))
+
     def __len__(self) -> int:
         return self.indices.size
 

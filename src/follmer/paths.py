@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ._floatrepr import BLOCK, float_text
+from .stieltjes import running_sum
 
 __all__ = [
     "DomainError",
@@ -186,21 +187,18 @@ class GridPath:
         """Read-only {grid index: jump size} view of the nonzero jumps."""
         return MappingProxyType({int(i): self.dX[i] for i in jump_rows(self)})
 
-    def jump_curve(self) -> np.ndarray:
-        """The pure-jump part: sum of dX_s over 0 < s <= t, at every grid time."""
-        return np.cumsum(self.dX)
+    @cached_property
+    def jump_part(self) -> np.ndarray:
+        """The pure-jump part, read-only: the running sum of dX_s over 0 < s <= t."""
+        return _readonly(running_sum(self.dX[1:]))
 
 
 class FVPath(GridPath):
     """GridPath flagged as having finite variation on the grid.
 
-    Carries the exact decomposition A = A^c + A^d, where A^d_t =
-    sum_{0<s<=t} dA_s is the pure-jump part built from the declared jumps.
+    Carries the exact decomposition A = A^c + A^d, where A^d = ``jump_part``
+    is the pure-jump part built from the declared jumps.
     """
-
-    @cached_property
-    def jump_part(self) -> np.ndarray:
-        return _readonly(self.jump_curve())
 
     @cached_property
     def cont_part(self) -> np.ndarray:
@@ -367,6 +365,7 @@ class CompoundJumpGenerator(PathGenerator):
     x0: float = 0.0
     kind = "compound-jump"
     SAMPLERS = ("coin", "uniform")
+    MAX_MEAN = 1e18  # the largest intensity * T: numpy's Poisson sampler refuses a mean above about 9.2e18
 
     def __post_init__(self):
         super().__post_init__()
@@ -378,8 +377,11 @@ class CompoundJumpGenerator(PathGenerator):
             raise DomainError("size", f"must be nonnegative for the uniform sampler, got {self.size!r}")
 
     def generate(self, grid: TimeGrid) -> GridPath:
+        mean = self.intensity * grid.T
+        if not mean <= self.MAX_MEAN:
+            raise DomainError("intensity", f"times T must be at most {self.MAX_MEAN:g}, got {mean!r}")
         rng = np.random.default_rng(np.random.SeedSequence([int(self.seed), 11]))
-        count = rng.poisson(self.intensity * grid.T)
+        count = rng.poisson(mean)
         count = min(count, len(grid) - 1)
         idx = np.sort(rng.choice(np.arange(1, len(grid)), size=count, replace=False))
         if self.sampler == "coin":
@@ -433,12 +435,15 @@ class GeometricGenerator(PathGenerator):
         vals = self.s0 * np.exp(w.x + self.mu * grid.times)
         if self.jump_intensity <= 0.0:
             return GridPath(grid, vals)
-        overlay = CompoundJumpGenerator(
-            seed=self.seed,
-            intensity=self.jump_intensity,
-            size=self.jump_size,
-            sampler="uniform",
-        ).generate(grid)
+        try:
+            overlay = CompoundJumpGenerator(
+                seed=self.seed,
+                intensity=self.jump_intensity,
+                size=self.jump_size,
+                sampler="uniform",
+            ).generate(grid)
+        except DomainError as exc:  # the overlay's intensity is this path's jump_intensity
+            raise DomainError("jump_intensity", str(exc).removeprefix("intensity ")) from None
         factor = 1.0 + overlay.dX
         # one suffix product per jump, in grid order; a cumprod would round
         # the products differently
@@ -453,19 +458,19 @@ class GeometricGenerator(PathGenerator):
 
 
 def write_path_csv(path: GridPath, fp) -> None:
-    _write_csv_columns(fp, ["t", "x1", "dx1"], [path.grid, path.x, path.dX])
+    write_csv_columns(fp, ["t", "x1", "dx1"], [path.grid, path.x, path.dX])
 
 
 def read_path_csv(fp) -> GridPath:
     """Path from CSV with header t,x1,dx1."""
-    header, lines = _csv_lines(fp)
+    header, lines = csv_lines(fp)
     if header != ["t", "x1", "dx1"]:
         raise DomainError("header", f"{','.join(header)!r} of a path CSV is not t,x1,dx1")
-    t, x, dx = _csv_array(lines, 3).T
+    t, x, dx = csv_array(lines, 3).T
     return GridPath(TimeGrid(t), x, dx)
 
 
-def _csv_lines(fp) -> tuple:
+def csv_lines(fp) -> tuple:
     """(the header fields, the data lines) of a CSV table, lines that start
     with ``#`` dropped.  The header is read by ``csv.reader``, which takes as
     many lines as its record spans."""
@@ -478,7 +483,7 @@ def _csv_lines(fp) -> tuple:
 _NUMPY_ONLY_BLANKS = "\x1c\x1d\x1e\x1f"
 
 
-def _csv_array(lines: list, width: int) -> np.ndarray:
+def csv_array(lines: list, width: int) -> np.ndarray:
     """The data lines as a (lines, width) float array, each field bitwise as
     ``float`` reads it.
 
@@ -529,15 +534,15 @@ class _TextColumn:
         return len(self.index)
 
 
-def _repeated_column(values, index) -> _TextColumn:
-    """The CSV column whose cell i is ``values[index[i]]``, each value formatted once."""
-    return _TextColumn(_csv_text(values), index)
+def repeated_column(values, index) -> _TextColumn:
+    """The CSV column ``values[index]``, each value formatted once, a ``TimeGrid``'s from its text."""
+    return _TextColumn(values.text if isinstance(values, TimeGrid) else _csv_text(values), index)
 
 
-def _write_csv_columns(fp, header: list, columns: list) -> None:
+def write_csv_columns(fp, header: list, columns: list) -> None:
     """Write a CSV header row, then ``columns`` side by side, a block of rows at a time.
 
-    A column is a ``_TextColumn``, a ``TimeGrid`` (its times, from its cached
+    A column is a ``repeated_column``, a ``TimeGrid`` (its times, from its cached
     text), a list of str cells, or anything ``np.asarray`` makes
     one-dimensional, whose floats come out as their ``repr`` and ints as
     decimals.  A float64 array that repeats its values is formatted once per

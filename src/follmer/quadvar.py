@@ -35,6 +35,7 @@ from .paths import (
     left_values,
     same_grid,
 )
+from .stieltjes import running_sum
 
 __all__ = [
     "QVResult",
@@ -54,25 +55,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _anchor_runs(idx: np.ndarray, n: int) -> np.ndarray:
-    """Run lengths of the step anchors: partition point k is the last one <=
-    g for the grid indices g in [idx[k], idx[k+1]), and the last point for
-    itself alone, so ``np.repeat(v, runs)`` spreads v[k] over that run."""
-    return np.diff(idx, append=n)
-
-
-def _anchor_sums(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
-    """The product sums at the partition points themselves, from the values
-    ``xa``, ``ya`` there: 0, then the running sum of increment products."""
-    return np.concatenate([[0.0], np.cumsum(np.diff(xa) * np.diff(ya))])
-
-
 def product_curve(x: np.ndarray, y: np.ndarray, p: Partition) -> np.ndarray:
     """t -> sum of (X_{t_{i+1}^t} - X_{t_i^t})(Y_{t_{i+1}^t} - Y_{t_i^t}) on the grid."""
-    idx = p.indices
+    idx, runs = p.indices, p.runs
     xa, ya = x[idx], y[idx]
-    csum = _anchor_sums(xa, ya)
-    runs = _anchor_runs(idx, x.size)
+    csum = running_sum(np.diff(xa) * np.diff(ya))
     dx = np.repeat(xa, runs)
     np.subtract(x, dx, out=dx)
     if y is x:
@@ -136,7 +123,7 @@ def _assemble(
     tol: float,
     fv_exact: bool,
 ) -> QVResult:
-    jump_part = np.cumsum(x.dX * y.dX)
+    jump_part = running_sum(x.dX[1:] * y.dX[1:])
     if fv_exact:
         estimate = jump_part.copy()
     else:
@@ -224,11 +211,6 @@ def covariation(
 # ---------------------------------------------------------------------------
 
 
-def _running_total(v: np.ndarray) -> float:
-    """0.0 plus the entries of ``v``, left to right."""
-    return float(np.cumsum(np.concatenate([[0.0], v]))[-1])
-
-
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """mu = sum of a_i delta_{t_i} with atoms at partition points.
@@ -263,16 +245,16 @@ class DiscreteMeasure:
 
     def mass(self, t: float, closed: bool = True) -> float:
         """mu([0, t]) (closed) or mu([0, t[) of the atom representation,
-        its atoms added left to right as ``_anchor_sums`` adds them."""
+        its atoms added left to right as ``product_curve`` adds them."""
         side = "right" if closed else "left"
         k = int(np.searchsorted(self.times, t, side=side))
-        return _running_total(self.weights[:k])
+        return float(running_sum(self.weights[:k])[-1])
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray], t: float) -> float:
         """Sum of a_i f(t_i) over atoms with t_i <= t, added in ``mass``'s
         order, so that f = 1 gives ``mass(t)`` bit for bit."""
         k = int(np.searchsorted(self.times, t, side="right"))
-        return _running_total(self.weights[:k] * np.asarray(f(self.times[:k]), dtype=float))
+        return float(running_sum(self.weights[:k] * np.asarray(f(self.times[:k]), dtype=float))[-1])
 
     def straddling_weight(self, t: float) -> float:
         """Weight of the atom whose interval ]b_i, b_{i+1}] contains t."""

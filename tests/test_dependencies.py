@@ -163,3 +163,46 @@ def test_cli_catches_no_value_error():
     handlers = [node.type for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.type]
     caught = {n.id for h in handlers for n in ast.walk(h) if isinstance(n, ast.Name)}
     assert "DomainError" in caught and "ValueError" not in caught
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_is_imported_from_another_module(path):
+    # a name another module uses is an interface: it gets a public name, so
+    # that the module declares it
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "follmer")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+def _calls_of(attr: str) -> list:
+    """``module.qualname`` of the function or class around each call of ``<...>.attr`` in the package."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == attr:
+                out.append(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), [path.stem])
+    return sorted(out)
+
+
+def test_every_discrete_running_sum_is_the_kernel():
+    # one function decides the summation order of every sum an identity
+    # reads; the other cumsums are path values, index arithmetic and a lattice
+    assert _calls_of("cumsum") == [
+        "drawdown._CumulativeExponent._grow",  # the node lattice of the floor transform
+        "mc._sup_error",  # the grid indices of the segments it evaluates
+        "paths.CompoundJumpGenerator.generate",  # the path values from x0 and the jumps
+        "stieltjes.running_sum",
+    ]

@@ -7,7 +7,7 @@ import follmer as fl
 import follmer.functions as fn
 from follmer.integrals import integral_at, integral_curve, integral_curves
 from follmer.quadvar import product_curve, qv_curve
-from follmer.stieltjes import stieltjes_fv, stieltjes_fv_curve, stieltjes_left, stieltjes_left_curve
+from follmer.stieltjes import running_sum, stieltjes_fv, stieltjes_fv_curve, stieltjes_left, stieltjes_left_curve
 
 
 def riemann_sum(xi_vals, x_vals, p, g):
@@ -340,6 +340,26 @@ def test_stieltjes_left_is_its_curve_at_every_point(bm_setup):
     assert curve.tolist() == expect
     points = np.array([stieltjes_left(h_left, f, upto=k) for k in range(len(f))])
     assert points.view(np.int64).tolist() == curve.view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e300, 1e300)), max_size=40),
+    k=st.integers(0, 40),
+)
+def test_running_sum_is_the_loop_from_zero(steps, k):
+    # the one summation order: a Python loop from +0.0, whose prefixes are
+    # the sums of the prefixes, and which never holds -0.0
+    total, expect = 0.0, [0.0]
+    for v in steps:
+        total += v
+        expect.append(total)
+    curve = running_sum(np.array(steps, dtype=float))
+    bits = curve.view(np.int64).tolist()
+    assert bits == np.array(expect).view(np.int64).tolist()
+    k = min(k, len(steps))
+    assert running_sum(np.array(steps[:k], dtype=float)).view(np.int64).tolist() == bits[: k + 1]
+    assert not np.any(np.signbit(curve) & (curve == 0.0))
 
 
 @pytest.mark.parametrize("c,t0_k", [(2.0, 8), (-1.5, 3), (0.25, 13)])

@@ -976,6 +976,17 @@ _JUMP_OFF_THE_PARTITION = {
             {"l": {"linear": {"start": 0.9, "slope": 0.5}}},
             "l: L must be nonincreasing, got 0.9 then 0.901953125 at t = 0.00390625 (from l.linear)",
         ),
+        # an mc run asks for at most MAX_SEEDS seeds, by a count or by a list
+        ("mc", {"seeds": 1025}, "seeds must ask for at most 1024 seeds, got 1025"),
+        ("mc", {"seeds": list(range(1025))}, "seeds must ask for at most 1024 seeds, got 1025"),
+        # a Poisson mean intensity * T above what numpy's sampler takes, named by its key
+        ("qv", {"path": {"kind": "compound-jump", "intensity": 1e300}}, "path.intensity times T must be at most 1e+18"),
+        (
+            "dppi",
+            {"market": {**_MARKET, "s": {"kind": "geometric", "jump_intensity": 1e150}}},
+            "market.s.jump_intensity times T must be at most 1e+18, got 1e+150",
+        ),
+        ("mc", {"jump_intensity": 1e19}, "jump_intensity: intensity times T must be at most 1e+18, got 1e+19"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):
@@ -1187,8 +1198,8 @@ def test_every_table_name_is_tried_with_an_extra_key():
     assert tried == {
         "path": set(fio._GENERATORS) - {"formula"} | {"affine-combination"},
         "formula": set(fio._FORMULAS),
-        "f": set(functions._BUILTINS) | set(cli._DRIFTS),
-        "floor": set(drawdown._FLOORS),
+        "f": set(functions.BUILTINS) | set(cli._DRIFTS),
+        "floor": set(drawdown.FLOORS),
     }
 
 

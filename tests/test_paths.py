@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import follmer as fl
 from follmer.finance import Market, read_market_csv
-from follmer.paths import _csv_array, _write_csv_columns, read_path_csv, reciprocal_path, write_path_csv
+from follmer.paths import csv_array, read_path_csv, reciprocal_path, write_csv_columns, write_path_csv
+from follmer.stieltjes import running_sum
 
 
 def test_grid_invariants():
@@ -332,8 +333,8 @@ def test_csv_fields_parse_as_python_floats():
     fields += [repr(v) for v in (np.random.default_rng(3).normal(size=40) * 10.0 ** np.arange(-20, 20)).tolist()]
     rows = [[str(k), v, v] for k, v in enumerate(fields)]
     want = np.array([[float(v) for v in row] for row in rows])
-    assert _csv_array([",".join(row) + "\n" for row in rows], 3).tobytes() == want.tobytes()
-    assert _csv_array([], 3).shape == (0, 3)
+    assert csv_array([",".join(row) + "\n" for row in rows], 3).tobytes() == want.tobytes()
+    assert csv_array([], 3).shape == (0, 3)
 
 
 def _market_oracle(text: str) -> Market:
@@ -385,7 +386,7 @@ def test_csv_tables_read_back_bitwise(data, times):
     s, b, ds, db = (np.array(data.draw(st.lists(kind, min_size=n, max_size=n))) for kind in (price, price, drop, drop))
     b[0], ds[0], db[0] = 1.0, 0.0, -0.0
     buf = io.StringIO()
-    _write_csv_columns(buf, ["t", "S", "B", "dS", "dB"], [times, s, b, ds, db])
+    write_csv_columns(buf, ["t", "S", "B", "dS", "dB"], [times, s, b, ds, db])
     text = buf.getvalue()
     assert _market_outcome(lambda t: read_market_csv(io.StringIO(t)), text) == _market_outcome(_market_oracle, text)
 
@@ -492,8 +493,9 @@ def test_jump_part_is_the_index_ordered_running_sum(level, seed, jmap):
     for i in sorted(jmap):
         expect[i:] += jmap[i]
     assert np.array_equal(a.jump_part, expect)
-    assert np.array_equal(a.jump_part, np.cumsum(a.dX))
-    assert np.array_equal(a.jump_curve(), a.jump_part)
+    assert np.array_equal(a.jump_part, running_sum(a.dX[1:]))
+    assert np.array_equal(fl.GridPath(g, vals, jmap).jump_part, a.jump_part)
+    assert not a.jump_part.flags.writeable
 
 
 @settings(max_examples=40, deadline=None)
