@@ -13,6 +13,14 @@ values, where ``repr`` costs less than the kernel's numpy calls.
 The text comes as a uint8 matrix with one row per value: the sign, the digits
 and point, and the exponent, at fixed columns with NUL bytes around them.
 Dropping every NUL of a row leaves the value's text.
+
+Every pass over such a matrix runs over whole contiguous rows, 32 bytes each.
+numpy runs a 2-D op on a column slice (``z[:, 1:]``) as one short inner loop
+per row: a 4,096 × 23 uint8 multiply took 55.7 us on such slices and 5.4 us
+on contiguous arrays.  So the digits are written one uint32 word per row, the
+point goes in by shifting the flattened block one byte under two masks taken
+from one table of prefixes, and the trailing zeros are counted from a table
+on the 4-digit groups.
 """
 
 from __future__ import annotations
@@ -25,18 +33,21 @@ __all__ = ["BLOCK", "float_text"]
 
 BLOCK = 4096  # values formatted per pass; the CSV writer's rows per block
 # Arrays shorter than this go through ``repr``, one value at a time: the
-# kernel's fixed cost is about 140 us a call, ``repr`` costs about 1.6 us a
-# value, and the two met at 80 to 90 values (numpy 2.4, Python 3.11, 2 CPUs).
-_SHORT = 64
+# kernel's fixed cost is about 150 us a call, ``repr`` costs about 1.7 us a
+# value of 16 or 17 digits (less for fewer), and the two met at 88 to 96
+# values of 16 or 17 digits (numpy 2.4, Python 3.11, 2 CPUs).
+_SHORT = 88
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
-_POW10 = np.array([10**j for j in range(1, 20)], dtype=_U)
-_EXP0 = 400  # the exponent table's row for e = 0
-# The digit string of m·10**k: "000", m's 18 digits, "0"; the point goes in
-# front of one of its columns, so a float row is a column for the sign before
-# the first digit, 23 columns of digits and point, and 5 of exponent.
-_Z = 22
-_FLOAT_WIDTH = 1 + _Z + 1 + 5
+_EXP0 = 331  # the exponent table's row for e = 0; it holds e = -330 .. 330
+# A text row is 32 bytes.  The digit string of m·10**k sits in its columns
+# [3, 25): "000" from column 3, m's 18 digits from column 6 (so that each
+# group of four starts a uint32 word), and "0" in column 24.  The point goes
+# in front of one of its columns, everything after it moves one column right,
+# and the exponent takes columns 25 to 29.
+_W = 32
+_WORD0 = np.frombuffer(bytes(3) + b"0", np.uint32)[0]  # columns 0-3: NUL, NUL, NUL, "0"
+_WORD6 = np.frombuffer(b"0" + bytes(7), _U)[0]  # columns 24-31: "0", then NUL
 
 
 def _floor_log10_pow2(q, three_quarters=0):
@@ -68,10 +79,10 @@ def _decimals(width: int) -> np.ndarray:
 
 class _Tables(NamedTuple):
     schubfach: np.ndarray  # Schubfach's constants, one row each (see _build_tables)
-    exponents: np.ndarray  # row _EXP0 + e: "e±XX" for e; row 0 blank
-    pairs: np.ndarray  # the two ASCII digits of 0 .. 99 as one uint16
+    exponents: np.ndarray  # entry _EXP0 + e: columns 24-31 as a uint64 word, "e±XX" for e from 25; entry 0 blank
     quads: np.ndarray  # the four ASCII digits of 0 .. 9999 as one uint32
-    ranges: np.ndarray  # row 24·a + b: 1 in the columns [a, b), else 0
+    zeros: np.ndarray  # the trailing zero digits of 0 .. 9999 written with four; 4 for 0
+    prefixes: np.ndarray  # row r: 1 in the columns [0, r) of a text row, else 0
 
 
 def _build_tables() -> _Tables:
@@ -88,20 +99,25 @@ def _build_tables() -> _Tables:
     g_hi = np.array([v >> 64 for v in g], dtype=_U)[k.max() - k]
     g_lo = np.array([v & (2**64 - 1) for v in g], dtype=_U)[k.max() - k]
     h, closer = h.astype(_U), closer.astype(_U)
-    schubfach = np.array(
+    schubfach = np.column_stack(
         [k.astype(_U), h + _U(2), g_lo & _M32, g_lo >> _U(32), g_hi & _M32, g_hi >> _U(32),
          *_shifted(g_hi, g_lo, h + _U(1) - closer), *_shifted(g_hi, g_lo, h + _U(1))]
     )
-    exps = [""] + [f"e{e:+03d}" for e in range(1 - _EXP0, _EXP0)]
-    exponents = np.frombuffer("".join(s.ljust(5, "\0") for s in exps).encode(), np.uint8).reshape(-1, 5)
-    j = np.arange(_Z + 2)
-    ranges = (j[:, None, None] <= j[:-1]) & (j[:-1] < j[:, None])
+    e = np.arange(1 - _EXP0, _EXP0)
+    two = np.abs(e) < 100
+    exponents = np.zeros((len(e) + 1, 8), np.uint8)
+    exponents[1:, 1] = ord("e")
+    exponents[1:, 2] = np.where(e < 0, ord("-"), ord("+"))
+    exponents[1:, 3:6] = _decimals(3)[np.abs(e)]
+    exponents[1:][two, 3:6] = np.pad(_decimals(2)[np.abs(e[two])], ((0, 0), (0, 1)))
+    j = np.arange(10**4)
+    zeros = (j % 10 == 0).astype(np.uint8) + (j % 100 == 0) + (j % 1000 == 0) + (j == 0)
     return _Tables(
         schubfach,
-        exponents,
-        _decimals(2).view(np.uint16)[:, 0],
+        exponents.view(_U)[:, 0],
         _decimals(4).view(np.uint32)[:, 0],
-        ranges.reshape(-1, _Z + 1).astype(np.uint8),
+        zeros,
+        (np.arange(_W) < np.arange(_W + 1)[:, None]).astype(np.uint8),
     )
 
 
@@ -165,11 +181,13 @@ def _interval(w0, w1, w2, l0, l1, l2, r0, r1, r2, odd):
 
 def _shortest(bits):
     """(m, k) with m·10**k the shortest decimal that rounds to each normal
-    double of ``bits``; (0, 0) for a zero."""
+    double of ``bits``, m of 16 or 17 digits (m is about c·2**q / 10**k for
+    the significand c in [2**52, 2**53) and 2**q / 10**k in [1, 40/3));
+    (0, -15) for a zero, which reads as 1 digit before the point."""
     f = bits & _U((1 << 52) - 1)
     be = (bits >> _U(52)) & _U(0x7FF)
     row = ((be << _U(1)) | ((f == 0) & (be > 1))).astype(np.intp)
-    k, h2, b0, b1, b2, b3, *ends = _TABLES.schubfach.take(row, axis=1)
+    k, h2, b0, b1, b2, b3, *ends = _TABLES.schubfach.take(row, axis=0).T
     w0, w1, w2 = _product((f | _U(1 << 52)) << h2, b0, b1, b2, b3)
     vb = w2 | (w1 > _U(1))
     lower, upper = _interval(w0, w1, w2, *ends, f & _U(1))
@@ -185,54 +203,78 @@ def _shortest(bits):
     zero = (bits << _U(1)) == 0
     m[zero] = 0
     k = k.astype(np.int64)
-    k[zero] = 0
+    k[zero] = -15
     return m, k
 
 
-def _digits(m, out):
-    """Write the 18 decimal digits of each m < 10**18 into the columns of ``out``."""
+def _groups(m) -> list:
+    """The five 4-digit groups of each m < 10**18, most significant first."""
     hi = m // _U(10**8)
     lo = (m - hi * _U(10**8)).astype(np.uint32)
     top = hi // _U(10**8)
     mid = (hi - top * _U(10**8)).astype(np.uint32)
-    groups = np.empty((len(m), 4), np.intp)
-    groups[:, 0], groups[:, 1] = mid // np.uint32(10**4), mid % np.uint32(10**4)
-    groups[:, 2], groups[:, 3] = lo // np.uint32(10**4), lo % np.uint32(10**4)
-    out[:, :2] = _TABLES.pairs.take(top.astype(np.intp)).view(np.uint8).reshape(-1, 2)
-    out[:, 2:] = _TABLES.quads.take(groups).view(np.uint8)
+    groups = [top.astype(np.uint32)]
+    for g in (mid, lo):
+        q = g // np.uint32(10**4)
+        groups += [q, g - q * np.uint32(10**4)]  # numpy's uint32 % took 8 us a block, this 3.7
+    return groups
 
 
 def _float_rows(a, out) -> tuple:
     """Fill ``out``'s rows with the text of the normal and zero doubles of
-    ``a``; return the range of columns that hold any of it."""
-    ranges = _TABLES.ranges
+    ``a``; return the range of columns that hold any of it.  Every pass over
+    a matrix runs over whole contiguous rows, or writes one word per row."""
     bits = a.view(_U)
     m, k = _shortest(bits)
-    z = np.zeros((len(a), _Z + 2), np.uint8)  # the digit string between two NUL columns
-    z[:, 1:4] = z[:, -2] = ord("0")
-    _digits(m, z[:, 4:-2])
-    n = np.searchsorted(_POW10, m, side="right") + 1
-    trail = np.argmax(z[:, -3:3:-1] != ord("0"), axis=1)
-    decpt = n + k
+    groups = _groups(m)
+    # the digit string in the rows of z; the byte before z's first row is NUL
+    buf = np.empty(_W * (len(a) + 1), np.uint8)
+    buf[_W - 1] = 0
+    z = buf[_W:].reshape(-1, _W)
+    z32 = z.view(np.uint32)
+    z32[:, 0] = _WORD0
+    for j, g in enumerate(groups, 1):  # the top group's two leading zeros are columns 4 and 5
+        z32[:, j] = _TABLES.quads.take(g)
+    z.view(_U)[:, 3] = _WORD6
+    # m's trailing zero digits up to each group: the group's own, and if the
+    # group is 0, those up to the group before it as well.  The top group
+    # adds none: it is a digit from 1 to 9, or 0 when m < 10**16, and then the
+    # group after it is not 0.
+    trail = _TABLES.zeros.take(groups[1])
+    for g in groups[2:]:
+        trail = _TABLES.zeros.take(g) + (g == 0) * trail
+    first = 8 - (m >= _U(10**16))  # the column of m's first digit
+    decpt = 24 - first + k
     sci = (decpt < -3) | (decpt > 16)
-    # the digit string's columns [start, point) go before the point, [point, end)
-    # after it; in ``out`` they move one column right, and the sign goes in front
-    point = 21 - n + np.where(sci, 1, decpt)
-    start = np.minimum(21 - n, point - 1)
-    end = np.where(sci, 21 - trail, np.maximum(21 - trail, point + 1))
-    out[:, 0] = 0
-    body = out[:, 1 : 2 + _Z]
-    np.multiply(z[:, 1:], ranges.take(start * (_Z + 2) + point, axis=0), out=body)
-    body += z[:, :-1] * ranges.take((point + 1) * (_Z + 2) + end + 1, axis=0)
-    rows = np.arange(0, out.size, out.shape[1])
+    # the integer part goes to columns [start + 1, point) unmoved, the point
+    # to ``point`` and the fraction to [point + 1, end), one column right: z
+    # under one mask plus z shifted by one byte under another
+    point = first + np.where(sci, 1, decpt)
+    start = np.minimum(first, point - 1) - 1
+    last = 25 - trail
+    end = np.where(sci, last, np.maximum(last, point + 2))
+    prefixes = _TABLES.prefixes
+    part = np.empty_like(out)  # mode="clip" takes straight into an out array, "raise" through a copy
+    np.take(prefixes, point, axis=0, out=out, mode="clip")
+    np.take(prefixes, start + 1, axis=0, out=part, mode="clip")
+    out -= part
+    out *= z
+    np.take(prefixes, end, axis=0, out=part, mode="clip")
+    part -= prefixes.take(point + 1, axis=0)
+    part *= buf[_W - 1 : -1].reshape(-1, _W)
+    out += part
+    rows = np.arange(0, out.size, _W)
     flat = out.ravel()
-    flat[rows + 1 + point] = (end > point) * ord(".")
-    flat[rows + start] = (bits >> _U(63)) * _U(ord("-"))
+    flat[rows + point] = ord(".")
+    bare = np.flatnonzero(end == point + 1)  # one digit and an exponent: no point
+    flat[rows[bare] + point[bare]] = 0
+    neg = np.flatnonzero(np.signbit(a))
+    flat[rows[neg] + start[neg]] = ord("-")
+    lo = min(int(start.min()) + 1, int(start[neg].min(initial=_W)))  # a sign column or the first digit's
     if sci.any():
-        out[:, 2 + _Z :] = _TABLES.exponents.take(np.where(sci, decpt - 1 + _EXP0, 0), axis=0)
-        return int(start.min()), _FLOAT_WIDTH
-    out[:, 2 + _Z :] = 0
-    return int(start.min()), 2 + int(end.max())
+        out.view(_U)[:, 3] |= _TABLES.exponents.take(np.where(sci, decpt - 1 + _EXP0, 0))
+        return lo, 29 + bool(((decpt > 100) | (decpt < -98)).any())
+    return lo, int(end.max())
 
 
 def _patch(out, values, rows) -> None:
@@ -248,11 +290,11 @@ def float_text(a) -> np.ndarray:
     array; from ``_SHORT`` values on, only the columns some row uses."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     if len(a) < _SHORT:
-        out = np.zeros((len(a), _FLOAT_WIDTH), np.uint8)
+        out = np.zeros((len(a), _W), np.uint8)
         _patch(out, a, np.arange(len(a)))
         return out
-    out = np.empty((len(a), _FLOAT_WIDTH), np.uint8)
-    lo, hi = _FLOAT_WIDTH, 0
+    out = np.empty((len(a), _W), np.uint8)
+    lo, hi = _W, 0
     for i in range(0, len(a), BLOCK):
         used = _float_rows(a[i : i + BLOCK], out[i : i + BLOCK])
         lo, hi = min(lo, used[0]), max(hi, used[1])
@@ -260,5 +302,5 @@ def float_text(a) -> np.ndarray:
     special = np.flatnonzero((be == 0x7FF) | ((be == 0) & (a != 0)))
     if len(special):
         _patch(out, a, special)
-        lo, hi = 0, _FLOAT_WIDTH
+        lo, hi = 0, _W
     return out[:, lo:hi]

@@ -89,7 +89,7 @@ class TimeGrid:
     def text(self) -> np.ndarray:
         """The CSV text of ``times`` as ``_csv_text`` makes it, read-only;
         formatted by the first table that writes the grid as a column."""
-        text = _csv_text(self.times)
+        text = np.ascontiguousarray(_csv_text(self.times))  # so that a table takes rows of it without a copy
         text.setflags(write=False)
         return text
 
@@ -404,7 +404,13 @@ class AffineCombinationGenerator(PathGenerator):
     kind = "affine-combination"
 
     def generate(self, grid: TimeGrid) -> GridPath:
-        return add_paths(self.gen_x.generate(grid), self.gen_y.generate(grid), self.a, self.b)
+        paths = []
+        for key, gen in (("x", self.gen_x), ("y", self.gen_y)):
+            try:
+                paths.append(gen.generate(grid))
+            except DomainError as exc:  # a parent's rule, named under its config key
+                raise DomainError(f"{key}.{exc.key}", str(exc).removeprefix(f"{exc.key} ")) from None
+        return add_paths(*paths, self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -547,7 +553,8 @@ def write_csv_columns(fp, header: list, columns: list) -> None:
     one-dimensional, whose floats come out as their ``repr`` and ints as
     decimals.  A float64 array that repeats its values is formatted once per
     distinct value.  A block is one byte matrix of NUL-padded cells and
-    separators, written with its NUL bytes dropped; a str cell must hold none.
+    separators, each cell copied in as one item, and written with its NUL
+    bytes dropped; a str cell must hold none.
     """
     fp.write(",".join(header) + "\n")
     n = len(columns[0]) if columns else 0
@@ -556,38 +563,52 @@ def write_csv_columns(fp, header: list, columns: list) -> None:
     columns = [_csv_distinct(col) for col in columns]
     for k in range(0, n, BLOCK):
         k_end = min(k + BLOCK, n)
-        rows = k_end - k
-        comma, newline = np.full((rows, 1), ord(","), np.uint8), np.full((rows, 1), ord("\n"), np.uint8)
-        parts = []
-        for text, col in columns:
-            cells = col[k:k_end]
-            parts += [_csv_text(cells) if text is None else text.take(cells, axis=0), comma]
-        parts[-1] = newline
-        for j in range(0, rows, _CSV_JOIN):
-            block = np.concatenate([part[j : j + _CSV_JOIN] for part in parts], axis=1).ravel()
-            fp.write(block.tobytes().translate(None, b"\0").decode())
+        cells = [
+            _csv_rows(_csv_text(col[k:k_end])) if text is None else text.take(col[k:k_end])
+            for text, col in columns
+        ]
+        line = np.empty((min(_CSV_JOIN, k_end - k), sum(c.itemsize + 1 for c in cells)), np.uint8)
+        slots, end = [], 0
+        for c in cells:
+            slots.append(_csv_rows(line[:, end : end + c.itemsize]))
+            end += c.itemsize + 1
+            line[:, end - 1] = ord(",")
+        line[:, -1] = ord("\n")
+        for j in range(0, k_end - k, _CSV_JOIN):
+            rows = min(_CSV_JOIN, k_end - k - j)
+            for slot, c in zip(slots, cells):
+                slot[:rows] = c[j : j + rows]
+            fp.write(line[:rows].tobytes().translate(None, b"\0").decode())
+
+
+def _csv_rows(text: np.ndarray) -> np.ndarray:
+    """The rows of a byte matrix whose rows are contiguous, as one void item each."""
+    return text.view(np.dtype((np.void, text.shape[1])))[:, 0]
 
 
 def _csv_distinct(col) -> tuple:
-    """(None, ``col``), or (the text of each distinct value, each cell's index
-    into them).  A ``_TextColumn`` is the second already, and a ``TimeGrid``
-    is its text and the row numbers; a float64 array is when at most
-    ``_CSV_DISTINCT_SHARE`` of its values are distinct.  Values are compared
-    by their bits, so -0.0 and 0.0 stay apart.  The first block
+    """(None, ``col``), or (the text of each distinct value as one void item,
+    each cell's index into them).  A ``_TextColumn`` is the second already,
+    and a ``TimeGrid`` is its text and the row numbers; a float64 array is
+    when at most ``_CSV_DISTINCT_SHARE`` of its values are distinct.  Values
+    are compared by their bits, so -0.0 and 0.0 stay apart.  The first block
     is tested on its own first, so that a column of distinct floats costs the
     sort of one block, not of the whole column."""
     if isinstance(col, _TextColumn):
-        return col.text, col.index
-    if isinstance(col, TimeGrid):
-        return col.text, np.arange(len(col))
-    if not (isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1):
-        return None, col
-    bits = col.view(np.int64)
-    for head in (bits[:BLOCK], bits):
-        distinct = _sorted_distinct(head)
-        if len(distinct) > _CSV_DISTINCT_SHARE * len(head):
+        text, index = col.text, col.index
+    elif isinstance(col, TimeGrid):
+        text, index = col.text, np.arange(len(col))
+    else:
+        if not (isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1):
             return None, col
-    return float_text(distinct.view(np.float64)), np.searchsorted(distinct, bits)
+        bits = col.view(np.int64)
+        for head in (bits[:BLOCK], bits):
+            distinct = _sorted_distinct(head)
+            if len(distinct) > _CSV_DISTINCT_SHARE * len(head):
+                return None, col
+        text, index = float_text(distinct.view(np.float64)), np.searchsorted(distinct, bits)
+    # a take from text that is not contiguous would copy all of it every block
+    return _csv_rows(np.ascontiguousarray(text)), index
 
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:

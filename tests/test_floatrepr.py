@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from follmer import _floatrepr
-from follmer._floatrepr import float_text
+from follmer._floatrepr import BLOCK, float_text
 from follmer.paths import dyadic_grid
 
 
@@ -75,6 +75,29 @@ def test_lengths_around_the_repr_cutoff(n):
     bits = np.random.default_rng(n).integers(0, 2**64, size=n, dtype=np.uint64)
     assert_reprs(bits.view(np.float64))
     assert_reprs(np.arange(n) / 16384)
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_block_edges(n):
+    # the kernel shifts each block's rows as one flattened byte run, so a
+    # block's first and last rows and the rows around a wide one are its edges
+    a = np.random.default_rng(n).uniform(1.0, 100.0, n)
+    a[min(n, BLOCK) - 1] = 1.2345e-7  # the first block's only scientific value, in its last row
+    for j in (0, n // 2, n - 4, *([2 * BLOCK - 1] if n > 2 * BLOCK else [])):
+        a[j], a[j + 1] = -1.2345678901234567e-4, 0.5  # the widest positional text, then a short one
+    assert repr(float(a[min(n, BLOCK) - 1])) == "1.2345e-07"
+    assert_reprs(a)
+    a[0] = np.nan
+    a[BLOCK::BLOCK] = 5e-324  # a NaN and subnormals in the first row of a block
+    assert_reprs(a)
+
+
+def test_tables_are_no_larger():
+    # every table the kernel builds at import stays resident in any process
+    # that writes a CSV; 450,664 bytes is what they took before the row layout
+    tables = list(_floatrepr._TABLES) + [v for v in vars(_floatrepr).values() if isinstance(v, np.ndarray)]
+    assert sum(t.nbytes for t in tables) <= 450_664
+    assert _floatrepr._TABLES.zeros.dtype == _floatrepr._TABLES.prefixes.dtype == np.uint8
 
 
 def test_float32_and_float16_take_their_double_values():

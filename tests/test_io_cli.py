@@ -987,6 +987,12 @@ _JUMP_OFF_THE_PARTITION = {
             "market.s.jump_intensity times T must be at most 1e+18, got 1e+150",
         ),
         ("mc", {"jump_intensity": 1e19}, "jump_intensity: intensity times T must be at most 1e+18, got 1e+19"),
+        # a parent path's rule inside an affine combination, named under x. or y.
+        (
+            "qv",
+            {"path": {**_BROWNIAN_JUMPS, "y": {"kind": "compound-jump", "intensity": 1e300}}},
+            "path.y.intensity times T must be at most 1e+18, got 1e+300",
+        ),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):
