@@ -19,7 +19,7 @@ tables, failed checks, unsettled trends and plot series.
 from __future__ import annotations
 
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import click
@@ -183,6 +183,30 @@ def common_options(fn):
 @click.group()
 def main():
     """Pathwise Ito calculus experiment runner."""
+    _keep_freed_memory()
+
+
+@cache
+def _keep_freed_memory() -> None:
+    """Fix glibc's malloc thresholds once per process, so that freed arrays
+    stay in the heap for the next subcommand or seed to reuse.
+
+    Left alone, glibc raises both thresholds to the size of the last mapped
+    block it freed (about 0.5-1 MB for a grid-level-16 array), then maps every
+    such array anew and trims the heap top whenever a few MB of it lie free:
+    each mc seed faulted thousands of pages in again.  The runner sets this,
+    not ``import follmer``, so a library caller's allocator is its own.
+    Without ``mallopt`` in the C library this does nothing."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt, or (Windows) no C library by name
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: blocks up to 4 MiB come from the heap
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD: the heap top is trimmed once 32 MiB lie free
 
 
 _COMMON_KEYS = {"seed", "levels", "grid_level", "T", "tol"}

@@ -261,20 +261,21 @@ def solve_nonlinear(
     ts, es = times.tolist(), e_vals.tolist()
     yg = float(x0)
     ys, fz = [yg], []  # fz: f(t_g, Z_g) at every grid point, for the drift
-    for g in range(len(ts) - 1):
-        t0, t1, e = ts[g], ts[g + 1], es[g]  # E held left-constant within the step
+    for t0, t1, e in zip(ts, ts[1:], es):  # E held left-constant within the step
         h = t1 - t0
         if e == 0.0:
             # E(X) underflowed to zero: numpy scalars made the step inf or
             # nan, a blow-up; Python floats would raise ZeroDivisionError
             raise OdeBlowUp(t1)
-        fz.append(f(t0, yg * e))
-        k1 = fz[-1] / e
-        k2 = f(t0 + h / 2, (yg + h * k1 / 2) * e) / e
-        k3 = f(t0 + h / 2, (yg + h * k2 / 2) * e) / e
+        f0 = f(t0, yg * e)
+        fz.append(f0)
+        k1 = f0 / e
+        tm = t0 + h / 2
+        k2 = f(tm, (yg + h * k1 / 2) * e) / e
+        k3 = f(tm, (yg + h * k2 / 2) * e) / e
         k4 = f(t0 + h, (yg + h * k3) * e) / e
         yg = yg + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-        if not math.isfinite(yg) or abs(yg) > BLOWUP_LIMIT:
+        if not abs(yg) <= BLOWUP_LIMIT:  # also a nan or an infinity
             raise OdeBlowUp(t1)
         ys.append(yg)
     y = np.array(ys, dtype=float)

@@ -179,8 +179,8 @@ def test_no_private_name_is_imported_from_another_module(path):
     assert private == []
 
 
-def _calls_of(attr: str) -> list:
-    """``module.qualname`` of the function or class around each call of ``<...>.attr`` in the package."""
+def _sites(match) -> list:
+    """``module.qualname`` of the function or class around each node of the package that ``match`` accepts."""
     out = []
 
     def visit(node, scope):
@@ -188,13 +188,29 @@ def _calls_of(attr: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == attr:
+            if match(child):
                 out.append(".".join(scope))
             visit(child, scope)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), [path.stem])
     return sorted(out)
+
+
+def _calls_of(attr: str) -> list:
+    """The sites of each call of ``<...>.attr`` in the package."""
+    return _sites(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == attr)
+
+
+def _imports_of(module: str) -> list:
+    """The sites of each import of ``module`` or a submodule of it in the package."""
+
+    def match(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == module for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == module
+
+    return _sites(match)
 
 
 def test_every_discrete_running_sum_is_the_kernel():
@@ -206,3 +222,14 @@ def test_every_discrete_running_sum_is_the_kernel():
         "paths.CompoundJumpGenerator.generate",  # the path values from x0 and the jumps
         "stieltjes.running_sum",
     ]
+
+
+def test_only_the_allocator_helper_reaches_the_c_library():
+    # the runner sets glibc's malloc thresholds through ctypes, once, from its
+    # entry point; a library caller's allocator is left as it was
+    assert _imports_of("ctypes") == ["cli._keep_freed_memory"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import follmer, follmer.cli; print(follmer.cli._keep_freed_memory.cache_info().misses)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -1263,6 +1266,48 @@ def test_mc_rejects_levels(tmp_path):
     assert "n_min" in result.stderr and "n_max" in result.stderr
 
 
+def _libc_has_mallopt() -> bool:
+    import ctypes
+
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except TypeError:  # Windows: no C library by name
+        return False
+
+
+# runs mc in one process 4 times and prints the minor page faults of each run
+_REPEATED_MC = """
+import json, resource, sys
+from follmer.cli import main
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    try:
+        main(["mc", "--config", sys.argv[1], "--out", sys.argv[2]], standalone_mode=False)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="the C library has no mallopt")
+def test_repeated_mc_reuses_freed_memory(tmp_path):
+    # a grid-level-16 seed frees dozens of 512 KB arrays; the runner keeps
+    # them in the heap, so a repeat faults in almost no new pages (glibc's own
+    # thresholds returned them and faulted in over 4,000 a run)
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps({"seeds": [0, 1], "n_min": 3, "n_max": 8, "grid_level": 16}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _REPEATED_MC, str(config), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    faults = json.loads(run.stdout)
+    assert all(f < 500 for f in faults[1:]), faults
+
+
 def test_passing_run_clears_stale_failures(tmp_path):
     failing, out = run_command(tmp_path, "ito-check", {"assert_residual": 1e-16})
     assert failing.exit_code == 1 and (out / "failures.json").exists()
@@ -1280,8 +1325,6 @@ def test_cppi_writes_dppi_files(tmp_path):
 
 def test_cli_reaches_every_traced_function(tmp_path):
     """Every function the benchmark traces is still called by some subcommand."""
-    import sys
-
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import spans
