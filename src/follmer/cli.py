@@ -447,8 +447,7 @@ def _drawdown(run: Run) -> dict:
     rep = solve_drawdown(floor, x, run.seq, tol=run.tol)
     back = azema_yor_path(rep.transform.V, rep.y).path
     roundtrip = float(np.max(np.abs(back.x - x.x)))
-    ybar = np.maximum.accumulate(rep.y.x)
-    run.table("drawdown.csv", ["t", "y", "floor_of_max"], [run.grid, rep.y.x, floor(ybar)])
+    run.table("drawdown.csv", ["t", "y", "floor_of_max"], [run.grid, rep.y.x, rep.w_ybar])
     cap = tolerance(run.cfg, "assert_roundtrip", 1e-6)
     run.check(rep.constraint_ok, f"drawdown constraint margin {rep.constraint_margin} not positive")
     run.check(roundtrip <= cap, f"inverse round trip {roundtrip} above {cap}")
@@ -490,13 +489,16 @@ def _market_from(run: Run) -> Market:
 )
 def _dppi(run: Run) -> dict:
     """Floor-guaranteed portfolio insurance on a seeded market."""
-    grid, seq = run.grid, run.seq
+    grid = run.grid  # read for a market.csv too, which still checks grid_level and T
     market = _market_from(run)
-    if market.grid is not grid:  # ingested market: partitions live on its grid
+    if market.grid is grid:
+        seq = run.seq
+    else:  # ingested market: partitions live on its grid
         if "T" in run.cfg and grid.T != market.grid.T:
             raise ConfigError(f"T = {grid.T!r} is not the horizon {market.grid.T!r} of market.csv")
         grid = market.grid
-        seq = thinned_sequence(grid, len(seq))
+        n_min, n_max = run.levels
+        seq = thinned_sequence(grid, n_max - n_min + 1)
     kind, lref = choice(run.cfg, "l", {"constant": 0.0}, {"constant": (), "linear": ()})
     if kind == "constant":
         floor = np.full(len(grid), number(lref, "constant", where="l"))

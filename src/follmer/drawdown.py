@@ -390,6 +390,7 @@ class DrawdownSolveReport:
     transform: DrawdownTransform
     trend: TrendReport  # the substitution residual per level, at the horizon
     constraint_margin: float
+    w_ybar: np.ndarray  # the floor of the running maximum, w(Ybar)
 
     @property
     def constraint_ok(self) -> bool:
@@ -426,4 +427,4 @@ def solve_drawdown(
 
     y_left = left_values(y)
     margin = float(np.min(np.minimum(y.x, y_left) - w_ybar))
-    return DrawdownSolveReport(y, transform, TrendReport(residuals, tol), margin)
+    return DrawdownSolveReport(y, transform, TrendReport(residuals, tol), margin, w_ybar)

@@ -13,14 +13,13 @@ solver verifies its output by substitution into the original equation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .diagnostics import DETERMINISTIC_TOL, TrendReport, sup_distance
-from .integrals import AdmissibleIntegrand, integral_curves, integrand_values
+from .integrals import integral_curves, integrand_values
 from .partitions import PartitionSequence
 from .paths import DomainError, FVPath, GridPath, left_values, reciprocal_path
 from .quadvar import QVResult, qv_sequence
@@ -69,11 +68,12 @@ def doleans_exponential(
     dx = x.dX
     j = np.flatnonzero(dx)
     factors = np.ones(len(x.grid))
-    factors[j] = (1.0 + dx[j]) * _libm_exp(-dx[j])
+    # one exp for the whole formula: np.exp, for the jump factors and dE too
+    factors[j] = (1.0 + dx[j]) * np.exp(-dx[j])
     jump_product = np.cumprod(factors)
     values = np.exp(exponent) * jump_product
     dE = np.zeros(len(x.grid))
-    dE[j] = values[j] - _libm_exp(exponent[j] - dx[j]) * jump_product[j - 1]
+    dE[j] = values[j] - np.exp(exponent[j] - dx[j]) * jump_product[j - 1]
     cls = FVPath if isinstance(x, FVPath) else GridPath
     return StochasticExponential(
         x=x,
@@ -83,12 +83,6 @@ def doleans_exponential(
         zero_hit=bool(np.any(dx == -1.0)),
         positive=not np.any(dx <= -1.0),
     )
-
-
-def _libm_exp(a: np.ndarray) -> np.ndarray:
-    # math.exp per jump: numpy's vectorized exp can differ from the C
-    # library's in the last bit, and E(X) stays bitwise reproducible
-    return np.array([math.exp(v) for v in a.tolist()])
 
 
 def _minus_one_jump(x: GridPath, consequence: str) -> DomainError:
@@ -142,14 +136,6 @@ class LinearSolveReport:
     exponential: StochasticExponential
 
 
-def _h_path(h, grid) -> GridPath:
-    if isinstance(h, AdmissibleIntegrand):
-        return GridPath(h.X.grid, h.values, h.values - h.values_left)
-    if isinstance(h, GridPath):
-        return h
-    return GridPath(grid, np.full(len(grid), float(h)))
-
-
 def _z_jumps(z_vals: np.ndarray, dh: np.ndarray, x: GridPath) -> np.ndarray:
     """Jumps of a solution of Z = H + int Z_- dX: dZ = dH + Z_- dX."""
     return z_vals - (z_vals - dh) / (1.0 + x.dX)
@@ -170,16 +156,16 @@ def solve_linear(
     the jump sum is evaluated as well and the two are compared.  The returned
     solution is verified by substitution into the equation.
 
-    The integrals against X and 1/E(X) are ``integral_curves``.
+    H is read through ``integrand_values``; only a ``GridPath`` that is not an
+    ``FVPath`` leaves an "unverified-hypothesis".  The integrals against X
+    and 1/E(X) are ``integral_curves``.
     """
     se = doleans_exponential(x, seq, tol=tol)
     r = _reciprocal_path(se)  # rejects a jump dX = -1
     grid = x.grid
-    hp = _h_path(h, grid)
-    hv, hl, hj = hp.x, left_values(hp), hp.dX
-    if isinstance(h, AdmissibleIntegrand):
-        hypothesis = "admissible"
-    elif isinstance(h, GridPath) and not isinstance(h, FVPath):
+    hv, hl = integrand_values(h, grid)
+    hj = hv - hl
+    if isinstance(h, GridPath) and not isinstance(h, FVPath):
         hypothesis = "unverified-hypothesis"
     else:
         hypothesis = "admissible"

@@ -111,14 +111,10 @@ def dyadic_sequence(
         raise DomainError("levels", f"need 0 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
     if grid is None:
         grid = dyadic_grid(T, n_max)
-    spaces = len(grid) - 1
-    levels = []
-    for n in range(n_min, n_max + 1):
-        step, rem = divmod(spaces, 1 << n)
-        if rem or step == 0:
-            raise ValueError(f"host grid cannot host dyadic level {n}")
-        levels.append(Partition(grid, np.arange(0, spaces + 1, step)))
-    return PartitionSequence(tuple(levels))
+    top, rem = divmod(len(grid) - 1, 1 << n_max)
+    if rem or not top:
+        raise ValueError(f"host grid cannot host dyadic level {n_max}")
+    return _strided(grid, top, n_max - n_min + 1)
 
 
 def thinned_sequence(grid: TimeGrid, levels: int) -> PartitionSequence:
@@ -129,16 +125,19 @@ def thinned_sequence(grid: TimeGrid, levels: int) -> PartitionSequence:
     dyadic-structure requirement.
     """
     if levels < 1:
-        raise ValueError("need at least one level")
-    n = len(grid)
+        raise DomainError("levels", f"need at least one level, got {levels}")
+    return _strided(grid, 1, levels)
+
+
+def _strided(grid: TimeGrid, top: int, levels: int) -> PartitionSequence:
+    """Level k = 0..levels-1 keeps every top * 2^(levels-1-k)-th grid index,
+    and the horizon where that stride misses it."""
+    last = len(grid) - 1
     out = []
     for k in range(levels):
-        stride = 1 << (levels - 1 - k)
-        idx = np.arange(0, n, stride)
-        if idx[-1] != n - 1:
-            idx = np.append(idx, n - 1)
-        if idx.size < 2:
-            idx = np.array([0, n - 1])
+        idx = np.arange(0, last + 1, top << (levels - 1 - k))
+        if idx[-1] != last:
+            idx = np.append(idx, last)
         out.append(Partition(grid, idx))
     return PartitionSequence(tuple(out))
 
@@ -275,7 +274,9 @@ class _Scan:
         """Level n's first-exit table over the whole path.  The scan lets go
         of each table as it hands it out, so a table lives only while its
         level's chain is walked; a level asked for again gets its table
-        rebuilt alone."""
+        rebuilt alone.  A level of window 0 gets a table of stop codes."""
+        if not self.windows[n]:
+            return b"\x01" * self.times.size
         if self._tables is None:
             levels = [m for m, window in self.windows.items() if window]
             self._tables = dict(zip(levels, _first_exits(self.x, self.times, [self._spec(m) for m in levels])))
@@ -292,17 +293,15 @@ def _lebesgue_scan(scan: _Scan, n: int) -> list[int]:
     """Band-exit chain from index 0: each point is the first later index whose
     value leaves the band |x - x_i| <= thr, or the 1/n cap index if earlier.
 
-    Each level's search is picked from the path (``_Scan.windows``), by the
-    mean exit distance d its quadratic variation predicts:
-
-    - d > 32: no table.  Every chain point walks the block extrema from
-      i + 1 and finds its cap by binary search.
-    - Otherwise the level's first-exit table, with a window of 32 samples
-      (16 when d <= 2: where exits are a sample or two apart the extra
-      passes cost more than the far exits they save), read as bytes:
-      offsets are at most 32 and the stop code 33.  Chain points with no
-      exit in their window go on with the block walk.  The tables of all
-      such levels of the scan are built together, on the first read.
+    The chain reads the level's first-exit table (``_Scan.table``) as bytes:
+    an offset of at most the window W, or the stop code W + 1, on which the
+    chain point walks the block extrema from i + W + 1 to its cap, found by
+    binary search.  W is picked from the path (``_Scan.windows``), by the
+    mean exit distance d its quadratic variation predicts: 0 when d > 32 (a
+    table of stop codes only, so every chain point takes the block walk),
+    else 32, or 16 when d <= 2 (where exits are a sample or two apart the
+    extra passes cost more than the far exits they save).  The tables of
+    all the levels of a scan with W > 0 are built together, on first read.
 
     Both searches decide |x_j - x_i| > thr with the same floating-point
     comparisons as a sample-by-sample scan, so the indices are those of that
@@ -312,22 +311,12 @@ def _lebesgue_scan(scan: _Scan, n: int) -> list[int]:
     cap = 1.0 / n
     times, xs, ts = scan.times, scan.xs, scan.ts
     size = times.size
-    window = scan.windows[n]
-    out = [0]
-    i = 0
-    if not window:
-        tiers = scan.tiers
-        while i < size - 1:
-            last = bisect_right(ts, ts[i] + cap) - 1
-            if last == i:
-                raise _too_coarse(times, i, n)
-            i += _far_exit(xs, tiers, i, i + 1, last, thr)
-            out.append(i)
-        return out
     offset = scan.table(n)
     # a code above the window sends the walk to its one slow branch
-    none = window + 1
+    none = scan.windows[n] + 1
+    out = [0]
     append = out.append
+    i = 0
     while True:
         k = offset[i]
         if k == none:
@@ -335,18 +324,14 @@ def _lebesgue_scan(scan: _Scan, n: int) -> list[int]:
                 return out
             last = bisect_right(ts, ts[i] + cap) - 1
             if last == i:
-                raise _too_coarse(times, i, n)
+                raise DomainError(
+                    "grid",
+                    f"too coarse for the 1/n time cap at level n={n}: cap 1/n = {cap:.6g} "
+                    f"is below the grid step {times[i + 1] - times[i]:.6g} at t = {times[i]:.6g}",
+                )
             k = _far_exit(xs, scan.tiers, i, i + none, last, thr)
         i += k
         append(i)
-
-
-def _too_coarse(times: np.ndarray, i: int, n: int) -> DomainError:
-    return DomainError(
-        "grid",
-        f"too coarse for the 1/n time cap at level n={n}: cap 1/n = {1.0 / n:.6g} "
-        f"is below the grid step {times[i + 1] - times[i]:.6g} at t = {times[i]:.6g}",
-    )
 
 
 def _far_exit(xs, tiers, i: int, j: int, last: int, thr: float) -> int:

@@ -11,8 +11,9 @@ levels.  On a grid the limit is estimated by the top-level curve and
 certified by a convergence trend; for paths declared to have finite
 variation the limit is the accumulated squared jumps, exactly.
 
-Covariation is defined by polarization and therefore satisfies the
-polarization identity to the last bit at every grid point.
+Covariation is the discrete sum of products of increments, the same curve
+as quadratic variation with two paths; the polarization identity
+[X,Y] = ([X+Y] - [X] - [Y]) / 2 holds for it up to rounding.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .paths import (
     FVPath,
     GridPath,
     TimeGrid,
-    add_paths,
     eval_left_limit,
     jump_rows,
     left_values,
@@ -190,19 +190,18 @@ def covariation(
     tol: float = DETERMINISTIC_TOL,
     fv_exact: bool | None = None,
 ) -> QVResult:
-    """[X,Y] by polarization of the squared-increment curves.
+    """[X,Y] from the product-increment curves ``product_curve(x, y, p)``,
+    the discrete sum of dX dY per partition interval.
 
-    The per-level curves are (1/2)([X+Y] - [X] - [Y]), which coincides bit
-    for bit with the product-increment curve.  The jump identity checked is
-    d[X,Y]_t = dX_t dY_t.  Paths on different grids are rejected by ``add_paths``.
+    By polarization these equal (1/2)([X+Y] - [X] - [Y]) level by level up
+    to rounding, not bit for bit.  The jump identity checked is
+    d[X,Y]_t = dX_t dY_t.  Paths on different grids are rejected.
     """
+    if not same_grid(x.grid, y.grid):
+        raise ValueError("paths live on different grids")
     if fv_exact is None:
         fv_exact = isinstance(x, FVPath) and isinstance(y, FVPath)
-    s = add_paths(x, y)
-    curves = [
-        0.5 * (qv_curve(s, p) - qv_curve(x, p) - qv_curve(y, p))
-        for p in seq
-    ]
+    curves = [product_curve(x.x, y.x, p) for p in seq]
     return _assemble(x, y, seq, curves, tol, fv_exact)
 
 

@@ -203,6 +203,7 @@ class TestSolveDrawdown:
         assert rep.trend.converged
         ybar, _ = fl.running_maximum(rep.y)
         lv = fl.left_values(rep.y)
+        assert np.array_equal(rep.w_ybar, floor(np.maximum.accumulate(rep.y.x)))
         assert np.min(np.minimum(rep.y.x, lv) - floor(ybar.x)) > 0.0
 
     def test_round_trip_inverse_direction(self, positive_sample):

@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import follmer as fl
-from follmer.equations import OdeBlowUp, _libm_exp
+from follmer import equations
+from follmer import functions as fn
+from follmer.equations import OdeBlowUp
 
 
 def linear_fv(grid):
@@ -61,24 +63,6 @@ class TestDoleans:
         se = fl.doleans_exponential(w, seq, tol=1e-9)
         assert se.qv.status == "inconclusive"
         assert np.array_equal(se.exponent, w.x - w.x[0] - 0.5 * se.qv.continuous_part)
-
-
-@pytest.mark.parametrize(
-    "a",
-    [
-        np.zeros(0),
-        np.array([-0.0, 0.0, 0.0, -0.0]),
-        np.array([0.5, -0.25, 0.5, 1e-300, -0.25, 0.5, -0.0, 0.0, 700.0, -745.5, 709.7, np.inf, -np.inf]),
-        np.random.default_rng(7).choice([2.0**-6, -(2.0**-6), 0.1, -0.0, 0.0], size=4097),
-        np.random.default_rng(8).standard_normal(300).repeat(3),
-    ],
-    ids=["empty", "signed-zeros", "edges", "coin-4097", "triples"],
-)
-def test_libm_exp_is_math_exp_per_argument(a):
-    expected = np.array([math.exp(v) for v in a.tolist()], dtype=float)
-    got = _libm_exp(a)
-    assert got.dtype == np.float64 and got.shape == a.shape
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def homogeneous_residuals(y, x, seq, tol=fl.DETERMINISTIC_TOL) -> fl.TrendReport:
@@ -188,6 +172,31 @@ class TestSolveLinear:
         h = fl.GridPath(seq.grid, np.cos(seq.grid.times))
         rep = fl.solve_linear(h, w, seq, tol=fl.STOCHASTIC_TOL)
         assert rep.hypothesis == "unverified-hypothesis"
+
+    def test_admissible_integrand_h(self, monkeypatch):
+        # H = grad f(X) for f = x^2 jumps with X; its left values go to the
+        # integrals exactly as the integrand holds them
+        seq = fl.dyadic_sequence(1.0, 6, 12)
+        x = fl.add_paths(
+            fl.DyadicBrownianGenerator(seed=8, sigma=0.3).generate(seq.grid),
+            fl.StepGenerator(c=0.4, t0=0.5).generate(seq.grid),
+        )
+        h = fl.AdmissibleIntegrand(fn.square(), None, x)
+        seen = []
+        real = equations.integral_curves
+
+        def spy(values, left, *args):
+            seen.append((values, left))
+            return real(values, left, *args)
+
+        monkeypatch.setattr(equations, "integral_curves", spy)
+        rep = fl.solve_linear(h, x, seq, tol=fl.STOCHASTIC_TOL)
+        assert rep.hypothesis == "admissible"
+        values, left = seen[0]
+        assert values is h.values and left is h.values_left
+        jumps = rep.z.x - (rep.z.x - (h.values - h.values_left)) / (1.0 + x.dX)
+        assert np.array_equal(rep.z.dX, jumps)
+        assert rep.trend.converged and rep.trend.final_gap < fl.STOCHASTIC_TOL
 
 
 class TestSolveNonlinear:

@@ -1095,6 +1095,27 @@ def test_market_csv_sets_the_horizon(tmp_path, changes, code):
         assert f"T = {changes['T']!r} is not the horizon 1.0 of market.csv" in result.stderr
 
 
+def test_market_csv_partitions_its_own_grid(tmp_path, monkeypatch):
+    # the thinned sequence of the ingested grid; no dyadic sequence is built
+    # for the grid the config's levels would give
+    csv_path = tmp_path / "market.csv"
+    csv_path.write_text("t,S,B\n0.0,1.0,1.0\n0.3,1.1,1.0\n0.7,1.05,1.0\n1.0,1.2,1.0\n")
+    monkeypatch.setattr(cli, "dyadic_sequence", None)
+    thinned, real = [], cli.thinned_sequence
+    monkeypatch.setattr(cli, "thinned_sequence", lambda g, k: thinned.append(k) or real(g, k))
+    result, _ = run_command(tmp_path / "run", "dppi", {"market": {"csv": str(csv_path)}, "levels": [0, 1]})
+    assert result.exit_code == 0, result.output
+    assert thinned == [2]
+
+
+def test_market_csv_with_reversed_levels_exits_2(tmp_path):
+    csv_path = tmp_path / "market.csv"
+    csv_path.write_text("t,S,B\n0.0,1.0,1.0\n0.5,1.1,1.0\n1.0,1.2,1.0\n")
+    result, _ = run_command(tmp_path / "run", "dppi", {"market": {"csv": str(csv_path)}, "levels": [1, 0]})
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
+    assert "levels need at least one level, got 0" in result.stderr
+
+
 def test_unsettled_qv_of_x_is_inconclusive(tmp_path):
     # the QV trend of X does not settle at these levels: E(X) is still built,
     # and the run reports the trend as unsettled, a failure under --strict

@@ -32,6 +32,20 @@ class TestDyadic:
         assert seq.grid is g
         assert fl.mesh(seq.top) == 0.5**5
 
+    def test_strides_on_a_finer_host_grid(self):
+        # level n keeps every 32 / 2^n-th of the host's 32 steps, which meets the horizon
+        seq = fl.dyadic_sequence(1.0, 0, 3, grid=fl.dyadic_grid(1.0, 5))
+        assert [p.indices.tolist() for p in seq] == [
+            [0, 32],
+            [0, 16, 32],
+            [0, 8, 16, 24, 32],
+            [0, 4, 8, 12, 16, 20, 24, 28, 32],
+        ]
+
+    def test_host_grid_too_coarse_rejected(self):
+        with pytest.raises(ValueError, match="cannot host dyadic level 3"):
+            fl.dyadic_sequence(1.0, 1, 3, grid=fl.dyadic_grid(1.0, 2))
+
 
 class TestMesh:
     def test_uniform(self):
@@ -244,6 +258,25 @@ def test_thinned_sequence_on_nonuniform_grids(steps, levels):
     for coarse, fine in zip(seq.levels, seq.levels[1:]):
         assert np.isin(coarse.indices, fine.indices).all()
     assert np.array_equal(seq.top.indices, np.arange(len(g)))
+
+
+@pytest.mark.parametrize(
+    "points, levels, want",
+    [
+        (11, 3, [[0, 4, 8, 10], [0, 2, 4, 6, 8, 10], list(range(11))]),
+        (7, 3, [[0, 4, 6], [0, 2, 4, 6], list(range(7))]),
+        (6, 2, [[0, 2, 4, 5], list(range(6))]),
+        (3, 4, [[0, 2], [0, 2], [0, 2], [0, 1, 2]]),
+    ],
+)
+def test_thinned_sequence_appends_the_horizon_a_stride_misses(points, levels, want):
+    g = fl.TimeGrid(np.cumsum(np.r_[0.0, np.linspace(1.0, 2.0, points - 1)]))
+    assert [p.indices.tolist() for p in thinned_sequence(g, levels)] == want
+
+
+def test_thinned_sequence_needs_a_level():
+    with pytest.raises(fl.DomainError, match="levels need at least one level, got 0"):
+        thinned_sequence(fl.dyadic_grid(1.0, 2), 0)
 
 
 def test_mesh_nonincreasing_enforced():
@@ -508,6 +541,16 @@ class TestScanModes:
         assert_matches_reference(path, [n])
         gaps = np.diff(fl.lebesgue_partition(path, n).indices)
         assert set(gaps[-100:].tolist()) <= {1, 2, 3}
+
+    def test_table_free_level_walks_a_table_of_stop_codes(self, monkeypatch):
+        # a window-0 level builds no table: every start reads the stop code
+        w = fl.DyadicBrownianGenerator(seed=2).generate(fl.dyadic_grid(1.0, 16))
+        firsts = self._record(monkeypatch, "_first_exits")
+        scan = partitions._Scan(w, [3])
+        assert scan.windows[3] == 0
+        assert scan.table(3) == b"\x01" * len(w.grid)
+        assert_matches_reference(w, [3])
+        assert firsts == []
 
     def test_drift_hand_over_then_a_grid_too_coarse(self):
         # sparse by QV, then the table-free walk meets a step longer than 1/11

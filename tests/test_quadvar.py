@@ -150,8 +150,33 @@ class TestCovariation:
         y = fl.DyadicBrownianGenerator(seed=8).generate(seq.grid)
         cov = fl.covariation(x, y, seq, tol=fl.STOCHASTIC_TOL)
         for p, curve in zip(seq, cov.level_curves):
-            direct = product_curve(x.x, y.x, p)
-            assert np.allclose(curve, direct, rtol=1e-12, atol=1e-14)
+            assert np.array_equal(curve, product_curve(x.x, y.x, p))
+
+    def test_polarization_identity_within_rounding(self):
+        # (1/2)([X+Y] - [X] - [Y]) adds rounded squares, so it is [X,Y] up
+        # to rounding only: each curve is a sequential sum of at most m
+        # terms on a partition of m points, so the two differ by at most
+        # m eps ([X+Y] + [X] + [Y]) (X + Y stays O(1) here, so its own
+        # rounding is of the increments' order)
+        seq = fl.dyadic_sequence(1.0, 4, 10)
+        x = fl.DyadicBrownianGenerator(seed=1, sigma=0.3).generate(seq.grid)
+        y = fl.DyadicBrownianGenerator(seed=2, sigma=0.3).generate(seq.grid)
+        s = fl.add_paths(x, y)
+        cov = fl.covariation(x, y, seq, tol=fl.STOCHASTIC_TOL)
+        eps = np.finfo(float).eps
+        moved = 0
+        for p, curve in zip(seq, cov.level_curves, strict=True):
+            qs, qx, qy = qv_curve(s, p), qv_curve(x, p), qv_curve(y, p)
+            gap = np.abs(0.5 * (qs - qx - qy) - curve)
+            assert np.all(gap <= len(p) * eps * (qs + qx + qy))
+            moved += np.count_nonzero(gap)
+        assert moved  # not bit for bit
+
+    def test_different_grids_rejected(self):
+        x = fl.DyadicBrownianGenerator(seed=1).generate(fl.dyadic_grid(1.0, 4))
+        y = fl.DyadicBrownianGenerator(seed=1).generate(fl.dyadic_grid(1.0, 5))
+        with pytest.raises(ValueError, match="different grids"):
+            fl.covariation(x, y, fl.dyadic_sequence(1.0, 1, 4))
 
     def test_fv_plus_qv_rules(self):
         # [X+A, X+A]^c = [X,X]^c within tolerance; [X,A] jumps exact
