@@ -6,7 +6,7 @@ nonlinear, and drawdown integral equations, and floor-guaranteed portfolio
 constructions, all with oracle- and trend-based numerical certification.
 """
 
-from .diagnostics import DETERMINISTIC_TOL, STOCHASTIC_TOL, TrendReport
+from .diagnostics import DETERMINISTIC_TOL, STOCHASTIC_TOL, TrendReport, within
 from .drawdown import (
     FloorFunction,
     MonotoneC2Function,

@@ -18,6 +18,7 @@ tables, failed checks, unsettled trends and plot series.
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import cache, cached_property
 from pathlib import Path
@@ -25,9 +26,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .diagnostics import DETERMINISTIC_TOL, STOCHASTIC_TOL
+from .diagnostics import DETERMINISTIC_TOL, STOCHASTIC_TOL, within
 from .drawdown import azema_yor_path, solve_drawdown
-from .equations import OdeBlowUp, solve_linear, solve_nonlinear
+from .equations import BLOWUP_LIMIT, OdeBlowUp, solve_linear, solve_nonlinear
 from .finance import FloorSpec, Market, dppi, write_strategy_csv
 from .functions import C12Function
 from .integrals import (
@@ -62,7 +63,7 @@ from .io import (
 from .mc import McExperiment, run_mc
 from .partitions import PartitionSequence, dyadic_sequence, thinned_sequence
 from .paths import FVPath, GridPath, StepGenerator, TimeGrid, as_fv, dyadic_grid, repeated_column
-from .quadvar import DiscreteMeasure, QVResult, measure_convergence_check, measure_vs_qv_check, qv_sequence
+from .quadvar import DiscreteMeasure, measure_convergence_check, measure_vs_qv_check, qv_sequence
 
 def _levels(cfg: dict, override: str | None) -> tuple[int, int]:
     """(n_min, n_max) from ``--levels a..b`` when given, from the config's ``levels`` otherwise."""
@@ -127,19 +128,20 @@ class Run:
     def table(self, name: str, header: list, columns: list) -> None:
         write_csv(self.out / name, header, columns, self.hash)
 
-    def check(self, ok: bool, message: str) -> None:
-        if not ok:
+    def bound(self, value, cap, message: str) -> None:
+        """A check: ``message`` is a failure unless ``value`` is ``within`` ``cap``."""
+        if not within(value, cap):
             self.failures.append(message)
 
-    def unsettled(self, message: str) -> None:
-        self.inconclusive.append(message)
-
-    def qv_of_x(self, qv: QVResult) -> None:
-        """Record the status of the quadratic variation of X that a solver
-        built E(X) from: no QV fails, an unsettled trend is unsettled."""
-        self.check(qv.status != "no-qv", f"quadratic variation of X: jump identity violated: {qv.cond2_worst}")
-        if qv.status == "inconclusive":
-            self.unsettled("quadratic variation of X inconclusive")
+    def settle(self, status: str, name: str, violated: str = "") -> None:
+        """The status of trend ``name``: ``non-finite`` fails, ``no-qv`` fails as
+        ``violated``, ``inconclusive`` is unsettled, any other status passes."""
+        if status == "non-finite":
+            self.failures.append(f"{name} non-finite")
+        elif status == "no-qv":
+            self.failures.append(violated)
+        elif status == "inconclusive":
+            self.inconclusive.append(f"{name} inconclusive")
 
     def plot(self, label: str, values: list) -> None:
         """Offer one value per partition level, counted up from n_min, to ``--plot``."""
@@ -210,6 +212,7 @@ def _keep_freed_memory() -> None:
 
 
 _COMMON_KEYS = {"seed", "levels", "grid_level", "T", "tol"}
+_X_QV = "quadratic variation of X"  # the QV a solver built E(X) from, as its verdicts name it
 
 
 def _drive(compute, name: str, keys: set, stochastic: bool, config_path, out_dir, seed, levels_opt, plot, strict):
@@ -280,10 +283,8 @@ def _qv(run: Run) -> dict:
         np.concatenate(qv.level_curves),
     ]
     run.table("qv.csv", ["level", "t", "qv"], columns)
-    run.check(qv.status != "no-qv", f"jump identity violated: {qv.cond2_worst}")
-    if qv.status == "inconclusive":
-        run.unsettled("qv trend inconclusive")
-    run.check(mvq.bounded, "measure-vs-qv straddle bound violated")
+    run.settle(qv.status, "qv trend", f"jump identity violated: {qv.cond2_worst}")
+    run.bound(mvq.diff_closed, mvq.cap, "measure-vs-qv straddle bound violated")
     run.plot("gap", qv.trend.gaps)
     return {
         "levels": len(qv.level_curves),
@@ -308,12 +309,10 @@ def _integrate(run: Run) -> dict:
     at_t = [c[g] for c in res.level_curves]
     run.table("integrate_levels.csv", ["level", "value_at_t"], [range(len(at_t)), at_t])
     run.table("integrate_curve.csv", ["t", "value"], [run.grid, res.estimate])
-    if res.status == "inconclusive" and res.claim == "unverified-hypothesis":
-        run.unsettled("integral trend inconclusive (unverified integrand class)")
-    elif res.status == "inconclusive":
-        run.unsettled("integral trend inconclusive")
+    unverified = " (unverified integrand class)" if res.claim == "unverified-hypothesis" else ""
+    run.settle(res.trend.status, f"integral trend{unverified}")
     run.plot("gap", res.trend.gaps)
-    return {"value_at_t": res.at(t), "status": res.status, "claim": res.claim, "gaps": res.trend.gaps}
+    return {"value_at_t": res.at(t), "status": res.trend.status, "claim": res.claim, "gaps": res.trend.gaps}
 
 
 @_command("ito-check", {"f", "path", "path_fv", "a", "t", "stochastic", "assert_residual"})
@@ -326,9 +325,8 @@ def _ito_check(run: Run) -> dict:
     residuals = rep.trend.gaps
     run.table("ito.csv", ["level", "residual"], [range(len(residuals)), residuals])
     cap = tolerance(run.cfg, "assert_residual", run.tol)
-    run.check(abs(rep.residual) <= cap, f"ito residual {rep.residual} above {cap}")
-    if not rep.trend.converged:
-        run.unsettled("ito residual trend inconclusive")
+    run.bound(abs(rep.residual), cap, f"ito residual {rep.residual} above {cap}")
+    run.settle(rep.trend.status, "ito residual trend")
     run.plot("residual", residuals)
     return {
         "lhs": rep.lhs,
@@ -368,9 +366,8 @@ def _assoc(run: Run) -> dict:
     columns = [range(len(gaps)), rep.lhs_per_level, rep.rhs_per_level, gaps]
     run.table("assoc.csv", ["level", "lhs", "rhs", "gap"], columns)
     cap = tolerance(run.cfg, "assert_gap", run.tol)
-    run.check(gap <= cap, f"associativity gap {gap} above {cap}")
-    if rep.status != "converged":
-        run.unsettled("associativity trend inconclusive")
+    run.bound(gap, cap, f"associativity gap {gap} above {cap}")
+    run.settle(rep.status, "associativity trend")
     return {"lhs": rep.lhs_per_level, "rhs": rep.rhs_per_level, "gaps": gaps, "status": rep.status}
 
 
@@ -390,17 +387,16 @@ def _linear(run: Run) -> dict:
         elif "xi" in href:  # xi is one half of the decomposition (xi, A)
             raise ConfigError("h.xi is read only with h.fv_decomposition or h.a")
     rep = solve_linear(hh, x, run.seq, decomposition=decomposition, tol=run.tol)
-    run.qv_of_x(rep.exponential.qv)
+    run.settle(rep.exponential.qv.status, _X_QV, f"{_X_QV}: jump identity violated: {rep.exponential.qv.cond2_worst}")
     run.table("linear.csv", ["t", "z"], [run.grid, rep.z.x])
     if "assert_value" in run.cfg:
         target = number(run.cfg, "assert_value")
         cap = tolerance(run.cfg, "assert_tol", 1e-6)
         zt = float(rep.z.x[-1])
-        run.check(abs(zt - target) <= cap, f"Z(T)={zt} off target {target} by {abs(zt-target)}")
+        run.bound(abs(zt - target), cap, f"Z(T)={zt} off target {target} by {abs(zt-target)}")
         if rep.z_alt is not None:
-            run.check(rep.agreement <= cap, f"expression agreement {rep.agreement} above {cap}")
-    if not rep.trend.converged:
-        run.unsettled("substitution residual trend inconclusive")
+            run.bound(rep.agreement, cap, f"expression agreement {rep.agreement} above {cap}")
+    run.settle(rep.trend.status, "substitution residual trend")
     return {
         "z_at_T": float(rep.z.x[-1]),
         "agreement": None if rep.z_alt is None else rep.agreement,
@@ -424,18 +420,17 @@ def _nonlinear(run: Run) -> dict:
     f = build(run.cfg.get("f", {"kind": "zero"}), "f", "kind", _DRIFTS)
     try:
         rep = solve_nonlinear(f, x, number(run.cfg, "x0", 1.0), run.seq, tol=run.tol)
-    except OdeBlowUp as exc:  # the config is valid; its solution leaves every bound
-        run.check(False, str(exc))
+    except OdeBlowUp as exc:  # the config is valid; |Z / E(X)| left BLOWUP_LIMIT or was not finite
+        run.bound(math.inf, BLOWUP_LIMIT, str(exc))
         return {"blowup_t": exc.t}
-    run.qv_of_x(rep.exponential.qv)
+    run.settle(rep.exponential.qv.status, _X_QV, f"{_X_QV}: jump identity violated: {rep.exponential.qv.cond2_worst}")
     run.table("nonlinear.csv", ["t", "z"], [run.grid, rep.z.x])
     if "assert_value" in run.cfg:
         target = number(run.cfg, "assert_value")
         cap = tolerance(run.cfg, "assert_tol", 1e-6)
         zt = float(rep.z.x[-1])
-        run.check(abs(zt - target) <= cap, f"Z(T)={zt} off target {target}")
-    if not rep.trend.converged:
-        run.unsettled("substitution residual trend inconclusive")
+        run.bound(abs(zt - target), cap, f"Z(T)={zt} off target {target}")
+    run.settle(rep.trend.status, "substitution residual trend")
     return {"z_at_T": float(rep.z.x[-1]), "residual": rep.trend.final_gap, "residual_per_level": rep.trend.gaps}
 
 
@@ -449,12 +444,12 @@ def _drawdown(run: Run) -> dict:
     roundtrip = float(np.max(np.abs(back.x - x.x)))
     run.table("drawdown.csv", ["t", "y", "floor_of_max"], [run.grid, rep.y.x, rep.w_ybar])
     cap = tolerance(run.cfg, "assert_roundtrip", 1e-6)
-    run.check(rep.constraint_ok, f"drawdown constraint margin {rep.constraint_margin} not positive")
-    run.check(roundtrip <= cap, f"inverse round trip {roundtrip} above {cap}")
-    if not rep.trend.converged:
-        run.unsettled("drawdown residual trend inconclusive")
+    margin = rep.constraint_margin  # strictly positive: -margin is at most minus the least positive float
+    run.bound(-margin, -math.ulp(0.0), f"drawdown constraint margin {margin} not positive")
+    run.bound(roundtrip, cap, f"inverse round trip {roundtrip} above {cap}")
+    run.settle(rep.trend.status, "drawdown residual trend")
     return {
-        "constraint_margin": rep.constraint_margin,
+        "constraint_margin": margin,
         "roundtrip": roundtrip,
         "residual_per_level": rep.trend.gaps,
     }
@@ -510,13 +505,12 @@ def _dppi(run: Run) -> dict:
     except DomainError as exc:  # name the key L came from
         raise ConfigError(f"l: {exc} (from l.{kind})") from None
     rep = dppi(market, number(run.cfg, "m", 1.0), spec, number(run.cfg, "v0", 1.0), seq, tol=run.tol)
-    run.qv_of_x(rep.exponential.qv)
+    run.settle(rep.exponential.qv.status, _X_QV, f"{_X_QV}: jump identity violated: {rep.exponential.qv.cond2_worst}")
     with open(run.out / "strategy.csv", "w") as fp:
         write_strategy_csv(rep.strategy, rep.floor_curve, fp)
         fp.write(f"# config_hash={run.hash}\n")
-    run.check(rep.floor_ok, f"floor breached: margin {rep.floor_margin}")
-    if not rep.self_financing.converged:
-        run.unsettled("self-financing residual trend inconclusive")
+    run.bound(-rep.floor_margin, rep.floor_slack, f"floor breached: margin {rep.floor_margin}")
+    run.settle(rep.self_financing.status, "self-financing residual trend")
     return {
         "floor_margin": rep.floor_margin,
         "self_financing_residuals": rep.self_financing.gaps,
@@ -569,13 +563,10 @@ def _mc(run: Run) -> dict:
     columns += [[o.osc_sum for o in oc], [o.osc_sum_bound for o in oc]]
     run.table("mc_seeds.csv", ["seed", "passed", "final_error", "osc_sum", "osc_bound"], columns)
     need = number(cfg, "assert_pass_fraction", 0.9)
-    worst_error = max(o.trend.final_gap for o in oc)
-    run.check(
-        summary.pass_fraction >= need,
-        f"pass fraction {summary.pass_fraction} below {need}; worst seed {summary.worst_seed}: "
-        f"sup error {worst_error} at n={n_max}",
-    )
-    run.check(summary.bounds_fraction == 1.0, "constructive gap/oscillation bounds violated")
+    worst = f"worst seed {summary.worst_seed}: sup error {max(o.trend.final_gap for o in oc)} at n={n_max}"
+    # the fraction asked for is at most the fraction passed; every seed keeps its bounds
+    run.bound(need, summary.pass_fraction, f"pass fraction {summary.pass_fraction} below {need}; {worst}")
+    run.bound(1.0, summary.bounds_fraction, "constructive gap/oscillation bounds violated")
     return summary.to_dict()
 
 
@@ -597,9 +588,8 @@ def _appendix(run: Run) -> dict:
     columns = [range(len(per_level)), per_level, [rep.integral_target] * len(per_level), gaps]
     run.table("appendix.csv", ["level", "integral", "target", "gap"], columns)
     cap = tolerance(run.cfg, "assert_tol", run.tol)
-    run.check(rep.trend.final_gap <= cap, f"appendix limit gap {rep.trend.final_gap} above {cap}")
-    if not rep.hypotheses_ok:
-        run.unsettled("hypothesis trends inconclusive")
+    run.bound(rep.trend.final_gap, cap, f"appendix limit gap {rep.trend.final_gap} above {cap}")
+    run.settle("converged" if rep.hypotheses_ok else "inconclusive", "hypothesis trends")
     return {
         "per_level": rep.integral_per_level,
         "target": rep.integral_target,

@@ -21,13 +21,21 @@ _REL_SLACK = 1e-9
 _NOISE_FLOOR = 1e-12
 
 
+def within(value, bound) -> bool:
+    """True only when every value is finite and at most ``bound`` (scalars or
+    arrays that broadcast): the one rule of every verdict.  A NaN compares
+    false with anything (IEEE 754 5.11), so ``not value > bound`` passes it."""
+    v = np.asarray(value, dtype=float)
+    return bool((np.isfinite(v) & (v <= bound)).all())
+
+
 @dataclass(frozen=True)
 class TrendReport:
     gaps: tuple
     tol: float
     nonincreasing: bool = field(init=False, default=False)
     final_gap: float = field(init=False, default=float("nan"))
-    converged: bool = field(init=False, default=False)
+    status: str = field(init=False, default="inconclusive")  # or "converged", or "non-finite" on a NaN or inf gap
 
     def __post_init__(self):
         gaps = tuple(float(g) for g in self.gaps)
@@ -41,14 +49,17 @@ class TrendReport:
         noninc = all(a >= b - slack for a, b in zip(tail, tail[1:]))
         final = gaps[-1]
         # a tail entirely below tolerance counts as settled regardless of order
-        settled = all(g <= self.tol for g in gaps[-TREND_WINDOW:])
+        settled = within(gaps[-TREND_WINDOW:], self.tol)
+        if not np.isfinite(gaps).all():
+            object.__setattr__(self, "status", "non-finite")
+        elif (noninc or settled) and within(final, self.tol):
+            object.__setattr__(self, "status", "converged")
         object.__setattr__(self, "nonincreasing", noninc)
         object.__setattr__(self, "final_gap", final)
-        object.__setattr__(self, "converged", (noninc or settled) and final <= self.tol)
 
     @property
-    def status(self) -> str:
-        return "converged" if self.converged else "inconclusive"
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def sup_distance(a: np.ndarray, b: np.ndarray) -> float:

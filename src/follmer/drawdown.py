@@ -392,10 +392,6 @@ class DrawdownSolveReport:
     constraint_margin: float
     w_ybar: np.ndarray  # the floor of the running maximum, w(Ybar)
 
-    @property
-    def constraint_ok(self) -> bool:
-        return self.constraint_margin > 0.0
-
 
 def solve_drawdown(
     floor: FloorFunction,

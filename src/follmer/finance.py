@@ -14,11 +14,12 @@ construction at every grid point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DETERMINISTIC_TOL, TrendReport
+from .diagnostics import DETERMINISTIC_TOL, TrendReport, within
 from .drawdown import FloorFunction, azema_yor_path, floor_to_transform
 from .equations import StochasticExponential, doleans_exponential
 from .integrals import integral_at, integral_curve, integrand_values
@@ -106,7 +107,7 @@ class DppiReport:
     exponential: StochasticExponential
     floor_curve: np.ndarray
     floor_margin: float
-    floor_ok: bool
+    floor_slack: float  # the floor holds when -floor_margin is within it
     self_financing: TrendReport
 
 
@@ -174,12 +175,10 @@ def dppi(
 
     floor_curve = l.x * b.x
     margin = float(np.min(v_vals - floor_curve))
-    scale = float(np.max(np.abs(v_vals))) or 1.0
-    floor_ok = (margin >= -1e-9 * scale) if dx_above else True
-    if dx_above and not floor_ok:
-        raise AssertionError(
-            f"floor breached by {margin} despite dX > -1; this is a bug"
-        )
+    # rounding slack where dX > -1 guarantees the floor; no bound where it does not
+    slack = 1e-9 * (float(np.max(np.abs(v_vals))) or 1.0) if dx_above else math.inf
+    if math.isfinite(margin) and not within(-margin, slack):
+        raise AssertionError(f"floor breached by {margin} despite dX > -1; this is a bug")
     sf = self_financing_residual(strategy, market, seq, grid.T, tol=tol)
     return DppiReport(
         strategy=strategy,
@@ -187,7 +186,7 @@ def dppi(
         exponential=se,
         floor_curve=floor_curve,
         floor_margin=margin,
-        floor_ok=floor_ok,
+        floor_slack=slack,
         self_financing=sf,
     )
 
@@ -215,10 +214,6 @@ class DrawdownStrategyReport:
     strategy: Strategy
     self_financing: TrendReport
     constraint_margin: float
-
-    @property
-    def constraint_ok(self) -> bool:
-        return self.constraint_margin > 0.0
 
 
 def drawdown_strategy(

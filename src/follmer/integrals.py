@@ -139,7 +139,6 @@ class IntegralResult:
     level_curves: tuple
     estimate: np.ndarray
     trend: TrendReport
-    status: str
     claim: str
     path: GridPath
 
@@ -177,7 +176,6 @@ def follmer_integral(
         level_curves=tuple(curves),
         estimate=estimate,
         trend=trend,
-        status=trend.status if len(seq) > 1 else "inconclusive",
         claim=claim,
         path=path,
     )
@@ -382,6 +380,7 @@ def associativity_check(
         lhs_levels.append(total)
         rhs_levels.append(float(integral_at(zeta, x.x, p, g)))
     trend = TrendReport([abs(a - b) for a, b in zip(lhs_levels, rhs_levels)], tol)
-    sides_ok = all(r.status != "inconclusive" or isinstance(x, FVPath) for r in y_results)
-    status = trend.status if sides_ok else "inconclusive"
+    # an unsettled side leaves the check unsettled, but for a finite-variation X
+    sides = {r.trend.status for r in y_results} - ({"inconclusive"} if isinstance(x, FVPath) else set())
+    status = next(s for s in ("non-finite", "inconclusive", trend.status) if s in sides | {trend.status})
     return AssociativityReport(tuple(lhs_levels), tuple(rhs_levels), trend, status)

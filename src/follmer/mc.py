@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .diagnostics import STOCHASTIC_TOL, TrendReport
+from .diagnostics import STOCHASTIC_TOL, TrendReport, within
 from .partitions import Partition, lebesgue_partitions, mesh, oscillation
 from .paths import (
     CompoundJumpGenerator,
@@ -212,8 +212,8 @@ def run_seed(exp: McExperiment, seed: int) -> SeedOutcome:
         oscs.append(oscillation(path, p, exp.T))
         gaps.append(mesh(p))
     levels = np.asarray(levels)
-    gaps_ok = bool(np.all(np.asarray(gaps) <= 1.0 / levels + 1e-12))
-    osc_ok = bool(np.all(np.asarray(oscs) <= 0.5**levels + 1e-12))
+    gaps_ok = within(gaps, 1.0 / levels + 1e-12)
+    osc_ok = within(oscs, 0.5**levels + 1e-12)
     osc_sum = float(np.sum(oscs))
     osc_bound = float(np.sum(0.5**levels))
     return SeedOutcome(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import DomainError, GridPath, TimeGrid, dyadic_grid
+from .paths import DomainError, GridPath, TimeGrid, dyadic_grid, same_grid
 
 __all__ = [
     "Partition",
@@ -104,17 +104,19 @@ def dyadic_sequence(
 ) -> PartitionSequence:
     """Nested dyadic partitions pi_n = {k T 2^-n}, n = n_min..n_max.
 
-    The host grid defaults to the dyadic grid at level n_max; a finer dyadic
-    grid may be supplied instead.
+    The host grid defaults to the dyadic grid at level n_max; the dyadic
+    grid of ``T`` at any finer level may be supplied instead.
     """
     if not 0 <= n_min <= n_max:
         raise DomainError("levels", f"need 0 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
     if grid is None:
         grid = dyadic_grid(T, n_max)
-    top, rem = divmod(len(grid) - 1, 1 << n_max)
-    if rem or not top:
+    level = (len(grid) - 1).bit_length() - 1
+    if level < n_max:
         raise ValueError(f"host grid cannot host dyadic level {n_max}")
-    return _strided(grid, top, n_max - n_min + 1)
+    if not same_grid(grid, dyadic_grid(T, level)):
+        raise DomainError("grid", f"is not the dyadic grid {{k T 2^-{level}}} of T = {T!r}")
+    return _strided(grid, 1 << (level - n_max), n_max - n_min + 1)
 
 
 def thinned_sequence(grid: TimeGrid, levels: int) -> PartitionSequence:

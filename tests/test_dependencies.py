@@ -233,3 +233,35 @@ def test_only_the_allocator_helper_reaches_the_c_library():
     code = "import follmer, follmer.cli; print(follmer.cli._keep_freed_memory.cache_info().misses)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
+
+
+def _verdict_list(node) -> bool:
+    """Whether ``node`` is ``<...>.failures`` or ``<...>.inconclusive``, a run's verdict lists."""
+    return isinstance(node, ast.Attribute) and node.attr in ("failures", "inconclusive")
+
+
+def _writes_a_verdict(node) -> bool:
+    if isinstance(node, ast.Call):  # append, extend, insert, ...
+        return isinstance(node.func, ast.Attribute) and _verdict_list(node.func.value)
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        return any(_verdict_list(t) for t in getattr(node, "targets", [getattr(node, "target", None)]))
+    return False
+
+
+def _compares_in_a_recorder_call(node) -> bool:
+    recorder = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("bound", "settle")
+    if not recorder:
+        return False
+    args = node.args + [k.value for k in node.keywords]
+    ops = [op for a in args for n in ast.walk(a) if isinstance(n, ast.Compare) for op in n.ops]
+    return any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in ops)
+
+
+def test_every_cli_verdict_goes_through_the_two_recorders():
+    # a run's failures and unsettled trends are written only by Run.bound,
+    # which compares through diagnostics.within, and Run.settle, which reads
+    # a status; a recorder call that compares its own arguments would bring
+    # back a second rule, one under which a NaN can pass
+    writes = sorted({s for s in _sites(_writes_a_verdict) if s.startswith("cli.")})
+    assert writes == ["cli.Run.__init__", "cli.Run.bound", "cli.Run.settle"]
+    assert [s for s in _sites(_compares_in_a_recorder_call) if s.startswith("cli.")] == []

@@ -289,3 +289,44 @@ def test_solve_linear_nontrivial_decomposition_agreement():
     rep = fl.solve_linear(h, x, seq, decomposition=(xi_c, a), tol=fl.STOCHASTIC_TOL)
     assert rep.agreement < fl.STOCHASTIC_TOL
     assert rep.trend.converged
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "value, bound, expected",
+    [
+        (1.0, 1.0, True),  # equal to the bound is within it
+        (np.nextafter(1.0, 2.0), 1.0, False),
+        (-_INF, 1.0, False),
+        (_INF, _INF, False),
+        (_NAN, 1.0, False),
+        (0.5, _NAN, False),
+        ([0.1, 0.2, 1.0], 1.0, True),
+        ([0.1, _NAN, 0.2], 1.0, False),
+        ([0.1, 2.0], np.array([1.0, 3.0]), True),  # a bound per value
+        ([0.1, 2.0], np.array([1.0, 1.5]), False),
+        ([], 1.0, True),
+    ],
+)
+def test_within_passes_only_finite_values_at_most_the_bound(value, bound, expected):
+    assert fl.within(value, bound) is expected
+
+
+@pytest.mark.parametrize(
+    "gaps, status",
+    [
+        ((0.3, 0.2, 1e-7), "converged"),
+        ((0.3, 0.2, 1e-6), "converged"),  # a final gap equal to tol
+        ((0.3, 0.2, 0.1), "inconclusive"),
+        ((0.3, 0.2, _NAN), "non-finite"),
+        ((_INF, 1e-7, 1e-8), "non-finite"),  # not only the final gap
+        ((0.3, -_INF), "non-finite"),
+        ((), "inconclusive"),
+    ],
+)
+def test_a_trend_with_a_non_finite_gap_is_non_finite(gaps, status):
+    trend = fl.TrendReport(gaps, 1e-6)
+    assert trend.status == status
+    assert trend.converged is (status == "converged")

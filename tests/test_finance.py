@@ -52,7 +52,7 @@ class TestDppi:
         rep = fl.dppi(mkt, 1.0, spec, 1.0, seq, tol=fl.STOCHASTIC_TOL)
         target = 0.6 + 0.4 * s.x / s.x[0]
         assert np.max(np.abs(rep.strategy.value.x - target)) < 1e-4
-        assert rep.floor_ok
+        assert fl.within(-rep.floor_margin, rep.floor_slack)
 
     def test_all_riskless(self, seq):
         mkt = geometric_market(seq)
@@ -69,7 +69,7 @@ class TestDppi:
         for m in (0.0, 0.25, 0.5, 0.75, 1.0):
             rep = fl.dppi(mkt, m, spec, 1.0, seq, tol=fl.STOCHASTIC_TOL)
             assert all(v > -1.0 for v in (float(rep.x_path.dX[i]) for i in rep.x_path.jumps))
-            assert rep.floor_ok
+            assert fl.within(-rep.floor_margin, rep.floor_slack)
 
     def test_single_jump_transcription_by_hand(self):
         # S constant; B jumps 1 -> 1.2 and L jumps 0.5 -> 0.4 at t1 = 0.5;
@@ -94,7 +94,7 @@ class TestDppi:
         assert v[i1] == pytest.approx(1.15, abs=1e-12)
         assert rep.strategy.value.dX[i1] == pytest.approx(0.15, abs=1e-12)
         assert rep.self_financing.final_gap <= 1e-12
-        assert rep.floor_ok
+        assert fl.within(-rep.floor_margin, rep.floor_slack)
 
     def test_floor_requires_initial_wealth(self, seq):
         mkt = geometric_market(seq)
@@ -188,7 +188,7 @@ class TestDrawdownStrategy:
         sbar, _ = fl.running_maximum(s)
         expect_xi = (1.0 - alpha) * (v0 / 2.0 ** (1 - alpha)) * sbar.x ** (-alpha)
         assert np.allclose(rep.strategy.xi.x, expect_xi, rtol=1e-9)
-        assert rep.constraint_ok
+        assert rep.constraint_margin > 0.0
         assert rep.self_financing.converged
 
     def test_constant_price(self, seq):

@@ -1162,6 +1162,39 @@ def test_qv_of_x_without_the_jump_identity_fails(tmp_path, command, cfg):
     assert (out / f"{command}_report.json").exists()
 
 
+# Configs of _COMMANDS at _LEVEL_8, one number replaced, whose arithmetic
+# overflows (no seed), and the failures each must report: a NaN neither
+# passes a check nor ends the run in a traceback.  tools/compare_outputs.py
+# runs these too.
+_NAN_QV = "quadratic variation of X: jump identity violated: nan"
+_NAN_FLOOR = ["floor breached: margin nan", "self-financing residual trend non-finite"]
+_NON_FINITE = {
+    "linear-x.y.size-1e300": ("linear", ("x", "y", "size"), 1e300, [_NAN_QV, "substitution residual trend non-finite"]),
+    "linear-x.y.size-1e150": ("linear", ("x", "y", "size"), 1e150, ["substitution residual trend non-finite"]),
+    "dppi-m-1e300": ("dppi", ("m",), 1e300, [_NAN_QV, *_NAN_FLOOR]),
+    "cppi-m-1e300": ("cppi", ("m",), 1e300, [_NAN_QV, *_NAN_FLOOR]),
+    "dppi-m--1e6": ("dppi", ("m",), -1e6, ["quadratic variation of X: jump identity violated: 398440499.17129517", *_NAN_FLOOR]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE))
+def test_a_non_finite_verdict_fails_with_a_report(tmp_path, case):
+    # run as a user would, in a process of its own: numpy's overflow warnings
+    # go to stderr there, where the tests would turn them into errors
+    command, key, value, failures = _NON_FINITE[case]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(_replaced({**_LEVEL_8, **_COMMANDS[command]}, key, value)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "follmer.cli", command, "--config", str(config), "--out", str(tmp_path / "out")]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert run.returncode == 1 and "Traceback" not in run.stderr, run.stderr
+    name = "dppi" if command == "cppi" else command
+    named = json.loads((tmp_path / "out" / "failures.json").read_text())
+    assert (named["command"], named["failures"]) == (name, failures)
+    assert json.loads((tmp_path / "out" / f"{name}_report.json").read_text())["failures"] == failures
+
+
 @pytest.mark.parametrize(
     "command, changes, unknown",
     [

@@ -46,6 +46,16 @@ class TestDyadic:
         with pytest.raises(ValueError, match="cannot host dyadic level 3"):
             fl.dyadic_sequence(1.0, 1, 3, grid=fl.dyadic_grid(1.0, 2))
 
+    @pytest.mark.parametrize(
+        "grid",
+        [fl.dyadic_grid(2.0, 3), fl.TimeGrid(np.array([0, 0.1, 0.2, 0.9, 1]))],
+        ids=["another-horizon", "not-uniform"],
+    )
+    def test_host_grid_of_another_partition_rejected(self, grid):
+        # the points {k T 2^-n} of the other horizon, or of no uniform grid at all
+        with pytest.raises(fl.DomainError, match=r"grid is not the dyadic grid \{k T 2\^-\d+\} of T = 1\.0"):
+            fl.dyadic_sequence(1.0, 1, 2, grid=grid)
+
 
 class TestMesh:
     def test_uniform(self):

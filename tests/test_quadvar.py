@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import follmer as fl
+from follmer.io import make_generator
 from follmer.quadvar import product_curve, qv_curve
 
 
@@ -246,7 +247,7 @@ class TestMeasureVsQV:
         x = fl.DyadicBrownianGenerator(seed=4).generate(seq.grid)
         rep = measure_check(x, seq, 0.5)
         assert all(d == 0.0 for d in rep.diff_open)
-        assert rep.bounded
+        assert fl.within(rep.diff_closed, rep.cap)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), k=st.integers(0, 1024))
@@ -268,7 +269,7 @@ class TestMeasureVsQV:
         seq = fl.dyadic_sequence(1.0, 2, 8)
         x = fl.FormulaGenerator(lambda t: t).generate(seq.grid)
         rep = measure_check(x, seq, 0.3)
-        assert rep.bounded
+        assert fl.within(rep.diff_closed, rep.cap)
         assert rep.diff_closed[-1] <= rep.diff_closed[0] + 1e-15
 
     def test_step_path_straddle(self):
@@ -276,7 +277,7 @@ class TestMeasureVsQV:
         x = fl.StepGenerator(c=1.0, t0=0.5).generate(seq.grid)
         t = 0.5 - 0.5**8  # just below the jump
         rep = measure_check(x, seq, t)
-        assert rep.bounded
+        assert fl.within(rep.diff_closed, rep.cap)
         # the open mass counts the jump square until the mesh separates t
         # from the jump time; the closed mass keeps the straddling atom
         assert rep.diff_open[0] == pytest.approx(1.0)
@@ -412,3 +413,18 @@ def test_polarization_identity_property(seed, level):
     s = fl.add_paths(x, y)
     pol = 0.5 * (qv_curve(s, p) - qv_curve(x, p) - qv_curve(y, p))
     assert np.allclose(pol, product_curve(x.x, y.x, p), rtol=1e-12, atol=1e-14)
+
+
+def test_a_nan_jump_identity_violation_is_no_qv():
+    # the linear command's driver with jumps of size 1e300 is finite, but its
+    # squared increments overflow: a NaN violation compares false with any
+    # bound, and it must fail the jump identity all the same
+    g = fl.dyadic_grid(1.0, 8)
+    jumps = {"kind": "compound-jump", "intensity": 3.0, "size": 1e300, "sampler": "uniform"}
+    ref = {"kind": "affine-combination", "x": {"kind": "dyadic-brownian"}, "y": jumps}
+    x = make_generator(ref, g, "x", None).generate(g)
+    assert np.all(np.isfinite(x.x))
+    with pytest.warns(RuntimeWarning):
+        qv = fl.qv_sequence(x, fl.dyadic_sequence(1.0, 3, 8, grid=g), tol=0.5)
+    assert qv.status == "no-qv" and np.isnan(qv.cond2_worst)
+    assert qv.trend.status == "non-finite"

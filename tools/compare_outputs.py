@@ -11,19 +11,23 @@ the checkout that holds this file, on the comparison set:
 - every config of ``_SUBCOMMANDS`` and ``_DENSE_SUBCOMMANDS`` in
   ``tests/test_io_cli.py``, as given and merged over ``_LEVEL_8``, each with
   no seed, ``--seed 5`` and ``--seed 7``, all with ``--plot``;
+- every config of ``_NON_FINITE`` there, whose arithmetic overflows, with
+  no seed;
 - every op of every benchmark workload on every input it can reach
   (``perfbench/workloads.build(name, range(UNIVERSE))``).
 
 Run ``<id>`` writes its files into ``DIR/out/<id>``, and ``DIR/codes.json``
-maps each id to its exit code (or to the name of the exception it raised).
+maps each id to its exit code (or to the name of the exception it raised)
+and its first line on stderr (or the exception's message).  numpy's
+warnings are left out of stderr: they name a file and line of the checkout.
 Configs and market CSVs go under ``DIR/inputs`` and are named relative to
 ``DIR``, so the config hashes that the outputs carry agree between two
 checkouts run into two directories.  Nothing is written outside ``DIR``.
 
-``diff`` lists the runs whose exit code changed and every output file that
-changed, with the largest absolute and relative change among the numbers it
-holds (or "layout" where the text around the numbers changed too).  It
-exits 1 when anything changed, 0 otherwise.
+``diff`` lists the runs whose exit code or first stderr line changed, and
+every output file that changed, with the largest absolute and relative
+change among the numbers it holds (or "layout" where the text around the
+numbers changed too).  It exits 1 when anything changed, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import os
 import re
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +66,10 @@ def _cli_set(inputs: Path) -> list[tuple[str, list]]:
             for seed in SEEDS:
                 tag = "-".join(seed).replace("--", "") or "noseed"
                 runs.append((f"cli-{name}-{size}-{tag}", [command, "--config", str(path), *seed, "--plot"]))
+    for case, (command, key, value, _) in sorted(tests._NON_FINITE.items()):
+        path = inputs / f"non-finite-{case}.json"
+        path.write_text(json.dumps(tests._replaced({**tests._LEVEL_8, **tests._COMMANDS[command]}, key, value)))
+        runs.append((f"cli-non-finite-{case}", [command, "--config", str(path)]))
     return runs
 
 
@@ -91,11 +100,15 @@ def run_set(directory: Path) -> int:
     inputs.mkdir()
     codes = {}
     for run_id, argv in _cli_set(inputs) + _workload_set(inputs):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             try:
-                codes[run_id] = bench.invoke(follmer.cli.main, [*argv, "--out", f"out/{run_id}"])
+                code = bench.invoke(follmer.cli.main, [*argv, "--out", f"out/{run_id}"])
             except Exception as exc:  # a crash is an outcome to compare, not a reason to stop
-                codes[run_id] = type(exc).__name__
+                code = type(exc).__name__
+                err = io.StringIO(str(exc))
+        codes[run_id] = {"exit": code, "stderr": next(iter(err.getvalue().splitlines()), "")}
     Path("codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
     print(f"{len(codes)} runs into {directory}")
     return 0
@@ -121,14 +134,18 @@ def file_change(a: str, b: str) -> tuple[float, float] | None:
 
 
 def diff_sets(a: Path, b: Path) -> list[str]:
-    """One line per changed exit code and per changed, added or lost file."""
+    """One line per changed exit code, per changed first stderr line and per
+    changed, added or lost file."""
     lines = []
     codes_a = json.loads((a / "codes.json").read_text())
     codes_b = json.loads((b / "codes.json").read_text())
+    absent = {"exit": "absent", "stderr": None}
     for run_id in sorted(codes_a.keys() | codes_b.keys()):
-        ca, cb = codes_a.get(run_id, "absent"), codes_b.get(run_id, "absent")
-        if ca != cb:
-            lines.append(f"exit code {run_id}: {ca} -> {cb}")
+        ra, rb = codes_a.get(run_id, absent), codes_b.get(run_id, absent)
+        if ra["exit"] != rb["exit"]:
+            lines.append(f"exit code {run_id}: {ra['exit']} -> {rb['exit']}")
+        if absent not in (ra, rb) and ra["stderr"] != rb["stderr"]:
+            lines.append(f"stderr {run_id}: {ra['stderr']!r} -> {rb['stderr']!r}")
     files_a = {p.relative_to(a / "out") for p in (a / "out").rglob("*") if p.is_file()}
     files_b = {p.relative_to(b / "out") for p in (b / "out").rglob("*") if p.is_file()}
     for rel in sorted(files_a - files_b):
