@@ -33,7 +33,7 @@ from .finance import (
     drawdown_strategy,
     self_financing_residual,
 )
-from .functions import C12Function, builtin_c12
+from .functions import C12Function
 from .integrals import (
     AdmissibleIntegrand,
     IntegralResult,
@@ -67,7 +67,6 @@ from .paths import (
     add_paths,
     as_fv,
     dyadic_grid,
-    eval_left_limit,
     left_values,
     reciprocal_path,
     running_maximum,

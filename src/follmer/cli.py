@@ -583,7 +583,10 @@ def _appendix(run: Run) -> dict:
         raise ConfigError("appendix-measure expects a step path for f")
     f = fgen.generate(run.grid)
     mus = [_pushforward(mu, p.times) for p in run.seq]
-    rep = measure_convergence_check(mus, mu, f, run.t, tol=run.tol)
+    try:
+        rep = measure_convergence_check(mus, mu, f, run.t, tol=run.tol)
+    except DomainError as exc:  # the library checks the weights of mu_n; the config gives mu's one weight
+        raise DomainError("weight", str(exc).removeprefix(f"{exc.key} ")) from None
     per_level, gaps = rep.integral_per_level, rep.trend.gaps
     columns = [range(len(per_level)), per_level, [rep.integral_target] * len(per_level), gaps]
     run.table("appendix.csv", ["level", "integral", "target", "gap"], columns)

@@ -29,7 +29,6 @@ __all__ = [
     "fv_scale",
     "square",
     "identity_fn",
-    "builtin_c12",
 ]
 
 
@@ -195,11 +194,3 @@ BUILTINS = {  # name -> constructor; its parameters are the keys the name takes
     "power": power_fn,
     "fv-scale": fv_scale,
 }
-
-
-def builtin_c12(name: str, **params) -> C12Function:
-    try:
-        make = BUILTINS[name]
-    except KeyError:
-        raise KeyError(f"unknown built-in function {name!r}") from None
-    return make(**params)

@@ -256,11 +256,23 @@ def write_csv(path: Path, header: list, columns: list, cfg_hash: str) -> None:
 
 
 def write_report(path: Path, report: dict, cfg_hash: str) -> None:
-    doc = dict(report)
-    doc["config_hash"] = cfg_hash
+    """``report`` and its ``config_hash`` as RFC 8259 JSON: a NaN or infinite
+    float is written as null."""
+    doc = _finite_or_null({**report, "config_hash": cfg_hash})
     with open(path, "w") as fp:
-        json.dump(doc, fp, sort_keys=True, indent=2, default=_json_default)
+        json.dump(doc, fp, sort_keys=True, indent=2, allow_nan=False)
         fp.write("\n")
+
+
+def _finite_or_null(v):
+    """``v`` with each non-finite float, in nested lists, tuples and dicts too, as None."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_null(u) for k, u in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(u) for u in v]
+    return v
 
 
 _SVG_W, _SVG_H, _SVG_PAD = 480, 320, 56
@@ -320,11 +332,3 @@ def _scale(v: np.ndarray, lo: float, hi: float, a: float, b: float) -> np.ndarra
     if hi <= lo:
         return np.full(v.shape, (a + b) / 2)
     return a + (v - lo) * ((b - a) / (hi - lo))
-
-
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON-serializable: {type(v)}")

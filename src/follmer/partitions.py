@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import DomainError, GridPath, TimeGrid, dyadic_grid, same_grid
+from .paths import DomainError, GridPath, TimeGrid, dyadic_grid, dyadic_level
 
 __all__ = [
     "Partition",
@@ -111,11 +111,9 @@ def dyadic_sequence(
         raise DomainError("levels", f"need 0 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
     if grid is None:
         grid = dyadic_grid(T, n_max)
-    level = (len(grid) - 1).bit_length() - 1
-    if level < n_max:
+    if len(grid) - 1 < 1 << n_max:
         raise ValueError(f"host grid cannot host dyadic level {n_max}")
-    if not same_grid(grid, dyadic_grid(T, level)):
-        raise DomainError("grid", f"is not the dyadic grid {{k T 2^-{level}}} of T = {T!r}")
+    level = dyadic_level(grid, T)
     return _strided(grid, 1 << (level - n_max), n_max - n_min + 1)
 
 

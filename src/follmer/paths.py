@@ -29,8 +29,8 @@ __all__ = [
     "GridPath",
     "FVPath",
     "dyadic_grid",
+    "dyadic_level",
     "same_grid",
-    "eval_left_limit",
     "jump_rows",
     "left_values",
     "running_maximum",
@@ -129,31 +129,28 @@ def dyadic_grid(T: float = 1.0, level: int = 0) -> TimeGrid:
     return TimeGrid(times)
 
 
+def dyadic_level(grid: TimeGrid, T: float | None = None) -> int:
+    """The level n at which ``grid`` is ``dyadic_grid(T, n)``, T the grid's own
+    horizon when None; a ``DomainError`` naming ``grid`` when it is no such grid."""
+    T = grid.T if T is None else T
+    level = (len(grid) - 1).bit_length() - 1
+    if not same_grid(grid, dyadic_grid(T, level)):
+        raise DomainError("grid", f"is not the dyadic grid {{k T 2^-{level}}} of T = {T!r}")
+    return level
+
+
 def same_grid(a: TimeGrid, b: TimeGrid) -> bool:
     """Whether two grids hold the same times: the same grid, or equal arrays."""
     return a is b or np.array_equal(a.times, b.times)
 
 
 def _jump_array(jumps, n: int) -> np.ndarray:
-    """The length-n jump array of a {grid index: size} mapping or an array."""
-    if jumps is None or isinstance(jumps, Mapping):
-        jumps = jumps or {}
-        idx = np.fromiter(map(int, jumps), dtype=np.intp, count=len(jumps))
-        if np.any(idx == 0):
-            raise DomainError("jumps", "hold a jump at t=0, which is forbidden (X_{0-} = X_0)")
-        if np.any((idx < 0) | (idx >= n)):
-            raise ValueError("jump index outside the grid")
-        sizes = np.array(list(jumps.values()), dtype=float)
-        if sizes.shape != idx.shape:
-            raise ValueError(f"jump sizes have shape {sizes.shape}, expected {idx.shape}")
-        dX = np.zeros(n)
-        dX[idx] = sizes
-    else:
-        dX = np.array(jumps, dtype=float)
-        if dX.shape != (n,):
-            raise ValueError(f"jump array has shape {dX.shape}, expected ({n},)")
-        if dX[0] != 0.0:
-            raise DomainError("jumps", "hold a jump at t=0, which is forbidden (X_{0-} = X_0)")
+    """The length-n jump array ``jumps``, zeros when None."""
+    dX = np.zeros(n) if jumps is None else np.array(jumps, dtype=float)
+    if dX.shape != (n,):
+        raise ValueError(f"jump array has shape {dX.shape}, expected ({n},)")
+    if dX[0] != 0.0:
+        raise DomainError("jumps", "hold a jump at t=0, which is forbidden (X_{0-} = X_0)")
     dX += 0.0  # a zero jump is +0.0, never -0.0
     return dX
 
@@ -164,8 +161,8 @@ class GridPath:
 
     x[i] = X_{t_i} and dX[i] = X_{t_i} - X_{t_i-}, both read-only 1-d arrays
     of the grid's length.  dX[0] is zero (X_{0-} = X_0) and every zero entry
-    is a continuity point of the discrete path.  ``jumps`` may be given as a
-    mapping {grid index: size} or as an array.
+    is a continuity point of the discrete path.  ``jumps`` is that array, or
+    None for none.
     """
 
     grid: TimeGrid
@@ -218,13 +215,6 @@ def as_fv(path: GridPath) -> FVPath:
 def jump_rows(*paths: GridPath) -> np.ndarray:
     """Sorted grid indices where at least one of the paths jumps."""
     return np.flatnonzero(np.any([p.dX for p in paths], axis=0))
-
-
-def eval_left_limit(path: GridPath, i: int) -> np.float64:
-    """X_{t_i-}: the stored value minus the declared jump; X_{0-} = X_0."""
-    if not 0 <= i < len(path.grid):
-        raise IndexError(f"grid index {i} out of range")
-    return path.x[i] - path.dX[i]
 
 
 def left_values(path: GridPath) -> np.ndarray:
@@ -303,18 +293,9 @@ class StepGenerator(PathGenerator):
         i0 = grid.index_of(self.t0)
         v = np.full(len(grid), self.x0)
         v[i0:] += self.c
-        return GridPath(grid, v, {i0: self.c})
-
-
-def _dyadic_level_of(grid: TimeGrid) -> int:
-    n = len(grid) - 1
-    level = n.bit_length() - 1
-    if (1 << level) != n:
-        raise ValueError("grid is not dyadic")
-    expect = grid.T * (np.arange(n + 1) / n)
-    if not np.array_equal(expect, grid.times):
-        raise ValueError("grid is not dyadic")
-    return level
+        dX = np.zeros(len(grid))
+        dX[i0] = self.c
+        return GridPath(grid, v, dX)
 
 
 @dataclass(frozen=True)
@@ -337,7 +318,7 @@ class DyadicBrownianGenerator(PathGenerator):
         return rng.standard_normal(count)
 
     def generate(self, grid: TimeGrid) -> GridPath:
-        L = _dyadic_level_of(grid)
+        L = dyadic_level(grid)
         T = grid.T
         w = np.zeros(len(grid))
         w[-1] = math.sqrt(T) * self._level_draws(0, 1)[0]

@@ -30,7 +30,6 @@ from .paths import (
     FVPath,
     GridPath,
     TimeGrid,
-    eval_left_limit,
     jump_rows,
     left_values,
     same_grid,
@@ -335,7 +334,7 @@ def _left_value_at(path: GridPath, s: float) -> float:
     """f(s-) for a grid step function: exact left limit at grid times."""
     g = path.grid.clamp_index(s)
     if path.grid.times[g] == s:
-        return float(eval_left_limit(path, g))
+        return float(left_values(path)[g])
     return float(path.x[g])
 
 

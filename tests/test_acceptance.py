@@ -50,12 +50,12 @@ def test_criterion_1_exact_jump_identities():
         seq = fl.dyadic_sequence(1.0, 3, 8)
         g = seq.grid
         vals = np.zeros(len(g))
-        jmap = {}
+        dX = np.zeros(len(g))
         for tt, c in jumps:
             i = g.index_of(tt)
             vals[i:] += c
-            jmap[i] = c
-        x = fl.FVPath(g, vals, jmap)
+            dX[i] = c
+        x = fl.FVPath(g, vals, dX)
         target = sum(c * c for _, c in jumps)
         for p in seq:
             worst = max(worst, abs(qv_curve(x, p)[-1] - target))
@@ -193,13 +193,13 @@ def test_criterion_6_exponential_reconstruction():
     g = seq.grid
     sv = np.full(len(g), 2.0)
     factors = [(0.25, 1.5), (0.5, 0.7), (0.75, 1.2)]
-    jmap = {}
+    dX = np.zeros(len(g))
     for tt, fac in factors:
         sv[g.index_of(tt) :] *= fac
     for tt, fac in factors:
         i = g.index_of(tt)
-        jmap[i] = sv[i] - sv[i] / fac
-    s = fl.FVPath(g, sv, jmap)
+        dX[i] = sv[i] - sv[i] / fac
+    s = fl.FVPath(g, sv, dX)
     z = fl.follmer_integral(fl.reciprocal_path(s), s, seq)
     rec = 2.0 * fl.doleans_exponential(z.path, seq).values
     err_jump = float(np.max(np.abs(rec - s.x)))
@@ -344,12 +344,12 @@ def test_criterion_11_qv_of_integral():
     seq_j = fl.dyadic_sequence(1.0, 2, 10)
     g = seq_j.grid
     vals = np.ones(len(g))
-    jmap = {}
+    dX = np.zeros(len(g))
     for tt, c in [(0.25, 0.5), (0.5, -0.7), (0.75, 1.2)]:
         i = g.index_of(tt)
         vals[i:] += c
-        jmap[i] = c
-    x = fl.FVPath(g, vals, jmap)
+        dX[i] = c
+    x = fl.FVPath(g, vals, dX)
     rep_j = fl.qv_of_integral(fl.AdmissibleIntegrand(fn.polynomial([0.0, 0.0, 0.5]), None, x), x, seq_j)
     worst_jump = max(rep_j.trend.gaps)
 

@@ -94,6 +94,6 @@ def test_run_records_the_first_stderr_line(tmp_path, monkeypatch):
         "ok": {"exit": 0, "stderr": ""},
         "bad": {
             "exit": 2,
-            "stderr": "config error: weights must be nonnegative: discrete-measure convergence needs nonnegative atoms",
+            "stderr": "config error: weight must be nonnegative: discrete-measure convergence needs nonnegative atoms",
         },
     }

@@ -4,7 +4,7 @@ plotting or JIT library present on one machine only) would make code paths
 depend on what happens to be installed.  And every name a module imports is
 used there, and every name its ``__all__`` exports exists: an import or an
 export left behind by a deletion fails here.  So does a dataclass field
-that nothing reads."""
+that nothing reads, and a public function or class that only tests read."""
 
 import ast
 import importlib
@@ -265,3 +265,43 @@ def test_every_cli_verdict_goes_through_the_two_recorders():
     writes = sorted({s for s in _sites(_writes_a_verdict) if s.startswith("cli.")})
     assert writes == ["cli.Run.__init__", "cli.Run.bound", "cli.Run.settle"]
     assert [s for s in _sites(_compares_in_a_recorder_call) if s.startswith("cli.")] == []
+
+
+# the path CSV reader and writer: ROADMAP item 4 gives the runner ingested paths
+_UNREAD_ALLOWED = {"read_path_csv", "write_path_csv"}
+
+
+def _reads(path: Path) -> set:
+    """The names ``path`` reads or imports, a top-level function or class
+    naming itself left out, so that a recursive call is not a reader."""
+    out = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(top.name)
+        out |= names
+    return out
+
+
+def test_every_public_function_and_class_has_a_reader():
+    # code that only its own tests read is code for no one: a reader is the
+    # package itself (not its re-exports), the benchmark, the tools or the
+    # acceptance suite
+    readers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    readers += [*(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tools").rglob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*map(_reads, readers))
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert len(defined) > 100
+    assert [d for d in defined if d.split(".")[1] not in read | _UNREAD_ALLOWED] == []

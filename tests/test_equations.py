@@ -280,12 +280,7 @@ def test_solve_linear_nontrivial_decomposition_agreement():
     xi_c = 0.5
     h_int = fl.follmer_integral(xi_c, x, seq, tol=fl.STOCHASTIC_TOL)
     hv = h_int.estimate + a.x
-    hj = {}
-    for i in sorted(set(x.jumps) | set(a.jumps)):
-        dh = xi_c * float(x.dX[i]) + float(a.dX[i])
-        if dh:
-            hj[i] = dh
-    h = fl.GridPath(g, hv, hj)
+    h = fl.GridPath(g, hv, xi_c * x.dX + a.dX)
     rep = fl.solve_linear(h, x, seq, decomposition=(xi_c, a), tol=fl.STOCHASTIC_TOL)
     assert rep.agreement < fl.STOCHASTIC_TOL
     assert rep.trend.converged

@@ -83,10 +83,12 @@ class TestDppi:
         s = fl.FVPath(g, np.ones(n))
         bv = np.ones(n)
         bv[i1:] = 1.2
-        b = fl.FVPath(g, bv, {i1: 0.2})
+        db, dl = np.zeros(n), np.zeros(n)
+        db[i1], dl[i1] = 0.2, -0.1
+        b = fl.FVPath(g, bv, db)
         lv = np.full(n, 0.5)
         lv[i1:] = 0.4
-        l = fl.FVPath(g, lv, {i1: -0.1})
+        l = fl.FVPath(g, lv, dl)
         rep = fl.dppi(fl.Market(s, b), 0.5, fl.FloorSpec(l), 1.0, seq)
         v = rep.strategy.value.x
         assert v[0] == pytest.approx(1.0, abs=1e-14)
@@ -108,7 +110,9 @@ class TestDppi:
         g = seq.grid
         i = g.index_of(0.5)
         rising = [0.5 + 0.1 * g.times, np.where(g.times < 0.5, 0.4, 0.5)]
-        for lv, jumps in zip(rising, (None, {i: 0.1})):
+        up = np.zeros(len(g))
+        up[i] = 0.1
+        for lv, jumps in zip(rising, (None, up)):
             with pytest.raises(fl.DomainError, match=r"^L must be nonincreasing, got 0\.[0-9]+ then 0\.[0-9]+ at t = "):
                 fl.FloorSpec(fl.FVPath(g, lv, jumps))
         fl.FloorSpec(fl.FVPath(g, 0.5 - 0.1 * g.times))  # a falling L is taken
@@ -157,7 +161,9 @@ class TestSelfFinancing:
         bv = np.exp(0.02 * g.times)
         i = g.index_of(0.75)
         bv[i:] *= 1.05
-        b = fl.FVPath(g, bv, {i: bv[i] - bv[i] / 1.05})
+        db = np.zeros(len(g))
+        db[i] = bv[i] - bv[i] / 1.05
+        b = fl.FVPath(g, bv, db)
         s = fl.GeometricGenerator(seed=40, sigma=0.2, jump_intensity=1.0, jump_size=0.1).generate(g)
         mkt = fl.Market(s, b)
         spec = fl.FloorSpec(fl.FVPath(g, np.full(len(g), 0.3)))

@@ -112,7 +112,7 @@ class TestFollmerIntegral:
         res = fl.follmer_integral(xi, x, seq, tol=fl.STOCHASTIC_TOL)
         i = seq.grid.index_of(0.5)
         # d(int xi dX) = xi_- dX with xi_- = 2 X_{t-}
-        expect = 2.0 * fl.eval_left_limit(x, i) * 0.8
+        expect = 2.0 * fl.left_values(x)[i] * 0.8
         assert res.path.dX[i] == pytest.approx(expect, rel=1e-12)
 
 
@@ -295,12 +295,12 @@ def test_stieltjes_fv_is_its_curve_at_every_point(level, slope, jumps):
     # curve's increments in the curve's order, so they agree bit for bit
     g = fl.dyadic_grid(1.0, level)
     vals = slope * g.times + 0.3 * np.sin(7.0 * g.times)
-    jmap = {}
+    dX = np.zeros(len(g))
     for i, c in jumps:
         i = min(i, len(g) - 1)
         vals[i:] += c
-        jmap[i] = jmap.get(i, 0.0) + c
-    a = fl.FVPath(g, vals, {i: c for i, c in jmap.items() if c})
+        dX[i] += c
+    a = fl.FVPath(g, vals, dX)
     h, h_left = np.exp(-a.x), np.exp(-fl.left_values(a))
     curve = stieltjes_fv_curve(h, h_left, a)
     points = np.array([stieltjes_fv(h, h_left, a, upto=k) for k in range(len(g))])

@@ -29,6 +29,7 @@ from follmer.io import (
     make_generator,
     tolerance,
     write_csv,
+    write_report,
     write_svg,
 )
 from follmer._floatrepr import BLOCK
@@ -97,6 +98,20 @@ def svg_points(path, n_series):
     lines = root.findall(_SVG + "polyline")
     assert len(lines) == n_series
     return [[tuple(map(float, p.split(","))) for p in line.get("points").split()] for line in lines]
+
+
+class TestReportWriter:
+    def test_non_finite_floats_are_null_at_any_depth(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        report = {"a": nan, "b": [1.5, -inf, (inf, 2)], "c": {"d": [nan], "e": np.float64(-0.0)}, "f": "NaN"}
+        write_report(tmp_path / "r.json", report, "abc")
+        doc = _strict_json((tmp_path / "r.json").read_text())
+        assert doc == {"a": None, "b": [1.5, None, [None, 2]], "c": {"d": [None], "e": -0.0}, "f": "NaN", "config_hash": "abc"}
+
+    def test_a_value_that_is_no_json_type_raises(self, tmp_path):
+        # a numpy integer is not converted: a report holds Python values
+        with pytest.raises(TypeError):
+            write_report(tmp_path / "r.json", {"a": np.int64(1)}, "abc")
 
 
 class TestSvgWriter:
@@ -578,11 +593,9 @@ class TestCsvWriter:
 
     def test_path_csv_round_trip_matches_row_writer(self):
         g = fl.dyadic_grid(1.0, 8)
-        x = fl.GridPath(
-            g,
-            np.random.default_rng(3).standard_normal(len(g)).cumsum(),
-            {5: 0.5, 100: 1e-05, 200: -0.0},
-        )
+        dX = np.zeros(len(g))
+        dX[[5, 100, 200]] = [0.5, 1e-05, -0.0]
+        x = fl.GridPath(g, np.random.default_rng(3).standard_normal(len(g)).cumsum(), dX)
         buf = io.StringIO()
         write_path_csv(x, buf)
         old = io.StringIO()
@@ -818,7 +831,7 @@ _JUMP_OFF_THE_PARTITION = {
         (
             "appendix-measure",
             {"weight": -1},
-            "weights must be nonnegative: discrete-measure convergence needs nonnegative atoms",
+            "weight must be nonnegative: discrete-measure convergence needs nonnegative atoms",
         ),
         ("appendix-measure", {"atom": 0.3}, "atom = 0.3 is not a grid time, where the default f steps"),
         # generator parameters checked when the config is read
@@ -996,6 +1009,10 @@ _JUMP_OFF_THE_PARTITION = {
             {"path": {**_BROWNIAN_JUMPS, "y": {"kind": "compound-jump", "intensity": 1e300}}},
             "path.y.intensity times T must be at most 1e+18, got 1e+300",
         ),
+        # the config's one weight is named, not the library's weights of mu_n
+        ("appendix-measure", {"weight": -1.0}, "config error: weight must be nonnegative"),
+        # mc's levels are its own keys
+        ("mc", {"levels": [3, 8]}, "mc takes its levels from 'n_min' and 'n_max', not 'levels'"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, command, changes, named):
@@ -1190,9 +1207,18 @@ def test_a_non_finite_verdict_fails_with_a_report(tmp_path, case):
     run = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert run.returncode == 1 and "Traceback" not in run.stderr, run.stderr
     name = "dppi" if command == "cppi" else command
-    named = json.loads((tmp_path / "out" / "failures.json").read_text())
+    named = _strict_json((tmp_path / "out" / "failures.json").read_text())
     assert (named["command"], named["failures"]) == (name, failures)
-    assert json.loads((tmp_path / "out" / f"{name}_report.json").read_text())["failures"] == failures
+    assert _strict_json((tmp_path / "out" / f"{name}_report.json").read_text())["failures"] == failures
+
+
+def _strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.mark.parametrize(

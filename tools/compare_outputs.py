@@ -9,8 +9,10 @@ Usage, from the repository root:
 the checkout that holds this file, on the comparison set:
 
 - every config of ``_SUBCOMMANDS`` and ``_DENSE_SUBCOMMANDS`` in
-  ``tests/test_io_cli.py``, as given and merged over ``_LEVEL_8``, each with
-  no seed, ``--seed 5`` and ``--seed 7``, all with ``--plot``;
+  ``tests/test_io_cli.py``, as given and at level 8 (merged over
+  ``_LEVEL_8``; mc, which takes no ``levels``, with ``n_min`` 3, ``n_max`` 8
+  and ``grid_level`` 8), each with no seed, ``--seed 5`` and ``--seed 7``,
+  all with ``--plot``;
 - every config of ``_NON_FINITE`` there, whose arithmetic overflows, with
   no seed;
 - every op of every benchmark workload on every input it can reach
@@ -60,7 +62,8 @@ def _cli_set(inputs: Path) -> list[tuple[str, list]]:
     runs = []
     for name, cfg in configs:
         command = name.removeprefix("dense-")
-        for size, full in (("given", cfg), ("level8", {**tests._LEVEL_8, **cfg})):
+        level8 = {**cfg, "grid_level": 8, "n_min": 3, "n_max": 8} if command == "mc" else {**tests._LEVEL_8, **cfg}
+        for size, full in (("given", cfg), ("level8", level8)):
             path = inputs / f"{name}-{size}.json"
             path.write_text(json.dumps(full, sort_keys=True))
             for seed in SEEDS:
