@@ -371,6 +371,26 @@ def _assoc(run: Run) -> dict:
     return {"lhs": rep.lhs_per_level, "rhs": rep.rhs_per_level, "gaps": gaps, "status": rep.status}
 
 
+def _settle_x_qv(run: Run, qv) -> None:
+    """Settle the quadratic variation of X that a solver built E(X) from."""
+    run.settle(qv.status, _X_QV, f"{_X_QV}: jump identity violated: {qv.cond2_worst}")
+
+
+def _solution_report(run: Run, rep, agreement: float | None = None) -> dict:
+    """The checks of a solution Z in order: the QV of X, Z(T) off ``assert_value``
+    by at most ``assert_tol`` when given (and so the agreement of linear's two
+    expressions), the substitution residual trend; and the report entries they share."""
+    _settle_x_qv(run, rep.exponential.qv)
+    zt = float(rep.z.x[-1])
+    if "assert_value" in run.cfg:
+        target, cap = number(run.cfg, "assert_value"), tolerance(run.cfg, "assert_tol", 1e-6)
+        run.bound(abs(zt - target), cap, f"Z(T)={zt} off target {target} by {abs(zt - target)}")
+        if agreement is not None:
+            run.bound(agreement, cap, f"expression agreement {agreement} above {cap}")
+    run.settle(rep.trend.status, "substitution residual trend")
+    return {"z_at_T": zt, "residual": rep.trend.final_gap, "residual_per_level": rep.trend.gaps}
+
+
 @_command("linear", {"x", "x_fv", "h", "stochastic", "assert_value", "assert_tol"})
 def _linear(run: Run) -> dict:
     """Solve Z = H + int Z_- dX by variation of constants."""
@@ -387,23 +407,9 @@ def _linear(run: Run) -> dict:
         elif "xi" in href:  # xi is one half of the decomposition (xi, A)
             raise ConfigError("h.xi is read only with h.fv_decomposition or h.a")
     rep = solve_linear(hh, x, run.seq, decomposition=decomposition, tol=run.tol)
-    run.settle(rep.exponential.qv.status, _X_QV, f"{_X_QV}: jump identity violated: {rep.exponential.qv.cond2_worst}")
     run.table("linear.csv", ["t", "z"], [run.grid, rep.z.x])
-    if "assert_value" in run.cfg:
-        target = number(run.cfg, "assert_value")
-        cap = tolerance(run.cfg, "assert_tol", 1e-6)
-        zt = float(rep.z.x[-1])
-        run.bound(abs(zt - target), cap, f"Z(T)={zt} off target {target} by {abs(zt-target)}")
-        if rep.z_alt is not None:
-            run.bound(rep.agreement, cap, f"expression agreement {rep.agreement} above {cap}")
-    run.settle(rep.trend.status, "substitution residual trend")
-    return {
-        "z_at_T": float(rep.z.x[-1]),
-        "agreement": None if rep.z_alt is None else rep.agreement,
-        "residual": rep.trend.final_gap,
-        "residual_per_level": rep.trend.gaps,
-        "hypothesis": rep.hypothesis,
-    }
+    agreement = None if rep.z_alt is None else rep.agreement
+    return {**_solution_report(run, rep, agreement), "agreement": agreement, "hypothesis": rep.hypothesis}
 
 
 _DRIFTS = {  # kind -> drift f(t, z) from its parameters
@@ -423,15 +429,8 @@ def _nonlinear(run: Run) -> dict:
     except OdeBlowUp as exc:  # the config is valid; |Z / E(X)| left BLOWUP_LIMIT or was not finite
         run.bound(math.inf, BLOWUP_LIMIT, str(exc))
         return {"blowup_t": exc.t}
-    run.settle(rep.exponential.qv.status, _X_QV, f"{_X_QV}: jump identity violated: {rep.exponential.qv.cond2_worst}")
     run.table("nonlinear.csv", ["t", "z"], [run.grid, rep.z.x])
-    if "assert_value" in run.cfg:
-        target = number(run.cfg, "assert_value")
-        cap = tolerance(run.cfg, "assert_tol", 1e-6)
-        zt = float(rep.z.x[-1])
-        run.bound(abs(zt - target), cap, f"Z(T)={zt} off target {target}")
-    run.settle(rep.trend.status, "substitution residual trend")
-    return {"z_at_T": float(rep.z.x[-1]), "residual": rep.trend.final_gap, "residual_per_level": rep.trend.gaps}
+    return _solution_report(run, rep)
 
 
 @_command("drawdown", {"x", "floor", "stochastic", "assert_roundtrip"}, stochastic=True)
@@ -505,7 +504,7 @@ def _dppi(run: Run) -> dict:
     except DomainError as exc:  # name the key L came from
         raise ConfigError(f"l: {exc} (from l.{kind})") from None
     rep = dppi(market, number(run.cfg, "m", 1.0), spec, number(run.cfg, "v0", 1.0), seq, tol=run.tol)
-    run.settle(rep.exponential.qv.status, _X_QV, f"{_X_QV}: jump identity violated: {rep.exponential.qv.cond2_worst}")
+    _settle_x_qv(run, rep.exponential.qv)
     with open(run.out / "strategy.csv", "w") as fp:
         write_strategy_csv(rep.strategy, rep.floor_curve, fp)
         fp.write(f"# config_hash={run.hash}\n")

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import DETERMINISTIC_TOL, TrendReport
+from .diagnostics import DETERMINISTIC_TOL, TrendReport, within
 from .integrals import integral_at
 from .partitions import PartitionSequence
 from .paths import DomainError, GridPath, left_values, running_maximum
@@ -50,7 +50,6 @@ class MonotoneC2Function:
     value: Callable
     d1: Callable
     domain_start: float
-    name: str = ""
 
     def __call__(self, y):
         return np.asarray(self.value(np.asarray(y, dtype=float)), dtype=float)
@@ -75,9 +74,7 @@ class FloorFunction:
     """
 
     w: Callable
-    dw: Callable
     a_star: float
-    name: str = ""
     knots: tuple = ()
 
     def __call__(self, y):
@@ -89,39 +86,24 @@ class FloorFunction:
 
 
 def floor_zero(a_star: float) -> FloorFunction:
-    return FloorFunction(
-        w=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        dw=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        a_star=a_star,
-        name="zero",
-    )
+    return FloorFunction(w=lambda y: np.zeros_like(np.asarray(y, dtype=float)), a_star=a_star)
 
 
 def floor_proportional(alpha: float, a_star: float) -> FloorFunction:
     if not 0.0 <= alpha < 1.0:
         raise DomainError("alpha", f"must satisfy 0 <= alpha < 1, got {alpha!r}")
-    return FloorFunction(
-        w=lambda y: alpha * np.asarray(y, dtype=float),
-        dw=lambda y: np.full_like(np.asarray(y, dtype=float), alpha),
-        a_star=a_star,
-        name=f"proportional({alpha})",
-    )
+    return FloorFunction(w=lambda y: alpha * np.asarray(y, dtype=float), a_star=a_star)
 
 
 def floor_constant_margin(c: float, a_star: float) -> FloorFunction:
     if not c > 0:
         raise DomainError("c", f"must be positive, got {c!r}")
-    return FloorFunction(
-        w=lambda y: np.asarray(y, dtype=float) - c,
-        dw=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        a_star=a_star,
-        name=f"constant-margin({c})",
-    )
+    return FloorFunction(w=lambda y: np.asarray(y, dtype=float) - c, a_star=a_star)
 
 
-def _hermite(xs, ys, slopes, y) -> tuple:
-    """Value and first derivative at ``y`` of the cubic Hermite interpolant
-    through (xs, ys) with the given slopes; the end cubics extrapolate.
+def _hermite(xs, ys, slopes, y) -> np.ndarray:
+    """Value at ``y`` of the cubic Hermite interpolant through (xs, ys) with
+    the given slopes; the end cubics extrapolate.
 
     Interval i holds xs[i] <= y < xs[i+1].  The local power form is summed
     term by term, not by Horner, which gives scipy's ``PPoly`` bits.
@@ -134,7 +116,7 @@ def _hermite(xs, ys, slopes, y) -> tuple:
     s = np.asarray(y, dtype=float) - xs[i]
     s2 = s * s
     d0, c2, c3 = slopes[i], c2[i], c3[i]
-    return ys[i] + d0 * s + c2 * s2 + c3 * (s2 * s), d0 + c2 * 2 * s + c3 * 3 * s2
+    return ys[i] + d0 * s + c2 * s2 + c3 * (s2 * s)
 
 
 def _pchip_end_slope(h0, h1, m0, m1):
@@ -178,7 +160,7 @@ def _table_points(values, key: str) -> np.ndarray:
     return a
 
 
-def floor_from_table(ys, ws, a_star: float | None = None) -> FloorFunction:
+def floor_from_table(ys, ws, a_star: float) -> FloorFunction:
     """User floor from a monotone table, interpolated shape-preservingly
     (PCHIP: cubic Hermite with Fritsch-Carlson slopes)."""
     ys, ws = _table_points(ys, "ys"), _table_points(ws, "ws")
@@ -187,20 +169,14 @@ def floor_from_table(ys, ws, a_star: float | None = None) -> FloorFunction:
     if not np.all(np.diff(ys) > 0):
         raise DomainError("ys", f"must be strictly increasing, got {ys.tolist()!r}")
     slopes = _pchip_slopes(ys, ws)
-    return FloorFunction(
-        w=lambda y: _hermite(ys, ws, slopes, y)[0],
-        dw=lambda y: _hermite(ys, ws, slopes, y)[1],
-        a_star=float(ys[0]) if a_star is None else a_star,
-        name="table",
-        knots=tuple(ys.tolist()),
-    )
+    return FloorFunction(w=lambda y: _hermite(ys, ws, slopes, y), a_star=a_star, knots=tuple(ys.tolist()))
 
 
 FLOORS = {  # name -> constructor; its parameters are the keys the name takes
     "zero": floor_zero,
     "proportional": floor_proportional,
     "constant-margin": floor_constant_margin,
-    "table": lambda ys, ws, a_star: floor_from_table(ys, ws, a_star),  # a_star required here too
+    "table": floor_from_table,
 }
 
 
@@ -285,7 +261,7 @@ class _CumulativeExponent:
         y = np.asarray(y, dtype=float)
         if y.size:
             self._grow(past_y=float(np.max(y)))
-        return _hermite(self._nodes, self._vals, self._slopes, y)[0]
+        return _hermite(self._nodes, self._vals, self._slopes, y)
 
     def invert(self, target):
         """Solve I(y) = target by Newton steps (I' = 1/m) from the lattice's
@@ -310,8 +286,6 @@ class _CumulativeExponent:
 class DrawdownTransform:
     V: MonotoneC2Function
     U: MonotoneC2Function
-    floor: FloorFunction
-    a: float
 
 
 def floor_to_transform(floor: FloorFunction, a: float) -> DrawdownTransform:
@@ -321,7 +295,8 @@ def floor_to_transform(floor: FloorFunction, a: float) -> DrawdownTransform:
     Hermite interpolant, with U' = m(U(x)) / x.  Each derivative takes the
     value at its points, so U'(x) after U(x) inverts nothing again.  The
     round trip U(V(y)) = y is checked, relative to |y| + m(y), on a sample
-    of the lattice's first unit of I.
+    of the lattice's first unit of I; a round trip that is not finite is a
+    ``DomainError`` on ``floor.a_star``.
     """
     if a <= 0:
         raise ValueError("the transform needs a > 0")
@@ -334,7 +309,7 @@ def floor_to_transform(floor: FloorFunction, a: float) -> DrawdownTransform:
     def v_d1(y, vy):
         return vy / floor.margin(y)
 
-    V = MonotoneC2Function(v_val, v_d1, a_star, name="V")
+    V = MonotoneC2Function(v_val, v_d1, a_star)
 
     def u_val(x):
         return exponent.invert(np.log(np.asarray(x, dtype=float) / a))
@@ -342,13 +317,16 @@ def floor_to_transform(floor: FloorFunction, a: float) -> DrawdownTransform:
     def u_d1(x, ux):
         return floor.margin(ux) / x
 
-    U = MonotoneC2Function(u_val, u_d1, a, name="U")
+    U = MonotoneC2Function(u_val, u_d1, a)
 
     ys = np.linspace(a_star, float(exponent._nodes[-1]), 1000, endpoint=False)
-    rt = float(np.max(np.abs(U(V(ys)) - ys) / (np.abs(ys) + floor.margin(ys))))
-    if rt > 1e-9:
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite round trip is rejected below
+        rt = float(np.max(np.abs(U(V(ys)) - ys) / (np.abs(ys) + floor.margin(ys))))
+    if not within(rt, 1e-9):
+        if not np.isfinite(rt):  # the Hermite coefficients overflow where the nodes lie too close
+            raise DomainError("floor.a_star", f"= {a_star:g}: the transform with a = {a:g} is not finite there")
         raise ValueError(f"transform round trip off by {rt} relative to |y| + m(y)")
-    return DrawdownTransform(V, U, floor, a)
+    return DrawdownTransform(V, U)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ class StochasticExponential:
     x: GridPath
     path: GridPath
     qv: QVResult
-    exponent: np.ndarray  # X_t - X_0 - [X,X]^c_t / 2
     zero_hit: bool  # some dX = -1: E(X) is absorbed at 0
     positive: bool  # all dX > -1: E(X) and E(X)_- stay positive
 
@@ -74,14 +73,12 @@ def doleans_exponential(
     values = np.exp(exponent) * jump_product
     dE = np.zeros(len(x.grid))
     dE[j] = values[j] - np.exp(exponent[j] - dx[j]) * jump_product[j - 1]
-    cls = FVPath if isinstance(x, FVPath) else GridPath
     return StochasticExponential(
         x=x,
-        path=cls(x.grid, values, dE),
+        path=type(x)(x.grid, values, dE),
         qv=qv,
-        exponent=exponent,
         zero_hit=bool(np.any(dx == -1.0)),
-        positive=not np.any(dx <= -1.0),
+        positive=bool(np.all(dx > -1.0)),
     )
 
 
@@ -214,7 +211,6 @@ class OdeBlowUp(RuntimeError):
 @dataclass(frozen=True)
 class NonlinearSolveReport:
     z: GridPath
-    y: np.ndarray
     trend: TrendReport  # the substitution residual per level
     exponential: StochasticExponential
 
@@ -274,7 +270,6 @@ def solve_nonlinear(
     sub_curves = integral_curves(z_vals, left_values(z), x, seq)
     return NonlinearSolveReport(
         z=z,
-        y=y,
         trend=TrendReport([sup_distance(z_vals, x0 + drift + c) for c in sub_curves], tol),
         exponential=se,
     )

@@ -103,7 +103,6 @@ class FloorSpec:
 @dataclass(frozen=True)
 class DppiReport:
     strategy: Strategy
-    x_path: GridPath
     exponential: StochasticExponential
     floor_curve: np.ndarray
     floor_margin: float
@@ -142,11 +141,7 @@ def dppi(
     if np.any(x_jumps == -1.0):
         t = float(grid.times[np.argmax(x_jumps == -1.0)])
         raise DomainError("m", f"makes a jump dX = -1 of the driver X at t = {t!r}: the cushion degenerates")
-    fv_driver = isinstance(s, FVPath)
-    x_path = (FVPath if fv_driver else GridPath)(grid, x_vals, x_jumps)
-    dx_above = bool(np.all(x_jumps > -1.0))
-
-    se = doleans_exponential(x_path, seq, tol=tol)
+    se = doleans_exponential(type(s)(grid, x_vals, x_jumps), seq, tol=tol)
     e_vals = se.values
     e_left = left_values(se.path)
 
@@ -176,13 +171,12 @@ def dppi(
     floor_curve = l.x * b.x
     margin = float(np.min(v_vals - floor_curve))
     # rounding slack where dX > -1 guarantees the floor; no bound where it does not
-    slack = 1e-9 * (float(np.max(np.abs(v_vals))) or 1.0) if dx_above else math.inf
+    slack = 1e-9 * (float(np.max(np.abs(v_vals))) or 1.0) if se.positive else math.inf
     if math.isfinite(margin) and not within(-margin, slack):
         raise AssertionError(f"floor breached by {margin} despite dX > -1; this is a bug")
     sf = self_financing_residual(strategy, market, seq, grid.T, tol=tol)
     return DppiReport(
         strategy=strategy,
-        x_path=x_path,
         exponential=se,
         floor_curve=floor_curve,
         floor_margin=margin,
@@ -272,9 +266,7 @@ def read_market_csv(fp) -> Market:
     return Market(GridPath(grid, col["S"], col.get("dS")), FVPath(grid, col["B"], col.get("dB")))
 
 
-def write_strategy_csv(strategy: Strategy, floor_curve: np.ndarray | None, fp) -> None:
+def write_strategy_csv(strategy: Strategy, floor_curve: np.ndarray, fp) -> None:
     """Strategy output CSV t,xi,eta,V,floor."""
-    grid = strategy.value.grid
-    fl = np.zeros(len(grid)) if floor_curve is None else floor_curve
-    columns = [grid, strategy.xi.x, strategy.eta.x, strategy.value.x, fl]
+    columns = [strategy.value.grid, strategy.xi.x, strategy.eta.x, strategy.value.x, floor_curve]
     write_csv_columns(fp, ["t", "xi", "eta", "V", "floor"], columns)

@@ -170,7 +170,7 @@ def follmer_integral(
     else:
         claim = "unverified-hypothesis"
     # d(int xi dX)_t = xi_{t-} dX_t
-    path = (FVPath if isinstance(x, FVPath) else GridPath)(x.grid, estimate, xi_left * x.dX)
+    path = type(x)(x.grid, estimate, xi_left * x.dX)
     return IntegralResult(
         grid=x.grid,
         level_curves=tuple(curves),

@@ -65,13 +65,10 @@ class McExperiment:
         for name in ("T", "sigma", "jump_intensity", "jump_size"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(name, f"must be finite, got {getattr(self, name)!r}")
-        if self.jump_intensity < 0:
-            raise DomainError("jump_intensity", f"must be nonnegative, got {self.jump_intensity!r}")
-        if self.jump_sampler not in CompoundJumpGenerator.SAMPLERS:
-            samplers = list(CompoundJumpGenerator.SAMPLERS)
-            raise DomainError("jump_sampler", f"must be one of {samplers}, got {self.jump_sampler!r}")
-        if self.jump_sampler == "uniform" and self.jump_size < 0:
-            raise DomainError("jump_size", f"must be nonnegative for the uniform sampler, got {self.jump_size!r}")
+        try:  # the jump overlay's rules are the generator's, under this experiment's jump_* keys
+            CompoundJumpGenerator(intensity=self.jump_intensity, size=self.jump_size, sampler=self.jump_sampler)
+        except DomainError as exc:
+            raise DomainError(f"jump_{exc.key}", str(exc).removeprefix(f"{exc.key} ")) from None
 
     @cached_property
     def grid(self) -> TimeGrid:

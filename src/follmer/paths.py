@@ -251,7 +251,7 @@ def reciprocal_path(a: GridPath) -> GridPath:
     if np.any(xs == 0.0) or np.any(lv == 0.0):
         raise ValueError("path touches zero; reciprocal undefined")
     r = 1.0 / xs
-    return (FVPath if isinstance(a, FVPath) else GridPath)(a.grid, r, r - 1.0 / lv)
+    return type(a)(a.grid, r, r - 1.0 / lv)
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,6 @@ def qv_measure(x: GridPath, y: GridPath, p: Partition) -> DiscreteMeasure:
 class MeasureVsQVReport:
     t: float
     qv: tuple
-    mass_open: tuple
     diff_closed: tuple
     diff_open: tuple
     bound: tuple
@@ -307,16 +306,13 @@ def measure_vs_qv_check(
     """
     xs = x.x
     g = x.grid.clamp_index(t)
-    qv, mo, dc, do, bounds = [], [], [], [], []
+    qv, dc, do, bounds = [], [], [], []
     for p, curve in zip(seq, curves, strict=True):
         v = float(curve[g])
         mu = qv_measure(x, x, p)
-        closed = mu.mass(t, closed=True)
-        opened = mu.mass(t, closed=False)
         qv.append(v)
-        mo.append(opened)
-        dc.append(abs(v - closed))
-        do.append(abs(v - opened))
+        dc.append(abs(v - mu.mass(t, closed=True)))
+        do.append(abs(v - mu.mass(t, closed=False)))
         times = p.times
         i = int(np.searchsorted(times, t, side="right")) - 1
         nxt = times[min(i + 1, len(times) - 1)]
@@ -327,7 +323,7 @@ def measure_vs_qv_check(
         bounds.append(4.0 * sup_x * abs(x_next - x_t))
     scale = max(1.0, max(qv, default=1.0))
     cap = tuple(b + 1e-12 * scale for b in bounds)
-    return MeasureVsQVReport(t, tuple(qv), tuple(mo), tuple(dc), tuple(do), tuple(bounds), cap)
+    return MeasureVsQVReport(t, tuple(qv), tuple(dc), tuple(do), tuple(bounds), cap)
 
 
 def _left_value_at(path: GridPath, s: float) -> float:

@@ -97,3 +97,32 @@ def test_run_records_the_first_stderr_line(tmp_path, monkeypatch):
             "stderr": "config error: weight must be nonnegative: discrete-measure convergence needs nonnegative atoms",
         },
     }
+
+
+def _names_in(cfg, seen: dict, key: str = "") -> None:
+    """Add each generator or drift ``kind``, and each floor, formula or
+    function ``name``, that ``cfg`` builds to ``seen``, at any depth."""
+    if isinstance(cfg, list):
+        for v in cfg:
+            _names_in(v, seen, key)
+    elif isinstance(cfg, dict):
+        if "kind" in cfg:
+            seen["kind"].add(cfg["kind"])
+        if "name" in cfg:
+            seen["formula" if cfg.get("kind") == "formula" else "floor" if key == "floor" else "function"].add(cfg["name"])
+        for k, v in cfg.items():
+            _names_in(v, seen, k)
+
+
+def test_the_set_builds_every_table_entry(tmp_path):
+    # read from the configs the set writes, without running them: a floor,
+    # function, formula or generator added to a table without a run fails
+    from follmer import drawdown, functions, io as fio
+
+    seen = {"kind": set(), "formula": set(), "floor": set(), "function": set()}
+    for _, argv in compare_outputs._cli_set(tmp_path):
+        _names_in(json.loads(Path(argv[2]).read_text()), seen)
+    assert set(drawdown.FLOORS) <= seen["floor"]
+    assert set(functions.BUILTINS) <= seen["function"]
+    assert set(fio._FORMULAS) <= seen["formula"]
+    assert set(fio._GENERATORS) | {"affine-combination"} <= seen["kind"]

@@ -68,7 +68,8 @@ class TestDppi:
         spec = fl.FloorSpec(fl.FVPath(seq.grid, np.full(len(seq.grid), 0.4)))
         for m in (0.0, 0.25, 0.5, 0.75, 1.0):
             rep = fl.dppi(mkt, m, spec, 1.0, seq, tol=fl.STOCHASTIC_TOL)
-            assert all(v > -1.0 for v in (float(rep.x_path.dX[i]) for i in rep.x_path.jumps))
+            x = rep.exponential.x
+            assert all(v > -1.0 for v in (float(x.dX[i]) for i in x.jumps))
             assert fl.within(-rep.floor_margin, rep.floor_slack)
 
     def test_single_jump_transcription_by_hand(self):

@@ -770,251 +770,288 @@ _JUMP_OFF_THE_PARTITION = {
 }
 
 
-@pytest.mark.parametrize(
-    "command, changes, named",
-    [
-        ("integrate", {"integrand": 3}, "integrand must be an object"),
-        ("nonlinear", {"f": 3}, "f must be an object"),
-        ("nonlinear", {"f": {"kind": "constant", "c": "abc"}}, "f.c must be a number"),
-        ("dppi", {"market": {**_MARKET, "b": 0.03}}, "market.b must be an object"),
-        ("qv", {"T": "x"}, "T must be a number"),
-        ("qv", {"t": 5.0}, "t = 5.0 lies outside"),
-        ("assoc", {"eta": {"constant": [1.0, 2.0]}}, "eta.constant has 2 values for 1 integrands"),
-        ("mc", {"n_min": 0}, "n_min"),
-        ("mc", {"seeds": -1}, "seeds must be a nonnegative integer, got -1"),
-        ("mc", {"seeds": []}, "seeds is empty"),
-        ("mc", {"sigma": float("nan")}, "sigma must be finite, got nan"),
-        ("mc", {"T": float("inf")}, "T must be finite, got inf"),
-        ("mc", {"jump_size": float("-inf")}, "jump_size must be finite, got -inf"),
-        ("mc", {"tol": float("nan")}, "tolerance 'tol' must be a finite nonnegative number, got nan"),
-        ("qv", {"tol": True}, "tolerance 'tol' must be a finite nonnegative number, got True"),
-        ("ito-check", {"assert_residual": float("inf")}, "'assert_residual' must be a finite nonnegative number"),
-        ("dppi", {"market": {"csv": 3}}, "market.csv must be a file path, got 3"),
-        ("dppi", {"market": {"csv": ["m.csv"]}}, "market.csv must be a file path, got ['m.csv']"),
-        ("assoc", {"integrands": 3}, "integrands must be a non-empty list of functions, got 3"),
-        ("assoc", {"integrands": []}, "integrands must be a non-empty list of functions, got []"),
-        # a function of the wrong arity for the configured paths
-        (
-            "ito-check",
-            {"a": {"kind": "formula", "name": "linear"}},
-            "f: function 'polynomial([0.0, 0.0, 1.0])' takes 0 finite-variation and 1 path components; "
-            "the config gives 1 and 1",
-        ),
-        ("ito-check", {"f": {"name": "fv-scale"}}, "f: function 'fv-scale' takes 1 finite-variation and 1 path"),
-        ("integrate", {"integrand": {"f": {"name": "fv-scale"}}}, "integrand.f: function 'fv-scale' takes 1"),
-        ("assoc", {"integrands": [{"name": "fv-scale"}]}, "integrands: function 'fv-scale' takes 1"),
-        ("assoc", {"eta": {"f": {"name": "fv-scale"}}}, "eta.f: function 'fv-scale' takes 1"),
-        # a step time off the grid
-        (
-            "linear",
-            {"x": {**_JUMP_OFF_THE_PARTITION, "y": {"kind": "step", "c": 0.5, "t0": 0.3}}, "levels": [3, 6], "grid_level": 10},
-            "x.y.t0 = 0.3 is not a grid time",
-        ),
-        ("appendix-measure", {"f": {"kind": "step", "c": 1.0, "t0": 0.3}}, "f.t0 = 0.3 is not a grid time"),
-        # non-finite numbers
-        ("appendix-measure", {"atom": float("nan")}, "atom must be finite, got nan"),
-        ("linear", {"h": {"constant": float("nan")}}, "h.constant must be finite, got nan"),
-        ("dppi", {"m": float("nan")}, "m must be finite, got nan"),
-        ("dppi", {"v0": float("inf")}, "v0 must be finite, got inf"),
-        ("nonlinear", {"x0": float("nan")}, "x0 must be finite, got nan"),
-        ("qv", {"grid_level": float("nan")}, "grid_level must be finite, got nan"),
-        ("qv", {"path": {"kind": "dyadic-brownian", "sigma": float("nan")}}, "path.sigma must be finite, got nan"),
-        ("qv", {"levels": [3, float("inf")]}, "levels.n_max must be finite, got inf"),
-        ("mc", {"seeds": float("nan")}, "seeds must be finite, got nan"),
-        ("mc", {"n_max": float("inf")}, "n_max must be finite, got inf"),
-        ("drawdown", {"floor": {"name": "proportional", "alpha": float("nan"), "a_star": 2.0}}, "floor.alpha must be finite"),
-        ("ito-check", {"f": {"name": "polynomial", "coeffs": [0.0, float("-inf")]}}, "f.coeffs[1] must be finite, got -inf"),
-        # exp-affine is scalar
-        ("ito-check", {"f": {"name": "exp-affine", "c": [1.0, 2.0]}}, "f: bad parameters: c must be a number or a one-element list"),
-        # domain errors of the floor and of the measure
-        ("dppi", {"l": {"constant": -0.5}}, "l: L must be nonnegative"),
-        (
-            "appendix-measure",
-            {"weight": -1},
-            "weight must be nonnegative: discrete-measure convergence needs nonnegative atoms",
-        ),
-        ("appendix-measure", {"atom": 0.3}, "atom = 0.3 is not a grid time, where the default f steps"),
-        # generator parameters checked when the config is read
-        ("qv", {"path": {"kind": "compound-jump", "sampler": "foo"}}, "path.sampler must be one of ['coin', 'uniform'], got 'foo'"),
-        ("nonlinear", {"x": {"kind": "step", "c": "abc"}}, "x.c must be a number, got 'abc'"),
-        ("qv", {"path": {"kind": "geometric", "jump_size": 1.5}}, "path.jump_size must stay below 1 in magnitude, got 1.5"),
-        # floor parameters outside the model's domain
-        (
-            "drawdown",
-            {"floor": {"name": "proportional", "alpha": 1.5, "a_star": 2.0}},
-            "floor.alpha must satisfy 0 <= alpha < 1, got 1.5",
-        ),
-        ("drawdown", {"floor": {"name": "constant-margin", "c": -1, "a_star": 2.0}}, "floor.c must be positive, got -1"),
-        (
-            "drawdown",
-            {"floor": {"name": "zero", "a_star": -2}},
-            "floor.a_star = -2: the floor margin y - w(y) is not positive there",
-        ),
-        # malformed table floors
-        (
-            "drawdown",
-            {"floor": {"name": "table", "ys": [2.0, 1.0], "ws": [0.5, 0.6], "a_star": 2.0}},
-            "floor.ys must be strictly increasing, got [2.0, 1.0]",
-        ),
-        (
-            "drawdown",
-            {"floor": {"name": "table", "ys": [2.0, 3.0, 4.0], "ws": [0.5, 0.6], "a_star": 2.0}},
-            "floor.ws has 2 values for the 3 points of ys",
-        ),
-        (
-            "drawdown",
-            {"floor": {"name": "table", "ys": [2.0, 3.0], "ws": ["a", 0.6], "a_star": 2.0}},
-            "floor.ws[0] must be a number, got 'a'",
-        ),
-        ("drawdown", {"floor": {"name": "table", "ys": 3, "ws": [0.5], "a_star": 2.0}}, "floor.ys must be a list"),
-        # inputs outside the model's domain, each raised where its rule is defined
-        ("dppi", {"v0": -1.0}, "v0 = -1.0 is below the initial floor L_0 = 0.6"),
-        ("linear", {"x": {"kind": "step", "c": -1.0, "t0": 0.5}}, "x has a jump dX = -1 at t = 0.5: E(X) hits zero"),
-        (
-            "nonlinear",
-            {"x": {"kind": "affine-combination", "x": {"kind": "dyadic-brownian"}, "y": {"kind": "step", "c": -1.0}}},
-            "x has a jump dX = -1 at t = 0.5: the equation degenerates",
-        ),
-        ("qv", {"path": {"kind": "dyadic-brownian", "seed": -3}}, "path.seed must be a nonnegative integer, got -3"),
-        ("mc", {"seeds": [1, -2]}, "seeds must be a nonnegative integer, got -2"),
-        ("qv", {"path": {"kind": "compound-jump", "intensity": -2.0}}, "path.intensity must be nonnegative, got -2.0"),
-        ("mc", {"jump_sampler": "foo", "jump_intensity": 1.0}, "jump_sampler must be one of ['coin', 'uniform'], got 'foo'"),
-        (
-            "mc",
-            {"grid_level": 2, "n_min": 1, "n_max": 8},
-            "grid_level: grid too coarse for the 1/n time cap at level n=5: cap 1/n = 0.2 is below the grid step 0.25",
-        ),
-        (
-            "qv",
-            {"path": {"kind": "compound-jump", "size": -1.0, "sampler": "uniform"}},
-            "path.size must be nonnegative for the uniform sampler, got -1.0",
-        ),
-        ("drawdown", {"x": {"kind": "geometric", "s0": 0.0}}, "x.s0 must be positive, got 0.0"),
-        ("appendix-measure", {"atom": 0.0}, "atom = 0.0 is not a grid time, where the default f steps, after t = 0"),
-        ("dppi", {"l": {"constant": -1.0}}, "l: L must be nonnegative, got -1.0 at t = 0.0 (from l.constant)"),
-        (
-            "dppi",
-            {"l": {"linear": {"start": 0.5, "slope": -1.0}}},
-            "l: L must be nonnegative, got -0.00390625 at t = 0.50390625 (from l.linear)",
-        ),
-        ("mc", {"jump_intensity": -1.0}, "jump_intensity must be nonnegative, got -1.0"),
-        ("mc", {"T": -1.0}, "T must be positive, got -1.0"),
-        # integer keys: whole, not boolean, nonnegative, and grid and partition levels at most MAX_LEVEL
-        ("qv", {"grid_level": 8.5}, "grid_level must be an integer from 0 to 20, got 8.5"),
-        ("mc", {"grid_level": True}, "grid_level must be an integer from 0 to 20, got True"),
-        ("mc", {"grid_level": 0}, "grid_level: grid too coarse for the 1/n time cap at level n=2"),
-        ("qv", {"levels": [3.5, 8]}, "levels.n_min must be an integer from 0 to 20, got 3.5"),
-        ("mc", {"n_max": 8.7}, "n_max must be an integer from 0 to 20, got 8.7"),
-        ("qv", {"seed": 1.5}, "seed must be a nonnegative integer, got 1.5"),
-        ("qv", {"path": {"kind": "dyadic-brownian", "seed": True}}, "path.seed must be a number, got True"),
-        # the level bound, tried only where numpy refuses the grid at once
-        ("qv", {"grid_level": 63}, "grid_level must be an integer from 0 to 20, got 63"),
-        ("qv", {"levels": [3, 63]}, "levels.n_max must be an integer from 0 to 20, got 63"),
-        ("mc", {"grid_level": 64}, "grid_level must be an integer from 0 to 20, got 64"),
-        # a path outside an integrand's domain, named by the config key of its function
-        ("integrate", {"integrand": {"f": {"name": "log"}}}, "integrand.f: f is not defined along the trajectory"),
-        ("assoc", {"integrands": [{"name": "square"}, {"name": "log"}]}, "integrands: f is not defined along"),
-        # a negative jump size, rejected under its own key
-        (
-            "qv",
-            {"path": {"kind": "geometric", "jump_size": -0.5, "jump_intensity": 2.0}},
-            "path.jump_size must be nonnegative, got -0.5",
-        ),
-        ("mc", {"jump_sampler": "uniform", "jump_size": -0.5}, "jump_size must be nonnegative for the uniform sampler"),
-        # boolean keys take only true and false
-        ("qv", {"path_fv": "false"}, "path_fv must be true or false, got 'false'"),
-        ("qv", {"stochastic": 1}, "stochastic must be true or false, got 1"),
-        ("linear", {"x_fv": "true"}, "x_fv must be true or false, got 'true'"),
-        (
-            "linear",
-            {"h": {"path": {"kind": "dyadic-brownian"}, "fv_decomposition": "yes"}},
-            "h.fv_decomposition must be true or false, got 'yes'",
-        ),
-        # eta.f is evaluated along the path, so it must be defined there, and it is one eta
-        ("assoc", {"eta": {"f": {"name": "log"}}}, "eta.f: f is not defined along the trajectory"),
-        (
-            "assoc",
-            {"eta": {"f": {"name": "square"}}, "integrands": [{"name": "square"}, {"name": "identity"}]},
-            "eta.f has 1 values for 2 integrands",
-        ),
-        # a key that is read only beside another one
-        ("linear", {"h": {"path": {"kind": "dyadic-brownian"}, "xi": 2.0}}, "h.xi is read only with h.fv_decomposition"),
-        # exp takes no parameters: its c is not exp-affine's
-        ("ito-check", {"f": {"name": "exp", "c": 2.0}}, "unknown keys in f: ['c']"),
-        ("qv", {"path": {"kind": "dyadic-brownian", "seed": 2.5}}, "path.seed must be a nonnegative integer, got 2.5"),
-        # a polynomial's coefficients are a nonempty list of numbers
-        (
-            "ito-check",
-            {"f": {"name": "polynomial", "coeffs": [0, "x"]}},
-            "f.coeffs[1] must be a number, got 'x'",
-        ),
-        ("ito-check", {"f": {"name": "polynomial", "coeffs": []}}, "f.coeffs must be a nonempty list of finite numbers"),
-        ("ito-check", {"f": {"name": "polynomial", "coeffs": "abc"}}, "f.coeffs must be a nonempty list of finite"),
-        # a zigzag's period is positive
-        ("qv", {"path": {"kind": "formula", "name": "zigzag", "period": 0}}, "path.period must be positive, got 0"),
-        ("qv", {"path": {"kind": "formula", "name": "zigzag", "period": -0.5}}, "path.period must be positive, got -0.5"),
-        # a config number is a JSON number, not a bool or a number's text, read by io.number ...
-        ("qv", {"T": True}, "T must be a number, got True"),
-        ("qv", {"t": "0.5"}, "t must be a number, got '0.5'"),
-        ("mc", {"sigma": " 1 "}, "sigma must be a number, got ' 1 '"),
-        # ... by io.integer ...
-        ("qv", {"grid_level": "8"}, "grid_level must be an integer from 0 to 20, got '8'"),
-        ("qv", {"levels": ["3", "8"]}, "levels.n_min must be an integer from 0 to 20, got '3'"),
-        ("qv", {"seed": "3"}, "seed must be a nonnegative integer, got '3'"),
-        ("mc", {"seeds": ["1", 2]}, "seeds must be a nonnegative integer, got '1'"),
-        # ... and by io.build, a list's entries included
-        ("qv", {"path": {"kind": "dyadic-brownian", "sigma": True}}, "path.sigma must be a number, got True"),
-        ("qv", {"path": {"kind": "step", "t0": True}}, "path.t0 must be a number, got True"),
-        ("nonlinear", {"f": {"kind": "linear", "a": True}}, "f.a must be a number, got True"),
-        ("drawdown", {"floor": {"name": "proportional", "alpha": False, "a_star": 2.0}}, "floor.alpha must be a number"),
-        ("ito-check", {"f": {"name": "polynomial", "coeffs": [0, "0", "1"]}}, "f.coeffs[1] must be a number, got '0'"),
-        (
-            "drawdown",
-            {"floor": {"name": "table", "ys": ["2", 3, 4], "ws": [0, 1, 2], "a_star": 2.0}},
-            "floor.ys[0] must be a number, got '2'",
-        ),
-        (
-            "drawdown",
-            {"floor": {"name": "table", "ys": [2, 3, 4], "ws": [0, True, 2], "a_star": 2.0}},
-            "floor.ws[1] must be a number, got True",
-        ),
-        ("assoc", {"eta": {"constant": [True]}}, "eta.constant must be a number, got True"),
-        # an int too large for a float is not finite
-        ("qv", {"path": {"kind": "compound-jump", "intensity": 10**400}}, "path.intensity must be finite, got 1000"),
-        ("qv", {"path": {"kind": "formula", "name": "linear", "slope": 10**400}}, "path.slope must be finite, got 1000"),
-        ("drawdown", {"floor": {"name": "zero", "a_star": 10**400}}, "floor.a_star must be finite, got 1000"),
-        ("nonlinear", {"f": {"kind": "constant", "c": 10**400}}, "f.c must be finite, got 1000"),
-        ("ito-check", {"f": {"name": "exp-affine", "c": 10**400}}, "f.c must be finite, got 1000"),
-        ("mc", {"seeds": 10**400}, "seeds must be finite, got 1000"),
-        # the DPPI floor guarantee needs a nonincreasing multiplier L
-        (
-            "dppi",
-            {"l": {"linear": {"start": 0.9, "slope": 0.5}}},
-            "l: L must be nonincreasing, got 0.9 then 0.901953125 at t = 0.00390625 (from l.linear)",
-        ),
-        # an mc run asks for at most MAX_SEEDS seeds, by a count or by a list
-        ("mc", {"seeds": 1025}, "seeds must ask for at most 1024 seeds, got 1025"),
-        ("mc", {"seeds": list(range(1025))}, "seeds must ask for at most 1024 seeds, got 1025"),
-        # a Poisson mean intensity * T above what numpy's sampler takes, named by its key
-        ("qv", {"path": {"kind": "compound-jump", "intensity": 1e300}}, "path.intensity times T must be at most 1e+18"),
-        (
-            "dppi",
-            {"market": {**_MARKET, "s": {"kind": "geometric", "jump_intensity": 1e150}}},
-            "market.s.jump_intensity times T must be at most 1e+18, got 1e+150",
-        ),
-        ("mc", {"jump_intensity": 1e19}, "jump_intensity: intensity times T must be at most 1e+18, got 1e+19"),
-        # a parent path's rule inside an affine combination, named under x. or y.
-        (
-            "qv",
-            {"path": {**_BROWNIAN_JUMPS, "y": {"kind": "compound-jump", "intensity": 1e300}}},
-            "path.y.intensity times T must be at most 1e+18, got 1e+300",
-        ),
-        # the config's one weight is named, not the library's weights of mu_n
-        ("appendix-measure", {"weight": -1.0}, "config error: weight must be nonnegative"),
-        # mc's levels are its own keys
-        ("mc", {"levels": [3, 8]}, "mc takes its levels from 'n_min' and 'n_max', not 'levels'"),
-    ],
-)
+# Each row is (serial, command, changes, named).  The serial names the row in
+# its test id, "<command>-changes<serial>-<named>", the form of the positional
+# ids the rows had before they got serials.  A serial never changes, so a row
+# added anywhere renames no other; a new row takes the next free serial.
+_MALFORMED = [
+    (0, "integrate", {"integrand": 3}, "integrand must be an object"),
+    (1, "nonlinear", {"f": 3}, "f must be an object"),
+    (2, "nonlinear", {"f": {"kind": "constant", "c": "abc"}}, "f.c must be a number"),
+    (3, "dppi", {"market": {**_MARKET, "b": 0.03}}, "market.b must be an object"),
+    (4, "qv", {"T": "x"}, "T must be a number"),
+    (5, "qv", {"t": 5.0}, "t = 5.0 lies outside"),
+    (6, "assoc", {"eta": {"constant": [1.0, 2.0]}}, "eta.constant has 2 values for 1 integrands"),
+    (7, "mc", {"n_min": 0}, "n_min"),
+    (8, "mc", {"seeds": -1}, "seeds must be a nonnegative integer, got -1"),
+    (9, "mc", {"seeds": []}, "seeds is empty"),
+    (10, "mc", {"sigma": float("nan")}, "sigma must be finite, got nan"),
+    (11, "mc", {"T": float("inf")}, "T must be finite, got inf"),
+    (12, "mc", {"jump_size": float("-inf")}, "jump_size must be finite, got -inf"),
+    (13, "mc", {"tol": float("nan")}, "tolerance 'tol' must be a finite nonnegative number, got nan"),
+    (14, "qv", {"tol": True}, "tolerance 'tol' must be a finite nonnegative number, got True"),
+    (15, "ito-check", {"assert_residual": float("inf")}, "'assert_residual' must be a finite nonnegative number"),
+    (16, "dppi", {"market": {"csv": 3}}, "market.csv must be a file path, got 3"),
+    (17, "dppi", {"market": {"csv": ["m.csv"]}}, "market.csv must be a file path, got ['m.csv']"),
+    (18, "assoc", {"integrands": 3}, "integrands must be a non-empty list of functions, got 3"),
+    (19, "assoc", {"integrands": []}, "integrands must be a non-empty list of functions, got []"),
+    # a function of the wrong arity for the configured paths
+    (
+        20,
+        "ito-check",
+        {"a": {"kind": "formula", "name": "linear"}},
+        "f: function 'polynomial([0.0, 0.0, 1.0])' takes 0 finite-variation and 1 path components; "
+        "the config gives 1 and 1",
+    ),
+    (21, "ito-check", {"f": {"name": "fv-scale"}}, "f: function 'fv-scale' takes 1 finite-variation and 1 path"),
+    (22, "integrate", {"integrand": {"f": {"name": "fv-scale"}}}, "integrand.f: function 'fv-scale' takes 1"),
+    (23, "assoc", {"integrands": [{"name": "fv-scale"}]}, "integrands: function 'fv-scale' takes 1"),
+    (24, "assoc", {"eta": {"f": {"name": "fv-scale"}}}, "eta.f: function 'fv-scale' takes 1"),
+    # a step time off the grid
+    (
+        25,
+        "linear",
+        {"x": {**_JUMP_OFF_THE_PARTITION, "y": {"kind": "step", "c": 0.5, "t0": 0.3}}, "levels": [3, 6], "grid_level": 10},
+        "x.y.t0 = 0.3 is not a grid time",
+    ),
+    (26, "appendix-measure", {"f": {"kind": "step", "c": 1.0, "t0": 0.3}}, "f.t0 = 0.3 is not a grid time"),
+    # non-finite numbers
+    (27, "appendix-measure", {"atom": float("nan")}, "atom must be finite, got nan"),
+    (28, "linear", {"h": {"constant": float("nan")}}, "h.constant must be finite, got nan"),
+    (29, "dppi", {"m": float("nan")}, "m must be finite, got nan"),
+    (30, "dppi", {"v0": float("inf")}, "v0 must be finite, got inf"),
+    (31, "nonlinear", {"x0": float("nan")}, "x0 must be finite, got nan"),
+    (32, "qv", {"grid_level": float("nan")}, "grid_level must be finite, got nan"),
+    (33, "qv", {"path": {"kind": "dyadic-brownian", "sigma": float("nan")}}, "path.sigma must be finite, got nan"),
+    (34, "qv", {"levels": [3, float("inf")]}, "levels.n_max must be finite, got inf"),
+    (35, "mc", {"seeds": float("nan")}, "seeds must be finite, got nan"),
+    (36, "mc", {"n_max": float("inf")}, "n_max must be finite, got inf"),
+    (37, "drawdown", {"floor": {"name": "proportional", "alpha": float("nan"), "a_star": 2.0}}, "floor.alpha must be finite"),
+    (38, "ito-check", {"f": {"name": "polynomial", "coeffs": [0.0, float("-inf")]}}, "f.coeffs[1] must be finite, got -inf"),
+    # exp-affine is scalar
+    (39, "ito-check", {"f": {"name": "exp-affine", "c": [1.0, 2.0]}}, "f: bad parameters: c must be a number or a one-element list"),
+    # domain errors of the floor and of the measure
+    (40, "dppi", {"l": {"constant": -0.5}}, "l: L must be nonnegative"),
+    (
+        41,
+        "appendix-measure",
+        {"weight": -1},
+        "weight must be nonnegative: discrete-measure convergence needs nonnegative atoms",
+    ),
+    (42, "appendix-measure", {"atom": 0.3}, "atom = 0.3 is not a grid time, where the default f steps"),
+    # generator parameters checked when the config is read
+    (43, "qv", {"path": {"kind": "compound-jump", "sampler": "foo"}}, "path.sampler must be one of ['coin', 'uniform'], got 'foo'"),
+    (44, "nonlinear", {"x": {"kind": "step", "c": "abc"}}, "x.c must be a number, got 'abc'"),
+    (45, "qv", {"path": {"kind": "geometric", "jump_size": 1.5}}, "path.jump_size must stay below 1 in magnitude, got 1.5"),
+    # floor parameters outside the model's domain
+    (
+        46,
+        "drawdown",
+        {"floor": {"name": "proportional", "alpha": 1.5, "a_star": 2.0}},
+        "floor.alpha must satisfy 0 <= alpha < 1, got 1.5",
+    ),
+    (47, "drawdown", {"floor": {"name": "constant-margin", "c": -1, "a_star": 2.0}}, "floor.c must be positive, got -1"),
+    (
+        48,
+        "drawdown",
+        {"floor": {"name": "zero", "a_star": -2}},
+        "floor.a_star = -2: the floor margin y - w(y) is not positive there",
+    ),
+    # malformed table floors
+    (
+        49,
+        "drawdown",
+        {"floor": {"name": "table", "ys": [2.0, 1.0], "ws": [0.5, 0.6], "a_star": 2.0}},
+        "floor.ys must be strictly increasing, got [2.0, 1.0]",
+    ),
+    (
+        50,
+        "drawdown",
+        {"floor": {"name": "table", "ys": [2.0, 3.0, 4.0], "ws": [0.5, 0.6], "a_star": 2.0}},
+        "floor.ws has 2 values for the 3 points of ys",
+    ),
+    (
+        51,
+        "drawdown",
+        {"floor": {"name": "table", "ys": [2.0, 3.0], "ws": ["a", 0.6], "a_star": 2.0}},
+        "floor.ws[0] must be a number, got 'a'",
+    ),
+    (52, "drawdown", {"floor": {"name": "table", "ys": 3, "ws": [0.5], "a_star": 2.0}}, "floor.ys must be a list"),
+    # inputs outside the model's domain, each raised where its rule is defined
+    (53, "dppi", {"v0": -1.0}, "v0 = -1.0 is below the initial floor L_0 = 0.6"),
+    (54, "linear", {"x": {"kind": "step", "c": -1.0, "t0": 0.5}}, "x has a jump dX = -1 at t = 0.5: E(X) hits zero"),
+    (
+        55,
+        "nonlinear",
+        {"x": {"kind": "affine-combination", "x": {"kind": "dyadic-brownian"}, "y": {"kind": "step", "c": -1.0}}},
+        "x has a jump dX = -1 at t = 0.5: the equation degenerates",
+    ),
+    (56, "qv", {"path": {"kind": "dyadic-brownian", "seed": -3}}, "path.seed must be a nonnegative integer, got -3"),
+    (57, "mc", {"seeds": [1, -2]}, "seeds must be a nonnegative integer, got -2"),
+    (58, "qv", {"path": {"kind": "compound-jump", "intensity": -2.0}}, "path.intensity must be nonnegative, got -2.0"),
+    (59, "mc", {"jump_sampler": "foo", "jump_intensity": 1.0}, "jump_sampler must be one of ['coin', 'uniform'], got 'foo'"),
+    (
+        60,
+        "mc",
+        {"grid_level": 2, "n_min": 1, "n_max": 8},
+        "grid_level: grid too coarse for the 1/n time cap at level n=5: cap 1/n = 0.2 is below the grid step 0.25",
+    ),
+    (
+        61,
+        "qv",
+        {"path": {"kind": "compound-jump", "size": -1.0, "sampler": "uniform"}},
+        "path.size must be nonnegative for the uniform sampler, got -1.0",
+    ),
+    (62, "drawdown", {"x": {"kind": "geometric", "s0": 0.0}}, "x.s0 must be positive, got 0.0"),
+    (63, "appendix-measure", {"atom": 0.0}, "atom = 0.0 is not a grid time, where the default f steps, after t = 0"),
+    (64, "dppi", {"l": {"constant": -1.0}}, "l: L must be nonnegative, got -1.0 at t = 0.0 (from l.constant)"),
+    (
+        65,
+        "dppi",
+        {"l": {"linear": {"start": 0.5, "slope": -1.0}}},
+        "l: L must be nonnegative, got -0.00390625 at t = 0.50390625 (from l.linear)",
+    ),
+    (66, "mc", {"jump_intensity": -1.0}, "jump_intensity must be nonnegative, got -1.0"),
+    (67, "mc", {"T": -1.0}, "T must be positive, got -1.0"),
+    # integer keys: whole, not boolean, nonnegative, and grid and partition levels at most MAX_LEVEL
+    (68, "qv", {"grid_level": 8.5}, "grid_level must be an integer from 0 to 20, got 8.5"),
+    (69, "mc", {"grid_level": True}, "grid_level must be an integer from 0 to 20, got True"),
+    (70, "mc", {"grid_level": 0}, "grid_level: grid too coarse for the 1/n time cap at level n=2"),
+    (71, "qv", {"levels": [3.5, 8]}, "levels.n_min must be an integer from 0 to 20, got 3.5"),
+    (72, "mc", {"n_max": 8.7}, "n_max must be an integer from 0 to 20, got 8.7"),
+    (73, "qv", {"seed": 1.5}, "seed must be a nonnegative integer, got 1.5"),
+    (74, "qv", {"path": {"kind": "dyadic-brownian", "seed": True}}, "path.seed must be a number, got True"),
+    # the level bound, tried only where numpy refuses the grid at once
+    (75, "qv", {"grid_level": 63}, "grid_level must be an integer from 0 to 20, got 63"),
+    (76, "qv", {"levels": [3, 63]}, "levels.n_max must be an integer from 0 to 20, got 63"),
+    (77, "mc", {"grid_level": 64}, "grid_level must be an integer from 0 to 20, got 64"),
+    # a path outside an integrand's domain, named by the config key of its function
+    (78, "integrate", {"integrand": {"f": {"name": "log"}}}, "integrand.f: f is not defined along the trajectory"),
+    (79, "assoc", {"integrands": [{"name": "square"}, {"name": "log"}]}, "integrands: f is not defined along"),
+    # a negative jump size, rejected under its own key
+    (
+        80,
+        "qv",
+        {"path": {"kind": "geometric", "jump_size": -0.5, "jump_intensity": 2.0}},
+        "path.jump_size must be nonnegative, got -0.5",
+    ),
+    (81, "mc", {"jump_sampler": "uniform", "jump_size": -0.5}, "jump_size must be nonnegative for the uniform sampler"),
+    # boolean keys take only true and false
+    (82, "qv", {"path_fv": "false"}, "path_fv must be true or false, got 'false'"),
+    (83, "qv", {"stochastic": 1}, "stochastic must be true or false, got 1"),
+    (84, "linear", {"x_fv": "true"}, "x_fv must be true or false, got 'true'"),
+    (
+        85,
+        "linear",
+        {"h": {"path": {"kind": "dyadic-brownian"}, "fv_decomposition": "yes"}},
+        "h.fv_decomposition must be true or false, got 'yes'",
+    ),
+    # eta.f is evaluated along the path, so it must be defined there, and it is one eta
+    (86, "assoc", {"eta": {"f": {"name": "log"}}}, "eta.f: f is not defined along the trajectory"),
+    (
+        87,
+        "assoc",
+        {"eta": {"f": {"name": "square"}}, "integrands": [{"name": "square"}, {"name": "identity"}]},
+        "eta.f has 1 values for 2 integrands",
+    ),
+    # a key that is read only beside another one
+    (88, "linear", {"h": {"path": {"kind": "dyadic-brownian"}, "xi": 2.0}}, "h.xi is read only with h.fv_decomposition"),
+    # exp takes no parameters: its c is not exp-affine's
+    (89, "ito-check", {"f": {"name": "exp", "c": 2.0}}, "unknown keys in f: ['c']"),
+    (90, "qv", {"path": {"kind": "dyadic-brownian", "seed": 2.5}}, "path.seed must be a nonnegative integer, got 2.5"),
+    # a polynomial's coefficients are a nonempty list of numbers
+    (
+        91,
+        "ito-check",
+        {"f": {"name": "polynomial", "coeffs": [0, "x"]}},
+        "f.coeffs[1] must be a number, got 'x'",
+    ),
+    (92, "ito-check", {"f": {"name": "polynomial", "coeffs": []}}, "f.coeffs must be a nonempty list of finite numbers"),
+    (93, "ito-check", {"f": {"name": "polynomial", "coeffs": "abc"}}, "f.coeffs must be a nonempty list of finite"),
+    # a zigzag's period is positive
+    (94, "qv", {"path": {"kind": "formula", "name": "zigzag", "period": 0}}, "path.period must be positive, got 0"),
+    (95, "qv", {"path": {"kind": "formula", "name": "zigzag", "period": -0.5}}, "path.period must be positive, got -0.5"),
+    # a config number is a JSON number, not a bool or a number's text, read by io.number ...
+    (96, "qv", {"T": True}, "T must be a number, got True"),
+    (97, "qv", {"t": "0.5"}, "t must be a number, got '0.5'"),
+    (98, "mc", {"sigma": " 1 "}, "sigma must be a number, got ' 1 '"),
+    # ... by io.integer ...
+    (99, "qv", {"grid_level": "8"}, "grid_level must be an integer from 0 to 20, got '8'"),
+    (100, "qv", {"levels": ["3", "8"]}, "levels.n_min must be an integer from 0 to 20, got '3'"),
+    (101, "qv", {"seed": "3"}, "seed must be a nonnegative integer, got '3'"),
+    (102, "mc", {"seeds": ["1", 2]}, "seeds must be a nonnegative integer, got '1'"),
+    # ... and by io.build, a list's entries included
+    (103, "qv", {"path": {"kind": "dyadic-brownian", "sigma": True}}, "path.sigma must be a number, got True"),
+    (104, "qv", {"path": {"kind": "step", "t0": True}}, "path.t0 must be a number, got True"),
+    (105, "nonlinear", {"f": {"kind": "linear", "a": True}}, "f.a must be a number, got True"),
+    (106, "drawdown", {"floor": {"name": "proportional", "alpha": False, "a_star": 2.0}}, "floor.alpha must be a number"),
+    (107, "ito-check", {"f": {"name": "polynomial", "coeffs": [0, "0", "1"]}}, "f.coeffs[1] must be a number, got '0'"),
+    (
+        108,
+        "drawdown",
+        {"floor": {"name": "table", "ys": ["2", 3, 4], "ws": [0, 1, 2], "a_star": 2.0}},
+        "floor.ys[0] must be a number, got '2'",
+    ),
+    (
+        109,
+        "drawdown",
+        {"floor": {"name": "table", "ys": [2, 3, 4], "ws": [0, True, 2], "a_star": 2.0}},
+        "floor.ws[1] must be a number, got True",
+    ),
+    (110, "assoc", {"eta": {"constant": [True]}}, "eta.constant must be a number, got True"),
+    # an int too large for a float is not finite
+    (111, "qv", {"path": {"kind": "compound-jump", "intensity": 10**400}}, "path.intensity must be finite, got 1000"),
+    (112, "qv", {"path": {"kind": "formula", "name": "linear", "slope": 10**400}}, "path.slope must be finite, got 1000"),
+    (113, "drawdown", {"floor": {"name": "zero", "a_star": 10**400}}, "floor.a_star must be finite, got 1000"),
+    (114, "nonlinear", {"f": {"kind": "constant", "c": 10**400}}, "f.c must be finite, got 1000"),
+    (115, "ito-check", {"f": {"name": "exp-affine", "c": 10**400}}, "f.c must be finite, got 1000"),
+    (116, "mc", {"seeds": 10**400}, "seeds must be finite, got 1000"),
+    # the DPPI floor guarantee needs a nonincreasing multiplier L
+    (
+        117,
+        "dppi",
+        {"l": {"linear": {"start": 0.9, "slope": 0.5}}},
+        "l: L must be nonincreasing, got 0.9 then 0.901953125 at t = 0.00390625 (from l.linear)",
+    ),
+    # an mc run asks for at most MAX_SEEDS seeds, by a count or by a list
+    (118, "mc", {"seeds": 1025}, "seeds must ask for at most 1024 seeds, got 1025"),
+    (119, "mc", {"seeds": list(range(1025))}, "seeds must ask for at most 1024 seeds, got 1025"),
+    # a Poisson mean intensity * T above what numpy's sampler takes, named by its key
+    (120, "qv", {"path": {"kind": "compound-jump", "intensity": 1e300}}, "path.intensity times T must be at most 1e+18"),
+    (
+        121,
+        "dppi",
+        {"market": {**_MARKET, "s": {"kind": "geometric", "jump_intensity": 1e150}}},
+        "market.s.jump_intensity times T must be at most 1e+18, got 1e+150",
+    ),
+    (122, "mc", {"jump_intensity": 1e19}, "jump_intensity: intensity times T must be at most 1e+18, got 1e+19"),
+    # a parent path's rule inside an affine combination, named under x. or y.
+    (
+        123,
+        "qv",
+        {"path": {**_BROWNIAN_JUMPS, "y": {"kind": "compound-jump", "intensity": 1e300}}},
+        "path.y.intensity times T must be at most 1e+18, got 1e+300",
+    ),
+    # the config's one weight is named, not the library's weights of mu_n
+    (124, "appendix-measure", {"weight": -1.0}, "config error: weight must be nonnegative"),
+    # mc's levels are its own keys
+    (125, "mc", {"levels": [3, 8]}, "mc takes its levels from 'n_min' and 'n_max', not 'levels'"),
+    # a floor transform that is not finite: the Hermite coefficients of nodes about 1e-303 apart overflow
+    (
+        126,
+        "drawdown",
+        {"floor": {"name": "zero", "a_star": 1e-300}},
+        "floor.a_star = 1e-300: the transform with a = 2 is not finite there",
+    ),
+]
+_MALFORMED_IDS = [f"{command}-changes{n}-{named}" for n, command, _, named in _MALFORMED]
+
+
+def test_malformed_value_ids_are_unique():
+    assert len(set(_MALFORMED_IDS)) == len(_MALFORMED)
+
+
+@pytest.mark.parametrize("command, changes, named", [row[1:] for row in _MALFORMED], ids=_MALFORMED_IDS)
 def test_malformed_value_exits_2(tmp_path, command, changes, named):
     result, _ = run_command(tmp_path, command, changes)
     assert result.exit_code == 2, result.output
@@ -1264,9 +1301,10 @@ _NAMED = [
 ]
 
 
-@pytest.mark.parametrize(
-    "command, key, section, extra", _NAMED, ids=[f"{c}-{s.get('name', s.get('kind'))}" for c, _, s, _ in _NAMED]
-)
+_NAMED_IDS = [f"{c}-{s.get('name', s.get('kind'))}" for c, _, s, _ in _NAMED]  # tools/compare_outputs.py runs them too
+
+
+@pytest.mark.parametrize("command, key, section, extra", _NAMED, ids=_NAMED_IDS)
 def test_every_named_object_rejects_an_extra_key(tmp_path, command, key, section, extra):
     # the keys a name takes are its constructor's parameters: the section is
     # valid as it stands, and one key more is a config error naming both

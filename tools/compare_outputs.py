@@ -13,6 +13,9 @@ the checkout that holds this file, on the comparison set:
   ``_LEVEL_8``; mc, which takes no ``levels``, with ``n_min`` 3, ``n_max`` 8
   and ``grid_level`` 8), each with no seed, ``--seed 5`` and ``--seed 7``,
   all with ``--plot``;
+- every config of ``_NAMED`` there, one valid section for each name of each
+  table the config reader looks names up in (every floor, built-in function,
+  formula, generator kind and drift), at level 8 with ``--seed 5``;
 - every config of ``_NON_FINITE`` there, whose arithmetic overflows, with
   no seed;
 - every op of every benchmark workload on every input it can reach
@@ -69,6 +72,10 @@ def _cli_set(inputs: Path) -> list[tuple[str, list]]:
             for seed in SEEDS:
                 tag = "-".join(seed).replace("--", "") or "noseed"
                 runs.append((f"cli-{name}-{size}-{tag}", [command, "--config", str(path), *seed, "--plot"]))
+    for name, (command, key, section, extra) in zip(tests._NAMED_IDS, tests._NAMED):
+        path = inputs / f"named-{name}.json"
+        path.write_text(json.dumps({**tests._LEVEL_8, **tests._COMMANDS[command], **extra, key: section}, sort_keys=True))
+        runs.append((f"cli-named-{name}", [command, "--config", str(path), "--seed", "5", "--plot"]))
     for case, (command, key, value, _) in sorted(tests._NON_FINITE.items()):
         path = inputs / f"non-finite-{case}.json"
         path.write_text(json.dumps(tests._replaced({**tests._LEVEL_8, **tests._COMMANDS[command]}, key, value)))
